@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -51,7 +51,6 @@ class BetheRootSet:
     pairing_error: float              # worst relative mismatch of the involution pairing
     product_error: float              # deviation of prod(Y) from q^(-2M)
     degenerate: bool = False          # a pair sits at an involution fixed point
-    residuals: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     @property
     def roots_squared(self) -> np.ndarray:
@@ -155,8 +154,7 @@ def joint_spectrum(params: ChainParams, z_probe: complex, z_samples, seed: int =
                             / max(1.0, abs(lam)))
                 tv_s.append((z, complex(lam)))
                 q_s.append((z, complex(v.conj() @ (q_mats[z] @ v))))
-            deg = 2 * n if not closed else 2 * n
-            coeffs, fit_err = _fit_q_polynomial(v, q_fit, q_hold, deg, closed, n, m_down)
+            coeffs, fit_err = _fit_q_polynomial(v, q_fit, q_hold, 2 * n, closed, n, m_down)
             records.append(SpectrumRecord(sector=sector, vector=v, tv_samples=tv_s,
                                           q_samples=q_s, q_poly=coeffs,
                                           tv_residual=worst, q_fit_error=fit_err))
@@ -425,30 +423,27 @@ def aba_coefficients(z: complex, y: complex, params: ChainParams) -> dict:
     alpha2t = alpha2 - alpha4 * fy
     beta2t = beta2 + alpha4 * fz
     beta4t = beta4 - beta2 * fy + alpha2t * fz
-    ktv = ktv_matrix(z, params.xitilde, q)
-    gamma_plus = ktv[0, 0] - fz * ktv[1, 1]
-    gamma_minus = ktv[1, 1]
+    gamma_plus, gamma_minus = _aba_gammas(z, fz, params)
     phi_plus = gamma_plus * alpha2t + gamma_minus * beta4t
     phi_minus = gamma_plus * alpha4 + gamma_minus * beta2t
-    kv = kv_matrix(z, params.xi)
-    delta_plus = kv[0, 0]
-    delta_minus = kv[1, 1] + fz * kv[0, 0]
-    for tn in params.t:
-        delta_plus *= _abc(z / tn, q)[0] * _abc(z * tn, q)[0]
-        delta_minus *= _abc(z / tn, q)[1] * _abc(z * tn, q)[1]
     return {
         "alpha1": alpha1, "alpha2": alpha2, "alpha2t": alpha2t, "alpha4": alpha4,
         "beta1": beta1, "beta2": beta2, "beta2t": beta2t, "beta3": beta3,
         "beta4": beta4, "beta4t": beta4t,
         "gamma_plus": gamma_plus, "gamma_minus": gamma_minus,
         "phi_plus": phi_plus, "phi_minus": phi_minus,
-        "delta_plus": delta_plus, "delta_minus": delta_minus,
         "f_z": fz, "f_y": fy,
     }
 
 
+def _aba_gammas(z: complex, fz: complex, params: ChainParams):
+    """Left-boundary weights gamma_+ and gamma_- of the sheared block decomposition."""
+    ktv = ktv_matrix(z, params.xitilde, params.q)
+    return ktv[0, 0] - fz * ktv[1, 1], ktv[1, 1]
+
+
 def aba_vacuum_values(z: complex, params: ChainParams):
-    """Vacuum eigenvalues of the raised and sheared diagonal blocks."""
+    """Vacuum eigenvalues delta_+ and delta_- of the raised and sheared diagonal blocks."""
     q = params.q
     kv = kv_matrix(z, params.xi)
     dplus = kv[0, 0]
@@ -476,10 +471,7 @@ def aba_eigenvalue(z: complex, roots, params: ChainParams) -> complex:
     """Transfer-matrix eigenvalue predicted by the Bethe-ansatz formula."""
     ys = np.asarray(roots, dtype=complex)
     q = params.q
-    fz = aba_f(z, q)
-    ktv = ktv_matrix(z, params.xitilde, q)
-    gamma_plus = ktv[0, 0] - fz * ktv[1, 1]
-    gamma_minus = ktv[1, 1]
+    gamma_plus, gamma_minus = _aba_gammas(z, aba_f(z, q), params)
     dplus, dminus = aba_vacuum_values(z, params)
     prod_a = 1.0 + 0.0j
     prod_b = 1.0 + 0.0j
@@ -601,7 +593,6 @@ def refine_bethe_newton(seed_roots, params: ChainParams, max_iter: int = 50,
                            pairing_error=seed_roots.pairing_error,
                            product_error=seed_roots.product_error,
                            degenerate=seed_roots.degenerate)
-        out.residuals = bethe_residual(out, params)
         return out, best
     return refined, best
 

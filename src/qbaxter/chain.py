@@ -8,6 +8,7 @@ recursion oracle, the total spin operator, and the closed-chain analogues.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -46,7 +47,6 @@ class ChainParams:
     n_sites: int
     t: tuple
     zeta: complex = 0.0
-    r: complex = 1.0
     cutoff: int = 40
     tol: float = 1e-9
     exclusion_radius: float = 0.05
@@ -68,7 +68,6 @@ class ChainParams:
         object.__setattr__(self, "xi", complex(self.xi))
         object.__setattr__(self, "xitilde", complex(self.xitilde))
         object.__setattr__(self, "zeta", complex(self.zeta))
-        object.__setattr__(self, "r", complex(self.r))
         if self.xi == 0 or self.xitilde == 0:
             raise ParameterDomainError("boundary parameters must be nonzero")
         rho = self.tail_ratio
@@ -113,7 +112,7 @@ class SpinSector:
 
     m_down: int
     n_sites: int
-    indices: tuple = field(default=())
+    indices: tuple = field(init=False)
 
     def __post_init__(self):
         if not 0 <= self.m_down <= self.n_sites:
@@ -125,10 +124,6 @@ class SpinSector:
     @property
     def dim(self) -> int:
         return len(self.indices)
-
-    @property
-    def spin(self) -> int:
-        return self.n_sites - 2 * self.m_down
 
 
 def sample_params(n_sites: int, seed: int, cutoff: int = 40, tol: float = 1e-9,
@@ -215,6 +210,21 @@ def spin_weights(n_sites: int, top: complex, bottom: complex) -> np.ndarray:
 # open-chain monodromies and transfer matrices
 # ---------------------------------------------------------------------------
 
+def _half_row(site_op, z: complex, params: ChainParams, aux: int, sites, right: bool = False):
+    """Factors site_op(t_1 z) .. site_op(t_N z) of the left half row on the given
+    sites, or site_op(z/t_N) .. site_op(z/t_1) of the right half row."""
+    if right:
+        return ((site_op(z / params.t[k]), aux, sites[k]) for k in reversed(range(len(sites))))
+    return ((site_op(params.t[k] * z), aux, s) for k, s in enumerate(sites))
+
+
+def _double_row(site_op, boundary, z: complex, params: ChainParams, aux: int, sites):
+    """Factors of the double row: left half row, boundary at aux, right half row."""
+    sites = tuple(sites)
+    return itertools.chain(_half_row(site_op, z, params, aux, sites), [(boundary, aux)],
+                           _half_row(site_op, z, params, aux, sites, right=True))
+
+
 def monodromy_v(z: complex, params: ChainParams, shape=None, aux: int = 0, sites=None) -> np.ndarray:
     """Double-row monodromy with the two-dimensional auxiliary space.
 
@@ -223,17 +233,10 @@ def monodromy_v(z: complex, params: ChainParams, shape=None, aux: int = 0, sites
     """
     n = params.n_sites
     if shape is None:
-        shape = (2,) + (2,) * n
-        aux = 0
-        sites = tuple(range(1, n + 1))
-    sites = tuple(sites)
-    out = tc.identity(tc.total_dim(shape))
-    for k, site in enumerate(sites):
-        out = out @ tc.embed(r_matrix(params.t[k] * z, params.q), aux, site, shape)
-    out = out @ tc.embed_site(kv_matrix(z, params.xi), aux, shape)
-    for k in reversed(range(n)):
-        out = out @ tc.embed(r_matrix(z / params.t[k], params.q), aux, sites[k], shape)
-    return out
+        shape, aux, sites = (2,) + (2,) * n, 0, range(1, n + 1)
+    factors = _double_row(lambda w: r_matrix(w, params.q), kv_matrix(z, params.xi),
+                          z, params, aux, sites)
+    return tc.ordered_product(factors, shape)
 
 
 def monodromy_w(z: complex, r: complex, params: ChainParams, cutoff=None,
@@ -247,18 +250,11 @@ def monodromy_w(z: complex, r: complex, params: ChainParams, cutoff=None,
     J = int(cutoff or params.cutoff)
     n = params.n_sites
     if shape is None:
-        shape = (J,) + (2,) * n
-        aux = 0
-        sites = tuple(range(1, n + 1))
-    sites = tuple(sites)
+        shape, aux, sites = (J,) + (2,) * n, 0, range(1, n + 1)
     kw = kw_diagonal(z, r, params.xi, params.q, J)
-    out = tc.identity(tc.total_dim(shape))
-    for k, site in enumerate(sites):
-        out = out @ tc.embed(l_matrix(params.t[k] * z, r, params.q, J), aux, site, shape)
-    out = out @ tc.embed_site(kw.dense(), aux, shape)
-    for k in reversed(range(n)):
-        out = out @ tc.embed(l_matrix(z / params.t[k], r, params.q, J), aux, sites[k], shape)
-    return out
+    factors = _double_row(lambda w: l_matrix(w, r, params.q, J), kw.dense(),
+                          z, params, aux, sites)
+    return tc.ordered_product(factors, shape)
 
 
 def transfer_v(z: complex, params: ChainParams) -> np.ndarray:
@@ -269,56 +265,22 @@ def transfer_v(z: complex, params: ChainParams) -> np.ndarray:
     return tc.partial_trace(op, 0, shape)
 
 
-def _half_products(z: complex, r: complex, params: ChainParams, J: int):
-    """The two ordered L-products flanking the Fock boundary factor."""
-    n = params.n_sites
-    shape = (J,) + (2,) * n
-    left = tc.identity(tc.total_dim(shape))
-    for k in range(n):
-        left = left @ tc.embed(l_matrix(params.t[k] * z, r, params.q, J), 0, k + 1, shape)
-    right = tc.identity(tc.total_dim(shape))
-    for k in reversed(range(n)):
-        right = right @ tc.embed(l_matrix(z / params.t[k], r, params.q, J), 0, k + 1, shape)
-    return left, right
+def _certified_sum(levels, d: int, rho_theory: float, j_min: int, tol_eff: float,
+                   what: str) -> np.ndarray:
+    """Sum the d x d level terms until a geometric tail certificate clears tol_eff.
 
-
-def transfer_w(z: complex, params: ChainParams, cutoff=None) -> np.ndarray:
-    """Fock-auxiliary transfer matrix via the overflow-safe certified trace.
-
-    The two boundary diagonals are paired level by level in log space, which
-    keeps every materialized block bounded; the level sum is cut once the
-    geometric tail certificate clears tol/10.
+    From level j_min on, the remainder after a level of norm s is bounded by
+    s rho / (1 - rho), with rho the larger of rho_theory and the empirical
+    ratio of consecutive level norms; the sum stops once that bound clears
+    tol_eff relative to the running total on two consecutive levels.
     """
-    J = int(cutoff or params.cutoff)
-    n = params.n_sites
-    d = 2 ** n
-    z = complex(z)
-    if in_exclusion_set(z, params):
-        raise ExclusionPointError(
-            f"z = {z:.6f} is within {params.exclusion_radius} of a trace pole")
-    kw = kw_diagonal(z, 1.0, params.xi, params.q, J)
-    ktw = ktw_diagonal(z, 1.0, params.xitilde, params.q, J)
-    left, right = _half_products(z, 1.0, params, J)
-    X = left.reshape(J, d, J, d)
-    Y = right.reshape(J, d, J, d)
-
-    rho_theory = params.tail_ratio
-    tol_eff = params.tol / 10.0
     out = np.zeros((d, d), dtype=complex)
     prev_norm = None
     calm = 0
     last_tail = math.inf
-    j_min = 2 * n + 2
-    for j in range(J):
-        s_j = np.zeros((d, d), dtype=complex)
-        for k in range(max(0, j - n), min(J, j + n + 1)):
-            lg = ktw.log_mag[j] + kw.log_mag[k]
-            if lg > _LOG_HUGE:
-                raise OverflowGuardError(
-                    f"paired boundary weight at levels ({j}, {k}) exceeds floating range")
-            w = ktw.mantissa[j] * kw.mantissa[k] * math.exp(lg)
-            if w != 0.0:
-                s_j += w * (X[j, :, k, :] @ Y[k, :, j, :])
+    summed = 0
+    for j, s_j in enumerate(levels):
+        summed = j + 1
         out += s_j
         norm = float(np.linalg.norm(s_j))
         if j >= j_min:
@@ -342,7 +304,53 @@ def transfer_w(z: complex, params: ChainParams, cutoff=None) -> np.ndarray:
     if last_tail < tol_eff * max(1.0, float(np.linalg.norm(out))):
         return out
     raise TailCertificateError(
-        f"Fock cutoff {J} exhausted before the tail certificate cleared tol/10")
+        f"Fock cutoff {summed} exhausted before the {what} cleared tol/10")
+
+
+def transfer_w(z: complex, params: ChainParams, cutoff=None) -> np.ndarray:
+    """Fock-auxiliary transfer matrix via the overflow-safe certified trace.
+
+    The two boundary diagonals are paired level by level in log space, which
+    keeps every materialized block bounded; the level sum is cut once the
+    geometric tail certificate clears tol/10.
+    """
+    J = int(cutoff or params.cutoff)
+    n = params.n_sites
+    d = 2 ** n
+    z = complex(z)
+    if in_exclusion_set(z, params):
+        raise ExclusionPointError(
+            f"z = {z:.6f} is within {params.exclusion_radius} of a trace pole")
+    kw = kw_diagonal(z, 1.0, params.xi, params.q, J)
+    ktw = ktw_diagonal(z, 1.0, params.xitilde, params.q, J)
+    shape = (J,) + (2,) * n
+    sites = range(1, n + 1)
+
+    def site_op(w):
+        return l_matrix(w, 1.0, params.q, J)
+
+    left = _half_row(site_op, z, params, 0, sites)
+    right = _half_row(site_op, z, params, 0, sites, right=True)
+    X = tc.ordered_product(left, shape).reshape(J, d, J, d)
+    Y = tc.ordered_product(right, shape).reshape(J, d, J, d)
+
+    def levels():
+        # level j of Tr(Ktw X Kw Y): the Fock offsets |k - j| <= N that the
+        # half products can bridge, with both boundary weights paired in log space
+        for j in range(J):
+            s_j = np.zeros((d, d), dtype=complex)
+            for k in range(max(0, j - n), min(J, j + n + 1)):
+                lg = ktw.log_mag[j] + kw.log_mag[k]
+                if lg > _LOG_HUGE:
+                    raise OverflowGuardError(
+                        f"paired boundary weight at levels ({j}, {k}) exceeds floating range")
+                w = ktw.mantissa[j] * kw.mantissa[k] * math.exp(lg)
+                if w != 0.0:
+                    s_j += w * (X[j, :, k, :] @ Y[k, :, j, :])
+            yield s_j
+
+    return _certified_sum(levels(), d, params.tail_ratio, 2 * n + 2, params.tol / 10.0,
+                          "tail certificate")
 
 
 def q_operator(z: complex, params: ChainParams, cutoff=None) -> np.ndarray:
@@ -424,34 +432,21 @@ def _require_twist(params: ChainParams) -> complex:
     return zeta
 
 
-def closed_monodromy_v(z: complex, params: ChainParams, shape=None, aux: int = 0, sites=None) -> np.ndarray:
+def closed_monodromy_v(z: complex, params: ChainParams) -> np.ndarray:
     """Single-row monodromy with the two-dimensional auxiliary space."""
     n = params.n_sites
-    if shape is None:
-        shape = (2,) + (2,) * n
-        aux = 0
-        sites = tuple(range(1, n + 1))
-    sites = tuple(sites)
-    out = tc.identity(tc.total_dim(shape))
-    for k in reversed(range(n)):
-        out = out @ tc.embed(r_matrix(z / params.t[k], params.q), aux, sites[k], shape)
-    return out
+    factors = _half_row(lambda w: r_matrix(w, params.q), z, params, 0, range(1, n + 1),
+                        right=True)
+    return tc.ordered_product(factors, (2,) + (2,) * n)
 
 
-def closed_monodromy_w(z: complex, r: complex, params: ChainParams, cutoff=None,
-                       shape=None, aux: int = 0, sites=None) -> np.ndarray:
+def closed_monodromy_w(z: complex, r: complex, params: ChainParams, cutoff=None) -> np.ndarray:
     """Single-row monodromy with the Fock auxiliary space (no boundary factor)."""
     J = int(cutoff or params.cutoff)
     n = params.n_sites
-    if shape is None:
-        shape = (J,) + (2,) * n
-        aux = 0
-        sites = tuple(range(1, n + 1))
-    sites = tuple(sites)
-    out = tc.identity(tc.total_dim(shape))
-    for k in reversed(range(n)):
-        out = out @ tc.embed(l_matrix(z / params.t[k], r, params.q, J), aux, sites[k], shape)
-    return out
+    factors = _half_row(lambda w: l_matrix(w, r, params.q, J), z, params, 0, range(1, n + 1),
+                        right=True)
+    return tc.ordered_product(factors, (J,) + (2,) * n)
 
 
 def closed_transfer_v(z: complex, params: ChainParams) -> np.ndarray:
@@ -475,34 +470,8 @@ def closed_transfer_w(z: complex, params: ChainParams, cutoff=None) -> np.ndarra
     if rho_theory ** J >= tol_eff:
         raise TailCertificateError(
             f"cutoff {J} cannot certify the closed-trace tail ratio {rho_theory:.3f} down to tol/10")
-    out = np.zeros((d, d), dtype=complex)
-    prev_norm = None
-    calm = 0
-    last_tail = math.inf
-    for j in range(J):
-        s_j = zeta ** j * mono[j, :, j, :]
-        out += s_j
-        norm = float(np.linalg.norm(s_j))
-        if j >= n + 2:
-            rho = rho_theory
-            if prev_norm is not None and prev_norm > 0.0:
-                rho = max(rho, norm / prev_norm)
-            if rho < 1.0:
-                last_tail = norm * rho / (1.0 - rho)
-                if last_tail < tol_eff * max(1.0, float(np.linalg.norm(out))):
-                    calm += 1
-                    if calm >= 2:
-                        return out
-                else:
-                    calm = 0
-            else:
-                last_tail = math.inf
-                calm = 0
-        prev_norm = norm
-    if last_tail < tol_eff * max(1.0, float(np.linalg.norm(out))):
-        return out
-    raise TailCertificateError(
-        f"Fock cutoff {J} exhausted before the closed-trace tail certificate cleared tol/10")
+    levels = (zeta ** j * mono[j, :, j, :] for j in range(J))
+    return _certified_sum(levels, d, rho_theory, n + 2, tol_eff, "closed-trace tail certificate")
 
 
 def closed_q(z: complex, params: ChainParams, cutoff=None) -> np.ndarray:

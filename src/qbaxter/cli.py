@@ -16,14 +16,14 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 
 from . import verify as vf
 from .chain import ChainParams, sample_params
 from .errors import QBaxterError
 
-_PARAM_KEYS = {"q", "xi", "xitilde", "zeta", "t", "r", "n_sites", "cutoff",
+_PARAM_KEYS = {"q", "xi", "xitilde", "zeta", "t", "n_sites", "cutoff",
                "tol", "exclusion_radius"}
 _CONFIG_KEYS = {"params", "seed", "suites", "z_samples", "output_path", "spectrum_csv"}
 
@@ -99,7 +99,6 @@ class RunConfig:
                 xi=_parse_complex(praw["xi"], "xi"),
                 xitilde=_parse_complex(praw["xitilde"], "xitilde"),
                 zeta=_parse_complex(praw.get("zeta", 0.0), "zeta"),
-                r=_parse_complex(praw.get("r", 1.0), "r"),
                 n_sites=n_sites,
                 t=tuple(_parse_complex(v, "t") for v in t_raw),
                 **scalar_overrides,
@@ -137,27 +136,6 @@ class RunConfig:
                    params_echo=vf.params_digest(params, seed))
 
 
-def load_config(path: str) -> RunConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read configuration {path}: {exc}") from exc
-    return RunConfig.from_dict(raw)
-
-
-def _check_to_dict(res: vf.CheckResult) -> dict:
-    return {
-        "name": res.name,
-        "residual": res.residual,
-        "tolerance": res.tolerance,
-        "passed": res.passed,
-        "conjecture": res.conjecture,
-        "params_digest": res.params_digest,
-        "notes": res.notes,
-    }
-
-
 def execute(config: RunConfig):
     """Run every requested suite; returns (checks, spectrum_rows)."""
     checks = []
@@ -185,7 +163,7 @@ def build_report(config: RunConfig, checks, timestamp: str) -> dict:
         "seed": config.seed,
         "suites": config.suites,
         "params": config.params_echo,
-        "checks": [_check_to_dict(c) for c in checks],
+        "checks": [asdict(c) for c in checks],
         "summary": {
             "total": len(checks),
             "passed": sum(1 for c in checks if c.passed),

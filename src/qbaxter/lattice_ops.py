@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import tensor_core as tc
 from .errors import ParameterDomainError
-from .qoscillator import (
-    FockDiagonal,
+from .qoscillator import (  # kw_diagonal and ktw_diagonal are re-exported
     kw_diagonal,
     ktw_diagonal,
     osc_a,
     osc_adag,
+    osc_fd,
     q_power_d,
     validate_cutoff,
 )
@@ -56,22 +57,19 @@ def r_tilde(z: complex, q: complex) -> np.ndarray:
     return np.linalg.inv(scalar * r_matrix(q * q * z, q))
 
 
+def _ladder(q: complex, J: int):
+    """The truncated a, adag, q^D and q^(-D) shared by the L-variants."""
+    return osc_a(J), osc_adag(q, J), q_power_d(q, J, 1), q_power_d(q, J, -1)
+
+
 def l_matrix(z: complex, r: complex, q: complex, J: int) -> np.ndarray:
     """L-operator on W (x) V."""
-    J = validate_cutoff(J)
-    a = osc_a(J)
-    adag = osc_adag(q, J)
-    qd = q_power_d(q, J, 1)
-    qmd = q_power_d(q, J, -1)
+    a, adag, qd, qmd = _ladder(q, J)
     b00 = r * qd
     b01 = -(z / q) * (adag @ qmd)
     b10 = -q * z * r * (a @ qd)
-    b11 = osc_fd_diag(lambda j: (1.0 - q ** (2 * (j + 1)) * z * z) * q ** (-j), J)
+    b11 = osc_fd(lambda j: (1.0 - q ** (2 * (j + 1)) * z * z) * q ** (-j), J)
     return _wv_blocks(b00, b01, b10, b11)
-
-
-def osc_fd_diag(f, J: int) -> np.ndarray:
-    return np.diag(np.array([f(j) for j in range(J)], dtype=complex))
 
 
 def l_inverse(z: complex, r: complex, q: complex, J: int) -> np.ndarray:
@@ -79,15 +77,11 @@ def l_inverse(z: complex, r: complex, q: complex, J: int) -> np.ndarray:
 
     Singular at z^2 = 1.
     """
-    J = validate_cutoff(J)
+    a, adag, qd, qmd = _ladder(q, J)
     if abs(z * z - 1.0) < 1e-12:
         raise ParameterDomainError("L-operator is not invertible at z^2 = 1")
-    a = osc_a(J)
-    adag = osc_adag(q, J)
-    qd = q_power_d(q, J, 1)
-    qmd = q_power_d(q, J, -1)
     s = 1.0 / (1.0 - z * z)
-    b00 = (s / r) * osc_fd_diag(lambda j: (1.0 - q ** (2 * j) * z * z) * q ** (-j), J)
+    b00 = (s / r) * osc_fd(lambda j: (1.0 - q ** (2 * j) * z * z) * q ** (-j), J)
     b01 = (s * z / (q * r)) * (qmd @ adag)
     b10 = s * q * z * (qd @ a)
     b11 = s * qd
@@ -95,30 +89,17 @@ def l_inverse(z: complex, r: complex, q: complex, J: int) -> np.ndarray:
 
 
 def l_transpose2(z: complex, r: complex, q: complex, J: int) -> np.ndarray:
-    """Partial transpose of the L-operator over the V factor, in closed form."""
-    J = validate_cutoff(J)
-    a = osc_a(J)
-    adag = osc_adag(q, J)
-    qd = q_power_d(q, J, 1)
-    qmd = q_power_d(q, J, -1)
-    b00 = r * qd
-    b01 = -q * q * z * r * (qd @ a)
-    b10 = -z * (qmd @ adag)
-    b11 = osc_fd_diag(lambda j: q ** (-j) * (1.0 - q ** (2 * (j + 1)) * z * z), J)
-    return _wv_blocks(b00, b01, b10, b11)
+    """Partial transpose of the L-operator over the V factor."""
+    return tc.partial_transpose(l_matrix(z, r, q, J), 1, (J, 2))
 
 
 def l_transpose2_inverse(z: complex, r: complex, q: complex, J: int) -> np.ndarray:
     """Closed-form inverse of l_transpose2; singular at z^2 = q^{-2}."""
-    J = validate_cutoff(J)
+    a, adag, qd, qmd = _ladder(q, J)
     if abs(q * q * z * z - 1.0) < 1e-12:
         raise ParameterDomainError("partial transpose of L is not invertible at q^2 z^2 = 1")
-    a = osc_a(J)
-    adag = osc_adag(q, J)
-    qd = q_power_d(q, J, 1)
-    qmd = q_power_d(q, J, -1)
     s = 1.0 / (1.0 - q * q * z * z)
-    b00 = (s / r) * osc_fd_diag(lambda j: (1.0 - q ** (2 * (j + 2)) * z * z) * q ** (-j), J)
+    b00 = (s / r) * osc_fd(lambda j: (1.0 - q ** (2 * (j + 2)) * z * z) * q ** (-j), J)
     b01 = s * q * q * z * (a @ qd)
     b10 = (s * z / r) * (adag @ qmd)
     b11 = s * qd
@@ -126,25 +107,12 @@ def l_transpose2_inverse(z: complex, r: complex, q: complex, J: int) -> np.ndarr
 
 
 def l_tilde(z: complex, r: complex, q: complex, J: int) -> np.ndarray:
-    """Crossing partner ((L^{t2})^{-1})^{t2}, assembled from the closed-form blocks.
+    """Crossing partner ((L^{t2})^{-1})^{t2}: the V-transpose of l_transpose2_inverse.
 
     Satisfies l_tilde(z, r)^{-1} = (1 - q^2 z^2)/(1 - q^4 z^2) * l_matrix(q^2 z, r)
     on the interior Fock band.
     """
-    J = validate_cutoff(J)
-    if abs(q * q * z * z - 1.0) < 1e-12:
-        raise ParameterDomainError("crossing partner of L undefined at q^2 z^2 = 1")
-    a = osc_a(J)
-    adag = osc_adag(q, J)
-    qd = q_power_d(q, J, 1)
-    qmd = q_power_d(q, J, -1)
-    s = 1.0 / (1.0 - q * q * z * z)
-    # block transpose over V of l_transpose2_inverse
-    b00 = (s / r) * osc_fd_diag(lambda j: (1.0 - q ** (2 * (j + 2)) * z * z) * q ** (-j), J)
-    b01 = (s * z / r) * (adag @ qmd)
-    b10 = s * q * q * z * (a @ qd)
-    b11 = s * qd
-    return _wv_blocks(b00, b01, b10, b11)
+    return tc.partial_transpose(l_transpose2_inverse(z, r, q, J), 1, (J, 2))
 
 
 def kv_matrix(z: complex, xi: complex) -> np.ndarray:
@@ -156,16 +124,6 @@ def ktv_matrix(z: complex, xitilde: complex, q: complex) -> np.ndarray:
     """Left boundary matrix on V: diag(q^2 xitilde z^2 - 1, xitilde - q^2 z^2)."""
     return np.diag(np.array(
         [q * q * xitilde * z * z - 1.0, xitilde - q * q * z * z], dtype=complex))
-
-
-def kw_matrix(z: complex, r: complex, xi: complex, q: complex, J: int) -> FockDiagonal:
-    """Right boundary matrix on W (log-bookkept diagonal)."""
-    return kw_diagonal(z, r, xi, q, J)
-
-
-def ktw_matrix(z: complex, r: complex, xitilde: complex, q: complex, J: int) -> FockDiagonal:
-    """Left boundary matrix on W (log-bookkept diagonal)."""
-    return ktw_diagonal(z, r, xitilde, q, J)
 
 
 def iota(r: complex, q: complex, J: int) -> np.ndarray:

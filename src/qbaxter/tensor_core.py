@@ -90,21 +90,19 @@ def embed_site(x, site: int, shape) -> np.ndarray:
     return kron(kron(identity(pre), x), identity(post))
 
 
-def insert_site(x, pos: int, dim: int, shape) -> np.ndarray:
-    """Extend an operator on the given shape by an identity factor inserted at pos."""
-    dims = tuple(int(s) for s in shape)
-    d = total_dim(dims)
-    x = _as_matrix(x)
-    if x.shape != (d, d):
-        raise ValueError(f"operator shape {x.shape} does not match shape {dims}")
-    if not 0 <= pos <= len(dims):
-        raise IndexError(f"insertion position {pos} out of range")
-    pre = total_dim(dims[:pos])
-    post = total_dim(dims[pos:])
-    t = x.reshape(pre, post, pre, post)
-    t = np.einsum("abcd,ij->aibcjd", t, np.eye(dim, dtype=complex))
-    dout = d * dim
-    return t.reshape(dout, dout)
+def ordered_product(factors, shape) -> np.ndarray:
+    """Left-to-right product of embedded site factors; the identity when there are none.
+
+    Each factor is (x, site) for a one-site operator or (x, m, n) for a
+    two-site operator placed as in embed.  Factors may come from a lazy
+    iterator; each embedded factor is released before the next is built.
+    """
+    out = None
+    for x, *sites in factors:
+        f = embed_site(x, *sites, shape) if len(sites) == 1 else embed(x, *sites, shape)
+        out = f if out is None else out @ f
+        del f
+    return identity(total_dim(shape)) if out is None else out
 
 
 def partial_trace(x, site: int, shape) -> np.ndarray:

@@ -42,12 +42,6 @@ from .lattice_ops import (
 DEFAULT_TOL = 1e-8
 EXACT_TOL = 1e-10
 
-SUITES = (
-    "ybe", "reflection", "fusion", "row-fusion", "split-trace", "tq",
-    "commutators", "crossing", "polynomiality", "n2-closed-forms",
-    "closed-chain", "spectrum", "bethe",
-)
-
 
 @dataclass
 class CheckResult:
@@ -318,28 +312,21 @@ def check_row_fusion_and_monodromy(params: ch.ChainParams, seed: int = 0,
         lab_yz = tc.embed(l_matrix(y * z, r, q, J), 0, 1, shape)
         lab_yoz = tc.embed(l_matrix(y / z, r, q, J), 0, 1, shape)
 
-        prod = tc.identity(tc.total_dim(shape))
-        for k, s in enumerate(sites):
-            prod = prod @ tc.embed(l_matrix(p.t[k] * y, r, q, J), 0, s, shape) \
-                @ tc.embed(r_matrix(p.t[k] * z, q), 1, s, shape)
-        prod = prod @ tc.embed_site(kw_diagonal(y, r, p.xi, q, J).dense(), 0, shape) \
-            @ lab_yz @ tc.embed_site(kv_matrix(z, p.xi), 1, shape)
-        for k in reversed(range(n)):
-            prod = prod @ tc.embed(l_matrix(y / p.t[k], r, q, J), 0, sites[k], shape) \
-                @ tc.embed(r_matrix(z / p.t[k], q), 1, sites[k], shape)
+        # interleaved double rows: per-site (L, R) pairs, then the boundary group
+        # Kw . L(yz) . Kv, then the right-row pairs; the swapped product
+        # reverses the order inside every group
+        groups = [((l_matrix(p.t[k] * y, r, q, J), 0, s), (r_matrix(p.t[k] * z, q), 1, s))
+                  for k, s in enumerate(sites)]
+        groups.append(((kw_diagonal(y, r, p.xi, q, J).dense(), 0),
+                       (l_matrix(y * z, r, q, J), 0, 1), (kv_matrix(z, p.xi), 1)))
+        groups += [((l_matrix(y / p.t[k], r, q, J), 0, sites[k]),
+                    (r_matrix(z / p.t[k], q), 1, sites[k])) for k in reversed(range(n))]
+        prod = tc.ordered_product([f for g in groups for f in g], shape)
         _acc(worst, f"factorized-exchange-N{n}", tc.rel_err(
             _interior(mw @ lab_yz @ mv, 2 * d, 2 * d, pad),
             _interior(prod, 2 * d, 2 * d, pad)))
 
-        prod2 = tc.identity(tc.total_dim(shape))
-        for k, s in enumerate(sites):
-            prod2 = prod2 @ tc.embed(r_matrix(p.t[k] * z, q), 1, s, shape) \
-                @ tc.embed(l_matrix(p.t[k] * y, r, q, J), 0, s, shape)
-        prod2 = prod2 @ tc.embed_site(kv_matrix(z, p.xi), 1, shape) \
-            @ lab_yz @ tc.embed_site(kw_diagonal(y, r, p.xi, q, J).dense(), 0, shape)
-        for k in reversed(range(n)):
-            prod2 = prod2 @ tc.embed(r_matrix(z / p.t[k], q), 1, sites[k], shape) \
-                @ tc.embed(l_matrix(y / p.t[k], r, q, J), 0, sites[k], shape)
+        prod2 = tc.ordered_product([f for g in groups for f in g[::-1]], shape)
         _acc(worst, f"factorized-exchange-swapped-N{n}", tc.rel_err(
             _interior(mv @ lab_yz @ mw, 2 * d, 2 * d, pad),
             _interior(prod2, 2 * d, 2 * d, pad)))
@@ -729,33 +716,28 @@ def bethe_suite(params: ch.ChainParams, seed: int = 0, tol_roots: float = 1e-6):
     return results
 
 
+# suite name -> runner returning a list of CheckResults
+_RUNNERS = {
+    "ybe": lambda params, seed: [check_ybe(params, seed)],
+    "reflection": lambda params, seed: [check_reflection(params, seed)],
+    "fusion": lambda params, seed: [check_fusion(params, seed)],
+    "row-fusion": lambda params, seed: [check_row_fusion_and_monodromy(params, seed)],
+    "split-trace": lambda params, seed: [check_split_trace(params, seed)],
+    "tq": lambda params, seed: [check_tq(params, seed)],
+    "commutators": lambda params, seed: check_commutators(params, seed),
+    "crossing": lambda params, seed: [check_crossing(params, seed)],
+    "polynomiality": lambda params, seed: check_polynomiality(params, seed),
+    "n2-closed-forms": lambda params, seed: [check_n2_closed_forms(params, seed)],
+    "closed-chain": lambda params, seed: [check_closed_chain(params, seed)],
+    "spectrum": lambda params, seed: spectrum_suite(params, seed)[0],
+    "bethe": lambda params, seed: bethe_suite(params, seed),
+}
+
+SUITES = tuple(_RUNNERS)
+
+
 def run_suite(name: str, params: ch.ChainParams, seed: int = 0):
     """Run one named suite; returns a list of CheckResults."""
-    if name == "ybe":
-        return [check_ybe(params, seed)]
-    if name == "reflection":
-        return [check_reflection(params, seed)]
-    if name == "fusion":
-        return [check_fusion(params, seed)]
-    if name == "row-fusion":
-        return [check_row_fusion_and_monodromy(params, seed)]
-    if name == "split-trace":
-        return [check_split_trace(params, seed)]
-    if name == "tq":
-        return [check_tq(params, seed)]
-    if name == "commutators":
-        return check_commutators(params, seed)
-    if name == "crossing":
-        return [check_crossing(params, seed)]
-    if name == "polynomiality":
-        return check_polynomiality(params, seed)
-    if name == "n2-closed-forms":
-        return [check_n2_closed_forms(params, seed)]
-    if name == "closed-chain":
-        return [check_closed_chain(params, seed)]
-    if name == "spectrum":
-        results, _ = spectrum_suite(params, seed)
-        return results
-    if name == "bethe":
-        return bethe_suite(params, seed)
-    raise ValueError(f"unknown suite {name!r}; expected one of {SUITES} or 'all'")
+    if name not in _RUNNERS:
+        raise ValueError(f"unknown suite {name!r}; expected one of {SUITES} or 'all'")
+    return _RUNNERS[name](params, seed)

@@ -221,6 +221,12 @@ class TestTotalSpin:
         assert tc.rel_err(sig @ tv, tv @ sig) < 1e-13
 
 
+class TestSpinSector:
+    def test_indices_not_an_argument(self):
+        with pytest.raises(TypeError):
+            ch.SpinSector(1, 2, indices=(0,))
+
+
 class TestClosedChain:
     def test_twist_validation(self, params2):
         bad = ch.ChainParams(q=params2.q, xi=params2.xi, xitilde=params2.xitilde,

@@ -113,6 +113,9 @@ class TestMainEntry:
     def run_cli(self, *args, env_extra=None):
         import os
         env = dict(os.environ)
+        # the subprocess imports the same package as this test module
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         if env_extra:
             env.update(env_extra)
         return subprocess.run([sys.executable, "-m", "qbaxter.cli", *args],
@@ -148,6 +151,12 @@ class TestMainEntry:
         b = json.loads((tmp_path / "b.json").read_text())
         a["timestamp"] = b["timestamp"] = None
         assert json.dumps(a) == json.dumps(b)
+
+    def test_r_param_rejected_exits_two(self, tmp_path):
+        cfg = write_config(tmp_path, {**BASE, "params": {"n_sites": 2, "r": [1.1, 0.0]}})
+        proc = self.run_cli("--config", cfg, "--out", str(tmp_path / "r.json"))
+        assert proc.returncode == 2
+        assert "unknown parameter fields: ['r']" in proc.stderr
 
     def test_missing_config_exits_two(self, tmp_path):
         proc = self.run_cli("--config", str(tmp_path / "absent.json"))

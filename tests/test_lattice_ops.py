@@ -23,6 +23,7 @@ from qbaxter.lattice_ops import (
     tau,
     tau_section,
 )
+from qbaxter.qoscillator import osc_a, osc_adag, osc_fd, q_power_d
 
 Q = 0.62 + 0.11j
 J = 16
@@ -82,9 +83,17 @@ class TestLOperator:
             l_inverse(1.0, R, Q, J)
 
     def test_partial_transpose_closed_form(self):
+        # displayed blocks of L^{t2} over W (x) V
         z = 0.91 + 0.17j
-        pipeline = tc.partial_transpose(l_matrix(z, R, Q, J), 1, (J, 2))
-        assert tc.rel_err(pipeline, l_transpose2(z, R, Q, J)) < 1e-14
+        a, adag = osc_a(J), osc_adag(Q, J)
+        qd, qmd = q_power_d(Q, J, 1), q_power_d(Q, J, -1)
+        blocks = np.zeros((J, 2, J, 2), dtype=complex)
+        blocks[:, 0, :, 0] = R * qd
+        blocks[:, 0, :, 1] = -Q * Q * z * R * (qd @ a)
+        blocks[:, 1, :, 0] = -z * (qmd @ adag)
+        blocks[:, 1, :, 1] = osc_fd(lambda j: Q ** (-j) * (1.0 - Q ** (2 * (j + 1)) * z * z), J)
+        closed_form = blocks.reshape(2 * J, 2 * J)
+        assert tc.rel_err(closed_form, l_transpose2(z, R, Q, J)) < 1e-14
 
     def test_transpose_inverse_closed_form(self):
         z = 0.66 - 0.4j
@@ -134,14 +143,6 @@ class TestBoundaryMatrices:
             k2 = tc.embed_site(kv_matrix(z, XI), 1, (2, 2))
             ra, rb = r_matrix(y / z, Q), r_matrix(y * z, Q)
             assert tc.rel_err(ra @ k1 @ rb @ k2, k2 @ rb @ k1 @ ra) < 1e-13
-
-    def test_fock_constructor_surface(self):
-        from qbaxter.lattice_ops import kw_matrix, ktw_matrix
-        z = 0.8 + 0.2j
-        assert_allclose(kw_matrix(z, R, XI, Q, J).dense(),
-                        kw_diagonal(z, R, XI, Q, J).dense())
-        assert_allclose(ktw_matrix(z, R, XIT, Q, J).dense(),
-                        ktw_diagonal(z, R, XIT, Q, J).dense())
 
     def test_left_from_right_inversion(self):
         # the left matrices arise from the inverted, reparametrized right ones;

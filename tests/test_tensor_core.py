@@ -184,12 +184,23 @@ class TestPartialTranspose:
         assert_allclose(lhs, rhs, atol=1e-13)
 
 
-class TestInsertSite:
-    def test_insert_identity_factor(self):
+class TestOrderedProduct:
+    def test_empty_is_identity(self):
+        dims = (3, 2, 2)
+        out = tc.ordered_product([], dims)
+        assert np.array_equal(out, tc.identity(tc.total_dim(dims)))
+
+    def test_mixed_factors_match_explicit_embeds(self):
         rng = np.random.default_rng(11)
-        x = rand_matrix(rng, 4)
-        grown = tc.insert_site(x, 1, 3, (2, 2))
-        assert_allclose(grown, tc.embed(x, 0, 2, (2, 3, 2)), atol=1e-14)
+        dims = (3, 2, 2)
+        x01, x21 = rand_matrix(rng, 6), rand_matrix(rng, 4)
+        y0, y2, x12 = rand_matrix(rng, 3), rand_matrix(rng, 2), rand_matrix(rng, 4)
+        factors = [(x01, 0, 1), (y0, 0), (x21, 2, 1), (y2, 2), (x12, 1, 2)]
+        expected = tc.embed(x01, 0, 1, dims) @ tc.embed_site(y0, 0, dims) \
+            @ tc.embed(x21, 2, 1, dims) @ tc.embed_site(y2, 2, dims) @ tc.embed(x12, 1, 2, dims)
+        assert_allclose(tc.ordered_product(factors, dims), expected, atol=1e-12)
+        # a lazy stream gives the same product
+        assert_allclose(tc.ordered_product(iter(factors), dims), expected, atol=1e-12)
 
 
 class TestRelErr:
