@@ -548,6 +548,10 @@ def refine_bethe_newton(seed_roots, params: ChainParams, max_iter: int = 50,
 
     Accepts either a BetheRootSet or a plain array of roots y_i; returns the
     refined roots (same container kind) and the final normalized residual.
+    The iteration stops at the target or at the rounding floor of the
+    residual, whichever is larger: rounding each Y_j to double precision
+    alone moves residual i by up to eps (sum_j |J_ij Y_j| + |lhs_i| + |rhs_i|),
+    relative to max(|lhs_i|, |rhs_i|), so no iterate can certify less.
     """
     container = isinstance(seed_roots, BetheRootSet)
     ys = seed_roots.roots if container else np.asarray(seed_roots, dtype=complex)
@@ -559,10 +563,14 @@ def refine_bethe_newton(seed_roots, params: ChainParams, max_iter: int = 50,
         return float(np.max(np.abs(res) / np.maximum(
             np.maximum(np.abs(lhs), np.abs(rhs)), 1e-300)))
 
+    def rounding_floor(big_y, jac, lhs, rhs):
+        spread = np.abs(jac) @ np.abs(big_y) + np.abs(lhs) + np.abs(rhs)
+        return np.finfo(float).eps * norm_res(spread, lhs, rhs)
+
     res, jac, lhs, rhs = _bethe_system(big_y, params)
     best = norm_res(res, lhs, rhs)
     for _ in range(max_iter):
-        if best < target:
+        if best < max(target, rounding_floor(big_y, jac, lhs, rhs)):
             break
         try:
             step = np.linalg.solve(jac, -res)
@@ -584,7 +592,7 @@ def refine_bethe_newton(seed_roots, params: ChainParams, max_iter: int = 50,
             raise ConvergenceError(
                 f"Newton refinement stalled at residual {best:.2e}")
     else:
-        if best >= target:
+        if best >= max(target, rounding_floor(big_y, jac, lhs, rhs)):
             raise ConvergenceError(
                 f"Newton refinement did not reach {target:.1e} in {max_iter} steps")
     refined = np.array([cmath.sqrt(w) for w in big_y], dtype=complex)

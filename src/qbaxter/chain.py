@@ -70,6 +70,11 @@ class ChainParams:
         object.__setattr__(self, "zeta", complex(self.zeta))
         if self.xi == 0 or self.xitilde == 0:
             raise ParameterDomainError("boundary parameters must be nonzero")
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise ParameterDomainError(f"tol must be finite and positive, got {self.tol!r}")
+        if not (math.isfinite(self.exclusion_radius) and self.exclusion_radius >= 0.0):
+            raise ParameterDomainError(
+                f"exclusion_radius must be finite and nonnegative, got {self.exclusion_radius!r}")
         rho = self.tail_ratio
         if rho >= 1.0:
             raise ParameterDomainError(
@@ -310,9 +315,11 @@ def _certified_sum(levels, d: int, rho_theory: float, j_min: int, tol_eff: float
 def transfer_w(z: complex, params: ChainParams, cutoff=None) -> np.ndarray:
     """Fock-auxiliary transfer matrix via the overflow-safe certified trace.
 
-    The two boundary diagonals are paired level by level in log space, which
-    keeps every materialized block bounded; the level sum is cut once the
-    geometric tail certificate clears tol/10.
+    The two half rows are built as Fock bands (offsets |o| <= N, one 2^N
+    block per offset and column level), at O(N^2 J 4^N) cost instead of
+    dense (J 2^N)^3 products.  The two boundary diagonals are paired level by
+    level in log space, which keeps every materialized block bounded; the
+    level sum is cut once the geometric tail certificate clears tol/10.
     """
     J = int(cutoff or params.cutoff)
     n = params.n_sites
@@ -329,10 +336,8 @@ def transfer_w(z: complex, params: ChainParams, cutoff=None) -> np.ndarray:
     def site_op(w):
         return l_matrix(w, 1.0, params.q, J)
 
-    left = _half_row(site_op, z, params, 0, sites)
-    right = _half_row(site_op, z, params, 0, sites, right=True)
-    X = tc.ordered_product(left, shape).reshape(J, d, J, d)
-    Y = tc.ordered_product(right, shape).reshape(J, d, J, d)
+    X = tc.band_product(_half_row(site_op, z, params, 0, sites), shape)
+    Y = tc.band_product(_half_row(site_op, z, params, 0, sites, right=True), shape)
 
     def levels():
         # level j of Tr(Ktw X Kw Y): the Fock offsets |k - j| <= N that the
@@ -346,7 +351,7 @@ def transfer_w(z: complex, params: ChainParams, cutoff=None) -> np.ndarray:
                         f"paired boundary weight at levels ({j}, {k}) exceeds floating range")
                 w = ktw.mantissa[j] * kw.mantissa[k] * math.exp(lg)
                 if w != 0.0:
-                    s_j += w * (X[j, :, k, :] @ Y[k, :, j, :])
+                    s_j += w * (X[n + j - k, k] @ Y[n + k - j, j])
             yield s_j
 
     return _certified_sum(levels(), d, params.tail_ratio, 2 * n + 2, params.tol / 10.0,
@@ -440,15 +445,6 @@ def closed_monodromy_v(z: complex, params: ChainParams) -> np.ndarray:
     return tc.ordered_product(factors, (2,) + (2,) * n)
 
 
-def closed_monodromy_w(z: complex, r: complex, params: ChainParams, cutoff=None) -> np.ndarray:
-    """Single-row monodromy with the Fock auxiliary space (no boundary factor)."""
-    J = int(cutoff or params.cutoff)
-    n = params.n_sites
-    factors = _half_row(lambda w: l_matrix(w, r, params.q, J), z, params, 0, range(1, n + 1),
-                        right=True)
-    return tc.ordered_product(factors, (J,) + (2,) * n)
-
-
 def closed_transfer_v(z: complex, params: ChainParams) -> np.ndarray:
     """Twisted trace of the single-row monodromy over the two-dimensional auxiliary."""
     zeta = _require_twist(params)
@@ -459,18 +455,23 @@ def closed_transfer_v(z: complex, params: ChainParams) -> np.ndarray:
 
 
 def closed_transfer_w(z: complex, params: ChainParams, cutoff=None) -> np.ndarray:
-    """Twisted Fock trace of the single-row monodromy, with tail certificate."""
+    """Twisted Fock trace of the single-row monodromy, with tail certificate.
+
+    The monodromy is built as a Fock band; the trace reads its offset-0 blocks.
+    """
     zeta = _require_twist(params)
     J = int(cutoff or params.cutoff)
     n = params.n_sites
     d = 2 ** n
-    mono = closed_monodromy_w(z, 1.0, params, cutoff=J).reshape(J, d, J, d)
     rho_theory = abs(zeta) * abs(params.q) ** (-n)
     tol_eff = params.tol / 10.0
     if rho_theory ** J >= tol_eff:
         raise TailCertificateError(
             f"cutoff {J} cannot certify the closed-trace tail ratio {rho_theory:.3f} down to tol/10")
-    levels = (zeta ** j * mono[j, :, j, :] for j in range(J))
+    factors = _half_row(lambda w: l_matrix(w, 1.0, params.q, J), z, params, 0,
+                        range(1, n + 1), right=True)
+    mono = tc.band_product(factors, (J,) + (2,) * n)
+    levels = (zeta ** j * mono[n, j] for j in range(J))
     return _certified_sum(levels, d, rho_theory, n + 2, tol_eff, "closed-trace tail certificate")
 
 

@@ -32,13 +32,28 @@ class ConfigError(QBaxterError):
     """Malformed run configuration."""
 
 
+def _is_number(value, types=(int, float)) -> bool:
+    """True for a JSON number; JSON true/false arrive as bool, a subclass of int."""
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
 def _parse_complex(value, where: str) -> complex:
-    if isinstance(value, (int, float)):
+    if _is_number(value):
         return complex(value)
-    if isinstance(value, list) and len(value) == 2 \
-            and all(isinstance(v, (int, float)) for v in value):
+    if isinstance(value, list) and len(value) == 2 and all(_is_number(v) for v in value):
         return complex(value[0], value[1])
     raise ConfigError(f"{where}: expected a number or [re, im] pair, got {value!r}")
+
+
+def _parse_real(value, where: str, integral: bool = False):
+    """A JSON number as float, or as int when integral; anything else is a ConfigError."""
+    if not _is_number(value):
+        raise ConfigError(f"{where}: expected a number, got {value!r}")
+    if not integral:
+        return float(value)
+    if not float(value).is_integer():
+        raise ConfigError(f"{where}: expected an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass
@@ -71,19 +86,14 @@ class RunConfig:
         if "n_sites" not in praw:
             raise ConfigError("'params' needs 'n_sites'")
         seed = raw.get("seed", 0)
-        if not isinstance(seed, int):
+        if not _is_number(seed, int):
             raise ConfigError("'seed' must be an integer")
         n_sites = praw["n_sites"]
-        if not isinstance(n_sites, int) or n_sites < 0:
+        if not _is_number(n_sites, int) or n_sites < 0:
             raise ConfigError("'n_sites' must be a nonnegative integer")
 
-        scalar_overrides = {}
-        for key in ("cutoff",):
-            if key in praw:
-                scalar_overrides[key] = int(praw[key])
-        for key in ("tol", "exclusion_radius"):
-            if key in praw:
-                scalar_overrides[key] = float(praw[key])
+        scalar_overrides = {key: _parse_real(praw[key], key, integral=key == "cutoff")
+                            for key in ("cutoff", "tol", "exclusion_radius") if key in praw}
 
         if "q" in praw:
             for key in ("q", "xi", "xitilde"):
@@ -126,7 +136,7 @@ class RunConfig:
             if not z_samples:
                 raise ConfigError("'z_samples' list must not be empty")
             z_samples = [_parse_complex(v, "z_samples") for v in z_samples]
-        elif not isinstance(z_samples, int) or z_samples < 1:
+        elif not _is_number(z_samples, int) or z_samples < 1:
             raise ConfigError("'z_samples' must be a positive count or a list of points")
 
         out = raw.get("output_path", "report.json")

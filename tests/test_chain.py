@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 from qbaxter import chain as ch
 from qbaxter import tensor_core as tc
 from qbaxter.errors import ExclusionPointError, ParameterDomainError, TailCertificateError
-from qbaxter.lattice_ops import kv_matrix, r_matrix
+from qbaxter.lattice_ops import ktw_diagonal, kv_matrix, kw_diagonal, l_matrix, r_matrix
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +39,22 @@ class TestChainParams:
     def test_q_range(self):
         with pytest.raises(ParameterDomainError):
             ch.ChainParams(q=1.2, xi=0.1, xitilde=0.1, n_sites=1, t=(1.0,))
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-10])
+    def test_tol_must_be_finite_positive(self, tol):
+        with pytest.raises(ParameterDomainError, match="tol"):
+            ch.ChainParams(q=0.5, xi=0.1, xitilde=0.1, n_sites=1, t=(1.0,), tol=tol)
+
+    @pytest.mark.parametrize("radius", [float("nan"), float("inf"), -1.0])
+    def test_exclusion_radius_must_be_finite_nonnegative(self, radius):
+        with pytest.raises(ParameterDomainError, match="exclusion_radius"):
+            ch.ChainParams(q=0.5, xi=0.1, xitilde=0.1, n_sites=1, t=(1.0,),
+                           exclusion_radius=radius)
+
+    def test_zero_exclusion_radius_accepted(self):
+        p = ch.ChainParams(q=0.5, xi=0.1, xitilde=0.1, n_sites=1, t=(1.0,),
+                           exclusion_radius=0.0)
+        assert p.exclusion_radius == 0.0
 
     def test_with_sites(self, params2):
         p3 = params2.with_sites(3)
@@ -158,6 +174,58 @@ class TestTransferW:
         w = ch.spin_weights(params2.n_sites, z ** 2, 1.0)
         assert_allclose(ch.q_operator(z, params2),
                         w[:, None] * ch.transfer_w(z, params2), atol=1e-15)
+
+
+def dense_traces(z, p):
+    """transfer_w and closed_transfer_w from dense half products, the reference
+    for the banded trace: same level pairing, same certified sum."""
+    J, n, d = p.cutoff, p.n_sites, p.dim
+    shape = (J,) + (2,) * n
+    left = [(l_matrix(t * z, 1.0, p.q, J), 0, k + 1) for k, t in enumerate(p.t)]
+    right = [(l_matrix(z / t, 1.0, p.q, J), 0, k + 1) for k, t in enumerate(p.t)][::-1]
+    X = tc.ordered_product(left, shape).reshape(J, d, J, d)
+    Y = tc.ordered_product(right, shape).reshape(J, d, J, d)
+    kw = kw_diagonal(z, 1.0, p.xi, p.q, J)
+    ktw = ktw_diagonal(z, 1.0, p.xitilde, p.q, J)
+    levels = (sum(ktw.mantissa[j] * kw.mantissa[k] * np.exp(ktw.log_mag[j] + kw.log_mag[k])
+                  * (X[j, :, k, :] @ Y[k, :, j, :])
+                  for k in range(max(0, j - n), min(J, j + n + 1))) for j in range(J))
+    tw = ch._certified_sum(levels, d, p.tail_ratio, 2 * n + 2, p.tol / 10.0, "reference")
+    rho = abs(p.zeta) * abs(p.q) ** (-n)
+    closed = ch._certified_sum((p.zeta ** j * Y[j, :, j, :] for j in range(J)), d, rho,
+                               n + 2, p.tol / 10.0, "closed reference")
+    return tw, closed
+
+
+class TestBandedTraceOracle:
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_matches_dense_half_products(self, n, seed):
+        p = ch.sample_params(n, seed=seed, tol=1e-10)
+        for z in (0.83 + 0.21j, 1.1 - 0.3j):
+            tw, closed = dense_traces(z, p)
+            w_open = ch.spin_weights(n, z ** 2, 1.0)[:, None]
+            w_closed = ch.spin_weights(n, z, 1.0)[:, None]
+            assert tc.rel_err(ch.transfer_w(z, p), tw) < 1e-13
+            assert tc.rel_err(ch.q_operator(z, p), w_open * tw) < 1e-13
+            assert tc.rel_err(ch.closed_transfer_w(z, p), closed) < 1e-13
+            assert tc.rel_err(ch.closed_q(z, p), w_closed * closed) < 1e-13
+
+
+class TestSixSites:
+    """One open and one closed TQ triple at N = 6, gated as in the benchmark."""
+
+    def test_tq_relations(self):
+        p = ch.sample_params(6, seed=3, tol=1e-10)
+        q, z = p.q, 0.91 + 0.37j
+        assert not any(ch.in_exclusion_set(w, p) for w in (z, q * z, z / q))
+        lhs = (1.0 - q * q * z ** 4) * ch.transfer_v(z, p) @ ch.q_operator(z, p)
+        rhs = ch.p_plus(z, p) * ch.q_operator(q * z, p) + ch.p_minus(z, p) * ch.q_operator(z / q, p)
+        assert tc.rel_err(lhs, rhs) < 1e-8
+        lhs = ch.closed_transfer_v(z, p) @ ch.closed_q(z, p)
+        rhs = ch.closed_p_plus(z, p) * ch.closed_q(q * z, p) \
+            + ch.closed_p_minus(z, p) * ch.closed_q(z / q, p)
+        assert tc.rel_err(lhs, rhs) < 1e-9
 
 
 class TestCoefficientPolynomials:

@@ -54,6 +54,24 @@ class TestConfig:
         with pytest.raises(ParameterDomainError):
             RunConfig.from_dict(bad)
 
+    @pytest.mark.parametrize("key, value", [
+        ("cutoff", "40"), ("cutoff", True), ("cutoff", 40.5), ("tol", None),
+        ("tol", "1e-10"), ("exclusion_radius", [0.05])])
+    def test_numeric_params_type_checked(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            RunConfig.from_dict({**BASE, "params": {**BASE["params"], key: value}})
+
+    @pytest.mark.parametrize("field", ["seed", "z_samples", "n_sites"])
+    def test_boolean_counts_rejected(self, field):
+        raw = {**BASE, "params": dict(BASE["params"])}
+        (raw["params"] if field == "n_sites" else raw)[field] = True
+        with pytest.raises(ConfigError, match=field):
+            RunConfig.from_dict(raw)
+
+    def test_integral_float_cutoff_accepted(self):
+        cfg = RunConfig.from_dict({**BASE, "params": {**BASE["params"], "cutoff": 41.0}})
+        assert cfg.params.cutoff == 41 and isinstance(cfg.params.cutoff, int)
+
     def test_all_expands(self):
         cfg = RunConfig.from_dict({**BASE, "suites": ["all"]})
         assert list(cfg.suites) == list(cli.vf.SUITES)
@@ -67,6 +85,9 @@ class TestConfig:
         assert cli._parse_complex([1, -2], "x") == 1 - 2j
         with pytest.raises(ConfigError):
             cli._parse_complex("nope", "x")
+        for flag in (True, [1.0, False]):
+            with pytest.raises(ConfigError):
+                cli._parse_complex(flag, "x")
 
 
 class TestRun:
@@ -157,6 +178,20 @@ class TestMainEntry:
         proc = self.run_cli("--config", cfg, "--out", str(tmp_path / "r.json"))
         assert proc.returncode == 2
         assert "unknown parameter fields: ['r']" in proc.stderr
+
+    def test_non_numeric_tol_exits_two(self, tmp_path):
+        cfg = write_config(tmp_path, {**BASE, "params": {"n_sites": 2, "tol": [1]}})
+        proc = self.run_cli("--config", cfg, "--out", str(tmp_path / "r.json"))
+        assert proc.returncode == 2
+        assert "tol: expected a number" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_fractional_cutoff_exits_two(self, tmp_path):
+        cfg = write_config(tmp_path, {**BASE, "params": {"n_sites": 2, "cutoff": 12.7}})
+        proc = self.run_cli("--config", cfg, "--out", str(tmp_path / "r.json"))
+        assert proc.returncode == 2
+        assert "cutoff: expected an integer" in proc.stderr
+        assert not (tmp_path / "r.json").exists()
 
     def test_missing_config_exits_two(self, tmp_path):
         proc = self.run_cli("--config", str(tmp_path / "absent.json"))

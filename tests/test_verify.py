@@ -96,6 +96,19 @@ def test_bethe_suite(params):
     assert all(r.passed for r in results)
 
 
+@pytest.mark.parametrize("seed", [3, 11])
+def test_bethe_suite_polishes_large_roots(seed):
+    # at N = 4 these draws have roots |y| ~ 10 that np.roots resolves only to
+    # Bethe residuals 1e-6..1e-4; Newton polishing stops at the rounding floor
+    p = ch.sample_params(4, seed=seed, tol=1e-10)
+    results = {r.name: r for r in vf.bethe_suite(p, seed=seed)}
+    for name in ("bethe-residuals", "bethe-residuals-functional-form", "bethe-aba-eigenvalue"):
+        assert results[name].passed, (name, results[name].residual)
+    before = float(results["bethe-residuals"].notes.split("; ")[1].split()[0])
+    assert before > results["bethe-residuals"].tolerance
+    assert "unpolished" not in results["bethe-residuals"].notes
+
+
 def test_unknown_suite(params):
     with pytest.raises(ValueError):
         vf.run_suite("nope", params)
