@@ -122,9 +122,8 @@ class SpinSector:
     def __post_init__(self):
         if not 0 <= self.m_down <= self.n_sites:
             raise ValueError("m_down out of range")
-        idx = tuple(i for i in range(2 ** self.n_sites)
-                    if bin(i).count("1") == self.m_down)
-        object.__setattr__(self, "indices", idx)
+        idx = np.flatnonzero(tc.index_sums((2,) * self.n_sites) == self.m_down)
+        object.__setattr__(self, "indices", tuple(idx.tolist()))
 
     @property
     def dim(self) -> int:
@@ -143,6 +142,8 @@ def sample_params(n_sites: int, seed: int, cutoff: int = 40, tol: float = 1e-9,
     the drawn tail ratio certifies with three decades of margin, so sampled
     parameters never sit on the edge of the trace certificate.
     """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ParameterDomainError(f"tol must be finite and positive, got {tol!r}")
     rng = np.random.default_rng(seed)
     lo, hi = (0.5, 0.75) if identity_grade else (0.3, 0.8)
     qmod = lo + (hi - lo) * rng.random()
@@ -204,11 +205,9 @@ def total_spin(n_sites: int) -> np.ndarray:
 
 def spin_weights(n_sites: int, top: complex, bottom: complex) -> np.ndarray:
     """Diagonal of diag(top, bottom)^(x N) in the product basis."""
-    w = np.ones(2 ** n_sites, dtype=complex)
-    for idx in range(2 ** n_sites):
-        m = bin(idx).count("1")
-        w[idx] = top ** (n_sites - m) * bottom ** m
-    return w
+    per_down = np.array([top ** (n_sites - m) * bottom ** m for m in range(n_sites + 1)],
+                        dtype=complex)
+    return per_down[tc.index_sums((2,) * n_sites)]
 
 
 # ---------------------------------------------------------------------------
@@ -315,11 +314,15 @@ def _certified_sum(levels, d: int, rho_theory: float, j_min: int, tol_eff: float
 def transfer_w(z: complex, params: ChainParams, cutoff=None) -> np.ndarray:
     """Fock-auxiliary transfer matrix via the overflow-safe certified trace.
 
-    The two half rows are built as Fock bands (offsets |o| <= N, one 2^N
-    block per offset and column level), at O(N^2 J 4^N) cost instead of
-    dense (J 2^N)^3 products.  The two boundary diagonals are paired level by
-    level in log space, which keeps every materialized block bounded; the
-    level sum is cut once the geometric tail certificate clears tol/10.
+    The two half rows are built as charge blocks (one 2^N x 2^N block per
+    column level, the row level fixed by the spins), at O(N J 4^N) cost
+    instead of dense (J 2^N)^3 products.  Level j of the trace pairs the left
+    half row at row level j and spins (r, t), whose column level is
+    k = j + m(r) - m(t) with m the down count, with the right half row at
+    column level j; the result is block diagonal in S^z, one matmul per
+    sector.  The two boundary diagonals are paired level by level in log
+    space, which keeps every materialized block bounded; the level sum is cut
+    once the geometric tail certificate clears tol/10.
     """
     J = int(cutoff or params.cutoff)
     n = params.n_sites
@@ -336,26 +339,46 @@ def transfer_w(z: complex, params: ChainParams, cutoff=None) -> np.ndarray:
     def site_op(w):
         return l_matrix(w, 1.0, params.q, J)
 
-    X = tc.band_product(_half_row(site_op, z, params, 0, sites), shape)
-    Y = tc.band_product(_half_row(site_op, z, params, 0, sites, right=True), shape)
+    # spin basis sorted by down count, so each S^z sector is one index range
+    down = tc.index_sums((2,) * n)
+    order = np.argsort(down, kind="stable")
+    down = down[order]
+    edges = np.searchsorted(down, np.arange(n + 2))
+    sectors = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+    shift = down[:, None] - down[None, :]
+
+    def sorted_half_row(right):
+        return tc.charge_product(_half_row(site_op, z, params, 0, sites, right),
+                                 shape)[:, order[:, None], order]
+
+    # the left half row re-indexed by row level: X[j, r, t] sits at column level j + shift[r, t]
+    left = sorted_half_row(False)
+    X = np.zeros_like(left)
+    for o in range(-n, n + 1):
+        lo, hi, mask = max(0, -o), min(J, J - o), shift == o
+        X[lo:hi, mask] = left[lo + o:hi + o, mask]
+    del left
+    Y = sorted_half_row(True)
 
     def levels():
-        # level j of Tr(Ktw X Kw Y): the Fock offsets |k - j| <= N that the
-        # half products can bridge, with both boundary weights paired in log space
         for j in range(J):
-            s_j = np.zeros((d, d), dtype=complex)
+            w = np.zeros(2 * n + 1, dtype=complex)
             for k in range(max(0, j - n), min(J, j + n + 1)):
                 lg = ktw.log_mag[j] + kw.log_mag[k]
                 if lg > _LOG_HUGE:
                     raise OverflowGuardError(
                         f"paired boundary weight at levels ({j}, {k}) exceeds floating range")
-                w = ktw.mantissa[j] * kw.mantissa[k] * math.exp(lg)
-                if w != 0.0:
-                    s_j += w * (X[n + j - k, k] @ Y[n + k - j, j])
+                w[n + k - j] = ktw.mantissa[j] * kw.mantissa[k] * math.exp(lg)
+            xw = X[j] * w[n + shift]
+            s_j = np.zeros((d, d), dtype=complex)
+            for R in sectors:
+                s_j[R, R] = xw[R] @ Y[j, :, R]
             yield s_j
 
-    return _certified_sum(levels(), d, params.tail_ratio, 2 * n + 2, params.tol / 10.0,
-                          "tail certificate")
+    out = _certified_sum(levels(), d, params.tail_ratio, 2 * n + 2, params.tol / 10.0,
+                         "tail certificate")
+    inverse = np.argsort(order)
+    return out[inverse[:, None], inverse]
 
 
 def q_operator(z: complex, params: ChainParams, cutoff=None) -> np.ndarray:
@@ -457,7 +480,8 @@ def closed_transfer_v(z: complex, params: ChainParams) -> np.ndarray:
 def closed_transfer_w(z: complex, params: ChainParams, cutoff=None) -> np.ndarray:
     """Twisted Fock trace of the single-row monodromy, with tail certificate.
 
-    The monodromy is built as a Fock band; the trace reads its offset-0 blocks.
+    The monodromy is built as charge blocks; the trace at level j reads the
+    entries of block j between equal down counts, whose row level is j.
     """
     zeta = _require_twist(params)
     J = int(cutoff or params.cutoff)
@@ -470,8 +494,10 @@ def closed_transfer_w(z: complex, params: ChainParams, cutoff=None) -> np.ndarra
             f"cutoff {J} cannot certify the closed-trace tail ratio {rho_theory:.3f} down to tol/10")
     factors = _half_row(lambda w: l_matrix(w, 1.0, params.q, J), z, params, 0,
                         range(1, n + 1), right=True)
-    mono = tc.band_product(factors, (J,) + (2,) * n)
-    levels = (zeta ** j * mono[n, j] for j in range(J))
+    mono = tc.charge_product(factors, (J,) + (2,) * n)
+    down = tc.index_sums((2,) * n)
+    same = down[:, None] == down[None, :]
+    levels = (zeta ** j * np.where(same, mono[j], 0.0) for j in range(J))
     return _certified_sum(levels, d, rho_theory, n + 2, tol_eff, "closed-trace tail certificate")
 
 

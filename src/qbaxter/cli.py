@@ -246,10 +246,12 @@ def main(argv=None) -> int:
             raw["suites"] = args.suite
         if args.out:
             raw["output_path"] = args.out
-        if args.tol is not None:
-            raw.setdefault("params", {})["tol"] = args.tol
-        if args.cutoff is not None:
-            raw.setdefault("params", {})["cutoff"] = args.cutoff
+        for key, value in (("tol", args.tol), ("cutoff", args.cutoff)):
+            if value is not None:
+                params = raw.setdefault("params", {})
+                if not isinstance(params, dict):
+                    raise ConfigError("'params' must be a JSON object")
+                params[key] = value
         config = RunConfig.from_dict(raw)
     except (OSError, json.JSONDecodeError, ValueError, QBaxterError) as exc:
         print(f"error: {exc}", file=sys.stderr)

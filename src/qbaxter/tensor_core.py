@@ -1,5 +1,6 @@
-"""Dense complex linear algebra on labelled tensor products, and a banded
-product for operators that shift one factor's level by at most one.
+"""Dense complex linear algebra on labelled tensor products, and a
+charge-blocked product for operators that conserve one factor's level plus
+the index sum of the others.
 
 All operators are plain complex ndarrays in row-major convention with the
 leftmost tensor factor slowest-varying, so a matrix on C^a (x) C^b has row
@@ -106,46 +107,57 @@ def ordered_product(factors, shape) -> np.ndarray:
     return identity(total_dim(shape)) if out is None else out
 
 
-def band_product(factors, shape) -> np.ndarray:
-    """Left-to-right product of two-site factors, kept as bands of the site-0 level.
+def index_sums(shape) -> np.ndarray:
+    """Sum of the factor indices of each basis state, in basis order.
 
-    Each factor is (x, 0, n): x acts on sites 0 and n as in embed and shifts
-    the site-0 level by at most one.  The product P comes back as
-    B[w + o, c] = P[(c + o, :), (c, :)], the block on the remaining sites for
-    level offset o in [-w, w] and column level c, where w counts the factors;
-    levels c + o outside the range of site 0 give zero blocks.  A factor costs
-    a few scaled slice updates of the band, one per nonzero entry of its
-    three level bands, instead of a dense product.
+    For spin-1/2 factors this is the number of lowered (index 1) sites.
+    """
+    out = np.zeros(1, dtype=int)
+    for s in shape:
+        out = np.add.outer(out, np.arange(int(s))).ravel()
+    return out
+
+
+def charge_product(factors, shape) -> np.ndarray:
+    """Left-to-right product of two-site factors that conserve the charge
+    site-0 level + index sum, kept as one block per site-0 column level.
+
+    Each factor is (x, 0, n): x acts on sites 0 and n as in embed, and
+    x[(l, b), (c, a)] vanishes unless l + b = c + a.  The product P then
+    vanishes unless its site-0 levels differ by m(s) - m(r), m the index_sums
+    of the remaining sites, and comes back as
+    C[c, r, s] = P[(c + m(s) - m(r), r), (c, s)]; row levels outside the range
+    of site 0 give zero entries.  A factor costs one scaled slice update of C
+    per pair of site-n indices, O(J d^2) for J levels and d remaining states,
+    instead of a dense product.
     """
     dims = tuple(int(s) for s in shape)
     J, d = dims[0], total_dim(dims[1:])
-    band = np.broadcast_to(identity(d), (1, J, d, d)).copy()
+    prod = np.broadcast_to(identity(d), (J, d, d)).copy()
     for x, m, n in factors:
         if m != 0 or not 0 < n < len(dims):
-            raise IndexError(f"band factor must act on site 0 and a site in 1..{len(dims) - 1}")
+            raise IndexError(f"charge factor must act on site 0 and a site in 1..{len(dims) - 1}")
         dn = dims[n]
         x = _as_matrix(x)
         if x.shape != (J * dn, J * dn):
             raise ValueError(f"operator shape {x.shape} does not match sites of dims ({J}, {dn})")
-        # fock[b, a] is the site-0 matrix between spin b (row) and a (column) of site n
-        fock = x.reshape(J, dn, J, dn).transpose(1, 3, 0, 2)
-        if np.any(np.triu(fock, 2)) or np.any(np.tril(fock, -2)):
-            raise ValueError("band factor shifts the site-0 level by more than one")
-        slots = band.shape[0]
-        old = band.reshape(slots, J, d, total_dim(dims[1:n]), dn, total_dim(dims[n + 1:]))
-        out = np.zeros((slots + 2,) + old.shape[1:], dtype=complex)
-        for shift in (-1, 0, 1):
-            # new block (o, c) += old block (o - shift, c + shift) times x[c + shift, c]
-            cols = slice(max(0, -shift), J - max(0, shift))
-            src = slice(max(0, shift), J - max(0, -shift))
-            coef = np.diagonal(fock, -shift, 2, 3)
-            for b in range(dn):
-                for a in range(dn):
-                    if np.any(coef[b, a]):
-                        out[shift + 1:shift + 1 + slots, cols, :, :, a, :] += \
-                            old[:, src, :, :, b, :] * coef[b, a][:, None, None, None]
-        band = out.reshape(slots + 2, J, d, d)
-    return band
+        x = x.reshape(J, dn, J, dn)
+        charge = np.add.outer(np.arange(J), np.arange(dn))
+        if np.any(x[np.not_equal.outer(charge, charge)]):
+            raise ValueError("charge factor does not conserve site-0 level + site-n index")
+        old = prod.reshape(J, d, total_dim(dims[1:n]), dn, total_dim(dims[n + 1:]))
+        out = np.zeros_like(old)
+        for b in range(dn):
+            for a in range(dn):
+                # column level c of the new product reads level c + a - b of the old
+                shift = a - b
+                coef = np.diagonal(x[:, b, :, a], -shift)
+                if np.any(coef):
+                    cols = slice(max(0, -shift), J - max(0, shift))
+                    src = slice(max(0, shift), J - max(0, -shift))
+                    out[cols, :, :, a, :] += old[src, :, :, b, :] * coef[:, None, None, None]
+        prod = out.reshape(J, d, d)
+    return prod
 
 
 def partial_trace(x, site: int, shape) -> np.ndarray:

@@ -56,6 +56,11 @@ class TestChainParams:
                            exclusion_radius=0.0)
         assert p.exclusion_radius == 0.0
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_sampler_tol_must_be_finite_positive(self, tol):
+        with pytest.raises(ParameterDomainError, match="tol"):
+            ch.sample_params(2, seed=3, tol=tol)
+
     def test_with_sites(self, params2):
         p3 = params2.with_sites(3)
         assert p3.n_sites == 3 and len(p3.t) == 3
@@ -178,7 +183,7 @@ class TestTransferW:
 
 def dense_traces(z, p):
     """transfer_w and closed_transfer_w from dense half products, the reference
-    for the banded trace: same level pairing, same certified sum."""
+    for the charge-blocked trace: same level pairing, same certified sum."""
     J, n, d = p.cutoff, p.n_sites, p.dim
     shape = (J,) + (2,) * n
     left = [(l_matrix(t * z, 1.0, p.q, J), 0, k + 1) for k, t in enumerate(p.t)]
@@ -217,6 +222,22 @@ class TestSixSites:
 
     def test_tq_relations(self):
         p = ch.sample_params(6, seed=3, tol=1e-10)
+        q, z = p.q, 0.91 + 0.37j
+        assert not any(ch.in_exclusion_set(w, p) for w in (z, q * z, z / q))
+        lhs = (1.0 - q * q * z ** 4) * ch.transfer_v(z, p) @ ch.q_operator(z, p)
+        rhs = ch.p_plus(z, p) * ch.q_operator(q * z, p) + ch.p_minus(z, p) * ch.q_operator(z / q, p)
+        assert tc.rel_err(lhs, rhs) < 1e-8
+        lhs = ch.closed_transfer_v(z, p) @ ch.closed_q(z, p)
+        rhs = ch.closed_p_plus(z, p) * ch.closed_q(q * z, p) \
+            + ch.closed_p_minus(z, p) * ch.closed_q(z / q, p)
+        assert tc.rel_err(lhs, rhs) < 1e-9
+
+
+class TestSevenSites:
+    """One open and one closed TQ triple at N = 7, gated as in the benchmark."""
+
+    def test_tq_relations(self):
+        p = ch.sample_params(7, seed=3, tol=1e-10)
         q, z = p.q, 0.91 + 0.37j
         assert not any(ch.in_exclusion_set(w, p) for w in (z, q * z, z / q))
         lhs = (1.0 - q * q * z ** 4) * ch.transfer_v(z, p) @ ch.q_operator(z, p)
@@ -290,6 +311,14 @@ class TestTotalSpin:
 
 
 class TestSpinSector:
+    def test_indices_and_weights_follow_down_count(self):
+        n, top, bottom = 4, 0.7 + 0.2j, 1.3 - 0.1j
+        downs = [bin(i).count("1") for i in range(2 ** n)]
+        for m in range(n + 1):
+            assert ch.SpinSector(m, n).indices == tuple(i for i, k in enumerate(downs) if k == m)
+        expected = [top ** (n - k) * bottom ** k for k in downs]
+        assert np.array_equal(ch.spin_weights(n, top, bottom), np.array(expected))
+
     def test_indices_not_an_argument(self):
         with pytest.raises(TypeError):
             ch.SpinSector(1, 2, indices=(0,))

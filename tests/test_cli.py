@@ -193,6 +193,25 @@ class TestMainEntry:
         assert "cutoff: expected an integer" in proc.stderr
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("params, args", [
+        ({"n_sites": 2, "tol": -1}, ()),
+        ({"n_sites": 2}, ("--tol", "inf")),
+    ])
+    def test_bad_sampler_tol_exits_two(self, tmp_path, params, args):
+        cfg = write_config(tmp_path, {**BASE, "params": params})
+        proc = self.run_cli("--config", cfg, "--out", str(tmp_path / "r.json"), *args)
+        assert proc.returncode == 2
+        assert "tol must be finite and positive" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("flag", ["--tol", "--cutoff"])
+    def test_override_on_non_object_params_exits_two(self, tmp_path, flag):
+        cfg = write_config(tmp_path, {**BASE, "params": [2]})
+        proc = self.run_cli("--config", cfg, "--out", str(tmp_path / "r.json"), flag, "41")
+        assert proc.returncode == 2
+        assert "'params' must be a JSON object" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_missing_config_exits_two(self, tmp_path):
         proc = self.run_cli("--config", str(tmp_path / "absent.json"))
         assert proc.returncode == 2

@@ -203,49 +203,57 @@ class TestOrderedProduct:
         assert_allclose(tc.ordered_product(iter(factors), dims), expected, atol=1e-12)
 
 
-def tridiagonal_factor(rng, J, dn):
-    """Random operator on C^J (x) C^dn shifting the C^J level by at most one."""
-    x = rng.normal(size=(J, dn, J, dn)) + 1j * rng.normal(size=(J, dn, J, dn))
-    level = np.arange(J)
-    near = np.abs(level[:, None] - level[None, :]) <= 1
-    return (x * near[:, None, :, None]).reshape(J * dn, J * dn)
+def charge_factor(rng, J, dn):
+    """Random operator on J levels (x) C^dn that conserves level + index."""
+    charge = np.add.outer(np.arange(J), np.arange(dn))
+    x = rand_matrix(rng, J * dn).reshape(J, dn, J, dn)
+    x[np.not_equal.outer(charge, charge)] = 0.0
+    return x.reshape(J * dn, J * dn)
 
 
-class TestBandProduct:
-    def test_empty_is_identity_band(self):
-        dims = (4, 2, 3)
-        band = tc.band_product([], dims)
-        assert band.shape == (1, 4, 6, 6)
-        assert all(np.array_equal(block, tc.identity(6)) for block in band[0])
+class TestChargeProduct:
+    def test_index_sums(self):
+        assert tc.index_sums((2, 3)).tolist() == [0, 1, 2, 1, 2, 3]
+        assert tc.index_sums(()).tolist() == [0]
+
+    def test_empty_is_identity(self):
+        prod = tc.charge_product([], (4, 2, 3))
+        assert prod.shape == (4, 6, 6)
+        assert all(np.array_equal(block, tc.identity(6)) for block in prod)
 
     def test_matches_dense_product(self):
         rng = np.random.default_rng(13)
         dims = (5, 2, 3)
         J, d = dims[0], 6
-        factors = [(tridiagonal_factor(rng, J, 3), 0, 2), (tridiagonal_factor(rng, J, 2), 0, 1),
-                   (tridiagonal_factor(rng, J, 3), 0, 2)]
-        w = len(factors)
-        band = tc.band_product(iter(factors), dims)
-        assert band.shape == (2 * w + 1, J, d, d)
+        factors = [(charge_factor(rng, J, 3), 0, 2), (charge_factor(rng, J, 2), 0, 1),
+                   (charge_factor(rng, J, 3), 0, 2)]
+        prod = tc.charge_product(iter(factors), dims)
+        assert prod.shape == (J, d, d)
         dense = tc.ordered_product(factors, dims).reshape(J, d, J, d)
-        for r in range(J):
-            for c in range(J):
-                if abs(r - c) > w:
-                    assert not np.any(dense[r, :, c, :])
-                else:
-                    assert_allclose(band[w + r - c, c], dense[r, :, c, :], atol=1e-12)
-        # offsets that would leave the level range stay zero
-        assert not np.any(band[w + 1, J - 1]) and not np.any(band[w - 2, 1])
+        m = tc.index_sums(dims[1:])
+        expected = np.zeros_like(prod)
+        for c in range(J):
+            for r in range(d):
+                for s in range(d):
+                    row = c + m[s] - m[r]
+                    others = [level for level in range(J) if level != row]
+                    assert not np.any(dense[others, r, c, s])
+                    if 0 <= row < J:
+                        expected[c, r, s] = dense[row, r, c, s]
+                    else:
+                        assert prod[c, r, s] == 0.0
+        assert np.count_nonzero(expected) > J * d
+        assert_allclose(prod, expected, rtol=1e-13, atol=1e-12)
 
-    def test_wide_level_shift_rejected(self):
+    def test_charge_violation_rejected(self):
         x = np.zeros((4, 2, 4, 2), dtype=complex)
-        x[2, 0, 0, 0] = 1.0
+        x[1, 0, 0, 0] = 1.0
         with pytest.raises(ValueError):
-            tc.band_product([(x.reshape(8, 8), 0, 1)], (4, 2))
+            tc.charge_product([(x.reshape(8, 8), 0, 1)], (4, 2))
 
     def test_factor_off_site_zero_rejected(self):
         with pytest.raises(IndexError):
-            tc.band_product([(tc.identity(4), 1, 2)], (3, 2, 2))
+            tc.charge_product([(tc.identity(4), 1, 2)], (3, 2, 2))
 
 
 class TestRelErr:
