@@ -9,11 +9,11 @@ algebraic-Bethe-ansatz construction of eigenvectors and eigenvalues.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import chain as chain_mod
 from .chain import ChainParams, SpinSector, in_exclusion_set
@@ -197,8 +197,9 @@ def factorize_q_eigenvalue(record: SpectrumRecord, params: ChainParams,
     """Split one Q-eigenvalue into its zero at the origin and paired roots.
 
     The 2M nonzero roots (in Z = z^2) must form orbits of the involution
-    Y -> q^(-2)/Y; greedy matching is attempted first, with an optimal
-    assignment fallback.  Also checks the product constraint prod Y = q^(-2M).
+    Y -> q^(-2)/Y; an exact search picks the pairing within pair_tol whose
+    worst relative mismatch is smallest.  Also checks the product constraint
+    prod Y = q^(-2M).
     """
     n = params.n_sites
     m = record.sector.m_down
@@ -241,58 +242,42 @@ def factorize_q_eigenvalue(record: SpectrumRecord, params: ChainParams,
 
 
 def _pair_under_involution(big_y, q, pair_tol):
-    """Match the multiset of roots into orbits of Y -> q^(-2)/Y."""
+    """Match the roots into orbits of Y -> q^(-2)/Y with the smallest worst mismatch.
+
+    Exact search: the lowest unmatched root is tried with each partner within
+    pair_tol, nearest first, and the rest is solved recursively.  Memoized on
+    the unmatched indices, 2M mutually close roots cost O(2^(2M)) states, not
+    (2M-1)!!.  Returns (pairs, worst mismatch, degenerate).
+    """
     m2 = big_y.size
     psi = q ** (-2) / big_y
-
-    def rel(i, j):
-        return abs(big_y[j] - psi[i]) / max(abs(psi[i]), 1e-300)
+    rel = [[abs(big_y[j] - psi[i]) / max(abs(psi[i]), 1e-300) for j in range(m2)]
+           for i in range(m2)]
 
     fixed_scale = min(abs(y - fp) / max(abs(fp), 1e-300)
                       for y in big_y for fp in (q ** -1, -q ** -1)) if m2 else math.inf
     degenerate = fixed_scale < 1e-4
 
-    unused = set(range(m2))
-    pairs = []
-    worst = 0.0
-    ok = True
-    while unused:
-        i = min(unused)
-        unused.remove(i)
-        best, best_err = None, math.inf
-        for j in unused:
-            e = rel(i, j)
-            if e < best_err:
-                best, best_err = j, e
-        if best is None or best_err > pair_tol:
-            ok = False
-            break
-        unused.remove(best)
-        pairs.append((i, best))
-        worst = max(worst, best_err)
-    if ok:
-        return pairs, worst, degenerate
+    @functools.cache
+    def best(unmatched):
+        if not unmatched:
+            return 0.0, ()
+        i, rest = unmatched[0], unmatched[1:]
+        found = math.inf, None
+        for j in sorted((j for j in rest if rel[i][j] <= pair_tol), key=rel[i].__getitem__):
+            worst, pairs = best(tuple(k for k in rest if k != j))
+            worst = max(worst, rel[i][j])
+            if worst < found[0]:
+                found = worst, ((i, j),) + pairs
+        return found
 
-    # optimal-assignment fallback on the full relative-distance matrix
-    cost = np.full((m2, m2), 1e9)
-    for i in range(m2):
-        for j in range(m2):
-            if i != j:
-                cost[i, j] = rel(i, j)
-    rows, cols = linear_sum_assignment(cost)
-    perm = dict(zip(rows.tolist(), cols.tolist()))
-    worst = max(rel(i, perm[i]) for i in range(m2))
-    if worst > pair_tol or any(perm[perm[i]] != i for i in range(m2)):
+    worst, pairs = best(tuple(range(m2)))
+    if pairs is None:
+        nearest = max(min(rel[i][j] for j in range(m2) if j != i) for i in range(m2))
         raise SpectrumError(
             f"no involution pairing of the Q-eigenvalue roots within {pair_tol:.1e} "
-            f"(worst mismatch {worst:.2e}); parameters may be non-generic")
-    seen = set()
-    pairs = []
-    for i in range(m2):
-        if i not in seen:
-            seen.update((i, perm[i]))
-            pairs.append((i, perm[i]))
-    return pairs, worst, degenerate
+            f"(largest nearest-partner mismatch {nearest:.2e}); parameters may be non-generic")
+    return list(pairs), worst, degenerate
 
 
 # ---------------------------------------------------------------------------

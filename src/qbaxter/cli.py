@@ -16,7 +16,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 
 from . import verify as vf
@@ -66,7 +66,6 @@ class RunConfig:
     z_samples: object = 3  # count, or explicit list of complex sample points
     output_path: str = "report.json"
     spectrum_csv: str = ""
-    params_echo: dict = field(default_factory=dict)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
@@ -142,8 +141,7 @@ class RunConfig:
         out = raw.get("output_path", "report.json")
         csv_path = raw.get("spectrum_csv", "")
         return cls(params=params, seed=seed, suites=suites, z_samples=z_samples,
-                   output_path=str(out), spectrum_csv=str(csv_path),
-                   params_echo=vf.params_digest(params, seed))
+                   output_path=str(out), spectrum_csv=str(csv_path))
 
 
 def execute(config: RunConfig):
@@ -172,7 +170,7 @@ def build_report(config: RunConfig, checks, timestamp: str) -> dict:
         "timestamp": timestamp,
         "seed": config.seed,
         "suites": config.suites,
-        "params": config.params_echo,
+        "params": vf.params_digest(config.params, config.seed),
         "checks": [asdict(c) for c in checks],
         "summary": {
             "total": len(checks),

@@ -502,6 +502,8 @@ def check_crossing(params: ch.ChainParams, seed: int = 0, samples: int = 3,
         _acc(worst, "q-family", tc.rel_err(qo_cross, (q * z * z) ** (-2 * n) * qo))
         ratios.append(float(np.linalg.norm(qo_cross) / np.linalg.norm(qo)
                             / abs((q * z * z) ** (-2 * n))))
+    if not worst:
+        raise QBaxterError(f"all {samples} crossing samples fell in the exclusion set")
     notes = (f"sub-residuals {worst}; scalar-exponent ratios {ratios} (should be ~1); "
              "Q-version conditional on the commutativity conjecture")
     return _result("crossing", max(worst.values()), tol, params, seed, notes)
@@ -566,7 +568,11 @@ def check_n2_closed_forms(params: ch.ChainParams, seed: int = 0,
     t1, t2 = p.t
     rng = np.random.default_rng(seed)
     zs = []
+    attempts = 0
     while len(zs) < 4:
+        attempts += 1
+        if attempts > 200:
+            raise QBaxterError("could not sample 4 spectral points clear of the exclusion set")
         z = _rand_z(rng)
         if not ch.in_exclusion_set(z, p):
             zs.append(z)

@@ -110,6 +110,38 @@ class TestFactorization:
             assert abs(recon - rec.q_value(z)) < 1e-8 * max(1.0, abs(recon))
 
 
+class TestInvolutionPairing:
+    q = 0.6 * np.exp(0.7j)
+    c = q ** -2
+    w = 1.7 * np.exp(0.4j)
+
+    def test_nearest_partner_first_is_not_enough(self):
+        # Y0's nearest partner is Y2, which leaves Y1 and Y3 2.6e-6 apart; the
+        # only pairing within 1e-6 is (0, 1), (2, 3)
+        c, w = self.c, self.w
+        y2 = (c / w) * (1 - 0.8e-6)
+        big_y = np.array([w, (c / w) * (1 + 0.9e-6), y2, (c / y2) * (1 + 0.9e-6)])
+        pairs, worst, degenerate = bt._pair_under_involution(big_y, self.q, 1e-6)
+        assert pairs == [(0, 1), (2, 3)]
+        assert worst == pytest.approx(9.0e-7, rel=1e-6)
+        assert not degenerate
+
+    def test_no_pairing_within_tolerance_raises(self):
+        big_y = np.array([self.w, 2 * self.c / self.w])
+        with pytest.raises(bt.SpectrumError, match="nearest-partner mismatch 1.00e"):
+            bt._pair_under_involution(big_y, self.q, 1e-6)
+
+    def test_clustered_roots_pair_with_smallest_worst_mismatch(self):
+        # rel(i, j) = 1e-8 (i + j) to first order; every perfect matching of
+        # 0..15 has some i + j >= 15, reached by pairing k with 15 - k
+        big_y = (1 / self.q) * (1 + 1e-8 * np.arange(16))
+        pairs, worst, degenerate = bt._pair_under_involution(big_y, self.q, 1e-6)
+        assert sorted(k for pair in pairs for k in pair) == list(range(16))
+        assert all(i < j for i, j in pairs)
+        assert worst == pytest.approx(1.5e-7, rel=1e-6)
+        assert degenerate
+
+
 class TestBetheResiduals:
     def test_roots_satisfy_bethe_equations(self, roots_by_record, params):
         for roots in roots_by_record:

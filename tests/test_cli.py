@@ -131,7 +131,7 @@ class TestRun:
 
 
 class TestMainEntry:
-    def run_cli(self, *args, env_extra=None):
+    def run_python(self, *args, env_extra=None):
         import os
         env = dict(os.environ)
         # the subprocess imports the same package as this test module
@@ -139,8 +139,16 @@ class TestMainEntry:
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         if env_extra:
             env.update(env_extra)
-        return subprocess.run([sys.executable, "-m", "qbaxter.cli", *args],
-                              capture_output=True, text=True, env=env)
+        return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+    def run_cli(self, *args, env_extra=None):
+        return self.run_python("-m", "qbaxter.cli", *args, env_extra=env_extra)
+
+    def test_import_loads_no_scipy(self):
+        proc = self.run_python("-c", "import sys, qbaxter.cli; print(sorted(m for m in sys.modules"
+                                     " if m == 'scipy' or m.startswith('scipy.')))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_end_to_end(self, tmp_path):
         cfg = write_config(tmp_path, {**BASE, "suites": ["n2-closed-forms"],
@@ -210,6 +218,16 @@ class TestMainEntry:
         proc = self.run_cli("--config", cfg, "--out", str(tmp_path / "r.json"), flag, "41")
         assert proc.returncode == 2
         assert "'params' must be a JSON object" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_crossing_without_samples_exits_two(self, tmp_path):
+        # every crossing sample falls in an exclusion set of radius 50
+        cfg = write_config(tmp_path, {"params": {"n_sites": 2, "tol": 1e-10,
+                                                 "exclusion_radius": 50.0},
+                                      "seed": 3, "suites": ["crossing"]})
+        proc = self.run_cli("--config", cfg, "--out", str(tmp_path / "r.json"))
+        assert proc.returncode == 2
+        assert "crossing samples fell in the exclusion set" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_missing_config_exits_two(self, tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from qbaxter import chain as ch
 from qbaxter import tensor_core as tc
 from qbaxter import verify as vf
+from qbaxter.errors import QBaxterError
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +108,14 @@ def test_bethe_suite_polishes_large_roots(seed):
     before = float(results["bethe-residuals"].notes.split("; ")[1].split()[0])
     assert before > results["bethe-residuals"].tolerance
     assert "unpolished" not in results["bethe-residuals"].notes
+
+
+@pytest.mark.parametrize("suite", ["n2-closed-forms", "crossing"])
+def test_sampler_exhaustion_is_typed(suite):
+    # an exclusion radius of 50 covers every point _rand_z can draw
+    p = ch.sample_params(2, seed=3, tol=1e-10, exclusion_radius=50.0)
+    with pytest.raises(QBaxterError, match="exclusion set"):
+        vf.run_suite(suite, p, 3)
 
 
 def test_unknown_suite(params):
