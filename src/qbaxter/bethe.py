@@ -9,15 +9,15 @@ algebraic-Bethe-ansatz construction of eigenvectors and eigenvalues.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebroots
 
 from . import chain as chain_mod
 from .chain import ChainParams, SpinSector, in_exclusion_set
-from .errors import ConvergenceError, ParameterDomainError, QBaxterError
+from .errors import ConvergenceError, ExclusionPointError, ParameterDomainError, QBaxterError
 from .lattice_ops import kv_matrix, ktv_matrix
 
 
@@ -33,12 +33,9 @@ class SpectrumRecord:
     vector: np.ndarray                # unit vector on the full 2^N space
     tv_samples: list                  # [(z, eigenvalue of the finite transfer matrix)]
     q_samples: list                   # [(z, eigenvalue of the Q-operator)]
-    q_poly: np.ndarray                # ascending coefficients in Z = z^2, length <= 2N+1
+    q_poly: np.ndarray                # 2N+1 ascending coefficients in Z = z^2 (open) or z (closed)
     tv_residual: float = 0.0          # worst eigen-residual over the samples
     q_fit_error: float = 0.0          # held-out interpolation deviation
-
-    def q_value(self, z: complex) -> complex:
-        return complex(np.polyval(self.q_poly[::-1], complex(z) ** 2))
 
 
 @dataclass
@@ -48,7 +45,7 @@ class BetheRootSet:
     m_roots: int
     f: complex
     roots: np.ndarray                 # y_1..y_M (principal square roots)
-    pairing_error: float              # worst relative mismatch of the involution pairing
+    pairing_error: float              # involution asymmetry of the eigenvalue coefficients
     product_error: float              # deviation of prod(Y) from q^(-2M)
     degenerate: bool = False          # a pair sits at an involution fixed point
 
@@ -91,6 +88,32 @@ def spectrum_nodes(params: ChainParams, seed: int, count: int, closed: bool = Fa
     return nodes
 
 
+# node rotations tried in turn, in units of the node spacing
+_PHASES = (0.37, 0.62, 0.12, 0.87)
+
+
+def circle_coefficients(f, count: int, radius: complex) -> np.ndarray:
+    """Taylor coefficients c_0..c_(count-1) of f by the trapezoidal rule on a circle.
+
+    f is sampled at the nodes radius * exp(2 pi i (k + phi) / count),
+    k = 0..count-1, and the coefficients are read off by one FFT: exact up to
+    rounding when f is a polynomial of degree < count, otherwise each higher
+    coefficient aliases onto c_(k mod count).  f may return arrays; their
+    coefficients stack along the first axis.  The rotation phi is the first
+    entry of _PHASES at which no node makes f raise ExclusionPointError.
+    """
+    k = np.arange(count)
+    for phi in _PHASES:
+        nodes = radius * np.exp(2j * math.pi * (k + phi) / count)
+        try:
+            vals = np.array([f(x) for x in nodes])
+        except ExclusionPointError:
+            continue
+        scale = (count * nodes[0] ** k).reshape((count,) + (1,) * (vals.ndim - 1))
+        return np.fft.fft(vals, axis=0) / scale
+    raise SpectrumError(f"every node circle of radius {abs(radius):.3g} meets the exclusion set")
+
+
 def joint_spectrum(params: ChainParams, z_probe: complex, z_samples, seed: int = 0,
                    closed: bool = False):
     """Simultaneously diagonalize the commuting family, sector by sector.
@@ -99,6 +122,12 @@ def joint_spectrum(params: ChainParams, z_probe: complex, z_samples, seed: int =
     random small admixture of the Q-operator at a second probe point.  Returns
     one SpectrumRecord per joint eigenvector, ordered by sector then by the
     probe eigenvalue.
+
+    Each Q-eigenvalue is a polynomial of degree <= 2N in Z = z^2 (open chain)
+    or in z (closed chain); its coefficients come from circle_coefficients on
+    2N+2 nodes of |Z| = 1/|q| (open) or |z| = 0.95 (closed).  The held-out
+    check compares the polynomial with the eigenvalues at z_samples and also
+    counts the out-of-degree coefficient there.
     """
     n = params.n_sites
     d = 2 ** n
@@ -117,11 +146,11 @@ def joint_spectrum(params: ChainParams, z_probe: complex, z_samples, seed: int =
     z_samples = [complex(z) for z in z_samples]
     tv_mats = {z: tv(z, params) for z in z_samples}
     q_mats = {z: qq(z, params) for z in z_samples}
-
-    fit_nodes = spectrum_nodes(params, seed + 1, 2 * n + 4, closed=closed)
-    holdout_nodes = spectrum_nodes(params, seed + 2, 3, closed=closed)
-    q_fit = {z: qq(z, params) for z in fit_nodes}
-    q_hold = {z: qq(z, params) for z in holdout_nodes}
+    if closed:
+        q_coeffs = circle_coefficients(lambda z: qq(z, params), 2 * n + 2, 0.95)
+    else:
+        q_coeffs = circle_coefficients(lambda y: qq(cmath.sqrt(y), params), 2 * n + 2,
+                                       1.0 / params.q)
 
     for m_down in range(n + 1):
         sector = SpinSector(m_down, n)
@@ -146,138 +175,84 @@ def joint_spectrum(params: ChainParams, z_probe: complex, z_samples, seed: int =
             v = np.zeros(d, dtype=complex)
             v[idx] = vecs[:, k]
             v /= np.linalg.norm(v)
+            coeffs = (q_coeffs @ v) @ v.conj()
             tv_s, q_s = [], []
-            worst = 0.0
+            worst = fit_err = 0.0
             for z in z_samples:
                 lam = v.conj() @ (tv_mats[z] @ v)
                 worst = max(worst, float(np.linalg.norm(tv_mats[z] @ v - lam * v))
                             / max(1.0, abs(lam)))
                 tv_s.append((z, complex(lam)))
-                q_s.append((z, complex(v.conj() @ (q_mats[z] @ v))))
-            coeffs, fit_err = _fit_q_polynomial(v, q_fit, q_hold, 2 * n, closed, n, m_down)
+                mu = complex(v.conj() @ (q_mats[z] @ v))
+                q_s.append((z, mu))
+                x = z if closed else z * z
+                miss = max(abs(np.polyval(coeffs[-2::-1], x) - mu),
+                           abs(coeffs[-1] * x ** (2 * n + 1)))
+                fit_err = max(fit_err, miss / max(1.0, abs(mu)))
             records.append(SpectrumRecord(sector=sector, vector=v, tv_samples=tv_s,
-                                          q_samples=q_s, q_poly=coeffs,
+                                          q_samples=q_s, q_poly=coeffs[:-1],
                                           tv_residual=worst, q_fit_error=fit_err))
     return records
-
-
-def _fit_q_polynomial(v, q_fit, q_hold, degree, closed, n, m_down):
-    """Least-squares interpolation of one Q-eigenvalue with held-out validation.
-
-    Open chain: polynomial in Z = z^2 of degree <= 2N.  Closed chain: the
-    eigenvalue is z^(N-M) times a polynomial in Z of degree <= M, so the known
-    prefactor is divided out before fitting.
-    """
-    nodes = list(q_fit)
-    vals = np.array([v.conj() @ (q_fit[z] @ v) for z in nodes])
-    if closed:
-        pref = np.array([z ** (n - m_down) for z in nodes])
-        vals = vals / pref
-        degree = m_down
-    zsq = np.array([z ** 2 for z in nodes])
-    vmat = np.vander(zsq, degree + 1, increasing=True)
-    coeffs, *_ = np.linalg.lstsq(vmat, vals, rcond=None)
-    err = 0.0
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    for z, mat in q_hold.items():
-        actual = complex(v.conj() @ (mat @ v))
-        if closed:
-            actual /= z ** (n - m_down)
-        pred = complex(np.polyval(coeffs[::-1], z ** 2))
-        err = max(err, abs(pred - actual) / scale)
-    return coeffs, err
 
 
 # ---------------------------------------------------------------------------
 # factorization of Q-eigenvalues
 # ---------------------------------------------------------------------------
 
-def factorize_q_eigenvalue(record: SpectrumRecord, params: ChainParams,
-                           pair_tol: float = 1e-6) -> BetheRootSet:
-    """Split one Q-eigenvalue into its zero at the origin and paired roots.
+def _degree_window(q_poly, n: int, m: int, step: int):
+    """Coefficients N-M, N-M+step, ..., N+M of a Q-eigenvalue, all others being zero.
 
-    The 2M nonzero roots (in Z = z^2) must form orbits of the involution
-    Y -> q^(-2)/Y; an exact search picks the pairing within pair_tol whose
-    worst relative mismatch is smallest.  Also checks the product constraint
-    prod Y = q^(-2M).
+    Returns them with the structural residual: the largest other coefficient
+    relative to the largest one.  Raises SpectrumError above 1e-5.
     """
-    n = params.n_sites
-    m = record.sector.m_down
-    q = params.q
-    coeffs = np.asarray(record.q_poly, dtype=complex)
+    coeffs = np.asarray(q_poly, dtype=complex)
     scale = float(np.max(np.abs(coeffs)))
     if scale == 0.0:
         raise SpectrumError("Q-eigenvalue is identically zero")
-    # structural zeros: coefficients below Z^(N-M) and above Z^(N+M)
-    low = coeffs[:n - m]
-    high = coeffs[n + m + 1:]
-    struct_err = 0.0
-    if low.size:
-        struct_err = max(struct_err, float(np.max(np.abs(low))) / scale)
-    if high.size:
-        struct_err = max(struct_err, float(np.max(np.abs(high))) / scale)
+    inside = np.zeros(coeffs.size, dtype=bool)
+    inside[n - m:n + m + 1:step] = True
+    struct_err = float(np.max(np.abs(coeffs[~inside]), initial=0.0)) / scale
     if struct_err > 1e-5:
         raise SpectrumError(
             f"Q-eigenvalue does not have the expected degree window for M={m} "
             f"(structural residual {struct_err:.2e})")
-    core = coeffs[n - m:n + m + 1]
+    return coeffs[inside], struct_err
+
+
+def factorize_q_eigenvalue(record: SpectrumRecord, params: ChainParams) -> BetheRootSet:
+    """Split one Q-eigenvalue into its zero at the origin and paired roots.
+
+    The coefficients a_k in Z = z^2 must vanish outside Z^(N-M)..Z^(N+M).  In
+    w = qZ the eigenvalue is Z^N sum_k beta_k w^k, k = -M..M, with
+    beta_k = a_(N+k) q^(-k); the involution Y -> q^(-2)/Y of its 2M roots is
+    w -> 1/w, so beta_(-k) = beta_k.  pairing_error is the largest
+    |beta_k - beta_(-k)| relative to max|beta| (or the structural residual,
+    if larger); product_error is |beta_(-M)/beta_M - 1|, which is prod Y
+    against q^(-2M).  With x = (w + 1/w)/2 the symmetric sum is
+    beta_0 + sum_k 2 beta_k T_k(x), whose M Chebyshev roots give each root
+    pair at once: w = x +- sqrt(x^2 - 1), |w| >= 1, and Y = w/q.
+    """
+    n = params.n_sites
+    m = record.sector.m_down
+    q = params.q
+    core, struct_err = _degree_window(record.q_poly, n, m, 1)
     f = complex(core[-1])
     if m == 0:
         return BetheRootSet(m_roots=0, f=f, roots=np.zeros(0, dtype=complex),
                             pairing_error=struct_err, product_error=0.0)
-    big_y = np.roots(core[::-1] / f)
-    prod_err = abs(np.prod(big_y) - q ** (-2 * m)) / abs(q ** (-2 * m))
-
-    pairs, pairing_err, degenerate = _pair_under_involution(big_y, q, pair_tol)
-    reps = []
-    for i, j in pairs:
-        yi, yj = big_y[i], big_y[j]
-        rep = yi if abs(yi) >= abs(yj) else yj
-        reps.append(rep)
-    reps.sort(key=lambda w: (round(w.real, 9), round(w.imag, 9)))
-    roots = np.array([cmath.sqrt(w) for w in reps], dtype=complex)
+    beta = core * q ** -np.arange(-m, m + 1)
+    pairing_err = float(np.max(np.abs(beta - beta[::-1]))) / float(np.max(np.abs(beta)))
+    prod_err = abs(beta[0] / beta[-1] - 1.0)
+    sym = (beta[m:] + beta[m::-1]) / 2.0
+    x = chebroots(np.concatenate([sym[:1], 2.0 * sym[1:]]))
+    s = np.sqrt(x * x - 1.0 + 0j)
+    w = np.where(np.abs(x + s) >= np.abs(x - s), x + s, x - s)
+    degenerate = bool(np.min(np.minimum(np.abs(w - 1.0), np.abs(w + 1.0))) < 1e-4)
+    big_y = sorted(w / q, key=lambda y: (round(y.real, 9), round(y.imag, 9)))
+    roots = np.array([cmath.sqrt(y) for y in big_y], dtype=complex)
     return BetheRootSet(m_roots=m, f=f, roots=roots,
                         pairing_error=max(pairing_err, struct_err),
                         product_error=float(prod_err), degenerate=degenerate)
-
-
-def _pair_under_involution(big_y, q, pair_tol):
-    """Match the roots into orbits of Y -> q^(-2)/Y with the smallest worst mismatch.
-
-    Exact search: the lowest unmatched root is tried with each partner within
-    pair_tol, nearest first, and the rest is solved recursively.  Memoized on
-    the unmatched indices, 2M mutually close roots cost O(2^(2M)) states, not
-    (2M-1)!!.  Returns (pairs, worst mismatch, degenerate).
-    """
-    m2 = big_y.size
-    psi = q ** (-2) / big_y
-    rel = [[abs(big_y[j] - psi[i]) / max(abs(psi[i]), 1e-300) for j in range(m2)]
-           for i in range(m2)]
-
-    fixed_scale = min(abs(y - fp) / max(abs(fp), 1e-300)
-                      for y in big_y for fp in (q ** -1, -q ** -1)) if m2 else math.inf
-    degenerate = fixed_scale < 1e-4
-
-    @functools.cache
-    def best(unmatched):
-        if not unmatched:
-            return 0.0, ()
-        i, rest = unmatched[0], unmatched[1:]
-        found = math.inf, None
-        for j in sorted((j for j in rest if rel[i][j] <= pair_tol), key=rel[i].__getitem__):
-            worst, pairs = best(tuple(k for k in rest if k != j))
-            worst = max(worst, rel[i][j])
-            if worst < found[0]:
-                found = worst, ((i, j),) + pairs
-        return found
-
-    worst, pairs = best(tuple(range(m2)))
-    if pairs is None:
-        nearest = max(min(rel[i][j] for j in range(m2) if j != i) for i in range(m2))
-        raise SpectrumError(
-            f"no involution pairing of the Q-eigenvalue roots within {pair_tol:.1e} "
-            f"(largest nearest-partner mismatch {nearest:.2e}); parameters may be non-generic")
-    return list(pairs), worst, degenerate
 
 
 # ---------------------------------------------------------------------------
@@ -595,12 +570,12 @@ def refine_bethe_newton(seed_roots, params: ChainParams, max_iter: int = 50,
 # ---------------------------------------------------------------------------
 
 def factorize_closed_q_eigenvalue(record: SpectrumRecord, params: ChainParams) -> np.ndarray:
-    """Nonzero squared roots of one closed-chain Q-eigenvalue."""
-    m = record.sector.m_down
-    coeffs = np.asarray(record.q_poly, dtype=complex)
-    if m == 0:
-        return np.zeros(0, dtype=complex)
-    lead = coeffs[-1]
-    if abs(lead) < 1e-12 * float(np.max(np.abs(coeffs))):
+    """Nonzero squared roots of one closed-chain Q-eigenvalue.
+
+    The eigenvalue is z^(N-M) P(z^2) with P of degree M, so P is read from the
+    z-coefficients N-M, N-M+2, ..., N+M; every other coefficient must vanish.
+    """
+    p, _ = _degree_window(record.q_poly, params.n_sites, record.sector.m_down, 2)
+    if abs(p[-1]) < 1e-12 * float(np.max(np.abs(p))):
         raise SpectrumError("closed Q-eigenvalue has unexpected degree")
-    return np.roots(coeffs[::-1] / lead)
+    return np.roots(p[::-1] / p[-1])

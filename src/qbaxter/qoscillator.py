@@ -226,33 +226,3 @@ def ktw_diagonal(z: complex, r: complex, xitilde: complex, q: complex, J: int) -
                 f"z^2 within roundoff of the pole q^(-2{k}) / xitilde of the left boundary matrix")
 
     return _accumulate_diagonal(factors())
-
-
-_RHO_PLUS = ("e0", "e1", "k0", "k1")
-_RHO_MINUS = ("f0", "f1", "k0", "k1")
-
-
-def rho_plus(gen: str, z: complex, r: complex, q: complex, J: int) -> np.ndarray:
-    """Upper-Borel generator images on the truncated Fock space."""
-    if gen not in _RHO_PLUS:
-        raise ValueError(f"unknown generator {gen!r}; expected one of {_RHO_PLUS}")
-    if gen == "e0":
-        return (q ** -1 * z / (q - q ** -1)) * osc_adag(q, J)
-    if gen == "e1":
-        return (q * z / (q - q ** -1)) * osc_a(J)
-    if gen == "k0":
-        return r * q_power_d(q, J, 2)
-    return (1.0 / r) * q_power_d(q, J, -2)
-
-
-def rho_minus(gen: str, z: complex, r: complex, q: complex, J: int) -> np.ndarray:
-    """Lower-Borel generator images on the truncated Fock space."""
-    if gen not in _RHO_MINUS:
-        raise ValueError(f"unknown generator {gen!r}; expected one of {_RHO_MINUS}")
-    if gen == "f0":
-        return (q / (z * (q - q ** -1))) * osc_a(J)
-    if gen == "f1":
-        return (1.0 / (q * z * (q - q ** -1))) * osc_adag(q, J)
-    if gen == "k0":
-        return (1.0 / r) * q_power_d(q, J, 2)
-    return r * q_power_d(q, J, -2)

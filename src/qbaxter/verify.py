@@ -517,16 +517,13 @@ def check_polynomiality(params: ch.ChainParams, seed: int = 0, tol: float = DEFA
     n = params.n_sites
     d = params.dim
     deg = 2 * n
-    nodes = bt.spectrum_nodes(params, seed + 1, deg + 2)
+    coeffs = bt.circle_coefficients(lambda y: ch.q_operator(cmath.sqrt(y), params), deg + 2,
+                                    1.0 / params.q)[:deg + 1]
     holdout = bt.spectrum_nodes(params, seed + 2, 3)
-    zsq = np.array([z ** 2 for z in nodes])
-    vmat = np.vander(zsq, deg + 1, increasing=True)
-    samples = np.array([ch.q_operator(z, params).reshape(-1) for z in nodes])
-    coeffs, *_ = np.linalg.lstsq(vmat, samples, rcond=None)
     diag_err, off_err = 0.0, 0.0
     for z in holdout:
         actual = ch.q_operator(z, params)
-        pred = (np.vander(np.array([z ** 2]), deg + 1, increasing=True) @ coeffs).reshape(d, d)
+        pred = np.tensordot((z * z) ** np.arange(deg + 1), coeffs, 1)
         scale = max(1.0, float(np.linalg.norm(actual)))
         err = np.abs(pred - actual) / scale
         diag_err = max(diag_err, float(np.max(np.diag(err))))
@@ -622,12 +619,9 @@ def check_closed_chain(params: ch.ChainParams, seed: int = 0, tol: float = 1e-9)
     ref = np.diag(np.array([1.0 / (1.0 - params.zeta * q ** (n - 2 * bin(i).count("1")))
                             for i in range(d)], dtype=complex))
     _acc(worst, "twisted-trace-origin", tc.rel_err(tw0, ref))
-    nodes = [0.95 * cmath.exp(2j * math.pi * (k + 0.21) / (2 * n + 2)) for k in range(2 * n + 2)]
-    vmat = np.vander(np.array(nodes), 2 * n + 1, increasing=True)
-    samples = np.array([ch.closed_q(z, params).reshape(-1) for z in nodes])
-    coeffs, *_ = np.linalg.lstsq(vmat, samples, rcond=None)
+    coeffs = bt.circle_coefficients(lambda z: ch.closed_q(z, params), 2 * n + 2, 0.95)
     zh = 0.85 * cmath.exp(0.91j)
-    pred = (np.vander(np.array([zh]), 2 * n + 1, increasing=True) @ coeffs).reshape(d, d)
+    pred = np.tensordot(zh ** np.arange(2 * n + 1), coeffs[:-1], 1)
     actual = ch.closed_q(zh, params)
     _acc(worst, "degree-bound", tc.rel_err(pred, actual))
     det = np.linalg.det(ch.closed_transfer_w(_rand_z(rng), params))
@@ -680,7 +674,8 @@ def spectrum_suite(params: ch.ChainParams, seed: int = 0, samples=3,
 def bethe_suite(params: ch.ChainParams, seed: int = 0, tol_roots: float = 1e-6):
     """End-to-end root pipeline: factorization, product constraint, Newton
     polishing, Bethe residuals in both forms, the eigenvalue formula, and
-    Bethe states; the pairing and product checks read the factorized roots."""
+    Bethe states; the pairing and product checks read the coefficients of
+    each Q-eigenvalue."""
     rng = np.random.default_rng(seed)
     z_probe = _tq_point(rng, params)
     z_samples = bt.spectrum_nodes(params, seed + 11, 3)
@@ -694,7 +689,8 @@ def bethe_suite(params: ch.ChainParams, seed: int = 0, tol_roots: float = 1e-6):
         prod_err = max(prod_err, roots.product_error)
         if roots.m_roots:
             raw_err = max(raw_err, float(np.max(bt.bethe_residual(roots, params))))
-        # np.roots loses digits on large |Y|; Newton on the Bethe system restores them
+        # the Chebyshev roots inherit the rounding of the circle coefficients, which
+        # large |Y| magnify; Newton on the Bethe system restores the lost digits
         try:
             roots, _ = bt.refine_bethe_newton(roots, params)
         except ConvergenceError:
@@ -717,7 +713,7 @@ def bethe_suite(params: ch.ChainParams, seed: int = 0, tol_roots: float = 1e-6):
                 / (np.linalg.norm(state) * max(1.0, abs(lam0)))))
     results = [
         _result("bethe-pairing", pair_err, 1e-6, params, seed,
-                "involution pairing of the Q-eigenvalue roots"),
+                "involution symmetry of the Q-eigenvalue coefficients"),
         _result("bethe-product-constraint", prod_err, DEFAULT_TOL, params, seed,
                 "product of the squared roots against q^(-2M)"),
         _result("bethe-residuals", res_err, tol_roots, params, seed,

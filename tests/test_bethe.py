@@ -107,39 +107,69 @@ class TestFactorization:
             recon = roots.f * z ** (2 * (n - roots.m_roots))
             for y in roots.roots:
                 recon *= (z * z - y * y) * (z * z - q ** (-2) / (y * y))
-            assert abs(recon - rec.q_value(z)) < 1e-8 * max(1.0, abs(recon))
+            value = np.polyval(rec.q_poly[::-1], z * z)
+            assert abs(recon - value) < 1e-8 * max(1.0, abs(recon))
 
 
-class TestInvolutionPairing:
+class TestChebyshevReduction:
     q = 0.6 * np.exp(0.7j)
-    c = q ** -2
-    w = 1.7 * np.exp(0.4j)
+    n = 3
+    params = ch.ChainParams(q=q, xi=0.01, xitilde=0.02, n_sites=n, t=(1.0, 1.1j, 0.9))
 
-    def test_nearest_partner_first_is_not_enough(self):
-        # Y0's nearest partner is Y2, which leaves Y1 and Y3 2.6e-6 apart; the
-        # only pairing within 1e-6 is (0, 1), (2, 3)
-        c, w = self.c, self.w
-        y2 = (c / w) * (1 - 0.8e-6)
-        big_y = np.array([w, (c / w) * (1 + 0.9e-6), y2, (c / y2) * (1 + 0.9e-6)])
-        pairs, worst, degenerate = bt._pair_under_involution(big_y, self.q, 1e-6)
-        assert pairs == [(0, 1), (2, 3)]
-        assert worst == pytest.approx(9.0e-7, rel=1e-6)
-        assert not degenerate
+    def record(self, big_y, f=1.3 - 0.4j):
+        # Q-eigenvalue f Z^(N-M) prod (Z - Y)(Z - q^(-2)/Y) as 2N+1 ascending coefficients
+        m = len(big_y)
+        core = np.poly(np.concatenate([big_y, self.q ** -2 / np.asarray(big_y)]))[::-1]
+        coeffs = np.zeros(2 * self.n + 1, dtype=complex)
+        coeffs[self.n - m:self.n + m + 1] = f * core
+        sector = ch.SpinSector(m, self.n)
+        return bt.SpectrumRecord(sector=sector, vector=np.zeros(2 ** self.n), tv_samples=[],
+                                 q_samples=[], q_poly=coeffs)
 
-    def test_no_pairing_within_tolerance_raises(self):
-        big_y = np.array([self.w, 2 * self.c / self.w])
-        with pytest.raises(bt.SpectrumError, match="nearest-partner mismatch 1.00e"):
-            bt._pair_under_involution(big_y, self.q, 1e-6)
+    def test_symmetric_polynomial_returns_its_roots(self):
+        # one representative per pair, the one with |Y| >= |q^(-2)/Y|
+        big_y = np.array([2.9 * np.exp(0.4j), 7.1 * np.exp(-2.2j), -4.3 + 1.0j]) / self.q
+        roots = bt.factorize_q_eigenvalue(self.record(big_y), self.params)
+        assert roots.m_roots == 3 and roots.f == 1.3 - 0.4j
+        found = np.sort_complex(roots.roots_squared)
+        assert np.abs(found - np.sort_complex(big_y)).max() < 1e-12 * np.abs(big_y).max()
+        assert roots.pairing_error < 1e-14 and roots.product_error < 1e-14
+        assert not roots.degenerate
 
-    def test_clustered_roots_pair_with_smallest_worst_mismatch(self):
-        # rel(i, j) = 1e-8 (i + j) to first order; every perfect matching of
-        # 0..15 has some i + j >= 15, reached by pairing k with 15 - k
-        big_y = (1 / self.q) * (1 + 1e-8 * np.arange(16))
-        pairs, worst, degenerate = bt._pair_under_involution(big_y, self.q, 1e-6)
-        assert sorted(k for pair in pairs for k in pair) == list(range(16))
-        assert all(i < j for i, j in pairs)
-        assert worst == pytest.approx(1.5e-7, rel=1e-6)
-        assert degenerate
+    def test_asymmetric_coefficients_raise_pairing_error(self):
+        big_y = np.array([2.9 * np.exp(0.4j), 7.1 * np.exp(-2.2j)]) / self.q
+        rec = self.record(big_y)
+        beta = rec.q_poly[1:6] * self.q ** -np.arange(-2, 3)
+        rec.q_poly[2] *= 1 + 1e-4
+        roots = bt.factorize_q_eigenvalue(rec, self.params)
+        expected = 1e-4 * abs(beta[1]) / np.abs(beta).max()
+        assert roots.pairing_error == pytest.approx(expected, rel=1e-3)
+        assert roots.product_error < 1e-14
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_pair_near_fixed_point_is_degenerate(self, sign):
+        # Y = +-(1 + 1e-6)/q sits next to the involution fixed point +-1/q
+        big_y = np.array([sign * (1 + 1e-6) / self.q, 3.0 / self.q])
+        roots = bt.factorize_q_eigenvalue(self.record(big_y), self.params)
+        assert roots.degenerate
+        far = bt.factorize_q_eigenvalue(self.record(np.array([1.1 / self.q, 3.0 / self.q])),
+                                        self.params)
+        assert not far.degenerate
+
+
+class TestClosedFactorization:
+    def test_coefficient_outside_degree_window_raises(self):
+        # N = 2, M = 2: z^0 P(z^2) lives on z^0, z^2, z^4; a z^1 term is not a Q-eigenvalue
+        p = ch.sample_params(2, seed=77, tol=1e-11)
+        coeffs = np.array([1.0, 1e-3, -2.5, 0.0, 0.7], dtype=complex)
+        rec = bt.SpectrumRecord(sector=ch.SpinSector(2, 2), vector=np.zeros(4), tv_samples=[],
+                                q_samples=[], q_poly=coeffs)
+        with pytest.raises(bt.SpectrumError, match="degree window"):
+            bt.factorize_closed_q_eigenvalue(rec, p)
+        rec.q_poly[1] = 0.0
+        ys2 = bt.factorize_closed_q_eigenvalue(rec, p)
+        assert np.abs(np.sort_complex(ys2) - np.sort_complex(np.roots([0.7, -2.5, 1.0]))).max() \
+            < 1e-14
 
 
 class TestBetheResiduals:

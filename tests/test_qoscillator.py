@@ -17,8 +17,6 @@ from qbaxter.qoscillator import (
     phi21,
     pochhammer,
     q_power_d,
-    rho_minus,
-    rho_plus,
 )
 
 Q = 0.57 + 0.13j
@@ -196,49 +194,6 @@ class TestBoundaryDiagonals:
         kw = kw_diagonal(self.Z, self.R, self.XI, Q, J)
         doubled = kw.scaled(2.0)
         assert abs(doubled.entry(3) - 2 * kw.entry(3)) < 1e-12 * abs(kw.entry(3))
-
-
-class TestBorelImages:
-    Zs = 0.91 + 0.23j
-    Rs = 1.1 + 0.2j
-
-    def test_weight_actions(self):
-        k0 = rho_plus("k0", self.Zs, self.Rs, Q, J)
-        for j in (0, 3, J - 1):
-            assert abs(k0[j, j] - self.Rs * Q ** (2 * j)) < 1e-14
-        k1m = rho_minus("k1", self.Zs, self.Rs, Q, J)
-        for j in (0, 2):
-            assert abs(k1m[j, j] - self.Rs * Q ** (-2 * j)) < 1e-14
-
-    def test_qcommutator_scalar_identity(self):
-        e0 = rho_plus("e0", self.Zs, self.Rs, Q, J)
-        e1 = rho_plus("e1", self.Zs, self.Rs, Q, J)
-        lhs = Q * (e0 @ e1 - Q ** (-2) * e1 @ e0)
-        target = self.Zs ** 2 / (Q - 1 / Q) * np.eye(J)
-        assert_allclose(lhs[:J - 1, :J - 1], target[:J - 1, :J - 1], atol=1e-12)
-
-    def test_serre_relations_on_interior(self):
-        def brk(x, y, p):
-            return x @ y - p * y @ x
-
-        for who in ("plus", "minus"):
-            if who == "plus":
-                g0 = rho_plus("e0", self.Zs, self.Rs, Q, J)
-                g1 = rho_plus("e1", self.Zs, self.Rs, Q, J)
-            else:
-                g0 = rho_minus("f0", self.Zs, self.Rs, Q, J)
-                g1 = rho_minus("f1", self.Zs, self.Rs, Q, J)
-            for x, y in ((g0, g1), (g1, g0)):
-                nested = brk(x, brk(x, brk(x, y, Q ** 2), 1.0), Q ** -2)
-                core = nested[: J - 5, : J - 5]
-                scale = max(np.abs(x).max(), np.abs(y).max()) ** 4
-                assert np.abs(core).max() < 1e-11 * scale
-
-    def test_unknown_generator(self):
-        with pytest.raises(ValueError):
-            rho_plus("x9", self.Zs, self.Rs, Q, J)
-        with pytest.raises(ValueError):
-            rho_minus("e0", self.Zs, self.Rs, Q, J)
 
 
 class TestFockDiagonal:

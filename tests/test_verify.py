@@ -99,15 +99,47 @@ def test_bethe_suite(params):
 
 @pytest.mark.parametrize("seed", [3, 11])
 def test_bethe_suite_polishes_large_roots(seed):
-    # at N = 4 these draws have roots |y| ~ 10 that np.roots resolves only to
-    # Bethe residuals 1e-6..1e-4; Newton polishing stops at the rounding floor
+    # at N = 4 these draws have roots |y| ~ 10 whose raw Bethe residuals carry
+    # the rounding of the Q coefficients; Newton polishing stops at the rounding floor
     p = ch.sample_params(4, seed=seed, tol=1e-10)
     results = {r.name: r for r in vf.bethe_suite(p, seed=seed)}
     for name in ("bethe-residuals", "bethe-residuals-functional-form", "bethe-aba-eigenvalue"):
         assert results[name].passed, (name, results[name].residual)
     before = float(results["bethe-residuals"].notes.split("; ")[1].split()[0])
-    assert before > results["bethe-residuals"].tolerance
+    assert results["bethe-residuals"].residual < before
     assert "unpolished" not in results["bethe-residuals"].notes
+
+
+# (N, seed) -> each check that fails there, with the residual measured when the
+# case was listed; all at |q| <= 0.43, where the root moduli span more decades
+# than one coefficient circle of radius 1/|q| resolves at tol 1e-10
+_SWEEP_FAILURES = {
+    (5, 2): {"bethe-product-constraint": 2.3e-8},
+    (5, 3): {"bethe-product-constraint": 2.1e-7},
+    (6, 2): {"bethe-product-constraint": 1.6e-6},
+    (6, 3): {"bethe-product-constraint": 3.6e-5, "bethe-residuals": 0.95,
+             "bethe-residuals-functional-form": 0.95},
+}
+
+
+def _sweep_case(n_sites, seed):
+    fails = _SWEEP_FAILURES.get((n_sites, seed))
+    if fails is None:
+        return pytest.param(n_sites, seed, id=f"N{n_sites}-seed{seed}")
+    reason = f"N = {n_sites}, seed {seed}: " + ", ".join(f"{k} {v:.1e}" for k, v in fails.items())
+    return pytest.param(n_sites, seed, id=f"N{n_sites}-seed{seed}", marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError, reason=reason))
+
+
+_SWEEP = [(n, s) for n in range(2, 6) for s in range(12)] + [(6, s) for s in range(4)]
+
+
+@pytest.mark.parametrize("n_sites, seed", [_sweep_case(n, s) for n, s in _SWEEP])
+def test_bethe_suite_seeded_sweep(n_sites, seed):
+    # no draw may raise: an expected failure is an assertion, never an exception
+    p = ch.sample_params(n_sites, seed=seed, tol=1e-10)
+    failed = {r.name: r.residual for r in vf.bethe_suite(p, seed=seed) if not r.passed}
+    assert not failed, failed
 
 
 @pytest.mark.parametrize("suite", ["n2-closed-forms", "crossing"])
