@@ -33,7 +33,7 @@ class SpectrumRecord:
     vector: np.ndarray                # unit vector on the full 2^N space
     tv_samples: list                  # [(z, eigenvalue of the finite transfer matrix)]
     q_samples: list                   # [(z, eigenvalue of the Q-operator)]
-    q_poly: np.ndarray                # 2N+1 ascending coefficients in Z = z^2 (open) or z (closed)
+    q_poly: np.ndarray                # 2N+1 ascending coefficients in Z = z^2
     tv_residual: float = 0.0          # worst eigen-residual over the samples
     q_fit_error: float = 0.0          # held-out interpolation deviation
 
@@ -70,7 +70,7 @@ def _min_gap(vals: np.ndarray) -> float:
     return gap
 
 
-def spectrum_nodes(params: ChainParams, seed: int, count: int, closed: bool = False):
+def spectrum_nodes(params: ChainParams, seed: int, count: int):
     """Sample points on a circle that stay clear of the trace poles."""
     rng = np.random.default_rng(seed)
     nodes = []
@@ -80,7 +80,7 @@ def spectrum_nodes(params: ChainParams, seed: int, count: int, closed: bool = Fa
         if attempts > 200 * count:
             raise SpectrumError("could not place sample nodes clear of the exclusion set")
         z = (0.75 + 0.5 * rng.random()) * cmath.exp(2j * math.pi * rng.random())
-        if not closed and in_exclusion_set(z, params):
+        if in_exclusion_set(z, params):
             continue
         if any(abs(z - w) < 0.02 for w in nodes):
             continue
@@ -114,8 +114,7 @@ def circle_coefficients(f, count: int, radius: complex) -> np.ndarray:
     raise SpectrumError(f"every node circle of radius {abs(radius):.3g} meets the exclusion set")
 
 
-def joint_spectrum(params: ChainParams, z_probe: complex, z_samples, seed: int = 0,
-                   closed: bool = False):
+def joint_spectrum(params: ChainParams, z_probe: complex, z_samples, seed: int = 0):
     """Simultaneously diagonalize the commuting family, sector by sector.
 
     Degenerate clusters within a sector are resolved by re-diagonalizing a
@@ -123,34 +122,24 @@ def joint_spectrum(params: ChainParams, z_probe: complex, z_samples, seed: int =
     one SpectrumRecord per joint eigenvector, ordered by sector then by the
     probe eigenvalue.
 
-    Each Q-eigenvalue is a polynomial of degree <= 2N in Z = z^2 (open chain)
-    or in z (closed chain); its coefficients come from circle_coefficients on
-    2N+2 nodes of |Z| = 1/|q| (open) or |z| = 0.95 (closed).  The held-out
-    check compares the polynomial with the eigenvalues at z_samples and also
-    counts the out-of-degree coefficient there.
+    Each Q-eigenvalue is a polynomial of degree <= 2N in Z = z^2; its
+    coefficients come from circle_coefficients on 2N+2 nodes of |Z| = 1/|q|.
+    The held-out check compares the polynomial with the eigenvalues at
+    z_samples and also counts the out-of-degree coefficient there.
     """
     n = params.n_sites
     d = 2 ** n
     rng = np.random.default_rng(seed)
-    if closed:
-        tv = chain_mod.closed_transfer_v
-        qq = chain_mod.closed_q
-    else:
-        tv = chain_mod.transfer_v
-        qq = chain_mod.q_operator
-    if not closed and in_exclusion_set(z_probe, params):
+    if in_exclusion_set(z_probe, params):
         raise ParameterDomainError("probe point lies in the exclusion set")
-    t_probe = tv(z_probe, params)
+    t_probe = chain_mod.transfer_v(z_probe, params)
     probe2 = None
     records = []
     z_samples = [complex(z) for z in z_samples]
-    tv_mats = {z: tv(z, params) for z in z_samples}
-    q_mats = {z: qq(z, params) for z in z_samples}
-    if closed:
-        q_coeffs = circle_coefficients(lambda z: qq(z, params), 2 * n + 2, 0.95)
-    else:
-        q_coeffs = circle_coefficients(lambda y: qq(cmath.sqrt(y), params), 2 * n + 2,
-                                       1.0 / params.q)
+    tv_mats = {z: chain_mod.transfer_v(z, params) for z in z_samples}
+    q_mats = {z: chain_mod.q_operator(z, params) for z in z_samples}
+    q_coeffs = circle_coefficients(lambda y: chain_mod.q_operator(cmath.sqrt(y), params),
+                                   2 * n + 2, 1.0 / params.q)
 
     for m_down in range(n + 1):
         sector = SpinSector(m_down, n)
@@ -162,9 +151,9 @@ def joint_spectrum(params: ChainParams, z_probe: complex, z_samples, seed: int =
         while _min_gap(vals) < 1e3 * params.tol * scale and tries < 3:
             tries += 1
             if probe2 is None:
-                probe2 = spectrum_nodes(params, seed + 7, 1, closed=closed)[0]
+                probe2 = spectrum_nodes(params, seed + 7, 1)[0]
             mu = 10.0 ** (-tries) * cmath.exp(2j * math.pi * rng.random())
-            mixed = block + mu * qq(probe2, params)[np.ix_(idx, idx)]
+            mixed = block + mu * chain_mod.q_operator(probe2, params)[np.ix_(idx, idx)]
             vals_m, vecs = _eig_sorted(mixed)
             vals = np.array([vecs[:, k].conj() @ block @ vecs[:, k]
                              / (vecs[:, k].conj() @ vecs[:, k]) for k in range(idx.size)])
@@ -185,7 +174,7 @@ def joint_spectrum(params: ChainParams, z_probe: complex, z_samples, seed: int =
                 tv_s.append((z, complex(lam)))
                 mu = complex(v.conj() @ (q_mats[z] @ v))
                 q_s.append((z, mu))
-                x = z if closed else z * z
+                x = z * z
                 miss = max(abs(np.polyval(coeffs[-2::-1], x) - mu),
                            abs(coeffs[-1] * x ** (2 * n + 1)))
                 fit_err = max(fit_err, miss / max(1.0, abs(mu)))
@@ -199,8 +188,8 @@ def joint_spectrum(params: ChainParams, z_probe: complex, z_samples, seed: int =
 # factorization of Q-eigenvalues
 # ---------------------------------------------------------------------------
 
-def _degree_window(q_poly, n: int, m: int, step: int):
-    """Coefficients N-M, N-M+step, ..., N+M of a Q-eigenvalue, all others being zero.
+def _degree_window(q_poly, n: int, m: int):
+    """Coefficients N-M..N+M of a Q-eigenvalue, all others being zero.
 
     Returns them with the structural residual: the largest other coefficient
     relative to the largest one.  Raises SpectrumError above 1e-5.
@@ -210,7 +199,7 @@ def _degree_window(q_poly, n: int, m: int, step: int):
     if scale == 0.0:
         raise SpectrumError("Q-eigenvalue is identically zero")
     inside = np.zeros(coeffs.size, dtype=bool)
-    inside[n - m:n + m + 1:step] = True
+    inside[n - m:n + m + 1] = True
     struct_err = float(np.max(np.abs(coeffs[~inside]), initial=0.0)) / scale
     if struct_err > 1e-5:
         raise SpectrumError(
@@ -235,7 +224,7 @@ def factorize_q_eigenvalue(record: SpectrumRecord, params: ChainParams) -> Bethe
     n = params.n_sites
     m = record.sector.m_down
     q = params.q
-    core, struct_err = _degree_window(record.q_poly, n, m, 1)
+    core, struct_err = _degree_window(record.q_poly, n, m)
     f = complex(core[-1])
     if m == 0:
         return BetheRootSet(m_roots=0, f=f, roots=np.zeros(0, dtype=complex),
@@ -311,27 +300,6 @@ def bethe_residual_pq_form(roots: BetheRootSet, params: ChainParams) -> np.ndarr
         b = chain_mod.p_minus(y, params) * q_eig(y / q)
         res.append(abs(a + b) / max(abs(a), abs(b), 1e-300))
     return np.array(res)
-
-
-def closed_bethe_residual(roots_squared, params: ChainParams) -> np.ndarray:
-    """Relative residual of the closed-chain Bethe system with twist."""
-    big_y = np.asarray(roots_squared, dtype=complex)
-    q, zeta = params.q, params.zeta
-    m = big_y.size
-    out = np.zeros(m)
-    for i, y2 in enumerate(big_y):
-        left = 1.0 + 0.0j
-        right = q ** params.n_sites * zeta
-        for tn in params.t:
-            left *= 1.0 - q * q * y2 / (tn * tn)
-            right *= 1.0 - y2 / (tn * tn)
-        for j, w2 in enumerate(big_y):
-            if j == i:
-                continue
-            left *= q * q - y2 / w2
-            right *= 1.0 - q * q * y2 / w2
-        out[i] = abs(left - right) / max(abs(left), abs(right), 1e-300)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -502,22 +470,20 @@ def _bethe_system(big_y: np.ndarray, params: ChainParams):
     return res, jac, lhs, rhs
 
 
-def refine_bethe_newton(seed_roots, params: ChainParams, max_iter: int = 50,
-                        target: float = 1e-12):
+def refine_bethe_newton(roots, params: ChainParams, max_iter: int = 50):
     """Damped Newton iteration on the Bethe system in the squared roots.
 
-    Accepts either a BetheRootSet or a plain array of roots y_i; returns the
-    refined roots (same container kind) and the final normalized residual.
-    The iteration stops at the target or at the rounding floor of the
-    residual, whichever is larger: rounding each Y_j to double precision
-    alone moves residual i by up to eps (sum_j |J_ij Y_j| + |lhs_i| + |rhs_i|),
-    relative to max(|lhs_i|, |rhs_i|), so no iterate can certify less.
+    Takes an array of roots y_i; returns the refined roots and the final
+    normalized residual.  The iteration stops at 1e-12 or at the rounding
+    floor of the residual, whichever is larger: rounding each Y_j to double
+    precision alone moves residual i by up to
+    eps (sum_j |J_ij Y_j| + |lhs_i| + |rhs_i|), relative to
+    max(|lhs_i|, |rhs_i|), so no iterate can certify less.
     """
-    container = isinstance(seed_roots, BetheRootSet)
-    ys = seed_roots.roots if container else np.asarray(seed_roots, dtype=complex)
-    big_y = ys.astype(complex) ** 2
+    target = 1e-12
+    big_y = np.asarray(roots, dtype=complex) ** 2
     if big_y.size == 0:
-        return (seed_roots, 0.0) if container else (ys, 0.0)
+        return big_y, 0.0
 
     def norm_res(res, lhs, rhs):
         return float(np.max(np.abs(res) / np.maximum(
@@ -555,27 +521,4 @@ def refine_bethe_newton(seed_roots, params: ChainParams, max_iter: int = 50,
         if best >= max(target, rounding_floor(big_y, jac, lhs, rhs)):
             raise ConvergenceError(
                 f"Newton refinement did not reach {target:.1e} in {max_iter} steps")
-    refined = np.array([cmath.sqrt(w) for w in big_y], dtype=complex)
-    if container:
-        out = BetheRootSet(m_roots=seed_roots.m_roots, f=seed_roots.f, roots=refined,
-                           pairing_error=seed_roots.pairing_error,
-                           product_error=seed_roots.product_error,
-                           degenerate=seed_roots.degenerate)
-        return out, best
-    return refined, best
-
-
-# ---------------------------------------------------------------------------
-# closed-chain pipeline
-# ---------------------------------------------------------------------------
-
-def factorize_closed_q_eigenvalue(record: SpectrumRecord, params: ChainParams) -> np.ndarray:
-    """Nonzero squared roots of one closed-chain Q-eigenvalue.
-
-    The eigenvalue is z^(N-M) P(z^2) with P of degree M, so P is read from the
-    z-coefficients N-M, N-M+2, ..., N+M; every other coefficient must vanish.
-    """
-    p, _ = _degree_window(record.q_poly, params.n_sites, record.sector.m_down, 2)
-    if abs(p[-1]) < 1e-12 * float(np.max(np.abs(p))):
-        raise SpectrumError("closed Q-eigenvalue has unexpected degree")
-    return np.roots(p[::-1] / p[-1])
+    return np.array([cmath.sqrt(w) for w in big_y], dtype=complex), best

@@ -2,7 +2,7 @@
 
 Double-row monodromies, the two transfer matrices, the Q-operator built from a
 certified truncated Fock trace, coefficient polynomials, a diagonal-entry
-recursion oracle, the total spin operator, and the closed-chain analogues.
+recursion oracle, and the closed-chain analogues.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -21,15 +22,16 @@ from .errors import (
     ParameterDomainError,
     TailCertificateError,
 )
-from .lattice_ops import (
-    kv_matrix,
-    ktv_matrix,
-    kw_diagonal,
-    ktw_diagonal,
-    l_matrix,
-    r_matrix,
-)
-from .qoscillator import _LOG_HUGE
+from .lattice_ops import kv_matrix, ktv_matrix, l_matrix, r_matrix
+from .qoscillator import _LOG_HUGE, kw_diagonal, ktw_diagonal
+
+
+def _check_sizes(n_sites, cutoff):
+    """Reject a non-integer site count and a non-integral Fock cutoff."""
+    if isinstance(n_sites, bool) or not isinstance(n_sites, numbers.Integral):
+        raise ParameterDomainError(f"n_sites must be an integer, got {n_sites!r}")
+    if not float(cutoff).is_integer():
+        raise ParameterDomainError(f"Fock cutoff must be integral, got {cutoff!r}")
 
 
 @dataclass(frozen=True)
@@ -55,6 +57,7 @@ class ChainParams:
         q = complex(self.q)
         if not 0.0 < abs(q) < 1.0:
             raise ParameterDomainError(f"need 0 < |q| < 1, got |q| = {abs(q):.4f}")
+        _check_sizes(self.n_sites, self.cutoff)
         if self.n_sites < 0:
             raise ParameterDomainError("n_sites must be nonnegative")
         t = tuple(complex(v) for v in self.t)
@@ -144,6 +147,7 @@ def sample_params(n_sites: int, seed: int, cutoff: int = 40, tol: float = 1e-9,
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ParameterDomainError(f"tol must be finite and positive, got {tol!r}")
+    _check_sizes(n_sites, cutoff)
     rng = np.random.default_rng(seed)
     lo, hi = (0.5, 0.75) if identity_grade else (0.3, 0.8)
     qmod = lo + (hi - lo) * rng.random()
@@ -164,43 +168,26 @@ def sample_params(n_sites: int, seed: int, cutoff: int = 40, tol: float = 1e-9,
                        cutoff=cutoff, tol=tol, exclusion_radius=exclusion_radius)
 
 
-def exclusion_points(params: ChainParams, horizon: float):
-    """Pole locations of the traced series within the given modulus horizon."""
-    q, xi, xit = params.q, params.xi, params.xitilde
-    pts = []
-    root_xi = cmath.sqrt(xi)
-    for i in range(params.n_sites):
-        p = q ** i * root_xi
-        pts.extend((p, -p))
-    inv_root_xit = 1.0 / cmath.sqrt(xit)
-    k = 1
-    while True:
-        p = q ** (-k) * inv_root_xit
-        if abs(p) > horizon and k > 1:
-            break
-        pts.extend((p, -p))
-        k += 1
-        if k > 500:
-            break
-    return pts
-
-
 def in_exclusion_set(z: complex, params: ChainParams) -> bool:
-    """True when z is within the exclusion radius of a pole of the traced series."""
+    """True when z is within the exclusion radius of a pole of the traced series.
+
+    The poles are +-q^i sqrt(xi), i = 0..N-1, and +-q^(-k) / sqrt(xitilde),
+    k >= 1; of the latter only those whose modulus |q|^(-k) / |sqrt(xitilde)|
+    lies within the radius of |z| can be that close, so only they are tested
+    (one more k on each side absorbs the rounding of the logarithms).
+    """
     z = complex(z)
     delta = params.exclusion_radius
-    horizon = abs(z) + delta + 1.0
-    return any(abs(z - p) < delta for p in exclusion_points(params, horizon))
-
-
-def total_spin(n_sites: int) -> np.ndarray:
-    """Sum of single-site diag(1, -1) operators; eigenvalues N - 2M."""
-    shape = (2,) * n_sites
-    sz = np.diag(np.array([1.0, -1.0], dtype=complex))
-    out = np.zeros((2 ** n_sites, 2 ** n_sites), dtype=complex)
-    for k in range(n_sites):
-        out += tc.embed_site(sz, k, shape)
-    return out
+    q = params.q
+    root_xi = cmath.sqrt(params.xi)
+    inv_root_xit = 1.0 / cmath.sqrt(params.xitilde)
+    ln_q = -math.log(abs(q))
+    ln_root_xit = math.log(abs(params.xitilde)) / 2.0
+    k_lo = math.ceil((math.log(max(abs(z) - delta, 1e-300)) + ln_root_xit) / ln_q)
+    k_hi = math.floor((math.log(max(abs(z) + delta, 1e-300)) + ln_root_xit) / ln_q)
+    pts = [q ** i * root_xi for i in range(params.n_sites)]
+    pts += [q ** (-k) * inv_root_xit for k in range(max(1, k_lo - 1), k_hi + 2)]
+    return any(abs(z - p) < delta or abs(z + p) < delta for p in pts)
 
 
 def spin_weights(n_sites: int, top: complex, bottom: complex) -> np.ndarray:

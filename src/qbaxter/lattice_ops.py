@@ -12,15 +12,7 @@ import numpy as np
 
 from . import tensor_core as tc
 from .errors import ParameterDomainError
-from .qoscillator import (  # kw_diagonal and ktw_diagonal are re-exported
-    kw_diagonal,
-    ktw_diagonal,
-    osc_a,
-    osc_adag,
-    osc_fd,
-    q_power_d,
-    validate_cutoff,
-)
+from .qoscillator import osc_a, osc_adag, osc_fd, q_power_d, validate_cutoff
 
 
 def _wv_blocks(b00, b01, b10, b11) -> np.ndarray:

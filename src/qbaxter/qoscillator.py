@@ -128,7 +128,7 @@ def phi21(a: complex, b: complex, c: complex, x: complex, q: complex,
 class FockDiagonal:
     """Diagonal Fock operator stored as unit-modulus mantissas and natural-log magnitudes.
 
-    entry(j) = mantissa[j] * exp(log_mag[j]).  Keeping the magnitude in log form
+    Entry j is mantissa[j] * exp(log_mag[j]).  Keeping the magnitude in log form
     lets super-exponentially growing and decaying boundary matrices be paired
     without ever materializing out-of-range floats.
     """
@@ -140,16 +140,6 @@ class FockDiagonal:
         if self.mantissa.shape != self.log_mag.shape or self.mantissa.ndim != 1:
             raise ValueError("mantissa and log_mag must be 1-d arrays of equal length")
 
-    @property
-    def size(self) -> int:
-        return int(self.mantissa.size)
-
-    def entry(self, j: int) -> complex:
-        lg = self.log_mag[j]
-        if lg > _LOG_HUGE:
-            raise OverflowGuardError(f"entry {j} has log-magnitude {lg:.1f}, beyond double range")
-        return complex(self.mantissa[j] * math.exp(lg))
-
     def diagonal(self) -> np.ndarray:
         if np.max(self.log_mag) > _LOG_HUGE:
             j = int(np.argmax(self.log_mag))
@@ -159,12 +149,6 @@ class FockDiagonal:
 
     def dense(self) -> np.ndarray:
         return np.diag(self.diagonal())
-
-    def scaled(self, factor: complex) -> "FockDiagonal":
-        mag = abs(factor)
-        if mag == 0.0:
-            return FockDiagonal(np.zeros_like(self.mantissa), np.zeros_like(self.log_mag))
-        return FockDiagonal(self.mantissa * (factor / mag), self.log_mag + math.log(mag))
 
 
 def _accumulate_diagonal(factors) -> FockDiagonal:

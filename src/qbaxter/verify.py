@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -28,8 +28,6 @@ from .lattice_ops import (
     iota_retraction,
     kv_matrix,
     ktv_matrix,
-    kw_diagonal,
-    ktw_diagonal,
     l_inverse,
     l_matrix,
     l_tilde,
@@ -38,6 +36,7 @@ from .lattice_ops import (
     tau,
     tau_section,
 )
+from .qoscillator import kw_diagonal, ktw_diagonal
 
 DEFAULT_TOL = 1e-8
 EXACT_TOL = 1e-10
@@ -116,8 +115,7 @@ def _result(name, residual, tol, params, seed, notes="", conjecture=False) -> Ch
 # Yang-Baxter
 # ---------------------------------------------------------------------------
 
-def check_ybe(params: ch.ChainParams, seed: int = 0, samples: int = 5,
-              tol: float = DEFAULT_TOL) -> CheckResult:
+def check_ybe(params: ch.ChainParams, seed: int = 0) -> CheckResult:
     """All three Yang-Baxter equations at random spectral triples, plus r-covariance."""
     rng = np.random.default_rng(seed)
     q = params.q
@@ -125,7 +123,7 @@ def check_ybe(params: ch.ChainParams, seed: int = 0, samples: int = 5,
     pad = 3
     worst = {"vvv": 0.0, "wvv": 0.0, "vvw": 0.0}
     r_values = [1.0, 1.4 - 0.2j, 0.7 + 0.5j]
-    for _ in range(samples):
+    for _ in range(5):
         z1, z2, z3 = (_rand_z(rng) for _ in range(3))
         sh = (2, 2, 2)
         r12 = tc.embed(r_matrix(z1 / z2, q), 0, 1, sh)
@@ -151,15 +149,14 @@ def check_ybe(params: ch.ChainParams, seed: int = 0, samples: int = 5,
         worst["vvw"] = max(worst["vvw"], tc.rel_err(
             lhs.reshape(4 * (J - pad), -1), rhs.reshape(4 * (J - pad), -1)))
     notes = f"sub-residuals {worst}; Fock cutoff {J}; r-covariance over {len(r_values)} values"
-    return _result("yang-baxter", max(worst.values()), tol, params, seed, notes)
+    return _result("yang-baxter", max(worst.values()), DEFAULT_TOL, params, seed, notes)
 
 
 # ---------------------------------------------------------------------------
 # reflection equations
 # ---------------------------------------------------------------------------
 
-def check_reflection(params: ch.ChainParams, seed: int = 0, samples: int = 4,
-                     tol: float = DEFAULT_TOL) -> CheckResult:
+def check_reflection(params: ch.ChainParams, seed: int = 0) -> CheckResult:
     """All four reflection equations; the left pair both directly and in the
     inverted, reparametrized form."""
     rng = np.random.default_rng(seed)
@@ -172,9 +169,9 @@ def check_reflection(params: ch.ChainParams, seed: int = 0, samples: int = 4,
     eyej = np.eye(J, dtype=complex)
     done = 0
     attempts = 0
-    while done < samples:
+    while done < 4:
         attempts += 1
-        if attempts > 50 * samples:
+        if attempts > 200:
             raise QBaxterError("reflection check kept landing on boundary-matrix poles")
         y, z = _rand_z(rng), _rand_z(rng)
         try:
@@ -222,15 +219,14 @@ def check_reflection(params: ch.ChainParams, seed: int = 0, samples: int = 4,
         worst["wv-left-alt"] = max(worst["wv-left-alt"], tc.rel_err(
             _interior(lhs, 2, 2, pad), _interior(rhs, 2, 2, pad)))
     notes = f"sub-residuals {worst}; Fock cutoff {J}"
-    return _result("reflection", max(worst.values()), tol, params, seed, notes)
+    return _result("reflection", max(worst.values()), DEFAULT_TOL, params, seed, notes)
 
 
 # ---------------------------------------------------------------------------
 # fusion
 # ---------------------------------------------------------------------------
 
-def check_fusion(params: ch.ChainParams, seed: int = 0, samples: int = 3,
-                 tol: float = DEFAULT_TOL) -> CheckResult:
+def check_fusion(params: ch.ChainParams, seed: int = 0) -> CheckResult:
     """The two bulk and four boundary fusion identities with their exact scalars."""
     rng = np.random.default_rng(seed)
     q, xi, xit = params.q, params.xi, params.xitilde
@@ -239,7 +235,7 @@ def check_fusion(params: ch.ChainParams, seed: int = 0, samples: int = 3,
     eye2 = np.eye(2, dtype=complex)
     eyej = np.eye(J, dtype=complex)
     worst = {}
-    for _ in range(samples):
+    for _ in range(3):
         z = _rand_z(rng)
         r = 1.0 + 0.6 * (rng.random() - 0.5) + 0.4j * (rng.random() - 0.5)
         io = iota(r, q, J)
@@ -280,7 +276,7 @@ def check_fusion(params: ch.ChainParams, seed: int = 0, samples: int = 3,
         _acc(worst, "boundary-left-lower",
              tc.rel_err(_interior(lhs, 1, 2, pad), _interior(rhs, 1, 2, pad)))
     notes = f"sub-residuals {worst}; Fock cutoff {J}"
-    return _result("fusion", max(worst.values()), tol, params, seed, notes)
+    return _result("fusion", max(worst.values()), DEFAULT_TOL, params, seed, notes)
 
 
 def _acc(d, key, val):
@@ -291,8 +287,7 @@ def _acc(d, key, val):
 # monodromy exchange and row fusion
 # ---------------------------------------------------------------------------
 
-def check_row_fusion_and_monodromy(params: ch.ChainParams, seed: int = 0,
-                                   tol: float = DEFAULT_TOL) -> CheckResult:
+def check_row_fusion_and_monodromy(params: ch.ChainParams, seed: int = 0) -> CheckResult:
     """Factorized exchange identities of the two monodromies and the row-fusion
     relations with their polynomial scalars, at N in {1, 2}."""
     rng = np.random.default_rng(seed)
@@ -364,15 +359,15 @@ def check_row_fusion_and_monodromy(params: ch.ChainParams, seed: int = 0,
         _acc(worst, f"r-factorization-N{n}", tc.rel_err(
             _interior(lhs, d, d, pad), _interior(rhs, d, d, pad)))
     notes = f"sub-residuals {worst}"
-    return _result("row-fusion-monodromy", max(worst.values()), tol, params, seed, notes)
+    return _result("row-fusion-monodromy", max(worst.values()), DEFAULT_TOL, params, seed,
+                   notes)
 
 
 # ---------------------------------------------------------------------------
 # split trace
 # ---------------------------------------------------------------------------
 
-def check_split_trace(params: ch.ChainParams, seed: int = 0,
-                      tol: float = EXACT_TOL) -> CheckResult:
+def check_split_trace(params: ch.ChainParams, seed: int = 0) -> CheckResult:
     """Trace decomposition through the split short exact sequence.
 
     Checked for the identity, for the projector onto the embedded copy, and for
@@ -407,7 +402,7 @@ def check_split_trace(params: ch.ChainParams, seed: int = 0,
                 theta[jrow, :, jcol, :] = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         _acc(worst, "random-banded", split_residual(theta.reshape(2 * J, 2 * J)))
     notes = f"sub-residuals {worst}; Fock cutoff {J}"
-    return _result("split-trace", max(worst.values()), tol, params, seed, notes)
+    return _result("split-trace", max(worst.values()), EXACT_TOL, params, seed, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -426,14 +421,13 @@ def _tq_point(rng, params, need_scale=1.3):
     raise QBaxterError("could not sample a spectral point clear of the exclusion set")
 
 
-def check_tq(params: ch.ChainParams, seed: int = 0, samples: int = 5,
-             tol: float = DEFAULT_TOL) -> CheckResult:
+def check_tq(params: ch.ChainParams, seed: int = 0) -> CheckResult:
     """The functional relation tying the two transfer families, plus its
     degeneration at the zero of the left-hand scalar."""
     rng = np.random.default_rng(seed)
     q = params.q
     worst = {}
-    for _ in range(samples):
+    for _ in range(5):
         z = _tq_point(rng, params)
         lhs = (1.0 - q * q * z ** 4) * ch.transfer_v(z, params) @ ch.q_operator(z, params)
         rhs = ch.p_plus(z, params) * ch.q_operator(q * z, params) \
@@ -449,17 +443,16 @@ def check_tq(params: ch.ChainParams, seed: int = 0, samples: int = 5,
              float(np.linalg.norm(a + b) / max(np.linalg.norm(a), np.linalg.norm(b), 1e-300)))
         break
     notes = f"sub-residuals {worst}; N={params.n_sites}"
-    return _result("tq-relation", max(worst.values()), tol, params, seed, notes)
+    return _result("tq-relation", max(worst.values()), DEFAULT_TOL, params, seed, notes)
 
 
-def check_commutators(params: ch.ChainParams, seed: int = 0, samples: int = 5,
-                      tol: float = 1e-9):
+def check_commutators(params: ch.ChainParams, seed: int = 0):
     """Commutativity of the transfer family (theorems) and of the Q-family
     (reported as a conjecture check)."""
     rng = np.random.default_rng(seed)
     worst_thm = {}
     worst_conj = 0.0
-    for _ in range(samples):
+    for _ in range(5):
         y = _tq_point(rng, params)
         z = _tq_point(rng, params)
         tv_y, tv_z = ch.transfer_v(y, params), ch.transfer_v(z, params)
@@ -470,16 +463,15 @@ def check_commutators(params: ch.ChainParams, seed: int = 0, samples: int = 5,
         u = 0.4 + rng.random() + 0.3j * rng.random()
         du = np.diag(ch.spin_weights(params.n_sites, u, 1.0))
         _acc(worst_thm, "q-spinweight", tc.rel_err(q_y @ du, du @ q_y))
-    thm = _result("commutators", max(worst_thm.values()), tol, params, seed,
+    thm = _result("commutators", max(worst_thm.values()), 1e-9, params, seed,
                   f"sub-residuals {worst_thm}")
-    conj = _result("commutators-qq", worst_conj, tol, params, seed,
+    conj = _result("commutators-qq", worst_conj, 1e-9, params, seed,
                    "commutativity of the Q-family is conjectural; reported separately",
                    conjecture=True)
     return [thm, conj]
 
 
-def check_crossing(params: ch.ChainParams, seed: int = 0, samples: int = 3,
-                   tol: float = DEFAULT_TOL) -> CheckResult:
+def check_crossing(params: ch.ChainParams, seed: int = 0) -> CheckResult:
     """Inversion symmetry z -> 1/(q z) of both transfer families.
 
     The Q-operator version rests on the commutativity conjecture in general,
@@ -490,7 +482,7 @@ def check_crossing(params: ch.ChainParams, seed: int = 0, samples: int = 3,
     n = params.n_sites
     worst = {}
     ratios = []
-    for _ in range(samples):
+    for _ in range(3):
         z = _rand_z(rng, 0.8, 1.3)
         if ch.in_exclusion_set(z, params) or ch.in_exclusion_set(1.0 / (q * z), params):
             continue
@@ -503,13 +495,13 @@ def check_crossing(params: ch.ChainParams, seed: int = 0, samples: int = 3,
         ratios.append(float(np.linalg.norm(qo_cross) / np.linalg.norm(qo)
                             / abs((q * z * z) ** (-2 * n))))
     if not worst:
-        raise QBaxterError(f"all {samples} crossing samples fell in the exclusion set")
+        raise QBaxterError("all 3 crossing samples fell in the exclusion set")
     notes = (f"sub-residuals {worst}; scalar-exponent ratios {ratios} (should be ~1); "
              "Q-version conditional on the commutativity conjecture")
-    return _result("crossing", max(worst.values()), tol, params, seed, notes)
+    return _result("crossing", max(worst.values()), DEFAULT_TOL, params, seed, notes)
 
 
-def check_polynomiality(params: ch.ChainParams, seed: int = 0, tol: float = DEFAULT_TOL):
+def check_polynomiality(params: ch.ChainParams, seed: int = 0):
     """Entrywise polynomial interpolation of the Q-operator in z^2 with held-out
     nodes (diagonal entries theorem-backed, off-diagonal conjectural), plus the
     site-peeling recursion oracle for diagonal entries."""
@@ -546,9 +538,9 @@ def check_polynomiality(params: ch.ChainParams, seed: int = 0, tol: float = DEFA
             val = complex(np.polyval(coeff[::-1], z ** 2))
             rec_err = max(rec_err, abs(tw[z][idx, idx] - val) / max(1.0, abs(val)))
 
-    res_diag = _result("polynomiality-diagonal", diag_err, tol, params, seed,
+    res_diag = _result("polynomiality-diagonal", diag_err, DEFAULT_TOL, params, seed,
                        f"degree <= {deg} in z^2, {len(holdout)} held-out nodes")
-    res_off = _result("polynomiality-offdiagonal", off_err, tol, params, seed,
+    res_off = _result("polynomiality-offdiagonal", off_err, DEFAULT_TOL, params, seed,
                       "off-diagonal polynomiality is conjectural beyond two sites",
                       conjecture=params.n_sites > 2)
     res_rec = _result("recursion-oracle", rec_err, 1e-9, params, seed,
@@ -556,8 +548,7 @@ def check_polynomiality(params: ch.ChainParams, seed: int = 0, tol: float = DEFA
     return [res_diag, res_off, res_rec]
 
 
-def check_n2_closed_forms(params: ch.ChainParams, seed: int = 0,
-                          tol: float = EXACT_TOL):
+def check_n2_closed_forms(params: ch.ChainParams, seed: int = 0):
     """Two-site closed forms: the lone off-diagonal entry, its inversion image,
     the diagonal difference, and z-independence of the entry ratios."""
     p = params.with_sites(2)
@@ -595,10 +586,10 @@ def check_n2_closed_forms(params: ch.ChainParams, seed: int = 0,
         spread = max(abs(a - b) for a in seq for b in seq) / max(1.0, max(abs(a) for a in seq))
         _acc(worst, "ratio-z-independence", spread)
     notes = (f"sub-residuals {worst}; z^2 coefficient of the lone entry = {_cx(coeff_echo)}")
-    return _result("n2-closed-forms", max(worst.values()), tol, params, seed, notes)
+    return _result("n2-closed-forms", max(worst.values()), EXACT_TOL, params, seed, notes)
 
 
-def check_closed_chain(params: ch.ChainParams, seed: int = 0, tol: float = 1e-9):
+def check_closed_chain(params: ch.ChainParams, seed: int = 0):
     """Closed-chain functional relation, commutators, degree bound, the twisted
     trace at the origin, and generic invertibility."""
     rng = np.random.default_rng(seed)
@@ -628,15 +619,14 @@ def check_closed_chain(params: ch.ChainParams, seed: int = 0, tol: float = 1e-9)
     notes = f"sub-residuals {worst}; |det T^W_closed| = {abs(det):.3e} (generic invertibility)"
     if abs(det) == 0.0:
         worst["invertibility"] = 1.0
-    return _result("closed-chain", max(worst.values()), tol, params, seed, notes)
+    return _result("closed-chain", max(worst.values()), 1e-9, params, seed, notes)
 
 
 # ---------------------------------------------------------------------------
 # spectrum and Bethe suites
 # ---------------------------------------------------------------------------
 
-def spectrum_suite(params: ch.ChainParams, seed: int = 0, samples=3,
-                   tol: float = DEFAULT_TOL):
+def spectrum_suite(params: ch.ChainParams, seed: int = 0, samples=3):
     """Joint diagonalization quality: sector counting, eigen-residuals,
     interpolation of each Q-eigenvalue, and crossing consistency of the
     finite-family eigenvalue samples.
@@ -663,15 +653,15 @@ def spectrum_suite(params: ch.ChainParams, seed: int = 0, samples=3,
     results = [
         _result("spectrum-sector-count", count_err + (0.0 if binom_ok else 1.0), 0.5,
                 params, seed, f"sector multiplicities {sector_sizes}"),
-        _result("spectrum-eigenresidual", max(r.tv_residual for r in records), tol,
+        _result("spectrum-eigenresidual", max(r.tv_residual for r in records), DEFAULT_TOL,
                 params, seed, f"{len(records)} joint eigenvectors"),
-        _result("spectrum-q-interpolation", max(r.q_fit_error for r in records), tol,
+        _result("spectrum-q-interpolation", max(r.q_fit_error for r in records), DEFAULT_TOL,
                 params, seed, "held-out validation of each Q-eigenvalue polynomial"),
     ]
     return results, records
 
 
-def bethe_suite(params: ch.ChainParams, seed: int = 0, tol_roots: float = 1e-6):
+def bethe_suite(params: ch.ChainParams, seed: int = 0):
     """End-to-end root pipeline: factorization, product constraint, Newton
     polishing, Bethe residuals in both forms, the eigenvalue formula, and
     Bethe states; the pairing and product checks read the coefficients of
@@ -692,7 +682,7 @@ def bethe_suite(params: ch.ChainParams, seed: int = 0, tol_roots: float = 1e-6):
         # the Chebyshev roots inherit the rounding of the circle coefficients, which
         # large |Y| magnify; Newton on the Bethe system restores the lost digits
         try:
-            roots, _ = bt.refine_bethe_newton(roots, params)
+            roots = replace(roots, roots=bt.refine_bethe_newton(roots.roots, params)[0])
         except ConvergenceError:
             stalled += 1
         r1 = bt.bethe_residual(roots, params)
@@ -716,12 +706,12 @@ def bethe_suite(params: ch.ChainParams, seed: int = 0, tol_roots: float = 1e-6):
                 "involution symmetry of the Q-eigenvalue coefficients"),
         _result("bethe-product-constraint", prod_err, DEFAULT_TOL, params, seed,
                 "product of the squared roots against q^(-2M)"),
-        _result("bethe-residuals", res_err, tol_roots, params, seed,
+        _result("bethe-residuals", res_err, 1e-6, params, seed,
                 f"z-independent Bethe system at the Newton-polished roots; {raw_err:.2e} "
                 f"before polishing" + (f"; {stalled} root sets left unpolished" if stalled else "")),
-        _result("bethe-residuals-functional-form", pq_err, tol_roots, params, seed,
+        _result("bethe-residuals-functional-form", pq_err, 1e-6, params, seed,
                 f"functional form; gap to the product form {form_gap:.2e}"),
-        _result("bethe-aba-eigenvalue", eig_err, tol_roots, params, seed,
+        _result("bethe-aba-eigenvalue", eig_err, 1e-6, params, seed,
                 "Bethe-ansatz eigenvalue formula at the sampled points"),
         _result("bethe-aba-state", state_err, 1e-5, params, seed,
                 "Bethe states as eigenvectors, sectors with at most two roots"),

@@ -156,20 +156,16 @@ class TestChebyshevReduction:
                                         self.params)
         assert not far.degenerate
 
-
-class TestClosedFactorization:
     def test_coefficient_outside_degree_window_raises(self):
-        # N = 2, M = 2: z^0 P(z^2) lives on z^0, z^2, z^4; a z^1 term is not a Q-eigenvalue
-        p = ch.sample_params(2, seed=77, tol=1e-11)
-        coeffs = np.array([1.0, 1e-3, -2.5, 0.0, 0.7], dtype=complex)
-        rec = bt.SpectrumRecord(sector=ch.SpinSector(2, 2), vector=np.zeros(4), tv_samples=[],
-                                q_samples=[], q_poly=coeffs)
+        # N = 3, M = 1 lives on Z^2..Z^4; a Z^0 term is not a Q-eigenvalue
+        big_y = np.array([2.9 * np.exp(0.4j)]) / self.q
+        rec = self.record(big_y)
+        rec.q_poly[0] = 1e-3 * np.abs(rec.q_poly).max()
         with pytest.raises(bt.SpectrumError, match="degree window"):
-            bt.factorize_closed_q_eigenvalue(rec, p)
-        rec.q_poly[1] = 0.0
-        ys2 = bt.factorize_closed_q_eigenvalue(rec, p)
-        assert np.abs(np.sort_complex(ys2) - np.sort_complex(np.roots([0.7, -2.5, 1.0]))).max() \
-            < 1e-14
+            bt.factorize_q_eigenvalue(rec, self.params)
+        rec.q_poly[0] = 0.0
+        roots = bt.factorize_q_eigenvalue(rec, self.params)
+        assert abs(roots.roots_squared[0] - big_y[0]) < 1e-12 * abs(big_y[0])
 
 
 class TestBetheResiduals:
@@ -210,38 +206,6 @@ class TestBetheResiduals:
             res_fun = abs(a + b) / max(abs(a), abs(b))
             res_prod = abs(lhs[i] - rhs[i]) / max(abs(lhs[i]), abs(rhs[i]))
             assert abs(res_fun - res_prod) < 1e-10
-
-
-class TestClosedPipeline:
-    def test_closed_roots_satisfy_bethe_equations(self):
-        p = ch.sample_params(2, seed=77, tol=1e-11)
-        z_samples = bt.spectrum_nodes(p, 5, 3, closed=True)
-        records = bt.joint_spectrum(p, 0.8 + 0.3j, z_samples, seed=8, closed=True)
-        assert len(records) == 4
-        for rec in records:
-            ys2 = bt.factorize_closed_q_eigenvalue(rec, p)
-            assert ys2.size == rec.sector.m_down
-            if ys2.size:
-                assert bt.closed_bethe_residual(ys2, p).max() < 1e-6
-
-    def test_twist_linearity(self):
-        # the closed system is linear in the twist on one side
-        p = ch.sample_params(2, seed=77, tol=1e-11)
-        ys2 = np.array([0.4 + 0.3j])
-        q = p.q
-
-        def sides(zeta):
-            left = 1.0 + 0.0j
-            right = q ** p.n_sites * zeta
-            for tn in p.t:
-                left *= 1.0 - q * q * ys2[0] / (tn * tn)
-                right *= 1.0 - ys2[0] / (tn * tn)
-            return left, right
-
-        l1, r1 = sides(p.zeta)
-        l2, r2 = sides(2 * p.zeta)
-        assert l1 == l2
-        assert abs(r2 - 2 * r1) < 1e-14 * abs(r1)
 
 
 class TestAbaOracle:
@@ -372,9 +336,9 @@ class TestAbaOracle:
 class TestNewton:
     def test_exact_roots_are_fixed(self, roots_by_record, params):
         roots = [r for r in roots_by_record if r.m_roots == 2][0]
-        refined, final = bt.refine_bethe_newton(roots, params)
+        refined, final = bt.refine_bethe_newton(roots.roots, params)
         assert final < 1e-12
-        assert np.abs(np.sort_complex(refined.roots ** 2)
+        assert np.abs(np.sort_complex(refined ** 2)
                       - np.sort_complex(roots.roots ** 2)).max() < 1e-9
 
     def test_perturbed_roots_reconverge(self, roots_by_record, params):

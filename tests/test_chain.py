@@ -9,7 +9,8 @@ from numpy.testing import assert_allclose
 from qbaxter import chain as ch
 from qbaxter import tensor_core as tc
 from qbaxter.errors import ExclusionPointError, ParameterDomainError, TailCertificateError
-from qbaxter.lattice_ops import ktw_diagonal, kv_matrix, kw_diagonal, l_matrix, r_matrix
+from qbaxter.lattice_ops import kv_matrix, l_matrix, r_matrix
+from qbaxter.qoscillator import kw_diagonal, ktw_diagonal
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +62,24 @@ class TestChainParams:
         with pytest.raises(ParameterDomainError, match="tol"):
             ch.sample_params(2, seed=3, tol=tol)
 
+    def test_fractional_cutoff_rejected(self):
+        with pytest.raises(ParameterDomainError, match="cutoff"):
+            ch.ChainParams(q=0.5, xi=0.1, xitilde=0.1, n_sites=1, t=(1.0,), cutoff=40.7)
+        with pytest.raises(ParameterDomainError, match="cutoff"):
+            ch.sample_params(2, seed=3, cutoff=40.7)
+
+    def test_integral_float_cutoff_accepted(self):
+        p = ch.ChainParams(q=0.5, xi=0.1, xitilde=0.1, n_sites=1, t=(1.0,), cutoff=41.0)
+        assert p.cutoff == 41 and isinstance(p.cutoff, int)
+
+    @pytest.mark.parametrize("n_sites", [2.0, True])
+    def test_non_integer_site_count_rejected(self, n_sites):
+        t = (1.0,) * int(n_sites)
+        with pytest.raises(ParameterDomainError, match="n_sites"):
+            ch.ChainParams(q=0.5, xi=0.01, xitilde=0.01, n_sites=n_sites, t=t)
+        with pytest.raises(ParameterDomainError, match="n_sites"):
+            ch.sample_params(n_sites, seed=3)
+
     def test_with_sites(self, params2):
         p3 = params2.with_sites(3)
         assert p3.n_sites == 3 and len(p3.t) == 3
@@ -73,6 +92,14 @@ class TestExclusionSet:
         assert ch.in_exclusion_set(-cmath.sqrt(params2.xi), params2)
         assert ch.in_exclusion_set(params2.q ** -1 / cmath.sqrt(params2.xitilde), params2)
         assert not ch.in_exclusion_set(0.0, params2)
+
+    def test_far_left_pole(self):
+        # at |q| near 1 the pole q^(-600) / sqrt(xitilde) ~ 1.82 is still near the unit circle
+        p = ch.ChainParams(q=0.999, xi=0.1, xitilde=1.0, n_sites=1, t=(1.0,))
+        pole = 0.999 ** -600
+        assert ch.in_exclusion_set(pole, p)
+        with pytest.raises(ExclusionPointError):
+            ch.transfer_w(pole + 1e-4, p)
 
 
 class TestMonodromy:
@@ -295,18 +322,10 @@ class TestDiagonalRecursion:
 
 
 class TestTotalSpin:
-    def test_single_site(self):
-        assert_allclose(ch.total_spin(1), np.diag([1.0, -1.0]))
-
-    def test_highest_weight(self, params2):
-        n = params2.n_sites
-        v = np.zeros(2 ** n)
-        v[0] = 1.0
-        assert_allclose(ch.total_spin(n) @ v, n * v)
-
     def test_commutes_with_transfer(self, params2):
         tv = ch.transfer_v(0.81 + 0.23j, params2)
-        sig = ch.total_spin(params2.n_sites)
+        n = params2.n_sites
+        sig = np.diag(n - 2.0 * tc.index_sums((2,) * n))
         assert tc.rel_err(sig @ tv, tv @ sig) < 1e-13
 
 

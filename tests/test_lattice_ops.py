@@ -11,8 +11,6 @@ from qbaxter.lattice_ops import (
     iota_retraction,
     kv_matrix,
     ktv_matrix,
-    kw_diagonal,
-    ktw_diagonal,
     l_inverse,
     l_matrix,
     l_tilde,
@@ -23,6 +21,7 @@ from qbaxter.lattice_ops import (
     tau,
     tau_section,
 )
+from qbaxter.qoscillator import kw_diagonal, ktw_diagonal
 from qbaxter.qoscillator import osc_a, osc_adag, osc_fd, q_power_d
 
 Q = 0.62 + 0.11j
