@@ -16,6 +16,7 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebroots
 
 from . import chain as chain_mod
+from . import tensor_core as tc
 from .chain import ChainParams, SpinSector, in_exclusion_set
 from .errors import ConvergenceError, ExclusionPointError, ParameterDomainError, QBaxterError
 from .lattice_ops import kv_matrix, ktv_matrix
@@ -319,10 +320,14 @@ def aba_f(z: complex, q: complex) -> complex:
 
 
 def aba_blocks(z: complex, params: ChainParams):
-    """Auxiliary-space blocks (A, B, C, D) of the double-row monodromy."""
-    d = params.dim
-    mono = chain_mod.monodromy_v(z, params)
-    return (mono[:d, :d], mono[:d, d:], mono[d:, :d], mono[d:, d:])
+    """Auxiliary-space blocks (A, B, C, D) of the double-row monodromy, read off
+    its charge blocks (column index 0, 1, 0, 1) at down-count shifts m(s) - m(r)
+    of 0, -1, +1, 0, which fix the row index."""
+    down = tc.index_sums((2,) * params.n_sites)
+    shift = down[None, :] - down[:, None]
+    col0, col1 = chain_mod.monodromy_v_blocks(z, params)
+    return tuple(np.where(shift == o, blk, 0.0)
+                 for o, blk in ((0, col0), (-1, col1), (1, col0), (0, col1)))
 
 
 def aba_dtilde(z: complex, params: ChainParams) -> np.ndarray:

@@ -216,18 +216,29 @@ def _double_row(site_op, boundary, z: complex, params: ChainParams, aux: int, si
                            _half_row(site_op, z, params, aux, sites, right=True))
 
 
-def monodromy_v(z: complex, params: ChainParams, shape=None, aux: int = 0, sites=None) -> np.ndarray:
-    """Double-row monodromy with the two-dimensional auxiliary space.
-
-    shape/aux/sites allow embedding into a larger product (extra auxiliary
-    slots) for identity checks; defaults act on aux (x) V^(x N).
-    """
-    n = params.n_sites
-    if shape is None:
-        shape, aux, sites = (2,) + (2,) * n, 0, range(1, n + 1)
+def monodromy_v(z: complex, params: ChainParams, shape, aux: int, sites) -> np.ndarray:
+    """Double-row monodromy with the two-dimensional auxiliary space at aux,
+    densely materialized on the given shape for identity checks and oracles."""
     factors = _double_row(lambda w: r_matrix(w, params.q), kv_matrix(z, params.xi),
                           z, params, aux, sites)
     return tc.ordered_product(factors, shape)
+
+
+def monodromy_v_blocks(z: complex, params: ChainParams) -> np.ndarray:
+    """Charge blocks (tc.charge_product) of the double-row monodromy on
+    C^2 (x) V^(x N), one 2^N x 2^N block per auxiliary column index."""
+    factors = _double_row(lambda w: r_matrix(w, params.q), kv_matrix(z, params.xi),
+                          z, params, 0, range(1, params.n_sites + 1))
+    return tc.charge_product(factors, (2,) * (params.n_sites + 1))
+
+
+def _aux_trace_terms(blocks, weights, n_sites: int):
+    """Terms weights[c] * (block c between equal down counts) of the weighted
+    auxiliary trace of charge blocks on n_sites spins: only there does block c
+    sit at row level c."""
+    down = tc.index_sums((2,) * n_sites)
+    same = down[:, None] == down[None, :]
+    return (w * np.where(same, block, 0.0) for w, block in zip(weights, blocks))
 
 
 def monodromy_w(z: complex, r: complex, params: ChainParams, cutoff=None,
@@ -250,20 +261,20 @@ def monodromy_w(z: complex, r: complex, params: ChainParams, cutoff=None,
 
 def transfer_v(z: complex, params: ChainParams) -> np.ndarray:
     """Finite-auxiliary transfer matrix; entries polynomial in z^2."""
-    n = params.n_sites
-    shape = (2,) + (2,) * n
-    op = tc.embed_site(ktv_matrix(z, params.xitilde, params.q), 0, shape) @ monodromy_v(z, params)
-    return tc.partial_trace(op, 0, shape)
+    ktv = np.diagonal(ktv_matrix(z, params.xitilde, params.q))
+    return sum(_aux_trace_terms(monodromy_v_blocks(z, params), ktv, params.n_sites))
 
 
 def _certified_sum(levels, d: int, rho_theory: float, j_min: int, tol_eff: float,
                    what: str) -> np.ndarray:
     """Sum the d x d level terms until a geometric tail certificate clears tol_eff.
 
-    From level j_min on, the remainder after a level of norm s is bounded by
+    From level j_min on, the remainder after a level of norm s is estimated as
     s rho / (1 - rho), with rho the larger of rho_theory and the empirical
-    ratio of consecutive level norms; the sum stops once that bound clears
-    tol_eff relative to the running total on two consecutive levels.
+    ratio of consecutive level norms; the sum stops once that estimate clears
+    tol_eff relative to the running total on two consecutive levels.  The stop
+    is a heuristic, not a proof: the estimate bounds the remainder only if the
+    level norms decay at least geometrically at ratio rho from j_min on.
     """
     out = np.zeros((d, d), dtype=complex)
     prev_norm = None
@@ -447,21 +458,13 @@ def _require_twist(params: ChainParams) -> complex:
     return zeta
 
 
-def closed_monodromy_v(z: complex, params: ChainParams) -> np.ndarray:
-    """Single-row monodromy with the two-dimensional auxiliary space."""
-    n = params.n_sites
-    factors = _half_row(lambda w: r_matrix(w, params.q), z, params, 0, range(1, n + 1),
-                        right=True)
-    return tc.ordered_product(factors, (2,) + (2,) * n)
-
-
 def closed_transfer_v(z: complex, params: ChainParams) -> np.ndarray:
     """Twisted trace of the single-row monodromy over the two-dimensional auxiliary."""
     zeta = _require_twist(params)
     n = params.n_sites
-    shape = (2,) + (2,) * n
-    twist = tc.embed_site(np.diag([1.0, zeta]).astype(complex), 0, shape)
-    return tc.partial_trace(twist @ closed_monodromy_v(z, params), 0, shape)
+    factors = _half_row(lambda w: r_matrix(w, params.q), z, params, 0, range(1, n + 1),
+                        right=True)
+    return sum(_aux_trace_terms(tc.charge_product(factors, (2,) * (n + 1)), (1.0, zeta), n))
 
 
 def closed_transfer_w(z: complex, params: ChainParams, cutoff=None) -> np.ndarray:
@@ -481,10 +484,8 @@ def closed_transfer_w(z: complex, params: ChainParams, cutoff=None) -> np.ndarra
             f"cutoff {J} cannot certify the closed-trace tail ratio {rho_theory:.3f} down to tol/10")
     factors = _half_row(lambda w: l_matrix(w, 1.0, params.q, J), z, params, 0,
                         range(1, n + 1), right=True)
-    mono = tc.charge_product(factors, (J,) + (2,) * n)
-    down = tc.index_sums((2,) * n)
-    same = down[:, None] == down[None, :]
-    levels = (zeta ** j * np.where(same, mono[j], 0.0) for j in range(J))
+    levels = _aux_trace_terms(tc.charge_product(factors, (J,) + (2,) * n),
+                              [zeta ** j for j in range(J)], n)
     return _certified_sum(levels, d, rho_theory, n + 2, tol_eff, "closed-trace tail certificate")
 
 

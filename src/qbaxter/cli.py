@@ -85,8 +85,8 @@ class RunConfig:
         if "n_sites" not in praw:
             raise ConfigError("'params' needs 'n_sites'")
         seed = raw.get("seed", 0)
-        if not _is_number(seed, int):
-            raise ConfigError("'seed' must be an integer")
+        if not _is_number(seed, int) or seed < 0:
+            raise ConfigError("'seed' must be a nonnegative integer")
         n_sites = praw["n_sites"]
         if not _is_number(n_sites, int) or n_sites < 0:
             raise ConfigError("'n_sites' must be a nonnegative integer")
@@ -138,10 +138,11 @@ class RunConfig:
         elif not _is_number(z_samples, int) or z_samples < 1:
             raise ConfigError("'z_samples' must be a positive count or a list of points")
 
-        out = raw.get("output_path", "report.json")
-        csv_path = raw.get("spectrum_csv", "")
-        return cls(params=params, seed=seed, suites=suites, z_samples=z_samples,
-                   output_path=str(out), spectrum_csv=str(csv_path))
+        paths = {k: raw.get(k, v) for k, v in (("output_path", "report.json"), ("spectrum_csv", ""))}
+        for key, value in paths.items():
+            if not isinstance(value, str):
+                raise ConfigError(f"'{key}' must be a string, got {value!r}")
+        return cls(params=params, seed=seed, suites=suites, z_samples=z_samples, **paths)
 
 
 def execute(config: RunConfig):

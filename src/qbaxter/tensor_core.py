@@ -123,7 +123,8 @@ def charge_product(factors, shape) -> np.ndarray:
     site-0 level + index sum, kept as one block per site-0 column level.
 
     Each factor is (x, 0, n): x acts on sites 0 and n as in embed, and
-    x[(l, b), (c, a)] vanishes unless l + b = c + a.  The product P then
+    x[(l, b), (c, a)] vanishes unless l + b = c + a; or (x, 0) with x diagonal
+    on site 0, which scales block c by x[c, c].  The product P then
     vanishes unless its site-0 levels differ by m(s) - m(r), m the index_sums
     of the remaining sites, and comes back as
     C[c, r, s] = P[(c + m(s) - m(r), r), (c, s)]; row levels outside the range
@@ -134,11 +135,17 @@ def charge_product(factors, shape) -> np.ndarray:
     dims = tuple(int(s) for s in shape)
     J, d = dims[0], total_dim(dims[1:])
     prod = np.broadcast_to(identity(d), (J, d, d)).copy()
-    for x, m, n in factors:
-        if m != 0 or not 0 < n < len(dims):
-            raise IndexError(f"charge factor must act on site 0 and a site in 1..{len(dims) - 1}")
-        dn = dims[n]
+    for x, m, *rest in factors:
+        if m != 0 or rest and not 0 < rest[0] < len(dims):
+            raise IndexError(f"charge factor must act on site 0 (and a site in 1..{len(dims) - 1})")
         x = _as_matrix(x)
+        if not rest:
+            if x.shape != (J, J) or np.any(x[~np.eye(J, dtype=bool)]):
+                raise ValueError("one-site charge factor must be diagonal on site 0")
+            prod *= np.diagonal(x)[:, None, None]
+            continue
+        n = rest[0]
+        dn = dims[n]
         if x.shape != (J * dn, J * dn):
             raise ValueError(f"operator shape {x.shape} does not match sites of dims ({J}, {dn})")
         x = x.reshape(J, dn, J, dn)
@@ -158,22 +165,6 @@ def charge_product(factors, shape) -> np.ndarray:
                     out[cols, :, :, a, :] += old[src, :, :, b, :] * coef[:, None, None, None]
         prod = out.reshape(J, d, d)
     return prod
-
-
-def partial_trace(x, site: int, shape) -> np.ndarray:
-    """Trace out one tensor factor."""
-    dims = tuple(int(s) for s in shape)
-    if not 0 <= site < len(dims):
-        raise IndexError(f"site {site} out of range for shape {dims}")
-    d = total_dim(dims)
-    x = _as_matrix(x)
-    if x.shape != (d, d):
-        raise ValueError(f"operator shape {x.shape} does not match shape {dims}")
-    pre = total_dim(dims[:site])
-    post = total_dim(dims[site + 1:])
-    t = x.reshape(pre, dims[site], post, pre, dims[site], post)
-    out = np.einsum("aibcid->abcd", t)
-    return out.reshape(pre * post, pre * post)
 
 
 def partial_transpose(x, site: int, shape) -> np.ndarray:

@@ -409,7 +409,7 @@ def check_split_trace(params: ch.ChainParams, seed: int = 0) -> CheckResult:
 # functional relations
 # ---------------------------------------------------------------------------
 
-def _tq_point(rng, params, need_scale=1.3):
+def _tq_point(rng, params):
     """Random z with z, qz, z/q all clear of the exclusion set."""
     for _ in range(300):
         z = _rand_z(rng)

@@ -219,6 +219,17 @@ class TestAbaOracle:
         dt = bt.aba_dtilde(z, params)
         assert np.linalg.norm(dt @ omega - dminus * omega) < 1e-12 * max(1.0, abs(dminus))
 
+    @pytest.mark.parametrize("n", range(6))
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_blocks_match_dense_monodromy(self, n, seed):
+        p = ch.sample_params(n, seed=seed, tol=1e-10)
+        d = p.dim
+        for z in (0.83 + 0.21j, -1.1 + 0.4j, 0.5 - 0.95j):
+            mono = ch.monodromy_v(z, p, shape=(2,) * (n + 1), aux=0, sites=range(1, n + 1))
+            dense = (mono[:d, :d], mono[:d, d:], mono[d:, :d], mono[d:, d:])
+            for block, ref in zip(bt.aba_blocks(z, p), dense):
+                assert tc.rel_err(block, ref) <= 1e-13
+
     def test_creation_blocks_commute(self, params):
         z, y = 0.9 + 0.21j, 0.67 - 0.33j
         b_z = bt.aba_blocks(z, params)[1]

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 from qbaxter import chain as ch
 from qbaxter import tensor_core as tc
 from qbaxter.errors import ExclusionPointError, ParameterDomainError, TailCertificateError
-from qbaxter.lattice_ops import kv_matrix, l_matrix, r_matrix
+from qbaxter.lattice_ops import ktv_matrix, kv_matrix, l_matrix, r_matrix
 from qbaxter.qoscillator import kw_diagonal, ktw_diagonal
 
 
@@ -102,10 +102,25 @@ class TestExclusionSet:
             ch.transfer_w(pole + 1e-4, p)
 
 
+def dense_monodromy_v(z, p):
+    """The double-row monodromy on C^2 (x) V^(x N), densely materialized."""
+    n = p.n_sites
+    return ch.monodromy_v(z, p, shape=(2,) * (n + 1), aux=0, sites=range(1, n + 1))
+
+
+def dense_aux_trace(weights, mono):
+    """sum_a weights[a] <a| mono |a> over the leading two-dimensional factor."""
+    d = mono.shape[0] // 2
+    return np.einsum("a,aiaj->ij", weights, mono.reshape(2, d, 2, d))
+
+
+ORACLE_Z = (0.83 + 0.21j, -1.1 + 0.4j, 0.5 - 0.95j)
+
+
 class TestMonodromy:
     def test_empty_chain_reduces_to_boundary(self, params0):
         z = 0.8 + 0.1j
-        assert_allclose(ch.monodromy_v(z, params0), kv_matrix(z, params0.xi))
+        assert_allclose(dense_monodromy_v(z, params0), kv_matrix(z, params0.xi))
 
     def test_reflection_relation_one_site(self, params2):
         p = params2.with_sites(1)
@@ -123,7 +138,7 @@ class TestMonodromy:
         y = 1.7 - 0.4j
         n = params2.n_sites
         d_full = np.kron(np.diag([1.0, y]), np.diag(ch.spin_weights(n, 1.0, y)))
-        m = ch.monodromy_v(0.83 + 0.2j, params2)
+        m = dense_monodromy_v(0.83 + 0.2j, params2)
         assert tc.rel_err(d_full @ m, m @ d_full) < 1e-13
 
 
@@ -145,6 +160,15 @@ class TestTransferV:
     def test_parity(self, params2):
         z = 0.77 + 0.31j
         assert tc.rel_err(ch.transfer_v(z, params2), ch.transfer_v(-z, params2)) == 0.0
+
+    @pytest.mark.parametrize("n", range(6))
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_matches_dense_trace(self, n, seed):
+        p = ch.sample_params(n, seed=seed, tol=1e-10)
+        for z in ORACLE_Z:
+            ktv = np.diagonal(ktv_matrix(z, p.xitilde, p.q))
+            dense = dense_aux_trace(ktv, dense_monodromy_v(z, p))
+            assert tc.rel_err(ch.transfer_v(z, p), dense) <= 1e-13
 
     def test_entries_interpolate_in_z_squared(self, params2):
         n = params2.n_sites
@@ -350,6 +374,16 @@ class TestClosedChain:
                              cutoff=params2.cutoff, tol=params2.tol)
         with pytest.raises(ParameterDomainError):
             ch.closed_transfer_v(0.9, bad)
+
+    @pytest.mark.parametrize("n", range(6))
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_transfer_v_matches_dense_trace(self, n, seed):
+        p = ch.sample_params(n, seed=seed, tol=1e-10)
+        shape = (2,) * (n + 1)
+        for z in ORACLE_Z:
+            row = [(r_matrix(z / p.t[k], p.q), 0, k + 1) for k in reversed(range(n))]
+            dense = dense_aux_trace([1.0, p.zeta], tc.ordered_product(row, shape))
+            assert tc.rel_err(ch.closed_transfer_v(z, p), dense) <= 1e-13
 
     def test_origin_golden_value(self, params2):
         n = params2.n_sites

@@ -24,6 +24,9 @@ BASE = {
     "z_samples": 3,
 }
 
+EXPLICIT = {"n_sites": 2, "q": [0.5, 0.0], "xi": [0.01, 0.0], "xitilde": [0.01, 0.0],
+            "t": [[1.0, 0.0], [1.1, 0.0]], "tol": 1e-10}
+
 
 class TestConfig:
     def test_unknown_top_level_field_rejected(self):
@@ -67,6 +70,18 @@ class TestConfig:
         (raw["params"] if field == "n_sites" else raw)[field] = True
         with pytest.raises(ConfigError, match=field):
             RunConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("params", [BASE["params"], EXPLICIT], ids=["sampled", "explicit"])
+    def test_negative_seed_rejected(self, params):
+        with pytest.raises(ConfigError, match="'seed' must be a nonnegative integer"):
+            RunConfig.from_dict({**BASE, "params": params, "seed": -1})
+
+    @pytest.mark.parametrize("key, value", [
+        ("output_path", ["a"]), ("output_path", None), ("spectrum_csv", None),
+        ("spectrum_csv", 3)])
+    def test_non_string_paths_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            RunConfig.from_dict({**BASE, key: value})
 
     def test_integral_float_cutoff_accepted(self):
         cfg = RunConfig.from_dict({**BASE, "params": {**BASE["params"], "cutoff": 41.0}})
@@ -229,6 +244,34 @@ class TestMainEntry:
         assert proc.returncode == 2
         assert "crossing samples fell in the exclusion set" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("params", [BASE["params"], EXPLICIT], ids=["sampled", "explicit"])
+    @pytest.mark.parametrize("source", ["config", "flag", "env"])
+    def test_negative_seed_exits_two(self, tmp_path, params, source):
+        payload = {**BASE, "params": params}
+        payload.pop("seed")
+        args, env = (), None
+        if source == "config":
+            payload["seed"] = -3
+        elif source == "flag":
+            args = ("--seed", "-3")
+        else:
+            env = {"QBAXTER_SEED": "-3"}
+        cfg = write_config(tmp_path, payload)
+        proc = self.run_cli("--config", cfg, "--out", str(tmp_path / "r.json"), *args,
+                            env_extra=env)
+        assert proc.returncode == 2
+        assert "'seed' must be a nonnegative integer" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("key, value", [("output_path", ["a"]), ("spectrum_csv", None)])
+    def test_non_string_path_exits_two_and_writes_nothing(self, tmp_path, monkeypatch,
+                                                          key, value):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, {**BASE, "suites": ["spectrum"], key: value})
+        assert cli.main(["--config", cfg, "--quiet"]) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     def test_missing_config_exits_two(self, tmp_path):
         proc = self.run_cli("--config", str(tmp_path / "absent.json"))

@@ -1,4 +1,5 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package module imports, and every parameter a function or
+lambda of it takes, is used in that module."""
 
 import ast
 import pathlib
@@ -22,6 +23,21 @@ def unused_imports(path):
     return sorted(imported - used)
 
 
+def unused_parameters(source):
+    """"function:parameter" for each parameter that its function or lambda never reads."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if p]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        out += [f"{getattr(node, 'name', 'lambda')}:{p}" for p in params if p not in read]
+    return out
+
+
 def test_modules_found():
     assert len(MODULES) >= 8
 
@@ -29,3 +45,15 @@ def test_modules_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_parameters(path):
+    assert unused_parameters(path.read_text(encoding="utf-8")) == []
+
+
+def test_unused_parameter_detector():
+    source = ("def f(a, b, *c, d=1, **e):\n"
+              "    b = 2\n"
+              "    return (lambda x, y: a + x)(c, d)\n")
+    assert unused_parameters(source) == ["f:b", "f:e", "lambda:y"]

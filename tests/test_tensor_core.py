@@ -121,37 +121,6 @@ class TestEmbed:
             tc.embed(np.eye(3), 0, 1, (2, 2))
 
 
-class TestPartialTrace:
-    def test_identity(self):
-        assert tc.partial_trace(np.eye(12), 0, (3, 4))[0, 0] == pytest.approx(3)
-        assert_allclose(tc.partial_trace(np.eye(12), 0, (3, 4)), 3 * np.eye(4))
-
-    def test_factorized(self):
-        rng = np.random.default_rng(5)
-        a, b = rand_matrix(rng, 2), rand_matrix(rng, 3)
-        assert_allclose(tc.partial_trace(tc.kron(a, b), 0, (2, 3)), np.trace(a) * b, atol=1e-14)
-        assert_allclose(tc.partial_trace(tc.kron(a, b), 1, (2, 3)), np.trace(b) * a, atol=1e-14)
-
-    def test_nested_traces_match_brute_force(self):
-        rng = np.random.default_rng(6)
-        dims = (2, 3, 2)
-        x = rand_matrix(rng, 12)
-        step = tc.partial_trace(tc.partial_trace(x, 0, dims), 0, (3, 2))
-        xt = x.reshape(*dims, *dims)
-        oracle = np.zeros((2, 2), dtype=complex)
-        for a in range(2):
-            for b in range(3):
-                oracle += xt[a, b, :, a, b, :]
-        assert_allclose(step, oracle, atol=1e-14)
-
-    def test_trace_of_embedding_scales_by_spectator_dim(self):
-        rng = np.random.default_rng(7)
-        dims = (2, 2, 3)
-        x = rand_matrix(rng, 4)
-        lhs = tc.partial_trace(tc.embed(x, 0, 1, dims), 2, dims)
-        assert_allclose(lhs, 3 * x, atol=1e-13)
-
-
 class TestPartialTranspose:
     def test_involution(self):
         rng = np.random.default_rng(8)
@@ -211,6 +180,28 @@ def charge_factor(rng, J, dn):
     return x.reshape(J * dn, J * dn)
 
 
+def assert_charge_blocks_match_dense(factors, dims):
+    """charge_product of the factors against the index formula on ordered_product."""
+    prod = tc.charge_product(iter(factors), dims)
+    J, d = dims[0], tc.total_dim(dims[1:])
+    assert prod.shape == (J, d, d)
+    dense = tc.ordered_product(factors, dims).reshape(J, d, J, d)
+    m = tc.index_sums(dims[1:])
+    expected = np.zeros_like(prod)
+    for c in range(J):
+        for r in range(d):
+            for s in range(d):
+                row = c + m[s] - m[r]
+                others = [level for level in range(J) if level != row]
+                assert not np.any(dense[others, r, c, s])
+                if 0 <= row < J:
+                    expected[c, r, s] = dense[row, r, c, s]
+                else:
+                    assert prod[c, r, s] == 0.0
+    assert np.count_nonzero(expected) > J * d
+    assert_allclose(prod, expected, rtol=1e-13, atol=1e-12)
+
+
 class TestChargeProduct:
     def test_index_sums(self):
         assert tc.index_sums((2, 3)).tolist() == [0, 1, 2, 1, 2, 3]
@@ -224,26 +215,19 @@ class TestChargeProduct:
     def test_matches_dense_product(self):
         rng = np.random.default_rng(13)
         dims = (5, 2, 3)
-        J, d = dims[0], 6
+        J = dims[0]
         factors = [(charge_factor(rng, J, 3), 0, 2), (charge_factor(rng, J, 2), 0, 1),
                    (charge_factor(rng, J, 3), 0, 2)]
-        prod = tc.charge_product(iter(factors), dims)
-        assert prod.shape == (J, d, d)
-        dense = tc.ordered_product(factors, dims).reshape(J, d, J, d)
-        m = tc.index_sums(dims[1:])
-        expected = np.zeros_like(prod)
-        for c in range(J):
-            for r in range(d):
-                for s in range(d):
-                    row = c + m[s] - m[r]
-                    others = [level for level in range(J) if level != row]
-                    assert not np.any(dense[others, r, c, s])
-                    if 0 <= row < J:
-                        expected[c, r, s] = dense[row, r, c, s]
-                    else:
-                        assert prod[c, r, s] == 0.0
-        assert np.count_nonzero(expected) > J * d
-        assert_allclose(prod, expected, rtol=1e-13, atol=1e-12)
+        assert_charge_blocks_match_dense(factors, dims)
+
+    def test_one_site_diagonal_factor_matches_dense_product(self):
+        rng = np.random.default_rng(14)
+        dims = (5, 2, 3)
+        J = dims[0]
+        diag = np.diag(rng.normal(size=J) + 1j * rng.normal(size=J))
+        factors = [(charge_factor(rng, J, 3), 0, 2), (charge_factor(rng, J, 2), 0, 1),
+                   (diag, 0), (charge_factor(rng, J, 3), 0, 2)]
+        assert_charge_blocks_match_dense(factors, dims)
 
     def test_charge_violation_rejected(self):
         x = np.zeros((4, 2, 4, 2), dtype=complex)
@@ -254,6 +238,16 @@ class TestChargeProduct:
     def test_factor_off_site_zero_rejected(self):
         with pytest.raises(IndexError):
             tc.charge_product([(tc.identity(4), 1, 2)], (3, 2, 2))
+
+    def test_non_diagonal_one_site_factor_rejected(self):
+        x = np.diag(np.arange(1.0, 4.0))
+        x[0, 1] = 0.5
+        with pytest.raises(ValueError, match="diagonal"):
+            tc.charge_product([(x, 0)], (3, 2))
+
+    def test_one_site_factor_off_site_zero_rejected(self):
+        with pytest.raises(IndexError):
+            tc.charge_product([(tc.identity(2), 1)], (3, 2))
 
 
 class TestRelErr:
