@@ -241,18 +241,16 @@ def _aux_trace_terms(blocks, weights, n_sites: int):
     return (w * np.where(same, block, 0.0) for w, block in zip(weights, blocks))
 
 
-def monodromy_w(z: complex, r: complex, params: ChainParams, cutoff=None,
-                shape=None, aux: int = 0, sites=None) -> np.ndarray:
-    """Double-row monodromy with the Fock auxiliary space, densely materialized.
+def monodromy_w(z: complex, r: complex, params: ChainParams, shape, aux: int,
+                sites) -> np.ndarray:
+    """Double-row monodromy with the Fock auxiliary space at aux (cutoff
+    shape[aux]), densely materialized on the given shape.
 
     The central boundary factor grows super-exponentially in the Fock level, so
     this form is only available while its entries stay in floating range; the
     traced objects below never materialize it.
     """
-    J = int(cutoff or params.cutoff)
-    n = params.n_sites
-    if shape is None:
-        shape, aux, sites = (J,) + (2,) * n, 0, range(1, n + 1)
+    J = shape[aux]
     kw = kw_diagonal(z, r, params.xi, params.q, J)
     factors = _double_row(lambda w: l_matrix(w, r, params.q, J), kw.dense(),
                           z, params, aux, sites)

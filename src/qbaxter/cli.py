@@ -1,12 +1,12 @@
 """Batch entry point.
 
-Reads a JSON run configuration, executes the requested verification suites and
-spectral pipelines, and writes a machine-readable JSON report (plus an optional
-CSV table of sampled eigenvalues for plotting).
+Reads a JSON run configuration, executes the requested verification suites,
+and writes a machine-readable JSON report (plus an optional CSV table of the
+joint spectrum's sampled eigenvalues whenever a spectral suite runs).
 
 Exit codes: 0 when every theorem-backed check passes (conjecture-check
 failures are flagged in the report but do not fail the run), 1 when a
-theorem-backed check fails, 2 on configuration or convergence errors.
+theorem-backed check fails, 2 on configuration, convergence or output errors.
 """
 
 from __future__ import annotations
@@ -39,9 +39,9 @@ def _is_number(value, types=(int, float)) -> bool:
 
 def _parse_complex(value, where: str) -> complex:
     if _is_number(value):
-        return complex(value)
+        return complex(_parse_real(value, where))
     if isinstance(value, list) and len(value) == 2 and all(_is_number(v) for v in value):
-        return complex(value[0], value[1])
+        return complex(_parse_real(value[0], where), _parse_real(value[1], where))
     raise ConfigError(f"{where}: expected a number or [re, im] pair, got {value!r}")
 
 
@@ -49,9 +49,13 @@ def _parse_real(value, where: str, integral: bool = False):
     """A JSON number as float, or as int when integral; anything else is a ConfigError."""
     if not _is_number(value):
         raise ConfigError(f"{where}: expected a number, got {value!r}")
+    try:
+        real = float(value)
+    except OverflowError:
+        raise ConfigError(f"{where}: integer too large for a float") from None
     if not integral:
-        return float(value)
-    if not float(value).is_integer():
+        return real
+    if not real.is_integer():
         raise ConfigError(f"{where}: expected an integer, got {value!r}")
     return int(value)
 
@@ -147,19 +151,15 @@ class RunConfig:
 
 def execute(config: RunConfig):
     """Run every requested suite; returns (checks, spectrum_rows)."""
-    checks = []
-    spectrum_rows = []
-    for suite in config.suites:
-        if suite == "spectrum":
-            results, records = vf.spectrum_suite(config.params, config.seed,
-                                                 samples=config.z_samples)
-            checks.extend(results)
-            for k, rec in enumerate(records):
-                for (z, tv), (_, qv) in zip(rec.tv_samples, rec.q_samples):
-                    spectrum_rows.append((rec.sector.m_down, k, z.real, z.imag,
-                                          tv.real, tv.imag, qv.real, qv.imag))
-        else:
-            checks.extend(vf.run_suite(suite, config.params, config.seed))
+    samples = config.z_samples
+    samples = tuple(samples) if isinstance(samples, list) else samples
+    checks = [c for suite in config.suites
+              for c in vf.run_suite(suite, config.params, config.seed, samples)]
+    spectral = set(config.suites) & set(vf.SPECTRAL_SUITES)
+    records = vf.spectral_records(config.params, config.seed, samples) if spectral else ()
+    spectrum_rows = [(rec.sector.m_down, k, z.real, z.imag, tv.real, tv.imag, qv.real, qv.imag)
+                     for k, rec in enumerate(records)
+                     for (z, tv), (_, qv) in zip(rec.tv_samples, rec.q_samples)]
     return checks, spectrum_rows
 
 
@@ -182,11 +182,11 @@ def build_report(config: RunConfig, checks, timestamp: str) -> dict:
     }
 
 
-def export_report(report: dict, path: str, spectrum_rows=None, csv_path: str = ""):
+def export_report(report: dict, path: str, spectrum_rows, csv_path: str):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
-    if csv_path and spectrum_rows is not None:
+    if csv_path:
         with open(csv_path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["sector", "record_index", "z_re", "z_im",
@@ -198,11 +198,11 @@ def run(config: RunConfig, quiet: bool = False) -> int:
     """Execute a validated configuration and write its report."""
     try:
         checks, spectrum_rows = execute(config)
-    except QBaxterError as exc:
+        report = build_report(config, checks, datetime.now(timezone.utc).isoformat())
+        export_report(report, config.output_path, spectrum_rows, config.spectrum_csv)
+    except (OSError, QBaxterError) as exc:  # OSError: an unwritable report or CSV path
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = build_report(config, checks, datetime.now(timezone.utc).isoformat())
-    export_report(report, config.output_path, spectrum_rows, config.spectrum_csv)
     if not quiet:
         for c in checks:
             tag = "CONJECTURE" if c.conjecture else "THEOREM   "

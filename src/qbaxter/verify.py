@@ -14,7 +14,9 @@ stay inside floating range.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -76,13 +78,12 @@ def params_digest(params: ch.ChainParams, seed: int) -> dict:
     }
 
 
-def dense_safe_cutoff(params: ch.ChainParams, requested=None) -> int:
-    """Largest Fock cutoff whose densely materialized boundary factors stay in range.
+def dense_safe_cutoff(params: ch.ChainParams, requested: int) -> int:
+    """Largest Fock cutoff up to requested whose dense boundary factors stay in range.
 
     The level-j boundary entries scale like |q|^(-j^2) and pick up up to 2N+4
     further inverse powers inside monodromy products.
     """
-    requested = int(requested or params.cutoff)
     lnq = abs(math.log(abs(params.q)))
     pad = 2 * params.n_sites + 4
     j = 2
@@ -299,11 +300,12 @@ def check_row_fusion_and_monodromy(params: ch.ChainParams, seed: int = 0) -> Che
         d = 2 ** n
         shape = (J, 2) + (2,) * n
         sites = tuple(range(2, n + 2))
+        row = ((J,) + (2,) * n, 0, range(1, n + 1))  # the Fock row alone
         pad = 2 * n + 2
         r = 1.1 - 0.3j
         y, z = _rand_z(rng), _rand_z(rng)
-        mw = ch.monodromy_w(y, r, p, cutoff=J, shape=shape, aux=0, sites=sites)
-        mv = ch.monodromy_v(z, p, shape=shape, aux=1, sites=sites)
+        mw = ch.monodromy_w(y, r, p, shape, 0, sites)
+        mv = ch.monodromy_v(z, p, shape, 1, sites)
         lab_yz = tc.embed(l_matrix(y * z, r, q, J), 0, 1, shape)
         lab_yoz = tc.embed(l_matrix(y / z, r, q, J), 0, 1, shape)
 
@@ -331,8 +333,8 @@ def check_row_fusion_and_monodromy(params: ch.ChainParams, seed: int = 0) -> Che
             _interior(mv @ lab_yz @ mw @ lab_yoz, 2 * d, 2 * d, pad)))
 
         z0 = _rand_z(rng)
-        mwz = ch.monodromy_w(z0, r, p, cutoff=J, shape=shape, aux=0, sites=sites)
-        mvz = ch.monodromy_v(z0, p, shape=shape, aux=1, sites=sites)
+        mwz = ch.monodromy_w(z0, r, p, shape, 0, sites)
+        mvz = ch.monodromy_v(z0, p, shape, 1, sites)
         core = tc.embed_site(ktv_matrix(z0, p.xitilde, q), 1, shape) \
             @ tc.embed(l_tilde(z0 * z0, r, q, J), 0, 1, shape) \
             @ tc.embed_site(ktw_diagonal(z0, r, p.xitilde, q, J).dense(), 0, shape) \
@@ -342,20 +344,20 @@ def check_row_fusion_and_monodromy(params: ch.ChainParams, seed: int = 0) -> Che
         scalar = 1.0 / (1.0 - q * q * z0 ** 4)
         rhs = ch.p_plus(z0, p) * scalar * io_i \
             @ np.kron(ktw_diagonal(q * z0, q * r, p.xitilde, q, J).dense(), np.eye(d)) \
-            @ ch.monodromy_w(q * z0, q * r, p, cutoff=J)
+            @ ch.monodromy_w(q * z0, q * r, p, *row)
         _acc(worst, f"row-raise-N{n}", tc.rel_err(
             _interior(core @ io_i, 2 * d, d, pad + 2), _interior(rhs, 2 * d, d, pad + 2)))
         rhs = ch.p_minus(z0, p) * scalar \
             * np.kron(ktw_diagonal(z0 / q, r / q, p.xitilde, q, J).dense(), np.eye(d)) \
-            @ ch.monodromy_w(z0 / q, r / q, p, cutoff=J) @ ta_i
+            @ ch.monodromy_w(z0 / q, r / q, p, *row) @ ta_i
         _acc(worst, f"row-lower-N{n}", tc.rel_err(
             _interior(ta_i @ core, d, 2 * d, pad + 2), _interior(rhs, d, 2 * d, pad + 2)))
 
         dr = np.kron(np.eye(J), np.diag(ch.spin_weights(n, r, 1.0)))
         lhs = np.kron(ktw_diagonal(y, r, p.xitilde, q, J).dense(), np.eye(d)) \
-            @ ch.monodromy_w(y, r, p, cutoff=J)
+            @ ch.monodromy_w(y, r, p, *row)
         rhs = dr @ np.kron(ktw_diagonal(y, 1.0, p.xitilde, q, J).dense(), np.eye(d)) \
-            @ ch.monodromy_w(y, 1.0, p, cutoff=J) @ dr
+            @ ch.monodromy_w(y, 1.0, p, *row) @ dr
         _acc(worst, f"r-factorization-N{n}", tc.rel_err(
             _interior(lhs, d, d, pad), _interior(rhs, d, d, pad)))
     notes = f"sub-residuals {worst}"
@@ -376,7 +378,7 @@ def check_split_trace(params: ch.ChainParams, seed: int = 0) -> CheckResult:
     """
     rng = np.random.default_rng(seed)
     q = params.q
-    J = min(dense_safe_cutoff(params, 14), 14)
+    J = dense_safe_cutoff(params, 14)
     r = 1.2 + 0.3j
     io = iota(r, q, J)
     ta = tau(r, q, J)
@@ -626,31 +628,31 @@ def check_closed_chain(params: ch.ChainParams, seed: int = 0):
 # spectrum and Bethe suites
 # ---------------------------------------------------------------------------
 
-def spectrum_suite(params: ch.ChainParams, seed: int = 0, samples=3):
-    """Joint diagonalization quality: sector counting, eigen-residuals,
-    interpolation of each Q-eigenvalue, and crossing consistency of the
-    finite-family eigenvalue samples.
+@functools.lru_cache(maxsize=1)
+def spectral_records(params: ch.ChainParams, seed: int, samples):
+    """The joint spectrum (SpectrumRecords) both spectral suites read, at a probe
+    drawn from seed and at samples: a count of points drawn clear of the
+    exclusion set, or a tuple of points.  Memoized on the arguments as passed,
+    so pass them positionally everywhere."""
+    z_probe = _tq_point(np.random.default_rng(seed), params)
+    z_samples = ([complex(z) for z in samples] if isinstance(samples, tuple)
+                 else bt.spectrum_nodes(params, seed + 11, samples))
+    for z in z_samples:
+        if ch.in_exclusion_set(z, params):
+            raise QBaxterError(f"requested sample point {z:.6f} lies in the exclusion set")
+    return tuple(bt.joint_spectrum(params, z_probe, z_samples, seed=seed))
 
-    samples is either a count (points are drawn clear of the exclusion set) or
-    an explicit list of spectral points.
-    """
-    rng = np.random.default_rng(seed)
-    z_probe = _tq_point(rng, params)
-    if isinstance(samples, (list, tuple)):
-        z_samples = [complex(z) for z in samples]
-        for z in z_samples:
-            if ch.in_exclusion_set(z, params):
-                raise QBaxterError(f"requested sample point {z:.6f} lies in the exclusion set")
-    else:
-        z_samples = bt.spectrum_nodes(params, seed + 11, int(samples))
-    records = bt.joint_spectrum(params, z_probe, z_samples, seed=seed)
+
+def spectrum_suite(params: ch.ChainParams, seed: int = 0, samples=3):
+    """Joint diagonalization quality: sector counting, eigen-residuals of the
+    finite-family eigenvalue samples, and held-out interpolation of each
+    Q-eigenvalue, on spectral_records(params, seed, samples)."""
+    records = spectral_records(params, seed, samples)
     n = params.n_sites
     count_err = 0.0 if len(records) == 2 ** n else 1.0
-    sector_sizes = {}
-    for rec in records:
-        sector_sizes[rec.sector.m_down] = sector_sizes.get(rec.sector.m_down, 0) + 1
+    sector_sizes = dict(Counter(rec.sector.m_down for rec in records))
     binom_ok = all(sector_sizes.get(m, 0) == math.comb(n, m) for m in range(n + 1))
-    results = [
+    return [
         _result("spectrum-sector-count", count_err + (0.0 if binom_ok else 1.0), 0.5,
                 params, seed, f"sector multiplicities {sector_sizes}"),
         _result("spectrum-eigenresidual", max(r.tv_residual for r in records), DEFAULT_TOL,
@@ -658,20 +660,16 @@ def spectrum_suite(params: ch.ChainParams, seed: int = 0, samples=3):
         _result("spectrum-q-interpolation", max(r.q_fit_error for r in records), DEFAULT_TOL,
                 params, seed, "held-out validation of each Q-eigenvalue polynomial"),
     ]
-    return results, records
 
 
-def bethe_suite(params: ch.ChainParams, seed: int = 0):
-    """End-to-end root pipeline: factorization, product constraint, Newton
-    polishing, Bethe residuals in both forms, the eigenvalue formula, and
-    Bethe states; the pairing and product checks read the coefficients of
-    each Q-eigenvalue."""
-    rng = np.random.default_rng(seed)
-    z_probe = _tq_point(rng, params)
-    z_samples = bt.spectrum_nodes(params, seed + 11, 3)
-    records = bt.joint_spectrum(params, z_probe, z_samples, seed=seed)
-    pair_err = prod_err = res_err = pq_err = eig_err = state_err = form_gap = 0.0
-    raw_err = 0.0
+def bethe_suite(params: ch.ChainParams, seed: int = 0, samples=3):
+    """End-to-end root pipeline on spectral_records(params, seed, samples):
+    factorization, product constraint, Newton polishing, Bethe residuals in
+    both forms, the eigenvalue formula at the samples, and Bethe states; the
+    pairing and product checks read the coefficients of each Q-eigenvalue."""
+    records = spectral_records(params, seed, samples)
+    tv0 = ch.transfer_v(records[0].tv_samples[0][0], params)  # every record shares the samples
+    pair_err = prod_err = res_err = pq_err = eig_err = state_err = form_gap = raw_err = 0.0
     stalled = 0
     for rec in records:
         roots = bt.factorize_q_eigenvalue(rec, params)
@@ -696,12 +694,11 @@ def bethe_suite(params: ch.ChainParams, seed: int = 0):
             eig_err = max(eig_err, abs(lam - lam_pred) / max(1.0, abs(lam)))
         if roots.m_roots <= 2:
             state = bt.aba_state(roots.roots, params)
-            z0, lam0 = rec.tv_samples[0]
-            tv = ch.transfer_v(z0, params)
+            lam0 = rec.tv_samples[0][1]
             state_err = max(state_err, float(
-                np.linalg.norm(tv @ state - lam0 * state)
+                np.linalg.norm(tv0 @ state - lam0 * state)
                 / (np.linalg.norm(state) * max(1.0, abs(lam0)))))
-    results = [
+    return [
         _result("bethe-pairing", pair_err, 1e-6, params, seed,
                 "involution symmetry of the Q-eigenvalue coefficients"),
         _result("bethe-product-constraint", prod_err, DEFAULT_TOL, params, seed,
@@ -716,31 +713,34 @@ def bethe_suite(params: ch.ChainParams, seed: int = 0):
         _result("bethe-aba-state", state_err, 1e-5, params, seed,
                 "Bethe states as eigenvectors, sectors with at most two roots"),
     ]
-    return results
 
 
-# suite name -> runner returning a list of CheckResults
+# suite name -> check; the spectral suites also take the samples of spectral_records
 _RUNNERS = {
-    "ybe": lambda params, seed: [check_ybe(params, seed)],
-    "reflection": lambda params, seed: [check_reflection(params, seed)],
-    "fusion": lambda params, seed: [check_fusion(params, seed)],
-    "row-fusion": lambda params, seed: [check_row_fusion_and_monodromy(params, seed)],
-    "split-trace": lambda params, seed: [check_split_trace(params, seed)],
-    "tq": lambda params, seed: [check_tq(params, seed)],
-    "commutators": lambda params, seed: check_commutators(params, seed),
-    "crossing": lambda params, seed: [check_crossing(params, seed)],
-    "polynomiality": lambda params, seed: check_polynomiality(params, seed),
-    "n2-closed-forms": lambda params, seed: [check_n2_closed_forms(params, seed)],
-    "closed-chain": lambda params, seed: [check_closed_chain(params, seed)],
-    "spectrum": lambda params, seed: spectrum_suite(params, seed)[0],
-    "bethe": lambda params, seed: bethe_suite(params, seed),
+    "ybe": check_ybe,
+    "reflection": check_reflection,
+    "fusion": check_fusion,
+    "row-fusion": check_row_fusion_and_monodromy,
+    "split-trace": check_split_trace,
+    "tq": check_tq,
+    "commutators": check_commutators,
+    "crossing": check_crossing,
+    "polynomiality": check_polynomiality,
+    "n2-closed-forms": check_n2_closed_forms,
+    "closed-chain": check_closed_chain,
+    "spectrum": spectrum_suite,
+    "bethe": bethe_suite,
 }
 
 SUITES = tuple(_RUNNERS)
+SPECTRAL_SUITES = ("spectrum", "bethe")
 
 
-def run_suite(name: str, params: ch.ChainParams, seed: int = 0):
-    """Run one named suite; returns a list of CheckResults."""
+def run_suite(name: str, params: ch.ChainParams, seed: int = 0, samples=3):
+    """Run one named suite; returns a list of CheckResults.  samples (a count or
+    a tuple of points) reaches the spectral suites only."""
     if name not in _RUNNERS:
         raise ValueError(f"unknown suite {name!r}; expected one of {SUITES} or 'all'")
-    return _RUNNERS[name](params, seed)
+    args = (params, seed, samples) if name in SPECTRAL_SUITES else (params, seed)
+    out = _RUNNERS[name](*args)
+    return out if isinstance(out, list) else [out]

@@ -95,6 +95,17 @@ class TestConfig:
         cfg = RunConfig.from_dict({**BASE, "z_samples": [[0.9, 0.1], [0.8, 0.2]]})
         assert cfg.z_samples == [0.9 + 0.1j, 0.8 + 0.2j]
 
+    @pytest.mark.parametrize("key", ["tol", "cutoff"])
+    def test_oversized_real_rejected(self, key):
+        with pytest.raises(ConfigError, match=f"{key}: integer too large"):
+            RunConfig.from_dict({**BASE, "params": {**BASE["params"], key: 10 ** 400}})
+
+    @pytest.mark.parametrize("key", ["q", "t"])
+    def test_oversized_complex_rejected(self, key):
+        value = [[1.0, 0.0], [10 ** 400, 0]] if key == "t" else [0.5, 10 ** 400]
+        with pytest.raises(ConfigError, match=f"{key}: integer too large"):
+            RunConfig.from_dict({**BASE, "params": {**EXPLICIT, key: value}})
+
     def test_complex_parsing(self):
         assert cli._parse_complex(2, "x") == 2 + 0j
         assert cli._parse_complex([1, -2], "x") == 1 - 2j
@@ -143,6 +154,49 @@ class TestRun:
         assert rows[0] == ["sector", "record_index", "z_re", "z_im",
                            "tv_re", "tv_im", "q_re", "q_im"]
         assert len(rows) - 1 == 4 * 3  # 2^N records x sample count
+
+    def test_bethe_only_run_writes_spectrum_csv(self, tmp_path):
+        table = tmp_path / "spectrum.csv"
+        cfg = RunConfig.from_dict({**BASE, "suites": ["bethe"], "z_samples": 2,
+                                   "output_path": str(tmp_path / "report.json"),
+                                   "spectrum_csv": str(table)})
+        assert cli.run(cfg, quiet=True) == 0
+        rows = list(csv.reader(table.open()))
+        assert len(rows) - 1 == 4 * 2  # 2^N records x sample count
+
+    def test_spectral_suites_share_one_joint_spectrum(self, tmp_path, monkeypatch):
+        calls = []
+        joint_spectrum = cli.vf.bt.joint_spectrum
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return joint_spectrum(*args, **kwargs)
+
+        monkeypatch.setattr(cli.vf.bt, "joint_spectrum", counted)
+        cli.vf.spectral_records.cache_clear()
+        cfg = write_config(tmp_path, {**BASE, "output_path": str(tmp_path / "r.json"),
+                                      "spectrum_csv": str(tmp_path / "s.csv")})
+        code = cli.main(["--config", cfg, "--suite", "spectrum", "--suite", "bethe", "--quiet"])
+        assert code == 0
+        assert len(calls) == 1
+        report = json.loads((tmp_path / "r.json").read_text())
+        names = [c["name"] for c in report["checks"]]
+        assert names[0] == "spectrum-sector-count" and names[-1] == "bethe-aba-state"
+
+    def test_explicit_z_samples_reach_bethe_suite(self, tmp_path, monkeypatch):
+        points = [[0.9, 0.1], [0.8, -0.3]]
+        seen = set()
+        aba_eigenvalue = cli.vf.bt.aba_eigenvalue
+
+        def recorded(z, *args):
+            seen.add(complex(z))
+            return aba_eigenvalue(z, *args)
+
+        monkeypatch.setattr(cli.vf.bt, "aba_eigenvalue", recorded)
+        cfg = RunConfig.from_dict({**BASE, "suites": ["bethe"], "z_samples": points,
+                                   "output_path": str(tmp_path / "r.json")})
+        assert cli.run(cfg, quiet=True) == 0
+        assert seen == {0.9 + 0.1j, 0.8 - 0.3j}
 
 
 class TestMainEntry:
@@ -272,6 +326,17 @@ class TestMainEntry:
         cfg = write_config(tmp_path, {**BASE, "suites": ["spectrum"], key: value})
         assert cli.main(["--config", cfg, "--quiet"]) == 2
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    @pytest.mark.parametrize("target", ["--out", "spectrum_csv"])
+    def test_unwritable_output_exits_two(self, tmp_path, capsys, target):
+        missing = str(tmp_path / "missing" / "out")
+        payload = {**BASE, "suites": ["spectrum"], "output_path": str(tmp_path / "r.json"),
+                   "spectrum_csv": missing if target == "spectrum_csv" else ""}
+        args = ["--out", missing] if target == "--out" else []
+        cfg = write_config(tmp_path, payload)
+        assert cli.main(["--config", cfg, "--quiet", *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "missing" in err
 
     def test_missing_config_exits_two(self, tmp_path):
         proc = self.run_cli("--config", str(tmp_path / "absent.json"))

@@ -87,7 +87,8 @@ def test_closed_chain(params):
 
 
 def test_spectrum_suite(params):
-    results, records = vf.spectrum_suite(params, seed=3)
+    results = vf.spectrum_suite(params, seed=3)
+    records = vf.spectral_records(params, 3, 3)
     assert all(r.passed for r in results)
     assert len(records) == params.dim
 
@@ -148,6 +149,13 @@ def test_sampler_exhaustion_is_typed(suite):
     p = ch.sample_params(2, seed=3, tol=1e-10, exclusion_radius=50.0)
     with pytest.raises(QBaxterError, match="exclusion set"):
         vf.run_suite(suite, p, 3)
+
+
+def test_run_suite_gives_every_suite_a_list(params):
+    for suite in vf.SUITES:
+        out = vf.run_suite(suite, params, 3, 2)
+        assert isinstance(out, list) and out, suite
+        assert all(isinstance(r, vf.CheckResult) for r in out), suite
 
 
 def test_unknown_suite(params):
