@@ -71,22 +71,36 @@ def _min_gap(vals: np.ndarray) -> float:
     return gap
 
 
+def random_point(rng, lo=0.55, hi=1.25) -> complex:
+    """r e^(i phi) with r uniform on [lo, hi] and phi uniform on [0, 2 pi)."""
+    return (lo + (hi - lo) * rng.random()) * cmath.exp(2j * math.pi * rng.random())
+
+
+def draw_points(rng, count: int, clear, lo=0.55, hi=1.25):
+    """count random_point draws z for which clear(z) holds, each at least 0.02
+    from the points kept before it.
+
+    A rejected draw is redrawn, up to 200 draws per point in all; running out
+    raises SpectrumError.
+    """
+    points = []
+    for _ in range(200 * count):
+        if len(points) == count:
+            break
+        z = random_point(rng, lo, hi)
+        if clear(z) and all(abs(z - w) >= 0.02 for w in points):
+            points.append(z)
+    if len(points) < count:
+        raise SpectrumError(
+            f"drew {len(points)} of {count} points clear of the exclusion set in "
+            f"{200 * count} tries at radii [{lo}, {hi}]")
+    return points
+
+
 def spectrum_nodes(params: ChainParams, seed: int, count: int):
-    """Sample points on a circle that stay clear of the trace poles."""
-    rng = np.random.default_rng(seed)
-    nodes = []
-    attempts = 0
-    while len(nodes) < count:
-        attempts += 1
-        if attempts > 200 * count:
-            raise SpectrumError("could not place sample nodes clear of the exclusion set")
-        z = (0.75 + 0.5 * rng.random()) * cmath.exp(2j * math.pi * rng.random())
-        if in_exclusion_set(z, params):
-            continue
-        if any(abs(z - w) < 0.02 for w in nodes):
-            continue
-        nodes.append(z)
-    return nodes
+    """Sample points on the annulus 0.75 <= |z| <= 1.25 clear of the trace poles."""
+    return draw_points(np.random.default_rng(seed), count,
+                       lambda z: not in_exclusion_set(z, params), 0.75, 1.25)
 
 
 # node rotations tried in turn, in units of the node spacing
@@ -121,7 +135,8 @@ def joint_spectrum(params: ChainParams, z_probe: complex, z_samples, seed: int =
     Degenerate clusters within a sector are resolved by re-diagonalizing a
     random small admixture of the Q-operator at a second probe point.  Returns
     one SpectrumRecord per joint eigenvector, ordered by sector then by the
-    probe eigenvalue.
+    probe eigenvalue; a mixed sector is ordered by the eigenvalues of the
+    admixture.
 
     Each Q-eigenvalue is a polynomial of degree <= 2N in Z = z^2; its
     coefficients come from circle_coefficients on 2N+2 nodes of |Z| = 1/|q|.
@@ -134,7 +149,7 @@ def joint_spectrum(params: ChainParams, z_probe: complex, z_samples, seed: int =
     if in_exclusion_set(z_probe, params):
         raise ParameterDomainError("probe point lies in the exclusion set")
     t_probe = chain_mod.transfer_v(z_probe, params)
-    probe2 = None
+    q_probe2 = None
     records = []
     z_samples = [complex(z) for z in z_samples]
     tv_mats = {z: chain_mod.transfer_v(z, params) for z in z_samples}
@@ -148,17 +163,14 @@ def joint_spectrum(params: ChainParams, z_probe: complex, z_samples, seed: int =
         block = t_probe[np.ix_(idx, idx)]
         vals, vecs = _eig_sorted(block)
         scale = max(1.0, float(np.linalg.norm(block)))
-        tries = 0
-        while _min_gap(vals) < 1e3 * params.tol * scale and tries < 3:
-            tries += 1
-            if probe2 is None:
-                probe2 = spectrum_nodes(params, seed + 7, 1)[0]
+        for tries in range(1, 4):
+            if _min_gap(vals) >= 1e3 * params.tol * scale:
+                break
+            if q_probe2 is None:
+                q_probe2 = chain_mod.q_operator(spectrum_nodes(params, seed + 7, 1)[0], params)
             mu = 10.0 ** (-tries) * cmath.exp(2j * math.pi * rng.random())
-            mixed = block + mu * chain_mod.q_operator(probe2, params)[np.ix_(idx, idx)]
-            vals_m, vecs = _eig_sorted(mixed)
-            vals = np.array([vecs[:, k].conj() @ block @ vecs[:, k]
-                             / (vecs[:, k].conj() @ vecs[:, k]) for k in range(idx.size)])
-        if _min_gap(vals) < 1e3 * params.tol * scale and tries >= 3:
+            vals, vecs = _eig_sorted(block + mu * q_probe2[np.ix_(idx, idx)])
+        if _min_gap(vals) < 1e3 * params.tol * scale:
             raise SpectrumError(f"unresolved degeneracy in sector M={m_down} after 3 probes")
 
         for k in range(idx.size):

@@ -128,10 +128,6 @@ class SpinSector:
         idx = np.flatnonzero(tc.index_sums((2,) * self.n_sites) == self.m_down)
         object.__setattr__(self, "indices", tuple(idx.tolist()))
 
-    @property
-    def dim(self) -> int:
-        return len(self.indices)
-
 
 def sample_params(n_sites: int, seed: int, cutoff: int = 40, tol: float = 1e-9,
                   exclusion_radius: float = 0.05, identity_grade: bool = False) -> ChainParams:

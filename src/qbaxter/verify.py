@@ -103,13 +103,20 @@ def _interior(mat, row_rest: int, col_rest: int, pad: int):
     return m.reshape((jr - pad) * row_rest, (jc - pad) * col_rest)
 
 
-def _rand_z(rng, lo=0.55, hi=1.25) -> complex:
-    return (lo + (hi - lo) * rng.random()) * cmath.exp(2j * math.pi * rng.random())
-
-
 def _result(name, residual, tol, params, seed, notes="", conjecture=False) -> CheckResult:
     return CheckResult(name=name, residual=residual, tolerance=tol, conjecture=conjecture,
                        params_digest=params_digest(params, seed), notes=notes)
+
+
+def _acc(d, key, val):
+    d[key] = max(d.get(key, 0.0), float(val))
+
+
+def _worst(name, worst, tol, params, seed, *notes) -> CheckResult:
+    """Result at the largest sub-residual in worst; its notes list worst, then
+    the given notes, joined by "; "."""
+    return _result(name, max(worst.values()), tol, params, seed,
+                   "; ".join((f"sub-residuals {worst}",) + notes))
 
 
 # ---------------------------------------------------------------------------
@@ -122,15 +129,15 @@ def check_ybe(params: ch.ChainParams, seed: int = 0) -> CheckResult:
     q = params.q
     J = dense_safe_cutoff(params, 20)
     pad = 3
-    worst = {"vvv": 0.0, "wvv": 0.0, "vvw": 0.0}
+    worst = {}
     r_values = [1.0, 1.4 - 0.2j, 0.7 + 0.5j]
     for _ in range(5):
-        z1, z2, z3 = (_rand_z(rng) for _ in range(3))
+        z1, z2, z3 = (bt.random_point(rng) for _ in range(3))
         sh = (2, 2, 2)
         r12 = tc.embed(r_matrix(z1 / z2, q), 0, 1, sh)
         r13 = tc.embed(r_matrix(z1 / z3, q), 0, 2, sh)
         r23 = tc.embed(r_matrix(z2 / z3, q), 1, 2, sh)
-        worst["vvv"] = max(worst["vvv"], tc.rel_err(r12 @ r13 @ r23, r23 @ r13 @ r12))
+        _acc(worst, "vvv", tc.rel_err(r12 @ r13 @ r23, r23 @ r13 @ r12))
         for r in r_values:
             sh = (J, 2, 2)
             l12 = tc.embed(l_matrix(z1 / z2, r, q, J), 0, 1, sh)
@@ -138,8 +145,7 @@ def check_ybe(params: ch.ChainParams, seed: int = 0) -> CheckResult:
             r23 = tc.embed(r_matrix(z2 / z3, q), 1, 2, sh)
             lhs = l12 @ l13 @ r23
             rhs = r23 @ l13 @ l12
-            worst["wvv"] = max(worst["wvv"], tc.rel_err(
-                _interior(lhs, 4, 4, pad), _interior(rhs, 4, 4, pad)))
+            _acc(worst, "wvv", tc.rel_err(_interior(lhs, 4, 4, pad), _interior(rhs, 4, 4, pad)))
         sh = (2, 2, J)
         r = r_values[1]
         r12 = tc.embed(r_matrix(z1 / z2, q), 0, 1, sh)
@@ -147,10 +153,10 @@ def check_ybe(params: ch.ChainParams, seed: int = 0) -> CheckResult:
         l23 = tc.embed(l_matrix(z2 / z3, r, q, J), 2, 1, sh)
         lhs = (r12 @ l13 @ l23).reshape(4, J, 4, J)[:, : J - pad, :, : J - pad]
         rhs = (l23 @ l13 @ r12).reshape(4, J, 4, J)[:, : J - pad, :, : J - pad]
-        worst["vvw"] = max(worst["vvw"], tc.rel_err(
+        _acc(worst, "vvw", tc.rel_err(
             lhs.reshape(4 * (J - pad), -1), rhs.reshape(4 * (J - pad), -1)))
-    notes = f"sub-residuals {worst}; Fock cutoff {J}; r-covariance over {len(r_values)} values"
-    return _result("yang-baxter", max(worst.values()), DEFAULT_TOL, params, seed, notes)
+    return _worst("yang-baxter", worst, DEFAULT_TOL, params, seed, f"Fock cutoff {J}",
+                  f"r-covariance over {len(r_values)} values")
 
 
 # ---------------------------------------------------------------------------
@@ -165,62 +171,54 @@ def check_reflection(params: ch.ChainParams, seed: int = 0) -> CheckResult:
     J = dense_safe_cutoff(params, 20)
     pad = 4
     r = 1.15 - 0.25j
-    worst = {"vv-right": 0.0, "wv-right": 0.0, "vv-left": 0.0, "wv-left": 0.0, "wv-left-alt": 0.0}
+    worst = {}
     eye2 = np.eye(2, dtype=complex)
     eyej = np.eye(J, dtype=complex)
-    done = 0
-    attempts = 0
-    while done < 4:
-        attempts += 1
-        if attempts > 200:
-            raise QBaxterError("reflection check kept landing on boundary-matrix poles")
-        y, z = _rand_z(rng), _rand_z(rng)
+
+    def clear(y):  # y and y/q off the poles of the left boundary matrix
         try:
-            ktw_probe = ktw_diagonal(y, r, xit, q, J)
-            ktw_diagonal(y / q, r, xit, q, J)
-            ktv_inv_probe = np.linalg.inv(ktv_matrix(z / q, xit, q))
+            ktw_diagonal(y, r, xit, q, J), ktw_diagonal(y / q, r, xit, q, J)
         except ExclusionPointError:
-            continue  # sample sat on a pole of the left boundary matrix; redraw
-        done += 1
+            return False
+        return True
+
+    for _ in range(4):
+        y = bt.draw_points(rng, 1, clear)[0]
+        z = bt.random_point(rng)
         k1 = tc.embed_site(kv_matrix(y, xi), 0, (2, 2))
         k2 = tc.embed_site(kv_matrix(z, xi), 1, (2, 2))
         ra, rb = r_matrix(y / z, q), r_matrix(y * z, q)
-        worst["vv-right"] = max(worst["vv-right"],
-                                tc.rel_err(ra @ k1 @ rb @ k2, k2 @ rb @ k1 @ ra))
+        _acc(worst, "vv-right", tc.rel_err(ra @ k1 @ rb @ k2, k2 @ rb @ k1 @ ra))
 
         kw1 = np.kron(kw_diagonal(y, r, xi, q, J).dense(), eye2)
         kv2 = np.kron(eyej, kv_matrix(z, xi))
         la, lb = l_matrix(y / z, r, q, J), l_matrix(y * z, r, q, J)
         lhs = la @ kw1 @ lb @ kv2
         rhs = kv2 @ lb @ kw1 @ la
-        worst["wv-right"] = max(worst["wv-right"], tc.rel_err(
-            _interior(lhs, 2, 2, pad), _interior(rhs, 2, 2, pad)))
+        _acc(worst, "wv-right", tc.rel_err(_interior(lhs, 2, 2, pad), _interior(rhs, 2, 2, pad)))
 
         kt1 = tc.embed_site(ktv_matrix(y, xit, q), 0, (2, 2))
         kt2 = tc.embed_site(ktv_matrix(z, xit, q), 1, (2, 2))
         rt = r_tilde(y * z, q)
         rinv = np.linalg.inv(r_matrix(y / z, q))
-        worst["vv-left"] = max(worst["vv-left"],
-                               tc.rel_err(kt2 @ rt @ kt1 @ rinv, rinv @ kt1 @ rt @ kt2))
+        _acc(worst, "vv-left", tc.rel_err(kt2 @ rt @ kt1 @ rinv, rinv @ kt1 @ rt @ kt2))
 
-        ktw1 = np.kron(ktw_probe.dense(), eye2)
+        ktw1 = np.kron(ktw_diagonal(y, r, xit, q, J).dense(), eye2)
         ktv2 = np.kron(eyej, ktv_matrix(z, xit, q))
         lt = l_tilde(y * z, r, q, J)
         linv = l_inverse(y / z, r, q, J)
         lhs = ktv2 @ lt @ ktw1 @ linv
         rhs = linv @ ktw1 @ lt @ ktv2
-        worst["wv-left"] = max(worst["wv-left"], tc.rel_err(
-            _interior(lhs, 2, 2, pad), _interior(rhs, 2, 2, pad)))
+        _acc(worst, "wv-left", tc.rel_err(_interior(lhs, 2, 2, pad), _interior(rhs, 2, 2, pad)))
 
         # inverted and reparametrized (y, z) -> (y/q, z/q) form of the left equation
         ktw_inv = np.kron(np.linalg.inv(ktw_diagonal(y / q, r, xit, q, J).dense()), eye2)
-        ktv_inv = np.kron(eyej, ktv_inv_probe)
+        ktv_inv = np.kron(eyej, np.linalg.inv(ktv_matrix(z / q, xit, q)))
         lhs = la @ ktw_inv @ lb @ ktv_inv
         rhs = ktv_inv @ lb @ ktw_inv @ la
-        worst["wv-left-alt"] = max(worst["wv-left-alt"], tc.rel_err(
+        _acc(worst, "wv-left-alt", tc.rel_err(
             _interior(lhs, 2, 2, pad), _interior(rhs, 2, 2, pad)))
-    notes = f"sub-residuals {worst}; Fock cutoff {J}"
-    return _result("reflection", max(worst.values()), DEFAULT_TOL, params, seed, notes)
+    return _worst("reflection", worst, DEFAULT_TOL, params, seed, f"Fock cutoff {J}")
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +235,7 @@ def check_fusion(params: ch.ChainParams, seed: int = 0) -> CheckResult:
     eyej = np.eye(J, dtype=complex)
     worst = {}
     for _ in range(3):
-        z = _rand_z(rng)
+        z = bt.random_point(rng)
         r = 1.0 + 0.6 * (rng.random() - 0.5) + 0.4j * (rng.random() - 0.5)
         io = iota(r, q, J)
         ta = tau(r, q, J)
@@ -276,12 +274,7 @@ def check_fusion(params: ch.ChainParams, seed: int = 0) -> CheckResult:
             * ktw_diagonal(z / q, r / q, xit, q, J).dense() @ ta
         _acc(worst, "boundary-left-lower",
              tc.rel_err(_interior(lhs, 1, 2, pad), _interior(rhs, 1, 2, pad)))
-    notes = f"sub-residuals {worst}; Fock cutoff {J}"
-    return _result("fusion", max(worst.values()), DEFAULT_TOL, params, seed, notes)
-
-
-def _acc(d, key, val):
-    d[key] = max(d.get(key, 0.0), float(val))
+    return _worst("fusion", worst, DEFAULT_TOL, params, seed, f"Fock cutoff {J}")
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +296,7 @@ def check_row_fusion_and_monodromy(params: ch.ChainParams, seed: int = 0) -> Che
         row = ((J,) + (2,) * n, 0, range(1, n + 1))  # the Fock row alone
         pad = 2 * n + 2
         r = 1.1 - 0.3j
-        y, z = _rand_z(rng), _rand_z(rng)
+        y, z = bt.random_point(rng), bt.random_point(rng)
         mw = ch.monodromy_w(y, r, p, shape, 0, sites)
         mv = ch.monodromy_v(z, p, shape, 1, sites)
         lab_yz = tc.embed(l_matrix(y * z, r, q, J), 0, 1, shape)
@@ -332,7 +325,7 @@ def check_row_fusion_and_monodromy(params: ch.ChainParams, seed: int = 0) -> Che
             _interior(lab_yoz @ mw @ lab_yz @ mv, 2 * d, 2 * d, pad),
             _interior(mv @ lab_yz @ mw @ lab_yoz, 2 * d, 2 * d, pad)))
 
-        z0 = _rand_z(rng)
+        z0 = bt.random_point(rng)
         mwz = ch.monodromy_w(z0, r, p, shape, 0, sites)
         mvz = ch.monodromy_v(z0, p, shape, 1, sites)
         core = tc.embed_site(ktv_matrix(z0, p.xitilde, q), 1, shape) \
@@ -360,9 +353,7 @@ def check_row_fusion_and_monodromy(params: ch.ChainParams, seed: int = 0) -> Che
             @ ch.monodromy_w(y, 1.0, p, *row) @ dr
         _acc(worst, f"r-factorization-N{n}", tc.rel_err(
             _interior(lhs, d, d, pad), _interior(rhs, d, d, pad)))
-    notes = f"sub-residuals {worst}"
-    return _result("row-fusion-monodromy", max(worst.values()), DEFAULT_TOL, params, seed,
-                   notes)
+    return _worst("row-fusion-monodromy", worst, DEFAULT_TOL, params, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -403,8 +394,7 @@ def check_split_trace(params: ch.ChainParams, seed: int = 0) -> CheckResult:
             for jcol in range(max(0, jrow - 2), min(J - 3, jrow + 3)):
                 theta[jrow, :, jcol, :] = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         _acc(worst, "random-banded", split_residual(theta.reshape(2 * J, 2 * J)))
-    notes = f"sub-residuals {worst}; Fock cutoff {J}"
-    return _result("split-trace", max(worst.values()), EXACT_TOL, params, seed, notes)
+    return _worst("split-trace", worst, EXACT_TOL, params, seed, f"Fock cutoff {J}")
 
 
 # ---------------------------------------------------------------------------
@@ -412,15 +402,10 @@ def check_split_trace(params: ch.ChainParams, seed: int = 0) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 def _tq_point(rng, params):
-    """Random z with z, qz, z/q all clear of the exclusion set."""
-    for _ in range(300):
-        z = _rand_z(rng)
-        if any(ch.in_exclusion_set(w, params) for w in (z, params.q * z, z / params.q)):
-            continue
-        if abs(1.0 - params.q ** 2 * z ** 4) < 0.05:
-            continue
-        return z
-    raise QBaxterError("could not sample a spectral point clear of the exclusion set")
+    """Random z with z, qz, z/q all clear of the exclusion set and q^2 z^4 off 1."""
+    q = params.q
+    return bt.draw_points(rng, 1, lambda z: abs(1.0 - q * q * z ** 4) >= 0.05 and not any(
+        ch.in_exclusion_set(w, params) for w in (z, q * z, z / q)))[0]
 
 
 def check_tq(params: ch.ChainParams, seed: int = 0) -> CheckResult:
@@ -444,8 +429,7 @@ def check_tq(params: ch.ChainParams, seed: int = 0) -> CheckResult:
         _acc(worst, "degeneration-at-quartic-point",
              float(np.linalg.norm(a + b) / max(np.linalg.norm(a), np.linalg.norm(b), 1e-300)))
         break
-    notes = f"sub-residuals {worst}; N={params.n_sites}"
-    return _result("tq-relation", max(worst.values()), DEFAULT_TOL, params, seed, notes)
+    return _worst("tq-relation", worst, DEFAULT_TOL, params, seed, f"N={params.n_sites}")
 
 
 def check_commutators(params: ch.ChainParams, seed: int = 0):
@@ -465,8 +449,7 @@ def check_commutators(params: ch.ChainParams, seed: int = 0):
         u = 0.4 + rng.random() + 0.3j * rng.random()
         du = np.diag(ch.spin_weights(params.n_sites, u, 1.0))
         _acc(worst_thm, "q-spinweight", tc.rel_err(q_y @ du, du @ q_y))
-    thm = _result("commutators", max(worst_thm.values()), 1e-9, params, seed,
-                  f"sub-residuals {worst_thm}")
+    thm = _worst("commutators", worst_thm, 1e-9, params, seed)
     conj = _result("commutators-qq", worst_conj, 1e-9, params, seed,
                    "commutativity of the Q-family is conjectural; reported separately",
                    conjecture=True)
@@ -484,10 +467,8 @@ def check_crossing(params: ch.ChainParams, seed: int = 0) -> CheckResult:
     n = params.n_sites
     worst = {}
     ratios = []
-    for _ in range(3):
-        z = _rand_z(rng, 0.8, 1.3)
-        if ch.in_exclusion_set(z, params) or ch.in_exclusion_set(1.0 / (q * z), params):
-            continue
+    for z in bt.draw_points(rng, 3, lambda z: not any(
+            ch.in_exclusion_set(w, params) for w in (z, 1.0 / (q * z))), 0.8, 1.3):
         tv = ch.transfer_v(z, params)
         tv_cross = ch.transfer_v(1.0 / (q * z), params)
         _acc(worst, "finite-family", tc.rel_err(tv_cross, (q * z * z) ** (-2 * (n + 1)) * tv))
@@ -496,11 +477,9 @@ def check_crossing(params: ch.ChainParams, seed: int = 0) -> CheckResult:
         _acc(worst, "q-family", tc.rel_err(qo_cross, (q * z * z) ** (-2 * n) * qo))
         ratios.append(float(np.linalg.norm(qo_cross) / np.linalg.norm(qo)
                             / abs((q * z * z) ** (-2 * n))))
-    if not worst:
-        raise QBaxterError("all 3 crossing samples fell in the exclusion set")
-    notes = (f"sub-residuals {worst}; scalar-exponent ratios {ratios} (should be ~1); "
-             "Q-version conditional on the commutativity conjecture")
-    return _result("crossing", max(worst.values()), DEFAULT_TOL, params, seed, notes)
+    return _worst("crossing", worst, DEFAULT_TOL, params, seed,
+                  f"scalar-exponent ratios {ratios} (should be ~1)",
+                  "Q-version conditional on the commutativity conjecture")
 
 
 def check_polynomiality(params: ch.ChainParams, seed: int = 0):
@@ -556,16 +535,7 @@ def check_n2_closed_forms(params: ch.ChainParams, seed: int = 0):
     p = params.with_sites(2)
     q, xi, xit = p.q, p.xi, p.xitilde
     t1, t2 = p.t
-    rng = np.random.default_rng(seed)
-    zs = []
-    attempts = 0
-    while len(zs) < 4:
-        attempts += 1
-        if attempts > 200:
-            raise QBaxterError("could not sample 4 spectral points clear of the exclusion set")
-        z = _rand_z(rng)
-        if not ch.in_exclusion_set(z, p):
-            zs.append(z)
+    zs = bt.draw_points(np.random.default_rng(seed), 4, lambda z: not ch.in_exclusion_set(z, p))
     den = (1.0 - q * q * xi * xit) * (1.0 - xi * xit)
     worst = {}
     ratios1, ratios2 = [], []
@@ -587,8 +557,8 @@ def check_n2_closed_forms(params: ch.ChainParams, seed: int = 0):
     for seq in (ratios1, ratios2):
         spread = max(abs(a - b) for a in seq for b in seq) / max(1.0, max(abs(a) for a in seq))
         _acc(worst, "ratio-z-independence", spread)
-    notes = (f"sub-residuals {worst}; z^2 coefficient of the lone entry = {_cx(coeff_echo)}")
-    return _result("n2-closed-forms", max(worst.values()), EXACT_TOL, params, seed, notes)
+    return _worst("n2-closed-forms", worst, EXACT_TOL, params, seed,
+                  f"z^2 coefficient of the lone entry = {_cx(coeff_echo)}")
 
 
 def check_closed_chain(params: ch.ChainParams, seed: int = 0):
@@ -600,14 +570,15 @@ def check_closed_chain(params: ch.ChainParams, seed: int = 0):
     d = params.dim
     worst = {}
     for _ in range(3):
-        z = _rand_z(rng)
-        lhs = ch.closed_transfer_v(z, params) @ ch.closed_q(z, params)
+        z = bt.random_point(rng)
+        tv = ch.closed_transfer_v(z, params)
+        lhs = tv @ ch.closed_q(z, params)
         rhs = ch.closed_p_plus(z, params) * ch.closed_q(q * z, params) \
             + ch.closed_p_minus(z, params) * ch.closed_q(z / q, params)
         _acc(worst, "functional-relation", tc.rel_err(lhs, rhs))
-        y = _rand_z(rng)
-        a, b = ch.closed_q(y, params), ch.closed_transfer_v(z, params)
-        _acc(worst, "commutator", tc.rel_err(a @ b, b @ a))
+        y = bt.random_point(rng)
+        a = ch.closed_q(y, params)
+        _acc(worst, "commutator", tc.rel_err(a @ tv, tv @ a))
     tw0 = ch.closed_transfer_w(0.0, params)
     ref = np.diag(np.array([1.0 / (1.0 - params.zeta * q ** (n - 2 * bin(i).count("1")))
                             for i in range(d)], dtype=complex))
@@ -617,11 +588,11 @@ def check_closed_chain(params: ch.ChainParams, seed: int = 0):
     pred = np.tensordot(zh ** np.arange(2 * n + 1), coeffs[:-1], 1)
     actual = ch.closed_q(zh, params)
     _acc(worst, "degree-bound", tc.rel_err(pred, actual))
-    det = np.linalg.det(ch.closed_transfer_w(_rand_z(rng), params))
-    notes = f"sub-residuals {worst}; |det T^W_closed| = {abs(det):.3e} (generic invertibility)"
+    det = np.linalg.det(ch.closed_transfer_w(bt.random_point(rng), params))
     if abs(det) == 0.0:
         worst["invertibility"] = 1.0
-    return _result("closed-chain", max(worst.values()), 1e-9, params, seed, notes)
+    return _worst("closed-chain", worst, 1e-9, params, seed,
+                  f"|det T^W_closed| = {abs(det):.3e} (generic invertibility)")
 
 
 # ---------------------------------------------------------------------------

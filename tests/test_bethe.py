@@ -8,7 +8,7 @@ import pytest
 from qbaxter import bethe as bt
 from qbaxter import chain as ch
 from qbaxter import tensor_core as tc
-from qbaxter.errors import ConvergenceError, ParameterDomainError
+from qbaxter.errors import ConvergenceError, ExclusionPointError, ParameterDomainError
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +64,65 @@ class TestJointSpectrum:
             pred = complex(np.polyval(coeffs[::-1], zh ** 2))
             actual = complex(v.conj() @ (mat_h @ v))
             assert abs(pred - actual) < 1e-8 * max(1.0, abs(actual))
+
+
+    @pytest.mark.parametrize("n, seed", [(2, 5), (3, 1)])
+    def test_degenerate_probe_is_resolved(self, n, seed):
+        # T^V(1) is a multiple of the identity, so every sector with more than
+        # one state needs the Q admixture
+        p = ch.sample_params(n, seed, tol=1e-10)
+        recs = bt.joint_spectrum(p, 1.0, bt.spectrum_nodes(p, 1, 3))
+        assert len(recs) == 2 ** n
+        assert max(r.tv_residual for r in recs) < 1e-12
+        assert max(r.q_fit_error for r in recs) < 1e-9
+
+
+class TestSampling:
+    def test_rejections_use_up_draws_deterministically(self):
+        raw = np.random.default_rng(4)
+        stream = [bt.random_point(raw) for _ in range(8)]
+        calls = []
+
+        def clear(z):  # rejects the first three draws
+            calls.append(z)
+            return len(calls) > 3
+
+        points = bt.draw_points(np.random.default_rng(4), 2, clear)
+        assert points == stream[3:5]
+        assert calls == stream[:5]
+
+    def test_kept_points_are_spaced(self):
+        # 60 points on the unit circle: raw draws land within 0.02 of each other
+        raw = np.random.default_rng(2)
+        stream = [bt.random_point(raw, 1.0, 1.0) for _ in range(60)]
+        assert min(abs(a - b) for i, a in enumerate(stream) for b in stream[:i]) < 0.02
+        points = bt.draw_points(np.random.default_rng(2), 60, lambda z: True, 1.0, 1.0)
+        assert len(points) == 60
+        assert min(abs(a - b) for i, a in enumerate(points) for b in points[:i]) >= 0.02
+
+    def test_exhaustion_raises_with_counts(self):
+        calls = []
+
+        def clear(z):  # keeps only the first two draws
+            calls.append(z)
+            return len(calls) <= 2
+
+        with pytest.raises(bt.SpectrumError, match=r"drew 2 of 3 points clear of the "
+                           r"exclusion set in 600 tries at radii \[0.55, 1.25\]"):
+            bt.draw_points(np.random.default_rng(0), 3, clear)
+        assert len(calls) == 600
+
+    def test_circle_coefficients_skip_a_blocked_phase(self):
+        count, radius = 5, 0.8 - 0.3j
+        first = radius * np.exp(2j * math.pi * (np.arange(count) + bt._PHASES[0]) / count)
+        coeffs = np.array([1.5, -0.2 + 1j, 0.3j, 2.0, -0.7])
+
+        def f(x):
+            if np.min(np.abs(first - x)) < 1e-12:
+                raise ExclusionPointError("first-phase node")
+            return np.polyval(coeffs[::-1], x)
+
+        assert np.max(np.abs(bt.circle_coefficients(f, count, radius) - coeffs)) < 1e-12
 
 
 class TestFactorization:

@@ -296,7 +296,7 @@ class TestMainEntry:
                                       "seed": 3, "suites": ["crossing"]})
         proc = self.run_cli("--config", cfg, "--out", str(tmp_path / "r.json"))
         assert proc.returncode == 2
-        assert "crossing samples fell in the exclusion set" in proc.stderr
+        assert "drew 0 of 3 points clear of the exclusion set" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("params", [BASE["params"], EXPLICIT], ids=["sampled", "explicit"])

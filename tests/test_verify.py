@@ -143,9 +143,10 @@ def test_bethe_suite_seeded_sweep(n_sites, seed):
     assert not failed, failed
 
 
-@pytest.mark.parametrize("suite", ["n2-closed-forms", "crossing"])
+@pytest.mark.parametrize("suite", ["n2-closed-forms", "crossing", "tq", "commutators",
+                                   "polynomiality", "spectrum", "bethe"])
 def test_sampler_exhaustion_is_typed(suite):
-    # an exclusion radius of 50 covers every point _rand_z can draw
+    # an exclusion radius of 50 covers every point the suites draw and every Q node circle
     p = ch.sample_params(2, seed=3, tol=1e-10, exclusion_radius=50.0)
     with pytest.raises(QBaxterError, match="exclusion set"):
         vf.run_suite(suite, p, 3)
