@@ -117,7 +117,10 @@ class RunConfig:
                 **scalar_overrides,
             )
         else:
-            # draw the remaining parameters from the generic sampler
+            # draw the remaining parameters from the generic sampler, which would ignore these
+            ignored = sorted(set(praw) & {"xi", "xitilde", "zeta", "t"})
+            if ignored:
+                raise ConfigError(f"parameter fields {ignored} need an explicit 'q'")
             params = sample_params(n_sites, seed, **scalar_overrides)
 
         suites = raw.get("suites", ["all"])

@@ -118,6 +118,50 @@ def index_sums(shape) -> np.ndarray:
     return out
 
 
+def _level_shifts(x):
+    """(b, a, cols, src, coef) for each pair of site indices of a charge factor
+    x[l, b, c, a]: column level c in cols of the new product reads level
+    c + a - b in src of the old, scaled by coef = x[c + a - b, b, c, a]."""
+    J, dn = x.shape[:2]
+    for b in range(dn):
+        for a in range(dn):
+            shift = a - b
+            yield (b, a, slice(max(0, -shift), J - max(0, shift)),
+                   slice(max(0, shift), J - max(0, -shift)), np.diagonal(x[:, b, :, a], -shift))
+
+
+def _widen(prod, x, pre, post):
+    """Charge blocks times x on a site they do not carry yet, placed between
+    pre and post states of the carried sites:
+    new[c, (r, b), (s, a)] = old[c + a - b, r, s] x[c + a - b, b, c, a]."""
+    J, dn = x.shape[:2]
+    old = prod.reshape(J, pre, post, pre, post)
+    out = np.empty((J, pre, dn, post, pre, dn, post), dtype=complex)
+    for b, a, cols, src, coef in _level_shifts(x):
+        block = out[:, :, b, :, :, a, :]
+        if not np.any(coef):
+            block[...] = 0.0
+            continue
+        block[:cols.start] = 0.0
+        block[cols.stop:] = 0.0
+        np.multiply(old[src], coef[:, None, None, None, None], out=block[cols])
+    k = prod.shape[1] * dn
+    return out.reshape(J, k, k)
+
+
+def _revisit(prod, x, pre, post):
+    """Charge blocks times x on a carried site between pre and post states:
+    one scaled slice update of that site's column axis per pair of indices."""
+    J, dn = x.shape[:2]
+    k = prod.shape[1]
+    old = prod.reshape(J, k, pre, dn, post)
+    out = np.zeros_like(old)
+    for b, a, cols, src, coef in _level_shifts(x):
+        if np.any(coef):
+            out[cols, :, :, a, :] += old[src, :, :, b, :] * coef[:, None, None, None]
+    return out.reshape(J, k, k)
+
+
 def charge_product(factors, shape) -> np.ndarray:
     """Left-to-right product of two-site factors that conserve the charge
     site-0 level + index sum, kept as one block per site-0 column level.
@@ -128,13 +172,30 @@ def charge_product(factors, shape) -> np.ndarray:
     vanishes unless its site-0 levels differ by m(s) - m(r), m the index_sums
     of the remaining sites, and comes back as
     C[c, r, s] = P[(c + m(s) - m(r), r), (c, s)]; row levels outside the range
-    of site 0 give zero entries.  A factor costs one scaled slice update of C
-    per pair of site-n indices, O(J d^2) for J levels and d remaining states,
-    instead of a dense product.
+    of site 0 give zero entries.
+
+    The blocks carry only the sites visited so far, in site order whatever
+    the visit order (a right half row visits N..1).  A factor on a new site
+    widens them by one scaled, level-shifted copy per pair of site indices
+    and multiplies no identity; a factor on a carried site updates that
+    site's column axis.  Sites no factor touches join at the end as the
+    identity.  One pass over N spin sites costs about (4/3) J 4^N for J
+    levels, instead of N J 4^N for factors applied to the full blocks; each
+    revisit costs O(J 4^N).
     """
     dims = tuple(int(s) for s in shape)
-    J, d = dims[0], total_dim(dims[1:])
-    prod = np.broadcast_to(identity(d), (J, d, d)).copy()
+    J = dims[0]
+    carried = set()
+
+    def times(prod, x, n):
+        pre = total_dim(dims[s] for s in carried if s < n)
+        post = total_dim(dims[s] for s in carried if s > n)
+        if n in carried:
+            return _revisit(prod, x, pre, post)
+        carried.add(n)
+        return _widen(prod, x, pre, post)
+
+    prod = np.ones((J, 1, 1), dtype=complex)
     for x, m, *rest in factors:
         if m != 0 or rest and not 0 < rest[0] < len(dims):
             raise IndexError(f"charge factor must act on site 0 (and a site in 1..{len(dims) - 1})")
@@ -152,18 +213,10 @@ def charge_product(factors, shape) -> np.ndarray:
         charge = np.add.outer(np.arange(J), np.arange(dn))
         if np.any(x[np.not_equal.outer(charge, charge)]):
             raise ValueError("charge factor does not conserve site-0 level + site-n index")
-        old = prod.reshape(J, d, total_dim(dims[1:n]), dn, total_dim(dims[n + 1:]))
-        out = np.zeros_like(old)
-        for b in range(dn):
-            for a in range(dn):
-                # column level c of the new product reads level c + a - b of the old
-                shift = a - b
-                coef = np.diagonal(x[:, b, :, a], -shift)
-                if np.any(coef):
-                    cols = slice(max(0, -shift), J - max(0, shift))
-                    src = slice(max(0, shift), J - max(0, -shift))
-                    out[cols, :, :, a, :] += old[src, :, :, b, :] * coef[:, None, None, None]
-        prod = out.reshape(J, d, d)
+        prod = times(prod, x, n)
+    for n in range(1, len(dims)):
+        if n not in carried:
+            prod = times(prod, identity(J * dims[n]).reshape(J, dims[n], J, dims[n]), n)
     return prod
 
 

@@ -256,6 +256,15 @@ class TestMainEntry:
         assert proc.returncode == 2
         assert "unknown parameter fields: ['r']" in proc.stderr
 
+    def test_explicit_only_params_without_q_exit_two(self, tmp_path):
+        cfg = write_config(tmp_path, {**BASE, "params": {"n_sites": 2, "xi": 0.5, "zeta": 0.01,
+                                                         "t": [1, 2]}})
+        proc = self.run_cli("--config", cfg, "--out", str(tmp_path / "r.json"))
+        assert proc.returncode == 2
+        assert "parameter fields ['t', 'xi', 'zeta'] need an explicit 'q'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "r.json").exists()
+
     def test_non_numeric_tol_exits_two(self, tmp_path):
         cfg = write_config(tmp_path, {**BASE, "params": {"n_sites": 2, "tol": [1]}})
         proc = self.run_cli("--config", cfg, "--out", str(tmp_path / "r.json"))

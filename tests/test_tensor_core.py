@@ -213,21 +213,29 @@ class TestChargeProduct:
         assert all(np.array_equal(block, tc.identity(6)) for block in prod)
 
     def test_matches_dense_product(self):
-        rng = np.random.default_rng(13)
-        dims = (5, 2, 3)
-        J = dims[0]
-        factors = [(charge_factor(rng, J, 3), 0, 2), (charge_factor(rng, J, 2), 0, 1),
-                   (charge_factor(rng, J, 3), 0, 2)]
-        assert_charge_blocks_match_dense(factors, dims)
+        # (dims, sites of the factors in order)
+        cases = [((5, 2, 3), (2, 1, 2)),
+                 ((4, 2, 3, 2), (1, 3)),  # site 2 untouched
+                 ((4, 2, 3, 2), (3, 1)),  # site 2 untouched, visited from the right
+                 ((2, 4, 3), (1, 2, 1))]  # level shifts beyond the two levels
+        for dims, sites in cases:
+            rng = np.random.default_rng(13)
+            factors = [(charge_factor(rng, dims[0], dims[n]), 0, n) for n in sites]
+            assert_charge_blocks_match_dense(factors, dims)
 
     def test_one_site_diagonal_factor_matches_dense_product(self):
-        rng = np.random.default_rng(14)
-        dims = (5, 2, 3)
-        J = dims[0]
-        diag = np.diag(rng.normal(size=J) + 1j * rng.normal(size=J))
-        factors = [(charge_factor(rng, J, 3), 0, 2), (charge_factor(rng, J, 2), 0, 1),
-                   (diag, 0), (charge_factor(rng, J, 3), 0, 2)]
-        assert_charge_blocks_match_dense(factors, dims)
+        # (dims, sites of the factors in order, None for the diagonal one-site factor)
+        cases = [((5, 2, 3), (2, 1, None, 2)),
+                 # right half row, boundary, then every site revisited (a double row)
+                 ((3, 2, 3, 2), (3, 2, 1, None, 1, 2, 3)),
+                 ((4, 2, 3), (None, 1, 2))]  # diagonal before any two-site factor
+        for dims, sites in cases:
+            rng = np.random.default_rng(14)
+            J = dims[0]
+            diag = np.diag(rng.normal(size=J) + 1j * rng.normal(size=J))
+            factors = [(diag, 0) if n is None else (charge_factor(rng, J, dims[n]), 0, n)
+                       for n in sites]
+            assert_charge_blocks_match_dense(factors, dims)
 
     def test_charge_violation_rejected(self):
         x = np.zeros((4, 2, 4, 2), dtype=complex)

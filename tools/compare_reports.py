@@ -7,11 +7,15 @@ PARENT_SRC and CHANGE_SRC are directories that hold the `qbaxter` package
 once with each directory as PYTHONPATH, all with `--tol 1e-10`.  The JSON
 reports are compared without their `timestamp` field, the spectrum CSVs byte
 for byte, and the exit codes as they are.  One line per configuration says
-`identical` or `differs` with both exit codes; the exit status is 1 when any
+`identical` or `differs` with both exit codes.  Under a configuration that
+differs, indented lines name the checks added or removed, the pass flags that
+flipped and the largest relative residual change |r_change - r_parent| / r_parent
+over the checks both reports hold.  The exit status is 1 when any
 configuration differs, else 0.  Needs only the standard library.
 """
 
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -44,6 +48,42 @@ def run_cli(src, tmp, n_sites, seed, suites):
     return proc.returncode, data, csv_path.read_bytes() if csv_path.exists() else None
 
 
+def differences(parent, change):
+    """Lines saying how the change's run differs from the parent's, each a
+    (exit code, report, CSV) triple from run_cli."""
+    lines = []
+    if parent[2] != change[2]:
+        lines.append("spectrum CSV differs")
+    if parent[1] is None or change[1] is None:
+        if parent[1] is not change[1]:
+            lines.append(f"report written by the {'change' if parent[1] is None else 'parent'} only")
+        return lines
+    old, new = ({c["name"]: c for c in run[1]["checks"]} for run in (parent, change))
+    for what, names in (("added", new.keys() - old.keys()), ("removed", old.keys() - new.keys())):
+        if names:
+            lines.append(f"checks {what}: {', '.join(sorted(names))}")
+    common = sorted(old.keys() & new.keys())
+    flipped = [f"{name} ({old[name]['passed']} -> {new[name]['passed']})"
+               for name in common if old[name]["passed"] != new[name]["passed"]]
+    if flipped:
+        lines.append(f"pass flags flipped: {', '.join(flipped)}")
+
+    def rel_change(name):
+        a, b = float(old[name]["residual"]), float(new[name]["residual"])
+        if a == b:
+            return 0.0
+        rel = abs(b - a) / abs(a) if a else math.inf
+        return math.inf if math.isnan(rel) else rel
+
+    worst = max(common, key=rel_change, default=None)
+    if worst is None or not rel_change(worst):
+        lines.append("no residual changed")
+    else:
+        lines.append(f"largest relative residual change: {rel_change(worst):.3g} in {worst} "
+                     f"({old[worst]['residual']!r} -> {new[worst]['residual']!r})")
+    return lines
+
+
 def main(argv):
     if len(argv) != 2:
         raise SystemExit(__doc__)
@@ -58,6 +98,9 @@ def main(argv):
             print(f"N={n_sites} seed={seed} suites={'+'.join(suites)}: "
                   f"{'identical' if same else 'differs'} "
                   f"(exit {parent[0]} parent, {change[0]} change)", flush=True)
+            if not same:
+                for line in differences(parent, change):
+                    print(f"    {line}", flush=True)
     return 1 if differ else 0
 
 
