@@ -34,6 +34,15 @@ def _check_sizes(n_sites, cutoff):
         raise ParameterDomainError(f"Fock cutoff must be integral, got {cutoff!r}")
 
 
+def _fock_cutoff(cutoff) -> int:
+    """The Fock cutoff as an int once it passes the rule ChainParams applies:
+    integral (_check_sizes) and at least 2."""
+    _check_sizes(0, cutoff)
+    if cutoff < 2:
+        raise ParameterDomainError(f"Fock cutoff must be >= 2, got {cutoff!r}")
+    return int(cutoff)
+
+
 @dataclass(frozen=True)
 class ChainParams:
     """Full parameter pack for one chain.
@@ -83,9 +92,7 @@ class ChainParams:
             raise ParameterDomainError(
                 f"|xi*xitilde| = {abs(self.xi * self.xitilde):.3e} must stay below "
                 f"|q|^(2N) = {abs(q) ** (2 * self.n_sites):.3e} for the trace to converge")
-        if int(self.cutoff) < 2:
-            raise ParameterDomainError("Fock cutoff must be >= 2")
-        object.__setattr__(self, "cutoff", int(self.cutoff))
+        object.__setattr__(self, "cutoff", _fock_cutoff(self.cutoff))
         if rho ** self.cutoff >= self.tol / 10.0:
             raise ParameterDomainError(
                 f"cutoff {self.cutoff} cannot certify tail ratio {rho:.3f} down to tol/10")
@@ -306,17 +313,17 @@ def _certified_sum(levels, d: int, rho_theory: float, j_min: int, tol_eff: float
 def transfer_w(z: complex, params: ChainParams, cutoff=None) -> np.ndarray:
     """Fock-auxiliary transfer matrix via the overflow-safe certified trace.
 
-    The two half rows are built as charge blocks (one 2^N x 2^N block per
-    column level, the row level fixed by the spins), grown site by site at
-    about (4/3) J 4^N each instead of dense (J 2^N)^3 products.  Level j of the trace pairs the left
-    half row at row level j and spins (r, t), whose column level is
-    k = j + m(r) - m(t) with m the down count, with the right half row at
-    column level j; the result is block diagonal in S^z, one matmul per
-    sector.  The two boundary diagonals are paired level by level in log
-    space, which keeps every materialized block bounded; the level sum is cut
-    once the geometric tail certificate clears tol/10.
+    Both half rows are charge blocks grown site by site at about (4/3) J 4^N
+    each, instead of dense (J 2^N)^3 products: the right one by column level,
+    the left one P by row level, X[j, r, t] = P[(j, r), (j + m(r) - m(t), t)]
+    (m the down count), which are the column-level blocks of
+    P^T = F_N^T .. F_1^T with the spin axes swapped.  Level j pairs X[j] with
+    the right half row at column level j, one matmul per S^z sector, and the
+    two boundary diagonals in log space, which keeps every materialized block
+    bounded; the level sum is cut once the geometric tail certificate clears
+    tol/10.
     """
-    J = int(cutoff or params.cutoff)
+    J = params.cutoff if cutoff is None else _fock_cutoff(cutoff)
     n = params.n_sites
     d = 2 ** n
     z = complex(z)
@@ -331,26 +338,16 @@ def transfer_w(z: complex, params: ChainParams, cutoff=None) -> np.ndarray:
     def site_op(w):
         return l_matrix(w, 1.0, params.q, J)
 
-    # spin basis sorted by down count, so each S^z sector is one index range
+    # rows of X[j] and columns of Y[j] go in down-count order, so S^z sector m
+    # is one index range, whose rows of X[j] take the paired weights w[wsel[m]]
     down = tc.index_sums((2,) * n)
     order = np.argsort(down, kind="stable")
-    down = down[order]
-    edges = np.searchsorted(down, np.arange(n + 2))
-    sectors = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
-    shift = down[:, None] - down[None, :]
-
-    def sorted_half_row(right):
-        return tc.charge_product(_half_row(site_op, z, params, 0, sites, right),
-                                 shape)[:, order[:, None], order]
-
-    # the left half row re-indexed by row level: X[j, r, t] sits at column level j + shift[r, t]
-    left = sorted_half_row(False)
-    X = np.zeros_like(left)
-    for o in range(-n, n + 1):
-        lo, hi, mask = max(0, -o), min(J, J - o), shift == o
-        X[lo:hi, mask] = left[lo + o:hi + o, mask]
-    del left
-    Y = sorted_half_row(True)
+    sizes = np.bincount(down)
+    sectors = [slice(hi - size, hi) for hi, size in zip(np.cumsum(sizes), sizes)]
+    wsel = n + np.arange(n + 1)[:, None] - down
+    left_t = [(x.T, 0, s) for x, _, s in _half_row(site_op, z, params, 0, sites)][::-1]
+    X = tc.charge_product(left_t, shape).transpose(0, 2, 1)
+    Y = tc.charge_product(_half_row(site_op, z, params, 0, sites, right=True), shape)
 
     def levels():
         for j in range(J):
@@ -361,10 +358,10 @@ def transfer_w(z: complex, params: ChainParams, cutoff=None) -> np.ndarray:
                     raise OverflowGuardError(
                         f"paired boundary weight at levels ({j}, {k}) exceeds floating range")
                 w[n + k - j] = ktw.mantissa[j] * kw.mantissa[k] * math.exp(lg)
-            xw = X[j] * w[n + shift]
+            xw, yj = X[j, order] * np.repeat(w[wsel], sizes, axis=0), Y[j][:, order]
             s_j = np.zeros((d, d), dtype=complex)
             for R in sectors:
-                s_j[R, R] = xw[R] @ Y[j, :, R]
+                s_j[R, R] = xw[R] @ yj[:, R]
             yield s_j
 
     out = _certified_sum(levels(), d, params.tail_ratio, 2 * n + 2, params.tol / 10.0,
@@ -468,7 +465,7 @@ def closed_transfer_w(z: complex, params: ChainParams, cutoff=None) -> np.ndarra
     entries of block j between equal down counts, whose row level is j.
     """
     zeta = _require_twist(params)
-    J = int(cutoff or params.cutoff)
+    J = params.cutoff if cutoff is None else _fock_cutoff(cutoff)
     n = params.n_sites
     d = 2 ** n
     rho_theory = abs(zeta) * abs(params.q) ** (-n)

@@ -603,11 +603,13 @@ def check_closed_chain(params: ch.ChainParams, seed: int = 0):
 def spectral_records(params: ch.ChainParams, seed: int, samples):
     """The joint spectrum (SpectrumRecords) both spectral suites read, at a probe
     drawn from seed and at samples: a count of points drawn clear of the
-    exclusion set, or a tuple of points.  Memoized on the arguments as passed,
-    so pass them positionally everywhere."""
+    exclusion set, or a tuple of points, at least one either way.  Memoized on
+    the arguments as passed, so pass them positionally everywhere."""
     z_probe = _tq_point(np.random.default_rng(seed), params)
     z_samples = ([complex(z) for z in samples] if isinstance(samples, tuple)
                  else bt.spectrum_nodes(params, seed + 11, samples))
+    if not z_samples:
+        raise QBaxterError(f"the spectral suites need at least one sample point, got {samples!r}")
     for z in z_samples:
         if ch.in_exclusion_set(z, params):
             raise QBaxterError(f"requested sample point {z:.6f} lies in the exclusion set")

@@ -225,6 +225,14 @@ class TestTransferW:
         b = ch.transfer_w(z, params2, cutoff=params2.cutoff + 5)
         assert tc.rel_err(a, b) < params2.tol
 
+    @pytest.mark.parametrize("fn", [ch.transfer_w, ch.q_operator, ch.closed_transfer_w,
+                                    ch.closed_q])
+    @pytest.mark.parametrize("cutoff", [0, 1, 12.7])
+    def test_bad_cutoff_override_rejected(self, params2, fn, cutoff):
+        # an override is held to the rule ChainParams applies, never replaced or truncated
+        with pytest.raises(ParameterDomainError, match="cutoff"):
+            fn(0.86 + 0.27j, params2, cutoff=cutoff)
+
     def test_q_operator_weighting(self, params2):
         z = 0.78 + 0.33j
         w = ch.spin_weights(params2.n_sites, z ** 2, 1.0)

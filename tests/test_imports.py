@@ -1,5 +1,6 @@
 """Every name a package module imports, and every parameter a function or
-lambda of it takes, is used in that module."""
+lambda of it takes, is used in that module; every module-level private name
+of the package is read somewhere in it."""
 
 import ast
 import pathlib
@@ -38,6 +39,34 @@ def unused_parameters(source):
     return out
 
 
+def private_definitions(tree):
+    """Module-level private names (_name, not __name__) that a def, class or
+    assignment of the module binds."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def unread_private_names(sources):
+    """"module:name" for each module-level private name of the given
+    {module: source} that no module reads, as a name or as an attribute."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                read.add(n.attr)
+    return [f"{module}:{name}" for module, tree in trees.items()
+            for name in private_definitions(tree) if name not in read]
+
+
 def test_modules_found():
     assert len(MODULES) >= 8
 
@@ -57,3 +86,15 @@ def test_unused_parameter_detector():
               "    b = 2\n"
               "    return (lambda x, y: a + x)(c, d)\n")
     assert unused_parameters(source) == ["f:b", "f:e", "lambda:y"]
+
+
+def test_no_unread_private_names():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    assert sum(len(private_definitions(ast.parse(s))) for s in sources.values()) >= 30
+    assert unread_private_names(sources) == []
+
+
+def test_unread_private_name_detector():
+    sources = {"a": "_K = 1\n_L: int = 2\n__all__ = []\ndef _f(): return _K\nclass _C: pass\n",
+               "b": "from . import a\nx = a._C\n"}
+    assert unread_private_names(sources) == ["a:_L", "a:_f"]

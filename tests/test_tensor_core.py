@@ -212,16 +212,40 @@ class TestChargeProduct:
         assert prod.shape == (4, 6, 6)
         assert all(np.array_equal(block, tc.identity(6)) for block in prod)
 
+    # (dims, sites of the factors in order)
+    DENSE_CASES = [((5, 2, 3), (2, 1, 2)),
+                   ((4, 2, 3, 2), (1, 3)),  # site 2 untouched
+                   ((4, 2, 3, 2), (3, 1)),  # site 2 untouched, visited from the right
+                   ((2, 4, 3), (1, 2, 1))]  # level shifts beyond the two levels
+
     def test_matches_dense_product(self):
-        # (dims, sites of the factors in order)
-        cases = [((5, 2, 3), (2, 1, 2)),
-                 ((4, 2, 3, 2), (1, 3)),  # site 2 untouched
-                 ((4, 2, 3, 2), (3, 1)),  # site 2 untouched, visited from the right
-                 ((2, 4, 3), (1, 2, 1))]  # level shifts beyond the two levels
-        for dims, sites in cases:
+        for dims, sites in self.DENSE_CASES:
             rng = np.random.default_rng(13)
             factors = [(charge_factor(rng, dims[0], dims[n]), 0, n) for n in sites]
             assert_charge_blocks_match_dense(factors, dims)
+
+    def test_transposed_reversed_factors_give_row_level_blocks(self):
+        # blocks of P^T = F_k^T .. F_1^T by column level, spin axes swapped, are
+        # the blocks of P by row level: X[j, r, t] = P[(j, r), (j + m(r) - m(t), t)]
+        for dims, sites in self.DENSE_CASES:
+            rng = np.random.default_rng(13)
+            factors = [(charge_factor(rng, dims[0], dims[n]), 0, n) for n in sites]
+            J, d = dims[0], tc.total_dim(dims[1:])
+            X = tc.charge_product([(x.T, 0, n) for x, _, n in factors[::-1]], dims)
+            X = X.transpose(0, 2, 1)
+            dense = tc.ordered_product(factors, dims).reshape(J, d, J, d)
+            m = tc.index_sums(dims[1:])
+            expected = np.zeros_like(X)
+            for j in range(J):
+                for r in range(d):
+                    for t in range(d):
+                        col = j + m[r] - m[t]
+                        if 0 <= col < J:
+                            expected[j, r, t] = dense[j, r, col, t]
+                        else:
+                            assert X[j, r, t] == 0.0
+            assert np.count_nonzero(expected) > J * d
+            assert_allclose(X, expected, rtol=1e-13, atol=1e-12)
 
     def test_one_site_diagonal_factor_matches_dense_product(self):
         # (dims, sites of the factors in order, None for the diagonal one-site factor)

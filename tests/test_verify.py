@@ -152,6 +152,14 @@ def test_sampler_exhaustion_is_typed(suite):
         vf.run_suite(suite, p, 3)
 
 
+@pytest.mark.parametrize("suite", ["spectrum", "bethe"])
+@pytest.mark.parametrize("samples", [0, -2, ()], ids=["zero", "negative", "empty-tuple"])
+def test_spectral_suites_reject_no_samples(params, suite, samples):
+    # with no sample point the eigen-residual and interpolation checks would be vacuous
+    with pytest.raises(QBaxterError, match="at least one sample point"):
+        vf.run_suite(suite, params, 3, samples)
+
+
 def test_run_suite_gives_every_suite_a_list(params):
     for suite in vf.SUITES:
         out = vf.run_suite(suite, params, 3, 2)

@@ -10,10 +10,15 @@ for byte, and the exit codes as they are.  One line per configuration says
 `identical` or `differs` with both exit codes.  Under a configuration that
 differs, indented lines name the checks added or removed, the pass flags that
 flipped and the largest relative residual change |r_change - r_parent| / r_parent
-over the checks both reports hold.  The exit status is 1 when any
-configuration differs, else 0.  Needs only the standard library.
+over the checks both reports hold.  When the spectrum CSVs differ, one more
+line gives the largest change of a `tv` or `q` value, |change - parent| /
+max(1, |parent|) over the complex values of rows with equal keys (sector,
+record index, z), or says that the row keys differ.  The exit status is 1 when
+any configuration differs, else 0.  Needs only the standard library.
 """
 
+import csv
+import io
 import json
 import math
 import os
@@ -48,12 +53,35 @@ def run_cli(src, tmp, n_sites, seed, suites):
     return proc.returncode, data, csv_path.read_bytes() if csv_path.exists() else None
 
 
+def csv_difference(parent, change):
+    """One line sizing the difference of two spectrum CSVs (bytes or None)."""
+    if parent is None or change is None:
+        return f"spectrum CSV written by the {'change' if parent is None else 'parent'} only"
+    old, new = (list(csv.DictReader(io.StringIO(data.decode("utf-8"))))
+                for data in (parent, change))
+    key = ("sector", "record_index", "z_re", "z_im")
+    if [[row[k] for k in key] for row in old] != [[row[k] for k in key] for row in new]:
+        return "spectrum CSV differs: the row keys (sector, record index, z) differ"
+
+    def change_of(a, b, column):
+        was, now = (complex(float(row[f"{column}_re"]), float(row[f"{column}_im"]))
+                    for row in (a, b))
+        rel = abs(now - was) / max(1.0, abs(was))
+        return math.inf if math.isnan(rel) else rel
+
+    worst, where = max(((change_of(a, b, column), f"{column} of row {index + 1}")
+                        for index, (a, b) in enumerate(zip(old, new)) for column in ("tv", "q")),
+                       default=(0.0, "no row"))
+    return (f"spectrum CSV differs: largest tv/q change |change - parent| / max(1, |parent|) "
+            f"= {worst:.3g} in {where}")
+
+
 def differences(parent, change):
     """Lines saying how the change's run differs from the parent's, each a
     (exit code, report, CSV) triple from run_cli."""
     lines = []
     if parent[2] != change[2]:
-        lines.append("spectrum CSV differs")
+        lines.append(csv_difference(parent[2], change[2]))
     if parent[1] is None or change[1] is None:
         if parent[1] is not change[1]:
             lines.append(f"report written by the {'change' if parent[1] is None else 'parent'} only")
