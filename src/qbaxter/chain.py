@@ -349,15 +349,17 @@ def transfer_w(z: complex, params: ChainParams, cutoff=None) -> np.ndarray:
     X = tc.charge_product(left_t, shape).transpose(0, 2, 1)
     Y = tc.charge_product(_half_row(site_op, z, params, 0, sites, right=True), shape)
 
+    # kw levels j - n .. j + n, paired with ktw level j, are [j:j + 2n + 1] once padded
+    kw_mant, kw_log = np.pad(kw.mantissa, n), np.pad(kw.log_mag, n, constant_values=-np.inf)
+
     def levels():
         for j in range(J):
-            w = np.zeros(2 * n + 1, dtype=complex)
-            for k in range(max(0, j - n), min(J, j + n + 1)):
-                lg = ktw.log_mag[j] + kw.log_mag[k]
-                if lg > _LOG_HUGE:
-                    raise OverflowGuardError(
-                        f"paired boundary weight at levels ({j}, {k}) exceeds floating range")
-                w[n + k - j] = ktw.mantissa[j] * kw.mantissa[k] * math.exp(lg)
+            lg = ktw.log_mag[j] + kw_log[j:j + 2 * n + 1]
+            if lg.max() > _LOG_HUGE:
+                k = j - n + int(np.argmax(lg > _LOG_HUGE))
+                raise OverflowGuardError(
+                    f"paired boundary weight at levels ({j}, {k}) exceeds floating range")
+            w = ktw.mantissa[j] * kw_mant[j:j + 2 * n + 1] * np.exp(lg)
             xw, yj = X[j, order] * np.repeat(w[wsel], sizes, axis=0), Y[j][:, order]
             s_j = np.zeros((d, d), dtype=complex)
             for R in sectors:

@@ -12,17 +12,26 @@ import numpy as np
 
 from . import tensor_core as tc
 from .errors import ParameterDomainError
-from .qoscillator import osc_a, osc_adag, osc_fd, q_power_d, validate_cutoff
+from .qoscillator import q_powers, validate_cutoff
 
 
-def _wv_blocks(b00, b01, b10, b11) -> np.ndarray:
-    """Assemble an operator on W (x) V from its four W-valued blocks."""
-    J = b00.shape[0]
-    out = np.zeros((J, 2, J, 2), dtype=complex)
-    out[:, 0, :, 0] = b00
-    out[:, 0, :, 1] = b01
-    out[:, 1, :, 0] = b10
-    out[:, 1, :, 1] = b11
+def _wv_bands(b00, b01, b10, b11, shift: int) -> np.ndarray:
+    """Assemble an operator on W (x) V from its four W-blocks, each one level band
+    of J entries listed from the top.
+
+    b00 and b11 are the diagonals of their blocks.  b01 is the band of its
+    block whose row level is the column level plus shift (the sub-diagonal for
+    shift = 1, the super-diagonal for shift = -1), b10 the opposite band of its
+    block; the last entry of each of these two falls outside the truncation.
+    """
+    J = len(b00)
+    out = np.zeros(4 * J * J, dtype=complex)
+    # entry (w^l (x) v^a, w^c (x) v^b) sits at 4 J l + 2 J a + 2 c + b, so a
+    # band is one slice of stride 4 J + 2, starting 4 J later below the diagonal
+    below, above = (4 * J, 2) if shift > 0 else (2, 4 * J)
+    for start, band in ((0, b00), (1 + below, b01[:-1]), (2 * J + above, b10[:-1]),
+                        (2 * J + 1, b11)):
+        out[start::4 * J + 2][:len(band)] = band
     return out.reshape(2 * J, 2 * J)
 
 
@@ -49,19 +58,11 @@ def r_tilde(z: complex, q: complex) -> np.ndarray:
     return np.linalg.inv(scalar * r_matrix(q * q * z, q))
 
 
-def _ladder(q: complex, J: int):
-    """The truncated a, adag, q^D and q^(-D) shared by the L-variants."""
-    return osc_a(J), osc_adag(q, J), q_power_d(q, J, 1), q_power_d(q, J, -1)
-
-
 def l_matrix(z: complex, r: complex, q: complex, J: int) -> np.ndarray:
     """L-operator on W (x) V."""
-    a, adag, qd, qmd = _ladder(q, J)
-    b00 = r * qd
-    b01 = -(z / q) * (adag @ qmd)
-    b10 = -q * z * r * (a @ qd)
-    b11 = osc_fd(lambda j: (1.0 - q ** (2 * (j + 1)) * z * z) * q ** (-j), J)
-    return _wv_blocks(b00, b01, b10, b11)
+    p = q_powers(q, validate_cutoff(J))
+    return _wv_bands(b00=r * p(0), b01=-(z / q) * ((1.0 - p(2, 2)) * p(0, -1)),
+                     b10=-q * z * r * p(1), b11=(1.0 - p(2, 2) * z * z) * p(0, -1), shift=1)
 
 
 def l_inverse(z: complex, r: complex, q: complex, J: int) -> np.ndarray:
@@ -69,15 +70,13 @@ def l_inverse(z: complex, r: complex, q: complex, J: int) -> np.ndarray:
 
     Singular at z^2 = 1.
     """
-    a, adag, qd, qmd = _ladder(q, J)
+    p = q_powers(q, validate_cutoff(J))
     if abs(z * z - 1.0) < 1e-12:
         raise ParameterDomainError("L-operator is not invertible at z^2 = 1")
     s = 1.0 / (1.0 - z * z)
-    b00 = (s / r) * osc_fd(lambda j: (1.0 - q ** (2 * j) * z * z) * q ** (-j), J)
-    b01 = (s * z / (q * r)) * (qmd @ adag)
-    b10 = s * q * z * (qd @ a)
-    b11 = s * qd
-    return _wv_blocks(b00, b01, b10, b11)
+    return _wv_bands(b00=(s / r) * ((1.0 - p(0, 2) * z * z) * p(0, -1)),
+                     b01=(s * z / (q * r)) * (p(-1, -1) * (1.0 - p(2, 2))),
+                     b10=s * q * z * p(0), b11=s * p(0), shift=1)
 
 
 def l_transpose2(z: complex, r: complex, q: complex, J: int) -> np.ndarray:
@@ -87,15 +86,13 @@ def l_transpose2(z: complex, r: complex, q: complex, J: int) -> np.ndarray:
 
 def l_transpose2_inverse(z: complex, r: complex, q: complex, J: int) -> np.ndarray:
     """Closed-form inverse of l_transpose2; singular at z^2 = q^{-2}."""
-    a, adag, qd, qmd = _ladder(q, J)
+    p = q_powers(q, validate_cutoff(J))
     if abs(q * q * z * z - 1.0) < 1e-12:
         raise ParameterDomainError("partial transpose of L is not invertible at q^2 z^2 = 1")
     s = 1.0 / (1.0 - q * q * z * z)
-    b00 = (s / r) * osc_fd(lambda j: (1.0 - q ** (2 * (j + 2)) * z * z) * q ** (-j), J)
-    b01 = s * q * q * z * (a @ qd)
-    b10 = (s * z / r) * (adag @ qmd)
-    b11 = s * qd
-    return _wv_blocks(b00, b01, b10, b11)
+    return _wv_bands(b00=(s / r) * ((1.0 - p(4, 2) * z * z) * p(0, -1)),
+                     b01=s * q * q * z * p(1), b10=(s * z / r) * ((1.0 - p(2, 2)) * p(0, -1)),
+                     b11=s * p(0), shift=-1)
 
 
 def l_tilde(z: complex, r: complex, q: complex, J: int) -> np.ndarray:

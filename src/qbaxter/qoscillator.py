@@ -8,7 +8,9 @@ governed by tail certificates, not by the boundary row.
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,10 +22,23 @@ _LOG_HUGE = 700.0
 
 
 def validate_cutoff(J: int) -> int:
-    J = int(J)
-    if J < 2:
-        raise ValueError(f"Fock cutoff must be >= 2, got {J}")
-    return J
+    """J as an int, once it is an integer (numpy's too, not a bool) of at least 2."""
+    if isinstance(J, bool) or not isinstance(J, numbers.Integral) or J < 2:
+        raise ValueError(f"Fock cutoff must be an integer >= 2, got {J!r}")
+    return int(J)
+
+
+@functools.lru_cache(maxsize=16, typed=True)
+def q_powers(q: complex, J: int):
+    """The run p(a, b, n=J) = [q ** (a + b j) for j in range(n)], for exponents
+    -2J .. 2J + 2, as a read-only slice of a per-(q, J) table of Python's q ** k.
+
+    The level bands and boundary diagonals are pinned to Python's power, which
+    rounds differently from numpy's.
+    """
+    table = np.array([q ** k for k in range(-2 * J, 2 * J + 3)], dtype=complex)
+    table.setflags(write=False)
+    return lambda a, b=1, n=J: table[2 * J + a::b][:n]
 
 
 def osc_a(J: int) -> np.ndarray:
@@ -151,24 +166,16 @@ class FockDiagonal:
         return np.diag(self.diagonal())
 
 
-def _accumulate_diagonal(factors) -> FockDiagonal:
-    """Running product of per-level factors, renormalized into (mantissa, log) form."""
-    mant = []
-    logs = []
-    m = 1.0 + 0.0j
-    s = 0.0
-    for fac in factors:
-        mag = abs(fac)
-        if mag == 0.0:
-            m, s = 0.0 + 0.0j, 0.0
-        elif m == 0.0:
-            pass  # once a level vanishes, everything above it stays zero
-        else:
-            m *= fac / mag
-            s += math.log(mag)
-        mant.append(m)
-        logs.append(s)
-    return FockDiagonal(np.array(mant, dtype=complex), np.array(logs, dtype=float))
+def _accumulate_diagonal(factors: np.ndarray) -> FockDiagonal:
+    """Running product of per-level factors, renormalized into (mantissa, log) form;
+    from the first vanishing factor on, every level is zero (mantissa 0, log 0)."""
+    mag = np.abs(factors)
+    live = mag.size if np.count_nonzero(mag) == mag.size else int((mag == 0.0).argmax())
+    mant = np.zeros(mag.size, dtype=complex)
+    logs = np.zeros(mag.size)
+    np.multiply.accumulate(factors[:live] / mag[:live], out=mant[:live])
+    np.add.accumulate(np.log(mag[:live]), out=logs[:live])
+    return FockDiagonal(mant, logs)
 
 
 def kw_diagonal(z: complex, r: complex, xi: complex, q: complex, J: int) -> FockDiagonal:
@@ -178,13 +185,8 @@ def kw_diagonal(z: complex, r: complex, xi: complex, q: complex, J: int) -> Fock
     level-0 entry is 1.  Entries grow like |q|^{-j^2}, hence the log bookkeeping.
     """
     J = validate_cutoff(J)
-
-    def factors():
-        yield 1.0 + 0.0j
-        for j in range(1, J):
-            yield (q / r) * (z * z - q ** (-2 * j) * xi)
-
-    return _accumulate_diagonal(factors())
+    steps = (q / r) * (z * z - q_powers(q, J)(-2, -2, J - 1) * xi)
+    return _accumulate_diagonal(np.concatenate(([1.0], steps)))
 
 
 def ktw_diagonal(z: complex, r: complex, xitilde: complex, q: complex, J: int) -> FockDiagonal:
@@ -194,19 +196,13 @@ def ktw_diagonal(z: complex, r: complex, xitilde: complex, q: complex, J: int) -
     Raises if z^2 sits on one of the poles q^{-2k} / xitilde, k >= 1.
     """
     J = validate_cutoff(J)
-
-    def factors():
-        den0 = 1.0 - q * q * xitilde * z * z
-        _check_pole(den0, 1)
-        yield 1.0 / den0
-        for j in range(1, J):
-            den = 1.0 - q ** (2 * (j + 1)) * xitilde * z * z
-            _check_pole(den, j + 1)
-            yield q ** (2 * j - 1) * r * (-xitilde) / den
-
-    def _check_pole(den, k):
-        if abs(den) < 1e-13 * (1.0 + abs(q ** (2 * k) * xitilde * z * z)):
-            raise ExclusionPointError(
-                f"z^2 within roundoff of the pole q^(-2{k}) / xitilde of the left boundary matrix")
-
-    return _accumulate_diagonal(factors())
+    p = q_powers(q, J)
+    pole = p(2, 2) * xitilde * z * z
+    den = 1.0 - pole
+    near = np.abs(den) < 1e-13 * (1.0 + np.abs(pole))
+    if near.any():
+        k = int(np.argmax(near)) + 1
+        raise ExclusionPointError(
+            f"z^2 within roundoff of the pole q^({-2 * k}) / xitilde of the left boundary matrix")
+    factors = np.concatenate(([1.0], p(1, 2, J - 1) * r * (-xitilde)))
+    return _accumulate_diagonal(factors / den)

@@ -139,7 +139,7 @@ def _widen(prod, x, pre, post):
     out = np.empty((J, pre, dn, post, pre, dn, post), dtype=complex)
     for b, a, cols, src, coef in _level_shifts(x):
         block = out[:, :, b, :, :, a, :]
-        if not np.any(coef):
+        if not coef.any():
             block[...] = 0.0
             continue
         block[:cols.start] = 0.0
@@ -157,7 +157,7 @@ def _revisit(prod, x, pre, post):
     old = prod.reshape(J, k, pre, dn, post)
     out = np.zeros_like(old)
     for b, a, cols, src, coef in _level_shifts(x):
-        if np.any(coef):
+        if coef.any():
             out[cols, :, :, a, :] += old[src, :, :, b, :] * coef[:, None, None, None]
     return out.reshape(J, k, k)
 
@@ -195,6 +195,8 @@ def charge_product(factors, shape) -> np.ndarray:
         carried.add(n)
         return _widen(prod, x, pre, post)
 
+    charges = {dn: np.add.outer(np.arange(J), np.arange(dn)) for dn in set(dims[1:])}
+    off_charge = {dn: np.not_equal.outer(charge, charge) for dn, charge in charges.items()}
     prod = np.ones((J, 1, 1), dtype=complex)
     for x, m, *rest in factors:
         if m != 0 or rest and not 0 < rest[0] < len(dims):
@@ -210,8 +212,7 @@ def charge_product(factors, shape) -> np.ndarray:
         if x.shape != (J * dn, J * dn):
             raise ValueError(f"operator shape {x.shape} does not match sites of dims ({J}, {dn})")
         x = x.reshape(J, dn, J, dn)
-        charge = np.add.outer(np.arange(J), np.arange(dn))
-        if np.any(x[np.not_equal.outer(charge, charge)]):
+        if x[off_charge[dn]].any():
             raise ValueError("charge factor does not conserve site-0 level + site-n index")
         prod = times(prod, x, n)
     for n in range(1, len(dims)):

@@ -8,9 +8,14 @@ from numpy.testing import assert_allclose
 
 from qbaxter import chain as ch
 from qbaxter import tensor_core as tc
-from qbaxter.errors import ExclusionPointError, ParameterDomainError, TailCertificateError
+from qbaxter.errors import (
+    ExclusionPointError,
+    OverflowGuardError,
+    ParameterDomainError,
+    TailCertificateError,
+)
 from qbaxter.lattice_ops import ktv_matrix, kv_matrix, l_matrix, r_matrix
-from qbaxter.qoscillator import kw_diagonal, ktw_diagonal
+from qbaxter.qoscillator import FockDiagonal, kw_diagonal, ktw_diagonal
 
 
 @pytest.fixture(scope="module")
@@ -232,6 +237,27 @@ class TestTransferW:
         # an override is held to the rule ChainParams applies, never replaced or truncated
         with pytest.raises(ParameterDomainError, match="cutoff"):
             fn(0.86 + 0.27j, params2, cutoff=cutoff)
+
+    def test_overflow_guard_only_at_reached_levels(self, params2, monkeypatch):
+        # one kw level pushed beyond double range; the sum certifies after
+        # 25 levels, so kw level 39 never enters a pairing window (levels
+        # j - N .. j + N), while kw level 5 first does at ktw level 3
+        z = 0.86 + 0.27j
+        clean = ch.transfer_w(z, params2)
+
+        def raise_kw_level(level):
+            def kw_with_huge_level(*args):
+                kw = kw_diagonal(*args)
+                log_mag = kw.log_mag.copy()
+                log_mag[level] += 800.0
+                return FockDiagonal(kw.mantissa, log_mag)
+            monkeypatch.setattr(ch, "kw_diagonal", kw_with_huge_level)
+
+        raise_kw_level(params2.cutoff - 1)
+        assert np.array_equal(ch.transfer_w(z, params2), clean)
+        raise_kw_level(5)
+        with pytest.raises(OverflowGuardError, match=r"levels \(3, 5\)"):
+            ch.transfer_w(z, params2)
 
     def test_q_operator_weighting(self, params2):
         z = 0.78 + 0.33j

@@ -125,6 +125,55 @@ class TestLOperator:
             assert np.abs(interior(prod - np.eye(2 * J), 2, 2, 3)).max() < 1e-10
 
 
+def dense_wv(b00, b01, b10, b11):
+    J = b00.shape[0]
+    out = np.zeros((J, 2, J, 2), dtype=complex)
+    out[:, 0, :, 0], out[:, 0, :, 1], out[:, 1, :, 0], out[:, 1, :, 1] = b00, b01, b10, b11
+    return out.reshape(2 * J, 2 * J)
+
+
+def dense_l_variants(z, r, q, J):
+    """L, its inverse and the inverse of its V-transpose from the dense ladder
+    matrices, as the closed forms are displayed."""
+    a, adag, qd, qmd = osc_a(J), osc_adag(q, J), q_power_d(q, J, 1), q_power_d(q, J, -1)
+    lm = dense_wv(r * qd, -(z / q) * (adag @ qmd), -q * z * r * (a @ qd),
+                  osc_fd(lambda j: (1.0 - q ** (2 * (j + 1)) * z * z) * q ** (-j), J))
+    s = 1.0 / (1.0 - z * z)
+    li = dense_wv((s / r) * osc_fd(lambda j: (1.0 - q ** (2 * j) * z * z) * q ** (-j), J),
+                  (s * z / (q * r)) * (qmd @ adag), s * q * z * (qd @ a), s * qd)
+    s = 1.0 / (1.0 - q * q * z * z)
+    lti = dense_wv((s / r) * osc_fd(lambda j: (1.0 - q ** (2 * (j + 2)) * z * z) * q ** (-j), J),
+                   s * q * q * z * (a @ qd), (s * z / r) * (adag @ qmd), s * qd)
+    return lm, li, lti
+
+
+class TestLevelBandOracle:
+    @pytest.mark.parametrize("cutoff", [2, 3, 40])
+    def test_against_dense_ladders(self, cutoff):
+        rng = np.random.default_rng(cutoff)
+        for _ in range(4):
+            q = (0.3 + 0.5 * rng.random()) * np.exp(2j * np.pi * rng.random())
+            z = (0.5 + rng.random()) * np.exp(2j * np.pi * rng.random())
+            r = (0.5 + rng.random()) * np.exp(2j * np.pi * rng.random())
+            banded = (l_matrix(z, r, q, cutoff), l_inverse(z, r, q, cutoff),
+                      l_transpose2_inverse(z, r, q, cutoff))
+            for got, want in zip(banded, dense_l_variants(z, r, q, cutoff)):
+                assert got.shape == (2 * cutoff, 2 * cutoff)
+                # each entry is a product of at most four rounded factors
+                assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("build", [l_matrix, l_inverse, l_transpose2_inverse, l_tilde, iota])
+    def test_fractional_cutoff_rejected(self, build):
+        args = (R, Q) if build is iota else (0.7 + 0.2j, R, Q)
+        for cutoff in (12.7, 2.5, 12.0, True, "7"):
+            with pytest.raises(ValueError, match="integer >= 2"):
+                build(*args, cutoff)
+
+    def test_numpy_integer_cutoff_accepted(self):
+        z = 0.7 + 0.2j
+        assert_allclose(l_matrix(z, R, Q, np.int64(12)), l_matrix(z, R, Q, 12), rtol=0, atol=0)
+
+
 class TestBoundaryMatrices:
     def test_kv_displays(self):
         z = 0.7 + 0.3j

@@ -17,6 +17,7 @@ from qbaxter.qoscillator import (
     phi21,
     pochhammer,
     q_power_d,
+    validate_cutoff,
 )
 
 Q = 0.57 + 0.13j
@@ -57,6 +58,16 @@ class TestLadderOperators:
     def test_cutoff_validation(self):
         with pytest.raises(ValueError):
             osc_a(1)
+
+    @pytest.mark.parametrize("cutoff", [2.5, 7.0, "7", True, np.float64(12.0), None])
+    def test_non_integer_cutoff_rejected(self, cutoff):
+        with pytest.raises(ValueError, match="integer >= 2"):
+            validate_cutoff(cutoff)
+
+    def test_integer_cutoffs_accepted(self):
+        for cutoff in (2, 40, np.int32(3), np.int64(40)):
+            assert validate_cutoff(cutoff) == int(cutoff)
+            assert type(validate_cutoff(cutoff)) is int
 
 
 class TestPochhammer:
@@ -189,6 +200,72 @@ class TestBoundaryDiagonals:
         kw = kw_diagonal(1.0, 1.0, 0.3, 0.3, 60)
         with pytest.raises(OverflowGuardError):
             kw.dense()
+
+
+def running_product(factors):
+    """Per-level (mantissa, log) of the running product, one Python step per
+    level; a vanishing factor zeroes its level and every level above it."""
+    mant, logs, m, s = [], [], 1.0 + 0.0j, 0.0
+    for fac in factors:
+        if abs(fac) == 0.0 or m == 0.0:
+            m, s = 0.0 + 0.0j, 0.0
+        else:
+            m *= fac / abs(fac)
+            s += math.log(abs(fac))
+        mant.append(m)
+        logs.append(s)
+    return np.array(mant), np.array(logs)
+
+
+def kw_factors(z, r, xi, q, size):
+    return [1.0] + [(q / r) * (z * z - q ** (-2 * j) * xi) for j in range(1, size)]
+
+
+def ktw_factors(z, r, xit, q, size):
+    dens = [1.0 - q ** (2 * (j + 1)) * xit * z * z for j in range(size)]
+    return [1.0 / dens[0]] + [q ** (2 * j - 1) * r * (-xit) / dens[j] for j in range(1, size)]
+
+
+class TestBoundaryDiagonalOracle:
+    @staticmethod
+    def assert_matches(diag, factors):
+        mant, logs = running_product(factors)
+        # one rounded multiply (mantissa) or add (log) per level
+        tol = 4 * len(factors) * np.finfo(float).eps
+        assert_allclose(diag.mantissa, mant, rtol=0.0, atol=tol)
+        assert_allclose(diag.log_mag, logs, rtol=tol, atol=tol)
+        assert np.array_equal(diag.mantissa == 0.0, mant == 0.0)
+
+    @pytest.mark.parametrize("size", [2, 3, 40])
+    def test_random_parameters(self, size):
+        rng = np.random.default_rng(size)
+        for _ in range(4):
+            q = (0.3 + 0.5 * rng.random()) * np.exp(2j * np.pi * rng.random())
+            z = (0.5 + rng.random()) * np.exp(2j * np.pi * rng.random())
+            r = (0.5 + rng.random()) * np.exp(2j * np.pi * rng.random())
+            xi, xit = 0.2 * np.exp(2j * np.pi * rng.random(2))
+            self.assert_matches(kw_diagonal(z, r, xi, q, size), kw_factors(z, r, xi, q, size))
+            self.assert_matches(ktw_diagonal(z, r, xit, q, size), ktw_factors(z, r, xit, q, size))
+
+    def test_factor_vanishing_mid_run(self):
+        # z^2 = q^(-6) xi exactly in floating point: the level-3 factor is zero
+        z, r, xi, q = 0.5, 1.2 - 0.3j, 0.25 / 64, 0.5
+        kw = kw_diagonal(z, r, xi, q, J)
+        assert np.all(kw.mantissa[:3] != 0.0) and np.all(kw.mantissa[3:] == 0.0)
+        assert np.all(kw.log_mag[3:] == 0.0)
+        self.assert_matches(kw, kw_factors(z, r, xi, q, J))
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_first_pole_named(self, k):
+        xit, r = 0.12 - 0.03j, 1.2 - 0.3j
+        z = np.sqrt(Q ** (-2 * k) / xit)
+        with pytest.raises(ExclusionPointError, match=rf"the pole q\^\({-2 * k}\) / xitilde"):
+            ktw_diagonal(z, r, xit, Q, J)
+
+    def test_fractional_cutoff_rejected(self):
+        for build in (kw_diagonal, ktw_diagonal):
+            with pytest.raises(ValueError, match="integer >= 2"):
+                build(0.83 + 0.19j, 1.0, 0.1, Q, 3.9)
 
 
 class TestFockDiagonal:
