@@ -14,6 +14,7 @@ import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import tensor_core as tc
 from .errors import (
@@ -30,7 +31,8 @@ def _check_sizes(n_sites, cutoff):
     """Reject a non-integer site count and a non-integral Fock cutoff."""
     if isinstance(n_sites, bool) or not isinstance(n_sites, numbers.Integral):
         raise ParameterDomainError(f"n_sites must be an integer, got {n_sites!r}")
-    if not float(cutoff).is_integer():
+    if (isinstance(cutoff, bool) or not isinstance(cutoff, numbers.Real)
+            or not float(cutoff).is_integer()):
         raise ParameterDomainError(f"Fock cutoff must be integral, got {cutoff!r}")
 
 
@@ -266,9 +268,24 @@ def transfer_v(z: complex, params: ChainParams) -> np.ndarray:
     return sum(_aux_trace_terms(monodromy_v_blocks(z, params), ktv, params.n_sites))
 
 
-def _certified_sum(levels, d: int, rho_theory: float, j_min: int, tol_eff: float,
-                   what: str) -> np.ndarray:
-    """Sum the d x d level terms until a geometric tail certificate clears tol_eff.
+# Largest stack the certified sum asks for, in entries of d x d level terms: one
+# level at N = 8, where uncapped stacks took 114-123 ms and 171 MB per Q (seed 0,
+# one BLAS thread) against 85-96 ms and 131 MB; every stack fits whole at N <= 5.
+_STACK_ENTRIES = 2 ** 16
+
+
+def _certified_sum(levels, sectors, J: int, rho_theory: float, j_min: int,
+                   tol_eff: float, what: str) -> np.ndarray:
+    """Sum the level terms 0 .. J - 1 until a geometric tail certificate clears
+    tol_eff.
+
+    The terms are block diagonal in S^z; sectors holds each sector's indices in
+    product order.  levels(j0, j1) returns levels j0 .. j1 - 1, or a nonempty
+    leading part of them, as one (k, D_m, D_m) stack per sector.  The first stack asked
+    for holds the j_min + 2 levels the rule needs before it can stop, each later
+    one the levels the certificate's own estimate still needs, at most
+    _STACK_ENTRIES entries of d x d terms.  A cumsum per stack adds in the order
+    of one level at a time.
 
     From level j_min on, the remainder after a level of norm s is estimated as
     s rho / (1 - rho), with rho the larger of rho_theory and the empirical
@@ -277,37 +294,44 @@ def _certified_sum(levels, d: int, rho_theory: float, j_min: int, tol_eff: float
     is a heuristic, not a proof: the estimate bounds the remainder only if the
     level norms decay at least geometrically at ratio rho from j_min on.
     """
+    d = sum(len(idx) for idx in sectors)
+    total = np.zeros(sum(len(idx) ** 2 for idx in sectors), dtype=complex)
+    prev_norm, calm, last_tail, scale, j0 = None, 0, math.inf, 1.0, 0
+    while j0 < J and calm < 2:
+        want = j_min + 2 - j0 if j0 < j_min else 2 - calm
+        if j0 >= j_min and 0.0 < last_tail < math.inf:
+            want += math.ceil(math.log(tol_eff * scale / last_tail) / math.log(rho))
+        stacks = levels(j0, min(J, j0 + max(1, min(_STACK_ENTRIES // d ** 2, want))))
+        k = len(stacks[0])
+        # row i holds the sector blocks of level j0 + i, then their running total
+        run = np.concatenate([s.reshape(k, -1) for s in stacks], axis=1,
+                             out=np.empty((k, len(total)), dtype=complex))
+        parts = run.view(np.float64)
+        norms = np.sqrt(np.einsum("ij,ij->i", parts, parts))
+        run[0] += total
+        np.cumsum(run, axis=0, out=run)
+        scales = np.maximum(1.0, np.sqrt(np.einsum("ij,ij->i", parts, parts)))
+        for i, norm in enumerate(norms.tolist()):
+            if j0 + i >= j_min:
+                scale = float(scales[i])
+                rho = max(rho_theory, norm / prev_norm) if prev_norm else rho_theory
+                last_tail = norm * rho / (1.0 - rho) if rho < 1.0 else math.inf
+                calm = calm + 1 if last_tail < tol_eff * scale else 0
+                if calm >= 2:
+                    break
+            prev_norm = norm
+        total = run[i]
+        j0 += k
+    # a sum through the full cutoff is certified by the same geometric bound
+    # applied at the top level
+    if calm < 2 and not last_tail < tol_eff * scale:
+        raise TailCertificateError(f"Fock cutoff {J} exhausted before the {what} cleared tol/10")
     out = np.zeros((d, d), dtype=complex)
-    prev_norm = None
-    calm = 0
-    last_tail = math.inf
-    summed = 0
-    for j, s_j in enumerate(levels):
-        summed = j + 1
-        out += s_j
-        norm = float(np.linalg.norm(s_j))
-        if j >= j_min:
-            rho = rho_theory
-            if prev_norm is not None and prev_norm > 0.0:
-                rho = max(rho, norm / prev_norm)
-            if rho < 1.0:
-                last_tail = norm * rho / (1.0 - rho)
-                if last_tail < tol_eff * max(1.0, float(np.linalg.norm(out))):
-                    calm += 1
-                    if calm >= 2:
-                        return out
-                else:
-                    calm = 0
-            else:
-                last_tail = math.inf
-                calm = 0
-        prev_norm = norm
-    # the full cutoff was summed; the same geometric bound applied at the top
-    # level still certifies the discarded remainder
-    if last_tail < tol_eff * max(1.0, float(np.linalg.norm(out))):
-        return out
-    raise TailCertificateError(
-        f"Fock cutoff {summed} exhausted before the {what} cleared tol/10")
+    hi = 0
+    for idx in sectors:  # each sector block into its product-order indices
+        lo, hi = hi, hi + len(idx) ** 2
+        out[idx[:, None], idx] = total[lo:hi].reshape(len(idx), len(idx))
+    return out
 
 
 def transfer_w(z: complex, params: ChainParams, cutoff=None) -> np.ndarray:
@@ -318,14 +342,15 @@ def transfer_w(z: complex, params: ChainParams, cutoff=None) -> np.ndarray:
     the left one P by row level, X[j, r, t] = P[(j, r), (j + m(r) - m(t), t)]
     (m the down count), which are the column-level blocks of
     P^T = F_N^T .. F_1^T with the spin axes swapped.  Level j pairs X[j] with
-    the right half row at column level j, one matmul per S^z sector, and the
-    two boundary diagonals in log space, which keeps every materialized block
-    bounded; the level sum is cut once the geometric tail certificate clears
-    tol/10.
+    the right half row at column level j and with the two boundary diagonals
+    in log space, which keeps every materialized block bounded.  A stack of
+    levels gathers its rows of X and columns of Y into down-count order, pairs
+    the weights in one vector op and makes one matmul per S^z sector; it ends
+    before the first level whose paired weight leaves floating range, which
+    raises OverflowGuardError only once the sum reaches it.
     """
     J = params.cutoff if cutoff is None else _fock_cutoff(cutoff)
     n = params.n_sites
-    d = 2 ** n
     z = complex(z)
     if in_exclusion_set(z, params):
         raise ExclusionPointError(
@@ -343,33 +368,33 @@ def transfer_w(z: complex, params: ChainParams, cutoff=None) -> np.ndarray:
     down = tc.index_sums((2,) * n)
     order = np.argsort(down, kind="stable")
     sizes = np.bincount(down)
-    sectors = [slice(hi - size, hi) for hi, size in zip(np.cumsum(sizes), sizes)]
+    slices = [slice(hi - size, hi) for hi, size in zip(np.cumsum(sizes), sizes)]
     wsel = n + np.arange(n + 1)[:, None] - down
     left_t = [(x.T, 0, s) for x, _, s in _half_row(site_op, z, params, 0, sites)][::-1]
     X = tc.charge_product(left_t, shape).transpose(0, 2, 1)
     Y = tc.charge_product(_half_row(site_op, z, params, 0, sites, right=True), shape)
 
-    # kw levels j - n .. j + n, paired with ktw level j, are [j:j + 2n + 1] once padded
-    kw_mant, kw_log = np.pad(kw.mantissa, n), np.pad(kw.log_mag, n, constant_values=-np.inf)
+    # kw levels j - n .. j + n, paired with ktw level j, are row j of the
+    # windows over kw padded by n on each side
+    window = 2 * n + 1
+    kw_mant = sliding_window_view(np.pad(kw.mantissa, n), window)
+    kw_log = sliding_window_view(np.pad(kw.log_mag, n, constant_values=-np.inf), window)
 
-    def levels():
-        for j in range(J):
-            lg = ktw.log_mag[j] + kw_log[j:j + 2 * n + 1]
-            if lg.max() > _LOG_HUGE:
-                k = j - n + int(np.argmax(lg > _LOG_HUGE))
-                raise OverflowGuardError(
-                    f"paired boundary weight at levels ({j}, {k}) exceeds floating range")
-            w = ktw.mantissa[j] * kw_mant[j:j + 2 * n + 1] * np.exp(lg)
-            xw, yj = X[j, order] * np.repeat(w[wsel], sizes, axis=0), Y[j][:, order]
-            s_j = np.zeros((d, d), dtype=complex)
-            for R in sectors:
-                s_j[R, R] = xw[R] @ yj[:, R]
-            yield s_j
+    def levels(j0, j1):
+        lg = ktw.log_mag[j0:j1, None] + kw_log[j0:j1]
+        huge = lg > _LOG_HUGE
+        fits = int(np.logical_and.accumulate(~huge.any(axis=1)).sum())
+        if fits == 0:
+            k = j0 - n + int(np.argmax(huge[0]))
+            raise OverflowGuardError(
+                f"paired boundary weight at levels ({j0}, {k}) exceeds floating range")
+        j1, lg = j0 + fits, lg[:fits]
+        w = ktw.mantissa[j0:j1, None] * kw_mant[j0:j1] * np.exp(lg)
+        x, y = X[j0:j1, order], Y[j0:j1][:, :, order]
+        return [x[:, R] * w[:, None, wsel[m]] @ y[:, :, R] for m, R in enumerate(slices)]
 
-    out = _certified_sum(levels(), d, params.tail_ratio, 2 * n + 2, params.tol / 10.0,
-                         "tail certificate")
-    inverse = np.argsort(order)
-    return out[inverse[:, None], inverse]
+    return _certified_sum(levels, [order[R] for R in slices], J, params.tail_ratio, 2 * n + 2,
+                          params.tol / 10.0, "tail certificate")
 
 
 def q_operator(z: complex, params: ChainParams, cutoff=None) -> np.ndarray:
@@ -464,12 +489,12 @@ def closed_transfer_w(z: complex, params: ChainParams, cutoff=None) -> np.ndarra
     """Twisted Fock trace of the single-row monodromy, with tail certificate.
 
     The monodromy is built as charge blocks; the trace at level j reads the
-    entries of block j between equal down counts, whose row level is j.
+    entries of block j between equal down counts, whose row level is j: one
+    gather per S^z sector and stack of levels.
     """
     zeta = _require_twist(params)
     J = params.cutoff if cutoff is None else _fock_cutoff(cutoff)
     n = params.n_sites
-    d = 2 ** n
     rho_theory = abs(zeta) * abs(params.q) ** (-n)
     tol_eff = params.tol / 10.0
     if rho_theory ** J >= tol_eff:
@@ -477,9 +502,19 @@ def closed_transfer_w(z: complex, params: ChainParams, cutoff=None) -> np.ndarra
             f"cutoff {J} cannot certify the closed-trace tail ratio {rho_theory:.3f} down to tol/10")
     factors = _half_row(lambda w: l_matrix(w, 1.0, params.q, J), z, params, 0,
                         range(1, n + 1), right=True)
-    levels = _aux_trace_terms(tc.charge_product(factors, (J,) + (2,) * n),
-                              [zeta ** j for j in range(J)], n)
-    return _certified_sum(levels, d, rho_theory, n + 2, tol_eff, "closed-trace tail certificate")
+    blocks = tc.charge_product(factors, (J,) + (2,) * n).reshape(J, -1)
+    down = tc.index_sums((2,) * n)
+    sectors = [np.flatnonzero(down == m) for m in range(n + 1)]
+    entries = [(idx[:, None] * len(down) + idx).ravel() for idx in sectors]
+
+    def levels(j0, j1):
+        # Python's power: numpy's zeta ** np.arange(J) rounds differently
+        weights = np.array([zeta ** j for j in range(j0, j1)])[:, None]
+        return [(weights * np.take(blocks[j0:j1], e, axis=1)).reshape(-1, len(idx), len(idx))
+                for e, idx in zip(entries, sectors)]
+
+    return _certified_sum(levels, sectors, J, rho_theory, n + 2, tol_eff,
+                          "closed-trace tail certificate")
 
 
 def closed_q(z: complex, params: ChainParams, cutoff=None) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Chain-level objects: monodromies, transfer matrices, traces, closed chain."""
 
 import cmath
+import math
 
 import numpy as np
 import pytest
@@ -72,6 +73,13 @@ class TestChainParams:
             ch.ChainParams(q=0.5, xi=0.1, xitilde=0.1, n_sites=1, t=(1.0,), cutoff=40.7)
         with pytest.raises(ParameterDomainError, match="cutoff"):
             ch.sample_params(2, seed=3, cutoff=40.7)
+
+    @pytest.mark.parametrize("cutoff", ["7", "50", True])
+    def test_string_and_bool_cutoff_rejected(self, cutoff):
+        with pytest.raises(ParameterDomainError, match="cutoff"):
+            ch.ChainParams(q=0.5, xi=0.1, xitilde=0.1, n_sites=1, t=(1.0,), cutoff=cutoff)
+        with pytest.raises(ParameterDomainError, match="cutoff"):
+            ch.sample_params(2, seed=1, cutoff=cutoff)
 
     def test_integral_float_cutoff_accepted(self):
         p = ch.ChainParams(q=0.5, xi=0.1, xitilde=0.1, n_sites=1, t=(1.0,), cutoff=41.0)
@@ -232,7 +240,7 @@ class TestTransferW:
 
     @pytest.mark.parametrize("fn", [ch.transfer_w, ch.q_operator, ch.closed_transfer_w,
                                     ch.closed_q])
-    @pytest.mark.parametrize("cutoff", [0, 1, 12.7])
+    @pytest.mark.parametrize("cutoff", [0, 1, 12.7, "7", "50", True])
     def test_bad_cutoff_override_rejected(self, params2, fn, cutoff):
         # an override is held to the rule ChainParams applies, never replaced or truncated
         with pytest.raises(ParameterDomainError, match="cutoff"):
@@ -259,6 +267,38 @@ class TestTransferW:
         with pytest.raises(OverflowGuardError, match=r"levels \(3, 5\)"):
             ch.transfer_w(z, params2)
 
+        # N = 5 sums its 31 levels in two stacks, levels 0-13 and 14-31.  kw
+        # level 36 first pairs with ktw level 31, which the second stack holds
+        # but the sum never reaches, so the stack ends before it and the result
+        # is unchanged; kw levels 35 and 25 pair with levels 30 and 20, which
+        # the sum reaches inside the second stack
+        p = ch.sample_params(5, seed=3, tol=1e-10)
+        monkeypatch.setattr(ch, "kw_diagonal", kw_diagonal)
+        clean = ch.transfer_w(z, p)
+        stacks = []
+        certified_sum = ch._certified_sum
+
+        def recording_sum(levels, *args):
+            def recorded(j0, j1):
+                out = levels(j0, j1)
+                stacks.append((j0, j1, len(out[0])))
+                return out
+            return certified_sum(recorded, *args)
+
+        monkeypatch.setattr(ch, "_certified_sum", recording_sum)
+        assert np.array_equal(ch.transfer_w(z, p), clean)
+        assert stacks == [(0, 14, 14), (14, 32, 18)]
+        stacks.clear()
+        raise_kw_level(36)
+        assert np.array_equal(ch.transfer_w(z, p), clean)
+        assert stacks == [(0, 14, 14), (14, 32, 17)]
+        for level, reached in ((35, 30), (25, 20)):
+            stacks.clear()
+            raise_kw_level(level)
+            with pytest.raises(OverflowGuardError, match=fr"levels \({reached}, {level}\)"):
+                ch.transfer_w(z, p)
+            assert stacks == [(0, 14, 14), (14, 32, reached - 14)]
+
     def test_q_operator_weighting(self, params2):
         z = 0.78 + 0.33j
         w = ch.spin_weights(params2.n_sites, z ** 2, 1.0)
@@ -266,9 +306,32 @@ class TestTransferW:
                         w[:, None] * ch.transfer_w(z, params2), atol=1e-15)
 
 
+def reference_sum(levels, rho_theory, j_min, tol_eff, what):
+    """The certified sum's stop rule, one level at a time: the geometric tail
+    estimate s rho / (1 - rho) from level j_min on, rho the larger of
+    rho_theory and the ratio of consecutive level norms, must clear tol_eff
+    relative to the running total on two consecutive levels."""
+    out, prev_norm, calm, last_tail = 0.0, None, 0, math.inf
+    for j, s_j in enumerate(levels):
+        out = out + s_j
+        norm = np.linalg.norm(s_j)
+        if j >= j_min:
+            rho = rho_theory
+            if prev_norm:
+                rho = max(rho, norm / prev_norm)
+            last_tail = norm * rho / (1.0 - rho) if rho < 1.0 else math.inf
+            calm = calm + 1 if last_tail < tol_eff * max(1.0, np.linalg.norm(out)) else 0
+            if calm >= 2:
+                return out
+        prev_norm = norm
+    if last_tail < tol_eff * max(1.0, np.linalg.norm(out)):
+        return out
+    raise TailCertificateError(f"Fock cutoff {j + 1} exhausted before the {what} cleared tol/10")
+
+
 def dense_traces(z, p):
     """transfer_w and closed_transfer_w from dense half products, the reference
-    for the charge-blocked trace: same level pairing, same certified sum."""
+    for the charge-blocked trace: same level pairing, same stop rule."""
     J, n, d = p.cutoff, p.n_sites, p.dim
     shape = (J,) + (2,) * n
     left = [(l_matrix(t * z, 1.0, p.q, J), 0, k + 1) for k, t in enumerate(p.t)]
@@ -280,10 +343,10 @@ def dense_traces(z, p):
     levels = (sum(ktw.mantissa[j] * kw.mantissa[k] * np.exp(ktw.log_mag[j] + kw.log_mag[k])
                   * (X[j, :, k, :] @ Y[k, :, j, :])
                   for k in range(max(0, j - n), min(J, j + n + 1))) for j in range(J))
-    tw = ch._certified_sum(levels, d, p.tail_ratio, 2 * n + 2, p.tol / 10.0, "reference")
+    tw = reference_sum(levels, p.tail_ratio, 2 * n + 2, p.tol / 10.0, "reference")
     rho = abs(p.zeta) * abs(p.q) ** (-n)
-    closed = ch._certified_sum((p.zeta ** j * Y[j, :, j, :] for j in range(J)), d, rho,
-                               n + 2, p.tol / 10.0, "closed reference")
+    closed = reference_sum((p.zeta ** j * Y[j, :, j, :] for j in range(J)), rho, n + 2,
+                           p.tol / 10.0, "closed reference")
     return tw, closed
 
 
@@ -300,6 +363,65 @@ class TestBandedTraceOracle:
             assert tc.rel_err(ch.q_operator(z, p), w_open * tw) < 1e-13
             assert tc.rel_err(ch.closed_transfer_w(z, p), closed) < 1e-13
             assert tc.rel_err(ch.closed_q(z, p), w_closed * closed) < 1e-13
+
+
+class TestCertifiedSumStacks:
+    """The certified sum gives the same bits whatever stacks its levels come in."""
+
+    @staticmethod
+    def at_most(size, monkeypatch):
+        """Let every stack the certified sum asks for hold at most size levels."""
+        certified_sum = ch._certified_sum
+
+        def limited_sum(levels, *args):
+            return certified_sum(lambda j0, j1: levels(j0, min(j1, j0 + size)), *args)
+
+        monkeypatch.setattr(ch, "_certified_sum", limited_sum)
+
+    @pytest.mark.parametrize("fn", [ch.transfer_w, ch.closed_transfer_w])
+    @pytest.mark.parametrize("n", [0, 3, 5])
+    def test_stack_size_leaves_bits_unchanged(self, fn, n, monkeypatch):
+        p = ch.sample_params(n, seed=3, tol=1e-10)
+        z = 0.83 + 0.21j
+        whole = fn(z, p)
+        for size in (1, 3, p.cutoff):
+            with monkeypatch.context() as m:
+                self.at_most(size, m)
+                assert np.array_equal(fn(z, p), whole)
+
+    def test_synthetic_levels_match_the_reference(self):
+        # random sector blocks of an N = 3 chain decaying at ratio 0.6
+        rng = np.random.default_rng(7)
+        down = tc.index_sums((2,) * 3)
+        sectors = [np.flatnonzero(down == m) for m in range(4)]
+        J = 60
+        decay = 0.6 ** np.arange(J)[:, None, None]
+        terms = [decay * (rng.standard_normal((J, len(idx), len(idx)))
+                          + 1j * rng.standard_normal((J, len(idx), len(idx))))
+                 for idx in sectors]
+        dense = np.zeros((J, 8, 8), dtype=complex)
+        for idx, term in zip(sectors, terms):
+            dense[:, idx[:, None], idx] = term
+        expected = reference_sum(iter(dense), 0.5, 4, 1e-11, "synthetic")
+        for size in (1, 3, J):
+            def levels(j0, j1):
+                return [term[j0:min(j1, j0 + size)] for term in terms]
+            assert np.array_equal(ch._certified_sum(levels, sectors, J, 0.5, 4, 1e-11,
+                                                    "synthetic"), expected)
+
+    def test_exhausted_cutoff_raises_the_same_error(self, monkeypatch):
+        p = ch.ChainParams(q=0.6, xi=0.17, xitilde=0.17, n_sites=1, t=(1.0,),
+                           cutoff=60, tol=1e-10)
+        z = 0.9 + 0.1j
+        with pytest.raises(TailCertificateError) as whole:
+            ch.transfer_w(z, p, cutoff=9)
+        assert "cutoff 9 exhausted" in str(whole.value)
+        for size in (1, 3, 9):
+            with monkeypatch.context() as m:
+                self.at_most(size, m)
+                with pytest.raises(TailCertificateError) as stacked:
+                    ch.transfer_w(z, p, cutoff=9)
+            assert str(stacked.value) == str(whole.value)
 
 
 class TestSixSites:
