@@ -16,10 +16,9 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebroots
 
 from . import chain as chain_mod
-from . import tensor_core as tc
 from .chain import ChainParams, SpinSector, in_exclusion_set
 from .errors import ConvergenceError, ExclusionPointError, ParameterDomainError, QBaxterError
-from .lattice_ops import kv_matrix, ktv_matrix
+from .lattice_ops import kv_matrix, ktv_matrix, r_matrix
 
 
 class SpectrumError(QBaxterError):
@@ -48,7 +47,6 @@ class BetheRootSet:
     roots: np.ndarray                 # y_1..y_M (principal square roots)
     pairing_error: float              # involution asymmetry of the eigenvalue coefficients
     product_error: float              # deviation of prod(Y) from q^(-2M)
-    degenerate: bool = False          # a pair sits at an involution fixed point
 
     @property
     def roots_squared(self) -> np.ndarray:
@@ -249,12 +247,11 @@ def factorize_q_eigenvalue(record: SpectrumRecord, params: ChainParams) -> Bethe
     x = chebroots(np.concatenate([sym[:1], 2.0 * sym[1:]]))
     s = np.sqrt(x * x - 1.0 + 0j)
     w = np.where(np.abs(x + s) >= np.abs(x - s), x + s, x - s)
-    degenerate = bool(np.min(np.minimum(np.abs(w - 1.0), np.abs(w + 1.0))) < 1e-4)
     big_y = sorted(w / q, key=lambda y: (round(y.real, 9), round(y.imag, 9)))
     roots = np.array([cmath.sqrt(y) for y in big_y], dtype=complex)
     return BetheRootSet(m_roots=m, f=f, roots=roots,
                         pairing_error=max(pairing_err, struct_err),
-                        product_error=float(prod_err), degenerate=degenerate)
+                        product_error=float(prod_err))
 
 
 # ---------------------------------------------------------------------------
@@ -332,14 +329,25 @@ def aba_f(z: complex, q: complex) -> complex:
 
 
 def aba_blocks(z: complex, params: ChainParams):
-    """Auxiliary-space blocks (A, B, C, D) of the double-row monodromy, read off
-    its charge blocks (column index 0, 1, 0, 1) at down-count shifts m(s) - m(r)
-    of 0, -1, +1, 0, which fix the row index."""
-    down = tc.index_sums((2,) * params.n_sites)
-    shift = down[None, :] - down[:, None]
-    col0, col1 = chain_mod.monodromy_v_blocks(z, params)
-    return tuple(np.where(shift == o, blk, 0.0)
-                 for o, blk in ((0, col0), (-1, col1), (1, col0), (0, col1)))
+    """Auxiliary-space blocks (A, B, C, D) of the double row from transfer_v's
+    half rows X, Y: U_ab[r, s] = sum_t X[a][r, t] kv[a + m(r) - m(t)] Y[b][t, s]
+    (m the down count), so rows of down count mu meet columns of down count
+    mu + a - b through the states t of the two down counts a + mu - 1, a + mu."""
+    n, d = params.n_sites, params.dim
+    down, order, S = chain_mod._sectors(n)
+    X, Y = (h[:, order][:, :, order] for h in
+            chain_mod._half_products(lambda w: r_matrix(w, params.q), z, params, 2))
+    kv = np.pad(np.diagonal(kv_matrix(z, params.xi)), n)  # level l at n + l
+    m = down[order]
+    u = np.zeros((2, 2, d, d), dtype=complex)  # in down-count order
+    for a in (0, 1):
+        xk = X[a] * kv[n + a + m[:, None] - m]
+        for b in (0, 1):
+            for mu in range(max(0, b - a), n + 1 - max(0, a - b)):
+                t = slice(S[max(0, a + mu - 1)].start, S[min(n, a + mu)].stop)
+                u[a, b, S[mu], S[mu + a - b]] = xk[S[mu], t] @ Y[b, t, S[mu + a - b]]
+    undo = np.argsort(order)
+    return tuple(u.reshape(4, d, d)[:, undo][:, :, undo])
 
 
 def aba_dtilde(z: complex, params: ChainParams) -> np.ndarray:

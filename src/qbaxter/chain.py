@@ -27,19 +27,25 @@ from .lattice_ops import kv_matrix, ktv_matrix, l_matrix, r_matrix
 from .qoscillator import _LOG_HUGE, kw_diagonal, ktw_diagonal
 
 
-def _check_sizes(n_sites, cutoff):
-    """Reject a non-integer site count and a non-integral Fock cutoff."""
+def _check_scalars(n_sites, cutoff, tol=1.0, exclusion_radius=0.0):
+    """Reject a site count that is not an integer, a cutoff that is not integral,
+    a tol not finite and positive, an exclusion radius not finite and nonnegative."""
     if isinstance(n_sites, bool) or not isinstance(n_sites, numbers.Integral):
         raise ParameterDomainError(f"n_sites must be an integer, got {n_sites!r}")
     if (isinstance(cutoff, bool) or not isinstance(cutoff, numbers.Real)
             or not float(cutoff).is_integer()):
         raise ParameterDomainError(f"Fock cutoff must be integral, got {cutoff!r}")
+    for name, v, least in (("tol", tol, "positive"),
+                           ("exclusion_radius", exclusion_radius, "nonnegative")):
+        if (isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v)
+                or v < 0.0 or v == 0.0 and least == "positive"):
+            raise ParameterDomainError(f"{name} must be finite and {least}, got {v!r}")
 
 
 def _fock_cutoff(cutoff) -> int:
     """The Fock cutoff as an int once it passes the rule ChainParams applies:
-    integral (_check_sizes) and at least 2."""
-    _check_sizes(0, cutoff)
+    integral (_check_scalars) and at least 2."""
+    _check_scalars(0, cutoff)
     if cutoff < 2:
         raise ParameterDomainError(f"Fock cutoff must be >= 2, got {cutoff!r}")
     return int(cutoff)
@@ -68,7 +74,7 @@ class ChainParams:
         q = complex(self.q)
         if not 0.0 < abs(q) < 1.0:
             raise ParameterDomainError(f"need 0 < |q| < 1, got |q| = {abs(q):.4f}")
-        _check_sizes(self.n_sites, self.cutoff)
+        _check_scalars(self.n_sites, self.cutoff, self.tol, self.exclusion_radius)
         if self.n_sites < 0:
             raise ParameterDomainError("n_sites must be nonnegative")
         t = tuple(complex(v) for v in self.t)
@@ -84,11 +90,6 @@ class ChainParams:
         object.__setattr__(self, "zeta", complex(self.zeta))
         if self.xi == 0 or self.xitilde == 0:
             raise ParameterDomainError("boundary parameters must be nonzero")
-        if not (math.isfinite(self.tol) and self.tol > 0.0):
-            raise ParameterDomainError(f"tol must be finite and positive, got {self.tol!r}")
-        if not (math.isfinite(self.exclusion_radius) and self.exclusion_radius >= 0.0):
-            raise ParameterDomainError(
-                f"exclusion_radius must be finite and nonnegative, got {self.exclusion_radius!r}")
         rho = self.tail_ratio
         if rho >= 1.0:
             raise ParameterDomainError(
@@ -123,6 +124,14 @@ class ChainParams:
                        xitilde=self.xitilde * scale)
 
 
+def _sectors(n_sites: int):
+    """The S^z sectors of n_sites spins: each product state's down count, the
+    states in down-count order, and the range of down count 0 .. n_sites there."""
+    down = tc.index_sums((2,) * n_sites)
+    ends = np.cumsum(np.bincount(down)).tolist()
+    return down, np.argsort(down, kind="stable"), list(map(slice, [0] + ends, ends))
+
+
 @dataclass(frozen=True)
 class SpinSector:
     """Eigenspace of the total spin operator with m_down lowered sites."""
@@ -134,8 +143,8 @@ class SpinSector:
     def __post_init__(self):
         if not 0 <= self.m_down <= self.n_sites:
             raise ValueError("m_down out of range")
-        idx = np.flatnonzero(tc.index_sums((2,) * self.n_sites) == self.m_down)
-        object.__setattr__(self, "indices", tuple(idx.tolist()))
+        _, order, slices = _sectors(self.n_sites)
+        object.__setattr__(self, "indices", tuple(order[slices[self.m_down]].tolist()))
 
 
 def sample_params(n_sites: int, seed: int, cutoff: int = 40, tol: float = 1e-9,
@@ -150,9 +159,9 @@ def sample_params(n_sites: int, seed: int, cutoff: int = 40, tol: float = 1e-9,
     the drawn tail ratio certifies with three decades of margin, so sampled
     parameters never sit on the edge of the trace certificate.
     """
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ParameterDomainError(f"tol must be finite and positive, got {tol!r}")
-    _check_sizes(n_sites, cutoff)
+    _check_scalars(n_sites, cutoff, tol, exclusion_radius)
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ParameterDomainError(f"seed must be a nonnegative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     lo, hi = (0.5, 0.75) if identity_grade else (0.3, 0.8)
     qmod = lo + (hi - lo) * rng.random()
@@ -229,23 +238,6 @@ def monodromy_v(z: complex, params: ChainParams, shape, aux: int, sites) -> np.n
     return tc.ordered_product(factors, shape)
 
 
-def monodromy_v_blocks(z: complex, params: ChainParams) -> np.ndarray:
-    """Charge blocks (tc.charge_product) of the double-row monodromy on
-    C^2 (x) V^(x N), one 2^N x 2^N block per auxiliary column index."""
-    factors = _double_row(lambda w: r_matrix(w, params.q), kv_matrix(z, params.xi),
-                          z, params, 0, range(1, params.n_sites + 1))
-    return tc.charge_product(factors, (2,) * (params.n_sites + 1))
-
-
-def _aux_trace_terms(blocks, weights, n_sites: int):
-    """Terms weights[c] * (block c between equal down counts) of the weighted
-    auxiliary trace of charge blocks on n_sites spins: only there does block c
-    sit at row level c."""
-    down = tc.index_sums((2,) * n_sites)
-    same = down[:, None] == down[None, :]
-    return (w * np.where(same, block, 0.0) for w, block in zip(weights, blocks))
-
-
 def monodromy_w(z: complex, r: complex, params: ChainParams, shape, aux: int,
                 sites) -> np.ndarray:
     """Double-row monodromy with the Fock auxiliary space at aux (cutoff
@@ -260,12 +252,6 @@ def monodromy_w(z: complex, r: complex, params: ChainParams, shape, aux: int,
     factors = _double_row(lambda w: l_matrix(w, r, params.q, J), kw.dense(),
                           z, params, aux, sites)
     return tc.ordered_product(factors, shape)
-
-
-def transfer_v(z: complex, params: ChainParams) -> np.ndarray:
-    """Finite-auxiliary transfer matrix; entries polynomial in z^2."""
-    ktv = np.diagonal(ktv_matrix(z, params.xitilde, params.q))
-    return sum(_aux_trace_terms(monodromy_v_blocks(z, params), ktv, params.n_sites))
 
 
 # Largest stack the certified sum asks for, in entries of d x d level terms: one
@@ -326,28 +312,68 @@ def _certified_sum(levels, sectors, J: int, rho_theory: float, j_min: int,
     # applied at the top level
     if calm < 2 and not last_tail < tol_eff * scale:
         raise TailCertificateError(f"Fock cutoff {J} exhausted before the {what} cleared tol/10")
-    out = np.zeros((d, d), dtype=complex)
+    return _from_sectors(total, sectors)
+
+
+def _from_sectors(flat, sectors) -> np.ndarray:
+    """The d x d operator whose S^z-sector blocks lie one after another in flat."""
+    out = np.zeros((sum(map(len, sectors)),) * 2, dtype=complex)
     hi = 0
-    for idx in sectors:  # each sector block into its product-order indices
+    for idx in sectors:
         lo, hi = hi, hi + len(idx) ** 2
-        out[idx[:, None], idx] = total[lo:hi].reshape(len(idx), len(idx))
+        out[idx[:, None], idx] = flat[lo:hi].reshape(len(idx), len(idx))
     return out
+
+
+def _exact_sum(levels, sectors) -> np.ndarray:
+    """levels(0, 2) summed whole: a two-level auxiliary trace needs no certificate."""
+    return _from_sectors(np.concatenate([s.sum(axis=0).ravel() for s in levels(0, 2)]), sectors)
+
+
+def _half_products(site_op, z: complex, params: ChainParams, J: int):
+    """Charge blocks of the double row's half rows on J auxiliary levels: the
+    left one P by row level, X[j, r, t] = P[(j, r), (j + m(r) - m(t), t)] (m the
+    down count), built as P^T = F_N^T .. F_1^T, and the right one."""
+    shape = (J,) + (2,) * params.n_sites
+    sites = range(1, params.n_sites + 1)
+    left_t = [(x.T, 0, s) for x, _, s in _half_row(site_op, z, params, 0, sites)][::-1]
+    return (tc.charge_product(left_t, shape).transpose(0, 2, 1),
+            tc.charge_product(_half_row(site_op, z, params, 0, sites, right=True), shape))
+
+
+def _open_levels(X, Y, n_sites: int, weights):
+    """levels(j0, j1) of the double-row trace of the half rows X, Y, one stack
+    per S^z sector, and each sector's product-order states.  A stack puts the
+    rows of X[j] and columns of Y[j] in down-count order, where sector m is one
+    range; its rows meet Y[j] through each state t at weight w[j - j0, n + m - m(t)],
+    w = weights(j0, j1) the paired boundary weights of levels j - n .. j + n."""
+    down, order, slices = _sectors(n_sites)
+    wsel = n_sites + np.arange(n_sites + 1)[:, None] - down
+
+    def levels(j0, j1):
+        w = weights(j0, j1)
+        x, y = X[j0:j0 + len(w), order], Y[j0:j0 + len(w)][:, :, order]
+        return [x[:, R] * w[:, None, wsel[m]] @ y[:, :, R] for m, R in enumerate(slices)]
+
+    return levels, [order[R] for R in slices]
+
+
+def transfer_v(z: complex, params: ChainParams) -> np.ndarray:
+    """Finite-auxiliary transfer matrix, entries polynomial in z^2: transfer_w on C^2."""
+    n = params.n_sites
+    kv = sliding_window_view(np.pad(np.diagonal(kv_matrix(z, params.xi)), n), 2 * n + 1)
+    w = np.diagonal(ktv_matrix(z, params.xitilde, params.q))[:, None] * kv
+    X, Y = _half_products(lambda u: r_matrix(u, params.q), z, params, 2)
+    return _exact_sum(*_open_levels(X, Y, n, lambda j0, j1: w[j0:j1]))
 
 
 def transfer_w(z: complex, params: ChainParams, cutoff=None) -> np.ndarray:
     """Fock-auxiliary transfer matrix via the overflow-safe certified trace.
 
-    Both half rows are charge blocks grown site by site at about (4/3) J 4^N
-    each, instead of dense (J 2^N)^3 products: the right one by column level,
-    the left one P by row level, X[j, r, t] = P[(j, r), (j + m(r) - m(t), t)]
-    (m the down count), which are the column-level blocks of
-    P^T = F_N^T .. F_1^T with the spin axes swapped.  Level j pairs X[j] with
-    the right half row at column level j and with the two boundary diagonals
-    in log space, which keeps every materialized block bounded.  A stack of
-    levels gathers its rows of X and columns of Y into down-count order, pairs
-    the weights in one vector op and makes one matmul per S^z sector; it ends
-    before the first level whose paired weight leaves floating range, which
-    raises OverflowGuardError only once the sum reaches it.
+    The half rows of L-factors are paired level by level with the boundary
+    diagonals in log space, which keeps every materialized block bounded.  A
+    stack of levels ends before the first level whose paired weight leaves
+    floating range, which raises OverflowGuardError only once the sum gets there.
     """
     J = params.cutoff if cutoff is None else _fock_cutoff(cutoff)
     n = params.n_sites
@@ -357,30 +383,12 @@ def transfer_w(z: complex, params: ChainParams, cutoff=None) -> np.ndarray:
             f"z = {z:.6f} is within {params.exclusion_radius} of a trace pole")
     kw = kw_diagonal(z, 1.0, params.xi, params.q, J)
     ktw = ktw_diagonal(z, 1.0, params.xitilde, params.q, J)
-    shape = (J,) + (2,) * n
-    sites = range(1, n + 1)
-
-    def site_op(w):
-        return l_matrix(w, 1.0, params.q, J)
-
-    # rows of X[j] and columns of Y[j] go in down-count order, so S^z sector m
-    # is one index range, whose rows of X[j] take the paired weights w[wsel[m]]
-    down = tc.index_sums((2,) * n)
-    order = np.argsort(down, kind="stable")
-    sizes = np.bincount(down)
-    slices = [slice(hi - size, hi) for hi, size in zip(np.cumsum(sizes), sizes)]
-    wsel = n + np.arange(n + 1)[:, None] - down
-    left_t = [(x.T, 0, s) for x, _, s in _half_row(site_op, z, params, 0, sites)][::-1]
-    X = tc.charge_product(left_t, shape).transpose(0, 2, 1)
-    Y = tc.charge_product(_half_row(site_op, z, params, 0, sites, right=True), shape)
-
     # kw levels j - n .. j + n, paired with ktw level j, are row j of the
     # windows over kw padded by n on each side
-    window = 2 * n + 1
-    kw_mant = sliding_window_view(np.pad(kw.mantissa, n), window)
-    kw_log = sliding_window_view(np.pad(kw.log_mag, n, constant_values=-np.inf), window)
+    kw_mant = sliding_window_view(np.pad(kw.mantissa, n), 2 * n + 1)
+    kw_log = sliding_window_view(np.pad(kw.log_mag, n, constant_values=-np.inf), 2 * n + 1)
 
-    def levels(j0, j1):
+    def weights(j0, j1):
         lg = ktw.log_mag[j0:j1, None] + kw_log[j0:j1]
         huge = lg > _LOG_HUGE
         fits = int(np.logical_and.accumulate(~huge.any(axis=1)).sum())
@@ -389,11 +397,10 @@ def transfer_w(z: complex, params: ChainParams, cutoff=None) -> np.ndarray:
             raise OverflowGuardError(
                 f"paired boundary weight at levels ({j0}, {k}) exceeds floating range")
         j1, lg = j0 + fits, lg[:fits]
-        w = ktw.mantissa[j0:j1, None] * kw_mant[j0:j1] * np.exp(lg)
-        x, y = X[j0:j1, order], Y[j0:j1][:, :, order]
-        return [x[:, R] * w[:, None, wsel[m]] @ y[:, :, R] for m, R in enumerate(slices)]
+        return ktw.mantissa[j0:j1, None] * kw_mant[j0:j1] * np.exp(lg)
 
-    return _certified_sum(levels, [order[R] for R in slices], J, params.tail_ratio, 2 * n + 2,
+    X, Y = _half_products(lambda u: l_matrix(u, 1.0, params.q, J), z, params, J)
+    return _certified_sum(*_open_levels(X, Y, n, weights), J, params.tail_ratio, 2 * n + 2,
                           params.tol / 10.0, "tail certificate")
 
 
@@ -476,22 +483,34 @@ def _require_twist(params: ChainParams) -> complex:
     return zeta
 
 
+def _closed_levels(site_op, z: complex, params: ChainParams, J: int):
+    """levels(j0, j1) of the twisted trace of the single row on J auxiliary
+    levels, one stack per S^z sector, and each sector's product-order states:
+    zeta^j times charge block j between equal down counts (row level j)."""
+    n = params.n_sites
+    factors = _half_row(site_op, z, params, 0, range(1, n + 1), right=True)
+    flat = tc.charge_product(factors, (J,) + (2,) * n).reshape(J, -1)
+    _, order, slices = _sectors(n)
+    sectors = [order[R] for R in slices]
+    entries = [(idx[:, None] * len(order) + idx).ravel() for idx in sectors]
+
+    def levels(j0, j1):
+        # Python's power: numpy's zeta ** np.arange(J) rounds differently
+        weights = np.array([params.zeta ** j for j in range(j0, j1)])[:, None]
+        return [(weights * np.take(flat[j0:j1], e, axis=1)).reshape(-1, len(idx), len(idx))
+                for e, idx in zip(entries, sectors)]
+
+    return levels, sectors
+
+
 def closed_transfer_v(z: complex, params: ChainParams) -> np.ndarray:
     """Twisted trace of the single-row monodromy over the two-dimensional auxiliary."""
-    zeta = _require_twist(params)
-    n = params.n_sites
-    factors = _half_row(lambda w: r_matrix(w, params.q), z, params, 0, range(1, n + 1),
-                        right=True)
-    return sum(_aux_trace_terms(tc.charge_product(factors, (2,) * (n + 1)), (1.0, zeta), n))
+    _require_twist(params)
+    return _exact_sum(*_closed_levels(lambda w: r_matrix(w, params.q), z, params, 2))
 
 
 def closed_transfer_w(z: complex, params: ChainParams, cutoff=None) -> np.ndarray:
-    """Twisted Fock trace of the single-row monodromy, with tail certificate.
-
-    The monodromy is built as charge blocks; the trace at level j reads the
-    entries of block j between equal down counts, whose row level is j: one
-    gather per S^z sector and stack of levels.
-    """
+    """Twisted Fock trace of the single-row monodromy, with tail certificate."""
     zeta = _require_twist(params)
     J = params.cutoff if cutoff is None else _fock_cutoff(cutoff)
     n = params.n_sites
@@ -500,21 +519,8 @@ def closed_transfer_w(z: complex, params: ChainParams, cutoff=None) -> np.ndarra
     if rho_theory ** J >= tol_eff:
         raise TailCertificateError(
             f"cutoff {J} cannot certify the closed-trace tail ratio {rho_theory:.3f} down to tol/10")
-    factors = _half_row(lambda w: l_matrix(w, 1.0, params.q, J), z, params, 0,
-                        range(1, n + 1), right=True)
-    blocks = tc.charge_product(factors, (J,) + (2,) * n).reshape(J, -1)
-    down = tc.index_sums((2,) * n)
-    sectors = [np.flatnonzero(down == m) for m in range(n + 1)]
-    entries = [(idx[:, None] * len(down) + idx).ravel() for idx in sectors]
-
-    def levels(j0, j1):
-        # Python's power: numpy's zeta ** np.arange(J) rounds differently
-        weights = np.array([zeta ** j for j in range(j0, j1)])[:, None]
-        return [(weights * np.take(blocks[j0:j1], e, axis=1)).reshape(-1, len(idx), len(idx))
-                for e, idx in zip(entries, sectors)]
-
-    return _certified_sum(levels, sectors, J, rho_theory, n + 2, tol_eff,
-                          "closed-trace tail certificate")
+    return _certified_sum(*_closed_levels(lambda w: l_matrix(w, 1.0, params.q, J), z, params, J),
+                          J, rho_theory, n + 2, tol_eff, "closed-trace tail certificate")
 
 
 def closed_q(z: complex, params: ChainParams, cutoff=None) -> np.ndarray:

@@ -118,47 +118,30 @@ def index_sums(shape) -> np.ndarray:
     return out
 
 
-def _level_shifts(x):
-    """(b, a, cols, src, coef) for each pair of site indices of a charge factor
-    x[l, b, c, a]: column level c in cols of the new product reads level
-    c + a - b in src of the old, scaled by coef = x[c + a - b, b, c, a]."""
-    J, dn = x.shape[:2]
-    for b in range(dn):
-        for a in range(dn):
-            shift = a - b
-            yield (b, a, slice(max(0, -shift), J - max(0, shift)),
-                   slice(max(0, shift), J - max(0, -shift)), np.diagonal(x[:, b, :, a], -shift))
-
-
-def _widen(prod, x, pre, post):
-    """Charge blocks times x on a site they do not carry yet, placed between
-    pre and post states of the carried sites:
-    new[c, (r, b), (s, a)] = old[c + a - b, r, s] x[c + a - b, b, c, a]."""
+def _widen(prod, x, n, carried, dims):
+    """Charge blocks of the carried sites times x on site n, which joins them:
+    new[c, (r, b), (s, a)] = old[c + a - b, r, s] x[c + a - b, b, c, a], the
+    site-n indices b, a placed between the carried sites before and after n."""
+    pre = total_dim(dims[s] for s in carried if s < n)
+    post = total_dim(dims[s] for s in carried if s > n)
+    carried.add(n)
     J, dn = x.shape[:2]
     old = prod.reshape(J, pre, post, pre, post)
     out = np.empty((J, pre, dn, post, pre, dn, post), dtype=complex)
-    for b, a, cols, src, coef in _level_shifts(x):
-        block = out[:, :, b, :, :, a, :]
-        if not coef.any():
-            block[...] = 0.0
-            continue
-        block[:cols.start] = 0.0
-        block[cols.stop:] = 0.0
-        np.multiply(old[src], coef[:, None, None, None, None], out=block[cols])
+    for b in range(dn):
+        for a in range(dn):
+            shift = a - b
+            lo, hi = max(0, -shift), J - max(0, shift)
+            coef = np.diagonal(x[:, b, :, a], -shift)
+            block = out[:, :, b, :, :, a, :]
+            if not coef.any():
+                block[...] = 0.0
+                continue
+            block[:lo] = 0.0
+            block[hi:] = 0.0
+            np.multiply(old[lo + shift:hi + shift], coef[:, None, None, None, None],
+                        out=block[lo:hi])
     k = prod.shape[1] * dn
-    return out.reshape(J, k, k)
-
-
-def _revisit(prod, x, pre, post):
-    """Charge blocks times x on a carried site between pre and post states:
-    one scaled slice update of that site's column axis per pair of indices."""
-    J, dn = x.shape[:2]
-    k = prod.shape[1]
-    old = prod.reshape(J, k, pre, dn, post)
-    out = np.zeros_like(old)
-    for b, a, cols, src, coef in _level_shifts(x):
-        if coef.any():
-            out[cols, :, :, a, :] += old[src, :, :, b, :] * coef[:, None, None, None]
     return out.reshape(J, k, k)
 
 
@@ -167,57 +150,40 @@ def charge_product(factors, shape) -> np.ndarray:
     site-0 level + index sum, kept as one block per site-0 column level.
 
     Each factor is (x, 0, n): x acts on sites 0 and n as in embed, and
-    x[(l, b), (c, a)] vanishes unless l + b = c + a; or (x, 0) with x diagonal
-    on site 0, which scales block c by x[c, c].  The product P then
-    vanishes unless its site-0 levels differ by m(s) - m(r), m the index_sums
-    of the remaining sites, and comes back as
+    x[(l, b), (c, a)] vanishes unless l + b = c + a; no two factors share a
+    site n.  The product P then vanishes unless its site-0 levels differ by
+    m(s) - m(r), m the index_sums of the remaining sites, and comes back as
     C[c, r, s] = P[(c + m(s) - m(r), r), (c, s)]; row levels outside the range
     of site 0 give zero entries.
 
     The blocks carry only the sites visited so far, in site order whatever
-    the visit order (a right half row visits N..1).  A factor on a new site
-    widens them by one scaled, level-shifted copy per pair of site indices
-    and multiplies no identity; a factor on a carried site updates that
-    site's column axis.  Sites no factor touches join at the end as the
-    identity.  One pass over N spin sites costs about (4/3) J 4^N for J
-    levels, instead of N J 4^N for factors applied to the full blocks; each
-    revisit costs O(J 4^N).
+    the visit order; each factor widens them by one scaled, level-shifted copy
+    per pair of site indices (about (4/3) J 4^N per pass over N spin sites),
+    and sites no factor touches join at the end as the identity.
     """
     dims = tuple(int(s) for s in shape)
     J = dims[0]
     carried = set()
-
-    def times(prod, x, n):
-        pre = total_dim(dims[s] for s in carried if s < n)
-        post = total_dim(dims[s] for s in carried if s > n)
-        if n in carried:
-            return _revisit(prod, x, pre, post)
-        carried.add(n)
-        return _widen(prod, x, pre, post)
-
     charges = {dn: np.add.outer(np.arange(J), np.arange(dn)) for dn in set(dims[1:])}
     off_charge = {dn: np.not_equal.outer(charge, charge) for dn, charge in charges.items()}
     prod = np.ones((J, 1, 1), dtype=complex)
-    for x, m, *rest in factors:
-        if m != 0 or rest and not 0 < rest[0] < len(dims):
-            raise IndexError(f"charge factor must act on site 0 (and a site in 1..{len(dims) - 1})")
-        x = _as_matrix(x)
-        if not rest:
-            if x.shape != (J, J) or np.any(x[~np.eye(J, dtype=bool)]):
-                raise ValueError("one-site charge factor must be diagonal on site 0")
-            prod *= np.diagonal(x)[:, None, None]
-            continue
-        n = rest[0]
+    for x, m, n in factors:
+        if m != 0 or not 0 < n < len(dims):
+            raise IndexError(f"charge factor must act on site 0 and a site in 1..{len(dims) - 1}")
+        if n in carried:
+            raise ValueError(f"charge factor revisits site {n}")
         dn = dims[n]
+        x = _as_matrix(x)
         if x.shape != (J * dn, J * dn):
             raise ValueError(f"operator shape {x.shape} does not match sites of dims ({J}, {dn})")
         x = x.reshape(J, dn, J, dn)
         if x[off_charge[dn]].any():
             raise ValueError("charge factor does not conserve site-0 level + site-n index")
-        prod = times(prod, x, n)
+        prod = _widen(prod, x, n, carried, dims)
     for n in range(1, len(dims)):
         if n not in carried:
-            prod = times(prod, identity(J * dims[n]).reshape(J, dims[n], J, dims[n]), n)
+            prod = _widen(prod, identity(J * dims[n]).reshape(J, dims[n], J, dims[n]), n,
+                          carried, dims)
     return prod
 
 

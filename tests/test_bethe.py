@@ -193,7 +193,6 @@ class TestChebyshevReduction:
         found = np.sort_complex(roots.roots_squared)
         assert np.abs(found - np.sort_complex(big_y)).max() < 1e-12 * np.abs(big_y).max()
         assert roots.pairing_error < 1e-14 and roots.product_error < 1e-14
-        assert not roots.degenerate
 
     def test_asymmetric_coefficients_raise_pairing_error(self):
         big_y = np.array([2.9 * np.exp(0.4j), 7.1 * np.exp(-2.2j)]) / self.q
@@ -206,14 +205,16 @@ class TestChebyshevReduction:
         assert roots.product_error < 1e-14
 
     @pytest.mark.parametrize("sign", [1, -1])
-    def test_pair_near_fixed_point_is_degenerate(self, sign):
-        # Y = +-(1 + 1e-6)/q sits next to the involution fixed point +-1/q
+    def test_pair_near_fixed_point_is_recovered(self, sign):
+        # Y = +-(1 + 1e-6)/q sits next to the involution fixed point +-1/q, where
+        # the pair's Chebyshev root x = (w + 1/w)/2 nears +-1 and w = x +- sqrt(x^2 - 1)
+        # loses half the digits
         big_y = np.array([sign * (1 + 1e-6) / self.q, 3.0 / self.q])
         roots = bt.factorize_q_eigenvalue(self.record(big_y), self.params)
-        assert roots.degenerate
-        far = bt.factorize_q_eigenvalue(self.record(np.array([1.1 / self.q, 3.0 / self.q])),
-                                        self.params)
-        assert not far.degenerate
+        pairs = np.concatenate([roots.roots_squared, self.q ** -2 / roots.roots_squared])
+        near, far = (np.abs(pairs - y).min() / abs(y) for y in big_y)
+        assert near < 1e-8 and far < 1e-12
+        assert roots.pairing_error < 1e-14 and roots.product_error < 1e-14
 
     def test_coefficient_outside_degree_window_raises(self):
         # N = 3, M = 1 lives on Z^2..Z^4; a Z^0 term is not a Q-eigenvalue

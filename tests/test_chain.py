@@ -1,6 +1,7 @@
 """Chain-level objects: monodromies, transfer matrices, traces, closed chain."""
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -47,12 +48,12 @@ class TestChainParams:
         with pytest.raises(ParameterDomainError):
             ch.ChainParams(q=1.2, xi=0.1, xitilde=0.1, n_sites=1, t=(1.0,))
 
-    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-10])
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-10, True, "1e-9"])
     def test_tol_must_be_finite_positive(self, tol):
         with pytest.raises(ParameterDomainError, match="tol"):
             ch.ChainParams(q=0.5, xi=0.1, xitilde=0.1, n_sites=1, t=(1.0,), tol=tol)
 
-    @pytest.mark.parametrize("radius", [float("nan"), float("inf"), -1.0])
+    @pytest.mark.parametrize("radius", [float("nan"), float("inf"), -1.0, True, "0.05"])
     def test_exclusion_radius_must_be_finite_nonnegative(self, radius):
         with pytest.raises(ParameterDomainError, match="exclusion_radius"):
             ch.ChainParams(q=0.5, xi=0.1, xitilde=0.1, n_sites=1, t=(1.0,),
@@ -63,10 +64,23 @@ class TestChainParams:
                            exclusion_radius=0.0)
         assert p.exclusion_radius == 0.0
 
-    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0, True, "1e-9"])
     def test_sampler_tol_must_be_finite_positive(self, tol):
         with pytest.raises(ParameterDomainError, match="tol"):
             ch.sample_params(2, seed=3, tol=tol)
+
+    @pytest.mark.parametrize("radius", [float("nan"), -1.0, True, "0.05"])
+    def test_sampler_exclusion_radius_must_be_finite_nonnegative(self, radius):
+        with pytest.raises(ParameterDomainError, match="exclusion_radius"):
+            ch.sample_params(2, seed=1, exclusion_radius=radius)
+
+    @pytest.mark.parametrize("seed", [True, -1, 1.5, "1"])
+    def test_sampler_seed_must_be_nonnegative_integer(self, seed):
+        with pytest.raises(ParameterDomainError, match="seed"):
+            ch.sample_params(2, seed)
+
+    def test_numpy_seed_accepted(self):
+        assert ch.sample_params(2, np.int64(3)) == ch.sample_params(2, 3)
 
     def test_fractional_cutoff_rejected(self):
         with pytest.raises(ParameterDomainError, match="cutoff"):
@@ -182,6 +196,15 @@ class TestTransferV:
             ktv = np.diagonal(ktv_matrix(z, p.xitilde, p.q))
             dense = dense_aux_trace(ktv, dense_monodromy_v(z, p))
             assert tc.rel_err(ch.transfer_v(z, p), dense) <= 1e-13
+
+    @pytest.mark.parametrize("n", [0, 2, 4])
+    def test_exact_sums_ignore_cutoff_and_tol(self, n):
+        # both two-level traces are summed whole, never through the certificate
+        p = ch.sample_params(n, seed=3, tol=1e-10)
+        other = dataclasses.replace(p, cutoff=p.cutoff + 7, tol=1e-12)
+        for z in ORACLE_Z:
+            assert np.array_equal(ch.transfer_v(z, other), ch.transfer_v(z, p))
+            assert np.array_equal(ch.closed_transfer_v(z, other), ch.closed_transfer_v(z, p))
 
     def test_entries_interpolate_in_z_squared(self, params2):
         n = params2.n_sites

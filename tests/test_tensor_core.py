@@ -213,10 +213,10 @@ class TestChargeProduct:
         assert all(np.array_equal(block, tc.identity(6)) for block in prod)
 
     # (dims, sites of the factors in order)
-    DENSE_CASES = [((5, 2, 3), (2, 1, 2)),
+    DENSE_CASES = [((5, 2, 3), (2, 1)),
                    ((4, 2, 3, 2), (1, 3)),  # site 2 untouched
                    ((4, 2, 3, 2), (3, 1)),  # site 2 untouched, visited from the right
-                   ((2, 4, 3), (1, 2, 1))]  # level shifts beyond the two levels
+                   ((2, 4, 3), (1, 2))]  # site dimension above the level count
 
     def test_matches_dense_product(self):
         for dims, sites in self.DENSE_CASES:
@@ -247,20 +247,6 @@ class TestChargeProduct:
             assert np.count_nonzero(expected) > J * d
             assert_allclose(X, expected, rtol=1e-13, atol=1e-12)
 
-    def test_one_site_diagonal_factor_matches_dense_product(self):
-        # (dims, sites of the factors in order, None for the diagonal one-site factor)
-        cases = [((5, 2, 3), (2, 1, None, 2)),
-                 # right half row, boundary, then every site revisited (a double row)
-                 ((3, 2, 3, 2), (3, 2, 1, None, 1, 2, 3)),
-                 ((4, 2, 3), (None, 1, 2))]  # diagonal before any two-site factor
-        for dims, sites in cases:
-            rng = np.random.default_rng(14)
-            J = dims[0]
-            diag = np.diag(rng.normal(size=J) + 1j * rng.normal(size=J))
-            factors = [(diag, 0) if n is None else (charge_factor(rng, J, dims[n]), 0, n)
-                       for n in sites]
-            assert_charge_blocks_match_dense(factors, dims)
-
     def test_charge_violation_rejected(self):
         x = np.zeros((4, 2, 4, 2), dtype=complex)
         x[1, 0, 0, 0] = 1.0
@@ -271,15 +257,11 @@ class TestChargeProduct:
         with pytest.raises(IndexError):
             tc.charge_product([(tc.identity(4), 1, 2)], (3, 2, 2))
 
-    def test_non_diagonal_one_site_factor_rejected(self):
-        x = np.diag(np.arange(1.0, 4.0))
-        x[0, 1] = 0.5
-        with pytest.raises(ValueError, match="diagonal"):
-            tc.charge_product([(x, 0)], (3, 2))
-
-    def test_one_site_factor_off_site_zero_rejected(self):
-        with pytest.raises(IndexError):
-            tc.charge_product([(tc.identity(2), 1)], (3, 2))
+    def test_revisited_site_rejected(self):
+        rng = np.random.default_rng(15)
+        factors = [(charge_factor(rng, 3, 2), 0, n) for n in (1, 2, 1)]
+        with pytest.raises(ValueError, match="revisits site 1"):
+            tc.charge_product(factors, (3, 2, 2))
 
 
 class TestRelErr:

@@ -4,16 +4,18 @@
 
 PARENT_SRC and CHANGE_SRC are directories that hold the `qbaxter` package
 (the `src/` of two checkouts).  With each directory as PYTHONPATH, one
-process evaluates every function of FUNCTIONS from `qbaxter.chain` at every
-chain size in SIZES, seed in SEEDS (parameters `sample_params(N, seed,
-tol=1e-10)`) and spectral point in POINTS, and saves the arrays.  A call that
-raises a `QBaxterError` is kept as the name of its error class.  One line per
-function gives the number of cases, how many arrays are bit-equal, and the
-largest relative Frobenius difference |change - parent|_F / |parent|_F (0 when
-both are zero) over the arrays of equal shape.  Indented lines under a
-function name each case whose shapes or raised errors differ.  The exit status
-is 1 when any case differs in shape or error, else 0; rounding differences
-are left to the reader.  Needs only the standard library and numpy.
+process evaluates every function of FUNCTIONS, named by its module in
+`qbaxter`, at every chain size in SIZES, seed in SEEDS (parameters
+`sample_params(N, seed, tol=1e-10)`) and spectral point in POINTS, and saves
+the arrays; the four blocks of `bethe.aba_blocks` are saved as one stacked
+array.  A call that raises a `QBaxterError` is kept as the name of its error
+class.  One line per function gives the number of cases, how many arrays are
+bit-equal, and the largest relative Frobenius difference
+|change - parent|_F / |parent|_F (0 when both are zero) over the arrays of
+equal shape.  Indented lines under a function name each case whose shapes or
+raised errors differ.  The exit status is 1 when any case differs in shape or
+error, else 0; rounding differences are left to the reader.  Needs only the
+standard library and numpy.
 """
 
 import os
@@ -24,27 +26,31 @@ import tempfile
 
 import numpy as np
 
-FUNCTIONS = ("q_operator", "transfer_w", "closed_q", "closed_transfer_w", "transfer_v",
-             "closed_transfer_v", "monodromy_v_blocks")
+FUNCTIONS = ("chain.q_operator", "chain.transfer_w", "chain.closed_q", "chain.closed_transfer_w",
+             "chain.transfer_v", "chain.closed_transfer_v", "bethe.aba_blocks")
 SIZES = tuple(range(7))
 SEEDS = (3, 11)
 POINTS = (0.83 + 0.21j, 1.1 - 0.3j)
 
 # run with the source tree on PYTHONPATH; argv[1] is the .npz to write
 EVALUATE = f"""
+import importlib
 import sys
 import numpy as np
 from qbaxter import chain
 from qbaxter.errors import QBaxterError
+
+functions = {{name: getattr(importlib.import_module("qbaxter." + name.split(".")[0]),
+                            name.split(".")[1]) for name in {FUNCTIONS!r}}}
 
 arrays = {{}}
 for n in {SIZES!r}:
     for seed in {SEEDS!r}:
         params = chain.sample_params(n, seed, tol=1e-10)
         for point, z in enumerate({POINTS!r}):
-            for name in {FUNCTIONS!r}:
+            for name, function in functions.items():
                 try:
-                    value = getattr(chain, name)(z, params)
+                    value = np.asarray(function(z, params))
                 except QBaxterError as exc:
                     value = np.array(type(exc).__name__)
                 arrays[f"{{name}} N={{n}} seed={{seed}} z={{point}}"] = value
