@@ -18,7 +18,7 @@ from numpy.polynomial.chebyshev import chebroots
 from . import chain as chain_mod
 from .chain import ChainParams, SpinSector, in_exclusion_set
 from .errors import ConvergenceError, ExclusionPointError, ParameterDomainError, QBaxterError
-from .lattice_ops import kv_matrix, ktv_matrix, r_matrix
+from .lattice_ops import kv_matrix, ktv_matrix, r_bands, r_weights
 
 
 class SpectrumError(QBaxterError):
@@ -316,10 +316,6 @@ def bethe_residual_pq_form(roots: BetheRootSet, params: ChainParams) -> np.ndarr
 # algebraic Bethe ansatz oracle
 # ---------------------------------------------------------------------------
 
-def _abc(z: complex, q: complex):
-    return 1.0 - q * q * z * z, q * (1.0 - z * z), z * (1.0 - q * q)
-
-
 def aba_f(z: complex, q: complex) -> complex:
     """Shear coefficient mixing the two diagonal monodromy blocks."""
     den = q * q * z ** 4 - 1.0
@@ -334,9 +330,9 @@ def aba_blocks(z: complex, params: ChainParams):
     (m the down count), so rows of down count mu meet columns of down count
     mu + a - b through the states t of the two down counts a + mu - 1, a + mu."""
     n, d = params.n_sites, params.dim
-    down, order, S = chain_mod._sectors(n)
+    down, order, S, _ = chain_mod._sectors(n)
     X, Y = (h[:, order][:, :, order] for h in
-            chain_mod._half_products(lambda w: r_matrix(w, params.q), z, params, 2))
+            chain_mod._half_products(lambda w: r_bands(w, params.q), z, params, 2))
     kv = np.pad(np.diagonal(kv_matrix(z, params.xi)), n)  # level l at n + l
     m = down[order]
     u = np.zeros((2, 2, d, d), dtype=complex)  # in down-count order
@@ -359,9 +355,9 @@ def aba_dtilde(z: complex, params: ChainParams) -> np.ndarray:
 def aba_coefficients(z: complex, y: complex, params: ChainParams) -> dict:
     """All scalar functions of the exchange relations and the vacuum data."""
     q = params.q
-    ayz, byz, cyz = _abc(y * z, q)
-    ayoz, byoz, cyoz = _abc(y / z, q)
-    azoy, bzoy, czoy = _abc(z / y, q)
+    ayz, byz, cyz = r_weights(y * z, q)
+    ayoz, byoz, cyoz = r_weights(y / z, q)
+    azoy, bzoy, czoy = r_weights(z / y, q)
     if min(abs(byoz), abs(ayz), abs(bzoy)) < 1e-12:
         raise ParameterDomainError("exchange-relation coefficient hits a pole at this (z, y)")
     alpha1 = ayoz * byz / (byoz * ayz)
@@ -402,8 +398,8 @@ def aba_vacuum_values(z: complex, params: ChainParams):
     dplus = kv[0, 0]
     dminus = kv[1, 1] + aba_f(z, q) * kv[0, 0]
     for tn in params.t:
-        dplus *= _abc(z / tn, q)[0] * _abc(z * tn, q)[0]
-        dminus *= _abc(z / tn, q)[1] * _abc(z * tn, q)[1]
+        dplus *= r_weights(z / tn, q)[0] * r_weights(z * tn, q)[0]
+        dminus *= r_weights(z / tn, q)[1] * r_weights(z * tn, q)[1]
     return complex(dplus), complex(dminus)
 
 

@@ -8,6 +8,7 @@ recursion oracle, and the closed-chain analogues.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 import numbers
@@ -23,7 +24,7 @@ from .errors import (
     ParameterDomainError,
     TailCertificateError,
 )
-from .lattice_ops import kv_matrix, ktv_matrix, l_matrix, r_matrix
+from .lattice_ops import kv_matrix, ktv_matrix, l_bands, l_matrix, r_bands, r_matrix
 from .qoscillator import _LOG_HUGE, kw_diagonal, ktw_diagonal
 
 
@@ -124,12 +125,29 @@ class ChainParams:
                        xitilde=self.xitilde * scale)
 
 
+@functools.lru_cache(maxsize=32)
 def _sectors(n_sites: int):
-    """The S^z sectors of n_sites spins: each product state's down count, the
-    states in down-count order, and the range of down count 0 .. n_sites there."""
+    """The S^z sectors of n_sites spins, built once per n_sites as read-only
+    arrays: each product state's down count, the states in down-count order,
+    the range of down count 0 .. n_sites there, and each sector's states in
+    product order."""
     down = tc.index_sums((2,) * n_sites)
+    order = np.argsort(down, kind="stable")
+    down.setflags(write=False)
+    order.setflags(write=False)
     ends = np.cumsum(np.bincount(down)).tolist()
-    return down, np.argsort(down, kind="stable"), list(map(slice, [0] + ends, ends))
+    slices = tuple(map(slice, [0] + ends, ends))
+    return down, order, slices, tuple(order[R] for R in slices)
+
+
+@functools.lru_cache(maxsize=32)
+def _sector_entries(n_sites: int) -> np.ndarray:
+    """The flat entries of the 2^n_sites x 2^n_sites matrix that its S^z-sector
+    blocks fill one after another, read-only and built once per n_sites."""
+    d = 2 ** n_sites
+    entries = np.concatenate([(idx[:, None] * d + idx).ravel() for idx in _sectors(n_sites)[3]])
+    entries.setflags(write=False)
+    return entries
 
 
 @dataclass(frozen=True)
@@ -143,8 +161,7 @@ class SpinSector:
     def __post_init__(self):
         if not 0 <= self.m_down <= self.n_sites:
             raise ValueError("m_down out of range")
-        _, order, slices = _sectors(self.n_sites)
-        object.__setattr__(self, "indices", tuple(order[slices[self.m_down]].tolist()))
+        object.__setattr__(self, "indices", tuple(_sectors(self.n_sites)[3][self.m_down].tolist()))
 
 
 def sample_params(n_sites: int, seed: int, cutoff: int = 40, tol: float = 1e-9,
@@ -156,8 +173,9 @@ def sample_params(n_sites: int, seed: int, cutoff: int = 40, tol: float = 1e-9,
     a mildly perturbed unit circle.  identity_grade narrows |q| to [0.5, 0.75],
     which keeps densely materialized boundary matrices in floating range for
     the operator-identity battery.  The cutoff is grown, if necessary, until
-    the drawn tail ratio certifies with three decades of margin, so sampled
-    parameters never sit on the edge of the trace certificate.
+    the drawn tail ratio certifies with three decades of margin and the stop
+    rule of the certified sum can stop, so sampled parameters never sit on the
+    edge of the trace certificate.
     """
     _check_scalars(n_sites, cutoff, tol, exclusion_radius)
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
@@ -177,7 +195,8 @@ def sample_params(n_sites: int, seed: int, cutoff: int = 40, tol: float = 1e-9,
     zeta = 0.3 * qmod ** n_sites * cmath.exp(2j * math.pi * rng.random())
     rho = c  # |xi * xitilde| / |q|^(2N) by construction
     needed = int(math.ceil(math.log(tol / 1000.0) / math.log(rho))) + 1
-    cutoff = max(int(cutoff), needed)
+    # at least the 2N + 4 levels the certified sum reads before its stop rule can stop
+    cutoff = max(int(cutoff), needed, 2 * n_sites + 4)
     return ChainParams(q=q, xi=xi, xitilde=xitilde, n_sites=n_sites, t=t, zeta=zeta,
                        cutoff=cutoff, tol=tol, exclusion_radius=exclusion_radius)
 
@@ -208,26 +227,27 @@ def spin_weights(n_sites: int, top: complex, bottom: complex) -> np.ndarray:
     """Diagonal of diag(top, bottom)^(x N) in the product basis."""
     per_down = np.array([top ** (n_sites - m) * bottom ** m for m in range(n_sites + 1)],
                         dtype=complex)
-    return per_down[tc.index_sums((2,) * n_sites)]
+    return per_down[_sectors(n_sites)[0]]
 
 
 # ---------------------------------------------------------------------------
 # open-chain monodromies and transfer matrices
 # ---------------------------------------------------------------------------
 
-def _half_row(site_op, z: complex, params: ChainParams, aux: int, sites, right: bool = False):
-    """Factors site_op(t_1 z) .. site_op(t_N z) of the left half row on the given
-    sites, or site_op(z/t_N) .. site_op(z/t_1) of the right half row."""
+def _half_row(site_op, z: complex, params: ChainParams, sites, right: bool = False):
+    """Factors site_op(t_1 z) .. site_op(t_N z) of the left half row, each with
+    its site, or site_op(z/t_N) .. site_op(z/t_1) of the right half row."""
     if right:
-        return ((site_op(z / params.t[k]), aux, sites[k]) for k in reversed(range(len(sites))))
-    return ((site_op(params.t[k] * z), aux, s) for k, s in enumerate(sites))
+        return ((site_op(z / params.t[k]), sites[k]) for k in reversed(range(len(sites))))
+    return ((site_op(params.t[k] * z), s) for k, s in enumerate(sites))
 
 
 def _double_row(site_op, boundary, z: complex, params: ChainParams, aux: int, sites):
     """Factors of the double row: left half row, boundary at aux, right half row."""
     sites = tuple(sites)
-    return itertools.chain(_half_row(site_op, z, params, aux, sites), [(boundary, aux)],
-                           _half_row(site_op, z, params, aux, sites, right=True))
+    left, right = (((x, aux, s) for x, s in _half_row(site_op, z, params, sites, side))
+                   for side in (False, True))
+    return itertools.chain(left, [(boundary, aux)], right)
 
 
 def monodromy_v(z: complex, params: ChainParams, shape, aux: int, sites) -> np.ndarray:
@@ -260,13 +280,13 @@ def monodromy_w(z: complex, r: complex, params: ChainParams, shape, aux: int,
 _STACK_ENTRIES = 2 ** 16
 
 
-def _certified_sum(levels, sectors, J: int, rho_theory: float, j_min: int,
+def _certified_sum(levels, n_sites: int, J: int, rho_theory: float, j_min: int,
                    tol_eff: float, what: str) -> np.ndarray:
     """Sum the level terms 0 .. J - 1 until a geometric tail certificate clears
     tol_eff.
 
-    The terms are block diagonal in S^z; sectors holds each sector's indices in
-    product order.  levels(j0, j1) returns levels j0 .. j1 - 1, or a nonempty
+    The terms are block diagonal in the S^z sectors of n_sites spins (_sectors).
+    levels(j0, j1) returns levels j0 .. j1 - 1, or a nonempty
     leading part of them, as one (k, D_m, D_m) stack per sector.  The first stack asked
     for holds the j_min + 2 levels the rule needs before it can stop, each later
     one the levels the certificate's own estimate still needs, at most
@@ -280,8 +300,8 @@ def _certified_sum(levels, sectors, J: int, rho_theory: float, j_min: int,
     is a heuristic, not a proof: the estimate bounds the remainder only if the
     level norms decay at least geometrically at ratio rho from j_min on.
     """
-    d = sum(len(idx) for idx in sectors)
-    total = np.zeros(sum(len(idx) ** 2 for idx in sectors), dtype=complex)
+    d = 2 ** n_sites
+    total = np.zeros(len(_sector_entries(n_sites)), dtype=complex)
     prev_norm, calm, last_tail, scale, j0 = None, 0, math.inf, 1.0, 0
     while j0 < J and calm < 2:
         want = j_min + 2 - j0 if j0 < j_min else 2 - calm
@@ -312,42 +332,42 @@ def _certified_sum(levels, sectors, J: int, rho_theory: float, j_min: int,
     # applied at the top level
     if calm < 2 and not last_tail < tol_eff * scale:
         raise TailCertificateError(f"Fock cutoff {J} exhausted before the {what} cleared tol/10")
-    return _from_sectors(total, sectors)
+    return _from_sectors(total, n_sites)
 
 
-def _from_sectors(flat, sectors) -> np.ndarray:
-    """The d x d operator whose S^z-sector blocks lie one after another in flat."""
-    out = np.zeros((sum(map(len, sectors)),) * 2, dtype=complex)
-    hi = 0
-    for idx in sectors:
-        lo, hi = hi, hi + len(idx) ** 2
-        out[idx[:, None], idx] = flat[lo:hi].reshape(len(idx), len(idx))
-    return out
+def _from_sectors(flat, n_sites: int) -> np.ndarray:
+    """The operator on n_sites spins whose S^z-sector blocks lie one after
+    another in flat."""
+    d = 2 ** n_sites
+    out = np.zeros(d * d, dtype=complex)
+    out[_sector_entries(n_sites)] = flat
+    return out.reshape(d, d)
 
 
-def _exact_sum(levels, sectors) -> np.ndarray:
+def _exact_sum(levels, n_sites: int) -> np.ndarray:
     """levels(0, 2) summed whole: a two-level auxiliary trace needs no certificate."""
-    return _from_sectors(np.concatenate([s.sum(axis=0).ravel() for s in levels(0, 2)]), sectors)
+    return _from_sectors(np.concatenate([s.sum(axis=0).ravel() for s in levels(0, 2)]), n_sites)
 
 
-def _half_products(site_op, z: complex, params: ChainParams, J: int):
-    """Charge blocks of the double row's half rows on J auxiliary levels: the
-    left one P by row level, X[j, r, t] = P[(j, r), (j + m(r) - m(t), t)] (m the
-    down count), built as P^T = F_N^T .. F_1^T, and the right one."""
+def _half_products(site_bands, z: complex, params: ChainParams, J: int):
+    """Charge blocks of the double row's half rows on J auxiliary levels, from
+    the level bands site_bands(w) of each factor: the left one P by row level,
+    X[j, r, t] = P[(j, r), (j + m(r) - m(t), t)] (m the down count), built as
+    P^T = F_N^T .. F_1^T, and the right one."""
     shape = (J,) + (2,) * params.n_sites
     sites = range(1, params.n_sites + 1)
-    left_t = [(x.T, 0, s) for x, _, s in _half_row(site_op, z, params, 0, sites)][::-1]
-    return (tc.charge_product(left_t, shape).transpose(0, 2, 1),
-            tc.charge_product(_half_row(site_op, z, params, 0, sites, right=True), shape))
+    left_t = [(tc.transpose_bands(x), s) for x, s in _half_row(site_bands, z, params, sites)]
+    return (tc.charge_product(left_t[::-1], shape).transpose(0, 2, 1),
+            tc.charge_product(_half_row(site_bands, z, params, sites, right=True), shape))
 
 
 def _open_levels(X, Y, n_sites: int, weights):
     """levels(j0, j1) of the double-row trace of the half rows X, Y, one stack
-    per S^z sector, and each sector's product-order states.  A stack puts the
-    rows of X[j] and columns of Y[j] in down-count order, where sector m is one
-    range; its rows meet Y[j] through each state t at weight w[j - j0, n + m - m(t)],
-    w = weights(j0, j1) the paired boundary weights of levels j - n .. j + n."""
-    down, order, slices = _sectors(n_sites)
+    per S^z sector.  A stack puts the rows of X[j] and columns of Y[j] in
+    down-count order, where sector m is one range; its rows meet Y[j] through
+    each state t at weight w[j - j0, n + m - m(t)], w = weights(j0, j1) the
+    paired boundary weights of levels j - n .. j + n."""
+    down, order, slices, _ = _sectors(n_sites)
     wsel = n_sites + np.arange(n_sites + 1)[:, None] - down
 
     def levels(j0, j1):
@@ -355,7 +375,7 @@ def _open_levels(X, Y, n_sites: int, weights):
         x, y = X[j0:j0 + len(w), order], Y[j0:j0 + len(w)][:, :, order]
         return [x[:, R] * w[:, None, wsel[m]] @ y[:, :, R] for m, R in enumerate(slices)]
 
-    return levels, [order[R] for R in slices]
+    return levels
 
 
 def transfer_v(z: complex, params: ChainParams) -> np.ndarray:
@@ -363,8 +383,8 @@ def transfer_v(z: complex, params: ChainParams) -> np.ndarray:
     n = params.n_sites
     kv = sliding_window_view(np.pad(np.diagonal(kv_matrix(z, params.xi)), n), 2 * n + 1)
     w = np.diagonal(ktv_matrix(z, params.xitilde, params.q))[:, None] * kv
-    X, Y = _half_products(lambda u: r_matrix(u, params.q), z, params, 2)
-    return _exact_sum(*_open_levels(X, Y, n, lambda j0, j1: w[j0:j1]))
+    X, Y = _half_products(lambda u: r_bands(u, params.q), z, params, 2)
+    return _exact_sum(_open_levels(X, Y, n, lambda j0, j1: w[j0:j1]), n)
 
 
 def transfer_w(z: complex, params: ChainParams, cutoff=None) -> np.ndarray:
@@ -377,6 +397,10 @@ def transfer_w(z: complex, params: ChainParams, cutoff=None) -> np.ndarray:
     """
     J = params.cutoff if cutoff is None else _fock_cutoff(cutoff)
     n = params.n_sites
+    j_min = 2 * n + 2  # the first level the tail certificate reads
+    if J <= j_min:
+        raise TailCertificateError(f"Fock cutoff {J} is below {j_min + 1}, the fewest levels "
+                                   "the tail certificate can clear with")
     z = complex(z)
     if in_exclusion_set(z, params):
         raise ExclusionPointError(
@@ -399,8 +423,8 @@ def transfer_w(z: complex, params: ChainParams, cutoff=None) -> np.ndarray:
         j1, lg = j0 + fits, lg[:fits]
         return ktw.mantissa[j0:j1, None] * kw_mant[j0:j1] * np.exp(lg)
 
-    X, Y = _half_products(lambda u: l_matrix(u, 1.0, params.q, J), z, params, J)
-    return _certified_sum(*_open_levels(X, Y, n, weights), J, params.tail_ratio, 2 * n + 2,
+    X, Y = _half_products(lambda u: l_bands(u, 1.0, params.q, J), z, params, J)
+    return _certified_sum(_open_levels(X, Y, n, weights), n, J, params.tail_ratio, j_min,
                           params.tol / 10.0, "tail certificate")
 
 
@@ -483,30 +507,31 @@ def _require_twist(params: ChainParams) -> complex:
     return zeta
 
 
-def _closed_levels(site_op, z: complex, params: ChainParams, J: int):
+def _closed_levels(site_bands, z: complex, params: ChainParams, J: int):
     """levels(j0, j1) of the twisted trace of the single row on J auxiliary
-    levels, one stack per S^z sector, and each sector's product-order states:
-    zeta^j times charge block j between equal down counts (row level j)."""
+    levels, from the level bands site_bands(w) of each factor, one stack per
+    S^z sector: zeta^j times charge block j between equal down counts (row
+    level j)."""
     n = params.n_sites
-    factors = _half_row(site_op, z, params, 0, range(1, n + 1), right=True)
+    factors = _half_row(site_bands, z, params, range(1, n + 1), right=True)
     flat = tc.charge_product(factors, (J,) + (2,) * n).reshape(J, -1)
-    _, order, slices = _sectors(n)
-    sectors = [order[R] for R in slices]
-    entries = [(idx[:, None] * len(order) + idx).ravel() for idx in sectors]
+    entries, sizes = _sector_entries(n), [len(idx) for idx in _sectors(n)[3]]
+    starts = np.cumsum([0] + [k * k for k in sizes]).tolist()
 
     def levels(j0, j1):
         # Python's power: numpy's zeta ** np.arange(J) rounds differently
         weights = np.array([params.zeta ** j for j in range(j0, j1)])[:, None]
-        return [(weights * np.take(flat[j0:j1], e, axis=1)).reshape(-1, len(idx), len(idx))
-                for e, idx in zip(entries, sectors)]
+        blocks = weights * np.take(flat[j0:j1], entries, axis=1)
+        return [blocks[:, lo:lo + k * k].reshape(-1, k, k) for lo, k in zip(starts, sizes)]
 
-    return levels, sectors
+    return levels
 
 
 def closed_transfer_v(z: complex, params: ChainParams) -> np.ndarray:
     """Twisted trace of the single-row monodromy over the two-dimensional auxiliary."""
     _require_twist(params)
-    return _exact_sum(*_closed_levels(lambda w: r_matrix(w, params.q), z, params, 2))
+    return _exact_sum(_closed_levels(lambda w: r_bands(w, params.q), z, params, 2),
+                      params.n_sites)
 
 
 def closed_transfer_w(z: complex, params: ChainParams, cutoff=None) -> np.ndarray:
@@ -514,13 +539,17 @@ def closed_transfer_w(z: complex, params: ChainParams, cutoff=None) -> np.ndarra
     zeta = _require_twist(params)
     J = params.cutoff if cutoff is None else _fock_cutoff(cutoff)
     n = params.n_sites
+    j_min = n + 2  # the first level the tail certificate reads
+    if J <= j_min:
+        raise TailCertificateError(f"Fock cutoff {J} is below {j_min + 1}, the fewest levels "
+                                   "the closed-trace tail certificate can clear with")
     rho_theory = abs(zeta) * abs(params.q) ** (-n)
     tol_eff = params.tol / 10.0
     if rho_theory ** J >= tol_eff:
         raise TailCertificateError(
             f"cutoff {J} cannot certify the closed-trace tail ratio {rho_theory:.3f} down to tol/10")
-    return _certified_sum(*_closed_levels(lambda w: l_matrix(w, 1.0, params.q, J), z, params, J),
-                          J, rho_theory, n + 2, tol_eff, "closed-trace tail certificate")
+    return _certified_sum(_closed_levels(lambda w: l_bands(w, 1.0, params.q, J), z, params, J),
+                          n, J, rho_theory, j_min, tol_eff, "closed-trace tail certificate")
 
 
 def closed_q(z: complex, params: ChainParams, cutoff=None) -> np.ndarray:

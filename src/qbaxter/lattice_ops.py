@@ -15,40 +15,36 @@ from .errors import ParameterDomainError
 from .qoscillator import q_powers, validate_cutoff
 
 
-def _wv_bands(b00, b01, b10, b11, shift: int) -> np.ndarray:
-    """Assemble an operator on W (x) V from its four W-blocks, each one level band
-    of J entries listed from the top.
+def _fock_bands(b00, b01, b10, b11) -> np.ndarray:
+    """Level bands (tc.from_bands) of a charge-conserving operator on W (x) V
+    from its four W-blocks, each one level band of J entries listed from the top.
 
-    b00 and b11 are the diagonals of their blocks.  b01 is the band of its
-    block whose row level is the column level plus shift (the sub-diagonal for
-    shift = 1, the super-diagonal for shift = -1), b10 the opposite band of its
-    block; the last entry of each of these two falls outside the truncation.
+    b00 and b11 are the diagonals of their blocks, b01 the sub-diagonal of the
+    (v^0, v^1) block (row level one above the column level) and b10 the
+    super-diagonal of the (v^1, v^0) block; the last entry of each of these two
+    falls outside the truncation.
     """
-    J = len(b00)
-    out = np.zeros(4 * J * J, dtype=complex)
-    # entry (w^l (x) v^a, w^c (x) v^b) sits at 4 J l + 2 J a + 2 c + b, so a
-    # band is one slice of stride 4 J + 2, starting 4 J later below the diagonal
-    below, above = (4 * J, 2) if shift > 0 else (2, 4 * J)
-    for start, band in ((0, b00), (1 + below, b01[:-1]), (2 * J + above, b10[:-1]),
-                        (2 * J + 1, b11)):
-        out[start::4 * J + 2][:len(band)] = band
-    return out.reshape(2 * J, 2 * J)
+    out = np.zeros((2, 2, len(b00)), dtype=complex)
+    out[0, 0], out[1, 1] = b00, b11
+    out[0, 1, :-1] = b01[:-1]
+    out[1, 0, 1:] = b10[:-1]
+    return out
+
+
+def r_weights(z: complex, q: complex):
+    """The three entries a, b, c of the R-matrix."""
+    return 1.0 - q * q * z * z, q * (1.0 - z * z), (1.0 - q * q) * z
+
+
+def r_bands(z: complex, q: complex) -> np.ndarray:
+    """Level bands of the R-matrix, its first factor read as two levels."""
+    a, b, c = r_weights(z, q)
+    return np.array([[[a, b], [c, 0]], [[0, c], [b, a]]], dtype=complex)
 
 
 def r_matrix(z: complex, q: complex) -> np.ndarray:
     """Trigonometric 4x4 R-matrix in the basis (00, 01, 10, 11)."""
-    a = 1.0 - q * q * z * z
-    b = q * (1.0 - z * z)
-    c = (1.0 - q * q) * z
-    return np.array(
-        [
-            [a, 0, 0, 0],
-            [0, b, c, 0],
-            [0, c, b, 0],
-            [0, 0, 0, a],
-        ],
-        dtype=complex,
-    )
+    return tc.from_bands(r_bands(z, q))
 
 
 def r_tilde(z: complex, q: complex) -> np.ndarray:
@@ -58,11 +54,16 @@ def r_tilde(z: complex, q: complex) -> np.ndarray:
     return np.linalg.inv(scalar * r_matrix(q * q * z, q))
 
 
+def l_bands(z: complex, r: complex, q: complex, J: int) -> np.ndarray:
+    """Level bands of the L-operator on W (x) V."""
+    p = q_powers(q, validate_cutoff(J))
+    return _fock_bands(b00=r * p(0), b01=-(z / q) * ((1.0 - p(2, 2)) * p(0, -1)),
+                       b10=-q * z * r * p(1), b11=(1.0 - p(2, 2) * z * z) * p(0, -1))
+
+
 def l_matrix(z: complex, r: complex, q: complex, J: int) -> np.ndarray:
     """L-operator on W (x) V."""
-    p = q_powers(q, validate_cutoff(J))
-    return _wv_bands(b00=r * p(0), b01=-(z / q) * ((1.0 - p(2, 2)) * p(0, -1)),
-                     b10=-q * z * r * p(1), b11=(1.0 - p(2, 2) * z * z) * p(0, -1), shift=1)
+    return tc.from_bands(l_bands(z, r, q, J))
 
 
 def l_inverse(z: complex, r: complex, q: complex, J: int) -> np.ndarray:
@@ -74,9 +75,9 @@ def l_inverse(z: complex, r: complex, q: complex, J: int) -> np.ndarray:
     if abs(z * z - 1.0) < 1e-12:
         raise ParameterDomainError("L-operator is not invertible at z^2 = 1")
     s = 1.0 / (1.0 - z * z)
-    return _wv_bands(b00=(s / r) * ((1.0 - p(0, 2) * z * z) * p(0, -1)),
-                     b01=(s * z / (q * r)) * (p(-1, -1) * (1.0 - p(2, 2))),
-                     b10=s * q * z * p(0), b11=s * p(0), shift=1)
+    return tc.from_bands(_fock_bands(b00=(s / r) * ((1.0 - p(0, 2) * z * z) * p(0, -1)),
+                                     b01=(s * z / (q * r)) * (p(-1, -1) * (1.0 - p(2, 2))),
+                                     b10=s * q * z * p(0), b11=s * p(0)))
 
 
 def l_transpose2(z: complex, r: complex, q: complex, J: int) -> np.ndarray:
@@ -85,23 +86,24 @@ def l_transpose2(z: complex, r: complex, q: complex, J: int) -> np.ndarray:
 
 
 def l_transpose2_inverse(z: complex, r: complex, q: complex, J: int) -> np.ndarray:
-    """Closed-form inverse of l_transpose2; singular at z^2 = q^{-2}."""
-    p = q_powers(q, validate_cutoff(J))
-    if abs(q * q * z * z - 1.0) < 1e-12:
-        raise ParameterDomainError("partial transpose of L is not invertible at q^2 z^2 = 1")
-    s = 1.0 / (1.0 - q * q * z * z)
-    return _wv_bands(b00=(s / r) * ((1.0 - p(4, 2) * z * z) * p(0, -1)),
-                     b01=s * q * q * z * p(1), b10=(s * z / r) * ((1.0 - p(2, 2)) * p(0, -1)),
-                     b11=s * p(0), shift=-1)
+    """Closed-form inverse of l_transpose2, the V-transpose of l_tilde; singular
+    at z^2 = q^{-2}.  It conserves level - index, not the charge."""
+    return tc.partial_transpose(l_tilde(z, r, q, J), 1, (J, 2))
 
 
 def l_tilde(z: complex, r: complex, q: complex, J: int) -> np.ndarray:
-    """Crossing partner ((L^{t2})^{-1})^{t2}: the V-transpose of l_transpose2_inverse.
+    """Crossing partner ((L^{t2})^{-1})^{t2} in closed form.
 
     Satisfies l_tilde(z, r)^{-1} = (1 - q^2 z^2)/(1 - q^4 z^2) * l_matrix(q^2 z, r)
     on the interior Fock band.
     """
-    return tc.partial_transpose(l_transpose2_inverse(z, r, q, J), 1, (J, 2))
+    p = q_powers(q, validate_cutoff(J))
+    if abs(q * q * z * z - 1.0) < 1e-12:
+        raise ParameterDomainError("partial transpose of L is not invertible at q^2 z^2 = 1")
+    s = 1.0 / (1.0 - q * q * z * z)
+    return tc.from_bands(_fock_bands(b00=(s / r) * ((1.0 - p(4, 2) * z * z) * p(0, -1)),
+                                     b01=(s * z / r) * ((1.0 - p(2, 2)) * p(0, -1)),
+                                     b10=s * q * q * z * p(1), b11=s * p(0)))
 
 
 def kv_matrix(z: complex, xi: complex) -> np.ndarray:

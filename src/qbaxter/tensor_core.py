@@ -10,6 +10,8 @@ factors; every site index below refers to a position in that tuple.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 
@@ -118,72 +120,106 @@ def index_sums(shape) -> np.ndarray:
     return out
 
 
-def _widen(prod, x, n, carried, dims):
-    """Charge blocks of the carried sites times x on site n, which joins them:
-    new[c, (r, b), (s, a)] = old[c + a - b, r, s] x[c + a - b, b, c, a], the
-    site-n indices b, a placed between the carried sites before and after n."""
+@functools.lru_cache(maxsize=16)
+def _band_layout(dn: int, J: int):
+    """Read-only: the mask of the band entries [b, a, c] whose row level c + a - b
+    leaves 0 .. J - 1, the flat indices of the others, their flat indices in the
+    dense matrix, and the flat index of entry [a, b, c + a - b] for each."""
+    b, a, c = np.indices((dn, dn, J))
+    row = c + a - b
+    outside = (row < 0) | (row >= J)
+    inside = np.flatnonzero(~outside)
+    dense = ((row * dn + b) * J * dn + c * dn + a).ravel()[inside]
+    swapped = ((a * dn + b) * J + row).ravel()[inside]
+    for arr in (outside, inside, dense, swapped):
+        arr.setflags(write=False)
+    return outside, inside, dense, swapped
+
+
+def _check_bands(coef, J: int, dn: int) -> np.ndarray:
+    """coef as a complex (dn, dn, J) band array with nothing outside the truncation."""
+    coef = np.asarray(coef, dtype=complex)
+    if coef.shape != (dn, dn, J):
+        raise ValueError(f"band shape {coef.shape} does not match sites of dims ({J}, {dn})")
+    if coef[_band_layout(dn, J)[0]].any():
+        raise ValueError("band entry outside the truncation of site 0")
+    return coef
+
+
+def from_bands(coef) -> np.ndarray:
+    """The operator x on J levels (x) C^dn with level bands coef[b, a, c] =
+    x[(c + a - b, b), (c, a)]; every other entry of x is zero."""
+    dn, _, J = np.shape(coef)
+    _, inside, dense, _ = _band_layout(dn, J)
+    out = np.zeros((J * dn) ** 2, dtype=complex)
+    out[dense] = np.take(_check_bands(coef, J, dn), inside)
+    return out.reshape(J * dn, J * dn)
+
+
+def transpose_bands(coef) -> np.ndarray:
+    """The level bands of x^T from those of x: coefT[b, a, c] = coef[a, b, c + a - b]."""
+    _, inside, _, swapped = _band_layout(coef.shape[0], coef.shape[2])
+    out = np.zeros(coef.shape, dtype=complex)
+    np.put(out, inside, np.take(coef, swapped))
+    return out
+
+
+def _widen(prod, coef, n, carried, dims, pad, pad_out):
+    """Charge blocks of the carried sites times the band factor coef on site n,
+    which joins them: new[c, (r, b), (s, a)] = old[c + a - b, r, s] coef[b, a, c],
+    the site-n indices b, a placed between the carried sites before and after n.
+    old carries pad zero levels on each side, so every shifted read is in
+    range, and new carries pad_out."""
     pre = total_dim(dims[s] for s in carried if s < n)
     post = total_dim(dims[s] for s in carried if s > n)
     carried.add(n)
-    J, dn = x.shape[:2]
-    old = prod.reshape(J, pre, post, pre, post)
-    out = np.empty((J, pre, dn, post, pre, dn, post), dtype=complex)
+    dn, _, J = coef.shape
+    old = prod.reshape(J + 2 * pad, pre, post, pre, post)
+    out = np.empty((J + 2 * pad_out, pre, dn, post, pre, dn, post), dtype=complex)
+    out[:pad_out] = out[pad_out + J:] = 0.0
     for b in range(dn):
         for a in range(dn):
-            shift = a - b
-            lo, hi = max(0, -shift), J - max(0, shift)
-            coef = np.diagonal(x[:, b, :, a], -shift)
-            block = out[:, :, b, :, :, a, :]
-            if not coef.any():
-                block[...] = 0.0
-                continue
-            block[:lo] = 0.0
-            block[hi:] = 0.0
-            np.multiply(old[lo + shift:hi + shift], coef[:, None, None, None, None],
-                        out=block[lo:hi])
+            lo = pad + a - b
+            np.multiply(old[lo:lo + J], coef[b, a, :, None, None, None, None],
+                        out=out[pad_out:pad_out + J, :, b, :, :, a, :])
     k = prod.shape[1] * dn
-    return out.reshape(J, k, k)
+    return out.reshape(J + 2 * pad_out, k, k)
 
 
 def charge_product(factors, shape) -> np.ndarray:
     """Left-to-right product of two-site factors that conserve the charge
     site-0 level + index sum, kept as one block per site-0 column level.
 
-    Each factor is (x, 0, n): x acts on sites 0 and n as in embed, and
-    x[(l, b), (c, a)] vanishes unless l + b = c + a; no two factors share a
-    site n.  The product P then vanishes unless its site-0 levels differ by
-    m(s) - m(r), m the index_sums of the remaining sites, and comes back as
-    C[c, r, s] = P[(c + m(s) - m(r), r), (c, s)]; row levels outside the range
-    of site 0 give zero entries.
+    Each factor is (coef, n): the level bands coef[b, a, c] = x[(c + a - b, b),
+    (c, a)] of an operator x on sites 0 and n as in embed (see from_bands),
+    shape (dims[n], dims[n], J), zero where c + a - b leaves 0 .. J - 1; no two
+    factors share a site n.  The product P then vanishes unless its site-0
+    levels differ by m(s) - m(r), m the index_sums of the remaining sites, and
+    comes back as C[c, r, s] = P[(c + m(s) - m(r), r), (c, s)]; row levels
+    outside the range of site 0 give zero entries.
 
     The blocks carry only the sites visited so far, in site order whatever
-    the visit order; each factor widens them by one scaled, level-shifted copy
-    per pair of site indices (about (4/3) J 4^N per pass over N spin sites),
-    and sites no factor touches join at the end as the identity.
+    the visit order, and zero levels on each side up to the last factor; each
+    factor widens them by one scaled, level-shifted copy per band, and sites
+    no factor touches join at the end as the identity.
     """
     dims = tuple(int(s) for s in shape)
     J = dims[0]
-    carried = set()
-    charges = {dn: np.add.outer(np.arange(J), np.arange(dn)) for dn in set(dims[1:])}
-    off_charge = {dn: np.not_equal.outer(charge, charge) for dn, charge in charges.items()}
-    prod = np.ones((J, 1, 1), dtype=complex)
-    for x, m, n in factors:
-        if m != 0 or not 0 < n < len(dims):
-            raise IndexError(f"charge factor must act on site 0 and a site in 1..{len(dims) - 1}")
-        if n in carried:
+    steps = []
+    for coef, n in factors:
+        if not 0 < n < len(dims):
+            raise IndexError(f"charge factor must act on a site in 1..{len(dims) - 1}")
+        if n in (m for _, m in steps):
             raise ValueError(f"charge factor revisits site {n}")
-        dn = dims[n]
-        x = _as_matrix(x)
-        if x.shape != (J * dn, J * dn):
-            raise ValueError(f"operator shape {x.shape} does not match sites of dims ({J}, {dn})")
-        x = x.reshape(J, dn, J, dn)
-        if x[off_charge[dn]].any():
-            raise ValueError("charge factor does not conserve site-0 level + site-n index")
-        prod = _widen(prod, x, n, carried, dims)
-    for n in range(1, len(dims)):
-        if n not in carried:
-            prod = _widen(prod, identity(J * dims[n]).reshape(J, dims[n], J, dims[n]), n,
-                          carried, dims)
+        steps.append((_check_bands(coef, J, dims[n]), n))
+    steps += [(np.eye(dims[n], dtype=complex)[:, :, None].repeat(J, axis=2), n)
+              for n in range(1, len(dims)) if n not in (m for _, m in steps)]
+    pad = max(dims[1:], default=1) - 1
+    prod = np.zeros((J + 2 * pad, 1, 1), dtype=complex)
+    prod[pad:pad + J] = 1.0
+    carried = set()
+    for i, (coef, n) in enumerate(steps):
+        prod = _widen(prod, coef, n, carried, dims, pad, pad if i + 1 < len(steps) else 0)
     return prod
 
 

@@ -429,8 +429,8 @@ class TestCertifiedSumStacks:
         for size in (1, 3, J):
             def levels(j0, j1):
                 return [term[j0:min(j1, j0 + size)] for term in terms]
-            assert np.array_equal(ch._certified_sum(levels, sectors, J, 0.5, 4, 1e-11,
-                                                    "synthetic"), expected)
+            assert np.array_equal(ch._certified_sum(levels, 3, J, 0.5, 4, 1e-11, "synthetic"),
+                                  expected)
 
     def test_exhausted_cutoff_raises_the_same_error(self, monkeypatch):
         p = ch.ChainParams(q=0.6, xi=0.17, xitilde=0.17, n_sites=1, t=(1.0,),
@@ -445,6 +445,40 @@ class TestCertifiedSumStacks:
                 with pytest.raises(TailCertificateError) as stacked:
                     ch.transfer_w(z, p, cutoff=9)
             assert str(stacked.value) == str(whole.value)
+
+
+class TestCutoffFloor:
+    """A cutoff at or below the first level the tail certificate reads can never
+    certify, so it raises before any row is built."""
+
+    def test_sampler_grows_the_cutoff_to_the_stop_rule_floor(self):
+        for n in (0, 5, 18, 19, 25):
+            assert ch.sample_params(n, seed=0).cutoff >= max(40, 2 * n + 4)
+        assert ch.sample_params(19, seed=0).cutoff >= 42
+
+    def test_raises_before_building_a_row(self, monkeypatch):
+        p = ch.sample_params(2, seed=3, tol=1e-10)
+        z = 0.83 + 0.21j
+
+        def no_rows(*args):
+            raise AssertionError("a row was built")
+
+        monkeypatch.setattr(tc, "charge_product", no_rows)
+        for fn in (ch.transfer_w, ch.q_operator):
+            with pytest.raises(TailCertificateError, match="cutoff 6 is below 7"):
+                fn(z, p, cutoff=6)
+        for fn in (ch.closed_transfer_w, ch.closed_q):
+            with pytest.raises(TailCertificateError, match="cutoff 4 is below 5"):
+                fn(z, p, cutoff=4)
+
+    def test_first_cutoff_above_the_floor_can_certify(self):
+        # a small enough tail ratio clears on the top level alone
+        p = ch.sample_params(2, seed=0, tol=1e-9)
+        z = 0.83 + 0.21j
+        tiny = dataclasses.replace(p, xi=p.xi * 1e-30, zeta=p.zeta * 1e-30)
+        assert tc.rel_err(ch.transfer_w(z, tiny, cutoff=7), ch.transfer_w(z, tiny)) < 1e-9
+        assert tc.rel_err(ch.closed_transfer_w(z, tiny, cutoff=5),
+                          ch.closed_transfer_w(z, tiny)) < 1e-9
 
 
 class TestSixSites:

@@ -11,17 +11,19 @@ from qbaxter.lattice_ops import (
     iota_retraction,
     kv_matrix,
     ktv_matrix,
+    l_bands,
     l_inverse,
     l_matrix,
     l_tilde,
     l_transpose2,
     l_transpose2_inverse,
+    r_bands,
     r_matrix,
     r_tilde,
     tau,
     tau_section,
 )
-from qbaxter.qoscillator import kw_diagonal, ktw_diagonal
+from qbaxter.qoscillator import kw_diagonal, ktw_diagonal, q_powers
 from qbaxter.qoscillator import osc_a, osc_adag, osc_fd, q_power_d
 
 Q = 0.62 + 0.11j
@@ -172,6 +174,36 @@ class TestLevelBandOracle:
     def test_numpy_integer_cutoff_accepted(self):
         z = 0.7 + 0.2j
         assert_allclose(l_matrix(z, R, Q, np.int64(12)), l_matrix(z, R, Q, 12), rtol=0, atol=0)
+
+
+class TestLevelBands:
+    POINTS = ((0.7 + 0.2j, R), (1.1 - 0.3j, 1.0), (0.0, R))
+
+    @pytest.mark.parametrize("cutoff", [2, 3, 40])
+    def test_l_bands_densify_to_the_block_assembly(self, cutoff):
+        p = q_powers(Q, cutoff)
+        for z, r in self.POINTS:
+            # the four blocks: two diagonals, a sub- and a super-diagonal
+            b01, b10 = -(z / Q) * ((1.0 - p(2, 2)) * p(0, -1)), -Q * z * r * p(1)
+            want = dense_wv(np.diag(r * p(0)), np.diag(b01[:-1], -1), np.diag(b10[:-1], 1),
+                            np.diag((1.0 - p(2, 2) * z * z) * p(0, -1)))
+            assert np.array_equal(tc.from_bands(l_bands(z, r, Q, cutoff)), want)
+            assert np.array_equal(l_matrix(z, r, Q, cutoff), want)
+
+    def test_r_bands_densify_to_the_display(self):
+        for z in (0.0, 0.7 + 0.2j, 1.0):
+            a, b, c = 1.0 - Q * Q * z * z, Q * (1.0 - z * z), (1.0 - Q * Q) * z
+            want = np.array([[a, 0, 0, 0], [0, b, c, 0], [0, c, b, 0], [0, 0, 0, a]],
+                            dtype=complex)
+            assert np.array_equal(tc.from_bands(r_bands(z, Q)), want)
+            assert np.array_equal(r_matrix(z, Q), want)
+
+    def test_band_transpose_is_the_dense_transpose(self):
+        for z, r in self.POINTS:
+            assert np.array_equal(tc.from_bands(tc.transpose_bands(l_bands(z, r, Q, J))),
+                                  l_matrix(z, r, Q, J).T)
+            assert np.array_equal(tc.from_bands(tc.transpose_bands(r_bands(z, Q))),
+                                  r_matrix(z, Q).T)
 
 
 class TestBoundaryMatrices:

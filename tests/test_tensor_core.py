@@ -172,20 +172,26 @@ class TestOrderedProduct:
         assert_allclose(tc.ordered_product(iter(factors), dims), expected, atol=1e-12)
 
 
-def charge_factor(rng, J, dn):
-    """Random operator on J levels (x) C^dn that conserves level + index."""
-    charge = np.add.outer(np.arange(J), np.arange(dn))
-    x = rand_matrix(rng, J * dn).reshape(J, dn, J, dn)
-    x[np.not_equal.outer(charge, charge)] = 0.0
-    return x.reshape(J * dn, J * dn)
+def charge_bands(rng, J, dn):
+    """Random level bands on J levels (x) C^dn, zero outside the truncation."""
+    coef = rng.standard_normal((dn, dn, J)) + 1j * rng.standard_normal((dn, dn, J))
+    b, a, c = np.indices(coef.shape)
+    coef[(c + a - b < 0) | (c + a - b >= J)] = 0.0
+    return coef
+
+
+def dense_factors(factors):
+    """The band factors (coef, n) as dense (x, 0, n) for ordered_product."""
+    return [(tc.from_bands(coef), 0, n) for coef, n in factors]
 
 
 def assert_charge_blocks_match_dense(factors, dims):
-    """charge_product of the factors against the index formula on ordered_product."""
+    """charge_product of the band factors against the index formula on the
+    ordered_product of the densified factors."""
     prod = tc.charge_product(iter(factors), dims)
     J, d = dims[0], tc.total_dim(dims[1:])
     assert prod.shape == (J, d, d)
-    dense = tc.ordered_product(factors, dims).reshape(J, d, J, d)
+    dense = tc.ordered_product(dense_factors(factors), dims).reshape(J, d, J, d)
     m = tc.index_sums(dims[1:])
     expected = np.zeros_like(prod)
     for c in range(J):
@@ -200,6 +206,49 @@ def assert_charge_blocks_match_dense(factors, dims):
                     assert prod[c, r, s] == 0.0
     assert np.count_nonzero(expected) > J * d
     assert_allclose(prod, expected, rtol=1e-13, atol=1e-12)
+
+
+class TestBands:
+    # (site dimension, level count)
+    SHAPES = [(1, 3), (2, 2), (2, 5), (3, 4), (4, 2)]
+
+    def test_from_bands_places_every_band(self):
+        rng = np.random.default_rng(21)
+        for dn, J in self.SHAPES:
+            coef = charge_bands(rng, J, dn)
+            x = tc.from_bands(coef).reshape(J, dn, J, dn)
+            expected = np.zeros_like(x)
+            for b in range(dn):
+                for a in range(dn):
+                    for c in range(J):
+                        if 0 <= c + a - b < J:
+                            expected[c + a - b, b, c, a] = coef[b, a, c]
+            assert np.array_equal(x, expected)
+
+    def test_transpose_bands_is_the_dense_transpose(self):
+        rng = np.random.default_rng(22)
+        for dn, J in self.SHAPES:
+            coef = charge_bands(rng, J, dn)
+            assert np.array_equal(tc.from_bands(tc.transpose_bands(coef)),
+                                  tc.from_bands(coef).T)
+
+    def test_wrong_band_shape_rejected(self):
+        rng = np.random.default_rng(23)
+        for coef in (charge_bands(rng, 4, 3), charge_bands(rng, 3, 2), np.zeros((2, 3, 4))):
+            with pytest.raises(ValueError, match="band shape"):
+                tc.charge_product([(coef, 1)], (4, 2))
+        with pytest.raises(ValueError, match="band shape"):
+            tc.from_bands(np.zeros((2, 3, 4)))
+
+    def test_band_entry_outside_truncation_rejected(self):
+        # (b, a, c) with row level c + a - b outside 0 .. 3
+        for entry in ((0, 1, 3), (1, 0, 0), (0, 2, 2), (2, 0, 1)):
+            coef = charge_bands(np.random.default_rng(24), 4, 3)
+            coef[entry] = 1e-300
+            with pytest.raises(ValueError, match="outside the truncation"):
+                tc.charge_product([(coef, 1)], (4, 3))
+            with pytest.raises(ValueError, match="outside the truncation"):
+                tc.from_bands(coef)
 
 
 class TestChargeProduct:
@@ -221,7 +270,7 @@ class TestChargeProduct:
     def test_matches_dense_product(self):
         for dims, sites in self.DENSE_CASES:
             rng = np.random.default_rng(13)
-            factors = [(charge_factor(rng, dims[0], dims[n]), 0, n) for n in sites]
+            factors = [(charge_bands(rng, dims[0], dims[n]), n) for n in sites]
             assert_charge_blocks_match_dense(factors, dims)
 
     def test_transposed_reversed_factors_give_row_level_blocks(self):
@@ -229,11 +278,12 @@ class TestChargeProduct:
         # the blocks of P by row level: X[j, r, t] = P[(j, r), (j + m(r) - m(t), t)]
         for dims, sites in self.DENSE_CASES:
             rng = np.random.default_rng(13)
-            factors = [(charge_factor(rng, dims[0], dims[n]), 0, n) for n in sites]
+            factors = [(charge_bands(rng, dims[0], dims[n]), n) for n in sites]
             J, d = dims[0], tc.total_dim(dims[1:])
-            X = tc.charge_product([(x.T, 0, n) for x, _, n in factors[::-1]], dims)
+            X = tc.charge_product([(tc.transpose_bands(coef), n) for coef, n in factors[::-1]],
+                                  dims)
             X = X.transpose(0, 2, 1)
-            dense = tc.ordered_product(factors, dims).reshape(J, d, J, d)
+            dense = tc.ordered_product(dense_factors(factors), dims).reshape(J, d, J, d)
             m = tc.index_sums(dims[1:])
             expected = np.zeros_like(X)
             for j in range(J):
@@ -247,19 +297,15 @@ class TestChargeProduct:
             assert np.count_nonzero(expected) > J * d
             assert_allclose(X, expected, rtol=1e-13, atol=1e-12)
 
-    def test_charge_violation_rejected(self):
-        x = np.zeros((4, 2, 4, 2), dtype=complex)
-        x[1, 0, 0, 0] = 1.0
-        with pytest.raises(ValueError):
-            tc.charge_product([(x.reshape(8, 8), 0, 1)], (4, 2))
-
     def test_factor_off_site_zero_rejected(self):
-        with pytest.raises(IndexError):
-            tc.charge_product([(tc.identity(4), 1, 2)], (3, 2, 2))
+        coef = charge_bands(np.random.default_rng(14), 3, 2)
+        for n in (0, 3, -1):
+            with pytest.raises(IndexError):
+                tc.charge_product([(coef, n)], (3, 2, 2))
 
     def test_revisited_site_rejected(self):
         rng = np.random.default_rng(15)
-        factors = [(charge_factor(rng, 3, 2), 0, n) for n in (1, 2, 1)]
+        factors = [(charge_bands(rng, 3, 2), n) for n in (1, 2, 1)]
         with pytest.raises(ValueError, match="revisits site 1"):
             tc.charge_product(factors, (3, 2, 2))
 
