@@ -60,13 +60,8 @@ def _eig_sorted(mat: np.ndarray):
 
 
 def _min_gap(vals: np.ndarray) -> float:
-    if vals.size < 2:
-        return math.inf
-    gap = math.inf
-    for i in range(vals.size):
-        for j in range(i + 1, vals.size):
-            gap = min(gap, abs(vals[i] - vals[j]))
-    return gap
+    gaps = np.abs(vals[:, None] - vals)[np.triu_indices(vals.size, 1)]
+    return float(np.min(gaps, initial=math.inf))
 
 
 def random_point(rng, lo=0.55, hi=1.25) -> complex:
@@ -134,31 +129,36 @@ def joint_spectrum(params: ChainParams, z_probe: complex, z_samples, seed: int =
     random small admixture of the Q-operator at a second probe point.  Returns
     one SpectrumRecord per joint eigenvector, ordered by sector then by the
     probe eigenvalue; a mixed sector is ordered by the eigenvalues of the
-    admixture.
+    admixture.  Every operator here conserves S^z, so a sector's records are
+    read off its blocks alone.
 
     Each Q-eigenvalue is a polynomial of degree <= 2N in Z = z^2; its
     coefficients come from circle_coefficients on 2N+2 nodes of |Z| = 1/|q|.
     The held-out check compares the polynomial with the eigenvalues at
-    z_samples and also counts the out-of-degree coefficient there.
+    z_samples, of which there must be at least one, and also counts the
+    out-of-degree coefficient there.
     """
     n = params.n_sites
     d = 2 ** n
     rng = np.random.default_rng(seed)
     if in_exclusion_set(z_probe, params):
         raise ParameterDomainError("probe point lies in the exclusion set")
+    z_samples = [complex(z) for z in z_samples]
+    if not z_samples:
+        raise SpectrumError("joint_spectrum needs at least one sample point, got 0")
     t_probe = chain_mod.transfer_v(z_probe, params)
     q_probe2 = None
     records = []
-    z_samples = [complex(z) for z in z_samples]
-    tv_mats = {z: chain_mod.transfer_v(z, params) for z in z_samples}
-    q_mats = {z: chain_mod.q_operator(z, params) for z in z_samples}
+    tv_mats = [chain_mod.transfer_v(z, params) for z in z_samples]
+    q_mats = [chain_mod.q_operator(z, params) for z in z_samples]
     q_coeffs = circle_coefficients(lambda y: chain_mod.q_operator(cmath.sqrt(y), params),
                                    2 * n + 2, 1.0 / params.q)
+    x = (np.array(z_samples) ** 2)[:, None]
 
-    for m_down in range(n + 1):
+    for m_down, idx in enumerate(chain_mod._sectors(n)[3]):
         sector = SpinSector(m_down, n)
-        idx = np.array(sector.indices)
-        block = t_probe[np.ix_(idx, idx)]
+        blk = np.ix_(idx, idx)
+        block = t_probe[blk]
         vals, vecs = _eig_sorted(block)
         scale = max(1.0, float(np.linalg.norm(block)))
         for tries in range(1, 4):
@@ -167,31 +167,27 @@ def joint_spectrum(params: ChainParams, z_probe: complex, z_samples, seed: int =
             if q_probe2 is None:
                 q_probe2 = chain_mod.q_operator(spectrum_nodes(params, seed + 7, 1)[0], params)
             mu = 10.0 ** (-tries) * cmath.exp(2j * math.pi * rng.random())
-            vals, vecs = _eig_sorted(block + mu * q_probe2[np.ix_(idx, idx)])
+            vals, vecs = _eig_sorted(block + mu * q_probe2[blk])
         if _min_gap(vals) < 1e3 * params.tol * scale:
             raise SpectrumError(f"unresolved degeneracy in sector M={m_down} after 3 probes")
 
+        # row i of lam, mu and coeffs holds v^H M_i v for each column v of V
+        V = vecs / np.linalg.norm(vecs, axis=0)
+        tv, qv, cv = (np.stack([mat[blk] for mat in mats]) @ V
+                      for mats in (tv_mats, q_mats, q_coeffs))
+        lam, mu, coeffs = (np.sum(V.conj() * mv, axis=1) for mv in (tv, qv, cv))
+        worst = np.max(np.linalg.norm(tv - lam[:, None] * V, axis=1)
+                       / np.maximum(1.0, np.abs(lam)), axis=0)
+        miss = np.maximum(np.abs(np.polyval(coeffs[-2::-1], x) - mu),
+                          np.abs(coeffs[-1] * x ** (2 * n + 1)))
+        fit_err = np.max(miss / np.maximum(1.0, np.abs(mu)), axis=0)
         for k in range(idx.size):
             v = np.zeros(d, dtype=complex)
-            v[idx] = vecs[:, k]
-            v /= np.linalg.norm(v)
-            coeffs = (q_coeffs @ v) @ v.conj()
-            tv_s, q_s = [], []
-            worst = fit_err = 0.0
-            for z in z_samples:
-                lam = v.conj() @ (tv_mats[z] @ v)
-                worst = max(worst, float(np.linalg.norm(tv_mats[z] @ v - lam * v))
-                            / max(1.0, abs(lam)))
-                tv_s.append((z, complex(lam)))
-                mu = complex(v.conj() @ (q_mats[z] @ v))
-                q_s.append((z, mu))
-                x = z * z
-                miss = max(abs(np.polyval(coeffs[-2::-1], x) - mu),
-                           abs(coeffs[-1] * x ** (2 * n + 1)))
-                fit_err = max(fit_err, miss / max(1.0, abs(mu)))
-            records.append(SpectrumRecord(sector=sector, vector=v, tv_samples=tv_s,
-                                          q_samples=q_s, q_poly=coeffs[:-1],
-                                          tv_residual=worst, q_fit_error=fit_err))
+            v[idx] = V[:, k]
+            records.append(SpectrumRecord(
+                sector=sector, vector=v, tv_samples=list(zip(z_samples, lam[:, k].tolist())),
+                q_samples=list(zip(z_samples, mu[:, k].tolist())), q_poly=coeffs[:-1, k],
+                tv_residual=float(worst[k]), q_fit_error=float(fit_err[k])))
     return records
 
 
@@ -324,34 +320,6 @@ def aba_f(z: complex, q: complex) -> complex:
     return z * z * (1.0 - q * q) / den
 
 
-def aba_blocks(z: complex, params: ChainParams):
-    """Auxiliary-space blocks (A, B, C, D) of the double row from transfer_v's
-    half rows X, Y: U_ab[r, s] = sum_t X[a][r, t] kv[a + m(r) - m(t)] Y[b][t, s]
-    (m the down count), so rows of down count mu meet columns of down count
-    mu + a - b through the states t of the two down counts a + mu - 1, a + mu."""
-    n, d = params.n_sites, params.dim
-    down, order, S, _ = chain_mod._sectors(n)
-    X, Y = (h[:, order][:, :, order] for h in
-            chain_mod._half_products(lambda w: r_bands(w, params.q), z, params, 2))
-    kv = np.pad(np.diagonal(kv_matrix(z, params.xi)), n)  # level l at n + l
-    m = down[order]
-    u = np.zeros((2, 2, d, d), dtype=complex)  # in down-count order
-    for a in (0, 1):
-        xk = X[a] * kv[n + a + m[:, None] - m]
-        for b in (0, 1):
-            for mu in range(max(0, b - a), n + 1 - max(0, a - b)):
-                t = slice(S[max(0, a + mu - 1)].start, S[min(n, a + mu)].stop)
-                u[a, b, S[mu], S[mu + a - b]] = xk[S[mu], t] @ Y[b, t, S[mu + a - b]]
-    undo = np.argsort(order)
-    return tuple(u.reshape(4, d, d)[:, undo][:, :, undo])
-
-
-def aba_dtilde(z: complex, params: ChainParams) -> np.ndarray:
-    """Sheared lower diagonal block whose exchange relation closes."""
-    a, _, _, dd = aba_blocks(z, params)
-    return dd + aba_f(z, params.q) * a
-
-
 def aba_coefficients(z: complex, y: complex, params: ChainParams) -> dict:
     """All scalar functions of the exchange relations and the vacuum data."""
     q = params.q
@@ -404,15 +372,27 @@ def aba_vacuum_values(z: complex, params: ChainParams):
 
 
 def aba_state(roots, params: ChainParams) -> np.ndarray:
-    """Bethe state: the ordered product of creation blocks on the raised vacuum."""
+    """Bethe state: the ordered product of creation operators B(y) on the raised
+    vacuum.  B(y) raises the down count by one; on a state v of down count
+    mu - 1 it is read off transfer_v's half rows X, Y at y:
+    (B v)[r] = sum_t X[0][r, t] kv[m(r) - m(t)] (Y[1] v)[t] for the rows r of
+    down count mu, through the states t of down counts mu - 1 and mu (m the
+    down count, kv the diagonal of K^V)."""
     ys = list(np.asarray(roots, dtype=complex))
-    if len(ys) > params.n_sites:
+    n = params.n_sites
+    if len(ys) > n:
         raise ParameterDomainError("more creation operators than sites")
-    omega = np.zeros(params.dim, dtype=complex)
-    omega[0] = 1.0
-    v = omega
-    for y in ys:
-        v = aba_blocks(y, params)[1] @ v
+    down, _, _, states = chain_mod._sectors(n)
+    v = np.zeros(params.dim, dtype=complex)
+    v[0] = 1.0
+    for mu, y in enumerate(ys, start=1):
+        X, Y = chain_mod._half_products(lambda w: r_bands(w, params.q), y, params, 2)
+        kv = np.diagonal(kv_matrix(y, params.xi))
+        s, r = states[mu - 1], states[mu]
+        t = np.concatenate((s, r))
+        w = kv[mu - down[t]] * (Y[1][np.ix_(t, s)] @ v[s])
+        v = np.zeros(params.dim, dtype=complex)
+        v[r] = X[0][np.ix_(r, t)] @ w
     return v
 
 

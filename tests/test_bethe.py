@@ -11,6 +11,13 @@ from qbaxter import tensor_core as tc
 from qbaxter.errors import ConvergenceError, ExclusionPointError, ParameterDomainError
 
 
+def dense_blocks(z, p):
+    """Auxiliary-space blocks A, B, C, D of the dense double-row monodromy."""
+    d, n = p.dim, p.n_sites
+    mono = ch.monodromy_v(z, p, (2,) * (n + 1), 0, range(1, n + 1))
+    return mono[:d, :d], mono[:d, d:], mono[d:, :d], mono[d:, d:]
+
+
 @pytest.fixture(scope="module")
 def params():
     return ch.sample_params(2, seed=31, tol=1e-11)
@@ -75,6 +82,44 @@ class TestJointSpectrum:
         assert len(recs) == 2 ** n
         assert max(r.tv_residual for r in recs) < 1e-12
         assert max(r.q_fit_error for r in recs) < 1e-9
+
+    def test_empty_samples_rejected(self):
+        p = ch.sample_params(2, 3, tol=1e-10)
+        with pytest.raises(bt.SpectrumError, match="at least one sample point, got 0"):
+            bt.joint_spectrum(p, 0.85 + 0.23j, [])
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_fields_match_their_definitions(self, n, seed):
+        # every field recomputed from the record's vector on the full space
+        p = ch.sample_params(n, seed, tol=1e-10)
+        z_samples = bt.spectrum_nodes(p, 1, 3)
+        recs = bt.joint_spectrum(p, 0.85 + 0.23j, z_samples)
+        tv = [ch.transfer_v(z, p) for z in z_samples]
+        qs = [ch.q_operator(z, p) for z in z_samples]
+        coeffs = bt.circle_coefficients(lambda y: ch.q_operator(np.sqrt(y), p), 2 * n + 2,
+                                        1.0 / p.q)
+        for rec in recs:
+            v = rec.vector
+            assert abs(np.linalg.norm(v) - 1.0) < 1e-12
+            outside = np.ones(p.dim, dtype=bool)
+            outside[list(rec.sector.indices)] = False
+            assert not v[outside].any()
+            lam = [v.conj() @ t @ v for t in tv]
+            resid = max(np.linalg.norm(t @ v - l * v) / max(1.0, abs(l)) for t, l in zip(tv, lam))
+            mu = [v.conj() @ q @ v for q in qs]
+            c = np.einsum("r,crs,s->c", v.conj(), coeffs, v)
+            fit = max(max(abs(np.polyval(c[-2::-1], z * z) - m),
+                          abs(c[-1] * (z * z) ** (2 * n + 1))) / max(1.0, abs(m))
+                      for z, m in zip(z_samples, mu))
+            assert [z for z, _ in rec.tv_samples] == [z for z, _ in rec.q_samples] == z_samples
+            for (_, got), want in zip(rec.tv_samples, lam):
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+            for (_, got), want in zip(rec.q_samples, mu):
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+            assert np.abs(rec.q_poly - c[:-1]).max() <= 1e-12 * np.abs(c).max()
+            assert abs(rec.tv_residual - resid) <= 1e-12
+            assert abs(rec.q_fit_error - fit) <= 1e-12
 
 
 class TestSampling:
@@ -271,33 +316,36 @@ class TestBetheResiduals:
 class TestAbaOracle:
     def test_vacuum_actions(self, params):
         z = 0.91 + 0.21j
-        a, b, c, d = bt.aba_blocks(z, params)
+        a, _, _, d = dense_blocks(z, params)
         omega = np.zeros(params.dim, dtype=complex)
         omega[0] = 1.0
         dplus, dminus = bt.aba_vacuum_values(z, params)
         assert np.linalg.norm(a @ omega - dplus * omega) < 1e-12 * abs(dplus)
-        dt = bt.aba_dtilde(z, params)
+        dt = d + bt.aba_f(z, params.q) * a
         assert np.linalg.norm(dt @ omega - dminus * omega) < 1e-12 * max(1.0, abs(dminus))
 
     @pytest.mark.parametrize("n", range(6))
     @pytest.mark.parametrize("seed", [3, 11])
     def test_blocks_match_dense_monodromy(self, n, seed):
+        # aba_state of the first k of three roots against the dense B(y) products
         p = ch.sample_params(n, seed=seed, tol=1e-10)
-        d = p.dim
-        for z in (0.83 + 0.21j, -1.1 + 0.4j, 0.5 - 0.95j):
-            mono = ch.monodromy_v(z, p, shape=(2,) * (n + 1), aux=0, sites=range(1, n + 1))
-            dense = (mono[:d, :d], mono[:d, d:], mono[d:, :d], mono[d:, d:])
-            for block, ref in zip(bt.aba_blocks(z, p), dense):
-                assert tc.rel_err(block, ref) <= 1e-13
+        roots = (0.83 + 0.21j, -1.1 + 0.4j, 0.5 - 0.95j)
+        ref = np.zeros(p.dim, dtype=complex)
+        ref[0] = 1.0
+        for k in range(min(3, n) + 1):
+            state = bt.aba_state(roots[:k], p)
+            assert np.linalg.norm(state - ref) <= 1e-13 * np.linalg.norm(ref)
+            if k < min(3, n):
+                ref = dense_blocks(roots[k], p)[1] @ ref
 
     def test_creation_blocks_commute(self, params):
         z, y = 0.9 + 0.21j, 0.67 - 0.33j
-        b_z = bt.aba_blocks(z, params)[1]
-        b_y = bt.aba_blocks(y, params)[1]
+        b_z = dense_blocks(z, params)[1]
+        b_y = dense_blocks(y, params)[1]
         assert tc.rel_err(b_z @ b_y, b_y @ b_z) < 1e-12
 
     def test_creation_block_raises_sector(self, params):
-        b = bt.aba_blocks(0.8 + 0.3j, params)[1]
+        b = dense_blocks(0.8 + 0.3j, params)[1]
         n = params.n_sites
         for col in range(2 ** n):
             m_col = bin(col).count("1")
@@ -312,9 +360,9 @@ class TestAbaOracle:
 
     def test_exchange_relations(self, params):
         z, y = 0.9 + 0.21j, 0.67 - 0.33j
-        a, b, _, _ = bt.aba_blocks(z, params)
-        ay, by, _, _ = bt.aba_blocks(y, params)
-        dt, dty = bt.aba_dtilde(z, params), bt.aba_dtilde(y, params)
+        a, b, _, d = dense_blocks(z, params)
+        ay, by, _, dy = dense_blocks(y, params)
+        dt, dty = d + bt.aba_f(z, params.q) * a, dy + bt.aba_f(y, params.q) * ay
         co = bt.aba_coefficients(z, y, params)
         lhs = a @ by
         rhs = co["alpha1"] * by @ a + co["alpha2t"] * b @ ay + co["alpha4"] * b @ dty
@@ -326,10 +374,10 @@ class TestAbaOracle:
     def test_transfer_matrix_decomposition(self, params):
         from qbaxter.lattice_ops import ktv_matrix
         z = 0.84 + 0.19j
-        a = bt.aba_blocks(z, params)[0]
-        dt = bt.aba_dtilde(z, params)
+        a, _, _, d = dense_blocks(z, params)
         ktv = ktv_matrix(z, params.xitilde, params.q)
         fz = bt.aba_f(z, params.q)
+        dt = d + fz * a
         gp, gm = ktv[0, 0] - fz * ktv[1, 1], ktv[1, 1]
         assert tc.rel_err(ch.transfer_v(z, params), gp * a + gm * dt) < 1e-12
 

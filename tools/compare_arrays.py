@@ -1,4 +1,4 @@
-"""Compare the arrays of the traced and finite-auxiliary row functions of two source trees.
+"""Compare the arrays of the row functions and the Bethe state of two source trees.
 
     python tools/compare_arrays.py PARENT_SRC CHANGE_SRC
 
@@ -6,13 +6,13 @@ PARENT_SRC and CHANGE_SRC are directories that hold the `qbaxter` package
 (the `src/` of two checkouts).  With each directory as PYTHONPATH, one
 process evaluates every function of FUNCTIONS, named by its module in
 `qbaxter`, at every chain size in SIZES, seed in SEEDS (parameters
-`sample_params(N, seed, tol=1e-10)`) and spectral point in POINTS, and saves
-the arrays; the four blocks of `bethe.aba_blocks` are saved as one stacked
-array.  A call that raises a `QBaxterError` is kept as the name of its error
-class.  One line per function gives the number of cases, how many arrays are
-bit-equal, and the largest relative Frobenius difference
-|change - parent|_F / |parent|_F (0 when both are zero) over the arrays of
-equal shape.  Indented lines under a function name each case whose shapes or
+`sample_params(N, seed, tol=1e-10)`) and spectral point z in POINTS, and
+saves the arrays; `bethe.aba_state` is evaluated on the root pair
+(POINTS[0], z), so it raises `ParameterDomainError` at N < 2.  A call that
+raises a `QBaxterError` is kept as the name of its error class.  One line
+per function gives the number of cases, how many arrays are bit-equal, and
+the largest relative Frobenius difference |change - parent|_F / |parent|_F
+(0 when both are zero) over the arrays of equal shape.  Indented lines under a function name each case whose shapes or
 raised errors differ.  The exit status is 1 when any case differs in shape or
 error, else 0; rounding differences are left to the reader.  Needs only the
 standard library and numpy.
@@ -27,7 +27,7 @@ import tempfile
 import numpy as np
 
 FUNCTIONS = ("chain.q_operator", "chain.transfer_w", "chain.closed_q", "chain.closed_transfer_w",
-             "chain.transfer_v", "chain.closed_transfer_v", "bethe.aba_blocks")
+             "chain.transfer_v", "chain.closed_transfer_v", "bethe.aba_state")
 SIZES = tuple(range(7))
 SEEDS = (3, 11)
 POINTS = (0.83 + 0.21j, 1.1 - 0.3j)
@@ -50,7 +50,8 @@ for n in {SIZES!r}:
         for point, z in enumerate({POINTS!r}):
             for name, function in functions.items():
                 try:
-                    value = np.asarray(function(z, params))
+                    arg = ({POINTS[0]!r}, z) if name == "bethe.aba_state" else z
+                    value = np.asarray(function(arg, params))
                 except QBaxterError as exc:
                     value = np.array(type(exc).__name__)
                 arrays[f"{{name}} N={{n}} seed={{seed}} z={{point}}"] = value
