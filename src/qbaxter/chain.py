@@ -12,6 +12,7 @@ import functools
 import itertools
 import math
 import numbers
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -278,6 +279,12 @@ def monodromy_w(z: complex, r: complex, params: ChainParams, shape, aux: int,
 # level at N = 8, where uncapped stacks took 114-123 ms and 171 MB per Q (seed 0,
 # one BLAS thread) against 85-96 ms and 131 MB; every stack fits whole at N <= 5.
 _STACK_ENTRIES = 2 ** 16
+_threads = threading.local()  # .workspace: this thread's tc.Workspace
+
+
+def _workspace() -> tc.Workspace:
+    """This thread's workspace, shared by its row builds, level pairings and level sums."""
+    return _threads.__dict__.setdefault("workspace", tc.Workspace())
 
 
 def _certified_sum(levels, n_sites: int, J: int, rho_theory: float, j_min: int,
@@ -311,7 +318,7 @@ def _certified_sum(levels, n_sites: int, J: int, rho_theory: float, j_min: int,
         k = len(stacks[0])
         # row i holds the sector blocks of level j0 + i, then their running total
         run = np.concatenate([s.reshape(k, -1) for s in stacks], axis=1,
-                             out=np.empty((k, len(total)), dtype=complex))
+                             out=_workspace().take("run", (k, len(total))))
         parts = run.view(np.float64)
         norms = np.sqrt(np.einsum("ij,ij->i", parts, parts))
         run[0] += total
@@ -326,7 +333,7 @@ def _certified_sum(levels, n_sites: int, J: int, rho_theory: float, j_min: int,
                 if calm >= 2:
                     break
             prev_norm = norm
-        total = run[i]
+        total[:] = run[i]
         j0 += k
     # a sum through the full cutoff is certified by the same geometric bound
     # applied at the top level
@@ -353,27 +360,35 @@ def _half_products(site_bands, z: complex, params: ChainParams, J: int):
     """Charge blocks of the double row's half rows on J auxiliary levels, from
     the level bands site_bands(w) of each factor: the left one P by row level,
     X[j, r, t] = P[(j, r), (j + m(r) - m(t), t)] (m the down count), built as
-    P^T = F_N^T .. F_1^T, and the right one."""
+    P^T = F_N^T .. F_1^T, and the right one: views that live until the thread's next row build."""
     shape = (J,) + (2,) * params.n_sites
     sites = range(1, params.n_sites + 1)
     left_t = [(tc.transpose_bands(x), s) for x, s in _half_row(site_bands, z, params, sites)]
-    return (tc.charge_product(left_t[::-1], shape).transpose(0, 2, 1),
-            tc.charge_product(_half_row(site_bands, z, params, sites, right=True), shape))
+    right, ws = _half_row(site_bands, z, params, sites, right=True), _workspace()
+    return (tc.charge_product(left_t[::-1], shape, ws, "left").transpose(0, 2, 1),
+            tc.charge_product(right, shape, ws, "right"))
 
 
 def _open_levels(X, Y, n_sites: int, weights):
-    """levels(j0, j1) of the double-row trace of the half rows X, Y, one stack
-    per S^z sector.  A stack puts the rows of X[j] and columns of Y[j] in
-    down-count order, where sector m is one range; its rows meet Y[j] through
-    each state t at weight w[j - j0, n + m - m(t)], w = weights(j0, j1) the
-    paired boundary weights of levels j - n .. j + n."""
-    down, order, slices, _ = _sectors(n_sites)
-    wsel = n_sites + np.arange(n_sites + 1)[:, None] - down
+    """levels(j0, j1) of the double-row trace of the half rows X, Y: one stack per
+    S^z sector, valid until the next call.  A stack puts the rows of X[j] and
+    columns of Y[j] in down-count order, where sector m is one range; its rows
+    meet Y[j] through each state t at weight w[j - j0, n + m - m(t)],
+    w = weights(j0, j1) the paired boundary weights of levels j - n .. j + n."""
+    down, order, slices, states = _sectors(n_sites)
+    P, d, ws = X.transpose(0, 2, 1), len(down), _workspace()
+    cols = (d * np.arange(d) + order[:, None]).ravel()  # [c, r] -> flat entry (r, order[c])
+    wsel = (n_sites + down[order][:, None] - down).ravel()  # [r, t] -> n + m(order[r]) - m(t)
 
     def levels(j0, j1):
-        w = weights(j0, j1)
-        x, y = X[j0:j0 + len(w), order], Y[j0:j0 + len(w)][:, :, order]
-        return [x[:, R] * w[:, None, wsel[m]] @ y[:, :, R] for m, R in enumerate(slices)]
+        k = len(w := weights(j0, j1))
+        # X's rows and Y's columns in down-count order; x times w[:, wsel], staged on y
+        x, y = ws.take("x", (k, d, d)), ws.take("y", (k, d, d))
+        np.take(P[j0:j0 + k].reshape(k, -1), cols, 1, x.reshape(k, -1), "clip")  # unbuffered
+        np.multiply(x, np.take(w, wsel, 1, y.reshape(k, -1), "clip").reshape(k, d, d), out=x)
+        np.take(Y[j0:j0 + k].reshape(k, -1), cols, 1, y.reshape(k, -1), "clip")
+        return [np.matmul(x[:, R], y[:, R].transpose(0, 2, 1), out=ws.take(m, (k, D, D)))
+                for m, (R, D) in enumerate(zip(slices, map(len, states)))]
 
     return levels
 
@@ -514,14 +529,15 @@ def _closed_levels(site_bands, z: complex, params: ChainParams, J: int):
     level j)."""
     n = params.n_sites
     factors = _half_row(site_bands, z, params, range(1, n + 1), right=True)
-    flat = tc.charge_product(factors, (J,) + (2,) * n).reshape(J, -1)
+    flat = tc.charge_product(factors, (J,) + (2,) * n, _workspace(), "right").reshape(J, -1)
     entries, sizes = _sector_entries(n), [len(idx) for idx in _sectors(n)[3]]
     starts = np.cumsum([0] + [k * k for k in sizes]).tolist()
 
     def levels(j0, j1):
         # Python's power: numpy's zeta ** np.arange(J) rounds differently
         weights = np.array([params.zeta ** j for j in range(j0, j1)])[:, None]
-        blocks = weights * np.take(flat[j0:j1], entries, axis=1)
+        blocks = _workspace().take("pairs", (j1 - j0, len(entries)))
+        np.multiply(weights, np.take(flat[j0:j1], entries, 1, blocks, "clip"), out=blocks)
         return [blocks[:, lo:lo + k * k].reshape(-1, k, k) for lo, k in zip(starts, sizes)]
 
     return levels

@@ -3,6 +3,8 @@
 import cmath
 import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -445,6 +447,74 @@ class TestCertifiedSumStacks:
                 with pytest.raises(TailCertificateError) as stacked:
                     ch.transfer_w(z, p, cutoff=9)
             assert str(stacked.value) == str(whole.value)
+
+
+def in_threads(calls, timeout=60.0):
+    """Run each zero-argument call on a thread of its own, all at once; their results."""
+    results = [None] * len(calls)
+
+    def run(i):
+        results[i] = calls[i]()
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(calls))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout)
+    assert not any(t.is_alive() for t in threads)
+    return results
+
+
+class TestWorkspace:
+    """The row builds, pairings and level sums share one workspace per thread;
+    no result is a view of it."""
+
+    P5 = ch.sample_params(5, seed=3, tol=1e-10)
+    Z1, Z2 = 0.83 + 0.21j, 1.1 - 0.3j
+    FUNCTIONS = (ch.q_operator, ch.transfer_w, ch.closed_q, ch.transfer_v)
+
+    def test_results_outlive_later_calls(self):
+        held = [f(self.Z1, self.P5) for f in self.FUNCTIONS]
+        for f in self.FUNCTIONS:
+            f(self.Z2, self.P5)
+        for a, f in zip(held, self.FUNCTIONS):
+            assert np.array_equal(a, f(self.Z1, self.P5))
+            assert not any(np.shares_memory(a, b) for b in ch._workspace().values())
+
+    def test_threads_match_serial(self):
+        zs = [self.Z1, self.Z2, 0.9 + 0.4j, 0.6 - 0.6j]
+        serial = [ch.q_operator(z, self.P5) for z in zs]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            # more threads than cores, each evaluating its own point three times
+            results = in_threads([lambda z=z: [ch.q_operator(z, self.P5) for _ in range(3)]
+                                  for z in zs])
+        finally:
+            sys.setswitchinterval(switch)
+        for expected, repeats in zip(serial, results):
+            assert all(np.array_equal(expected, q) for q in repeats)
+
+    def test_steady_state_grows_no_buffer(self):
+        ws = ch._workspace()
+        ch.q_operator(self.Z1, self.P5)
+        before = dict(ws)
+        ch.q_operator(self.Z2, self.P5)
+        assert ws.keys() == before.keys()
+        assert all(ws[role] is buffer for role, buffer in before.items())
+
+    def test_stays_within_budget(self, monkeypatch):
+        # a Q at N = 5 needs about 2.2 MiB of buffers; a fresh thread starts empty
+        expected = ch.q_operator(self.Z1, self.P5)
+        monkeypatch.setattr(tc, "WORKSPACE_BYTES", 2 ** 20)
+
+        def q_and_kept():
+            q = ch.q_operator(self.Z1, self.P5)
+            return q, sum(b.nbytes for b in ch._workspace().values())
+
+        ((q, kept),) = in_threads([q_and_kept])
+        assert np.array_equal(q, expected)
+        assert 0 < kept <= 2 ** 20
 
 
 class TestCutoffFloor:

@@ -267,6 +267,33 @@ class TestChargeProduct:
                    ((4, 2, 3, 2), (3, 1)),  # site 2 untouched, visited from the right
                    ((2, 4, 3), (1, 2))]  # site dimension above the level count
 
+    def test_workspace_reuses_grows_and_caps(self, monkeypatch):
+        ws = tc.Workspace()
+        a = ws.take("a", (2, 3))
+        buffer = ws["a"]
+        assert a.shape == (2, 3) and np.shares_memory(a, buffer)
+        assert np.shares_memory(ws.take("a", (5,)), buffer)
+        ws.take("a", (7,))
+        assert ws["a"] is not buffer and ws["a"].size == 7
+        # 7 + 4 entries past a 10-entry budget: an array of its own, not kept
+        monkeypatch.setattr(tc, "WORKSPACE_BYTES", 10 * 16)
+        assert ws.take("b", (4,)).shape == (4,)
+        assert list(ws) == ["a"]
+
+    def test_workspace_product_matches_fresh_one(self):
+        dims, rng = (4, 2, 3, 2), np.random.default_rng(14)
+        factors = [[(charge_bands(rng, 4, dims[n]), n) for n in (1, 3)] for _ in range(2)]
+        fresh = [tc.charge_product(f, dims) for f in factors]
+        ws = tc.Workspace()
+        first = tc.charge_product(factors[0], dims, ws, "row")
+        buffer = ws["row"]
+        assert np.array_equal(first, fresh[0]) and np.shares_memory(first, buffer)
+        assert np.array_equal(tc.charge_product(factors[1], dims, ws, "row"), fresh[1])
+        assert ws["row"] is buffer and np.array_equal(first, fresh[1])
+        # without a workspace each product owns its memory
+        assert not np.shares_memory(fresh[0], fresh[1])
+        assert np.array_equal(fresh[0], tc.charge_product(factors[0], dims))
+
     def test_matches_dense_product(self):
         for dims, sites in self.DENSE_CASES:
             rng = np.random.default_rng(13)

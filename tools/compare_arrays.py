@@ -10,9 +10,11 @@ process evaluates every function of FUNCTIONS, named by its module in
 saves the arrays; `bethe.aba_state` is evaluated on the root pair
 (POINTS[0], z), so it raises `ParameterDomainError` at N < 2.  A call that
 raises a `QBaxterError` is kept as the name of its error class.  One line
-per function gives the number of cases, how many arrays are bit-equal, and
-the largest relative Frobenius difference |change - parent|_F / |parent|_F
-(0 when both are zero) over the arrays of equal shape.  Indented lines under a function name each case whose shapes or
+per function gives the number of cases in which both trees computed arrays of
+one shape, how many of those arrays are bit-equal, the number of cases in
+which both raised the same error, and the largest relative Frobenius
+difference |change - parent|_F / |parent|_F (0 when both are zero) over the
+arrays.  Indented lines under a function name each case whose shapes or
 raised errors differ.  The exit status is 1 when any case differs in shape or
 error, else 0; rounding differences are left to the reader.  Needs only the
 standard library and numpy.
@@ -76,7 +78,7 @@ def main(argv):
     mismatched = 0
     for name in FUNCTIONS:
         keys = [key for key in parent if key.split()[0] == name]
-        equal, worst, odd = 0, 0.0, []
+        arrays, equal, errors, worst, odd = 0, 0, 0, 0.0, []
         for key in keys:
             a, b = parent[key], change[key]
             if a.shape != b.shape or a.dtype.kind != b.dtype.kind:
@@ -84,15 +86,16 @@ def main(argv):
             elif a.dtype.kind == "U":
                 if a != b:
                     odd.append(f"{key}: parent raised {a}, change raised {b}")
-                equal += bool(a == b)
+                errors += bool(a == b)
             else:
+                arrays += 1
                 equal += bool(np.array_equal(a, b))
                 scale = np.linalg.norm(a)
                 diff = np.linalg.norm(b - a)
                 worst = max(worst, diff / scale if scale else (0.0 if not diff else np.inf))
         mismatched += len(odd)
-        print(f"{name}: {len(keys)} cases, {equal} bit-equal, largest relative Frobenius "
-              f"difference {worst:.3g}", flush=True)
+        print(f"{name}: {arrays} arrays, {equal} bit-equal, {errors} equal errors, largest "
+              f"relative Frobenius difference {worst:.3g}", flush=True)
         for line in odd:
             print(f"    {line}", flush=True)
     return 1 if mismatched else 0
