@@ -374,7 +374,7 @@ def aba_vacuum_values(z: complex, params: ChainParams):
 def aba_state(roots, params: ChainParams) -> np.ndarray:
     """Bethe state: the ordered product of creation operators B(y) on the raised
     vacuum.  B(y) raises the down count by one; on a state v of down count
-    mu - 1 it is read off transfer_v's half rows X, Y at y:
+    mu - 1 it is read off transfer_v's half rows X, Y at y (chain._half_products):
     (B v)[r] = sum_t X[0][r, t] kv[m(r) - m(t)] (Y[1] v)[t] for the rows r of
     down count mu, through the states t of down counts mu - 1 and mu (m the
     down count, kv the diagonal of K^V)."""
@@ -386,13 +386,14 @@ def aba_state(roots, params: ChainParams) -> np.ndarray:
     v = np.zeros(params.dim, dtype=complex)
     v[0] = 1.0
     for mu, y in enumerate(ys, start=1):
-        X, Y = chain_mod._half_products(lambda w: r_bands(w, params.q), y, params, 2)
+        left, right, index = chain_mod._half_products(
+            lambda w: r_bands(w, params.q), y, params, 2)
         kv = np.diagonal(kv_matrix(y, params.xi))
         s, r = states[mu - 1], states[mu]
         t = np.concatenate((s, r))
-        w = kv[mu - down[t]] * (Y[1][np.ix_(t, s)] @ v[s])
+        w = kv[mu - down[t]] * (right[1][index[np.ix_(t, s)]] @ v[s])
         v = np.zeros(params.dim, dtype=complex)
-        v[r] = X[0][np.ix_(r, t)] @ w
+        v[r] = left[0][index.T[np.ix_(r, t)]] @ w
     return v
 
 

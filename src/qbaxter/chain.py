@@ -151,6 +151,19 @@ def _sector_entries(n_sites: int) -> np.ndarray:
     return entries
 
 
+@functools.lru_cache(maxsize=32)
+def _pair_gathers(n_sites: int):
+    """Read-only, built once per n_sites: the pair-layout positions (tc.pair_index)
+    of entry (t, order[c]) for each [c, t] and of the _sector_entries, and the
+    paired weight n_sites + m(order[r]) - m(t) for each [r, t] (m the down count)."""
+    (down, order, _, _), index = _sectors(n_sites), tc.pair_index((2,) * n_sites)
+    out = (index.T[order].ravel(), index.ravel()[_sector_entries(n_sites)],
+           (n_sites + down[order][:, None] - down).ravel())
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
 @dataclass(frozen=True)
 class SpinSector:
     """Eigenspace of the total spin operator with m_down lowered sites."""
@@ -235,19 +248,12 @@ def spin_weights(n_sites: int, top: complex, bottom: complex) -> np.ndarray:
 # open-chain monodromies and transfer matrices
 # ---------------------------------------------------------------------------
 
-def _half_row(site_op, z: complex, params: ChainParams, sites, right: bool = False):
-    """Factors site_op(t_1 z) .. site_op(t_N z) of the left half row, each with
-    its site, or site_op(z/t_N) .. site_op(z/t_1) of the right half row."""
-    if right:
-        return ((site_op(z / params.t[k]), sites[k]) for k in reversed(range(len(sites))))
-    return ((site_op(params.t[k] * z), s) for k, s in enumerate(sites))
-
-
 def _double_row(site_op, boundary, z: complex, params: ChainParams, aux: int, sites):
-    """Factors of the double row: left half row, boundary at aux, right half row."""
-    sites = tuple(sites)
-    left, right = (((x, aux, s) for x, s in _half_row(site_op, z, params, sites, side))
-                   for side in (False, True))
+    """Factors of the double row: the left half row site_op(t_1 z) .. site_op(t_N z),
+    boundary at aux, and the right half row site_op(z/t_N) .. site_op(z/t_1)."""
+    pairs = list(zip(params.t, sites))
+    left = ((site_op(t * z), aux, s) for t, s in pairs)
+    right = ((site_op(z / t), aux, s) for t, s in reversed(pairs))
     return itertools.chain(left, [(boundary, aux)], right)
 
 
@@ -356,50 +362,57 @@ def _exact_sum(levels, n_sites: int) -> np.ndarray:
     return _from_sectors(np.concatenate([s.sum(axis=0).ravel() for s in levels(0, 2)]), n_sites)
 
 
+def _row(bands, J: int, role: str):
+    """tc.charge_product of the bands[k] on the sites N - k and J levels, on role's buffer."""
+    n = len(bands)
+    return tc.charge_product(zip(bands, range(n, 0, -1)), (J,) + (2,) * n, _workspace(), role)
+
+
 def _half_products(site_bands, z: complex, params: ChainParams, J: int):
-    """Charge blocks of the double row's half rows on J auxiliary levels, from
-    the level bands site_bands(w) of each factor: the left one P by row level,
-    X[j, r, t] = P[(j, r), (j + m(r) - m(t), t)] (m the down count), built as
-    P^T = F_N^T .. F_1^T, and the right one: views that live until the thread's next row build."""
-    shape = (J,) + (2,) * params.n_sites
-    sites = range(1, params.n_sites + 1)
-    left_t = [(tc.transpose_bands(x), s) for x, s in _half_row(site_bands, z, params, sites)]
-    right, ws = _half_row(site_bands, z, params, sites, right=True), _workspace()
-    return (tc.charge_product(left_t[::-1], shape, ws, "left").transpose(0, 2, 1),
-            tc.charge_product(right, shape, ws, "right"))
+    """Charge blocks and pair index of the double row's half rows on J levels, from
+    the level bands site_bands(ws) at the points ws: for the left half row P by
+    row level, X[j, r, t] = P[(j, r), (j + m(r) - m(t), t)] = left[j, index[t, r]]
+    (m the down count), built as P^T = F_N^T .. F_1^T, and for the right one
+    Y[j] = right[j, index]; views that live until the thread's next row build."""
+    ts = params.t[::-1]
+    left, _ = _row(tc.transpose_bands(site_bands([t * z for t in ts])), J, "left")
+    return (left, *_row(site_bands([z / t for t in ts]), J, "right"))
 
 
-def _open_levels(X, Y, n_sites: int, weights):
-    """levels(j0, j1) of the double-row trace of the half rows X, Y: one stack per
-    S^z sector, valid until the next call.  A stack puts the rows of X[j] and
-    columns of Y[j] in down-count order, where sector m is one range; its rows
-    meet Y[j] through each state t at weight w[j - j0, n + m - m(t)],
+def _open_levels(left, right, n_sites: int, weights):
+    """levels(j0, j1) of the double-row trace of the half rows X, Y (_half_products):
+    one stack per S^z sector, valid until the next call.  A stack puts the rows
+    of X[j] and columns of Y[j] in down-count order, where sector m is one range;
+    its rows meet Y[j] through each state t at weight w[j - j0, n + m - m(t)],
     w = weights(j0, j1) the paired boundary weights of levels j - n .. j + n."""
-    down, order, slices, states = _sectors(n_sites)
-    P, d, ws = X.transpose(0, 2, 1), len(down), _workspace()
-    cols = (d * np.arange(d) + order[:, None]).ravel()  # [c, r] -> flat entry (r, order[c])
-    wsel = (n_sites + down[order][:, None] - down).ravel()  # [r, t] -> n + m(order[r]) - m(t)
+    _, _, slices, states = _sectors(n_sites)
+    (cols, _, wsel), d, ws = _pair_gathers(n_sites), 2 ** n_sites, _workspace()
 
     def levels(j0, j1):
         k = len(w := weights(j0, j1))
         # X's rows and Y's columns in down-count order; x times w[:, wsel], staged on y
         x, y = ws.take("x", (k, d, d)), ws.take("y", (k, d, d))
-        np.take(P[j0:j0 + k].reshape(k, -1), cols, 1, x.reshape(k, -1), "clip")  # unbuffered
+        np.take(left[j0:j0 + k], cols, 1, x.reshape(k, -1), "clip")  # unbuffered
         np.multiply(x, np.take(w, wsel, 1, y.reshape(k, -1), "clip").reshape(k, d, d), out=x)
-        np.take(Y[j0:j0 + k].reshape(k, -1), cols, 1, y.reshape(k, -1), "clip")
+        np.take(right[j0:j0 + k], cols, 1, y.reshape(k, -1), "clip")
         return [np.matmul(x[:, R], y[:, R].transpose(0, 2, 1), out=ws.take(m, (k, D, D)))
                 for m, (R, D) in enumerate(zip(slices, map(len, states)))]
 
     return levels
 
 
+def _windows(v, n: int, fill) -> np.ndarray:
+    """Row j holds v[j - n .. j + n], with fill for the entries outside v."""
+    return sliding_window_view(np.concatenate(([fill] * n, v, [fill] * n)), 2 * n + 1)
+
+
 def transfer_v(z: complex, params: ChainParams) -> np.ndarray:
     """Finite-auxiliary transfer matrix, entries polynomial in z^2: transfer_w on C^2."""
     n = params.n_sites
-    kv = sliding_window_view(np.pad(np.diagonal(kv_matrix(z, params.xi)), n), 2 * n + 1)
+    kv = _windows(np.diagonal(kv_matrix(z, params.xi)), n, 0.0)
     w = np.diagonal(ktv_matrix(z, params.xitilde, params.q))[:, None] * kv
-    X, Y = _half_products(lambda u: r_bands(u, params.q), z, params, 2)
-    return _exact_sum(_open_levels(X, Y, n, lambda j0, j1: w[j0:j1]), n)
+    left, right, _ = _half_products(lambda u: r_bands(u, params.q), z, params, 2)
+    return _exact_sum(_open_levels(left, right, n, lambda j0, j1: w[j0:j1]), n)
 
 
 def transfer_w(z: complex, params: ChainParams, cutoff=None) -> np.ndarray:
@@ -424,8 +437,7 @@ def transfer_w(z: complex, params: ChainParams, cutoff=None) -> np.ndarray:
     ktw = ktw_diagonal(z, 1.0, params.xitilde, params.q, J)
     # kw levels j - n .. j + n, paired with ktw level j, are row j of the
     # windows over kw padded by n on each side
-    kw_mant = sliding_window_view(np.pad(kw.mantissa, n), 2 * n + 1)
-    kw_log = sliding_window_view(np.pad(kw.log_mag, n, constant_values=-np.inf), 2 * n + 1)
+    kw_mant, kw_log = _windows(kw.mantissa, n, 0.0), _windows(kw.log_mag, n, -np.inf)
 
     def weights(j0, j1):
         lg = ktw.log_mag[j0:j1, None] + kw_log[j0:j1]
@@ -438,8 +450,8 @@ def transfer_w(z: complex, params: ChainParams, cutoff=None) -> np.ndarray:
         j1, lg = j0 + fits, lg[:fits]
         return ktw.mantissa[j0:j1, None] * kw_mant[j0:j1] * np.exp(lg)
 
-    X, Y = _half_products(lambda u: l_bands(u, 1.0, params.q, J), z, params, J)
-    return _certified_sum(_open_levels(X, Y, n, weights), n, J, params.tail_ratio, j_min,
+    left, right, _ = _half_products(lambda u: l_bands(u, 1.0, params.q, J), z, params, J)
+    return _certified_sum(_open_levels(left, right, n, weights), n, J, params.tail_ratio, j_min,
                           params.tol / 10.0, "tail certificate")
 
 
@@ -500,10 +512,7 @@ def tw_diagonal_recursion(alpha, params: ChainParams) -> np.ndarray:
         s = (xit * u - 1.0 / u) * (u / xit - 1.0 / u)
         lin = np.array([0.0, -q * q * s], dtype=complex)
         out = np.convolve(quad, p_shift)
-        lin_part = np.convolve(lin, p_same)
-        width = max(out.size, lin_part.size)
-        out = np.pad(out, (0, width - out.size))
-        out += np.pad(lin_part, (0, width - lin_part.size))
+        out[:-1] += np.convolve(lin, p_same)  # p_shift and p_same have one length
         return out
 
     return rec(alpha, params.t, params.xitilde)
@@ -524,13 +533,12 @@ def _require_twist(params: ChainParams) -> complex:
 
 def _closed_levels(site_bands, z: complex, params: ChainParams, J: int):
     """levels(j0, j1) of the twisted trace of the single row on J auxiliary
-    levels, from the level bands site_bands(w) of each factor, one stack per
+    levels, from the level bands site_bands(ws) at the points ws, one stack per
     S^z sector: zeta^j times charge block j between equal down counts (row
     level j)."""
     n = params.n_sites
-    factors = _half_row(site_bands, z, params, range(1, n + 1), right=True)
-    flat = tc.charge_product(factors, (J,) + (2,) * n, _workspace(), "right").reshape(J, -1)
-    entries, sizes = _sector_entries(n), [len(idx) for idx in _sectors(n)[3]]
+    flat, _ = _row(site_bands([z / t for t in params.t[::-1]]), J, "right")
+    entries, sizes = _pair_gathers(n)[1], [len(idx) for idx in _sectors(n)[3]]
     starts = np.cumsum([0] + [k * k for k in sizes]).tolist()
 
     def levels(j0, j1):

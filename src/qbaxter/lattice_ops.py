@@ -17,17 +17,19 @@ from .qoscillator import q_powers, validate_cutoff
 
 def _fock_bands(b00, b01, b10, b11) -> np.ndarray:
     """Level bands (tc.from_bands) of a charge-conserving operator on W (x) V
-    from its four W-blocks, each one level band of J entries listed from the top.
+    from its four W-blocks, each one level band of J entries listed from the top,
+    or of a stack of such operators along the leading axes the bands broadcast to.
 
     b00 and b11 are the diagonals of their blocks, b01 the sub-diagonal of the
     (v^0, v^1) block (row level one above the column level) and b10 the
     super-diagonal of the (v^1, v^0) block; the last entry of each of these two
     falls outside the truncation.
     """
-    out = np.zeros((2, 2, len(b00)), dtype=complex)
-    out[0, 0], out[1, 1] = b00, b11
-    out[0, 1, :-1] = b01[:-1]
-    out[1, 0, 1:] = b10[:-1]
+    shape = np.broadcast_shapes(*map(np.shape, (b00, b01, b10, b11)))
+    out = np.zeros(shape[:-1] + (2, 2, shape[-1]), dtype=complex)
+    out[..., 0, 0, :], out[..., 1, 1, :] = b00, b11
+    out[..., 0, 1, :-1] = b01[..., :-1]
+    out[..., 1, 0, 1:] = b10[..., :-1]
     return out
 
 
@@ -36,15 +38,15 @@ def r_weights(z: complex, q: complex):
     return 1.0 - q * q * z * z, q * (1.0 - z * z), (1.0 - q * q) * z
 
 
-def r_bands(z: complex, q: complex) -> np.ndarray:
-    """Level bands of the R-matrix, its first factor read as two levels."""
-    a, b, c = r_weights(z, q)
-    return np.array([[[a, b], [c, 0]], [[0, c], [b, a]]], dtype=complex)
+def r_bands(zs, q: complex) -> np.ndarray:
+    """Stacked level bands of the R-matrix at each z of zs, first factor read as two levels."""
+    w = np.array([(0.0, *r_weights(z, q)) for z in zs], dtype=complex).reshape(-1, 4)
+    return w[:, [[[1, 2], [3, 0]], [[0, 3], [2, 1]]]]  # the entries 0, a, b, c
 
 
 def r_matrix(z: complex, q: complex) -> np.ndarray:
     """Trigonometric 4x4 R-matrix in the basis (00, 01, 10, 11)."""
-    return tc.from_bands(r_bands(z, q))
+    return tc.from_bands(r_bands([z], q)[0])
 
 
 def r_tilde(z: complex, q: complex) -> np.ndarray:
@@ -54,16 +56,19 @@ def r_tilde(z: complex, q: complex) -> np.ndarray:
     return np.linalg.inv(scalar * r_matrix(q * q * z, q))
 
 
-def l_bands(z: complex, r: complex, q: complex, J: int) -> np.ndarray:
-    """Level bands of the L-operator on W (x) V."""
+def l_bands(zs, r: complex, q: complex, J: int) -> np.ndarray:
+    """Level bands of the L-operator on W (x) V at each spectral parameter of
+    zs, stacked; the scalar factors are Python's, one per z, as for a single z."""
     p = q_powers(q, validate_cutoff(J))
-    return _fock_bands(b00=r * p(0), b01=-(z / q) * ((1.0 - p(2, 2)) * p(0, -1)),
-                       b10=-q * z * r * p(1), b11=(1.0 - p(2, 2) * z * z) * p(0, -1))
+    scalars = np.array([(-(z / q), -q * z * r, z) for z in zs], dtype=complex).reshape(-1, 3, 1)
+    b01, b10, z = scalars[:, 0], scalars[:, 1], scalars[:, 2]
+    return _fock_bands(b00=r * p(0), b01=b01 * ((1.0 - p(2, 2)) * p(0, -1)),
+                       b10=b10 * p(1), b11=(1.0 - p(2, 2) * z * z) * p(0, -1))
 
 
 def l_matrix(z: complex, r: complex, q: complex, J: int) -> np.ndarray:
     """L-operator on W (x) V."""
-    return tc.from_bands(l_bands(z, r, q, J))
+    return tc.from_bands(l_bands([z], r, q, J)[0])
 
 
 def l_inverse(z: complex, r: complex, q: complex, J: int) -> np.ndarray:

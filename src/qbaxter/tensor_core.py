@@ -158,10 +158,24 @@ def from_bands(coef) -> np.ndarray:
 
 
 def transpose_bands(coef) -> np.ndarray:
-    """The level bands of x^T from those of x: coefT[b, a, c] = coef[a, b, c + a - b]."""
-    _, inside, _, swapped = _band_layout(coef.shape[0], coef.shape[2])
-    out = np.zeros(coef.shape, dtype=complex)
-    np.put(out, inside, np.take(coef, swapped))
+    """The level bands of x^T from those of x, coefT[..., b, a, c] = coef[..., a, b, c + a - b],
+    for one band array or a stack of them along the leading axes."""
+    _, inside, _, swapped = _band_layout(coef.shape[-3], coef.shape[-1])
+    flat = coef.shape[:-3] + (math.prod(coef.shape[-3:]),)
+    out = np.zeros(flat, dtype=complex)
+    out[..., inside] = coef.reshape(flat)[..., swapped]
+    return out.reshape(coef.shape)
+
+
+@functools.lru_cache(maxsize=32)
+def pair_index(dims) -> np.ndarray:
+    """Read-only: the flat position of each entry [r, s] of a matrix on sites of
+    dims, in product order, within their site-pair layout, where the index pairs
+    (r_n, s_n) follow one another in site order."""
+    n, d = len(dims), total_dim(dims)
+    pairs = np.arange(d * d).reshape([dn for dn in dims for _ in "rs"])
+    out = pairs.transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)]).reshape(d, d)
+    out.setflags(write=False)
     return out
 
 
@@ -186,44 +200,46 @@ class Workspace(dict):
 
 def _widen(prod, coef, n, carried, dims, pad, pad_out, workspace, role):
     """Charge blocks of the carried sites times the band factor coef on site n,
-    which joins them: new[c, (r, b), (s, a)] = old[c + a - b, r, s] coef[b, a, c],
-    the site-n indices b, a placed between the carried sites before and after n.
-    old carries pad zero levels on each side, so every shifted read is in
-    range; new carries pad_out and is written on role's buffer of workspace."""
-    pre = total_dim(dims[s] for s in carried if s < n)
-    post = total_dim(dims[s] for s in carried if s > n)
+    which joins them: new[c, P, (b, a), Q] = old[c + a - b, P, Q] coef[b, a, c],
+    P and Q the index pairs of the carried sites before and after n (P is empty,
+    and each copy one run per level, when n precedes them all).  old carries pad
+    zero levels on each side, so every shifted read is in range; new carries
+    pad_out and is written on role's buffer of workspace."""
+    pre = math.prod(dims[s] ** 2 for s in carried if s < n)
+    post = math.prod(dims[s] ** 2 for s in carried if s > n)
     carried.add(n)
     dn, _, J = coef.shape
-    old = prod.reshape(J + 2 * pad, pre, post, pre, post)
-    out = workspace.take(role, (J + 2 * pad_out, pre, dn, post, pre, dn, post))
+    old = prod.reshape(J + 2 * pad, pre, post)
+    out = workspace.take(role, (J + 2 * pad_out, pre, dn, dn, post))
     out[:pad_out] = out[pad_out + J:] = 0.0
     for b in range(dn):
         for a in range(dn):
             lo = pad + a - b
-            np.multiply(old[lo:lo + J], coef[b, a, :, None, None, None, None],
-                        out=out[pad_out:pad_out + J, :, b, :, :, a, :])
-    k = prod.shape[1] * dn
-    return out.reshape(J + 2 * pad_out, k, k)
+            np.multiply(old[lo:lo + J], coef[b, a, :, None, None],
+                        out=out[pad_out:pad_out + J, :, b, a])
+    return out.reshape(J + 2 * pad_out, -1)
 
 
-def charge_product(factors, shape, workspace=None, role="product") -> np.ndarray:
+def charge_product(factors, shape, workspace=None, role="product"):
     """Left-to-right product of two-site factors that conserve the charge
-    site-0 level + index sum, kept as one block per site-0 column level.
+    site-0 level + index sum, kept as one block per site-0 column level, and
+    the pair_index of the remaining sites that reads it.
 
     Each factor is (coef, n): the level bands coef[b, a, c] = x[(c + a - b, b),
     (c, a)] of an operator x on sites 0 and n as in embed (see from_bands),
     shape (dims[n], dims[n], J), zero where c + a - b leaves 0 .. J - 1; no two
     factors share a site n.  The product P then vanishes unless its site-0
     levels differ by m(s) - m(r), m the index_sums of the remaining sites, and
-    comes back as C[c, r, s] = P[(c + m(s) - m(r), r), (c, s)]; row levels
-    outside the range of site 0 give zero entries.
+    comes back as C of shape (J, prod dims[n]^2) with C[c, index[r, s]] =
+    P[(c + m(s) - m(r), r), (c, s)]; row levels outside the range of site 0
+    give zero entries.
 
-    The blocks carry only the sites visited so far, in site order whatever
-    the visit order, and zero levels on each side up to the last factor; each
-    factor widens them by one scaled, level-shifted copy per band, and sites
-    no factor touches join at the end as the identity.
-    Each step writes on a buffer of workspace (a fresh Workspace by default),
-    alternating between "step" and role so that the blocks come back on role's.
+    The blocks carry the sites visited so far, each site's index pair together
+    and in site order whatever the visit order, and zero levels on each side up
+    to the last factor; each factor widens them by one scaled, level-shifted
+    copy per band, and sites no factor touches join at the end as the identity.
+    The steps alternate between the buffers "step" and role of workspace (a
+    fresh Workspace by default), so that the blocks come back on role's.
     """
     dims = tuple(int(s) for s in shape)
     J = dims[0]
@@ -237,14 +253,14 @@ def charge_product(factors, shape, workspace=None, role="product") -> np.ndarray
     steps += [(np.eye(dims[n], dtype=complex)[:, :, None].repeat(J, axis=2), n)
               for n in range(1, len(dims)) if n not in (m for _, m in steps)]
     pad = max(dims[1:], default=1) - 1
-    prod = np.zeros((J + 2 * pad, 1, 1), dtype=complex)
+    prod = np.zeros((J + 2 * pad, 1), dtype=complex)
     prod[pad:pad + J] = 1.0
     carried = set()
     workspace = Workspace() if workspace is None else workspace
     for i, (coef, n) in enumerate(steps):
         prod = _widen(prod, coef, n, carried, dims, pad, pad if i + 1 < len(steps) else 0,
                       workspace, "step" if (len(steps) - i) % 2 == 0 else role)
-    return prod
+    return prod, pair_index(dims[1:])
 
 
 def partial_transpose(x, site: int, shape) -> np.ndarray:

@@ -517,6 +517,31 @@ class TestWorkspace:
         assert 0 < kept <= 2 ** 20
 
 
+class TestPairGathers:
+    """The pairing's and the closed gather's positions in the site-pair layout
+    are built once per N, read-only, and follow their formulas."""
+
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_cached_read_only_and_by_formula(self, n):
+        gathers = ch._pair_gathers(n)
+        assert ch._pair_gathers(n) is gathers
+        assert all(not g.flags.writeable for g in gathers)
+        cols, closed, wsel = gathers
+        down, order, _, states = ch._sectors(n)
+        d = 2 ** n
+
+        def position(r, s):
+            # the pairs (r_k, s_k) in site order, site 1 slowest
+            out = 0
+            for k in reversed(range(n)):
+                out = out * 4 + 2 * (r >> k & 1) + (s >> k & 1)
+            return out
+
+        assert cols.tolist() == [position(t, order[c]) for c in range(d) for t in range(d)]
+        assert wsel.tolist() == [n + down[order[r]] - down[t] for r in range(d) for t in range(d)]
+        assert closed.tolist() == [position(r, s) for idx in states for r in idx for s in idx]
+
+
 class TestCutoffFloor:
     """A cutoff at or below the first level the tail certificate reads can never
     certify, so it raises before any row is built."""

@@ -150,7 +150,8 @@ class TestRun:
         cfg = RunConfig.from_dict({**BASE, "suites": ["spectrum"],
                                    "output_path": str(out), "spectrum_csv": str(table)})
         assert cli.run(cfg, quiet=True) == 0
-        rows = list(csv.reader(table.open()))
+        with table.open(newline="") as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == ["sector", "record_index", "z_re", "z_im",
                            "tv_re", "tv_im", "q_re", "q_im"]
         assert len(rows) - 1 == 4 * 3  # 2^N records x sample count
@@ -161,7 +162,8 @@ class TestRun:
                                    "output_path": str(tmp_path / "report.json"),
                                    "spectrum_csv": str(table)})
         assert cli.run(cfg, quiet=True) == 0
-        rows = list(csv.reader(table.open()))
+        with table.open(newline="") as fh:
+            rows = list(csv.reader(fh))
         assert len(rows) - 1 == 4 * 2  # 2^N records x sample count
 
     def test_spectral_suites_share_one_joint_spectrum(self, tmp_path, monkeypatch):

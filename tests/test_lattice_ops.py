@@ -187,7 +187,7 @@ class TestLevelBands:
             b01, b10 = -(z / Q) * ((1.0 - p(2, 2)) * p(0, -1)), -Q * z * r * p(1)
             want = dense_wv(np.diag(r * p(0)), np.diag(b01[:-1], -1), np.diag(b10[:-1], 1),
                             np.diag((1.0 - p(2, 2) * z * z) * p(0, -1)))
-            assert np.array_equal(tc.from_bands(l_bands(z, r, Q, cutoff)), want)
+            assert np.array_equal(tc.from_bands(l_bands([z], r, Q, cutoff)[0]), want)
             assert np.array_equal(l_matrix(z, r, Q, cutoff), want)
 
     def test_r_bands_densify_to_the_display(self):
@@ -195,15 +195,35 @@ class TestLevelBands:
             a, b, c = 1.0 - Q * Q * z * z, Q * (1.0 - z * z), (1.0 - Q * Q) * z
             want = np.array([[a, 0, 0, 0], [0, b, c, 0], [0, c, b, 0], [0, 0, 0, a]],
                             dtype=complex)
-            assert np.array_equal(tc.from_bands(r_bands(z, Q)), want)
+            assert np.array_equal(tc.from_bands(r_bands([z], Q)[0]), want)
             assert np.array_equal(r_matrix(z, Q), want)
 
     def test_band_transpose_is_the_dense_transpose(self):
         for z, r in self.POINTS:
-            assert np.array_equal(tc.from_bands(tc.transpose_bands(l_bands(z, r, Q, J))),
+            assert np.array_equal(tc.from_bands(tc.transpose_bands(l_bands([z], r, Q, J)[0])),
                                   l_matrix(z, r, Q, J).T)
-            assert np.array_equal(tc.from_bands(tc.transpose_bands(r_bands(z, Q))),
+            assert np.array_equal(tc.from_bands(tc.transpose_bands(r_bands([z], Q)[0])),
                                   r_matrix(z, Q).T)
+
+    def test_stacks_match_one_call_per_point(self):
+        zs = [z * (1.0 + 0.1 * k) for k, (z, _) in enumerate(self.POINTS)]
+        for r in (1.0, R):
+            stack = l_bands(zs, r, Q, J)
+            assert stack.shape == (len(zs), 2, 2, J)
+            for z, bands in zip(zs, stack):
+                assert np.array_equal(bands, l_bands([z], r, Q, J)[0])
+            for bands, transposed in zip(stack, tc.transpose_bands(stack)):
+                assert np.array_equal(transposed, tc.transpose_bands(bands))
+        stack = r_bands(zs, Q)
+        assert stack.shape == (len(zs), 2, 2, 2)
+        for z, bands in zip(zs, stack):
+            assert np.array_equal(bands, r_bands([z], Q)[0])
+            assert np.array_equal(tc.from_bands(bands), r_matrix(z, Q))
+
+    def test_empty_stacks(self):
+        assert l_bands([], R, Q, J).shape == (0, 2, 2, J)
+        assert r_bands([], Q).shape == (0, 2, 2, 2)
+        assert tc.transpose_bands(l_bands([], R, Q, J)).shape == (0, 2, 2, J)
 
 
 class TestBoundaryMatrices:

@@ -187,10 +187,11 @@ def dense_factors(factors):
 
 def assert_charge_blocks_match_dense(factors, dims):
     """charge_product of the band factors against the index formula on the
-    ordered_product of the densified factors."""
-    prod = tc.charge_product(iter(factors), dims)
+    ordered_product of the densified factors, read through the pair index."""
+    blocks, index = tc.charge_product(iter(factors), dims)
     J, d = dims[0], tc.total_dim(dims[1:])
-    assert prod.shape == (J, d, d)
+    assert blocks.shape == (J, d * d) and index.shape == (d, d)
+    prod = blocks[:, index]
     dense = tc.ordered_product(dense_factors(factors), dims).reshape(J, d, J, d)
     m = tc.index_sums(dims[1:])
     expected = np.zeros_like(prod)
@@ -257,15 +258,48 @@ class TestChargeProduct:
         assert tc.index_sums(()).tolist() == [0]
 
     def test_empty_is_identity(self):
-        prod = tc.charge_product([], (4, 2, 3))
-        assert prod.shape == (4, 6, 6)
-        assert all(np.array_equal(block, tc.identity(6)) for block in prod)
+        blocks, index = tc.charge_product([], (4, 2, 3))
+        assert blocks.shape == (4, 36)
+        assert all(np.array_equal(block, tc.identity(6)) for block in blocks[:, index])
+        blocks, index = tc.charge_product([], (4,))
+        assert blocks.shape == (4, 1) and np.array_equal(blocks, np.ones((4, 1)))
+        assert index.tolist() == [[0]]
 
     # (dims, sites of the factors in order)
     DENSE_CASES = [((5, 2, 3), (2, 1)),
                    ((4, 2, 3, 2), (1, 3)),  # site 2 untouched
                    ((4, 2, 3, 2), (3, 1)),  # site 2 untouched, visited from the right
-                   ((2, 4, 3), (1, 2))]  # site dimension above the level count
+                   ((2, 4, 3), (1, 2)),  # site dimension above the level count
+                   ((4, 2, 3, 2), (3, 2, 1)),  # the half rows' visit order
+                   ((4, 2, 3, 2), (2, 1, 3))]  # out of order: a carried site on each side
+
+    def test_pair_index_is_the_site_pair_formula(self):
+        for dims in ((), (2,), (3,), (2, 3, 2), (2, 2, 2, 2)):
+            index = tc.pair_index(dims)
+            d = tc.total_dim(dims)
+            expected = np.zeros((d, d), dtype=int)
+            for r in range(d):
+                for s in range(d):
+                    rs = np.unravel_index(r, dims) if dims else ()
+                    ss = np.unravel_index(s, dims) if dims else ()
+                    for n, dn in enumerate(dims):
+                        expected[r, s] = expected[r, s] * dn * dn + rs[n] * dn + ss[n]
+            assert np.array_equal(index, expected)
+            assert tc.pair_index(dims) is index and not index.flags.writeable
+
+    def test_blocks_sit_in_the_site_pair_layout(self):
+        # each site's band copy lands on its own (b, a) pair, in site order
+        dims, rng = (4, 2, 3, 2), np.random.default_rng(16)
+        coef = {n: charge_bands(rng, 4, dims[n]) for n in (1, 2, 3)}
+        for sites in ((3, 2, 1), (2, 1, 3), (1, 3, 2)):
+            blocks, _ = tc.charge_product([(coef[n], n) for n in sites], dims)
+            pairs = blocks.reshape(4, 2, 2, 3, 3, 2, 2)
+            dense = tc.ordered_product(dense_factors([(coef[n], n) for n in sites]), dims)
+            dense = dense.reshape(4, 2, 3, 2, 4, 2, 3, 2)
+            for c, r1, s1, r2, s2, r3, s3 in np.ndindex(pairs.shape):
+                row = c + s1 + s2 + s3 - r1 - r2 - r3
+                want = dense[row, r1, r2, r3, c, s1, s2, s3] if 0 <= row < 4 else 0.0
+                assert_allclose(pairs[c, r1, s1, r2, s2, r3, s3], want, rtol=1e-13, atol=1e-13)
 
     def test_workspace_reuses_grows_and_caps(self, monkeypatch):
         ws = tc.Workspace()
@@ -283,16 +317,16 @@ class TestChargeProduct:
     def test_workspace_product_matches_fresh_one(self):
         dims, rng = (4, 2, 3, 2), np.random.default_rng(14)
         factors = [[(charge_bands(rng, 4, dims[n]), n) for n in (1, 3)] for _ in range(2)]
-        fresh = [tc.charge_product(f, dims) for f in factors]
+        fresh = [tc.charge_product(f, dims)[0] for f in factors]
         ws = tc.Workspace()
-        first = tc.charge_product(factors[0], dims, ws, "row")
+        first, _ = tc.charge_product(factors[0], dims, ws, "row")
         buffer = ws["row"]
         assert np.array_equal(first, fresh[0]) and np.shares_memory(first, buffer)
-        assert np.array_equal(tc.charge_product(factors[1], dims, ws, "row"), fresh[1])
+        assert np.array_equal(tc.charge_product(factors[1], dims, ws, "row")[0], fresh[1])
         assert ws["row"] is buffer and np.array_equal(first, fresh[1])
         # without a workspace each product owns its memory
         assert not np.shares_memory(fresh[0], fresh[1])
-        assert np.array_equal(fresh[0], tc.charge_product(factors[0], dims))
+        assert np.array_equal(fresh[0], tc.charge_product(factors[0], dims)[0])
 
     def test_matches_dense_product(self):
         for dims, sites in self.DENSE_CASES:
@@ -307,9 +341,9 @@ class TestChargeProduct:
             rng = np.random.default_rng(13)
             factors = [(charge_bands(rng, dims[0], dims[n]), n) for n in sites]
             J, d = dims[0], tc.total_dim(dims[1:])
-            X = tc.charge_product([(tc.transpose_bands(coef), n) for coef, n in factors[::-1]],
-                                  dims)
-            X = X.transpose(0, 2, 1)
+            X, index = tc.charge_product(
+                [(tc.transpose_bands(coef), n) for coef, n in factors[::-1]], dims)
+            X = X[:, index.T]
             dense = tc.ordered_product(dense_factors(factors), dims).reshape(J, d, J, d)
             m = tc.index_sums(dims[1:])
             expected = np.zeros_like(X)
