@@ -299,12 +299,12 @@ def _certified_sum(levels, n_sites: int, J: int, rho_theory: float, j_min: int,
     tol_eff.
 
     The terms are block diagonal in the S^z sectors of n_sites spins (_sectors).
-    levels(j0, j1) returns levels j0 .. j1 - 1, or a nonempty
-    leading part of them, as one (k, D_m, D_m) stack per sector.  The first stack asked
-    for holds the j_min + 2 levels the rule needs before it can stop, each later
-    one the levels the certificate's own estimate still needs, at most
-    _STACK_ENTRIES entries of d x d terms.  A cumsum per stack adds in the order
-    of one level at a time.
+    levels(j0, j1) returns levels j0 .. j1 - 1, or a nonempty leading part of
+    them, as one (k, E) array for the sum to overwrite, row i the sector blocks
+    of level j0 + i in _sector_entries order.  The first stack asked for holds
+    the j_min + 2 levels the rule needs before it can stop, each later one the
+    levels the certificate's own estimate still needs, at most _STACK_ENTRIES
+    entries of d x d terms.  A cumsum per stack adds as one level at a time.
 
     From level j_min on, the remainder after a level of norm s is estimated as
     s rho / (1 - rho), with rho the larger of rho_theory and the empirical
@@ -320,11 +320,9 @@ def _certified_sum(levels, n_sites: int, J: int, rho_theory: float, j_min: int,
         want = j_min + 2 - j0 if j0 < j_min else 2 - calm
         if j0 >= j_min and 0.0 < last_tail < math.inf:
             want += math.ceil(math.log(tol_eff * scale / last_tail) / math.log(rho))
-        stacks = levels(j0, min(J, j0 + max(1, min(_STACK_ENTRIES // d ** 2, want))))
-        k = len(stacks[0])
         # row i holds the sector blocks of level j0 + i, then their running total
-        run = np.concatenate([s.reshape(k, -1) for s in stacks], axis=1,
-                             out=_workspace().take("run", (k, len(total))))
+        run = levels(j0, min(J, j0 + max(1, min(_STACK_ENTRIES // d ** 2, want))))
+        k = len(run)
         parts = run.view(np.float64)
         norms = np.sqrt(np.einsum("ij,ij->i", parts, parts))
         run[0] += total
@@ -359,44 +357,42 @@ def _from_sectors(flat, n_sites: int) -> np.ndarray:
 
 def _exact_sum(levels, n_sites: int) -> np.ndarray:
     """levels(0, 2) summed whole: a two-level auxiliary trace needs no certificate."""
-    return _from_sectors(np.concatenate([s.sum(axis=0).ravel() for s in levels(0, 2)]), n_sites)
+    return _from_sectors(levels(0, 2).sum(axis=0), n_sites)
 
 
-def _row(bands, J: int, role: str):
-    """tc.charge_product of the bands[k] on the sites N - k and J levels, on role's buffer."""
-    n = len(bands)
-    return tc.charge_product(zip(bands, range(n, 0, -1)), (J,) + (2,) * n, _workspace(), role)
-
-
-def _half_products(site_bands, z: complex, params: ChainParams, J: int):
-    """Charge blocks and pair index of the double row's half rows on J levels, from
-    the level bands site_bands(ws) at the points ws: for the left half row P by
+def _half_products(site_bands, z: complex, params: ChainParams):
+    """Charge blocks and pair index of the double row's half rows, from the
+    stacked level bands site_bands(ws) at the points ws: for the left half row P by
     row level, X[j, r, t] = P[(j, r), (j + m(r) - m(t), t)] = left[j, index[t, r]]
     (m the down count), built as P^T = F_N^T .. F_1^T, and for the right one
     Y[j] = right[j, index]; views that live until the thread's next row build."""
-    ts = params.t[::-1]
-    left, _ = _row(tc.transpose_bands(site_bands([t * z for t in ts])), J, "left")
-    return (left, *_row(site_bands([z / t for t in ts]), J, "right"))
+    ts, ws = params.t[::-1], _workspace()
+    left, _ = tc.charge_product(tc.transpose_bands(site_bands([t * z for t in ts])), ws, "left")
+    return (left, *tc.charge_product(site_bands([z / t for t in ts]), ws, "right"))
 
 
 def _open_levels(left, right, n_sites: int, weights):
-    """levels(j0, j1) of the double-row trace of the half rows X, Y (_half_products):
-    one stack per S^z sector, valid until the next call.  A stack puts the rows
-    of X[j] and columns of Y[j] in down-count order, where sector m is one range;
-    its rows meet Y[j] through each state t at weight w[j - j0, n + m - m(t)],
-    w = weights(j0, j1) the paired boundary weights of levels j - n .. j + n."""
+    """levels(j0, j1) of the double-row trace of the half rows X, Y (_half_products)
+    for _certified_sum, on the thread's "run" buffer until the next call.  A stack
+    puts the rows of X[j] and columns of Y[j] in down-count order, where sector m
+    is one range R; its rows meet Y[j] through each state t at weight
+    w[j - j0, n + m - m(t)], w = weights(j0, j1) the paired boundary weights of
+    levels j - n .. j + n, and sector m's block of level j is (x[j][R] @ y[j][R]^T)."""
     _, _, slices, states = _sectors(n_sites)
     (cols, _, wsel), d, ws = _pair_gathers(n_sites), 2 ** n_sites, _workspace()
+    ends = np.cumsum([len(S) ** 2 for S in states]).tolist()
 
     def levels(j0, j1):
         k = len(w := weights(j0, j1))
         # X's rows and Y's columns in down-count order; x times w[:, wsel], staged on y
-        x, y = ws.take("x", (k, d, d)), ws.take("y", (k, d, d))
+        x, y, run = ws.take("x", (k, d, d)), ws.take("y", (k, d, d)), ws.take("run", (k, ends[-1]))
         np.take(left[j0:j0 + k], cols, 1, x.reshape(k, -1), "clip")  # unbuffered
         np.multiply(x, np.take(w, wsel, 1, y.reshape(k, -1), "clip").reshape(k, d, d), out=x)
         np.take(right[j0:j0 + k], cols, 1, y.reshape(k, -1), "clip")
-        return [np.matmul(x[:, R], y[:, R].transpose(0, 2, 1), out=ws.take(m, (k, D, D)))
-                for m, (R, D) in enumerate(zip(slices, map(len, states)))]
+        # sector m's slice of run is contiguous within each level, so its reshape is a view
+        for R, D, lo, hi in zip(slices, map(len, states), [0] + ends, ends):
+            np.matmul(x[:, R], y[:, R].transpose(0, 2, 1), out=run[:, lo:hi].reshape(k, D, D))
+        return run
 
     return levels
 
@@ -411,7 +407,7 @@ def transfer_v(z: complex, params: ChainParams) -> np.ndarray:
     n = params.n_sites
     kv = _windows(np.diagonal(kv_matrix(z, params.xi)), n, 0.0)
     w = np.diagonal(ktv_matrix(z, params.xitilde, params.q))[:, None] * kv
-    left, right, _ = _half_products(lambda u: r_bands(u, params.q), z, params, 2)
+    left, right, _ = _half_products(lambda u: r_bands(u, params.q), z, params)
     return _exact_sum(_open_levels(left, right, n, lambda j0, j1: w[j0:j1]), n)
 
 
@@ -450,7 +446,7 @@ def transfer_w(z: complex, params: ChainParams, cutoff=None) -> np.ndarray:
         j1, lg = j0 + fits, lg[:fits]
         return ktw.mantissa[j0:j1, None] * kw_mant[j0:j1] * np.exp(lg)
 
-    left, right, _ = _half_products(lambda u: l_bands(u, 1.0, params.q, J), z, params, J)
+    left, right, _ = _half_products(lambda u: l_bands(u, 1.0, params.q, J), z, params)
     return _certified_sum(_open_levels(left, right, n, weights), n, J, params.tail_ratio, j_min,
                           params.tol / 10.0, "tail certificate")
 
@@ -531,22 +527,20 @@ def _require_twist(params: ChainParams) -> complex:
     return zeta
 
 
-def _closed_levels(site_bands, z: complex, params: ChainParams, J: int):
-    """levels(j0, j1) of the twisted trace of the single row on J auxiliary
-    levels, from the level bands site_bands(ws) at the points ws, one stack per
-    S^z sector: zeta^j times charge block j between equal down counts (row
-    level j)."""
-    n = params.n_sites
-    flat, _ = _row(site_bands([z / t for t in params.t[::-1]]), J, "right")
-    entries, sizes = _pair_gathers(n)[1], [len(idx) for idx in _sectors(n)[3]]
-    starts = np.cumsum([0] + [k * k for k in sizes]).tolist()
+def _closed_levels(site_bands, z: complex, params: ChainParams):
+    """levels(j0, j1) of the twisted trace of the single row for _certified_sum,
+    from the stacked level bands site_bands(ws) at the points ws, on the thread's
+    "run" buffer: zeta^j times charge block j between equal down counts (row
+    level j), in _sector_entries order."""
+    flat = tc.charge_product(site_bands([z / t for t in params.t[::-1]]), _workspace(), "right")[0]
+    entries = _pair_gathers(params.n_sites)[1]
 
     def levels(j0, j1):
         # Python's power: numpy's zeta ** np.arange(J) rounds differently
         weights = np.array([params.zeta ** j for j in range(j0, j1)])[:, None]
-        blocks = _workspace().take("pairs", (j1 - j0, len(entries)))
-        np.multiply(weights, np.take(flat[j0:j1], entries, 1, blocks, "clip"), out=blocks)
-        return [blocks[:, lo:lo + k * k].reshape(-1, k, k) for lo, k in zip(starts, sizes)]
+        run = _workspace().take("run", (j1 - j0, len(entries)))
+        np.multiply(weights, np.take(flat[j0:j1], entries, 1, run, "clip"), out=run)
+        return run
 
     return levels
 
@@ -554,8 +548,7 @@ def _closed_levels(site_bands, z: complex, params: ChainParams, J: int):
 def closed_transfer_v(z: complex, params: ChainParams) -> np.ndarray:
     """Twisted trace of the single-row monodromy over the two-dimensional auxiliary."""
     _require_twist(params)
-    return _exact_sum(_closed_levels(lambda w: r_bands(w, params.q), z, params, 2),
-                      params.n_sites)
+    return _exact_sum(_closed_levels(lambda w: r_bands(w, params.q), z, params), params.n_sites)
 
 
 def closed_transfer_w(z: complex, params: ChainParams, cutoff=None) -> np.ndarray:
@@ -572,7 +565,7 @@ def closed_transfer_w(z: complex, params: ChainParams, cutoff=None) -> np.ndarra
     if rho_theory ** J >= tol_eff:
         raise TailCertificateError(
             f"cutoff {J} cannot certify the closed-trace tail ratio {rho_theory:.3f} down to tol/10")
-    return _certified_sum(_closed_levels(lambda w: l_bands(w, 1.0, params.q, J), z, params, J),
+    return _certified_sum(_closed_levels(lambda w: l_bands(w, 1.0, params.q, J), z, params),
                           n, J, rho_theory, j_min, tol_eff, "closed-trace tail certificate")
 
 

@@ -154,12 +154,10 @@ class RunConfig:
 
 def execute(config: RunConfig):
     """Run every requested suite; returns (checks, spectrum_rows)."""
-    samples = config.z_samples
-    samples = tuple(samples) if isinstance(samples, list) else samples
     checks = [c for suite in config.suites
-              for c in vf.run_suite(suite, config.params, config.seed, samples)]
+              for c in vf.run_suite(suite, config.params, config.seed, config.z_samples)]
     spectral = set(config.suites) & set(vf.SPECTRAL_SUITES)
-    records = vf.spectral_records(config.params, config.seed, samples) if spectral else ()
+    records = vf.spectral_records(config.params, config.seed, config.z_samples) if spectral else ()
     spectrum_rows = [(rec.sector.m_down, k, z.real, z.imag, tv.real, tv.imag, qv.real, qv.imag)
                      for k, rec in enumerate(records)
                      for (z, tv), (_, qv) in zip(rec.tv_samples, rec.q_samples)]

@@ -85,17 +85,6 @@ def l_inverse(z: complex, r: complex, q: complex, J: int) -> np.ndarray:
                                      b10=s * q * z * p(0), b11=s * p(0)))
 
 
-def l_transpose2(z: complex, r: complex, q: complex, J: int) -> np.ndarray:
-    """Partial transpose of the L-operator over the V factor."""
-    return tc.partial_transpose(l_matrix(z, r, q, J), 1, (J, 2))
-
-
-def l_transpose2_inverse(z: complex, r: complex, q: complex, J: int) -> np.ndarray:
-    """Closed-form inverse of l_transpose2, the V-transpose of l_tilde; singular
-    at z^2 = q^{-2}.  It conserves level - index, not the charge."""
-    return tc.partial_transpose(l_tilde(z, r, q, J), 1, (J, 2))
-
-
 def l_tilde(z: complex, r: complex, q: complex, J: int) -> np.ndarray:
     """Crossing partner ((L^{t2})^{-1})^{t2} in closed form.
 

@@ -137,23 +137,25 @@ def _band_layout(dn: int, J: int):
     return outside, inside, dense, swapped
 
 
-def _check_bands(coef, J: int, dn: int) -> np.ndarray:
-    """coef as a complex (dn, dn, J) band array with nothing outside the truncation."""
+def _check_bands(coef, ndim: int) -> np.ndarray:
+    """coef as a complex band array of ndim axes, (..., d, d, J), with nothing
+    outside the truncation."""
     coef = np.asarray(coef, dtype=complex)
-    if coef.shape != (dn, dn, J):
-        raise ValueError(f"band shape {coef.shape} does not match sites of dims ({J}, {dn})")
-    if coef[_band_layout(dn, J)[0]].any():
-        raise ValueError("band entry outside the truncation of site 0")
+    if coef.ndim != ndim or coef.shape[-3] != coef.shape[-2]:
+        raise ValueError(f"band shape {coef.shape} needs {ndim} axes ending in (d, d, J)")
+    if coef[..., _band_layout(*coef.shape[-2:])[0]].any():
+        raise ValueError("band entry outside the truncation")
     return coef
 
 
 def from_bands(coef) -> np.ndarray:
     """The operator x on J levels (x) C^dn with level bands coef[b, a, c] =
     x[(c + a - b, b), (c, a)]; every other entry of x is zero."""
-    dn, _, J = np.shape(coef)
+    coef = _check_bands(coef, 3)
+    dn, _, J = coef.shape
     _, inside, dense, _ = _band_layout(dn, J)
     out = np.zeros((J * dn) ** 2, dtype=complex)
-    out[dense] = np.take(_check_bands(coef, J, dn), inside)
+    out[dense] = np.take(coef, inside)
     return out.reshape(J * dn, J * dn)
 
 
@@ -198,69 +200,53 @@ class Workspace(dict):
         return buffer[:n].reshape(shape)
 
 
-def _widen(prod, coef, n, carried, dims, pad, pad_out, workspace, role):
-    """Charge blocks of the carried sites times the band factor coef on site n,
-    which joins them: new[c, P, (b, a), Q] = old[c + a - b, P, Q] coef[b, a, c],
-    P and Q the index pairs of the carried sites before and after n (P is empty,
-    and each copy one run per level, when n precedes them all).  old carries pad
-    zero levels on each side, so every shifted read is in range; new carries
-    pad_out and is written on role's buffer of workspace."""
-    pre = math.prod(dims[s] ** 2 for s in carried if s < n)
-    post = math.prod(dims[s] ** 2 for s in carried if s > n)
-    carried.add(n)
+def _widen(prod, coef, pad, pad_out, workspace, role):
+    """Charge blocks of the visited sites times the band factor coef on a new
+    site before them all: new[c, (b, a), Q] = old[c + a - b, Q] coef[b, a, c], Q
+    the index pairs of the visited sites, so each copy is one run per level.
+    old carries pad zero levels on each side, so every shifted read is in range;
+    new carries pad_out and is written on role's buffer of workspace."""
     dn, _, J = coef.shape
-    old = prod.reshape(J + 2 * pad, pre, post)
-    out = workspace.take(role, (J + 2 * pad_out, pre, dn, dn, post))
+    old = prod.reshape(J + 2 * pad, -1)
+    out = workspace.take(role, (J + 2 * pad_out, dn, dn, old.shape[1]))
     out[:pad_out] = out[pad_out + J:] = 0.0
     for b in range(dn):
         for a in range(dn):
             lo = pad + a - b
-            np.multiply(old[lo:lo + J], coef[b, a, :, None, None],
-                        out=out[pad_out:pad_out + J, :, b, a])
+            np.multiply(old[lo:lo + J], coef[b, a, :, None], out=out[pad_out:pad_out + J, b, a])
     return out.reshape(J + 2 * pad_out, -1)
 
 
-def charge_product(factors, shape, workspace=None, role="product"):
-    """Left-to-right product of two-site factors that conserve the charge
-    site-0 level + index sum, kept as one block per site-0 column level, and
-    the pair_index of the remaining sites that reads it.
+def charge_product(bands, workspace=None, role="product"):
+    """The product F_n .. F_1 of two-site factors that conserve the charge
+    site-0 level + index sum, kept as one block per site-0 column level, and the
+    pair_index of the sites 1 .. n that reads it.
 
-    Each factor is (coef, n): the level bands coef[b, a, c] = x[(c + a - b, b),
-    (c, a)] of an operator x on sites 0 and n as in embed (see from_bands),
-    shape (dims[n], dims[n], J), zero where c + a - b leaves 0 .. J - 1; no two
-    factors share a site n.  The product P then vanishes unless its site-0
-    levels differ by m(s) - m(r), m the index_sums of the remaining sites, and
-    comes back as C of shape (J, prod dims[n]^2) with C[c, index[r, s]] =
-    P[(c + m(s) - m(r), r), (c, s)]; row levels outside the range of site 0
-    give zero entries.
+    bands is one stacked (n, d, d, J) band array: bands[k] holds the level bands
+    coef[b, a, c] = x[(c + a - b, b), (c, a)] of the factor x on site 0 (J
+    levels) and site n - k (dimension d), as in embed (see from_bands), zero
+    where c + a - b leaves 0 .. J - 1.  The product P then vanishes unless its
+    site-0 levels differ by m(s) - m(r), m the index_sums of the sites 1 .. n,
+    and comes back as C of shape (J, d^(2n)) with C[c, index[r, s]] =
+    P[(c + m(s) - m(r), r), (c, s)]; row levels outside 0 .. J - 1 give zero
+    entries.  With no factor, C is ones (J, 1).
 
     The blocks carry the sites visited so far, each site's index pair together
-    and in site order whatever the visit order, and zero levels on each side up
-    to the last factor; each factor widens them by one scaled, level-shifted
-    copy per band, and sites no factor touches join at the end as the identity.
-    The steps alternate between the buffers "step" and role of workspace (a
-    fresh Workspace by default), so that the blocks come back on role's.
+    and in site order, and zero levels on each side up to the last factor; each
+    factor widens them by one scaled, level-shifted copy per band.  The steps
+    alternate between the buffers "step" and role of workspace (a fresh
+    Workspace by default), so that the blocks come back on role's.
     """
-    dims = tuple(int(s) for s in shape)
-    J = dims[0]
-    steps = []
-    for coef, n in factors:
-        if not 0 < n < len(dims):
-            raise IndexError(f"charge factor must act on a site in 1..{len(dims) - 1}")
-        if n in (m for _, m in steps):
-            raise ValueError(f"charge factor revisits site {n}")
-        steps.append((_check_bands(coef, J, dims[n]), n))
-    steps += [(np.eye(dims[n], dtype=complex)[:, :, None].repeat(J, axis=2), n)
-              for n in range(1, len(dims)) if n not in (m for _, m in steps)]
-    pad = max(dims[1:], default=1) - 1
+    bands = _check_bands(bands, 4)
+    n, d, _, J = bands.shape
+    pad = d - 1 if n else 0
     prod = np.zeros((J + 2 * pad, 1), dtype=complex)
     prod[pad:pad + J] = 1.0
-    carried = set()
     workspace = Workspace() if workspace is None else workspace
-    for i, (coef, n) in enumerate(steps):
-        prod = _widen(prod, coef, n, carried, dims, pad, pad if i + 1 < len(steps) else 0,
-                      workspace, "step" if (len(steps) - i) % 2 == 0 else role)
-    return prod, pair_index(dims[1:])
+    for k, coef in enumerate(bands):
+        prod = _widen(prod, coef, pad, pad if k + 1 < n else 0, workspace,
+                      "step" if (n - k) % 2 == 0 else role)
+    return prod, pair_index((d,) * n)
 
 
 def partial_transpose(x, site: int, shape) -> np.ndarray:

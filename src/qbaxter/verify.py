@@ -16,6 +16,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
@@ -599,17 +600,27 @@ def check_closed_chain(params: ch.ChainParams, seed: int = 0):
 # spectrum and Bethe suites
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=1)
 def spectral_records(params: ch.ChainParams, seed: int, samples):
     """The joint spectrum (SpectrumRecords) both spectral suites read, at a probe
-    drawn from seed and at samples: a count of points drawn clear of the
-    exclusion set, or a tuple of points, at least one either way.  Memoized on
-    the arguments as passed, so pass them positionally everywhere."""
+    drawn from seed and at samples: a positive count (an int, not a bool) of
+    points drawn clear of the exclusion set, or a nonempty sequence of points.
+    Anything else raises QBaxterError.  Memoized on the samples so normalized."""
+    if isinstance(samples, numbers.Integral) and not isinstance(samples, bool) and samples > 0:
+        return _spectral_records(params, seed, int(samples))
+    points = samples.tolist() if isinstance(samples, np.ndarray) else samples
+    if isinstance(points, (list, tuple)) and points and all(
+            isinstance(z, numbers.Number) and not isinstance(z, bool) for z in points):
+        return _spectral_records(params, seed, tuple(complex(z) for z in points))
+    raise QBaxterError("the spectral suites need at least one sample point, as a positive "
+                       f"count or a sequence of points, got {samples!r}")
+
+
+@functools.lru_cache(maxsize=1)
+def _spectral_records(params: ch.ChainParams, seed: int, samples):
+    """spectral_records at a count or a tuple of complex points."""
     z_probe = _tq_point(np.random.default_rng(seed), params)
-    z_samples = ([complex(z) for z in samples] if isinstance(samples, tuple)
+    z_samples = (list(samples) if isinstance(samples, tuple)
                  else bt.spectrum_nodes(params, seed + 11, samples))
-    if not z_samples:
-        raise QBaxterError(f"the spectral suites need at least one sample point, got {samples!r}")
     for z in z_samples:
         if ch.in_exclusion_set(z, params):
             raise QBaxterError(f"requested sample point {z:.6f} lies in the exclusion set")
@@ -710,8 +721,9 @@ SPECTRAL_SUITES = ("spectrum", "bethe")
 
 
 def run_suite(name: str, params: ch.ChainParams, seed: int = 0, samples=3):
-    """Run one named suite; returns a list of CheckResults.  samples (a count or
-    a tuple of points) reaches the spectral suites only."""
+    """Run one named suite; returns a list of CheckResults.  samples (a positive
+    count or a sequence of points, see spectral_records) reaches the spectral
+    suites only."""
     if name not in _RUNNERS:
         raise ValueError(f"unknown suite {name!r}; expected one of {SUITES} or 'all'")
     args = (params, seed, samples) if name in SPECTRAL_SUITES else (params, seed)

@@ -18,7 +18,7 @@ from qbaxter.errors import (
     ParameterDomainError,
     TailCertificateError,
 )
-from qbaxter.lattice_ops import ktv_matrix, kv_matrix, l_matrix, r_matrix
+from qbaxter.lattice_ops import ktv_matrix, kv_matrix, l_bands, l_matrix, r_matrix
 from qbaxter.qoscillator import FockDiagonal, kw_diagonal, ktw_diagonal
 
 
@@ -306,7 +306,7 @@ class TestTransferW:
         def recording_sum(levels, *args):
             def recorded(j0, j1):
                 out = levels(j0, j1)
-                stacks.append((j0, j1, len(out[0])))
+                stacks.append((j0, j1, len(out)))
                 return out
             return certified_sum(recorded, *args)
 
@@ -428,9 +428,11 @@ class TestCertifiedSumStacks:
         for idx, term in zip(sectors, terms):
             dense[:, idx[:, None], idx] = term
         expected = reference_sum(iter(dense), 0.5, 4, 1e-11, "synthetic")
+        # each level's sector blocks one after another, as _sector_entries reads them
+        flat = np.concatenate([term.reshape(J, -1) for term in terms], axis=1)
         for size in (1, 3, J):
             def levels(j0, j1):
-                return [term[j0:min(j1, j0 + size)] for term in terms]
+                return flat[j0:min(j1, j0 + size)].copy()  # the sum overwrites its stacks
             assert np.array_equal(ch._certified_sum(levels, 3, J, 0.5, 4, 1e-11, "synthetic"),
                                   expected)
 
@@ -515,6 +517,46 @@ class TestWorkspace:
         ((q, kept),) = in_threads([q_and_kept])
         assert np.array_equal(q, expected)
         assert 0 < kept <= 2 ** 20
+
+
+class TestLevelProtocol:
+    """Every levels(j0, j1) returns one (k, C(2N, N)) array on the thread's "run"
+    buffer, the sector blocks of each level one after another."""
+
+    ROLES = {"step", "left", "right", "x", "y", "run"}
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+    def test_one_flat_array_per_stack(self, n, monkeypatch):
+        monkeypatch.setattr(ch._threads, "workspace", tc.Workspace(), raising=False)
+        p, z, j0, j1 = ch.sample_params(n, seed=3, tol=1e-10), 0.83 + 0.21j, 2, 5
+        J, (down, _, _, states) = p.cutoff, ch._sectors(n)
+
+        def bands(us):
+            return l_bands(us, 1.0, p.q, J)
+
+        left, right, index = (a.copy() for a in ch._half_products(bands, z, p))
+        X, Y = left[:, index.T], right[:, index]
+        w = np.random.default_rng(n).standard_normal((J, 2 * n + 1)) + 0.5j
+        opened = ch._open_levels(left, right, n, lambda a, b: w[a:b])(j0, j1)
+        assert opened.shape == (j1 - j0, math.comb(2 * n, n))
+        assert np.shares_memory(opened, ch._workspace()["run"])
+        lo = 0
+        for m, S in enumerate(states):
+            hi = lo + len(S) ** 2
+            for i, j in enumerate(range(j0, j1)):
+                # _open_levels: the rows of X[j] meet Y[j] through t at w[j - j0, n + m - m(t)]
+                block = (X[j][S] * w[j, n + m - down]) @ Y[j][:, S]
+                assert_allclose(opened[i, lo:hi].reshape(len(S), -1), block, rtol=1e-13,
+                                atol=1e-13 * np.abs(block).max())
+            lo = hi
+        closed = ch._closed_levels(bands, z, p)(j0, j1)
+        assert np.shares_memory(closed, ch._workspace()["run"])
+        expected = [[p.zeta ** j * Y[j][np.ix_(S, S)] for S in states] for j in range(j0, j1)]
+        assert np.array_equal(closed, [np.concatenate([b.ravel() for b in e]) for e in expected])
+        ch.q_operator(z, p)
+        # a row over one site takes no "step", and a row over none no buffer at all
+        roles = {0: {"x", "y", "run"}, 1: self.ROLES - {"step"}}.get(n, self.ROLES)
+        assert set(ch._workspace()) == roles
 
 
 class TestPairGathers:

@@ -175,7 +175,7 @@ class TestRun:
             return joint_spectrum(*args, **kwargs)
 
         monkeypatch.setattr(cli.vf.bt, "joint_spectrum", counted)
-        cli.vf.spectral_records.cache_clear()
+        cli.vf._spectral_records.cache_clear()
         cfg = write_config(tmp_path, {**BASE, "output_path": str(tmp_path / "r.json"),
                                       "spectrum_csv": str(tmp_path / "s.csv")})
         code = cli.main(["--config", cfg, "--suite", "spectrum", "--suite", "bethe", "--quiet"])

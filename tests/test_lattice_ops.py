@@ -15,8 +15,6 @@ from qbaxter.lattice_ops import (
     l_inverse,
     l_matrix,
     l_tilde,
-    l_transpose2,
-    l_transpose2_inverse,
     r_bands,
     r_matrix,
     r_tilde,
@@ -94,12 +92,12 @@ class TestLOperator:
         blocks[:, 1, :, 0] = -z * (qmd @ adag)
         blocks[:, 1, :, 1] = osc_fd(lambda j: Q ** (-j) * (1.0 - Q ** (2 * (j + 1)) * z * z), J)
         closed_form = blocks.reshape(2 * J, 2 * J)
-        assert tc.rel_err(closed_form, l_transpose2(z, R, Q, J)) < 1e-14
+        assert tc.rel_err(closed_form, tc.partial_transpose(l_matrix(z, R, Q, J), 1, (J, 2))) < 1e-14
 
     def test_transpose_inverse_closed_form(self):
         z = 0.66 - 0.4j
-        lt2 = l_transpose2(z, R, Q, J)
-        inv = l_transpose2_inverse(z, R, Q, J)
+        lt2 = tc.partial_transpose(l_matrix(z, R, Q, J), 1, (J, 2))
+        inv = tc.partial_transpose(l_tilde(z, R, Q, J), 1, (J, 2))
         prod = lt2 @ inv
         # backward-error scale of a product with growing entries
         scale = max(1.0, np.abs(lt2).max() * np.abs(inv).max())
@@ -158,13 +156,16 @@ class TestLevelBandOracle:
             z = (0.5 + rng.random()) * np.exp(2j * np.pi * rng.random())
             r = (0.5 + rng.random()) * np.exp(2j * np.pi * rng.random())
             banded = (l_matrix(z, r, q, cutoff), l_inverse(z, r, q, cutoff),
-                      l_transpose2_inverse(z, r, q, cutoff))
+                      tc.partial_transpose(l_tilde(z, r, q, cutoff), 1, (cutoff, 2)))
             for got, want in zip(banded, dense_l_variants(z, r, q, cutoff)):
                 assert got.shape == (2 * cutoff, 2 * cutoff)
                 # each entry is a product of at most four rounded factors
                 assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
-    @pytest.mark.parametrize("build", [l_matrix, l_inverse, l_transpose2_inverse, l_tilde, iota])
+    @pytest.mark.parametrize("build", [
+        l_matrix, l_inverse, l_tilde, iota,
+        pytest.param(lambda z, r, q, J: tc.partial_transpose(l_tilde(z, r, q, J), 1, (J, 2)),
+                     id="l_transpose2_inverse")])
     def test_fractional_cutoff_rejected(self, build):
         args = (R, Q) if build is iota else (0.7 + 0.2j, R, Q)
         for cutoff in (12.7, 2.5, 12.0, True, "7"):

@@ -180,19 +180,31 @@ def charge_bands(rng, J, dn):
     return coef
 
 
-def dense_factors(factors):
-    """The band factors (coef, n) as dense (x, 0, n) for ordered_product."""
-    return [(tc.from_bands(coef), 0, n) for coef, n in factors]
+def charge_stack(rng, J, d, n):
+    """A stacked (n, d, d, J) band array of random factors."""
+    return np.array([charge_bands(rng, J, d) for _ in range(n)]).reshape(n, d, d, J)
 
 
-def assert_charge_blocks_match_dense(factors, dims):
-    """charge_product of the band factors against the index formula on the
-    ordered_product of the densified factors, read through the pair index."""
-    blocks, index = tc.charge_product(iter(factors), dims)
+def dense_factors(bands):
+    """The stacked band factors, bands[k] on site n - k, as dense (x, 0, n - k) for
+    ordered_product."""
+    return [(tc.from_bands(coef), 0, len(bands) - k) for k, coef in enumerate(bands)]
+
+
+def dense_shape(bands):
+    n, d, _, J = bands.shape
+    return (J,) + (d,) * n
+
+
+def assert_charge_blocks_match_dense(bands):
+    """charge_product of the stacked band factors against the index formula on
+    the ordered_product of the densified factors, read through the pair index."""
+    dims = dense_shape(bands)
+    blocks, index = tc.charge_product(bands)
     J, d = dims[0], tc.total_dim(dims[1:])
     assert blocks.shape == (J, d * d) and index.shape == (d, d)
     prod = blocks[:, index]
-    dense = tc.ordered_product(dense_factors(factors), dims).reshape(J, d, J, d)
+    dense = tc.ordered_product(dense_factors(bands), dims).reshape(J, d, J, d)
     m = tc.index_sums(dims[1:])
     expected = np.zeros_like(prod)
     for c in range(J):
@@ -205,7 +217,7 @@ def assert_charge_blocks_match_dense(factors, dims):
                     expected[c, r, s] = dense[row, r, c, s]
                 else:
                     assert prod[c, r, s] == 0.0
-    assert np.count_nonzero(expected) > J * d
+    assert np.count_nonzero(expected) > J * d or len(bands) == 0  # N = 0: ones on site 0
     assert_allclose(prod, expected, rtol=1e-13, atol=1e-12)
 
 
@@ -235,21 +247,24 @@ class TestBands:
 
     def test_wrong_band_shape_rejected(self):
         rng = np.random.default_rng(23)
-        for coef in (charge_bands(rng, 4, 3), charge_bands(rng, 3, 2), np.zeros((2, 3, 4))):
+        for bands in (charge_bands(rng, 4, 2), np.zeros((1, 2, 3, 4)),
+                      np.zeros((2, 1, 2, 2, 4)), np.zeros(4)):
             with pytest.raises(ValueError, match="band shape"):
-                tc.charge_product([(coef, 1)], (4, 2))
-        with pytest.raises(ValueError, match="band shape"):
-            tc.from_bands(np.zeros((2, 3, 4)))
+                tc.charge_product(bands)
+        for coef in (np.zeros((2, 3, 4)), np.zeros((1, 2, 2, 4))):
+            with pytest.raises(ValueError, match="band shape"):
+                tc.from_bands(coef)
 
     def test_band_entry_outside_truncation_rejected(self):
-        # (b, a, c) with row level c + a - b outside 0 .. 3
+        # (b, a, c) with row level c + a - b outside 0 .. 3, at each site of a stack
         for entry in ((0, 1, 3), (1, 0, 0), (0, 2, 2), (2, 0, 1)):
-            coef = charge_bands(np.random.default_rng(24), 4, 3)
-            coef[entry] = 1e-300
+            for k in range(3):
+                bands = charge_stack(np.random.default_rng(24), 4, 3, 3)
+                bands[(k, *entry)] = 1e-300
+                with pytest.raises(ValueError, match="outside the truncation"):
+                    tc.charge_product(bands)
             with pytest.raises(ValueError, match="outside the truncation"):
-                tc.charge_product([(coef, 1)], (4, 3))
-            with pytest.raises(ValueError, match="outside the truncation"):
-                tc.from_bands(coef)
+                tc.from_bands(bands[k])
 
 
 class TestChargeProduct:
@@ -258,20 +273,14 @@ class TestChargeProduct:
         assert tc.index_sums(()).tolist() == [0]
 
     def test_empty_is_identity(self):
-        blocks, index = tc.charge_product([], (4, 2, 3))
-        assert blocks.shape == (4, 36)
-        assert all(np.array_equal(block, tc.identity(6)) for block in blocks[:, index])
-        blocks, index = tc.charge_product([], (4,))
-        assert blocks.shape == (4, 1) and np.array_equal(blocks, np.ones((4, 1)))
-        assert index.tolist() == [[0]]
+        # no factor: the identity on site 0 alone, one block of ones per level
+        for d in (2, 3):
+            blocks, index = tc.charge_product(np.zeros((0, d, d, 4)))
+            assert blocks.shape == (4, 1) and np.array_equal(blocks, np.ones((4, 1)))
+            assert index.tolist() == [[0]]
 
-    # (dims, sites of the factors in order)
-    DENSE_CASES = [((5, 2, 3), (2, 1)),
-                   ((4, 2, 3, 2), (1, 3)),  # site 2 untouched
-                   ((4, 2, 3, 2), (3, 1)),  # site 2 untouched, visited from the right
-                   ((2, 4, 3), (1, 2)),  # site dimension above the level count
-                   ((4, 2, 3, 2), (3, 2, 1)),  # the half rows' visit order
-                   ((4, 2, 3, 2), (2, 1, 3))]  # out of order: a carried site on each side
+    # (level count J, site dimension d, site count N): stacks on the sites N..1
+    DENSE_CASES = [(3, 2, 0), (5, 2, 1), (5, 2, 2), (4, 2, 3), (3, 3, 2), (2, 4, 2)]  # d > J
 
     def test_pair_index_is_the_site_pair_formula(self):
         for dims in ((), (2,), (3,), (2, 3, 2), (2, 2, 2, 2)):
@@ -289,17 +298,18 @@ class TestChargeProduct:
 
     def test_blocks_sit_in_the_site_pair_layout(self):
         # each site's band copy lands on its own (b, a) pair, in site order
-        dims, rng = (4, 2, 3, 2), np.random.default_rng(16)
-        coef = {n: charge_bands(rng, 4, dims[n]) for n in (1, 2, 3)}
-        for sites in ((3, 2, 1), (2, 1, 3), (1, 3, 2)):
-            blocks, _ = tc.charge_product([(coef[n], n) for n in sites], dims)
-            pairs = blocks.reshape(4, 2, 2, 3, 3, 2, 2)
-            dense = tc.ordered_product(dense_factors([(coef[n], n) for n in sites]), dims)
-            dense = dense.reshape(4, 2, 3, 2, 4, 2, 3, 2)
-            for c, r1, s1, r2, s2, r3, s3 in np.ndindex(pairs.shape):
-                row = c + s1 + s2 + s3 - r1 - r2 - r3
-                want = dense[row, r1, r2, r3, c, s1, s2, s3] if 0 <= row < 4 else 0.0
-                assert_allclose(pairs[c, r1, s1, r2, s2, r3, s3], want, rtol=1e-13, atol=1e-13)
+        rng = np.random.default_rng(16)
+        for n in range(4):
+            bands = charge_stack(rng, 4, 2, n)
+            blocks, _ = tc.charge_product(bands)
+            pairs = blocks.reshape((4,) + (2,) * (2 * n))
+            dims = dense_shape(bands)
+            dense = tc.ordered_product(dense_factors(bands), dims).reshape(dims + dims)
+            for c, *rs in np.ndindex(pairs.shape):
+                r, s = rs[0::2], rs[1::2]
+                row = c + sum(s) - sum(r)
+                want = dense[(row, *r, c, *s)] if 0 <= row < 4 else 0.0
+                assert_allclose(pairs[(c, *rs)], want, rtol=1e-13, atol=1e-13)
 
     def test_workspace_reuses_grows_and_caps(self, monkeypatch):
         ws = tc.Workspace()
@@ -315,60 +325,46 @@ class TestChargeProduct:
         assert list(ws) == ["a"]
 
     def test_workspace_product_matches_fresh_one(self):
-        dims, rng = (4, 2, 3, 2), np.random.default_rng(14)
-        factors = [[(charge_bands(rng, 4, dims[n]), n) for n in (1, 3)] for _ in range(2)]
-        fresh = [tc.charge_product(f, dims)[0] for f in factors]
+        rng = np.random.default_rng(14)
+        stacks = [charge_stack(rng, 4, 2, 3) for _ in range(2)]
+        fresh = [tc.charge_product(bands)[0] for bands in stacks]
         ws = tc.Workspace()
-        first, _ = tc.charge_product(factors[0], dims, ws, "row")
+        first, _ = tc.charge_product(stacks[0], ws, "row")
         buffer = ws["row"]
         assert np.array_equal(first, fresh[0]) and np.shares_memory(first, buffer)
-        assert np.array_equal(tc.charge_product(factors[1], dims, ws, "row")[0], fresh[1])
+        assert np.array_equal(tc.charge_product(stacks[1], ws, "row")[0], fresh[1])
         assert ws["row"] is buffer and np.array_equal(first, fresh[1])
+        assert set(ws) == {"step", "row"}
         # without a workspace each product owns its memory
         assert not np.shares_memory(fresh[0], fresh[1])
-        assert np.array_equal(fresh[0], tc.charge_product(factors[0], dims)[0])
+        assert np.array_equal(fresh[0], tc.charge_product(stacks[0])[0])
 
     def test_matches_dense_product(self):
-        for dims, sites in self.DENSE_CASES:
-            rng = np.random.default_rng(13)
-            factors = [(charge_bands(rng, dims[0], dims[n]), n) for n in sites]
-            assert_charge_blocks_match_dense(factors, dims)
+        for J, d, n in self.DENSE_CASES:
+            assert_charge_blocks_match_dense(charge_stack(np.random.default_rng(13), J, d, n))
 
     def test_transposed_reversed_factors_give_row_level_blocks(self):
-        # blocks of P^T = F_k^T .. F_1^T by column level, spin axes swapped, are
-        # the blocks of P by row level: X[j, r, t] = P[(j, r), (j + m(r) - m(t), t)]
-        for dims, sites in self.DENSE_CASES:
-            rng = np.random.default_rng(13)
-            factors = [(charge_bands(rng, dims[0], dims[n]), n) for n in sites]
-            J, d = dims[0], tc.total_dim(dims[1:])
-            X, index = tc.charge_product(
-                [(tc.transpose_bands(coef), n) for coef, n in factors[::-1]], dims)
+        # P = F_1 .. F_n, the left half row's order, has P^T = F_n^T .. F_1^T, the
+        # kernel's: its blocks by column level, spin axes swapped, are the blocks
+        # of P by row level, X[j, r, t] = P[(j, r), (j + m(r) - m(t), t)]
+        for J, d, n in self.DENSE_CASES:
+            bands = charge_stack(np.random.default_rng(13), J, d, n)
+            dims, D = dense_shape(bands), d ** n
+            X, index = tc.charge_product(tc.transpose_bands(bands))
             X = X[:, index.T]
-            dense = tc.ordered_product(dense_factors(factors), dims).reshape(J, d, J, d)
+            dense = tc.ordered_product(dense_factors(bands)[::-1], dims).reshape(J, D, J, D)
             m = tc.index_sums(dims[1:])
             expected = np.zeros_like(X)
             for j in range(J):
-                for r in range(d):
-                    for t in range(d):
+                for r in range(D):
+                    for t in range(D):
                         col = j + m[r] - m[t]
                         if 0 <= col < J:
                             expected[j, r, t] = dense[j, r, col, t]
                         else:
                             assert X[j, r, t] == 0.0
-            assert np.count_nonzero(expected) > J * d
+            assert np.count_nonzero(expected) > J * D or n == 0
             assert_allclose(X, expected, rtol=1e-13, atol=1e-12)
-
-    def test_factor_off_site_zero_rejected(self):
-        coef = charge_bands(np.random.default_rng(14), 3, 2)
-        for n in (0, 3, -1):
-            with pytest.raises(IndexError):
-                tc.charge_product([(coef, n)], (3, 2, 2))
-
-    def test_revisited_site_rejected(self):
-        rng = np.random.default_rng(15)
-        factors = [(charge_bands(rng, 3, 2), n) for n in (1, 2, 1)]
-        with pytest.raises(ValueError, match="revisits site 1"):
-            tc.charge_product(factors, (3, 2, 2))
 
 
 class TestRelErr:

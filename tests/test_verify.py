@@ -1,5 +1,6 @@
 """The identity battery as a library: every named check passes at generic parameters."""
 
+import numpy as np
 import pytest
 
 from qbaxter import chain as ch
@@ -158,6 +159,28 @@ def test_spectral_suites_reject_no_samples(params, suite, samples):
     # with no sample point the eigen-residual and interpolation checks would be vacuous
     with pytest.raises(QBaxterError, match="at least one sample point"):
         vf.run_suite(suite, params, 3, samples)
+
+
+def test_spectral_samples_normalized_before_the_cache(params):
+    # a list or a numpy array of points is the tuple of them, a numpy integer the count
+    points = (0.9 + 0.1j, 0.8 - 0.3j)
+    assert not any(ch.in_exclusion_set(z, params) for z in points)
+    records = vf.spectral_records(params, 3, points)
+    assert [z for z, _ in records[0].tv_samples] == list(points)
+    assert vf.spectral_records(params, 3, list(points)) is records
+    assert vf.spectral_records(params, 3, np.array(points)) is records
+    counted = vf.spectral_records(params, 3, 2)
+    assert vf.spectral_records(params, 3, np.int64(2)) is counted
+
+
+@pytest.mark.parametrize("suite", ["spectrum", "bethe"])
+@pytest.mark.parametrize("samples", [True, 2.0, "3", [[0.9, 0.1]], [True], np.array(0.9)],
+                         ids=["bool", "float", "string", "nested", "bool-point", "0-d-array"])
+def test_spectral_suites_reject_malformed_samples(params, suite, samples):
+    # neither hashed as given (a bare TypeError) nor read as a count (True as 1)
+    for call in (vf.spectral_records, lambda *args: vf.run_suite(suite, *args)):
+        with pytest.raises(QBaxterError, match="at least one sample point"):
+            call(params, 3, samples)
 
 
 def test_run_suite_gives_every_suite_a_list(params):

@@ -12,15 +12,17 @@ function (by default `chain.q_operator`, `chain.closed_q` and
 per tree is followed by R rounds; a round times K calls of the function at the
 points z_i = 0.83 + 0.21j + 0.001 i, i < K, in one tree and then in the other,
 the tree that goes first alternating from round to round.  One line per
-function gives each tree's median time per call over all its timed calls, the
-change in %, and in how many rounds the change's mean was lower.  Run it with
-one BLAS thread (OPENBLAS_NUM_THREADS=1) for comparable numbers.  Needs only
-the standard library and numpy.
+function gives each tree's median time and median minor page faults per call
+(`ru_minflt` of this process before and after the call) over all its timed
+calls, the change in time in %, and in how many rounds the change's mean time
+was lower.  Run it with one BLAS thread (OPENBLAS_NUM_THREADS=1) for comparable
+numbers.  Needs only the standard library and numpy.
 """
 
 import argparse
 import importlib
 import pathlib
+import resource
 import shutil
 import statistics
 import sys
@@ -46,7 +48,8 @@ def load(srcs, tmp):
 
 
 def compare(chains, name, n_sites, seed, rounds, calls):
-    """Per tree, the times of every timed call, and the rounds the change won."""
+    """Per tree, the time and the minor page faults of every timed call, and the
+    rounds the change won."""
     points = [0.83 + 0.21j + 0.001 * i for i in range(calls)]
     runs = {}
     for tree, chain in chains.items():
@@ -54,19 +57,21 @@ def compare(chains, name, n_sites, seed, rounds, calls):
         function = getattr(chain, name)
         function(points[0], params)
         runs[tree] = (function, params)
-    times = {tree: [] for tree in TREES}
+    times, faults = {tree: [] for tree in TREES}, {tree: [] for tree in TREES}
     won = 0
     for i in range(rounds):
         means = {}
         for tree in TREES[::1 if i % 2 == 0 else -1]:
             function, params = runs[tree]
             for z in points:
+                f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
                 t0 = time.perf_counter()
                 function(z, params)
                 times[tree].append(time.perf_counter() - t0)
+                faults[tree].append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
             means[tree] = statistics.fmean(times[tree][-calls:])
         won += means["change"] < means["parent"]
-    return times, won
+    return times, faults, won
 
 
 def main(argv=None):
@@ -82,11 +87,13 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as tmp:
         chains = load((a.parent_src, a.change_src), tmp)
         for name in a.functions:
-            times, won = compare(chains, name, a.sites, a.seed, a.rounds, a.calls)
-            parent, change = (statistics.median(times[tree]) for tree in TREES)
-            print(f"{name} N={a.sites} seed={a.seed}: parent {parent * 1e3:.3f} ms, change "
-                  f"{change * 1e3:.3f} ms per call ({(change / parent - 1) * 100:+.1f}%), "
-                  f"change faster in {won}/{a.rounds} rounds of {a.calls} calls", flush=True)
+            times, faults, won = compare(chains, name, a.sites, a.seed, a.rounds, a.calls)
+            (parent, change), (f_parent, f_change) = (
+                [statistics.median(by_tree[tree]) for tree in TREES] for by_tree in (times, faults))
+            print(f"{name} N={a.sites} seed={a.seed}: parent {parent * 1e3:.3f} ms "
+                  f"({f_parent:g} minor faults), change {change * 1e3:.3f} ms ({f_change:g} "
+                  f"minor faults) per call ({(change / parent - 1) * 100:+.1f}%), change "
+                  f"faster in {won}/{a.rounds} rounds of {a.calls} calls", flush=True)
 
 
 if __name__ == "__main__":
