@@ -321,7 +321,9 @@ def aba_f(z: complex, q: complex) -> complex:
 
 
 def aba_coefficients(z: complex, y: complex, params: ChainParams) -> dict:
-    """All scalar functions of the exchange relations and the vacuum data."""
+    """The scalar functions of the exchange relations of B(y) with the sheared
+    diagonal blocks A(z) and D~(z) (alpha1, alpha2t, alpha4; beta1, beta2t,
+    beta4t), and the unwanted-term weights phi_plus and phi_minus."""
     q = params.q
     ayz, byz, cyz = r_weights(y * z, q)
     ayoz, byoz, cyoz = r_weights(y / z, q)
@@ -333,7 +335,6 @@ def aba_coefficients(z: complex, y: complex, params: ChainParams) -> dict:
     alpha4 = -cyz / ayz
     beta1 = (ayz ** 2 - cyz ** 2) * azoy / (ayz * byz * bzoy)
     beta2 = -(ayz ** 2 - cyz ** 2) * czoy / (ayz * byz * bzoy)
-    beta3 = -cyz * czoy * (ayoz * bzoy + byoz * azoy) / (byoz * ayz * bzoy ** 2)
     beta4 = cyz * (cyoz * czoy * bzoy + byoz * azoy ** 2) / (byoz * ayz * bzoy ** 2)
     fz = aba_f(z, q)
     fy = aba_f(y, q)
@@ -344,12 +345,9 @@ def aba_coefficients(z: complex, y: complex, params: ChainParams) -> dict:
     phi_plus = gamma_plus * alpha2t + gamma_minus * beta4t
     phi_minus = gamma_plus * alpha4 + gamma_minus * beta2t
     return {
-        "alpha1": alpha1, "alpha2": alpha2, "alpha2t": alpha2t, "alpha4": alpha4,
-        "beta1": beta1, "beta2": beta2, "beta2t": beta2t, "beta3": beta3,
-        "beta4": beta4, "beta4t": beta4t,
-        "gamma_plus": gamma_plus, "gamma_minus": gamma_minus,
+        "alpha1": alpha1, "alpha2t": alpha2t, "alpha4": alpha4,
+        "beta1": beta1, "beta2t": beta2t, "beta4t": beta4t,
         "phi_plus": phi_plus, "phi_minus": phi_minus,
-        "f_z": fz, "f_y": fy,
     }
 
 
@@ -507,9 +505,12 @@ def refine_bethe_newton(roots, params: ChainParams, max_iter: int = 50):
         improved = False
         for _ in range(12):
             trial = big_y + lam * step
-            res_t, jac_t, lhs_t, rhs_t = _bethe_system(trial, params)
-            if norm_res(res_t, lhs_t, rhs_t) < best or lam == 1.0 and \
-                    float(np.linalg.norm(res_t)) < float(np.linalg.norm(res)):
+            # a trial on a pole of the system, such as q^-2 = q^2 Y_i Y_j, is rejected
+            with np.errstate(divide="ignore", invalid="ignore"):
+                res_t, jac_t, lhs_t, rhs_t = _bethe_system(trial, params)
+            finite = np.isfinite(res_t).all() and np.isfinite(jac_t).all()
+            if finite and (norm_res(res_t, lhs_t, rhs_t) < best or lam == 1.0 and
+                           float(np.linalg.norm(res_t)) < float(np.linalg.norm(res))):
                 big_y, res, jac, lhs, rhs = trial, res_t, jac_t, lhs_t, rhs_t
                 best = norm_res(res, lhs, rhs)
                 improved = True

@@ -174,7 +174,8 @@ class SpinSector:
 
     def __post_init__(self):
         if not 0 <= self.m_down <= self.n_sites:
-            raise ValueError("m_down out of range")
+            raise ParameterDomainError(
+                f"m_down must lie in 0..{self.n_sites}, got {self.m_down}")
         object.__setattr__(self, "indices", tuple(_sectors(self.n_sites)[3][self.m_down].tolist()))
 
 

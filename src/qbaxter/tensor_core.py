@@ -30,15 +30,6 @@ def _as_matrix(x) -> np.ndarray:
     return m
 
 
-def identity(n: int) -> np.ndarray:
-    return np.eye(n, dtype=complex)
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product with the left factor slowest."""
-    return np.kron(_as_matrix(a), _as_matrix(b))
-
-
 def swap_p(dim_a: int, dim_b: int) -> np.ndarray:
     """Permutation operator P(u (x) u') = u' (x) u."""
     p = np.zeros((dim_a * dim_b, dim_a * dim_b), dtype=complex)
@@ -48,66 +39,47 @@ def swap_p(dim_a: int, dim_b: int) -> np.ndarray:
     return p
 
 
-def embed(x, m: int, n: int, shape) -> np.ndarray:
-    """Embed a two-factor operator so its first factor acts at site m, second at site n.
+def embed(x, sites, shape) -> np.ndarray:
+    """Place an operator on the given distinct sites, identity elsewhere.
 
-    Sites may come in either order; m > n transposes the factor layout, which
-    realizes the usual X_{21}-style subscript convention.
+    x acts on its own factors in the order of sites, so a two-site x placed at
+    (1, 0) realizes the usual X_{21}-style subscript convention.  The result is
+    one broadcast product of x with the identity on the other sites, written
+    through a transposed view of the output into site order.
     """
     dims = tuple(int(s) for s in shape)
-    nfac = len(dims)
-    if m == n:
-        raise ValueError("embed needs two distinct sites")
-    if not (0 <= m < nfac and 0 <= n < nfac):
-        raise IndexError(f"site indices ({m}, {n}) out of range for shape {dims}")
-    dm, dn = dims[m], dims[n]
+    sites = tuple(sites)
+    if len(set(sites)) != len(sites):
+        raise ValueError(f"embed needs distinct sites, got {sites}")
+    if not all(0 <= s < len(dims) for s in sites):
+        raise IndexError(f"sites {sites} out of range for shape {dims}")
+    rest = [s for s in range(len(dims)) if s not in sites]
+    own, other = [dims[s] for s in sites], [dims[s] for s in rest]
     x = _as_matrix(x)
-    if x.shape != (dm * dn, dm * dn):
-        raise ValueError(f"operator shape {x.shape} does not match sites of dims ({dm}, {dn})")
-
-    t = x.reshape(dm, dn, dm, dn)
-    rest = [k for k in range(nfac) if k not in (m, n)]
-    for k in rest:
-        t = np.tensordot(t, np.eye(dims[k], dtype=complex), axes=0)
-    # axis layout: (row_m, row_n, col_m, col_n, row_r1, col_r1, ...)
-    row_axes = [0] * nfac
-    col_axes = [0] * nfac
-    row_axes[m], row_axes[n] = 0, 1
-    col_axes[m], col_axes[n] = 2, 3
-    for i, k in enumerate(rest):
-        row_axes[k] = 4 + 2 * i
-        col_axes[k] = 5 + 2 * i
-    t = t.transpose(row_axes + col_axes)
-    d = total_dim(dims)
-    return np.ascontiguousarray(t.reshape(d, d))
-
-
-def embed_site(x, site: int, shape) -> np.ndarray:
-    """Embed a single-factor operator at the given site, identity elsewhere."""
-    dims = tuple(int(s) for s in shape)
-    if not 0 <= site < len(dims):
-        raise IndexError(f"site {site} out of range for shape {dims}")
-    x = _as_matrix(x)
-    if x.shape != (dims[site], dims[site]):
-        raise ValueError(f"operator shape {x.shape} does not match site dim {dims[site]}")
-    pre = total_dim(dims[:site])
-    post = total_dim(dims[site + 1:])
-    return kron(kron(identity(pre), x), identity(post))
+    if x.shape != (math.prod(own),) * 2:
+        raise ValueError(f"operator shape {x.shape} does not match sites of dims {tuple(own)}")
+    d, axes = total_dim(dims), [*sites, *rest]
+    out = np.empty((d, d), dtype=complex)
+    view = out.reshape(dims + dims).transpose(axes + [len(dims) + a for a in axes])
+    ones, eye = [1] * len(rest), np.eye(math.prod(other), dtype=complex)
+    np.multiply(x.reshape(own + ones + own + ones),
+                eye.reshape([1] * len(own) + other + [1] * len(own) + other), out=view)
+    return out
 
 
 def ordered_product(factors, shape) -> np.ndarray:
     """Left-to-right product of embedded site factors; the identity when there are none.
 
-    Each factor is (x, site) for a one-site operator or (x, m, n) for a
-    two-site operator placed as in embed.  Factors may come from a lazy
-    iterator; each embedded factor is released before the next is built.
+    Each factor is (x, *sites), an operator and the sites it is placed on as in
+    embed.  Factors may come from a lazy iterator; each embedded factor is
+    released before the next is built.
     """
     out = None
     for x, *sites in factors:
-        f = embed_site(x, *sites, shape) if len(sites) == 1 else embed(x, *sites, shape)
+        f = embed(x, sites, shape)
         out = f if out is None else out @ f
         del f
-    return identity(total_dim(shape)) if out is None else out
+    return np.eye(total_dim(shape), dtype=complex) if out is None else out
 
 
 def index_sums(shape) -> np.ndarray:
@@ -264,10 +236,6 @@ def partial_transpose(x, site: int, shape) -> np.ndarray:
     return t.transpose(0, 4, 2, 3, 1, 5).reshape(d, d)
 
 
-def frob(a) -> float:
-    return float(np.linalg.norm(np.asarray(a)))
-
-
 def rel_err(a, b) -> float:
     """Frobenius distance normalized by max(1, |a|_F, |b|_F).
 
@@ -277,4 +245,4 @@ def rel_err(a, b) -> float:
     b = np.asarray(b, dtype=complex)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    return frob(a - b) / max(1.0, frob(a), frob(b))
+    return float(np.linalg.norm(a - b) / max(1.0, np.linalg.norm(a), np.linalg.norm(b)))

@@ -135,23 +135,23 @@ def check_ybe(params: ch.ChainParams, seed: int = 0) -> CheckResult:
     for _ in range(5):
         z1, z2, z3 = (bt.random_point(rng) for _ in range(3))
         sh = (2, 2, 2)
-        r12 = tc.embed(r_matrix(z1 / z2, q), 0, 1, sh)
-        r13 = tc.embed(r_matrix(z1 / z3, q), 0, 2, sh)
-        r23 = tc.embed(r_matrix(z2 / z3, q), 1, 2, sh)
+        r12 = tc.embed(r_matrix(z1 / z2, q), (0, 1), sh)
+        r13 = tc.embed(r_matrix(z1 / z3, q), (0, 2), sh)
+        r23 = tc.embed(r_matrix(z2 / z3, q), (1, 2), sh)
         _acc(worst, "vvv", tc.rel_err(r12 @ r13 @ r23, r23 @ r13 @ r12))
         for r in r_values:
             sh = (J, 2, 2)
-            l12 = tc.embed(l_matrix(z1 / z2, r, q, J), 0, 1, sh)
-            l13 = tc.embed(l_matrix(z1 / z3, r, q, J), 0, 2, sh)
-            r23 = tc.embed(r_matrix(z2 / z3, q), 1, 2, sh)
+            l12 = tc.embed(l_matrix(z1 / z2, r, q, J), (0, 1), sh)
+            l13 = tc.embed(l_matrix(z1 / z3, r, q, J), (0, 2), sh)
+            r23 = tc.embed(r_matrix(z2 / z3, q), (1, 2), sh)
             lhs = l12 @ l13 @ r23
             rhs = r23 @ l13 @ l12
             _acc(worst, "wvv", tc.rel_err(_interior(lhs, 4, 4, pad), _interior(rhs, 4, 4, pad)))
         sh = (2, 2, J)
         r = r_values[1]
-        r12 = tc.embed(r_matrix(z1 / z2, q), 0, 1, sh)
-        l13 = tc.embed(l_matrix(z1 / z3, r, q, J), 2, 0, sh)
-        l23 = tc.embed(l_matrix(z2 / z3, r, q, J), 2, 1, sh)
+        r12 = tc.embed(r_matrix(z1 / z2, q), (0, 1), sh)
+        l13 = tc.embed(l_matrix(z1 / z3, r, q, J), (2, 0), sh)
+        l23 = tc.embed(l_matrix(z2 / z3, r, q, J), (2, 1), sh)
         lhs = (r12 @ l13 @ l23).reshape(4, J, 4, J)[:, : J - pad, :, : J - pad]
         rhs = (l23 @ l13 @ r12).reshape(4, J, 4, J)[:, : J - pad, :, : J - pad]
         _acc(worst, "vvw", tc.rel_err(
@@ -186,8 +186,8 @@ def check_reflection(params: ch.ChainParams, seed: int = 0) -> CheckResult:
     for _ in range(4):
         y = bt.draw_points(rng, 1, clear)[0]
         z = bt.random_point(rng)
-        k1 = tc.embed_site(kv_matrix(y, xi), 0, (2, 2))
-        k2 = tc.embed_site(kv_matrix(z, xi), 1, (2, 2))
+        k1 = tc.embed(kv_matrix(y, xi), (0,), (2, 2))
+        k2 = tc.embed(kv_matrix(z, xi), (1,), (2, 2))
         ra, rb = r_matrix(y / z, q), r_matrix(y * z, q)
         _acc(worst, "vv-right", tc.rel_err(ra @ k1 @ rb @ k2, k2 @ rb @ k1 @ ra))
 
@@ -198,8 +198,8 @@ def check_reflection(params: ch.ChainParams, seed: int = 0) -> CheckResult:
         rhs = kv2 @ lb @ kw1 @ la
         _acc(worst, "wv-right", tc.rel_err(_interior(lhs, 2, 2, pad), _interior(rhs, 2, 2, pad)))
 
-        kt1 = tc.embed_site(ktv_matrix(y, xit, q), 0, (2, 2))
-        kt2 = tc.embed_site(ktv_matrix(z, xit, q), 1, (2, 2))
+        kt1 = tc.embed(ktv_matrix(y, xit, q), (0,), (2, 2))
+        kt2 = tc.embed(ktv_matrix(z, xit, q), (1,), (2, 2))
         rt = r_tilde(y * z, q)
         rinv = np.linalg.inv(r_matrix(y / z, q))
         _acc(worst, "vv-left", tc.rel_err(kt2 @ rt @ kt1 @ rinv, rinv @ kt1 @ rt @ kt2))
@@ -243,8 +243,8 @@ def check_fusion(params: ch.ChainParams, seed: int = 0) -> CheckResult:
         io_i = np.kron(io, eye2)
         ta_i = np.kron(ta, eye2)
         sh = (J, 2, 2)
-        l13 = tc.embed(l_matrix(z, r, q, J), 0, 2, sh)
-        r23 = tc.embed(r_matrix(z, q), 1, 2, sh)
+        l13 = tc.embed(l_matrix(z, r, q, J), (0, 2), sh)
+        r23 = tc.embed(r_matrix(z, q), (1, 2), sh)
         lhs = l13 @ r23 @ io_i
         rhs = (1.0 - z * z) * io_i @ l_matrix(q * z, q * r, q, J)
         _acc(worst, "bulk-raise", tc.rel_err(_interior(lhs, 4, 2, pad), _interior(rhs, 4, 2, pad)))
@@ -300,8 +300,8 @@ def check_row_fusion_and_monodromy(params: ch.ChainParams, seed: int = 0) -> Che
         y, z = bt.random_point(rng), bt.random_point(rng)
         mw = ch.monodromy_w(y, r, p, shape, 0, sites)
         mv = ch.monodromy_v(z, p, shape, 1, sites)
-        lab_yz = tc.embed(l_matrix(y * z, r, q, J), 0, 1, shape)
-        lab_yoz = tc.embed(l_matrix(y / z, r, q, J), 0, 1, shape)
+        lab_yz = tc.embed(l_matrix(y * z, r, q, J), (0, 1), shape)
+        lab_yoz = tc.embed(l_matrix(y / z, r, q, J), (0, 1), shape)
 
         # interleaved double rows: per-site (L, R) pairs, then the boundary group
         # Kw . L(yz) . Kv, then the right-row pairs; the swapped product
@@ -329,10 +329,10 @@ def check_row_fusion_and_monodromy(params: ch.ChainParams, seed: int = 0) -> Che
         z0 = bt.random_point(rng)
         mwz = ch.monodromy_w(z0, r, p, shape, 0, sites)
         mvz = ch.monodromy_v(z0, p, shape, 1, sites)
-        core = tc.embed_site(ktv_matrix(z0, p.xitilde, q), 1, shape) \
-            @ tc.embed(l_tilde(z0 * z0, r, q, J), 0, 1, shape) \
-            @ tc.embed_site(ktw_diagonal(z0, r, p.xitilde, q, J).dense(), 0, shape) \
-            @ mwz @ tc.embed(l_matrix(z0 * z0, r, q, J), 0, 1, shape) @ mvz
+        core = tc.embed(ktv_matrix(z0, p.xitilde, q), (1,), shape) \
+            @ tc.embed(l_tilde(z0 * z0, r, q, J), (0, 1), shape) \
+            @ tc.embed(ktw_diagonal(z0, r, p.xitilde, q, J).dense(), (0,), shape) \
+            @ mwz @ tc.embed(l_matrix(z0 * z0, r, q, J), (0, 1), shape) @ mvz
         io_i = np.kron(iota(r, q, J), np.eye(d))
         ta_i = np.kron(tau(r, q, J), np.eye(d))
         scalar = 1.0 / (1.0 - q * q * z0 ** 4)
@@ -497,7 +497,7 @@ def check_polynomiality(params: ch.ChainParams, seed: int = 0):
     diag_err, off_err = 0.0, 0.0
     for z in holdout:
         actual = ch.q_operator(z, params)
-        pred = np.tensordot((z * z) ** np.arange(deg + 1), coeffs, 1)
+        pred = ((z * z) ** np.arange(deg + 1) @ coeffs.reshape(deg + 1, -1)).reshape(d, d)
         scale = max(1.0, float(np.linalg.norm(actual)))
         err = np.abs(pred - actual) / scale
         diag_err = max(diag_err, float(np.max(np.diag(err))))
@@ -586,7 +586,7 @@ def check_closed_chain(params: ch.ChainParams, seed: int = 0):
     _acc(worst, "twisted-trace-origin", tc.rel_err(tw0, ref))
     coeffs = bt.circle_coefficients(lambda z: ch.closed_q(z, params), 2 * n + 2, 0.95)
     zh = 0.85 * cmath.exp(0.91j)
-    pred = np.tensordot(zh ** np.arange(2 * n + 1), coeffs[:-1], 1)
+    pred = (zh ** np.arange(2 * n + 1) @ coeffs[:-1].reshape(2 * n + 1, -1)).reshape(d, d)
     actual = ch.closed_q(zh, params)
     _acc(worst, "degree-bound", tc.rel_err(pred, actual))
     det = np.linalg.det(ch.closed_transfer_w(bt.random_point(rng), params))

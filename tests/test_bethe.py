@@ -88,6 +88,11 @@ class TestJointSpectrum:
         with pytest.raises(bt.SpectrumError, match="at least one sample point, got 0"):
             bt.joint_spectrum(p, 0.85 + 0.23j, [])
 
+    def test_probe_in_exclusion_set_rejected(self, params):
+        # sqrt(xi) is a pole of the traced series
+        with pytest.raises(ParameterDomainError, match="probe point"):
+            bt.joint_spectrum(params, np.sqrt(params.xi), bt.spectrum_nodes(params, 1, 1))
+
     @pytest.mark.parametrize("n", [3, 4])
     @pytest.mark.parametrize("seed", [3, 11])
     def test_fields_match_their_definitions(self, n, seed):
@@ -171,6 +176,13 @@ class TestSampling:
 
 
 class TestFactorization:
+    def test_zero_eigenvalue_rejected(self, params):
+        n = params.n_sites
+        rec = bt.SpectrumRecord(sector=ch.SpinSector(1, n), vector=np.zeros(params.dim),
+                                tv_samples=[], q_samples=[], q_poly=np.zeros(2 * n + 1))
+        with pytest.raises(bt.SpectrumError, match="identically zero"):
+            bt.factorize_q_eigenvalue(rec, params)
+
     def test_vacuum_has_no_roots(self, records, params):
         vac = [r for r in records if r.sector.m_down == 0][0]
         roots = bt.factorize_q_eigenvalue(vac, params)
@@ -314,6 +326,11 @@ class TestBetheResiduals:
 
 
 class TestAbaOracle:
+    def test_more_roots_than_sites_rejected(self, params):
+        roots = [0.7 + 0.1j, 0.8 - 0.2j, 0.9 + 0.3j][:params.n_sites + 1]
+        with pytest.raises(ParameterDomainError, match="more creation operators"):
+            bt.aba_state(roots, params)
+
     def test_vacuum_actions(self, params):
         z = 0.91 + 0.21j
         a, _, _, d = dense_blocks(z, params)
@@ -487,6 +504,26 @@ class TestNewton:
         wild = np.array([37.0 + 41.0j])
         with pytest.raises(ConvergenceError):
             bt.refine_bethe_newton(wild, params, max_iter=3)
+
+    def test_trial_on_a_pole_is_rejected(self, monkeypatch):
+        # q = 1/2 and roots 1/2, 3/2 make every product exact: the first Newton
+        # step lands on Y = (1/4, 64), where q^-2 = q^2 Y_1 Y_2 and the Jacobian
+        # divides by zero.  That trial is rejected like a worse one, so no
+        # warning escapes and every later solve sees a finite Jacobian.
+        p = ch.ChainParams(q=0.5, xi=0.1, xitilde=0.2, n_sites=2, t=(1.1, 0.9))
+        solve, jacobians = np.linalg.solve, []
+
+        def first_step_on_pole(jac, rhs):
+            jacobians.append(jac)
+            if len(jacobians) == 1:
+                return np.array([0.0, 61.75], dtype=complex)
+            return solve(jac, rhs)
+
+        monkeypatch.setattr(np.linalg, "solve", first_step_on_pole)
+        with pytest.raises(ConvergenceError):
+            bt.refine_bethe_newton(np.array([0.5, 1.5]), p)
+        assert len(jacobians) > 1
+        assert all(np.isfinite(jac).all() for jac in jacobians)
 
     def test_empty_rootset(self, params):
         refined, final = bt.refine_bethe_newton(np.zeros(0, dtype=complex), params)

@@ -50,6 +50,19 @@ class TestChainParams:
         with pytest.raises(ParameterDomainError):
             ch.ChainParams(q=1.2, xi=0.1, xitilde=0.1, n_sites=1, t=(1.0,))
 
+    def test_negative_site_count(self):
+        with pytest.raises(ParameterDomainError, match="nonnegative"):
+            ch.ChainParams(q=0.5, xi=0.1, xitilde=0.1, n_sites=-1, t=())
+
+    def test_zero_inhomogeneity(self):
+        with pytest.raises(ParameterDomainError, match="inhomogeneities"):
+            ch.ChainParams(q=0.5, xi=0.1, xitilde=0.1, n_sites=2, t=(1.0, 0.0))
+
+    @pytest.mark.parametrize("xi, xitilde", [(0.0, 0.1), (0.1, 0.0)])
+    def test_zero_boundary_parameter(self, xi, xitilde):
+        with pytest.raises(ParameterDomainError, match="boundary"):
+            ch.ChainParams(q=0.5, xi=xi, xitilde=xitilde, n_sites=1, t=(1.0,))
+
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-10, True, "1e-9"])
     def test_tol_must_be_finite_positive(self, tol):
         with pytest.raises(ParameterDomainError, match="tol"):
@@ -159,8 +172,8 @@ class TestMonodromy:
         y, z = 0.9 + 0.2j, 0.7 - 0.3j
         m1 = ch.monodromy_v(y, p, shape=shape, aux=0, sites=sites)
         m2 = ch.monodromy_v(z, p, shape=shape, aux=1, sites=sites)
-        ra = tc.embed(r_matrix(y / z, q), 0, 1, shape)
-        rb = tc.embed(r_matrix(y * z, q), 0, 1, shape)
+        ra = tc.embed(r_matrix(y / z, q), (0, 1), shape)
+        rb = tc.embed(r_matrix(y * z, q), (0, 1), shape)
         assert tc.rel_err(ra @ m1 @ rb @ m2, m2 @ rb @ m1 @ ra) < 1e-12
 
     def test_spin_weight_commutes(self, params2):
@@ -715,6 +728,11 @@ class TestSpinSector:
     def test_indices_not_an_argument(self):
         with pytest.raises(TypeError):
             ch.SpinSector(1, 2, indices=(0,))
+
+    @pytest.mark.parametrize("m_down", [-1, 3])
+    def test_down_count_out_of_range(self, m_down):
+        with pytest.raises(ParameterDomainError, match="m_down"):
+            ch.SpinSector(m_down, 2)
 
 
 class TestClosedChain:

@@ -240,8 +240,8 @@ class TestBoundaryMatrices:
         for _ in range(4):
             y = complex(0.5 + rng.random(), 0.3 * rng.random())
             z = complex(0.5 + rng.random(), 0.3 * rng.random())
-            k1 = tc.embed_site(kv_matrix(y, XI), 0, (2, 2))
-            k2 = tc.embed_site(kv_matrix(z, XI), 1, (2, 2))
+            k1 = tc.embed(kv_matrix(y, XI), (0,), (2, 2))
+            k2 = tc.embed(kv_matrix(z, XI), (1,), (2, 2))
             ra, rb = r_matrix(y / z, Q), r_matrix(y * z, Q)
             assert tc.rel_err(ra @ k1 @ rb @ k2, k2 @ rb @ k1 @ ra) < 1e-13
 

@@ -40,28 +40,6 @@ def embed_oracle(x, m, n, dims):
     return out
 
 
-class TestKron:
-    def test_identity(self):
-        assert_allclose(tc.kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_diagonal(self):
-        z = 0.7 + 0.2j
-        d = np.diag([1, z ** 2])
-        assert_allclose(tc.kron(d, d), np.diag([1, z ** 2, z ** 2, z ** 4]))
-
-    def test_index_formula(self):
-        rng = np.random.default_rng(0)
-        a, b = rand_matrix(rng, 2), rand_matrix(rng, 2)
-        assert_allclose(tc.kron(a, b), kron_oracle(a, b), atol=1e-14)
-
-    @given(st.integers(0, 2 ** 31 - 1), st.integers(2, 3), st.integers(2, 3))
-    @settings(max_examples=25, deadline=None)
-    def test_index_formula_property(self, seed, da, db):
-        rng = np.random.default_rng(seed)
-        a, b = rand_matrix(rng, da), rand_matrix(rng, db)
-        assert_allclose(tc.kron(a, b), kron_oracle(a, b), atol=1e-13)
-
-
 class TestSwap:
     def test_basis_action(self):
         p = tc.swap_p(2, 2)
@@ -76,15 +54,15 @@ class TestSwap:
         rng = np.random.default_rng(1)
         a, b = rand_matrix(rng, 2), rand_matrix(rng, 3)
         p = tc.swap_p(2, 3)
-        assert_allclose(p @ tc.kron(a, b) @ tc.swap_p(3, 2), tc.kron(b, a), atol=1e-14)
+        assert_allclose(p @ np.kron(a, b) @ tc.swap_p(3, 2), np.kron(b, a), atol=1e-14)
 
 
 class TestEmbed:
     def test_identity_embeds_to_identity(self):
-        assert_allclose(tc.embed(np.eye(4), 0, 1, (2, 2, 2)), np.eye(8))
+        assert_allclose(tc.embed(np.eye(4), (0, 1), (2, 2, 2)), np.eye(8))
 
     def test_swap_definition(self):
-        p = tc.embed(tc.swap_p(2, 2), 0, 1, (2, 2))
+        p = tc.embed(tc.swap_p(2, 2), (0, 1), (2, 2))
         v0, v1 = np.array([1, 0]), np.array([0, 1])
         assert_allclose(p @ np.kron(v0, v1), np.kron(v1, v0))
 
@@ -92,7 +70,7 @@ class TestEmbed:
         rng = np.random.default_rng(2)
         x = rand_matrix(rng, 4)
         p = tc.swap_p(2, 2)
-        assert_allclose(tc.embed(x, 1, 0, (2, 2)), p @ x @ p, atol=1e-14)
+        assert_allclose(tc.embed(x, (1, 0), (2, 2)), p @ x @ p, atol=1e-14)
 
     def test_against_oracle(self):
         rng = np.random.default_rng(3)
@@ -101,24 +79,47 @@ class TestEmbed:
         for m, n in ((0, 1), (2, 0), (1, 2)):
             if dims[m] * dims[n] != x.shape[0]:
                 continue
-            assert_allclose(tc.embed(x, m, n, dims), embed_oracle(x, m, n, dims), atol=1e-14)
+            assert_allclose(tc.embed(x, (m, n), dims), embed_oracle(x, m, n, dims), atol=1e-14)
 
     def test_composition_matches_full_contraction(self):
         # total dimension 16 <= 64
         rng = np.random.default_rng(4)
         dims = (2, 2, 2, 2)
         x, y = rand_matrix(rng, 4), rand_matrix(rng, 4)
-        lhs = tc.embed(x, 0, 2, dims) @ tc.embed(y, 1, 3, dims)
+        lhs = tc.embed(x, (0, 2), dims) @ tc.embed(y, (1, 3), dims)
         rhs = embed_oracle(x, 0, 2, dims) @ embed_oracle(y, 1, 3, dims)
         assert_allclose(lhs, rhs, atol=1e-13)
 
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(2, 3), st.integers(2, 3))
+    @settings(max_examples=25, deadline=None)
+    def test_one_site_factors_multiply_to_kron(self, seed, da, db):
+        rng = np.random.default_rng(seed)
+        a, b = rand_matrix(rng, da), rand_matrix(rng, db)
+        dims = (da, db)
+        prod = tc.embed(a, (0,), dims) @ tc.embed(b, (1,), dims)
+        assert_allclose(prod, kron_oracle(a, b), atol=1e-13)
+
+    def test_three_sites_in_given_order(self):
+        # a product operator a (x) b (x) c placed at (2, 0, 1) puts a on site 2,
+        # b on site 0 and c on site 1
+        rng = np.random.default_rng(5)
+        dims = (3, 2, 4)
+        a, b, c = rand_matrix(rng, 4), rand_matrix(rng, 3), rand_matrix(rng, 2)
+        expected = tc.embed(a, (2,), dims) @ tc.embed(b, (0,), dims) @ tc.embed(c, (1,), dims)
+        assert_allclose(tc.embed(np.kron(np.kron(a, b), c), (2, 0, 1), dims), expected,
+                        atol=1e-12)
+
     def test_errors(self):
         with pytest.raises(ValueError):
-            tc.embed(np.eye(4), 0, 0, (2, 2))
+            tc.embed(np.eye(4), (0, 0), (2, 2))
         with pytest.raises(IndexError):
-            tc.embed(np.eye(4), 0, 5, (2, 2))
+            tc.embed(np.eye(4), (0, 5), (2, 2))
         with pytest.raises(ValueError):
-            tc.embed(np.eye(3), 0, 1, (2, 2))
+            tc.embed(np.eye(3), (0, 1), (2, 2))
+        with pytest.raises(IndexError):
+            tc.embed(np.eye(2), (2,), (2, 2))
+        with pytest.raises(ValueError):
+            tc.embed(np.eye(3), (1,), (2, 2))
 
 
 class TestPartialTranspose:
@@ -131,8 +132,8 @@ class TestPartialTranspose:
     def test_factorized(self):
         rng = np.random.default_rng(9)
         a, b = rand_matrix(rng, 2), rand_matrix(rng, 3)
-        assert_allclose(tc.partial_transpose(tc.kron(a, b), 1, (2, 3)),
-                        tc.kron(a, b.T), atol=1e-14)
+        assert_allclose(tc.partial_transpose(np.kron(a, b), 1, (2, 3)),
+                        np.kron(a, b.T), atol=1e-14)
 
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=20, deadline=None)
@@ -146,8 +147,8 @@ class TestPartialTranspose:
         # operators acting only on the transposed factor: ((AB)^t_s) = B^t_s A^t_s
         rng = np.random.default_rng(10)
         dims = (2, 3)
-        a = tc.embed_site(rand_matrix(rng, 3), 1, dims)
-        b = tc.embed_site(rand_matrix(rng, 3), 1, dims)
+        a = tc.embed(rand_matrix(rng, 3), (1,), dims)
+        b = tc.embed(rand_matrix(rng, 3), (1,), dims)
         lhs = tc.partial_transpose(a @ b, 1, dims)
         rhs = tc.partial_transpose(b, 1, dims) @ tc.partial_transpose(a, 1, dims)
         assert_allclose(lhs, rhs, atol=1e-13)
@@ -157,7 +158,7 @@ class TestOrderedProduct:
     def test_empty_is_identity(self):
         dims = (3, 2, 2)
         out = tc.ordered_product([], dims)
-        assert np.array_equal(out, tc.identity(tc.total_dim(dims)))
+        assert np.array_equal(out, np.eye(tc.total_dim(dims)))
 
     def test_mixed_factors_match_explicit_embeds(self):
         rng = np.random.default_rng(11)
@@ -165,8 +166,8 @@ class TestOrderedProduct:
         x01, x21 = rand_matrix(rng, 6), rand_matrix(rng, 4)
         y0, y2, x12 = rand_matrix(rng, 3), rand_matrix(rng, 2), rand_matrix(rng, 4)
         factors = [(x01, 0, 1), (y0, 0), (x21, 2, 1), (y2, 2), (x12, 1, 2)]
-        expected = tc.embed(x01, 0, 1, dims) @ tc.embed_site(y0, 0, dims) \
-            @ tc.embed(x21, 2, 1, dims) @ tc.embed_site(y2, 2, dims) @ tc.embed(x12, 1, 2, dims)
+        expected = tc.embed(x01, (0, 1), dims) @ tc.embed(y0, (0,), dims) \
+            @ tc.embed(x21, (2, 1), dims) @ tc.embed(y2, (2,), dims) @ tc.embed(x12, (1, 2), dims)
         assert_allclose(tc.ordered_product(factors, dims), expected, atol=1e-12)
         # a lazy stream gives the same product
         assert_allclose(tc.ordered_product(iter(factors), dims), expected, atol=1e-12)

@@ -161,6 +161,19 @@ def test_spectral_suites_reject_no_samples(params, suite, samples):
         vf.run_suite(suite, params, 3, samples)
 
 
+def test_spectral_sample_in_exclusion_set_rejected(params):
+    # sqrt(xi) is a pole of the traced series
+    with pytest.raises(QBaxterError, match="lies in the exclusion set"):
+        vf.spectral_records(params, 3, [0.9 + 0.2j, np.sqrt(params.xi)])
+
+
+def test_dense_safe_cutoff_needs_a_dense_window():
+    # at |q| = 0.001 the level-8 boundary entries leave floating range
+    p = ch.ChainParams(q=0.001, xi=1e-4, xitilde=1e-4, n_sites=1, t=(1.0,))
+    with pytest.raises(QBaxterError, match="no usable dense Fock window"):
+        vf.dense_safe_cutoff(p, 40)
+
+
 def test_spectral_samples_normalized_before_the_cache(params):
     # a list or a numpy array of points is the tuple of them, a numpy integer the count
     points = (0.9 + 0.1j, 0.8 - 0.3j)
