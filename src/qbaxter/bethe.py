@@ -384,7 +384,8 @@ def aba_state(roots, params: ChainParams) -> np.ndarray:
     v = np.zeros(params.dim, dtype=complex)
     v[0] = 1.0
     for mu, y in enumerate(ys, start=1):
-        left, right, index = chain_mod._half_products(lambda w: r_bands(w, params.q), y, params)
+        rows, index = chain_mod._half_products(lambda w: r_bands(w, params.q), y, params)
+        left, right = rows(0, 2)
         kv = np.diagonal(kv_matrix(y, params.xi))
         s, r = states[mu - 1], states[mu]
         t = np.concatenate((s, r))

@@ -282,9 +282,9 @@ def monodromy_w(z: complex, r: complex, params: ChainParams, shape, aux: int,
     return tc.ordered_product(factors, shape)
 
 
-# Largest stack the certified sum asks for, in entries of d x d level terms: one
-# level at N = 8, where uncapped stacks took 114-123 ms and 171 MB per Q (seed 0,
-# one BLAS thread) against 85-96 ms and 131 MB; every stack fits whole at N <= 5.
+# Largest stack the certified sum asks for and builds rows for, in entries of d x d level terms:
+# one level at N >= 8, where a Q took 26-28 ms and 48 MB (seed 0, one BLAS thread), against
+# 21-23 ms and 62 MB at 2 ** 18 and 19-24 ms and 138 MB uncapped; every stack fits whole at N <= 5.
 _STACK_ENTRIES = 2 ** 16
 _threads = threading.local()  # .workspace: this thread's tc.Workspace
 
@@ -362,34 +362,37 @@ def _exact_sum(levels, n_sites: int) -> np.ndarray:
 
 
 def _half_products(site_bands, z: complex, params: ChainParams):
-    """Charge blocks and pair index of the double row's half rows, from the
-    stacked level bands site_bands(ws) at the points ws: for the left half row P by
-    row level, X[j, r, t] = P[(j, r), (j + m(r) - m(t), t)] = left[j, index[t, r]]
-    (m the down count), built as P^T = F_N^T .. F_1^T, and for the right one
-    Y[j] = right[j, index]; views that live until the thread's next row build."""
-    ts, ws = params.t[::-1], _workspace()
-    left, _ = tc.charge_product(tc.transpose_bands(site_bands([t * z for t in ts])), ws, "left")
-    return (left, *tc.charge_product(site_bands([z / t for t in ts]), ws, "right"))
+    """rows(j0, j1), views of the half rows until the thread's next row build, and their
+    pair index, from the stacked level bands site_bands(ws) at the points ws: for the left
+    half row P by row level, X[j, r, t] = P[(j, r), (j + m(r) - m(t), t)] =
+    rows[0][j - j0, index[t, r]] (m the down count), built as P^T = F_N^T .. F_1^T, and for
+    the right one Y[j] = rows[1][j - j0, index]."""
+    ts, n = params.t[::-1], params.n_sites
+    bands = site_bands([t * z for t in ts] + [z / t for t in ts])
+    bands = np.stack((tc.transpose_bands(bands[:n]), bands[n:]))
+    return tc.charge_product(bands, _workspace(), "rows")
 
 
-def _open_levels(left, right, n_sites: int, weights):
+def _open_levels(rows, n_sites: int, weights):
     """levels(j0, j1) of the double-row trace of the half rows X, Y (_half_products)
-    for _certified_sum, on the thread's "run" buffer until the next call.  A stack
-    puts the rows of X[j] and columns of Y[j] in down-count order, where sector m
-    is one range R; its rows meet Y[j] through each state t at weight
-    w[j - j0, n + m - m(t)], w = weights(j0, j1) the paired boundary weights of
-    levels j - n .. j + n, and sector m's block of level j is (x[j][R] @ y[j][R]^T)."""
+    for _certified_sum, on the thread's "run" buffer until the next call; a stack's
+    rows(j0, j1) are built once w = weights(j0, j1), the paired boundary weights of
+    levels j - n .. j + n, is known.  A stack puts the rows of X[j] and columns of
+    Y[j] in down-count order, where sector m is one range R; its rows meet Y[j]
+    through each state t at weight w[j - j0, n + m - m(t)], and sector m's block of
+    level j is (x[j][R] @ y[j][R]^T)."""
     _, _, slices, states = _sectors(n_sites)
     (cols, _, wsel), d, ws = _pair_gathers(n_sites), 2 ** n_sites, _workspace()
     ends = np.cumsum([len(S) ** 2 for S in states]).tolist()
 
     def levels(j0, j1):
         k = len(w := weights(j0, j1))
+        left, right = rows(j0, j0 + k)
         # X's rows and Y's columns in down-count order; x times w[:, wsel], staged on y
         x, y, run = ws.take("x", (k, d, d)), ws.take("y", (k, d, d)), ws.take("run", (k, ends[-1]))
-        np.take(left[j0:j0 + k], cols, 1, x.reshape(k, -1), "clip")  # unbuffered
+        np.take(left, cols, 1, x.reshape(k, -1), "clip")  # unbuffered
         np.multiply(x, np.take(w, wsel, 1, y.reshape(k, -1), "clip").reshape(k, d, d), out=x)
-        np.take(right[j0:j0 + k], cols, 1, y.reshape(k, -1), "clip")
+        np.take(right, cols, 1, y.reshape(k, -1), "clip")
         # sector m's slice of run is contiguous within each level, so its reshape is a view
         for R, D, lo, hi in zip(slices, map(len, states), [0] + ends, ends):
             np.matmul(x[:, R], y[:, R].transpose(0, 2, 1), out=run[:, lo:hi].reshape(k, D, D))
@@ -408,8 +411,8 @@ def transfer_v(z: complex, params: ChainParams) -> np.ndarray:
     n = params.n_sites
     kv = _windows(np.diagonal(kv_matrix(z, params.xi)), n, 0.0)
     w = np.diagonal(ktv_matrix(z, params.xitilde, params.q))[:, None] * kv
-    left, right, _ = _half_products(lambda u: r_bands(u, params.q), z, params)
-    return _exact_sum(_open_levels(left, right, n, lambda j0, j1: w[j0:j1]), n)
+    rows, _ = _half_products(lambda u: r_bands(u, params.q), z, params)
+    return _exact_sum(_open_levels(rows, n, lambda j0, j1: w[j0:j1]), n)
 
 
 def transfer_w(z: complex, params: ChainParams, cutoff=None) -> np.ndarray:
@@ -447,8 +450,8 @@ def transfer_w(z: complex, params: ChainParams, cutoff=None) -> np.ndarray:
         j1, lg = j0 + fits, lg[:fits]
         return ktw.mantissa[j0:j1, None] * kw_mant[j0:j1] * np.exp(lg)
 
-    left, right, _ = _half_products(lambda u: l_bands(u, 1.0, params.q, J), z, params)
-    return _certified_sum(_open_levels(left, right, n, weights), n, J, params.tail_ratio, j_min,
+    rows, _ = _half_products(lambda u: l_bands(u, 1.0, params.q, J), z, params)
+    return _certified_sum(_open_levels(rows, n, weights), n, J, params.tail_ratio, j_min,
                           params.tol / 10.0, "tail certificate")
 
 
@@ -533,7 +536,8 @@ def _closed_levels(site_bands, z: complex, params: ChainParams):
     from the stacked level bands site_bands(ws) at the points ws, on the thread's
     "run" buffer: zeta^j times charge block j between equal down counts (row
     level j), in _sector_entries order."""
-    flat = tc.charge_product(site_bands([z / t for t in params.t[::-1]]), _workspace(), "right")[0]
+    bands = site_bands([z / t for t in params.t[::-1]])
+    flat = tc.charge_product(bands, _workspace(), "rows")[0](0, bands.shape[-1])
     entries = _pair_gathers(params.n_sites)[1]
 
     def levels(j0, j1):

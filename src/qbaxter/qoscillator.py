@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, ExclusionPointError, OverflowGuardError
+from .errors import ConvergenceError, ExclusionPointError, OverflowGuardError, ParameterDomainError
 
 # exp() of anything above this leaves double range
 _LOG_HUGE = 700.0
@@ -80,7 +80,7 @@ def pochhammer(x: complex, j, q: complex) -> complex:
     q = complex(q)
     if j == math.inf:
         if not abs(q) < 1:
-            raise ValueError("infinite product needs |q| < 1")
+            raise ParameterDomainError("infinite product needs |q| < 1")
         out = 1.0 + 0.0j
         i = 0
         fac = x
@@ -116,7 +116,7 @@ def phi21(a: complex, b: complex, c: complex, x: complex, q: complex,
     q = complex(q)
     x = complex(x)
     if not abs(q) < 1:
-        raise ValueError("phi21 needs |q| < 1")
+        raise ParameterDomainError("phi21 needs |q| < 1")
     if abs(x) >= 1:
         raise ConvergenceError(f"phi21 series diverges for |x| = {abs(x):.3f} >= 1")
     total = 1.0 + 0.0j

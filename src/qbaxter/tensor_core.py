@@ -110,8 +110,7 @@ def _band_layout(dn: int, J: int):
 
 
 def _check_bands(coef, ndim: int) -> np.ndarray:
-    """coef as a complex band array of ndim axes, (..., d, d, J), with nothing
-    outside the truncation."""
+    """coef as a complex band array of ndim axes (..., d, d, J), once zero past the truncation."""
     coef = np.asarray(coef, dtype=complex)
     if coef.ndim != ndim or coef.shape[-3] != coef.shape[-2]:
         raise ValueError(f"band shape {coef.shape} needs {ndim} axes ending in (d, d, J)")
@@ -153,15 +152,15 @@ def pair_index(dims) -> np.ndarray:
     return out
 
 
-# Largest total a Workspace keeps, in bytes: at N = 8, J = 40, seed 0, one BLAS thread, a Q's
-# 93 MiB kept took 73-84 ms and 0-1 page faults against 91-104 ms and 554-1,065 with none kept.
+# Largest total a Workspace keeps, in bytes: a Q keeps 5.7 MiB at N = 8 and 91 MiB at N = 10 and
+# outgrows it from N = 11 on, the closed chain's whole row from N = 9 (J = 40, seed 0, one BLAS
+# thread); at N = 8 a Q took 24-28 ms and 0 page faults, and 25-43 ms and 0-20,096 with none kept.
 WORKSPACE_BYTES = 2 ** 27
 
 
 class Workspace(dict):
-    """Work buffers by role: take(role, shape) hands out an uninitialised complex
-    array on role's flat buffer, which grows only when a request does not fit; a
-    grown buffer past WORKSPACE_BYTES in all is handed out but not kept."""
+    """Work buffers by role: take(role, shape) is an uninitialised complex array on role's
+    flat buffer, grown only when a request does not fit and kept within WORKSPACE_BYTES in all."""
 
     def take(self, role, shape) -> np.ndarray:
         n, buffer = math.prod(shape), self.get(role)
@@ -172,53 +171,49 @@ class Workspace(dict):
         return buffer[:n].reshape(shape)
 
 
-def _widen(prod, coef, pad, pad_out, workspace, role):
-    """Charge blocks of the visited sites times the band factor coef on a new
-    site before them all: new[c, (b, a), Q] = old[c + a - b, Q] coef[b, a, c], Q
-    the index pairs of the visited sites, so each copy is one run per level.
-    old carries pad zero levels on each side, so every shifted read is in range;
-    new carries pad_out and is written on role's buffer of workspace."""
-    dn, _, J = coef.shape
-    old = prod.reshape(J + 2 * pad, -1)
-    out = workspace.take(role, (J + 2 * pad_out, dn, dn, old.shape[1]))
-    out[:pad_out] = out[pad_out + J:] = 0.0
-    for b in range(dn):
-        for a in range(dn):
-            lo = pad + a - b
-            np.multiply(old[lo:lo + J], coef[b, a, :, None], out=out[pad_out:pad_out + J, b, a])
-    return out.reshape(J + 2 * pad_out, -1)
+def _widen(prod, coef, workspace, role):
+    """Charge blocks of the visited sites (pairs Q) times the band factor coef on a
+    new site before them all, new[c, (b, a), Q] = old[c + d - 1 + a - b, Q] coef[b, a, c]
+    on role's buffer of workspace, one run per level; old has d - 1 more levels on each side."""
+    *batch, d, _, k = coef.shape
+    out = workspace.take(role, (*batch, k, d, d, prod.shape[-1]))
+    for b in range(d):
+        for a in range(d):
+            lo = d - 1 + a - b
+            np.multiply(prod[..., lo:lo + k, :], coef[..., b, a, :, None], out=out[..., b, a, :])
+    return out.reshape(*batch, k, -1)
 
 
-def charge_product(bands, workspace=None, role="product"):
-    """The product F_n .. F_1 of two-site factors that conserve the charge
-    site-0 level + index sum, kept as one block per site-0 column level, and the
-    pair_index of the sites 1 .. n that reads it.
+def charge_product(bands, workspace, role):
+    """The product P = F_n .. F_1 of two-site factors that conserve the charge site-0
+    level + index sum, as blocks(j0, j1) of its site-0 column levels j0 .. j1 - 1, and
+    the pair_index of the sites 1 .. n that reads them.
 
-    bands is one stacked (n, d, d, J) band array: bands[k] holds the level bands
-    coef[b, a, c] = x[(c + a - b, b), (c, a)] of the factor x on site 0 (J
-    levels) and site n - k (dimension d), as in embed (see from_bands), zero
-    where c + a - b leaves 0 .. J - 1.  The product P then vanishes unless its
-    site-0 levels differ by m(s) - m(r), m the index_sums of the sites 1 .. n,
-    and comes back as C of shape (J, d^(2n)) with C[c, index[r, s]] =
-    P[(c + m(s) - m(r), r), (c, s)]; row levels outside 0 .. J - 1 give zero
-    entries.  With no factor, C is ones (J, 1).
-
-    The blocks carry the sites visited so far, each site's index pair together
-    and in site order, and zero levels on each side up to the last factor; each
-    factor widens them by one scaled, level-shifted copy per band.  The steps
-    alternate between the buffers "step" and role of workspace (a fresh
-    Workspace by default), so that the blocks come back on role's.
+    bands is an (n, d, d, J) band array, or a stack of them on leading axes: bands[k]
+    holds the level bands (from_bands) of the factor on site 0 (J levels) and site
+    n - k (dimension d), as in embed.  P vanishes unless its site-0 levels differ by
+    m(s) - m(r), m the index_sums of the sites 1 .. n, and blocks(j0, j1) is C of shape
+    (..., j1 - j0, d^(2n)), C[c - j0, index[r, s]] = P[(c + m(s) - m(r), r), (c, s)],
+    zero where that row level leaves 0 .. J - 1; with no factor, C is ones.  Level c
+    reads only levels c - (d - 1) n .. c + (d - 1) n of the first factor: blocks widens
+    ones on that light cone, the bands zero outside 0 .. J - 1, and each factor drops
+    d - 1 levels on each side, alternating between the buffers "step" and role of
+    workspace so that C lives on role's until the next call.
     """
-    bands = _check_bands(bands, 4)
-    n, d, _, J = bands.shape
-    pad = d - 1 if n else 0
-    prod = np.zeros((J + 2 * pad, 1), dtype=complex)
-    prod[pad:pad + J] = 1.0
-    workspace = Workspace() if workspace is None else workspace
-    for k, coef in enumerate(bands):
-        prod = _widen(prod, coef, pad, pad if k + 1 < n else 0, workspace,
-                      "step" if (n - k) % 2 == 0 else role)
-    return prod, pair_index((d,) * n)
+    bands = _check_bands(bands, max(np.ndim(bands), 4))
+    *batch, n, d, _, J = bands.shape
+    halo = (d - 1) * n
+    padded = np.zeros((*batch, n, d, d, J + 2 * halo), dtype=complex)
+    padded[..., halo:halo + J] = bands
+
+    def blocks(j0, j1):
+        prod = np.ones((*batch, j1 - j0 + 2 * halo, 1), dtype=complex)
+        for k in range(n):
+            lo, hi = j0 + (d - 1) * (k + 1), j1 + (d - 1) * (2 * n - 1 - k)
+            prod = _widen(prod, padded[..., k, :, :, lo:hi], workspace, ("step", role)[(n - k) % 2])
+        return prod
+
+    return blocks, pair_index((d,) * n)
 
 
 def partial_transpose(x, site: int, shape) -> np.ndarray:

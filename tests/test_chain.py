@@ -519,7 +519,7 @@ class TestWorkspace:
         assert all(ws[role] is buffer for role, buffer in before.items())
 
     def test_stays_within_budget(self, monkeypatch):
-        # a Q at N = 5 needs about 2.2 MiB of buffers; a fresh thread starts empty
+        # a Q at N = 5 needs about 1.4 MiB of buffers; a fresh thread starts empty
         expected = ch.q_operator(self.Z1, self.P5)
         monkeypatch.setattr(tc, "WORKSPACE_BYTES", 2 ** 20)
 
@@ -536,7 +536,7 @@ class TestLevelProtocol:
     """Every levels(j0, j1) returns one (k, C(2N, N)) array on the thread's "run"
     buffer, the sector blocks of each level one after another."""
 
-    ROLES = {"step", "left", "right", "x", "y", "run"}
+    ROLES = {"step", "rows", "x", "y", "run"}
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
     def test_one_flat_array_per_stack(self, n, monkeypatch):
@@ -547,10 +547,11 @@ class TestLevelProtocol:
         def bands(us):
             return l_bands(us, 1.0, p.q, J)
 
-        left, right, index = (a.copy() for a in ch._half_products(bands, z, p))
+        rows, index = ch._half_products(bands, z, p)
+        left, right = rows(0, J).copy()
         X, Y = left[:, index.T], right[:, index]
         w = np.random.default_rng(n).standard_normal((J, 2 * n + 1)) + 0.5j
-        opened = ch._open_levels(left, right, n, lambda a, b: w[a:b])(j0, j1)
+        opened = ch._open_levels(rows, n, lambda a, b: w[a:b])(j0, j1)
         assert opened.shape == (j1 - j0, math.comb(2 * n, n))
         assert np.shares_memory(opened, ch._workspace()["run"])
         lo = 0
@@ -570,6 +571,71 @@ class TestLevelProtocol:
         # a row over one site takes no "step", and a row over none no buffer at all
         roles = {0: {"x", "y", "run"}, 1: self.ROLES - {"step"}}.get(n, self.ROLES)
         assert set(ch._workspace()) == roles
+
+
+class TestRowsOnDemand:
+    """A stack's half rows are built once its paired weights are known: each level
+    the certified sum's stacks hold exactly once, and none of a stack whose paired
+    weight overflows."""
+
+    @staticmethod
+    def record(monkeypatch):
+        """The windows of every row build, and the (j0, levels) of every stack the
+        certified sum is handed, in call order."""
+        windows, stacks = [], []
+        charge_product, certified_sum = tc.charge_product, ch._certified_sum
+
+        def recording_product(bands, *args):
+            blocks, index = charge_product(bands, *args)
+
+            def recorded(j0, j1):
+                windows.append((j0, j1))
+                return blocks(j0, j1)
+            return recorded, index
+
+        def recording_sum(levels, *args):
+            def recorded(j0, j1):
+                out = levels(j0, j1)
+                stacks.append((j0, len(out)))
+                return out
+            return certified_sum(recorded, *args)
+
+        monkeypatch.setattr(tc, "charge_product", recording_product)
+        monkeypatch.setattr(ch, "_certified_sum", recording_sum)
+        return windows, stacks
+
+    @pytest.mark.parametrize("n", [0, 3, 5])
+    @pytest.mark.parametrize("size", [1, 3, None])
+    def test_each_summed_level_built_once(self, n, size, monkeypatch):
+        p = ch.sample_params(n, seed=3, tol=1e-10)
+        z = 0.83 + 0.21j
+        whole = ch.transfer_w(z, p)
+        if size is not None:
+            TestCertifiedSumStacks.at_most(size, monkeypatch)
+        windows, stacks = self.record(monkeypatch)
+        assert np.array_equal(ch.transfer_w(z, p), whole)
+        summed = sum(k for _, k in stacks)
+        assert windows == [(j0, j0 + k) for j0, k in stacks]
+        assert [j0 for j0, _ in stacks] == [0, *np.cumsum([k for _, k in stacks])[:-1]]
+        assert 2 * n + 4 <= summed < p.cutoff
+
+    def test_no_row_of_an_overflowing_stack(self, monkeypatch):
+        # kw level 25 first pairs with ktw level 20 at N = 5, in the second stack:
+        # its weights stop that stack at level 20 and raise on the next one
+        p = ch.sample_params(5, seed=3, tol=1e-10)
+
+        def kw_with_huge_level(*args):
+            kw = kw_diagonal(*args)
+            log_mag = kw.log_mag.copy()
+            log_mag[25] += 800.0
+            return FockDiagonal(kw.mantissa, log_mag)
+
+        monkeypatch.setattr(ch, "kw_diagonal", kw_with_huge_level)
+        windows, stacks = self.record(monkeypatch)
+        with pytest.raises(OverflowGuardError, match=r"levels \(20, 25\)"):
+            ch.transfer_w(0.83 + 0.21j, p)
+        assert stacks == [(0, 14), (14, 6)]
+        assert windows == [(0, 14), (14, 20)]
 
 
 class TestPairGathers:

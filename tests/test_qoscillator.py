@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qbaxter.errors import ConvergenceError, ExclusionPointError, OverflowGuardError
+from qbaxter.errors import (
+    ConvergenceError,
+    ExclusionPointError,
+    OverflowGuardError,
+    ParameterDomainError,
+)
 from qbaxter.qoscillator import (
     FockDiagonal,
     kw_diagonal,
@@ -97,6 +102,16 @@ class TestPochhammer:
         with pytest.raises(ExclusionPointError):
             pochhammer(Q ** 2, -1, Q)
 
+    @pytest.mark.parametrize("q", [1.0, -1.0, 1.2j, 0.6 + 0.8j])
+    def test_infinite_product_needs_q_inside_the_unit_disk(self, q):
+        with pytest.raises(ParameterDomainError, match=r"needs \|q\| < 1"):
+            pochhammer(0.3, math.inf, q)
+
+    def test_infinite_product_too_close_to_the_unit_circle(self):
+        # |q| = 0.9999 needs about 2e5 factors to bring q^(2i) below 1e-18
+        with pytest.raises(ConvergenceError, match="did not terminate"):
+            pochhammer(1.0, math.inf, 0.9999)
+
 
 class TestPhi21:
     def test_zero_argument(self):
@@ -105,6 +120,20 @@ class TestPhi21:
     def test_divergent_argument_rejected(self):
         with pytest.raises(ConvergenceError):
             phi21(0.3, 0.7, 0.2, 1.1, Q)
+
+    @pytest.mark.parametrize("q", [1.0, -1.0, 1.2j, 0.6 + 0.8j])
+    def test_needs_q_inside_the_unit_disk(self, q):
+        with pytest.raises(ParameterDomainError, match=r"needs \|q\| < 1"):
+            phi21(0.1, 0.2, 0.3, 0.4, q)
+
+    def test_lower_parameter_on_a_pole(self):
+        # c = q^0: the first denominator factor 1 - c vanishes
+        with pytest.raises(ExclusionPointError, match="lower parameter"):
+            phi21(0.1, 0.2, 1.0, 0.4, 0.5)
+
+    def test_term_budget_exhausted(self):
+        with pytest.raises(ConvergenceError, match="within max_terms"):
+            phi21(0.3, 0.7j, 0.2, 0.9, 0.5, max_terms=3)
 
     def test_q_gauss_summation(self):
         rng = np.random.default_rng(1)

@@ -186,6 +186,13 @@ def charge_stack(rng, J, d, n):
     return np.array([charge_bands(rng, J, d) for _ in range(n)]).reshape(n, d, d, J)
 
 
+def charge_blocks(bands, j0=0, j1=None):
+    """charge_product's blocks of levels j0 .. j1 - 1 (every level by default) on a
+    fresh workspace, and its pair index."""
+    blocks, index = tc.charge_product(bands, tc.Workspace(), "rows")
+    return blocks(j0, bands.shape[-1] if j1 is None else j1), index
+
+
 def dense_factors(bands):
     """The stacked band factors, bands[k] on site n - k, as dense (x, 0, n - k) for
     ordered_product."""
@@ -201,7 +208,7 @@ def assert_charge_blocks_match_dense(bands):
     """charge_product of the stacked band factors against the index formula on
     the ordered_product of the densified factors, read through the pair index."""
     dims = dense_shape(bands)
-    blocks, index = tc.charge_product(bands)
+    blocks, index = charge_blocks(bands)
     J, d = dims[0], tc.total_dim(dims[1:])
     assert blocks.shape == (J, d * d) and index.shape == (d, d)
     prod = blocks[:, index]
@@ -249,9 +256,11 @@ class TestBands:
     def test_wrong_band_shape_rejected(self):
         rng = np.random.default_rng(23)
         for bands in (charge_bands(rng, 4, 2), np.zeros((1, 2, 3, 4)),
-                      np.zeros((2, 1, 2, 2, 4)), np.zeros(4)):
+                      np.zeros((2, 1, 2, 3, 4)), np.zeros(4)):
             with pytest.raises(ValueError, match="band shape"):
-                tc.charge_product(bands)
+                tc.charge_product(bands, tc.Workspace(), "rows")
+        # five axes are a batch of two stacks, each of one factor
+        assert charge_blocks(np.zeros((2, 1, 2, 2, 4)))[0].shape == (2, 4, 4)
         for coef in (np.zeros((2, 3, 4)), np.zeros((1, 2, 2, 4))):
             with pytest.raises(ValueError, match="band shape"):
                 tc.from_bands(coef)
@@ -263,7 +272,7 @@ class TestBands:
                 bands = charge_stack(np.random.default_rng(24), 4, 3, 3)
                 bands[(k, *entry)] = 1e-300
                 with pytest.raises(ValueError, match="outside the truncation"):
-                    tc.charge_product(bands)
+                    tc.charge_product(bands, tc.Workspace(), "rows")
             with pytest.raises(ValueError, match="outside the truncation"):
                 tc.from_bands(bands[k])
 
@@ -276,7 +285,7 @@ class TestChargeProduct:
     def test_empty_is_identity(self):
         # no factor: the identity on site 0 alone, one block of ones per level
         for d in (2, 3):
-            blocks, index = tc.charge_product(np.zeros((0, d, d, 4)))
+            blocks, index = charge_blocks(np.zeros((0, d, d, 4)))
             assert blocks.shape == (4, 1) and np.array_equal(blocks, np.ones((4, 1)))
             assert index.tolist() == [[0]]
 
@@ -302,7 +311,7 @@ class TestChargeProduct:
         rng = np.random.default_rng(16)
         for n in range(4):
             bands = charge_stack(rng, 4, 2, n)
-            blocks, _ = tc.charge_product(bands)
+            blocks, _ = charge_blocks(bands)
             pairs = blocks.reshape((4,) + (2,) * (2 * n))
             dims = dense_shape(bands)
             dense = tc.ordered_product(dense_factors(bands), dims).reshape(dims + dims)
@@ -328,21 +337,46 @@ class TestChargeProduct:
     def test_workspace_product_matches_fresh_one(self):
         rng = np.random.default_rng(14)
         stacks = [charge_stack(rng, 4, 2, 3) for _ in range(2)]
-        fresh = [tc.charge_product(bands)[0] for bands in stacks]
+        fresh = [charge_blocks(bands)[0] for bands in stacks]
         ws = tc.Workspace()
-        first, _ = tc.charge_product(stacks[0], ws, "row")
+        first = tc.charge_product(stacks[0], ws, "row")[0](0, 4)
         buffer = ws["row"]
         assert np.array_equal(first, fresh[0]) and np.shares_memory(first, buffer)
-        assert np.array_equal(tc.charge_product(stacks[1], ws, "row")[0], fresh[1])
+        assert np.array_equal(tc.charge_product(stacks[1], ws, "row")[0](0, 4), fresh[1])
         assert ws["row"] is buffer and np.array_equal(first, fresh[1])
         assert set(ws) == {"step", "row"}
-        # without a workspace each product owns its memory
+        # on workspaces of their own the products share no memory
         assert not np.shares_memory(fresh[0], fresh[1])
-        assert np.array_equal(fresh[0], tc.charge_product(stacks[0])[0])
+        assert np.array_equal(fresh[0], charge_blocks(stacks[0])[0])
 
     def test_matches_dense_product(self):
         for J, d, n in self.DENSE_CASES:
             assert_charge_blocks_match_dense(charge_stack(np.random.default_rng(13), J, d, n))
+
+    def test_window_is_a_slice_of_the_whole_row(self):
+        # every window, one level or several, at either edge or inside; each build
+        # overwrites the last on the one workspace
+        for J, d, n in self.DENSE_CASES:
+            bands = charge_stack(np.random.default_rng(13), J, d, n)
+            blocks, _ = tc.charge_product(bands, tc.Workspace(), "rows")
+            whole = blocks(0, J).copy()
+            assert np.count_nonzero(whole) > 0
+            for j0 in range(J):
+                for j1 in range(j0 + 1, J + 1):
+                    assert np.array_equal(blocks(j0, j1), whole[j0:j1])
+
+    def test_batch_matches_single_builds(self):
+        # two stacks along one leading axis, or a (2, 1) grid of them, built at once
+        rng = np.random.default_rng(15)
+        for J, d, n in self.DENSE_CASES:
+            stacks = np.array([charge_stack(rng, J, d, n) for _ in range(2)])
+            for batch in (stacks, stacks[:, None]):
+                blocks, index = tc.charge_product(batch, tc.Workspace(), "rows")
+                assert index is tc.pair_index((d,) * n)
+                for j0, j1 in ((0, J), (J - 1, J), (0, 1)):
+                    built = blocks(j0, j1).reshape(2, j1 - j0, -1)
+                    for k in range(2):
+                        assert np.array_equal(built[k], charge_blocks(stacks[k], j0, j1)[0])
 
     def test_transposed_reversed_factors_give_row_level_blocks(self):
         # P = F_1 .. F_n, the left half row's order, has P^T = F_n^T .. F_1^T, the
@@ -351,7 +385,7 @@ class TestChargeProduct:
         for J, d, n in self.DENSE_CASES:
             bands = charge_stack(np.random.default_rng(13), J, d, n)
             dims, D = dense_shape(bands), d ** n
-            X, index = tc.charge_product(tc.transpose_bands(bands))
+            X, index = charge_blocks(tc.transpose_bands(bands))
             X = X[:, index.T]
             dense = tc.ordered_product(dense_factors(bands)[::-1], dims).reshape(J, D, J, D)
             m = tc.index_sums(dims[1:])
