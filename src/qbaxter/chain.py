@@ -44,6 +44,13 @@ def _check_scalars(n_sites, cutoff, tol=1.0, exclusion_radius=0.0):
             raise ParameterDomainError(f"{name} must be finite and {least}, got {v!r}")
 
 
+def _finite_number(name, v) -> complex:
+    """v as a complex once it is a finite number that is not a bool."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Complex) or not cmath.isfinite(v):
+        raise ParameterDomainError(f"{name} must be a finite number, got {v!r}")
+    return complex(v)
+
+
 def _fock_cutoff(cutoff) -> int:
     """The Fock cutoff as an int once it passes the rule ChainParams applies:
     integral (_check_scalars) and at least 2."""
@@ -73,30 +80,29 @@ class ChainParams:
     exclusion_radius: float = 0.05
 
     def __post_init__(self):
-        q = complex(self.q)
-        if not 0.0 < abs(q) < 1.0:
-            raise ParameterDomainError(f"need 0 < |q| < 1, got |q| = {abs(q):.4f}")
+        for name in ("q", "xi", "xitilde", "zeta"):
+            object.__setattr__(self, name, _finite_number(name, getattr(self, name)))
+        if not 0.0 < abs(self.q) < 1.0:
+            raise ParameterDomainError(f"need 0 < |q| < 1, got |q| = {abs(self.q):.4f}")
         _check_scalars(self.n_sites, self.cutoff, self.tol, self.exclusion_radius)
         if self.n_sites < 0:
             raise ParameterDomainError("n_sites must be nonnegative")
-        t = tuple(complex(v) for v in self.t)
+        if not np.iterable(self.t):
+            raise ParameterDomainError(f"t must be a sequence of numbers, got {self.t!r}")
+        t = tuple(_finite_number(f"t[{i}]", v) for i, v in enumerate(self.t))
         if len(t) != self.n_sites:
             raise ParameterDomainError(
                 f"expected {self.n_sites} inhomogeneities, got {len(t)}")
         if any(v == 0 for v in t):
             raise ParameterDomainError("inhomogeneities must be nonzero")
         object.__setattr__(self, "t", t)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "xi", complex(self.xi))
-        object.__setattr__(self, "xitilde", complex(self.xitilde))
-        object.__setattr__(self, "zeta", complex(self.zeta))
         if self.xi == 0 or self.xitilde == 0:
             raise ParameterDomainError("boundary parameters must be nonzero")
         rho = self.tail_ratio
         if rho >= 1.0:
             raise ParameterDomainError(
                 f"|xi*xitilde| = {abs(self.xi * self.xitilde):.3e} must stay below "
-                f"|q|^(2N) = {abs(q) ** (2 * self.n_sites):.3e} for the trace to converge")
+                f"|q|^(2N) = {abs(self.q) ** (2 * self.n_sites):.3e} for the trace to converge")
         object.__setattr__(self, "cutoff", _fock_cutoff(self.cutoff))
         if rho ** self.cutoff >= self.tol / 10.0:
             raise ParameterDomainError(
@@ -535,16 +541,15 @@ def _closed_levels(site_bands, z: complex, params: ChainParams):
     """levels(j0, j1) of the twisted trace of the single row for _certified_sum,
     from the stacked level bands site_bands(ws) at the points ws, on the thread's
     "run" buffer: zeta^j times charge block j between equal down counts (row
-    level j), in _sector_entries order."""
-    bands = site_bands([z / t for t in params.t[::-1]])
-    flat = tc.charge_product(bands, _workspace(), "rows")[0](0, bands.shape[-1])
+    level j), in _sector_entries order, built for that stack only."""
+    blocks, _ = tc.charge_product(site_bands([z / t for t in params.t[::-1]]), _workspace(), "rows")
     entries = _pair_gathers(params.n_sites)[1]
 
     def levels(j0, j1):
         # Python's power: numpy's zeta ** np.arange(J) rounds differently
         weights = np.array([params.zeta ** j for j in range(j0, j1)])[:, None]
         run = _workspace().take("run", (j1 - j0, len(entries)))
-        np.multiply(weights, np.take(flat[j0:j1], entries, 1, run, "clip"), out=run)
+        np.multiply(weights, np.take(blocks(j0, j1), entries, 1, run, "clip"), out=run)
         return run
 
     return levels

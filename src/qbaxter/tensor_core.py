@@ -152,8 +152,8 @@ def pair_index(dims) -> np.ndarray:
     return out
 
 
-# Largest total a Workspace keeps, in bytes: a Q keeps 5.7 MiB at N = 8 and 91 MiB at N = 10 and
-# outgrows it from N = 11 on, the closed chain's whole row from N = 9 (J = 40, seed 0, one BLAS
+# Largest total a Workspace keeps, in bytes: a Q keeps 5.7 MiB at N = 8, 91 MiB at N = 10 and
+# outgrows it from N = 11 on, a closed Q 1.9-123 MiB at N = 8-11 (J = 40, seed 0, one BLAS
 # thread); at N = 8 a Q took 24-28 ms and 0 page faults, and 25-43 ms and 0-20,096 with none kept.
 WORKSPACE_BYTES = 2 ** 27
 

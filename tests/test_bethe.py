@@ -43,6 +43,12 @@ class TestJointSpectrum:
             counts[rec.sector.m_down] = counts.get(rec.sector.m_down, 0) + 1
         assert counts == {m: math.comb(n, m) for m in range(n + 1)}
 
+    def test_unresolved_degeneracy_raises(self, params, monkeypatch):
+        # every eigenvalue gap reads zero, so no admixture of Q resolves the first sector
+        monkeypatch.setattr(bt, "_min_gap", lambda vals: 0.0)
+        with pytest.raises(bt.SpectrumError, match="sector M=0 after 3 probes"):
+            bt.joint_spectrum(params, 0.85 + 0.23j, bt.spectrum_nodes(params, 99, 1), seed=5)
+
     def test_vacuum_sector_is_highest_weight(self, records):
         vac = [r for r in records if r.sector.m_down == 0]
         assert len(vac) == 1
@@ -375,6 +381,11 @@ class TestAbaOracle:
         with pytest.raises(ParameterDomainError):
             bt.aba_f(z, params.q)
 
+    def test_exchange_coefficient_pole(self, params):
+        # b(y/z) vanishes at y = z
+        with pytest.raises(ParameterDomainError, match="exchange-relation coefficient"):
+            bt.aba_coefficients(0.9 + 0.21j, 0.9 + 0.21j, params)
+
     def test_exchange_relations(self, params):
         z, y = 0.9 + 0.21j, 0.67 - 0.33j
         a, b, _, d = dense_blocks(z, params)
@@ -504,6 +515,16 @@ class TestNewton:
         wild = np.array([37.0 + 41.0j])
         with pytest.raises(ConvergenceError):
             bt.refine_bethe_newton(wild, params, max_iter=3)
+
+    def test_singular_jacobian_raises(self, monkeypatch):
+        p = ch.ChainParams(q=0.5, xi=0.1, xitilde=0.2, n_sites=2, t=(1.1, 0.9))
+
+        def singular(jac, rhs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        with pytest.raises(ConvergenceError, match="singular Jacobian"):
+            bt.refine_bethe_newton(np.array([0.5, 1.5]), p)
 
     def test_trial_on_a_pole_is_rejected(self, monkeypatch):
         # q = 1/2 and roots 1/2, 3/2 make every product exact: the first Newton

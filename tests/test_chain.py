@@ -74,6 +74,17 @@ class TestChainParams:
             ch.ChainParams(q=0.5, xi=0.1, xitilde=0.1, n_sites=1, t=(1.0,),
                            exclusion_radius=radius)
 
+    @pytest.mark.parametrize("field, value", [
+        ("q", float("nan")), ("q", "0.6"), ("q", True), ("q", None),
+        ("xi", float("nan")), ("xi", complex(0.1, float("inf"))), ("xitilde", float("inf")),
+        ("xitilde", "0.1"), ("zeta", float("nan")), ("zeta", True),
+        ("t", (float("inf"),)), ("t", (float("nan"),)), ("t", (None,)), ("t", ("1.0",)),
+        ("t", (True,)), ("t", 1.0)])
+    def test_complex_field_must_be_finite_number(self, field, value):
+        params = dict(q=0.5, xi=0.1, xitilde=0.1, n_sites=1, t=(1.0,))
+        with pytest.raises(ParameterDomainError, match=rf"^{field}\b"):
+            ch.ChainParams(**{**params, field: value})
+
     def test_zero_exclusion_radius_accepted(self):
         p = ch.ChainParams(q=0.5, xi=0.1, xitilde=0.1, n_sites=1, t=(1.0,),
                            exclusion_radius=0.0)
@@ -574,9 +585,9 @@ class TestLevelProtocol:
 
 
 class TestRowsOnDemand:
-    """A stack's half rows are built once its paired weights are known: each level
-    the certified sum's stacks hold exactly once, and none of a stack whose paired
-    weight overflows."""
+    """A stack's rows are built once the sum asks for it, and a stack's half rows
+    once its paired weights are known: each level the certified sum's stacks hold
+    exactly once, open and closed, and none of a stack whose paired weight overflows."""
 
     @staticmethod
     def record(monkeypatch):
@@ -604,20 +615,31 @@ class TestRowsOnDemand:
         monkeypatch.setattr(ch, "_certified_sum", recording_sum)
         return windows, stacks
 
-    @pytest.mark.parametrize("n", [0, 3, 5])
-    @pytest.mark.parametrize("size", [1, 3, None])
-    def test_each_summed_level_built_once(self, n, size, monkeypatch):
+    def check_built_once(self, fn, n, size, j_min, monkeypatch):
+        """fn's kernel windows are the stacks its certified sum is handed, stacks
+        of at most size levels: each level built once, fewer than J in all."""
         p = ch.sample_params(n, seed=3, tol=1e-10)
         z = 0.83 + 0.21j
-        whole = ch.transfer_w(z, p)
+        whole = fn(z, p)
         if size is not None:
             TestCertifiedSumStacks.at_most(size, monkeypatch)
         windows, stacks = self.record(monkeypatch)
-        assert np.array_equal(ch.transfer_w(z, p), whole)
+        assert np.array_equal(fn(z, p), whole)
         summed = sum(k for _, k in stacks)
         assert windows == [(j0, j0 + k) for j0, k in stacks]
         assert [j0 for j0, _ in stacks] == [0, *np.cumsum([k for _, k in stacks])[:-1]]
-        assert 2 * n + 4 <= summed < p.cutoff
+        assert j_min + 2 <= summed < p.cutoff
+
+    @pytest.mark.parametrize("n", [0, 3, 5])
+    @pytest.mark.parametrize("size", [1, 3, None])
+    def test_each_summed_level_built_once(self, n, size, monkeypatch):
+        self.check_built_once(ch.transfer_w, n, size, 2 * n + 2, monkeypatch)
+
+    @pytest.mark.parametrize("fn", [ch.closed_transfer_w, ch.closed_q])
+    @pytest.mark.parametrize("n", [0, 3, 5])
+    @pytest.mark.parametrize("size", [1, 3, None])
+    def test_closed_row_built_per_stack(self, fn, n, size, monkeypatch):
+        self.check_built_once(fn, n, size, n + 2, monkeypatch)
 
     def test_no_row_of_an_overflowing_stack(self, monkeypatch):
         # kw level 25 first pairs with ktw level 20 at N = 5, in the second stack:

@@ -83,6 +83,22 @@ class TestConfig:
         with pytest.raises(ConfigError, match=key):
             RunConfig.from_dict({**BASE, key: value})
 
+    @pytest.mark.parametrize("raw, message", [
+        ([BASE], "configuration must be a JSON object"),
+        ({"seed": 1}, "needs a 'params' object"),
+        ({**BASE, "params": [2]}, "'params' must be a JSON object"),
+        ({**BASE, "params": {"tol": 1e-10}}, "'params' needs 'n_sites'"),
+        ({**BASE, "params": {k: v for k, v in EXPLICIT.items() if k != "t"}},
+         "explicit parameters need 't'"),
+        ({**BASE, "params": {**EXPLICIT, "t": [[1.0, 0.0]]}}, "'t' must list 2 inhomogeneities"),
+        ({**BASE, "params": {"n_sites": 2, "xitilde": 0.01}}, r"\['xitilde'\] need an explicit 'q'"),
+        ({**BASE, "suites": "tq"}, "'suites' must be a list of suite names"),
+        ({**BASE, "z_samples": []}, "'z_samples' list must not be empty"),
+    ])
+    def test_malformed_config_rejected(self, raw, message):
+        with pytest.raises(ConfigError, match=message):
+            RunConfig.from_dict(raw)
+
     def test_integral_float_cutoff_accepted(self):
         cfg = RunConfig.from_dict({**BASE, "params": {**BASE["params"], "cutoff": 41.0}})
         assert cfg.params.cutoff == 41 and isinstance(cfg.params.cutoff, int)
@@ -348,6 +364,26 @@ class TestMainEntry:
         assert cli.main(["--config", cfg, "--quiet", *args]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "missing" in err
+
+    @pytest.mark.parametrize("field, value", [("xi", float("nan")),
+                                              ("t", [1.0, float("inf")])])
+    def test_non_finite_parameter_exits_two(self, tmp_path, field, value):
+        cfg = write_config(tmp_path, {**BASE, "params": {**EXPLICIT, field: value}})
+        proc = self.run_cli("--config", cfg, "--out", str(tmp_path / "r.json"))
+        assert proc.returncode == 2
+        assert " must be a finite number" in proc.stderr and field in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("payload, args, message", [
+        ([BASE], (), "configuration must be a JSON object"),
+        ({**BASE, "params": 2}, ("--cutoff", "41"), "'params' must be a JSON object"),
+    ])
+    def test_main_rejects_non_object_in_process(self, tmp_path, capsys, payload, args, message):
+        cfg = write_config(tmp_path, payload)
+        assert cli.main(["--config", cfg, "--out", str(tmp_path / "r.json"), *args]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
 
     def test_missing_config_exits_two(self, tmp_path):
         proc = self.run_cli("--config", str(tmp_path / "absent.json"))

@@ -80,6 +80,9 @@ class TestLOperator:
     def test_inverse_singularity(self):
         with pytest.raises(ParameterDomainError):
             l_inverse(1.0, R, Q, J)
+        # q^2 z^2 = 1 exactly at q = 1/2, z = 2
+        with pytest.raises(ParameterDomainError, match="not invertible"):
+            l_tilde(2.0, R, 0.5, J)
 
     def test_partial_transpose_closed_form(self):
         # displayed blocks of L^{t2} over W (x) V
@@ -271,6 +274,10 @@ class TestFusionIntertwiners:
     def test_tau_iota_vanishes(self):
         prod = tau(R, Q, J) @ iota(R, Q, J)
         assert np.abs(prod[: J - 1, : J - 1]).max() < 1e-13
+
+    def test_retraction_pivot_underflow_raises(self):
+        with pytest.raises(ParameterDomainError, match="pivot underflows at Fock level 2"):
+            iota_retraction(1.0, 1e-100, 4)
 
     def test_section_and_retraction(self):
         ta, ts = tau(R, Q, J), tau_section(Q, J)

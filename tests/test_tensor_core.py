@@ -120,6 +120,8 @@ class TestEmbed:
             tc.embed(np.eye(2), (2,), (2, 2))
         with pytest.raises(ValueError):
             tc.embed(np.eye(3), (1,), (2, 2))
+        with pytest.raises(ValueError, match="expected a matrix"):
+            tc.embed(np.ones(2), (0,), (2,))
 
 
 class TestPartialTranspose:
@@ -142,6 +144,12 @@ class TestPartialTranspose:
         x = rand_matrix(rng, 8)
         pt = tc.partial_transpose(x, 1, (2, 2, 2))
         assert_allclose(tc.partial_transpose(pt, 1, (2, 2, 2)), x)
+
+    def test_errors(self):
+        with pytest.raises(IndexError, match="site 2 out of range"):
+            tc.partial_transpose(np.eye(4), 2, (2, 2))
+        with pytest.raises(ValueError, match="does not match shape"):
+            tc.partial_transpose(np.eye(3), 0, (2, 2))
 
     def test_product_reverses_on_transposed_factor(self):
         # operators acting only on the transposed factor: ((AB)^t_s) = B^t_s A^t_s
