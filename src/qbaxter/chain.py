@@ -26,17 +26,11 @@ from .errors import (
     TailCertificateError,
 )
 from .lattice_ops import kv_matrix, ktv_matrix, l_bands, l_matrix, r_bands, r_matrix
-from .qoscillator import _LOG_HUGE, kw_diagonal, ktw_diagonal
+from .qoscillator import _LOG_HUGE, kw_diagonal, ktw_diagonal, validate_count, validate_cutoff
 
 
-def _check_scalars(n_sites, cutoff, tol=1.0, exclusion_radius=0.0):
-    """Reject a site count that is not an integer, a cutoff that is not integral,
-    a tol not finite and positive, an exclusion radius not finite and nonnegative."""
-    if isinstance(n_sites, bool) or not isinstance(n_sites, numbers.Integral):
-        raise ParameterDomainError(f"n_sites must be an integer, got {n_sites!r}")
-    if (isinstance(cutoff, bool) or not isinstance(cutoff, numbers.Real)
-            or not float(cutoff).is_integer()):
-        raise ParameterDomainError(f"Fock cutoff must be integral, got {cutoff!r}")
+def _check_scalars(tol, exclusion_radius):
+    """Reject a tol not finite and positive, an exclusion radius not finite and nonnegative."""
     for name, v, least in (("tol", tol, "positive"),
                            ("exclusion_radius", exclusion_radius, "nonnegative")):
         if (isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v)
@@ -49,15 +43,6 @@ def _finite_number(name, v) -> complex:
     if isinstance(v, bool) or not isinstance(v, numbers.Complex) or not cmath.isfinite(v):
         raise ParameterDomainError(f"{name} must be a finite number, got {v!r}")
     return complex(v)
-
-
-def _fock_cutoff(cutoff) -> int:
-    """The Fock cutoff as an int once it passes the rule ChainParams applies:
-    integral (_check_scalars) and at least 2."""
-    _check_scalars(0, cutoff)
-    if cutoff < 2:
-        raise ParameterDomainError(f"Fock cutoff must be >= 2, got {cutoff!r}")
-    return int(cutoff)
 
 
 @dataclass(frozen=True)
@@ -84,9 +69,9 @@ class ChainParams:
             object.__setattr__(self, name, _finite_number(name, getattr(self, name)))
         if not 0.0 < abs(self.q) < 1.0:
             raise ParameterDomainError(f"need 0 < |q| < 1, got |q| = {abs(self.q):.4f}")
-        _check_scalars(self.n_sites, self.cutoff, self.tol, self.exclusion_radius)
-        if self.n_sites < 0:
-            raise ParameterDomainError("n_sites must be nonnegative")
+        _check_scalars(self.tol, self.exclusion_radius)
+        object.__setattr__(self, "n_sites", validate_count("n_sites", self.n_sites))
+        object.__setattr__(self, "cutoff", validate_cutoff(self.cutoff))
         if not np.iterable(self.t):
             raise ParameterDomainError(f"t must be a sequence of numbers, got {self.t!r}")
         t = tuple(_finite_number(f"t[{i}]", v) for i, v in enumerate(self.t))
@@ -103,7 +88,6 @@ class ChainParams:
             raise ParameterDomainError(
                 f"|xi*xitilde| = {abs(self.xi * self.xitilde):.3e} must stay below "
                 f"|q|^(2N) = {abs(self.q) ** (2 * self.n_sites):.3e} for the trace to converge")
-        object.__setattr__(self, "cutoff", _fock_cutoff(self.cutoff))
         if rho ** self.cutoff >= self.tol / 10.0:
             raise ParameterDomainError(
                 f"cutoff {self.cutoff} cannot certify tail ratio {rho:.3f} down to tol/10")
@@ -123,6 +107,7 @@ class ChainParams:
         Growing the chain tightens the convergence condition, so the boundary
         parameters are scaled to keep the tail ratio unchanged.
         """
+        n_sites = validate_count("n_sites", n_sites)
         if n_sites <= len(self.t):
             t = self.t[:n_sites]
         else:
@@ -179,7 +164,7 @@ class SpinSector:
     indices: tuple = field(init=False)
 
     def __post_init__(self):
-        if not 0 <= self.m_down <= self.n_sites:
+        if validate_count("m_down", self.m_down) > validate_count("n_sites", self.n_sites):
             raise ParameterDomainError(
                 f"m_down must lie in 0..{self.n_sites}, got {self.m_down}")
         object.__setattr__(self, "indices", tuple(_sectors(self.n_sites)[3][self.m_down].tolist()))
@@ -198,9 +183,9 @@ def sample_params(n_sites: int, seed: int, cutoff: int = 40, tol: float = 1e-9,
     rule of the certified sum can stop, so sampled parameters never sit on the
     edge of the trace certificate.
     """
-    _check_scalars(n_sites, cutoff, tol, exclusion_radius)
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ParameterDomainError(f"seed must be a nonnegative integer, got {seed!r}")
+    n_sites, seed = validate_count("n_sites", n_sites), validate_count("seed", seed)
+    cutoff = validate_cutoff(cutoff)
+    _check_scalars(tol, exclusion_radius)
     rng = np.random.default_rng(seed)
     lo, hi = (0.5, 0.75) if identity_grade else (0.3, 0.8)
     qmod = lo + (hi - lo) * rng.random()
@@ -217,7 +202,7 @@ def sample_params(n_sites: int, seed: int, cutoff: int = 40, tol: float = 1e-9,
     rho = c  # |xi * xitilde| / |q|^(2N) by construction
     needed = int(math.ceil(math.log(tol / 1000.0) / math.log(rho))) + 1
     # at least the 2N + 4 levels the certified sum reads before its stop rule can stop
-    cutoff = max(int(cutoff), needed, 2 * n_sites + 4)
+    cutoff = max(cutoff, needed, 2 * n_sites + 4)
     return ChainParams(q=q, xi=xi, xitilde=xitilde, n_sites=n_sites, t=t, zeta=zeta,
                        cutoff=cutoff, tol=tol, exclusion_radius=exclusion_radius)
 
@@ -414,6 +399,7 @@ def _windows(v, n: int, fill) -> np.ndarray:
 
 def transfer_v(z: complex, params: ChainParams) -> np.ndarray:
     """Finite-auxiliary transfer matrix, entries polynomial in z^2: transfer_w on C^2."""
+    _finite_number("z", z)
     n = params.n_sites
     kv = _windows(np.diagonal(kv_matrix(z, params.xi)), n, 0.0)
     w = np.diagonal(ktv_matrix(z, params.xitilde, params.q))[:, None] * kv
@@ -429,13 +415,13 @@ def transfer_w(z: complex, params: ChainParams, cutoff=None) -> np.ndarray:
     stack of levels ends before the first level whose paired weight leaves
     floating range, which raises OverflowGuardError only once the sum gets there.
     """
-    J = params.cutoff if cutoff is None else _fock_cutoff(cutoff)
+    z = _finite_number("z", z)
+    J = params.cutoff if cutoff is None else validate_cutoff(cutoff)
     n = params.n_sites
     j_min = 2 * n + 2  # the first level the tail certificate reads
     if J <= j_min:
         raise TailCertificateError(f"Fock cutoff {J} is below {j_min + 1}, the fewest levels "
                                    "the tail certificate can clear with")
-    z = complex(z)
     if in_exclusion_set(z, params):
         raise ExclusionPointError(
             f"z = {z:.6f} is within {params.exclusion_radius} of a trace pole")
@@ -463,7 +449,7 @@ def transfer_w(z: complex, params: ChainParams, cutoff=None) -> np.ndarray:
 
 def q_operator(z: complex, params: ChainParams, cutoff=None) -> np.ndarray:
     """Q-operator: the spin-weighted Fock transfer matrix at r = 1."""
-    w = spin_weights(params.n_sites, complex(z) ** 2, 1.0)
+    w = spin_weights(params.n_sites, _finite_number("z", z) ** 2, 1.0)
     return w[:, None] * transfer_w(z, params, cutoff=cutoff)
 
 
@@ -499,9 +485,9 @@ def tw_diagonal_recursion(alpha, params: ChainParams) -> np.ndarray:
     and unshifted entries with polynomial coefficients.  The recursion is pure
     polynomial algebra, so no convergence condition is needed along the way.
     """
-    alpha = tuple(int(b) for b in alpha)
+    alpha = tuple(alpha)
     if len(alpha) != params.n_sites or any(b not in (0, 1) for b in alpha):
-        raise ValueError("alpha must be a 0/1 pattern of length n_sites")
+        raise ParameterDomainError("alpha must be a 0/1 pattern of length n_sites")
     q, xi = params.q, params.xi
 
     def rec(bits, ts, xit) -> np.ndarray:
@@ -557,14 +543,16 @@ def _closed_levels(site_bands, z: complex, params: ChainParams):
 
 def closed_transfer_v(z: complex, params: ChainParams) -> np.ndarray:
     """Twisted trace of the single-row monodromy over the two-dimensional auxiliary."""
+    _finite_number("z", z)
     _require_twist(params)
     return _exact_sum(_closed_levels(lambda w: r_bands(w, params.q), z, params), params.n_sites)
 
 
 def closed_transfer_w(z: complex, params: ChainParams, cutoff=None) -> np.ndarray:
     """Twisted Fock trace of the single-row monodromy, with tail certificate."""
+    _finite_number("z", z)
     zeta = _require_twist(params)
-    J = params.cutoff if cutoff is None else _fock_cutoff(cutoff)
+    J = params.cutoff if cutoff is None else validate_cutoff(cutoff)
     n = params.n_sites
     j_min = n + 2  # the first level the tail certificate reads
     if J <= j_min:
@@ -581,7 +569,7 @@ def closed_transfer_w(z: complex, params: ChainParams, cutoff=None) -> np.ndarra
 
 def closed_q(z: complex, params: ChainParams, cutoff=None) -> np.ndarray:
     """Closed-chain Q-operator; entries polynomial in z of degree <= 2N."""
-    w = spin_weights(params.n_sites, complex(z), 1.0)
+    w = spin_weights(params.n_sites, _finite_number("z", z), 1.0)
     return w[:, None] * closed_transfer_w(z, params, cutoff=cutoff)
 
 

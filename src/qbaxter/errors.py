@@ -5,7 +5,7 @@ class QBaxterError(Exception):
     """Base class for all package-specific errors."""
 
 
-class ParameterDomainError(QBaxterError):
+class ParameterDomainError(QBaxterError, ValueError):
     """Parameters violate a convergence or validity condition."""
 
 

@@ -21,11 +21,16 @@ from .errors import ConvergenceError, ExclusionPointError, OverflowGuardError, P
 _LOG_HUGE = 700.0
 
 
+def validate_count(name: str, value, least: int = 0) -> int:
+    """value as an int, once it is an integer (numpy's too, not a bool) no smaller than least."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ParameterDomainError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 def validate_cutoff(J: int) -> int:
-    """J as an int, once it is an integer (numpy's too, not a bool) of at least 2."""
-    if isinstance(J, bool) or not isinstance(J, numbers.Integral) or J < 2:
-        raise ValueError(f"Fock cutoff must be an integer >= 2, got {J!r}")
-    return int(J)
+    """The Fock cutoff J as an int: a count of at least 2 levels."""
+    return validate_count("cutoff", J, 2)
 
 
 @functools.lru_cache(maxsize=16, typed=True)

@@ -19,7 +19,13 @@ from qbaxter.errors import (
     TailCertificateError,
 )
 from qbaxter.lattice_ops import ktv_matrix, kv_matrix, l_bands, l_matrix, r_matrix
-from qbaxter.qoscillator import FockDiagonal, kw_diagonal, ktw_diagonal
+from qbaxter.qoscillator import (
+    FockDiagonal,
+    kw_diagonal,
+    ktw_diagonal,
+    validate_count,
+    validate_cutoff,
+)
 
 
 @pytest.fixture(scope="module")
@@ -51,7 +57,7 @@ class TestChainParams:
             ch.ChainParams(q=1.2, xi=0.1, xitilde=0.1, n_sites=1, t=(1.0,))
 
     def test_negative_site_count(self):
-        with pytest.raises(ParameterDomainError, match="nonnegative"):
+        with pytest.raises(ParameterDomainError, match="n_sites"):
             ch.ChainParams(q=0.5, xi=0.1, xitilde=0.1, n_sites=-1, t=())
 
     def test_zero_inhomogeneity(self):
@@ -121,9 +127,9 @@ class TestChainParams:
         with pytest.raises(ParameterDomainError, match="cutoff"):
             ch.sample_params(2, seed=1, cutoff=cutoff)
 
-    def test_integral_float_cutoff_accepted(self):
-        p = ch.ChainParams(q=0.5, xi=0.1, xitilde=0.1, n_sites=1, t=(1.0,), cutoff=41.0)
-        assert p.cutoff == 41 and isinstance(p.cutoff, int)
+    def test_integral_float_cutoff_rejected(self):
+        with pytest.raises(ParameterDomainError, match="cutoff"):
+            ch.ChainParams(q=0.5, xi=0.1, xitilde=0.1, n_sites=1, t=(1.0,), cutoff=41.0)
 
     @pytest.mark.parametrize("n_sites", [2.0, True])
     def test_non_integer_site_count_rejected(self, n_sites):
@@ -137,6 +143,64 @@ class TestChainParams:
         p3 = params2.with_sites(3)
         assert p3.n_sites == 3 and len(p3.t) == 3
         assert p3.t[:2] == params2.t[:2]
+
+
+# every count the package takes: the field its error names, its least value, a call with it
+COUNTS = {
+    "ChainParams.n_sites": ("n_sites", 0, lambda p, v: ch.ChainParams(
+        q=0.5, xi=0.01, xitilde=0.01, n_sites=v, t=(1.0, 1.0))),
+    "ChainParams.cutoff": ("cutoff", 2, lambda p, v: ch.ChainParams(
+        q=0.5, xi=0.1, xitilde=0.1, n_sites=1, t=(1.0,), cutoff=v)),
+    "sample_params.n_sites": ("n_sites", 0, lambda p, v: ch.sample_params(v, 3)),
+    "sample_params.seed": ("seed", 0, lambda p, v: ch.sample_params(2, v)),
+    "sample_params.cutoff": ("cutoff", 2, lambda p, v: ch.sample_params(2, 3, cutoff=v)),
+    "SpinSector.m_down": ("m_down", 0, lambda p, v: ch.SpinSector(v, 2)),
+    "SpinSector.n_sites": ("n_sites", 0, lambda p, v: ch.SpinSector(0, v)),
+    "with_sites": ("n_sites", 0, lambda p, v: p.with_sites(v)),
+    "transfer_w.cutoff": ("cutoff", 2, lambda p, v: ch.transfer_w(0.83 + 0.21j, p, cutoff=v)),
+    "closed_transfer_w.cutoff": ("cutoff", 2,
+                                 lambda p, v: ch.closed_transfer_w(0.83 + 0.21j, p, cutoff=v)),
+    "l_matrix.J": ("cutoff", 2, lambda p, v: l_matrix(0.7 + 0.2j, 1.0, p.q, v)),
+    "kw_diagonal.J": ("cutoff", 2, lambda p, v: kw_diagonal(0.83 + 0.21j, 1.0, p.xi, p.q, v)),
+}
+
+
+class TestCountRule:
+    @pytest.mark.parametrize("entry, value", [
+        (entry, value) for entry, (_, least, _) in COUNTS.items()
+        for value in (True, 2.5, 41.0, "3", None, least - 1)
+        # a trace's cutoff=None asks for its params.cutoff
+        if not (value is None and entry in ("transfer_w.cutoff", "closed_transfer_w.cutoff"))])
+    def test_non_count_rejected(self, params2, entry, value):
+        field, _, call = COUNTS[entry]
+        with pytest.raises(ParameterDomainError, match=rf"^{field}\b"):
+            call(params2, value)
+
+    def test_numpy_counts_come_back_as_int(self, params2):
+        for value in (np.int64(2), np.int32(40), np.uint8(2)):
+            assert validate_count("n", value, 2) == value
+            assert type(validate_count("n", value, 2)) is type(validate_cutoff(value)) is int
+        p = ch.sample_params(np.int64(2), np.int64(3), cutoff=np.int64(41))
+        assert p == ch.sample_params(2, 3, cutoff=41)
+        p = ch.ChainParams(q=0.5, xi=0.1, xitilde=0.1, n_sites=np.int64(1), t=(1.0,),
+                           cutoff=np.int64(41))
+        assert type(p.n_sites) is type(p.cutoff) is int
+        assert type(params2.with_sites(np.int64(3)).n_sites) is int
+        assert ch.SpinSector(np.int64(1), 2) == ch.SpinSector(1, 2)
+        z = 0.83 + 0.21j
+        assert np.array_equal(ch.transfer_w(z, params2, cutoff=np.int64(41)),
+                              ch.transfer_w(z, params2, cutoff=41))
+
+
+SPECTRAL = (ch.transfer_v, ch.transfer_w, ch.q_operator,
+            ch.closed_transfer_v, ch.closed_transfer_w, ch.closed_q)
+
+
+@pytest.mark.parametrize("z", [float("nan"), float("inf"), "0.5", True, None])
+@pytest.mark.parametrize("function", SPECTRAL, ids=lambda f: f.__name__)
+def test_spectral_point_must_be_finite_number(params2, function, z):
+    with pytest.raises(ParameterDomainError, match=r"^z\b"):
+        function(z, params2)
 
 
 class TestExclusionSet:
@@ -792,7 +856,7 @@ class TestDiagonalRecursion:
             assert abs(entry - val) < 1e-9 * max(1.0, abs(val))
 
     def test_bad_pattern(self, params2):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterDomainError):
             ch.tw_diagonal_recursion((0, 2), params2)
 
 
