@@ -12,6 +12,7 @@ import functools
 import itertools
 import math
 import numbers
+import sys
 import threading
 from dataclasses import dataclass, field, replace
 
@@ -30,17 +31,21 @@ from .qoscillator import _LOG_HUGE, kw_diagonal, ktw_diagonal, validate_count, v
 
 
 def _check_scalars(tol, exclusion_radius):
-    """Reject a tol not finite and positive, an exclusion radius not finite and nonnegative."""
+    """Reject a tol not finite and positive, an exclusion radius not finite and nonnegative;
+    a number too large for a float is not finite."""
     for name, v, least in (("tol", tol, "positive"),
                            ("exclusion_radius", exclusion_radius, "nonnegative")):
-        if (isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v)
-                or v < 0.0 or v == 0.0 and least == "positive"):
+        if (isinstance(v, bool) or not isinstance(v, numbers.Real)
+                or not abs(v) <= sys.float_info.max or v < 0.0 or v == 0.0 and least == "positive"):
             raise ParameterDomainError(f"{name} must be finite and {least}, got {v!r}")
 
 
 def _finite_number(name, v) -> complex:
-    """v as a complex once it is a finite number that is not a bool."""
-    if isinstance(v, bool) or not isinstance(v, numbers.Complex) or not cmath.isfinite(v):
+    """v as a complex once it is a number, not a bool, whose parts and modulus are finite
+    floats; a number too large for a float is not finite."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Complex) or not (
+            abs(v.real) <= sys.float_info.max >= abs(v.imag)
+            and math.hypot(v.real, v.imag) < math.inf):
         raise ParameterDomainError(f"{name} must be a finite number, got {v!r}")
     return complex(v)
 
@@ -399,7 +404,7 @@ def _windows(v, n: int, fill) -> np.ndarray:
 
 def transfer_v(z: complex, params: ChainParams) -> np.ndarray:
     """Finite-auxiliary transfer matrix, entries polynomial in z^2: transfer_w on C^2."""
-    _finite_number("z", z)
+    z = _finite_number("z", z)
     n = params.n_sites
     kv = _windows(np.diagonal(kv_matrix(z, params.xi)), n, 0.0)
     w = np.diagonal(ktv_matrix(z, params.xitilde, params.q))[:, None] * kv
@@ -543,14 +548,14 @@ def _closed_levels(site_bands, z: complex, params: ChainParams):
 
 def closed_transfer_v(z: complex, params: ChainParams) -> np.ndarray:
     """Twisted trace of the single-row monodromy over the two-dimensional auxiliary."""
-    _finite_number("z", z)
+    z = _finite_number("z", z)
     _require_twist(params)
     return _exact_sum(_closed_levels(lambda w: r_bands(w, params.q), z, params), params.n_sites)
 
 
 def closed_transfer_w(z: complex, params: ChainParams, cutoff=None) -> np.ndarray:
     """Twisted Fock trace of the single-row monodromy, with tail certificate."""
-    _finite_number("z", z)
+    z = _finite_number("z", z)
     zeta = _require_twist(params)
     J = params.cutoff if cutoff is None else validate_cutoff(cutoff)
     n = params.n_sites

@@ -22,6 +22,7 @@ from datetime import datetime, timezone
 from . import verify as vf
 from .chain import ChainParams, sample_params
 from .errors import QBaxterError
+from .qoscillator import validate_count
 
 _PARAM_KEYS = {"q", "xi", "xitilde", "zeta", "t", "n_sites", "cutoff",
                "tol", "exclusion_radius"}
@@ -32,32 +33,17 @@ class ConfigError(QBaxterError):
     """Malformed run configuration."""
 
 
-def _is_number(value, types=(int, float)) -> bool:
-    """True for a JSON number; JSON true/false arrive as bool, a subclass of int."""
-    return isinstance(value, types) and not isinstance(value, bool)
-
-
-def _parse_complex(value, where: str) -> complex:
-    if _is_number(value):
-        return complex(_parse_real(value, where))
-    if isinstance(value, list) and len(value) == 2 and all(_is_number(v) for v in value):
-        return complex(_parse_real(value[0], where), _parse_real(value[1], where))
-    raise ConfigError(f"{where}: expected a number or [re, im] pair, got {value!r}")
-
-
-def _parse_real(value, where: str, integral: bool = False):
-    """A JSON number as float, or as int when integral; anything else is a ConfigError."""
-    if not _is_number(value):
-        raise ConfigError(f"{where}: expected a number, got {value!r}")
-    try:
-        real = float(value)
-    except OverflowError:
-        raise ConfigError(f"{where}: integer too large for a float") from None
-    if not integral:
-        return real
-    if not real.is_integer():
-        raise ConfigError(f"{where}: expected an integer, got {value!r}")
-    return int(value)
+def _parse_complex(value, where: str):
+    """A JSON [re, im] pair as a complex; any other value goes through unchanged."""
+    if not isinstance(value, list):
+        return value
+    if len(value) == 2 and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                               for v in value):
+        try:
+            return complex(*value)
+        except OverflowError:  # an integer too large for a float
+            pass
+    raise ConfigError(f"{where}: expected an [re, im] pair of numbers, got {value!r}")
 
 
 @dataclass
@@ -67,12 +53,13 @@ class RunConfig:
     params: ChainParams
     seed: int
     suites: list
-    z_samples: object = 3  # count, or explicit list of complex sample points
+    z_samples: object = 3  # verify.spectral_samples: a count, or a tuple of complex points
     output_path: str = "report.json"
     spectrum_csv: str = ""
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
+        """Check the JSON shape; every value is checked by the library call that reads it."""
         if not isinstance(raw, dict):
             raise ConfigError("configuration must be a JSON object")
         unknown = set(raw) - _CONFIG_KEYS
@@ -88,32 +75,23 @@ class RunConfig:
             raise ConfigError(f"unknown parameter fields: {sorted(unknown)}")
         if "n_sites" not in praw:
             raise ConfigError("'params' needs 'n_sites'")
-        seed = raw.get("seed", 0)
-        if not _is_number(seed, int) or seed < 0:
-            raise ConfigError("'seed' must be a nonnegative integer")
-        n_sites = praw["n_sites"]
-        if not _is_number(n_sites, int) or n_sites < 0:
-            raise ConfigError("'n_sites' must be a nonnegative integer")
-
-        scalar_overrides = {key: _parse_real(praw[key], key, integral=key == "cutoff")
-                            for key in ("cutoff", "tol", "exclusion_radius") if key in praw}
+        seed = validate_count("seed", raw.get("seed", 0))
+        scalar_overrides = {key: praw[key] for key in ("cutoff", "tol", "exclusion_radius")
+                            if key in praw}
 
         if "q" in praw:
-            for key in ("q", "xi", "xitilde"):
+            for key in ("q", "xi", "xitilde", "t"):
                 if key not in praw:
                     raise ConfigError(f"explicit parameters need '{key}'")
-            t_raw = praw.get("t")
-            if t_raw is None:
-                raise ConfigError("explicit parameters need 't'")
-            if not isinstance(t_raw, list) or len(t_raw) != n_sites:
-                raise ConfigError(f"'t' must list {n_sites} inhomogeneities")
+            if not isinstance(praw["t"], list):
+                raise ConfigError("'t' must be a list of inhomogeneities")
             params = ChainParams(
                 q=_parse_complex(praw["q"], "q"),
                 xi=_parse_complex(praw["xi"], "xi"),
                 xitilde=_parse_complex(praw["xitilde"], "xitilde"),
                 zeta=_parse_complex(praw.get("zeta", 0.0), "zeta"),
-                n_sites=n_sites,
-                t=tuple(_parse_complex(v, "t") for v in t_raw),
+                n_sites=praw["n_sites"],
+                t=tuple(_parse_complex(v, "t") for v in praw["t"]),
                 **scalar_overrides,
             )
         else:
@@ -121,7 +99,7 @@ class RunConfig:
             ignored = sorted(set(praw) & {"xi", "xitilde", "zeta", "t"})
             if ignored:
                 raise ConfigError(f"parameter fields {ignored} need an explicit 'q'")
-            params = sample_params(n_sites, seed, **scalar_overrides)
+            params = sample_params(praw["n_sites"], seed, **scalar_overrides)
 
         suites = raw.get("suites", ["all"])
         if not isinstance(suites, list) or not all(isinstance(s, str) for s in suites):
@@ -139,11 +117,8 @@ class RunConfig:
 
         z_samples = raw.get("z_samples", 3)
         if isinstance(z_samples, list):
-            if not z_samples:
-                raise ConfigError("'z_samples' list must not be empty")
             z_samples = [_parse_complex(v, "z_samples") for v in z_samples]
-        elif not _is_number(z_samples, int) or z_samples < 1:
-            raise ConfigError("'z_samples' must be a positive count or a list of points")
+        z_samples = vf.spectral_samples(z_samples)
 
         paths = {k: raw.get(k, v) for k, v in (("output_path", "report.json"), ("spectrum_csv", ""))}
         for key, value in paths.items():
@@ -236,22 +211,19 @@ def main(argv=None) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-        if not isinstance(raw, dict):
-            raise ConfigError("configuration must be a JSON object")
-        if args.seed is not None:
-            raw["seed"] = args.seed
-        elif "QBAXTER_SEED" in os.environ:
-            raw["seed"] = int(os.environ["QBAXTER_SEED"])
-        if args.suite:
-            raw["suites"] = args.suite
-        if args.out:
-            raw["output_path"] = args.out
-        for key, value in (("tol", args.tol), ("cutoff", args.cutoff)):
-            if value is not None:
-                params = raw.setdefault("params", {})
-                if not isinstance(params, dict):
-                    raise ConfigError("'params' must be a JSON object")
-                params[key] = value
+        if isinstance(raw, dict):  # from_dict rejects any other configuration
+            if args.seed is not None:
+                raw["seed"] = args.seed
+            elif "QBAXTER_SEED" in os.environ:
+                raw["seed"] = int(os.environ["QBAXTER_SEED"])
+            if args.suite:
+                raw["suites"] = args.suite
+            if args.out:
+                raw["output_path"] = args.out
+            params = raw.get("params")
+            for key, value in (("tol", args.tol), ("cutoff", args.cutoff)):
+                if value is not None and isinstance(params, dict):
+                    params[key] = value
         config = RunConfig.from_dict(raw)
     except (OSError, json.JSONDecodeError, ValueError, QBaxterError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,9 +23,12 @@ _LOG_HUGE = 700.0
 
 
 def validate_count(name: str, value, least: int = 0) -> int:
-    """value as an int, once it is an integer (numpy's too, not a bool) no smaller than least."""
+    """value as an int, once it is an integer (numpy's too, not a bool) no smaller than
+    least and small enough for a float, which every count here meets in float arithmetic."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
         raise ParameterDomainError(f"{name} must be an integer >= {least}, got {value!r}")
+    if value > sys.float_info.max:
+        raise ParameterDomainError(f"{name} is too large for a float")
     return int(value)
 
 
@@ -39,9 +43,13 @@ def q_powers(q: complex, J: int):
     -2J .. 2J + 2, as a read-only slice of a per-(q, J) table of Python's q ** k.
 
     The level bands and boundary diagonals are pinned to Python's power, which
-    rounds differently from numpy's.
+    rounds differently from numpy's.  A power outside floating range raises
+    OverflowGuardError.
     """
-    table = np.array([q ** k for k in range(-2 * J, 2 * J + 3)], dtype=complex)
+    try:
+        table = np.array([q ** k for k in range(-2 * J, 2 * J + 3)], dtype=complex)
+    except OverflowError:
+        raise OverflowGuardError(f"q ** {-2 * J} leaves floating range at cutoff {J}") from None
     table.setflags(write=False)
     return lambda a, b=1, n=J: table[2 * J + a::b][:n]
 

@@ -25,7 +25,7 @@ import numpy as np
 from . import bethe as bt
 from . import chain as ch
 from . import tensor_core as tc
-from .errors import ConvergenceError, ExclusionPointError, QBaxterError
+from .errors import ConvergenceError, ExclusionPointError, ParameterDomainError, QBaxterError
 from .lattice_ops import (
     iota,
     iota_retraction,
@@ -39,7 +39,7 @@ from .lattice_ops import (
     tau,
     tau_section,
 )
-from .qoscillator import kw_diagonal, ktw_diagonal
+from .qoscillator import kw_diagonal, ktw_diagonal, validate_count
 
 DEFAULT_TOL = 1e-8
 EXACT_TOL = 1e-10
@@ -600,19 +600,26 @@ def check_closed_chain(params: ch.ChainParams, seed: int = 0):
 # spectrum and Bethe suites
 # ---------------------------------------------------------------------------
 
-def spectral_records(params: ch.ChainParams, seed: int, samples):
-    """The joint spectrum (SpectrumRecords) both spectral suites read, at a probe
-    drawn from seed and at samples: a positive count (an int, not a bool) of
-    points drawn clear of the exclusion set, or a nonempty sequence of points.
-    Anything else raises QBaxterError.  Memoized on the samples so normalized."""
+def spectral_samples(samples):
+    """samples as the spectral suites read them: a positive count (an integer, not
+    a bool) as an int, or a nonempty list, tuple or numpy array of finite numbers
+    (not bools) as a tuple of complex.  Anything else raises ParameterDomainError."""
     if isinstance(samples, numbers.Integral) and not isinstance(samples, bool) and samples > 0:
-        return _spectral_records(params, seed, int(samples))
+        return int(samples)
     points = samples.tolist() if isinstance(samples, np.ndarray) else samples
     if isinstance(points, (list, tuple)) and points and all(
             isinstance(z, numbers.Number) and not isinstance(z, bool) for z in points):
-        return _spectral_records(params, seed, tuple(complex(z) for z in points))
-    raise QBaxterError("the spectral suites need at least one sample point, as a positive "
-                       f"count or a sequence of points, got {samples!r}")
+        return tuple(ch._finite_number(f"samples[{i}]", z) for i, z in enumerate(points))
+    raise ParameterDomainError("samples: the spectral suites need at least one sample point, "
+                               f"as a positive count or a sequence of points, got {samples!r}")
+
+
+def spectral_records(params: ch.ChainParams, seed: int, samples):
+    """The joint spectrum (SpectrumRecords) both spectral suites read, at a probe
+    drawn from seed and at spectral_samples(samples): a count of points drawn
+    clear of the exclusion set, or the points given.  Memoized on the samples so
+    normalized."""
+    return _spectral_records(params, seed, spectral_samples(samples))
 
 
 @functools.lru_cache(maxsize=1)
@@ -721,11 +728,12 @@ SPECTRAL_SUITES = ("spectrum", "bethe")
 
 
 def run_suite(name: str, params: ch.ChainParams, seed: int = 0, samples=3):
-    """Run one named suite; returns a list of CheckResults.  samples (a positive
-    count or a sequence of points, see spectral_records) reaches the spectral
-    suites only."""
+    """Run one named suite; returns a list of CheckResults.  seed is a count
+    (validate_count); samples (a positive count or a sequence of points, see
+    spectral_samples) reaches the spectral suites only."""
     if name not in _RUNNERS:
-        raise ValueError(f"unknown suite {name!r}; expected one of {SUITES} or 'all'")
+        raise ParameterDomainError(f"unknown suite {name!r}; expected one of {SUITES} or 'all'")
+    seed = validate_count("seed", seed)
     args = (params, seed, samples) if name in SPECTRAL_SUITES else (params, seed)
     out = _RUNNERS[name](*args)
     return out if isinstance(out, list) else [out]

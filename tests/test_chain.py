@@ -27,6 +27,13 @@ from qbaxter.qoscillator import (
     validate_cutoff,
 )
 
+HUGE = 10 ** 400  # an integer too large for a float
+
+
+def huge_id(value):
+    """Test id 10**400 for HUGE (and -HUGE), pytest's own for anything else."""
+    return repr(value).replace(str(HUGE), "10**400") if value in (HUGE, -HUGE) else None
+
 
 @pytest.fixture(scope="module")
 def params2():
@@ -69,12 +76,14 @@ class TestChainParams:
         with pytest.raises(ParameterDomainError, match="boundary"):
             ch.ChainParams(q=0.5, xi=xi, xitilde=xitilde, n_sites=1, t=(1.0,))
 
-    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-10, True, "1e-9"])
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-10, True, "1e-9", HUGE],
+                             ids=huge_id)
     def test_tol_must_be_finite_positive(self, tol):
         with pytest.raises(ParameterDomainError, match="tol"):
             ch.ChainParams(q=0.5, xi=0.1, xitilde=0.1, n_sites=1, t=(1.0,), tol=tol)
 
-    @pytest.mark.parametrize("radius", [float("nan"), float("inf"), -1.0, True, "0.05"])
+    @pytest.mark.parametrize("radius", [float("nan"), float("inf"), -1.0, True, "0.05", HUGE],
+                             ids=huge_id)
     def test_exclusion_radius_must_be_finite_nonnegative(self, radius):
         with pytest.raises(ParameterDomainError, match="exclusion_radius"):
             ch.ChainParams(q=0.5, xi=0.1, xitilde=0.1, n_sites=1, t=(1.0,),
@@ -85,7 +94,8 @@ class TestChainParams:
         ("xi", float("nan")), ("xi", complex(0.1, float("inf"))), ("xitilde", float("inf")),
         ("xitilde", "0.1"), ("zeta", float("nan")), ("zeta", True),
         ("t", (float("inf"),)), ("t", (float("nan"),)), ("t", (None,)), ("t", ("1.0",)),
-        ("t", (True,)), ("t", 1.0)])
+        ("t", (True,)), ("t", 1.0), ("q", HUGE), ("xi", complex(1.7e308, 1.7e308)),
+        ("zeta", -HUGE), ("t", (HUGE,))], ids=huge_id)
     def test_complex_field_must_be_finite_number(self, field, value):
         params = dict(q=0.5, xi=0.1, xitilde=0.1, n_sites=1, t=(1.0,))
         with pytest.raises(ParameterDomainError, match=rf"^{field}\b"):
@@ -96,7 +106,8 @@ class TestChainParams:
                            exclusion_radius=0.0)
         assert p.exclusion_radius == 0.0
 
-    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0, True, "1e-9"])
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0, True, "1e-9", HUGE],
+                             ids=huge_id)
     def test_sampler_tol_must_be_finite_positive(self, tol):
         with pytest.raises(ParameterDomainError, match="tol"):
             ch.sample_params(2, seed=3, tol=tol)
@@ -168,9 +179,10 @@ COUNTS = {
 class TestCountRule:
     @pytest.mark.parametrize("entry, value", [
         (entry, value) for entry, (_, least, _) in COUNTS.items()
-        for value in (True, 2.5, 41.0, "3", None, least - 1)
+        for value in (True, 2.5, 41.0, "3", None, least - 1, HUGE)
         # a trace's cutoff=None asks for its params.cutoff
-        if not (value is None and entry in ("transfer_w.cutoff", "closed_transfer_w.cutoff"))])
+        if not (value is None and entry in ("transfer_w.cutoff", "closed_transfer_w.cutoff"))],
+        ids=huge_id)
     def test_non_count_rejected(self, params2, entry, value):
         field, _, call = COUNTS[entry]
         with pytest.raises(ParameterDomainError, match=rf"^{field}\b"):
@@ -196,11 +208,21 @@ SPECTRAL = (ch.transfer_v, ch.transfer_w, ch.q_operator,
             ch.closed_transfer_v, ch.closed_transfer_w, ch.closed_q)
 
 
-@pytest.mark.parametrize("z", [float("nan"), float("inf"), "0.5", True, None])
+@pytest.mark.parametrize("z", [float("nan"), float("inf"), "0.5", True, None, HUGE,
+                               complex(1.7e308, 1.7e308)], ids=huge_id)
 @pytest.mark.parametrize("function", SPECTRAL, ids=lambda f: f.__name__)
 def test_spectral_point_must_be_finite_number(params2, function, z):
     with pytest.raises(ParameterDomainError, match=r"^z\b"):
         function(z, params2)
+
+
+@pytest.mark.parametrize("n_sites, seed", [(2, 1), (3, 1), (3, 3), (4, 11)])
+@pytest.mark.parametrize("function", SPECTRAL, ids=lambda f: f.__name__)
+def test_spectral_point_type_leaves_rows_bit_equal(function, n_sites, seed):
+    # numpy's complex arithmetic rounds z / t and t * z differently from Python's
+    p = ch.sample_params(n_sites, seed, tol=1e-10)
+    for z in (0.83 + 0.21j, 1.1 - 0.3j, -0.7 + 0.45j, 0.35 + 0.9j):
+        assert np.array_equal(function(z, p), function(np.complex128(z), p))
 
 
 class TestExclusionSet:

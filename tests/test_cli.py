@@ -7,8 +7,11 @@ import sys
 
 import pytest
 
+from qbaxter import chain as ch
 from qbaxter import cli
+from qbaxter import verify as vf
 from qbaxter.cli import ConfigError, RunConfig
+from qbaxter.errors import ParameterDomainError
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -61,19 +64,20 @@ class TestConfig:
         ("cutoff", "40"), ("cutoff", True), ("cutoff", 40.5), ("tol", None),
         ("tol", "1e-10"), ("exclusion_radius", [0.05])])
     def test_numeric_params_type_checked(self, key, value):
-        with pytest.raises(ConfigError, match=key):
+        with pytest.raises(ParameterDomainError, match=rf"^{key} "):
             RunConfig.from_dict({**BASE, "params": {**BASE["params"], key: value}})
 
     @pytest.mark.parametrize("field", ["seed", "z_samples", "n_sites"])
     def test_boolean_counts_rejected(self, field):
         raw = {**BASE, "params": dict(BASE["params"])}
         (raw["params"] if field == "n_sites" else raw)[field] = True
-        with pytest.raises(ConfigError, match=field):
+        # the library names z_samples by its own argument, samples
+        with pytest.raises(ParameterDomainError, match=rf"^{field.removeprefix('z_')}\b"):
             RunConfig.from_dict(raw)
 
     @pytest.mark.parametrize("params", [BASE["params"], EXPLICIT], ids=["sampled", "explicit"])
     def test_negative_seed_rejected(self, params):
-        with pytest.raises(ConfigError, match="'seed' must be a nonnegative integer"):
+        with pytest.raises(ParameterDomainError, match="seed must be an integer >= 0, got -1"):
             RunConfig.from_dict({**BASE, "params": params, "seed": -1})
 
     @pytest.mark.parametrize("key, value", [
@@ -90,18 +94,25 @@ class TestConfig:
         ({**BASE, "params": {"tol": 1e-10}}, "'params' needs 'n_sites'"),
         ({**BASE, "params": {k: v for k, v in EXPLICIT.items() if k != "t"}},
          "explicit parameters need 't'"),
-        ({**BASE, "params": {**EXPLICIT, "t": [[1.0, 0.0]]}}, "'t' must list 2 inhomogeneities"),
+        ({**BASE, "params": {**EXPLICIT, "t": 1.0}}, "'t' must be a list of inhomogeneities"),
         ({**BASE, "params": {"n_sites": 2, "xitilde": 0.01}}, r"\['xitilde'\] need an explicit 'q'"),
         ({**BASE, "suites": "tq"}, "'suites' must be a list of suite names"),
-        ({**BASE, "z_samples": []}, "'z_samples' list must not be empty"),
     ])
     def test_malformed_config_rejected(self, raw, message):
         with pytest.raises(ConfigError, match=message):
             RunConfig.from_dict(raw)
 
-    def test_integral_float_cutoff_accepted(self):
-        cfg = RunConfig.from_dict({**BASE, "params": {**BASE["params"], "cutoff": 41.0}})
-        assert cfg.params.cutoff == 41 and isinstance(cfg.params.cutoff, int)
+    @pytest.mark.parametrize("raw, message", [
+        ({**BASE, "params": {**EXPLICIT, "t": [[1.0, 0.0]]}}, "expected 2 inhomogeneities, got 1"),
+        ({**BASE, "z_samples": []}, "at least one sample point"),
+    ])
+    def test_library_rejects_value(self, raw, message):
+        with pytest.raises(ParameterDomainError, match=message):
+            RunConfig.from_dict(raw)
+
+    def test_integral_float_cutoff_rejected(self):
+        with pytest.raises(ParameterDomainError, match="cutoff must be an integer >= 2, got 41.0"):
+            RunConfig.from_dict({**BASE, "params": {**BASE["params"], "cutoff": 41.0}})
 
     def test_all_expands(self):
         cfg = RunConfig.from_dict({**BASE, "suites": ["all"]})
@@ -109,27 +120,78 @@ class TestConfig:
 
     def test_z_samples_list(self):
         cfg = RunConfig.from_dict({**BASE, "z_samples": [[0.9, 0.1], [0.8, 0.2]]})
-        assert cfg.z_samples == [0.9 + 0.1j, 0.8 + 0.2j]
+        assert cfg.z_samples == (0.9 + 0.1j, 0.8 + 0.2j)
 
     @pytest.mark.parametrize("key", ["tol", "cutoff"])
     def test_oversized_real_rejected(self, key):
-        with pytest.raises(ConfigError, match=f"{key}: integer too large"):
+        with pytest.raises(ParameterDomainError, match=rf"^{key} "):
             RunConfig.from_dict({**BASE, "params": {**BASE["params"], key: 10 ** 400}})
 
     @pytest.mark.parametrize("key", ["q", "t"])
     def test_oversized_complex_rejected(self, key):
         value = [[1.0, 0.0], [10 ** 400, 0]] if key == "t" else [0.5, 10 ** 400]
-        with pytest.raises(ConfigError, match=f"{key}: integer too large"):
+        with pytest.raises(ConfigError, match=rf"{key}: expected an \[re, im\] pair"):
             RunConfig.from_dict({**BASE, "params": {**EXPLICIT, key: value}})
 
     def test_complex_parsing(self):
-        assert cli._parse_complex(2, "x") == 2 + 0j
         assert cli._parse_complex([1, -2], "x") == 1 - 2j
-        with pytest.raises(ConfigError):
-            cli._parse_complex("nope", "x")
-        for flag in (True, [1.0, False]):
-            with pytest.raises(ConfigError):
-                cli._parse_complex(flag, "x")
+        # any value but a list is the library's to check
+        for value in (2, "nope", True, None):
+            assert cli._parse_complex(value, "x") is value
+        for pair in ([1.0, False], [1, 2, 3], ["1", 2], [10 ** 400, 0]):
+            with pytest.raises(ConfigError, match=r"^x: expected an \[re, im\] pair"):
+                cli._parse_complex(pair, "x")
+
+
+HUGE = 10 ** 400  # a JSON integer too large for a float
+_BAD = (True, "3", None, 2.5, 41.0, -1, HUGE)
+
+# each value field, the values its library check rejects, and that check called directly
+# as the configuration calls it (BASE's sampled or EXPLICIT's parameters, seed 11)
+ONE_RULE = {
+    "seed": (_BAD, lambda v: vf.run_suite("tq", ch.sample_params(2, 11, tol=1e-10), v)),
+    "n_sites": (_BAD, lambda v: ch.sample_params(v, 11, cutoff=40, tol=1e-10)),
+    "cutoff": (_BAD, lambda v: ch.sample_params(2, 11, cutoff=v, tol=1e-10)),
+    "tol": ((True, "3", None, -1, HUGE), lambda v: ch.sample_params(2, 11, cutoff=40, tol=v)),
+    "exclusion_radius": ((True, "3", None, -1, HUGE), lambda v: ch.sample_params(
+        2, 11, cutoff=40, tol=1e-10, exclusion_radius=v)),
+    "q": (_BAD, lambda v: ch.ChainParams(q=v, xi=0.01, xitilde=0.01, n_sites=2,
+                                         t=(1.0, 1.1), tol=1e-10)),
+    "t": ((True, "3", None, HUGE), lambda v: ch.ChainParams(q=0.5, xi=0.01, xitilde=0.01,
+                                                            n_sites=2, t=(1.0, v), tol=1e-10)),
+    "z_samples": ((True, "3", None, 2.5, 41.0, -1, [HUGE]), lambda v: vf.spectral_samples(v)),
+}
+ONE_RULE_CASES = [pytest.param(field, value, id=f"{field}-{value!r}".replace(str(HUGE), "10**400"))
+                  for field, (values, _) in ONE_RULE.items() for value in values]
+
+
+def one_rule_config(field, value):
+    """BASE with value in field: a t entry in EXPLICIT's t, q in EXPLICIT."""
+    if field in ("seed", "z_samples"):
+        return {**BASE, field: value}
+    if field in ("q", "t"):
+        return {**BASE, "params": {**EXPLICIT, field: [1.0, value] if field == "t" else value}}
+    return {**BASE, "params": {**BASE["params"], field: value}}
+
+
+class TestOneRule:
+    @pytest.mark.parametrize("field, value", ONE_RULE_CASES)
+    def test_config_raises_the_library_error(self, field, value):
+        with pytest.raises(ParameterDomainError) as direct:
+            ONE_RULE[field][1](value)
+        with pytest.raises(ParameterDomainError) as loaded:
+            RunConfig.from_dict(one_rule_config(field, value))
+        assert type(loaded.value) is type(direct.value)
+        assert str(loaded.value) == str(direct.value)
+
+    @pytest.mark.parametrize("field, value", ONE_RULE_CASES)
+    def test_main_exits_two(self, tmp_path, capsys, field, value):
+        out = tmp_path / "r.json"
+        cfg = write_config(tmp_path, one_rule_config(field, value))
+        assert cli.main(["--config", cfg, "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestRun:
@@ -287,14 +349,14 @@ class TestMainEntry:
         cfg = write_config(tmp_path, {**BASE, "params": {"n_sites": 2, "tol": [1]}})
         proc = self.run_cli("--config", cfg, "--out", str(tmp_path / "r.json"))
         assert proc.returncode == 2
-        assert "tol: expected a number" in proc.stderr
+        assert "tol must be finite and positive, got [1]" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_fractional_cutoff_exits_two(self, tmp_path):
         cfg = write_config(tmp_path, {**BASE, "params": {"n_sites": 2, "cutoff": 12.7}})
         proc = self.run_cli("--config", cfg, "--out", str(tmp_path / "r.json"))
         assert proc.returncode == 2
-        assert "cutoff: expected an integer" in proc.stderr
+        assert "cutoff must be an integer >= 2, got 12.7" in proc.stderr
         assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize("params, args", [
@@ -315,6 +377,13 @@ class TestMainEntry:
         assert proc.returncode == 2
         assert "'params' must be a JSON object" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_power_table_overflow_exits_two(self, tmp_path, capsys):
+        # |q| = 0.36 at seed 11, so |q| ** -1200 leaves floating range
+        cfg = write_config(tmp_path, {**BASE, "params": {**BASE["params"], "cutoff": 600}})
+        assert cli.main(["--config", cfg, "--out", str(tmp_path / "r.json"), "--quiet"]) == 2
+        assert "leaves floating range at cutoff 600" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
 
     def test_crossing_without_samples_exits_two(self, tmp_path):
         # every crossing sample falls in an exclusion set of radius 50
@@ -342,7 +411,7 @@ class TestMainEntry:
         proc = self.run_cli("--config", cfg, "--out", str(tmp_path / "r.json"), *args,
                             env_extra=env)
         assert proc.returncode == 2
-        assert "'seed' must be a nonnegative integer" in proc.stderr
+        assert "seed must be an integer >= 0, got -3" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "r.json").exists()
 

@@ -230,6 +230,11 @@ class TestBoundaryDiagonals:
         with pytest.raises(OverflowGuardError):
             kw.dense()
 
+    def test_power_table_overflow_guard(self):
+        # 0.3 ** -1200 is about 1e627
+        with pytest.raises(OverflowGuardError, match="at cutoff 600"):
+            kw_diagonal(1.0, 1.0, 0.3, 0.3, 600)
+
 
 def running_product(factors):
     """Per-level (mantissa, log) of the running product, one Python step per

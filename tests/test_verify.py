@@ -6,7 +6,7 @@ import pytest
 from qbaxter import chain as ch
 from qbaxter import tensor_core as tc
 from qbaxter import verify as vf
-from qbaxter.errors import QBaxterError
+from qbaxter.errors import ParameterDomainError, QBaxterError
 
 
 @pytest.fixture(scope="module")
@@ -204,7 +204,7 @@ def test_run_suite_gives_every_suite_a_list(params):
 
 
 def test_unknown_suite(params):
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterDomainError, match="unknown suite 'nope'"):
         vf.run_suite("nope", params)
 
 

@@ -10,11 +10,14 @@ for byte, and the exit codes as they are.  One line per configuration says
 `identical` or `differs` with both exit codes.  Under a configuration that
 differs, indented lines name the checks added or removed, the pass flags that
 flipped and the largest relative residual change |r_change - r_parent| / r_parent
-over the checks both reports hold.  When the spectrum CSVs differ, one more
-line gives the largest change of a `tv` or `q` value, |change - parent| /
-max(1, |parent|) over the complex values of rows with equal keys (sector,
-record index, z), or says that the row keys differ.  The exit status is 1 when
-any configuration differs, else 0.  Needs only the standard library.
+over the checks both reports hold, then one line for each other check field
+(`notes`, `tolerance`, `conjecture`, `params_digest`) naming the checks it
+differs in, and one naming the top-level report fields that differ.  When the
+spectrum CSVs differ, one more line gives the largest change of a `tv` or `q`
+value, |change - parent| / max(1, |parent|) over the complex values of rows
+with equal keys (sector, record index, z), or says that the row keys differ.
+The exit status is 1 when any configuration differs, else 0.  Needs only the
+standard library.
 """
 
 import csv
@@ -109,6 +112,16 @@ def differences(parent, change):
     else:
         lines.append(f"largest relative residual change: {rel_change(worst):.3g} in {worst} "
                      f"({old[worst]['residual']!r} -> {new[worst]['residual']!r})")
+    # residual and passed are reported above
+    for key in sorted({key for name in common for key in old[name].keys() | new[name].keys()}
+                      - {"name", "residual", "passed"}):
+        names = [name for name in common if old[name].get(key) != new[name].get(key)]
+        if names:
+            lines.append(f"{key} differs in {', '.join(names)}")
+    top = sorted(key for key in parent[1].keys() | change[1].keys()
+                 if key != "checks" and parent[1].get(key) != change[1].get(key))
+    if top:
+        lines.append(f"top-level fields differ: {', '.join(top)}")
     return lines
 
 
