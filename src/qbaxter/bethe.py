@@ -73,9 +73,16 @@ def draw_points(rng, count: int, clear, lo=0.55, hi=1.25):
     """count random_point draws z for which clear(z) holds, each at least 0.02
     from the points kept before it.
 
-    A rejected draw is redrawn, up to 200 draws per point in all; running out
-    raises SpectrumError.
+    Disks of radius 0.01 about such points are disjoint and lie on the annulus
+    widened by 0.01, so a count above ((hi + 0.01)^2 - max(lo - 0.01, 0)^2) / 0.01^2
+    cannot be met: it raises SpectrumError before the first draw.  A rejected
+    draw is redrawn, up to 200 draws per point in all; running out raises
+    SpectrumError.
     """
+    room = ((hi + 0.01) ** 2 - max(lo - 0.01, 0.0) ** 2) / 0.01 ** 2
+    if count > room:
+        raise SpectrumError(f"{count} points 0.02 apart cannot fit on the annulus "
+                            f"{lo} <= |z| <= {hi}, which holds at most {math.floor(room)}")
     points = []
     for _ in range(200 * count):
         if len(points) == count:
@@ -254,34 +261,44 @@ def factorize_q_eigenvalue(record: SpectrumRecord, params: ChainParams) -> Bethe
 # Bethe equations
 # ---------------------------------------------------------------------------
 
-def _bethe_sides(big_y: np.ndarray, params: ChainParams):
-    """Left and right sides of the z-independent Bethe system at each root."""
-    q, xi, xit = params.q, params.xi, params.xitilde
-    n, m = params.n_sites, big_y.size
-    lhs = np.zeros(m, dtype=complex)
-    rhs = np.zeros(m, dtype=complex)
-    for i, y2 in enumerate(big_y):
-        left = (1.0 - xit * y2) * (1.0 - xi * y2)
-        right = q ** (2 * (n - m)) * (xit - q * q * y2) * (xi - q * q * y2)
-        for tn in params.t:
-            left *= (1.0 - q * q * y2 * tn * tn) * (1.0 - q * q * y2 / (tn * tn))
-            right *= (1.0 - y2 * tn * tn) * (1.0 - y2 / (tn * tn))
-        for j, w2 in enumerate(big_y):
-            if j == i:
-                continue
-            left *= (1.0 - y2 / (q * q * w2)) * (1.0 - y2 * w2)
-            right *= (1.0 - q * q * y2 / w2) * (q ** -2 - q * q * y2 * w2)
-        lhs[i] = left
-        rhs[i] = right
-    return lhs, rhs
+def _bethe_system(big_y: np.ndarray, params: ChainParams):
+    """Difference, Jacobian and sides of the z-independent Bethe system in Y = y^2.
+
+    Side i is a constant times factors a + b Y_i and, over j != i, factors
+    g = u + v Y_i Y_j^p, all read off one table; its Jacobian row is side i times
+    d_i log(a + b Y_i) = b / (a + b Y_i), d_i log g = v Y_j^p / g, d_j log g = p (g - u) / (Y_j g).
+    """
+    q2, xi, xit, m = params.q ** 2, params.xi, params.xitilde, big_y.size
+    t2 = [t for tn in params.t for t in (tn * tn, 1.0 / (tn * tn))]
+    # (constant, singles (a, b), pairs (u, v, p)) of the left side, then of the right
+    table = ((1.0, [(1.0, -xit), (1.0, -xi)] + [(1.0, -q2 * t) for t in t2],
+              [(1.0, -1.0 / q2, -1), (1.0, -1.0, 1)]),
+             (q2 ** (params.n_sites - m), [(xit, -q2), (xi, -q2)] + [(1.0, -t) for t in t2],
+              [(1.0, -q2, -1), (1.0 / q2, -q2, 1)]))
+    sides, jacs = np.zeros((2, m), dtype=complex), np.zeros((2, m, m), dtype=complex)
+    for s, (const, singles, pairs) in enumerate(table):
+        for i, yi in enumerate(big_y):
+            side, dlog = const, [0.0] * m
+            for a, b in singles:
+                f = a + b * yi
+                side *= f
+                dlog[i] += b / f
+            for j, yj in enumerate(big_y):
+                for u, v, p in pairs if j != i else ():
+                    w = v * yj ** p
+                    g = u + w * yi
+                    side *= g
+                    dlog[i] += w / g
+                    dlog[j] += p * (g - u) / (yj * g)
+            sides[s, i] = side
+            jacs[s, i] = np.multiply(dlog, side)
+    return sides[0] - sides[1], jacs[0] - jacs[1], sides[0], sides[1]
 
 
 def bethe_residual(roots: BetheRootSet, params: ChainParams) -> np.ndarray:
     """Relative residual of the z-independent Bethe system at each root."""
-    if roots.m_roots == 0:
-        return np.zeros(0)
-    lhs, rhs = _bethe_sides(roots.roots_squared, params)
-    return np.abs(lhs - rhs) / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-300)
+    res, _, lhs, rhs = _bethe_system(roots.roots_squared, params)
+    return np.abs(res) / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-300)
 
 
 def bethe_residual_pq_form(roots: BetheRootSet, params: ChainParams) -> np.ndarray:
@@ -320,20 +337,32 @@ def aba_f(z: complex, q: complex) -> complex:
     return z * z * (1.0 - q * q) / den
 
 
+def _aba_products(z: complex, ys, q: complex):
+    """The products over the roots y of alpha1 and beta1, the coefficients of
+    B(y) A(z) and B(y) D~(z) in the exchange relations of A(z) and D~(z) with B(y)."""
+    prod_a = prod_b = 1.0 + 0.0j
+    for y in ys:
+        ayz, byz, cyz = r_weights(y * z, q)
+        ayoz, byoz, _ = r_weights(y / z, q)
+        azoy, bzoy, _ = r_weights(z / y, q)
+        if min(abs(byoz), abs(ayz), abs(bzoy)) < 1e-12:
+            raise ParameterDomainError("exchange-relation coefficient hits a pole at this (z, y)")
+        prod_a *= ayoz * byz / (byoz * ayz)
+        prod_b *= (ayz ** 2 - cyz ** 2) * azoy / (ayz * byz * bzoy)
+    return prod_a, prod_b
+
+
 def aba_coefficients(z: complex, y: complex, params: ChainParams) -> dict:
     """The scalar functions of the exchange relations of B(y) with the sheared
     diagonal blocks A(z) and D~(z) (alpha1, alpha2t, alpha4; beta1, beta2t,
     beta4t), and the unwanted-term weights phi_plus and phi_minus."""
     q = params.q
+    alpha1, beta1 = _aba_products(z, (y,), q)
     ayz, byz, cyz = r_weights(y * z, q)
-    ayoz, byoz, cyoz = r_weights(y / z, q)
+    _, byoz, cyoz = r_weights(y / z, q)
     azoy, bzoy, czoy = r_weights(z / y, q)
-    if min(abs(byoz), abs(ayz), abs(bzoy)) < 1e-12:
-        raise ParameterDomainError("exchange-relation coefficient hits a pole at this (z, y)")
-    alpha1 = ayoz * byz / (byoz * ayz)
     alpha2 = -cyoz * byz / (byoz * ayz)
     alpha4 = -cyz / ayz
-    beta1 = (ayz ** 2 - cyz ** 2) * azoy / (ayz * byz * bzoy)
     beta2 = -(ayz ** 2 - cyz ** 2) * czoy / (ayz * byz * bzoy)
     beta4 = cyz * (cyoz * czoy * bzoy + byoz * azoy ** 2) / (byoz * ayz * bzoy ** 2)
     fz = aba_f(z, q)
@@ -342,13 +371,10 @@ def aba_coefficients(z: complex, y: complex, params: ChainParams) -> dict:
     beta2t = beta2 + alpha4 * fz
     beta4t = beta4 - beta2 * fy + alpha2t * fz
     gamma_plus, gamma_minus = _aba_gammas(z, fz, params)
-    phi_plus = gamma_plus * alpha2t + gamma_minus * beta4t
-    phi_minus = gamma_plus * alpha4 + gamma_minus * beta2t
-    return {
-        "alpha1": alpha1, "alpha2t": alpha2t, "alpha4": alpha4,
-        "beta1": beta1, "beta2t": beta2t, "beta4t": beta4t,
-        "phi_plus": phi_plus, "phi_minus": phi_minus,
-    }
+    return {"alpha1": alpha1, "alpha2t": alpha2t, "alpha4": alpha4,
+            "beta1": beta1, "beta2t": beta2t, "beta4t": beta4t,
+            "phi_plus": gamma_plus * alpha2t + gamma_minus * beta4t,
+            "phi_minus": gamma_plus * alpha4 + gamma_minus * beta2t}
 
 
 def _aba_gammas(z: complex, fz: complex, params: ChainParams):
@@ -364,8 +390,10 @@ def aba_vacuum_values(z: complex, params: ChainParams):
     dplus = kv[0, 0]
     dminus = kv[1, 1] + aba_f(z, q) * kv[0, 0]
     for tn in params.t:
-        dplus *= r_weights(z / tn, q)[0] * r_weights(z * tn, q)[0]
-        dminus *= r_weights(z / tn, q)[1] * r_weights(z * tn, q)[1]
+        a_over, b_over, _ = r_weights(z / tn, q)
+        a_times, b_times, _ = r_weights(z * tn, q)
+        dplus *= a_over * a_times
+        dminus *= b_over * b_times
     return complex(dplus), complex(dminus)
 
 
@@ -401,12 +429,7 @@ def aba_eigenvalue(z: complex, roots, params: ChainParams) -> complex:
     q = params.q
     gamma_plus, gamma_minus = _aba_gammas(z, aba_f(z, q), params)
     dplus, dminus = aba_vacuum_values(z, params)
-    prod_a = 1.0 + 0.0j
-    prod_b = 1.0 + 0.0j
-    for y in ys:
-        co = aba_coefficients(z, y, params)
-        prod_a *= co["alpha1"]
-        prod_b *= co["beta1"]
+    prod_a, prod_b = _aba_products(z, ys, q)
     return complex(gamma_plus * prod_a * dplus + gamma_minus * prod_b * dminus)
 
 
@@ -423,14 +446,7 @@ def aba_bethe_residual(roots, params: ChainParams) -> np.ndarray:
         phat_plus = (1.0 - y ** 4) / (1.0 - q * q * y ** 4) * (1.0 - xit * y * y)
         phat_minus = xit / (q * q) - y * y
         dplus, dminus = aba_vacuum_values(y, params)
-        prod_a = 1.0 + 0.0j
-        prod_b = 1.0 + 0.0j
-        for j, w in enumerate(ys):
-            if j == i:
-                continue
-            co = aba_coefficients(y, w, params)
-            prod_a *= co["alpha1"]
-            prod_b *= co["beta1"]
+        prod_a, prod_b = _aba_products(y, np.delete(ys, i), q)
         term1 = phat_plus * dplus * prod_a
         term2 = phat_minus * dminus * prod_b
         out[i] = abs(term1 + term2) / max(abs(term1), abs(term2), 1e-300)
@@ -440,35 +456,6 @@ def aba_bethe_residual(roots, params: ChainParams) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Newton refinement
 # ---------------------------------------------------------------------------
-
-def _bethe_system(big_y: np.ndarray, params: ChainParams):
-    """Residual vector and analytic Jacobian of the Bethe system in Y = y^2."""
-    q, xi, xit = params.q, params.xi, params.xitilde
-    n, m = params.n_sites, big_y.size
-    lhs, rhs = _bethe_sides(big_y, params)
-    res = lhs - rhs
-    jac = np.zeros((m, m), dtype=complex)
-    for i, y2 in enumerate(big_y):
-        dl = -xit / (1.0 - xit * y2) - xi / (1.0 - xi * y2)
-        dr = -q * q / (xit - q * q * y2) - q * q / (xi - q * q * y2)
-        for tn in params.t:
-            for t2 in (tn * tn, 1.0 / (tn * tn)):
-                dl += -q * q * t2 / (1.0 - q * q * y2 * t2)
-                dr += -t2 / (1.0 - y2 * t2)
-        for j, w2 in enumerate(big_y):
-            if j == i:
-                continue
-            dl += -1.0 / (q * q * w2) / (1.0 - y2 / (q * q * w2)) - w2 / (1.0 - y2 * w2)
-            dr += -q * q / w2 / (1.0 - q * q * y2 / w2) \
-                - q * q * w2 / (q ** -2 - q * q * y2 * w2)
-            dl_k = y2 / (q * q * w2 * w2) / (1.0 - y2 / (q * q * w2)) \
-                - y2 / (1.0 - y2 * w2)
-            dr_k = q * q * y2 / (w2 * w2) / (1.0 - q * q * y2 / w2) \
-                - q * q * y2 / (q ** -2 - q * q * y2 * w2)
-            jac[i, j] = lhs[i] * dl_k - rhs[i] * dr_k
-        jac[i, i] = lhs[i] * dl - rhs[i] * dr
-    return res, jac, lhs, rhs
-
 
 def refine_bethe_newton(roots, params: ChainParams, max_iter: int = 50):
     """Damped Newton iteration on the Bethe system in the squared roots.

@@ -6,7 +6,8 @@ joint spectrum's sampled eigenvalues whenever a spectral suite runs).
 
 Exit codes: 0 when every theorem-backed check passes (conjecture-check
 failures are flagged in the report but do not fail the run), 1 when a
-theorem-backed check fails, 2 on configuration, convergence or output errors.
+theorem-backed check fails, 2 on configuration, convergence or output errors
+and when the run runs out of memory.
 """
 
 from __future__ import annotations
@@ -176,8 +177,8 @@ def run(config: RunConfig, quiet: bool = False) -> int:
         checks, spectrum_rows = execute(config)
         report = build_report(config, checks, datetime.now(timezone.utc).isoformat())
         export_report(report, config.output_path, spectrum_rows, config.spectrum_csv)
-    except (OSError, QBaxterError) as exc:  # OSError: an unwritable report or CSV path
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, QBaxterError, MemoryError) as exc:  # OSError: an unwritable report or CSV path
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     if not quiet:
         for c in checks:

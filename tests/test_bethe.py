@@ -168,6 +168,14 @@ class TestSampling:
             bt.draw_points(np.random.default_rng(0), 3, clear)
         assert len(calls) == 600
 
+    def test_unfittable_count_raises_before_drawing(self):
+        # disks of radius 0.01 about 10,401 points overfill 0.74 <= |z| <= 1.26
+        calls = []
+        with pytest.raises(bt.SpectrumError, match=r"10401 points 0.02 apart cannot fit on the "
+                           r"annulus 0.75 <= \|z\| <= 1.25, which holds at most 10400"):
+            bt.draw_points(np.random.default_rng(0), 10401, calls.append, 0.75, 1.25)
+        assert calls == []
+
     def test_circle_coefficients_skip_a_blocked_phase(self):
         count, radius = 5, 0.8 - 0.3j
         first = radius * np.exp(2j * math.pi * (np.arange(count) + bt._PHASES[0]) / count)
@@ -312,7 +320,7 @@ class TestBetheResiduals:
         q, n = params.q, params.n_sites
         ys = np.array([0.9 + 0.2j, 0.6 - 0.5j])
         m = ys.size
-        lhs, rhs = bt._bethe_sides(ys ** 2, params)
+        lhs, rhs = bt._bethe_system(ys ** 2, params)[2:]
         f = 1.7 - 0.4j
 
         def q_eig(z):
@@ -479,6 +487,20 @@ class TestAbaOracle:
             res_aba = bt.aba_bethe_residual(roots.roots, params)
             assert res_aba.max() < 1e-6
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_aba_residual_equals_product_form_off_shell(self, n):
+        # the unwanted-term ratio t+/t- is -lhs/rhs of the product form as a rational
+        # identity, so the two residuals coincide at any trial roots, not only at roots
+        p = ch.sample_params(n, seed=7, tol=1e-10)
+        rng = np.random.default_rng(n)
+        for m in range(1, min(3, n) + 1):
+            ys = np.array([bt.random_point(rng) for _ in range(m)])
+            trial = bt.BetheRootSet(m_roots=m, f=1.0, roots=ys, pairing_error=0.0,
+                                    product_error=0.0)
+            res = bt.bethe_residual(trial, p)
+            assert res.min() > 1e-3
+            assert np.abs(bt.aba_bethe_residual(ys, p) - res).max() < 1e-10
+
 
 class TestNewton:
     def test_exact_roots_are_fixed(self, roots_by_record, params):
@@ -498,18 +520,22 @@ class TestNewton:
         assert rel.max() < 1e-8
 
     def test_jacobian_matches_finite_differences(self, roots_by_record, params):
-        roots = [r for r in roots_by_record if r.m_roots == 2][0]
-        big_y = roots.roots ** 2 * (1 + 3e-3)
-        _, jac, _, _ = bt._bethe_system(big_y, params)
+        # near the roots at M = 1 and M = N = 2; off shell at N = 4 with M = 3 and M = N
+        near = [next(r for r in roots_by_record if r.m_roots == m).roots ** 2 * (1 + 3e-3)
+                for m in (1, 2)]
+        p4 = ch.sample_params(4, seed=7, tol=1e-10)
+        off = np.array([0.9 + 0.2j, 0.6 - 0.5j, -0.8 + 0.45j, 0.35 + 1.1j]) ** 2
         h = 1e-7
-        num = np.zeros_like(jac)
-        for k in range(big_y.size):
-            e = np.zeros_like(big_y)
-            e[k] = h
-            rp = bt._bethe_system(big_y + e, params)[0]
-            rm = bt._bethe_system(big_y - e, params)[0]
-            num[:, k] = (rp - rm) / (2 * h)
-        assert np.abs(jac - num).max() / np.abs(jac).max() < 1e-6
+        for p, big_y in [(params, near[0]), (params, near[1]), (p4, off[:3]), (p4, off)]:
+            _, jac, _, _ = bt._bethe_system(big_y, p)
+            num = np.zeros_like(jac)
+            for k in range(big_y.size):
+                e = np.zeros_like(big_y)
+                e[k] = h
+                rp = bt._bethe_system(big_y + e, p)[0]
+                rm = bt._bethe_system(big_y - e, p)[0]
+                num[:, k] = (rp - rm) / (2 * h)
+            assert np.abs(jac - num).max() / np.abs(jac).max() < 1e-6
 
     def test_divergence_raises(self, params):
         wild = np.array([37.0 + 41.0j])

@@ -4,6 +4,7 @@ import csv
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -383,6 +384,33 @@ class TestMainEntry:
         cfg = write_config(tmp_path, {**BASE, "params": {**BASE["params"], "cutoff": 600}})
         assert cli.main(["--config", cfg, "--out", str(tmp_path / "r.json"), "--quiet"]) == 2
         assert "leaves floating range at cutoff 600" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_unfittable_sample_count_exits_two(self, tmp_path, capsys):
+        # 100000 points 0.02 apart cannot fit on the sampling annulus: no search is made
+        cfg = write_config(tmp_path, {"params": {"n_sites": 1}, "suites": ["spectrum"],
+                                      "z_samples": 100000})
+        start = time.monotonic()
+        assert cli.main(["--config", cfg, "--out", str(tmp_path / "r.json"), "--quiet"]) == 2
+        assert time.monotonic() - start < 5.0
+        err = capsys.readouterr().err
+        assert err.startswith("error: 100000 points 0.02 apart cannot fit")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("message, shown", [
+        ("Unable to allocate 7.00 GiB for an array", "Unable to allocate 7.00 GiB for an array"),
+        ("", "out of memory"),
+    ], ids=["numpy", "bare"])
+    def test_memory_error_exits_two(self, tmp_path, capsys, monkeypatch, message, shown):
+        # exit code 1 stays reserved for a failed theorem check
+        def out_of_memory(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli.vf, "run_suite", out_of_memory)
+        cfg = write_config(tmp_path, BASE)
+        assert cli.main(["--config", cfg, "--out", str(tmp_path / "r.json"), "--quiet"]) == 2
+        assert capsys.readouterr().err == f"error: {shown}\n"
         assert not (tmp_path / "r.json").exists()
 
     def test_crossing_without_samples_exits_two(self, tmp_path):

@@ -1,4 +1,4 @@
-"""Compare the arrays of the row functions and the Bethe state of two source trees.
+"""Compare the row arrays and the Bethe state and eigenvalue of two source trees.
 
     python tools/compare_arrays.py PARENT_SRC CHANGE_SRC
 
@@ -8,8 +8,9 @@ process evaluates every function of FUNCTIONS, named by its module in
 `qbaxter`, at every chain size in SIZES, seed in SEEDS (parameters
 `sample_params(N, seed, tol=1e-10)`) and spectral point z in POINTS, and
 saves the arrays; `bethe.aba_state` is evaluated on the root pair
-(POINTS[0], z), so it raises `ParameterDomainError` at N < 2.  A call that
-raises a `QBaxterError` is kept as the name of its error class.  One line
+(POINTS[0], z), so it raises `ParameterDomainError` at N < 2, and
+`bethe.aba_eigenvalue` on the same pair at ABA_POINT, clear of both roots.
+A call that raises a `QBaxterError` is kept as the name of its error class.  One line
 per function gives the number of cases in which both trees computed arrays of
 one shape, how many of those arrays are bit-equal, the number of cases in
 which both raised the same error, and the largest relative Frobenius
@@ -29,10 +30,12 @@ import tempfile
 import numpy as np
 
 FUNCTIONS = ("chain.q_operator", "chain.transfer_w", "chain.closed_q", "chain.closed_transfer_w",
-             "chain.transfer_v", "chain.closed_transfer_v", "bethe.aba_state")
+             "chain.transfer_v", "chain.closed_transfer_v", "bethe.aba_state",
+             "bethe.aba_eigenvalue")
 SIZES = tuple(range(7))
 SEEDS = (3, 11)
 POINTS = (0.83 + 0.21j, 1.1 - 0.3j)
+ABA_POINT = 0.7 + 0.35j
 
 # run with the source tree on PYTHONPATH; argv[1] is the .npz to write
 EVALUATE = f"""
@@ -50,10 +53,11 @@ for n in {SIZES!r}:
     for seed in {SEEDS!r}:
         params = chain.sample_params(n, seed, tol=1e-10)
         for point, z in enumerate({POINTS!r}):
+            roots = ({POINTS[0]!r}, z)
+            args = {{"bethe.aba_state": (roots,), "bethe.aba_eigenvalue": ({ABA_POINT!r}, roots)}}
             for name, function in functions.items():
                 try:
-                    arg = ({POINTS[0]!r}, z) if name == "bethe.aba_state" else z
-                    value = np.asarray(function(arg, params))
+                    value = np.asarray(function(*args.get(name, (z,)), params))
                 except QBaxterError as exc:
                     value = np.array(type(exc).__name__)
                 arrays[f"{{name}} N={{n}} seed={{seed}} z={{point}}"] = value
