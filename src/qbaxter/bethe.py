@@ -76,25 +76,24 @@ def draw_points(rng, count: int, clear, lo=0.55, hi=1.25):
     Disks of radius 0.01 about such points are disjoint and lie on the annulus
     widened by 0.01, so a count above ((hi + 0.01)^2 - max(lo - 0.01, 0)^2) / 0.01^2
     cannot be met: it raises SpectrumError before the first draw.  A rejected
-    draw is redrawn, up to 200 draws per point in all; running out raises
+    draw is redrawn, up to 200 draws for each point; running out raises
     SpectrumError.
     """
     room = ((hi + 0.01) ** 2 - max(lo - 0.01, 0.0) ** 2) / 0.01 ** 2
     if count > room:
         raise SpectrumError(f"{count} points 0.02 apart cannot fit on the annulus "
                             f"{lo} <= |z| <= {hi}, which holds at most {math.floor(room)}")
-    points = []
-    for _ in range(200 * count):
-        if len(points) == count:
-            break
-        z = random_point(rng, lo, hi)
-        if clear(z) and all(abs(z - w) >= 0.02 for w in points):
-            points.append(z)
-    if len(points) < count:
-        raise SpectrumError(
-            f"drew {len(points)} of {count} points clear of the exclusion set in "
-            f"{200 * count} tries at radii [{lo}, {hi}]")
-    return points
+    points = np.empty(count, dtype=complex)
+    for k in range(count):
+        for _ in range(200):
+            z = random_point(rng, lo, hi)
+            if clear(z) and np.all(np.abs(z - points[:k]) >= 0.02):
+                break
+        else:
+            raise SpectrumError(f"drew {k} of {count} points clear of the exclusion set; "
+                                f"200 tries found no next one at radii [{lo}, {hi}]")
+        points[k] = z
+    return points.tolist()
 
 
 def spectrum_nodes(params: ChainParams, seed: int, count: int):

@@ -17,7 +17,6 @@ import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import tensor_core as tc
 from .errors import (
@@ -199,6 +198,8 @@ def sample_params(n_sites: int, seed: int, cutoff: int = 40, tol: float = 1e-9,
     split = math.exp(0.6 * (rng.random() - 0.5))
     ximod = math.sqrt(c) * qmod ** n_sites * split
     xitmod = math.sqrt(c) * qmod ** n_sites / split
+    if ximod == 0.0 or xitmod == 0.0:  # before the N inhomogeneities are drawn
+        raise ParameterDomainError("boundary parameters must be nonzero")
     xi = ximod * cmath.exp(2j * math.pi * rng.random())
     xitilde = xitmod * cmath.exp(2j * math.pi * rng.random())
     t = tuple((1.0 + 0.2 * (rng.random() - 0.5)) * cmath.exp(2j * math.pi * rng.random())
@@ -299,9 +300,11 @@ def _certified_sum(levels, n_sites: int, J: int, rho_theory: float, j_min: int,
     levels(j0, j1) returns levels j0 .. j1 - 1, or a nonempty leading part of
     them, as one (k, E) array for the sum to overwrite, row i the sector blocks
     of level j0 + i in _sector_entries order.  The first stack asked for holds
-    the j_min + 2 levels the rule needs before it can stop, each later one the
-    levels the certificate's own estimate still needs, at most _STACK_ENTRIES
-    entries of d x d terms.  A cumsum per stack adds as one level at a time.
+    the levels over which a geometric tail of ratio rho_theory from a unit
+    level-0 term falls below tol_eff (at least j_min) and the two calm levels
+    the rule needs to stop, each later one the levels the certificate's own
+    estimate still needs, at most _STACK_ENTRIES entries of d x d terms.  A
+    cumsum per stack adds as one level at a time.
 
     From level j_min on, the remainder after a level of norm s is estimated as
     s rho / (1 - rho), with rho the larger of rho_theory and the empirical
@@ -313,8 +316,8 @@ def _certified_sum(levels, n_sites: int, J: int, rho_theory: float, j_min: int,
     d = 2 ** n_sites
     total = np.zeros(len(_sector_entries(n_sites)), dtype=complex)
     prev_norm, calm, last_tail, scale, j0 = None, 0, math.inf, 1.0, 0
+    want = max(j_min, math.ceil(math.log(tol_eff, rho_theory)) if rho_theory else 0) + 2
     while j0 < J and calm < 2:
-        want = j_min + 2 - j0 if j0 < j_min else 2 - calm
         if j0 >= j_min and 0.0 < last_tail < math.inf:
             want += math.ceil(math.log(tol_eff * scale / last_tail) / math.log(rho))
         # row i holds the sector blocks of level j0 + i, then their running total
@@ -336,6 +339,7 @@ def _certified_sum(levels, n_sites: int, J: int, rho_theory: float, j_min: int,
             prev_norm = norm
         total[:] = run[i]
         j0 += k
+        want = j_min + 2 - j0 if j0 < j_min else 2 - calm
     # a sum through the full cutoff is certified by the same geometric bound
     # applied at the top level
     if calm < 2 and not last_tail < tol_eff * scale:
@@ -399,7 +403,8 @@ def _open_levels(rows, n_sites: int, weights):
 
 def _windows(v, n: int, fill) -> np.ndarray:
     """Row j holds v[j - n .. j + n], with fill for the entries outside v."""
-    return sliding_window_view(np.concatenate(([fill] * n, v, [fill] * n)), 2 * n + 1)
+    padded = np.concatenate(([fill] * n, v, [fill] * n))
+    return padded[np.arange(len(v))[:, None] + np.arange(2 * n + 1)]
 
 
 def transfer_v(z: complex, params: ChainParams) -> np.ndarray:

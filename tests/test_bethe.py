@@ -164,9 +164,23 @@ class TestSampling:
             return len(calls) <= 2
 
         with pytest.raises(bt.SpectrumError, match=r"drew 2 of 3 points clear of the "
-                           r"exclusion set in 600 tries at radii \[0.55, 1.25\]"):
+                           r"exclusion set; 200 tries found no next one at radii \[0.55, 1.25\]"):
             bt.draw_points(np.random.default_rng(0), 3, clear)
-        assert len(calls) == 600
+        assert len(calls) == 202
+
+    @pytest.mark.parametrize("seed, count", [(0, 50), (5, 400)])
+    def test_same_points_as_a_draw_by_draw_loop(self, seed, count):
+        # the spacing test against all kept points at once keeps the draws a
+        # loop over the kept points keeps
+        def clear(z):
+            return abs(z.imag) > 0.1
+
+        rng, points = np.random.default_rng(seed), []
+        while len(points) < count:
+            z = bt.random_point(rng, 0.75, 1.25)
+            if clear(z) and all(abs(z - w) >= 0.02 for w in points):
+                points.append(z)
+        assert bt.draw_points(np.random.default_rng(seed), count, clear, 0.75, 1.25) == points
 
     def test_unfittable_count_raises_before_drawing(self):
         # disks of radius 0.01 about 10,401 points overfill 0.74 <= |z| <= 1.26

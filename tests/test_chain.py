@@ -402,11 +402,11 @@ class TestTransferW:
         with pytest.raises(OverflowGuardError, match=r"levels \(3, 5\)"):
             ch.transfer_w(z, params2)
 
-        # N = 5 sums its 31 levels in two stacks, levels 0-13 and 14-31.  kw
-        # level 36 first pairs with ktw level 31, which the second stack holds
-        # but the sum never reaches, so the stack ends before it and the result
-        # is unchanged; kw levels 35 and 25 pair with levels 30 and 20, which
-        # the sum reaches inside the second stack
+        # N = 5 sums its 31 levels in one stack, levels 0-31.  kw level 36
+        # first pairs with ktw level 31, which the stack holds but the sum
+        # never reaches, so the stack ends before it and the result is
+        # unchanged; kw levels 35 and 25 pair with levels 30 and 20, which the
+        # stack ends before and the sum then reaches on the next one
         p = ch.sample_params(5, seed=3, tol=1e-10)
         monkeypatch.setattr(ch, "kw_diagonal", kw_diagonal)
         clean = ch.transfer_w(z, p)
@@ -422,17 +422,17 @@ class TestTransferW:
 
         monkeypatch.setattr(ch, "_certified_sum", recording_sum)
         assert np.array_equal(ch.transfer_w(z, p), clean)
-        assert stacks == [(0, 14, 14), (14, 32, 18)]
+        assert stacks == [(0, 32, 32)]
         stacks.clear()
         raise_kw_level(36)
         assert np.array_equal(ch.transfer_w(z, p), clean)
-        assert stacks == [(0, 14, 14), (14, 32, 17)]
+        assert stacks == [(0, 32, 31)]
         for level, reached in ((35, 30), (25, 20)):
             stacks.clear()
             raise_kw_level(level)
             with pytest.raises(OverflowGuardError, match=fr"levels \({reached}, {level}\)"):
                 ch.transfer_w(z, p)
-            assert stacks == [(0, 14, 14), (14, 32, reached - 14)]
+            assert stacks == [(0, 32, reached)]
 
     def test_q_operator_weighting(self, params2):
         z = 0.78 + 0.33j
@@ -545,6 +545,15 @@ class TestCertifiedSumStacks:
                 return flat[j0:min(j1, j0 + size)].copy()  # the sum overwrites its stacks
             assert np.array_equal(ch._certified_sum(levels, 3, J, 0.5, 4, 1e-11, "synthetic"),
                                   expected)
+
+    def test_tail_ratio_underflowing_to_zero(self, monkeypatch):
+        # |xi * xitilde| underflows, so the first stack holds the j_min + 2 levels
+        p = ch.ChainParams(q=0.5, xi=1e-200, xitilde=1e-200, n_sites=1, t=(1.0,))
+        assert p.tail_ratio == 0.0
+        whole = ch.transfer_w(0.83 + 0.21j, p)
+        assert np.all(np.isfinite(whole))
+        self.at_most(1, monkeypatch)
+        assert np.array_equal(ch.transfer_w(0.83 + 0.21j, p), whole)
 
     def test_exhausted_cutoff_raises_the_same_error(self, monkeypatch):
         p = ch.ChainParams(q=0.6, xi=0.17, xitilde=0.17, n_sites=1, t=(1.0,),
@@ -728,7 +737,7 @@ class TestRowsOnDemand:
         self.check_built_once(fn, n, size, n + 2, monkeypatch)
 
     def test_no_row_of_an_overflowing_stack(self, monkeypatch):
-        # kw level 25 first pairs with ktw level 20 at N = 5, in the second stack:
+        # kw level 25 first pairs with ktw level 20 at N = 5, in the first stack:
         # its weights stop that stack at level 20 and raise on the next one
         p = ch.sample_params(5, seed=3, tol=1e-10)
 
@@ -742,8 +751,18 @@ class TestRowsOnDemand:
         windows, stacks = self.record(monkeypatch)
         with pytest.raises(OverflowGuardError, match=r"levels \(20, 25\)"):
             ch.transfer_w(0.83 + 0.21j, p)
-        assert stacks == [(0, 14), (14, 6)]
-        assert windows == [(0, 14), (14, 20)]
+        assert stacks == [(0, 20)]
+        assert windows == [(0, 20)]
+
+    @pytest.mark.parametrize("fn, n, seed", [
+        (ch.q_operator, 5, 3), (ch.q_operator, 4, 3), (ch.q_operator, 4, 11),
+        (ch.closed_q, 3, 1), (ch.closed_q, 3, 3)])
+    def test_one_stack_when_the_theoretical_tail_fits(self, fn, n, seed, monkeypatch):
+        # the first stack is sized from the tail ratio, so these sums stop inside it
+        p = ch.sample_params(n, seed=seed, tol=1e-10)
+        windows, stacks = self.record(monkeypatch)
+        fn(0.83 + 0.21j, p)
+        assert len(stacks) == len(windows) == 1
 
 
 class TestPairGathers:
@@ -769,6 +788,14 @@ class TestPairGathers:
         assert cols.tolist() == [position(t, order[c]) for c in range(d) for t in range(d)]
         assert wsel.tolist() == [n + down[order[r]] - down[t] for r in range(d) for t in range(d)]
         assert closed.tolist() == [position(r, s) for idx in states for r in idx for s in idx]
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_windows_by_formula(n):
+    # row j holds v[j - n .. j + n], fill outside v
+    v = np.arange(1.0, 6.0)
+    padded = [-np.inf] * n + v.tolist() + [-np.inf] * n
+    assert ch._windows(v, n, -np.inf).tolist() == [padded[j:j + 2 * n + 1] for j in range(5)]
 
 
 class TestCutoffFloor:

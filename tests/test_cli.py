@@ -398,6 +398,29 @@ class TestMainEntry:
         assert err.count("\n") == 1
         assert not (tmp_path / "r.json").exists()
 
+    def test_jammed_sample_count_exits_two(self, tmp_path, capsys):
+        # 8000 points fit the annulus, but random draws jam near half of them:
+        # the first point not found in 200 draws ends the search
+        cfg = write_config(tmp_path, {"params": {"n_sites": 1}, "suites": ["spectrum"],
+                                      "z_samples": 8000})
+        start = time.monotonic()
+        assert cli.main(["--config", cfg, "--out", str(tmp_path / "r.json"), "--quiet"]) == 2
+        assert time.monotonic() - start < 5.0
+        err = capsys.readouterr().err
+        assert err.startswith("error: drew ") and "of 8000 points" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "r.json").exists()
+
+    def test_underflowing_boundary_exits_two_fast(self, tmp_path):
+        # |q| ** n_sites underflows to 0 before the inhomogeneities are drawn
+        cfg = write_config(tmp_path, {"params": {"n_sites": 100000000}, "suites": ["tq"]})
+        start = time.monotonic()
+        proc = self.run_cli("--config", cfg, "--out", str(tmp_path / "r.json"), "--quiet")
+        assert time.monotonic() - start < 5.0
+        assert proc.returncode == 2
+        assert proc.stderr == "error: boundary parameters must be nonzero\n"
+        assert not (tmp_path / "r.json").exists()
+
     @pytest.mark.parametrize("message, shown", [
         ("Unable to allocate 7.00 GiB for an array", "Unable to allocate 7.00 GiB for an array"),
         ("", "out of memory"),
