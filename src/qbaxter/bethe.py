@@ -16,6 +16,7 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebroots
 
 from . import chain as chain_mod
+from . import tensor_core as tc
 from .chain import ChainParams, SpinSector, in_exclusion_set
 from .errors import ConvergenceError, ExclusionPointError, ParameterDomainError, QBaxterError
 from .lattice_ops import kv_matrix, ktv_matrix, r_bands, r_weights
@@ -351,37 +352,6 @@ def _aba_products(z: complex, ys, q: complex):
     return prod_a, prod_b
 
 
-def aba_coefficients(z: complex, y: complex, params: ChainParams) -> dict:
-    """The scalar functions of the exchange relations of B(y) with the sheared
-    diagonal blocks A(z) and D~(z) (alpha1, alpha2t, alpha4; beta1, beta2t,
-    beta4t), and the unwanted-term weights phi_plus and phi_minus."""
-    q = params.q
-    alpha1, beta1 = _aba_products(z, (y,), q)
-    ayz, byz, cyz = r_weights(y * z, q)
-    _, byoz, cyoz = r_weights(y / z, q)
-    azoy, bzoy, czoy = r_weights(z / y, q)
-    alpha2 = -cyoz * byz / (byoz * ayz)
-    alpha4 = -cyz / ayz
-    beta2 = -(ayz ** 2 - cyz ** 2) * czoy / (ayz * byz * bzoy)
-    beta4 = cyz * (cyoz * czoy * bzoy + byoz * azoy ** 2) / (byoz * ayz * bzoy ** 2)
-    fz = aba_f(z, q)
-    fy = aba_f(y, q)
-    alpha2t = alpha2 - alpha4 * fy
-    beta2t = beta2 + alpha4 * fz
-    beta4t = beta4 - beta2 * fy + alpha2t * fz
-    gamma_plus, gamma_minus = _aba_gammas(z, fz, params)
-    return {"alpha1": alpha1, "alpha2t": alpha2t, "alpha4": alpha4,
-            "beta1": beta1, "beta2t": beta2t, "beta4t": beta4t,
-            "phi_plus": gamma_plus * alpha2t + gamma_minus * beta4t,
-            "phi_minus": gamma_plus * alpha4 + gamma_minus * beta2t}
-
-
-def _aba_gammas(z: complex, fz: complex, params: ChainParams):
-    """Left-boundary weights gamma_+ and gamma_- of the sheared block decomposition."""
-    ktv = ktv_matrix(z, params.xitilde, params.q)
-    return ktv[0, 0] - fz * ktv[1, 1], ktv[1, 1]
-
-
 def aba_vacuum_values(z: complex, params: ChainParams):
     """Vacuum eigenvalues delta_+ and delta_- of the raised and sheared diagonal blocks."""
     q = params.q
@@ -410,8 +380,9 @@ def aba_state(roots, params: ChainParams) -> np.ndarray:
     down, _, _, states = chain_mod._sectors(n)
     v = np.zeros(params.dim, dtype=complex)
     v[0] = 1.0
+    index = tc.pair_index((2,) * n)
     for mu, y in enumerate(ys, start=1):
-        rows, index = chain_mod._half_products(lambda w: r_bands(w, params.q), y, params)
+        rows = chain_mod._half_products(lambda w: r_bands(w, params.q), y, params)
         left, right = rows(0, 2)
         kv = np.diagonal(kv_matrix(y, params.xi))
         s, r = states[mu - 1], states[mu]
@@ -426,30 +397,11 @@ def aba_eigenvalue(z: complex, roots, params: ChainParams) -> complex:
     """Transfer-matrix eigenvalue predicted by the Bethe-ansatz formula."""
     ys = np.asarray(roots, dtype=complex)
     q = params.q
-    gamma_plus, gamma_minus = _aba_gammas(z, aba_f(z, q), params)
+    ktv = ktv_matrix(z, params.xitilde, q)
+    gamma_plus, gamma_minus = ktv[0, 0] - aba_f(z, q) * ktv[1, 1], ktv[1, 1]
     dplus, dminus = aba_vacuum_values(z, params)
     prod_a, prod_b = _aba_products(z, ys, q)
     return complex(gamma_plus * prod_a * dplus + gamma_minus * prod_b * dminus)
-
-
-def aba_bethe_residual(roots, params: ChainParams) -> np.ndarray:
-    """Per-root residual of the Bethe-ansatz unwanted-term cancellation.
-
-    Uses the z-independent reduced forms of the two structure functions, so no
-    spectator point is needed.
-    """
-    ys = np.asarray(roots, dtype=complex)
-    q, xit = params.q, params.xitilde
-    out = np.zeros(ys.size)
-    for i, y in enumerate(ys):
-        phat_plus = (1.0 - y ** 4) / (1.0 - q * q * y ** 4) * (1.0 - xit * y * y)
-        phat_minus = xit / (q * q) - y * y
-        dplus, dminus = aba_vacuum_values(y, params)
-        prod_a, prod_b = _aba_products(y, np.delete(ys, i), q)
-        term1 = phat_plus * dplus * prod_a
-        term2 = phat_minus * dminus * prod_b
-        out[i] = abs(term1 + term2) / max(abs(term1), abs(term2), 1e-300)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import math
 import numbers
 import sys
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -165,13 +165,11 @@ class SpinSector:
 
     m_down: int
     n_sites: int
-    indices: tuple = field(init=False)
 
     def __post_init__(self):
         if validate_count("m_down", self.m_down) > validate_count("n_sites", self.n_sites):
             raise ParameterDomainError(
                 f"m_down must lie in 0..{self.n_sites}, got {self.m_down}")
-        object.__setattr__(self, "indices", tuple(_sectors(self.n_sites)[3][self.m_down].tolist()))
 
 
 def sample_params(n_sites: int, seed: int, cutoff: int = 40, tol: float = 1e-9,
@@ -362,11 +360,11 @@ def _exact_sum(levels, n_sites: int) -> np.ndarray:
 
 
 def _half_products(site_bands, z: complex, params: ChainParams):
-    """rows(j0, j1), views of the half rows until the thread's next row build, and their
-    pair index, from the stacked level bands site_bands(ws) at the points ws: for the left
-    half row P by row level, X[j, r, t] = P[(j, r), (j + m(r) - m(t), t)] =
-    rows[0][j - j0, index[t, r]] (m the down count), built as P^T = F_N^T .. F_1^T, and for
-    the right one Y[j] = rows[1][j - j0, index]."""
+    """rows(j0, j1), views of the half rows until the thread's next row build, from the
+    stacked level bands site_bands(ws) at the points ws: for the left half row P by row
+    level, X[j, r, t] = P[(j, r), (j + m(r) - m(t), t)] = rows[0][j - j0, index[t, r]]
+    (m the down count, index = tc.pair_index((2,) * N)), built as P^T = F_N^T .. F_1^T,
+    and for the right one Y[j] = rows[1][j - j0, index]."""
     ts, n = params.t[::-1], params.n_sites
     bands = site_bands([t * z for t in ts] + [z / t for t in ts])
     bands = np.stack((tc.transpose_bands(bands[:n]), bands[n:]))
@@ -413,7 +411,7 @@ def transfer_v(z: complex, params: ChainParams) -> np.ndarray:
     n = params.n_sites
     kv = _windows(np.diagonal(kv_matrix(z, params.xi)), n, 0.0)
     w = np.diagonal(ktv_matrix(z, params.xitilde, params.q))[:, None] * kv
-    rows, _ = _half_products(lambda u: r_bands(u, params.q), z, params)
+    rows = _half_products(lambda u: r_bands(u, params.q), z, params)
     return _exact_sum(_open_levels(rows, n, lambda j0, j1: w[j0:j1]), n)
 
 
@@ -452,7 +450,7 @@ def transfer_w(z: complex, params: ChainParams, cutoff=None) -> np.ndarray:
         j1, lg = j0 + fits, lg[:fits]
         return ktw.mantissa[j0:j1, None] * kw_mant[j0:j1] * np.exp(lg)
 
-    rows, _ = _half_products(lambda u: l_bands(u, 1.0, params.q, J), z, params)
+    rows = _half_products(lambda u: l_bands(u, 1.0, params.q, J), z, params)
     return _certified_sum(_open_levels(rows, n, weights), n, J, params.tail_ratio, j_min,
                           params.tol / 10.0, "tail certificate")
 
@@ -538,7 +536,7 @@ def _closed_levels(site_bands, z: complex, params: ChainParams):
     from the stacked level bands site_bands(ws) at the points ws, on the thread's
     "run" buffer: zeta^j times charge block j between equal down counts (row
     level j), in _sector_entries order, built for that stack only."""
-    blocks, _ = tc.charge_product(site_bands([z / t for t in params.t[::-1]]), _workspace(), "rows")
+    blocks = tc.charge_product(site_bands([z / t for t in params.t[::-1]]), _workspace(), "rows")
     entries = _pair_gathers(params.n_sites)[1]
 
     def levels(j0, j1):

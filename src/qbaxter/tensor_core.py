@@ -16,27 +16,11 @@ import math
 import numpy as np
 
 
-def total_dim(shape) -> int:
-    d = 1
-    for s in shape:
-        d *= int(s)
-    return d
-
-
 def _as_matrix(x) -> np.ndarray:
     m = np.asarray(x, dtype=complex)
     if m.ndim != 2:
         raise ValueError(f"expected a matrix, got array of ndim={m.ndim}")
     return m
-
-
-def swap_p(dim_a: int, dim_b: int) -> np.ndarray:
-    """Permutation operator P(u (x) u') = u' (x) u."""
-    p = np.zeros((dim_a * dim_b, dim_a * dim_b), dtype=complex)
-    for i in range(dim_a):
-        for j in range(dim_b):
-            p[j * dim_a + i, i * dim_b + j] = 1.0
-    return p
 
 
 def embed(x, sites, shape) -> np.ndarray:
@@ -58,7 +42,7 @@ def embed(x, sites, shape) -> np.ndarray:
     x = _as_matrix(x)
     if x.shape != (math.prod(own),) * 2:
         raise ValueError(f"operator shape {x.shape} does not match sites of dims {tuple(own)}")
-    d, axes = total_dim(dims), [*sites, *rest]
+    d, axes = math.prod(dims), [*sites, *rest]
     out = np.empty((d, d), dtype=complex)
     view = out.reshape(dims + dims).transpose(axes + [len(dims) + a for a in axes])
     ones, eye = [1] * len(rest), np.eye(math.prod(other), dtype=complex)
@@ -79,7 +63,7 @@ def ordered_product(factors, shape) -> np.ndarray:
         f = embed(x, sites, shape)
         out = f if out is None else out @ f
         del f
-    return np.eye(total_dim(shape), dtype=complex) if out is None else out
+    return np.eye(math.prod(shape), dtype=complex) if out is None else out
 
 
 def index_sums(shape) -> np.ndarray:
@@ -145,7 +129,7 @@ def pair_index(dims) -> np.ndarray:
     """Read-only: the flat position of each entry [r, s] of a matrix on sites of
     dims, in product order, within their site-pair layout, where the index pairs
     (r_n, s_n) follow one another in site order."""
-    n, d = len(dims), total_dim(dims)
+    n, d = len(dims), math.prod(dims)
     pairs = np.arange(d * d).reshape([dn for dn in dims for _ in "rs"])
     out = pairs.transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)]).reshape(d, d)
     out.setflags(write=False)
@@ -186,15 +170,15 @@ def _widen(prod, coef, workspace, role):
 
 def charge_product(bands, workspace, role):
     """The product P = F_n .. F_1 of two-site factors that conserve the charge site-0
-    level + index sum, as blocks(j0, j1) of its site-0 column levels j0 .. j1 - 1, and
-    the pair_index of the sites 1 .. n that reads them.
+    level + index sum, as blocks(j0, j1) of its site-0 column levels j0 .. j1 - 1.
 
     bands is an (n, d, d, J) band array, or a stack of them on leading axes: bands[k]
     holds the level bands (from_bands) of the factor on site 0 (J levels) and site
     n - k (dimension d), as in embed.  P vanishes unless its site-0 levels differ by
     m(s) - m(r), m the index_sums of the sites 1 .. n, and blocks(j0, j1) is C of shape
-    (..., j1 - j0, d^(2n)), C[c - j0, index[r, s]] = P[(c + m(s) - m(r), r), (c, s)],
-    zero where that row level leaves 0 .. J - 1; with no factor, C is ones.  Level c
+    (..., j1 - j0, d^(2n)), C[c - j0, index[r, s]] = P[(c + m(s) - m(r), r), (c, s)]
+    for index = pair_index((d,) * n), zero where that row level leaves 0 .. J - 1;
+    with no factor, C is ones.  Level c
     reads only levels c - (d - 1) n .. c + (d - 1) n of the first factor: blocks widens
     ones on that light cone, the bands zero outside 0 .. J - 1, and each factor drops
     d - 1 levels on each side, alternating between the buffers "step" and role of
@@ -213,22 +197,7 @@ def charge_product(bands, workspace, role):
             prod = _widen(prod, padded[..., k, :, :, lo:hi], workspace, ("step", role)[(n - k) % 2])
         return prod
 
-    return blocks, pair_index((d,) * n)
-
-
-def partial_transpose(x, site: int, shape) -> np.ndarray:
-    """Transpose the indices of one tensor factor only (involutive)."""
-    dims = tuple(int(s) for s in shape)
-    if not 0 <= site < len(dims):
-        raise IndexError(f"site {site} out of range for shape {dims}")
-    d = total_dim(dims)
-    x = _as_matrix(x)
-    if x.shape != (d, d):
-        raise ValueError(f"operator shape {x.shape} does not match shape {dims}")
-    pre = total_dim(dims[:site])
-    post = total_dim(dims[site + 1:])
-    t = x.reshape(pre, dims[site], post, pre, dims[site], post)
-    return t.transpose(0, 4, 2, 3, 1, 5).reshape(d, d)
+    return blocks
 
 
 def rel_err(a, b) -> float:

@@ -11,10 +11,10 @@ import time
 import numpy as np
 import pytest
 
+from oracles import phi21, pochhammer
 from qbaxter import chain as ch
 from qbaxter import tensor_core as tc
 from qbaxter import verify as vf
-from qbaxter.qoscillator import phi21, pochhammer
 
 SEED = 2024
 

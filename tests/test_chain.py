@@ -653,7 +653,7 @@ class TestLevelProtocol:
         def bands(us):
             return l_bands(us, 1.0, p.q, J)
 
-        rows, index = ch._half_products(bands, z, p)
+        rows, index = ch._half_products(bands, z, p), tc.pair_index((2,) * n)
         left, right = rows(0, J).copy()
         X, Y = left[:, index.T], right[:, index]
         w = np.random.default_rng(n).standard_normal((J, 2 * n + 1)) + 0.5j
@@ -692,12 +692,12 @@ class TestRowsOnDemand:
         charge_product, certified_sum = tc.charge_product, ch._certified_sum
 
         def recording_product(bands, *args):
-            blocks, index = charge_product(bands, *args)
+            blocks = charge_product(bands, *args)
 
             def recorded(j0, j1):
                 windows.append((j0, j1))
                 return blocks(j0, j1)
-            return recorded, index
+            return recorded
 
         def recording_sum(levels, *args):
             def recorded(j0, j1):
@@ -922,7 +922,7 @@ class TestSpinSector:
         n, top, bottom = 4, 0.7 + 0.2j, 1.3 - 0.1j
         downs = [bin(i).count("1") for i in range(2 ** n)]
         for m in range(n + 1):
-            assert ch.SpinSector(m, n).indices == tuple(i for i, k in enumerate(downs) if k == m)
+            assert ch._sectors(n)[3][m].tolist() == [i for i, k in enumerate(downs) if k == m]
         expected = [top ** (n - k) * bottom ** k for k in downs]
         assert np.array_equal(ch.spin_weights(n, top, bottom), np.array(expected))
 

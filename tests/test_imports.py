@@ -1,6 +1,7 @@
 """Every name a package module imports, and every parameter a function or
 lambda of it takes, is used in that module; every module-level private name
-of the package is read somewhere in it."""
+of the package is read somewhere in it, and every module-level public def or
+class is read by the package outside its own body or exported by __all__."""
 
 import ast
 import pathlib
@@ -52,19 +53,36 @@ def private_definitions(tree):
     return [n for n in names if n.startswith("_") and not n.startswith("__")]
 
 
+def names_read(node):
+    """Names that node reads, as a name or as an attribute."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)}
+
+
 def unread_private_names(sources):
     """"module:name" for each module-level private name of the given
     {module: source} that no module reads, as a name or as an attribute."""
     trees = {name: ast.parse(source) for name, source in sources.items()}
-    read = set()
-    for tree in trees.values():
-        for n in ast.walk(tree):
-            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
-                read.add(n.id)
-            elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
-                read.add(n.attr)
+    read = set().union(*map(names_read, trees.values()))
     return [f"{module}:{name}" for module, tree in trees.items()
             for name in private_definitions(tree) if name not in read]
+
+
+def unread_public_names(sources):
+    """"module:name" for each module-level public def or class of the given
+    {module: source} that no module-level statement but its own definition
+    reads, and that the "__init__" module's __all__ does not export."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    exported = set()
+    for node in trees["__init__"].body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                for t in node.targets):
+            exported.update(ast.literal_eval(node.value))
+    reads = [(stmt, names_read(stmt)) for tree in trees.values() for stmt in tree.body]
+    return [f"{module}:{node.name}" for module, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_") and node.name not in exported
+            and not any(node.name in read for stmt, read in reads if stmt is not node)]
 
 
 def test_modules_found():
@@ -98,3 +116,21 @@ def test_unread_private_name_detector():
     sources = {"a": "_K = 1\n_L: int = 2\n__all__ = []\ndef _f(): return _K\nclass _C: pass\n",
                "b": "from . import a\nx = a._C\n"}
     assert unread_private_names(sources) == ["a:_L", "a:_f"]
+
+
+def test_no_unread_public_names():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    assert sum(isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+               for s in sources.values() for node in ast.parse(s).body) >= 50
+    assert unread_public_names(sources) == []
+
+
+def test_unread_public_name_detector():
+    sources = {"__init__": "from .a import C\n__all__ = ['C']\n",
+               "a": ("def f(n):\n    return f(n - 1)\n"
+                     "def g(): pass\n"
+                     "class C: pass\n"
+                     "class D:\n    def make(self): return D()\n"
+                     "def h(): pass\n"),
+               "b": "from . import a\nx = a.g\n"}
+    assert unread_public_names(sources) == ["a:f", "a:D", "a:h"]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from oracles import osc_a, osc_adag, osc_fd, partial_transpose, q_power_d, swap_p
 from qbaxter import tensor_core as tc
 from qbaxter.errors import ParameterDomainError
 from qbaxter.lattice_ops import (
@@ -22,7 +23,6 @@ from qbaxter.lattice_ops import (
     tau_section,
 )
 from qbaxter.qoscillator import kw_diagonal, ktw_diagonal, q_powers
-from qbaxter.qoscillator import osc_a, osc_adag, osc_fd, q_power_d
 
 Q = 0.62 + 0.11j
 J = 16
@@ -43,14 +43,14 @@ class TestRMatrix:
         assert_allclose(r_matrix(0.0, Q), np.diag([1, Q, Q, 1]))
 
     def test_z_one_is_scaled_swap(self):
-        assert_allclose(r_matrix(1.0, Q), (1 - Q ** 2) * tc.swap_p(2, 2), atol=1e-15)
+        assert_allclose(r_matrix(1.0, Q), (1 - Q ** 2) * swap_p(2, 2), atol=1e-15)
 
     def test_crossing_partner_matches_transpose_pipeline(self):
         rng = np.random.default_rng(0)
         for _ in range(5):
             z = complex(0.6 + rng.random(), 0.4 * rng.random())
-            pipeline = tc.partial_transpose(
-                np.linalg.inv(tc.partial_transpose(r_matrix(z, Q), 0, (2, 2))), 0, (2, 2))
+            pipeline = partial_transpose(
+                np.linalg.inv(partial_transpose(r_matrix(z, Q), 0, (2, 2))), 0, (2, 2))
             assert tc.rel_err(pipeline, r_tilde(z, Q)) < 1e-12
 
     def test_crossing_unitarity_scalar(self):
@@ -95,12 +95,12 @@ class TestLOperator:
         blocks[:, 1, :, 0] = -z * (qmd @ adag)
         blocks[:, 1, :, 1] = osc_fd(lambda j: Q ** (-j) * (1.0 - Q ** (2 * (j + 1)) * z * z), J)
         closed_form = blocks.reshape(2 * J, 2 * J)
-        assert tc.rel_err(closed_form, tc.partial_transpose(l_matrix(z, R, Q, J), 1, (J, 2))) < 1e-14
+        assert tc.rel_err(closed_form, partial_transpose(l_matrix(z, R, Q, J), 1, (J, 2))) < 1e-14
 
     def test_transpose_inverse_closed_form(self):
         z = 0.66 - 0.4j
-        lt2 = tc.partial_transpose(l_matrix(z, R, Q, J), 1, (J, 2))
-        inv = tc.partial_transpose(l_tilde(z, R, Q, J), 1, (J, 2))
+        lt2 = partial_transpose(l_matrix(z, R, Q, J), 1, (J, 2))
+        inv = partial_transpose(l_tilde(z, R, Q, J), 1, (J, 2))
         prod = lt2 @ inv
         # backward-error scale of a product with growing entries
         scale = max(1.0, np.abs(lt2).max() * np.abs(inv).max())
@@ -108,8 +108,8 @@ class TestLOperator:
 
     def test_crossing_partner_two_construction_paths(self):
         z = 0.84 + 0.27j
-        lt2 = tc.partial_transpose(l_matrix(z, R, Q, J), 1, (J, 2))
-        pipeline = tc.partial_transpose(np.linalg.inv(lt2), 1, (J, 2))
+        lt2 = partial_transpose(l_matrix(z, R, Q, J), 1, (J, 2))
+        pipeline = partial_transpose(np.linalg.inv(lt2), 1, (J, 2))
         assert tc.rel_err(interior(pipeline, 2, 2, 4), interior(l_tilde(z, R, Q, J), 2, 2, 4)) < 1e-10
 
     def test_crossing_partner_z_zero(self):
@@ -159,7 +159,7 @@ class TestLevelBandOracle:
             z = (0.5 + rng.random()) * np.exp(2j * np.pi * rng.random())
             r = (0.5 + rng.random()) * np.exp(2j * np.pi * rng.random())
             banded = (l_matrix(z, r, q, cutoff), l_inverse(z, r, q, cutoff),
-                      tc.partial_transpose(l_tilde(z, r, q, cutoff), 1, (cutoff, 2)))
+                      partial_transpose(l_tilde(z, r, q, cutoff), 1, (cutoff, 2)))
             for got, want in zip(banded, dense_l_variants(z, r, q, cutoff)):
                 assert got.shape == (2 * cutoff, 2 * cutoff)
                 # each entry is a product of at most four rounded factors
@@ -167,7 +167,7 @@ class TestLevelBandOracle:
 
     @pytest.mark.parametrize("build", [
         l_matrix, l_inverse, l_tilde, iota,
-        pytest.param(lambda z, r, q, J: tc.partial_transpose(l_tilde(z, r, q, J), 1, (J, 2)),
+        pytest.param(lambda z, r, q, J: partial_transpose(l_tilde(z, r, q, J), 1, (J, 2)),
                      id="l_transpose2_inverse")])
     def test_fractional_cutoff_rejected(self, build):
         args = (R, Q) if build is iota else (0.7 + 0.2j, R, Q)

@@ -12,18 +12,8 @@ from qbaxter.errors import (
     OverflowGuardError,
     ParameterDomainError,
 )
-from qbaxter.qoscillator import (
-    FockDiagonal,
-    kw_diagonal,
-    ktw_diagonal,
-    osc_a,
-    osc_adag,
-    osc_fd,
-    phi21,
-    pochhammer,
-    q_power_d,
-    validate_cutoff,
-)
+from oracles import osc_a, osc_adag, osc_fd, phi21, pochhammer, q_power_d
+from qbaxter.qoscillator import FockDiagonal, kw_diagonal, ktw_diagonal, validate_cutoff
 
 Q = 0.57 + 0.13j
 J = 14
