@@ -3,13 +3,12 @@ convergent Q-operator on a truncated q-oscillator space, the functional
 relation between them, and Bethe-root extraction cross-checked by the
 algebraic Bethe ansatz."""
 
-from .chain import ChainParams, SpinSector, sample_params
+from .chain import ChainParams, sample_params
 from .bethe import BetheRootSet, SpectrumRecord
 from .verify import CheckResult, SUITES, run_suite
 
 __all__ = [
     "ChainParams",
-    "SpinSector",
     "sample_params",
     "BetheRootSet",
     "SpectrumRecord",

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.chebyshev import chebroots
 
-from . import chain as chain_mod
+from . import chain as ch
 from . import tensor_core as tc
-from .chain import ChainParams, SpinSector, in_exclusion_set
 from .errors import ConvergenceError, ExclusionPointError, ParameterDomainError, QBaxterError
 from .lattice_ops import kv_matrix, ktv_matrix, r_bands, r_weights
 
@@ -30,7 +29,7 @@ class SpectrumError(QBaxterError):
 class SpectrumRecord:
     """One joint eigenvector with its sampled and interpolated eigenvalues."""
 
-    sector: SpinSector
+    m_down: int                       # down spins of the S^z sector
     vector: np.ndarray                # unit vector on the full 2^N space
     tv_samples: list                  # [(z, eigenvalue of the finite transfer matrix)]
     q_samples: list                   # [(z, eigenvalue of the Q-operator)]
@@ -48,10 +47,6 @@ class BetheRootSet:
     roots: np.ndarray                 # y_1..y_M (principal square roots)
     pairing_error: float              # involution asymmetry of the eigenvalue coefficients
     product_error: float              # deviation of prod(Y) from q^(-2M)
-
-    @property
-    def roots_squared(self) -> np.ndarray:
-        return self.roots ** 2
 
 
 def _eig_sorted(mat: np.ndarray):
@@ -97,10 +92,10 @@ def draw_points(rng, count: int, clear, lo=0.55, hi=1.25):
     return points.tolist()
 
 
-def spectrum_nodes(params: ChainParams, seed: int, count: int):
+def spectrum_nodes(params: ch.ChainParams, seed: int, count: int):
     """Sample points on the annulus 0.75 <= |z| <= 1.25 clear of the trace poles."""
     return draw_points(np.random.default_rng(seed), count,
-                       lambda z: not in_exclusion_set(z, params), 0.75, 1.25)
+                       lambda z: not ch.in_exclusion_set(z, params), 0.75, 1.25)
 
 
 # node rotations tried in turn, in units of the node spacing
@@ -129,7 +124,7 @@ def circle_coefficients(f, count: int, radius: complex) -> np.ndarray:
     raise SpectrumError(f"every node circle of radius {abs(radius):.3g} meets the exclusion set")
 
 
-def joint_spectrum(params: ChainParams, z_probe: complex, z_samples, seed: int = 0):
+def joint_spectrum(params: ch.ChainParams, z_probe: complex, z_samples, seed: int = 0):
     """Simultaneously diagonalize the commuting family, sector by sector.
 
     Degenerate clusters within a sector are resolved by re-diagonalizing a
@@ -148,22 +143,21 @@ def joint_spectrum(params: ChainParams, z_probe: complex, z_samples, seed: int =
     n = params.n_sites
     d = 2 ** n
     rng = np.random.default_rng(seed)
-    if in_exclusion_set(z_probe, params):
+    if ch.in_exclusion_set(z_probe, params):
         raise ParameterDomainError("probe point lies in the exclusion set")
     z_samples = [complex(z) for z in z_samples]
     if not z_samples:
         raise SpectrumError("joint_spectrum needs at least one sample point, got 0")
-    t_probe = chain_mod.transfer_v(z_probe, params)
+    t_probe = ch.transfer_v(z_probe, params)
     q_probe2 = None
     records = []
-    tv_mats = [chain_mod.transfer_v(z, params) for z in z_samples]
-    q_mats = [chain_mod.q_operator(z, params) for z in z_samples]
-    q_coeffs = circle_coefficients(lambda y: chain_mod.q_operator(cmath.sqrt(y), params),
+    tv_mats = [ch.transfer_v(z, params) for z in z_samples]
+    q_mats = [ch.q_operator(z, params) for z in z_samples]
+    q_coeffs = circle_coefficients(lambda y: ch.q_operator(cmath.sqrt(y), params),
                                    2 * n + 2, 1.0 / params.q)
     x = (np.array(z_samples) ** 2)[:, None]
 
-    for m_down, idx in enumerate(chain_mod._sectors(n)[3]):
-        sector = SpinSector(m_down, n)
+    for m_down, idx in enumerate(ch._sectors(n)[3]):
         blk = np.ix_(idx, idx)
         block = t_probe[blk]
         vals, vecs = _eig_sorted(block)
@@ -172,7 +166,7 @@ def joint_spectrum(params: ChainParams, z_probe: complex, z_samples, seed: int =
             if _min_gap(vals) >= 1e3 * params.tol * scale:
                 break
             if q_probe2 is None:
-                q_probe2 = chain_mod.q_operator(spectrum_nodes(params, seed + 7, 1)[0], params)
+                q_probe2 = ch.q_operator(spectrum_nodes(params, seed + 7, 1)[0], params)
             mu = 10.0 ** (-tries) * cmath.exp(2j * math.pi * rng.random())
             vals, vecs = _eig_sorted(block + mu * q_probe2[blk])
         if _min_gap(vals) < 1e3 * params.tol * scale:
@@ -192,7 +186,7 @@ def joint_spectrum(params: ChainParams, z_probe: complex, z_samples, seed: int =
             v = np.zeros(d, dtype=complex)
             v[idx] = V[:, k]
             records.append(SpectrumRecord(
-                sector=sector, vector=v, tv_samples=list(zip(z_samples, lam[:, k].tolist())),
+                m_down=m_down, vector=v, tv_samples=list(zip(z_samples, lam[:, k].tolist())),
                 q_samples=list(zip(z_samples, mu[:, k].tolist())), q_poly=coeffs[:-1, k],
                 tv_residual=float(worst[k]), q_fit_error=float(fit_err[k])))
     return records
@@ -222,7 +216,7 @@ def _degree_window(q_poly, n: int, m: int):
     return coeffs[inside], struct_err
 
 
-def factorize_q_eigenvalue(record: SpectrumRecord, params: ChainParams) -> BetheRootSet:
+def factorize_q_eigenvalue(record: SpectrumRecord, params: ch.ChainParams) -> BetheRootSet:
     """Split one Q-eigenvalue into its zero at the origin and paired roots.
 
     The coefficients a_k in Z = z^2 must vanish outside Z^(N-M)..Z^(N+M).  In
@@ -236,16 +230,14 @@ def factorize_q_eigenvalue(record: SpectrumRecord, params: ChainParams) -> Bethe
     pair at once: w = x +- sqrt(x^2 - 1), |w| >= 1, and Y = w/q.
     """
     n = params.n_sites
-    m = record.sector.m_down
+    m = record.m_down
     q = params.q
     core, struct_err = _degree_window(record.q_poly, n, m)
     f = complex(core[-1])
-    if m == 0:
-        return BetheRootSet(m_roots=0, f=f, roots=np.zeros(0, dtype=complex),
-                            pairing_error=struct_err, product_error=0.0)
     beta = core * q ** -np.arange(-m, m + 1)
     pairing_err = float(np.max(np.abs(beta - beta[::-1]))) / float(np.max(np.abs(beta)))
-    prod_err = abs(beta[0] / beta[-1] - 1.0)
+    # the vacuum's empty product is q^0 exactly, but numpy's complex x / x can miss 1 by an ulp
+    prod_err = abs(beta[0] / beta[-1] - 1.0) if m else 0.0
     sym = (beta[m:] + beta[m::-1]) / 2.0
     x = chebroots(np.concatenate([sym[:1], 2.0 * sym[1:]]))
     s = np.sqrt(x * x - 1.0 + 0j)
@@ -261,7 +253,7 @@ def factorize_q_eigenvalue(record: SpectrumRecord, params: ChainParams) -> Bethe
 # Bethe equations
 # ---------------------------------------------------------------------------
 
-def _bethe_system(big_y: np.ndarray, params: ChainParams):
+def _bethe_system(big_y: np.ndarray, params: ch.ChainParams):
     """Difference, Jacobian and sides of the z-independent Bethe system in Y = y^2.
 
     Side i is a constant times factors a + b Y_i and, over j != i, factors
@@ -295,20 +287,23 @@ def _bethe_system(big_y: np.ndarray, params: ChainParams):
     return sides[0] - sides[1], jacs[0] - jacs[1], sides[0], sides[1]
 
 
-def bethe_residual(roots: BetheRootSet, params: ChainParams) -> np.ndarray:
-    """Relative residual of the z-independent Bethe system at each root."""
-    res, _, lhs, rhs = _bethe_system(roots.roots_squared, params)
+def _relative(res, lhs, rhs) -> np.ndarray:
+    """|res| relative to the larger of |lhs| and |rhs|, entry by entry."""
     return np.abs(res) / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-300)
 
 
-def bethe_residual_pq_form(roots: BetheRootSet, params: ChainParams) -> np.ndarray:
+def bethe_residual(roots: BetheRootSet, params: ch.ChainParams) -> np.ndarray:
+    """Relative residual of the z-independent Bethe system at each root."""
+    res, _, lhs, rhs = _bethe_system(roots.roots ** 2, params)
+    return _relative(res, lhs, rhs)
+
+
+def bethe_residual_pq_form(roots: BetheRootSet, params: ch.ChainParams) -> np.ndarray:
     """Residual of the functional form p_+(y) Q(qy) + p_-(y) Q(q^-1 y) = 0.
 
     The eigenvalue is reconstructed from the factorized root data, so this is
     an algebraically equivalent route to bethe_residual.
     """
-    if roots.m_roots == 0:
-        return np.zeros(0)
     q = params.q
 
     def q_eig(z):
@@ -319,8 +314,8 @@ def bethe_residual_pq_form(roots: BetheRootSet, params: ChainParams) -> np.ndarr
 
     res = []
     for y in roots.roots:
-        a = chain_mod.p_plus(y, params) * q_eig(q * y)
-        b = chain_mod.p_minus(y, params) * q_eig(y / q)
+        a = ch.p_plus(y, params) * q_eig(q * y)
+        b = ch.p_minus(y, params) * q_eig(y / q)
         res.append(abs(a + b) / max(abs(a), abs(b), 1e-300))
     return np.array(res)
 
@@ -352,7 +347,7 @@ def _aba_products(z: complex, ys, q: complex):
     return prod_a, prod_b
 
 
-def aba_vacuum_values(z: complex, params: ChainParams):
+def aba_vacuum_values(z: complex, params: ch.ChainParams):
     """Vacuum eigenvalues delta_+ and delta_- of the raised and sheared diagonal blocks."""
     q = params.q
     kv = kv_matrix(z, params.xi)
@@ -366,7 +361,7 @@ def aba_vacuum_values(z: complex, params: ChainParams):
     return complex(dplus), complex(dminus)
 
 
-def aba_state(roots, params: ChainParams) -> np.ndarray:
+def aba_state(roots, params: ch.ChainParams) -> np.ndarray:
     """Bethe state: the ordered product of creation operators B(y) on the raised
     vacuum.  B(y) raises the down count by one; on a state v of down count
     mu - 1 it is read off transfer_v's half rows X, Y at y (chain._half_products):
@@ -377,12 +372,12 @@ def aba_state(roots, params: ChainParams) -> np.ndarray:
     n = params.n_sites
     if len(ys) > n:
         raise ParameterDomainError("more creation operators than sites")
-    down, _, _, states = chain_mod._sectors(n)
+    down, _, _, states = ch._sectors(n)
     v = np.zeros(params.dim, dtype=complex)
     v[0] = 1.0
     index = tc.pair_index((2,) * n)
     for mu, y in enumerate(ys, start=1):
-        rows = chain_mod._half_products(lambda w: r_bands(w, params.q), y, params)
+        rows = ch._half_products(lambda w: r_bands(w, params.q), y, params)
         left, right = rows(0, 2)
         kv = np.diagonal(kv_matrix(y, params.xi))
         s, r = states[mu - 1], states[mu]
@@ -393,7 +388,7 @@ def aba_state(roots, params: ChainParams) -> np.ndarray:
     return v
 
 
-def aba_eigenvalue(z: complex, roots, params: ChainParams) -> complex:
+def aba_eigenvalue(z: complex, roots, params: ch.ChainParams) -> complex:
     """Transfer-matrix eigenvalue predicted by the Bethe-ansatz formula."""
     ys = np.asarray(roots, dtype=complex)
     q = params.q
@@ -408,7 +403,7 @@ def aba_eigenvalue(z: complex, roots, params: ChainParams) -> complex:
 # Newton refinement
 # ---------------------------------------------------------------------------
 
-def refine_bethe_newton(roots, params: ChainParams, max_iter: int = 50):
+def refine_bethe_newton(roots, params: ch.ChainParams, max_iter: int = 50):
     """Damped Newton iteration on the Bethe system in the squared roots.
 
     Takes an array of roots y_i; returns the refined roots and the final
@@ -420,12 +415,9 @@ def refine_bethe_newton(roots, params: ChainParams, max_iter: int = 50):
     """
     target = 1e-12
     big_y = np.asarray(roots, dtype=complex) ** 2
-    if big_y.size == 0:
-        return big_y, 0.0
 
     def norm_res(res, lhs, rhs):
-        return float(np.max(np.abs(res) / np.maximum(
-            np.maximum(np.abs(lhs), np.abs(rhs)), 1e-300)))
+        return float(np.max(_relative(res, lhs, rhs), initial=0.0))
 
     def rounding_floor(big_y, jac, lhs, rhs):
         spread = np.abs(jac) @ np.abs(big_y) + np.abs(lhs) + np.abs(rhs)

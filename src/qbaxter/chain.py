@@ -159,19 +159,6 @@ def _pair_gathers(n_sites: int):
     return out
 
 
-@dataclass(frozen=True)
-class SpinSector:
-    """Eigenspace of the total spin operator with m_down lowered sites."""
-
-    m_down: int
-    n_sites: int
-
-    def __post_init__(self):
-        if validate_count("m_down", self.m_down) > validate_count("n_sites", self.n_sites):
-            raise ParameterDomainError(
-                f"m_down must lie in 0..{self.n_sites}, got {self.m_down}")
-
-
 def sample_params(n_sites: int, seed: int, cutoff: int = 40, tol: float = 1e-9,
                   exclusion_radius: float = 0.05, identity_grade: bool = False) -> ChainParams:
     """Generic parameter draw staying safely inside the convergence region.

@@ -134,7 +134,7 @@ def execute(config: RunConfig):
               for c in vf.run_suite(suite, config.params, config.seed, config.z_samples)]
     spectral = set(config.suites) & set(vf.SPECTRAL_SUITES)
     records = vf.spectral_records(config.params, config.seed, config.z_samples) if spectral else ()
-    spectrum_rows = [(rec.sector.m_down, k, z.real, z.imag, tv.real, tv.imag, qv.real, qv.imag)
+    spectrum_rows = [(rec.m_down, k, z.real, z.imag, tv.real, tv.imag, qv.real, qv.imag)
                      for k, rec in enumerate(records)
                      for (z, tv), (_, qv) in zip(rec.tv_samples, rec.q_samples)]
     return checks, spectrum_rows

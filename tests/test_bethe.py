@@ -41,7 +41,7 @@ class TestJointSpectrum:
         assert len(records) == 2 ** n
         counts = {}
         for rec in records:
-            counts[rec.sector.m_down] = counts.get(rec.sector.m_down, 0) + 1
+            counts[rec.m_down] = counts.get(rec.m_down, 0) + 1
         assert counts == {m: math.comb(n, m) for m in range(n + 1)}
 
     def test_unresolved_degeneracy_raises(self, params, monkeypatch):
@@ -51,7 +51,7 @@ class TestJointSpectrum:
             bt.joint_spectrum(params, 0.85 + 0.23j, bt.spectrum_nodes(params, 99, 1), seed=5)
 
     def test_vacuum_sector_is_highest_weight(self, records):
-        vac = [r for r in records if r.sector.m_down == 0]
+        vac = [r for r in records if r.m_down == 0]
         assert len(vac) == 1
         v = vac[0].vector
         assert abs(abs(v[0]) - 1.0) < 1e-12
@@ -115,7 +115,7 @@ class TestJointSpectrum:
             v = rec.vector
             assert abs(np.linalg.norm(v) - 1.0) < 1e-12
             outside = np.ones(p.dim, dtype=bool)
-            outside[ch._sectors(n)[3][rec.sector.m_down]] = False
+            outside[ch._sectors(n)[3][rec.m_down]] = False
             assert not v[outside].any()
             lam = [v.conj() @ t @ v for t in tv]
             resid = max(np.linalg.norm(t @ v - l * v) / max(1.0, abs(l)) for t, l in zip(tv, lam))
@@ -207,15 +207,23 @@ class TestSampling:
 class TestFactorization:
     def test_zero_eigenvalue_rejected(self, params):
         n = params.n_sites
-        rec = bt.SpectrumRecord(sector=ch.SpinSector(1, n), vector=np.zeros(params.dim),
+        rec = bt.SpectrumRecord(m_down=1, vector=np.zeros(params.dim),
                                 tv_samples=[], q_samples=[], q_poly=np.zeros(2 * n + 1))
         with pytest.raises(bt.SpectrumError, match="identically zero"):
             bt.factorize_q_eigenvalue(rec, params)
 
     def test_vacuum_has_no_roots(self, records, params):
-        vac = [r for r in records if r.sector.m_down == 0][0]
+        vac = [r for r in records if r.m_down == 0][0]
         roots = bt.factorize_q_eigenvalue(vac, params)
-        assert roots.m_roots == 0 and roots.roots.size == 0
+        assert roots.m_roots == 0 and roots.roots.shape == (0,) and roots.roots.dtype == complex
+        # the general path at M = 0: one coefficient, no pairs, an empty product
+        assert roots.pairing_error == bt._degree_window(vac.q_poly, params.n_sites, 0)[1]
+        assert roots.product_error == 0.0
+        for residual in (bt.bethe_residual, bt.bethe_residual_pq_form):
+            res = residual(roots, params)
+            assert res.shape == (0,) and res.dtype == np.float64
+        refined, final = bt.refine_bethe_newton(roots.roots, params)
+        assert refined.shape == (0,) and refined.dtype == complex and final == 0.0
         # eigenvalue is f z^(2N): the only surviving coefficient sits at Z^N
         n = params.n_sites
         scale = np.abs(vac.q_poly).max()
@@ -229,7 +237,7 @@ class TestFactorization:
         for roots in roots_by_record:
             if roots.m_roots == 0:
                 continue
-            ys = roots.roots_squared
+            ys = roots.roots ** 2
             full = np.concatenate([ys, q ** (-2) / ys])
             image = q ** (-2) / full
             for w in image:
@@ -241,7 +249,7 @@ class TestFactorization:
             m = roots.m_roots
             if m == 0:
                 continue
-            full = np.concatenate([roots.roots_squared, q ** (-2) / roots.roots_squared])
+            full = np.concatenate([roots.roots ** 2, q ** (-2) / roots.roots ** 2])
             assert abs(np.prod(full) - q ** (-2 * m)) < 1e-8 * abs(q ** (-2 * m))
 
     def test_reconstruction_matches_polynomial(self, records, roots_by_record, params):
@@ -267,8 +275,7 @@ class TestChebyshevReduction:
         core = np.poly(np.concatenate([big_y, self.q ** -2 / np.asarray(big_y)]))[::-1]
         coeffs = np.zeros(2 * self.n + 1, dtype=complex)
         coeffs[self.n - m:self.n + m + 1] = f * core
-        sector = ch.SpinSector(m, self.n)
-        return bt.SpectrumRecord(sector=sector, vector=np.zeros(2 ** self.n), tv_samples=[],
+        return bt.SpectrumRecord(m_down=m, vector=np.zeros(2 ** self.n), tv_samples=[],
                                  q_samples=[], q_poly=coeffs)
 
     def test_symmetric_polynomial_returns_its_roots(self):
@@ -276,7 +283,7 @@ class TestChebyshevReduction:
         big_y = np.array([2.9 * np.exp(0.4j), 7.1 * np.exp(-2.2j), -4.3 + 1.0j]) / self.q
         roots = bt.factorize_q_eigenvalue(self.record(big_y), self.params)
         assert roots.m_roots == 3 and roots.f == 1.3 - 0.4j
-        found = np.sort_complex(roots.roots_squared)
+        found = np.sort_complex(roots.roots ** 2)
         assert np.abs(found - np.sort_complex(big_y)).max() < 1e-12 * np.abs(big_y).max()
         assert roots.pairing_error < 1e-14 and roots.product_error < 1e-14
 
@@ -297,7 +304,7 @@ class TestChebyshevReduction:
         # loses half the digits
         big_y = np.array([sign * (1 + 1e-6) / self.q, 3.0 / self.q])
         roots = bt.factorize_q_eigenvalue(self.record(big_y), self.params)
-        pairs = np.concatenate([roots.roots_squared, self.q ** -2 / roots.roots_squared])
+        pairs = np.concatenate([roots.roots ** 2, self.q ** -2 / roots.roots ** 2])
         near, far = (np.abs(pairs - y).min() / abs(y) for y in big_y)
         assert near < 1e-8 and far < 1e-12
         assert roots.pairing_error < 1e-14 and roots.product_error < 1e-14
@@ -311,7 +318,7 @@ class TestChebyshevReduction:
             bt.factorize_q_eigenvalue(rec, self.params)
         rec.q_poly[0] = 0.0
         roots = bt.factorize_q_eigenvalue(rec, self.params)
-        assert abs(roots.roots_squared[0] - big_y[0]) < 1e-12 * abs(big_y[0])
+        assert abs(roots.roots[0] ** 2 - big_y[0]) < 1e-12 * abs(big_y[0])
 
 
 class TestBetheResiduals:

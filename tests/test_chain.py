@@ -165,8 +165,6 @@ COUNTS = {
     "sample_params.n_sites": ("n_sites", 0, lambda p, v: ch.sample_params(v, 3)),
     "sample_params.seed": ("seed", 0, lambda p, v: ch.sample_params(2, v)),
     "sample_params.cutoff": ("cutoff", 2, lambda p, v: ch.sample_params(2, 3, cutoff=v)),
-    "SpinSector.m_down": ("m_down", 0, lambda p, v: ch.SpinSector(v, 2)),
-    "SpinSector.n_sites": ("n_sites", 0, lambda p, v: ch.SpinSector(0, v)),
     "with_sites": ("n_sites", 0, lambda p, v: p.with_sites(v)),
     "transfer_w.cutoff": ("cutoff", 2, lambda p, v: ch.transfer_w(0.83 + 0.21j, p, cutoff=v)),
     "closed_transfer_w.cutoff": ("cutoff", 2,
@@ -198,7 +196,6 @@ class TestCountRule:
                            cutoff=np.int64(41))
         assert type(p.n_sites) is type(p.cutoff) is int
         assert type(params2.with_sites(np.int64(3)).n_sites) is int
-        assert ch.SpinSector(np.int64(1), 2) == ch.SpinSector(1, 2)
         z = 0.83 + 0.21j
         assert np.array_equal(ch.transfer_w(z, params2, cutoff=np.int64(41)),
                               ch.transfer_w(z, params2, cutoff=41))
@@ -925,15 +922,6 @@ class TestSpinSector:
             assert ch._sectors(n)[3][m].tolist() == [i for i, k in enumerate(downs) if k == m]
         expected = [top ** (n - k) * bottom ** k for k in downs]
         assert np.array_equal(ch.spin_weights(n, top, bottom), np.array(expected))
-
-    def test_indices_not_an_argument(self):
-        with pytest.raises(TypeError):
-            ch.SpinSector(1, 2, indices=(0,))
-
-    @pytest.mark.parametrize("m_down", [-1, 3])
-    def test_down_count_out_of_range(self, m_down):
-        with pytest.raises(ParameterDomainError, match="m_down"):
-            ch.SpinSector(m_down, 2)
 
 
 class TestClosedChain:

@@ -87,6 +87,19 @@ def test_closed_chain(params):
     assert res.passed
 
 
+def test_closed_chain_invertibility_reads_log_det(monkeypatch):
+    # a nonsingular T^W whose determinant underflows, as at N = 11 on seed-0 draws:
+    # scaled by 1e-120 away from z = 0, the 4 x 4 closed T^W has det ~ 1e-480
+    p = ch.sample_params(2, seed=3, tol=1e-10)
+    closed_transfer_w = ch.closed_transfer_w
+    monkeypatch.setattr(ch, "closed_transfer_w", lambda z, params, cutoff=None: (
+        closed_transfer_w(z, params, cutoff) * (1e-120 if z != 0 else 1.0)))
+    assert np.linalg.det(ch.closed_transfer_w(0.8 + 0.3j, p)) == 0.0
+    res = vf.check_closed_chain(p, seed=3)
+    assert res.passed and "'invertibility'" not in res.notes
+    assert "log|det T^W_closed| = -" in res.notes
+
+
 def test_spectrum_suite(params):
     results = vf.spectrum_suite(params, seed=3)
     records = vf.spectral_records(params, 3, 3)
