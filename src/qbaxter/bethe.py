@@ -143,8 +143,6 @@ def joint_spectrum(params: ch.ChainParams, z_probe: complex, z_samples, seed: in
     n = params.n_sites
     d = 2 ** n
     rng = np.random.default_rng(seed)
-    if ch.in_exclusion_set(z_probe, params):
-        raise ParameterDomainError("probe point lies in the exclusion set")
     z_samples = [complex(z) for z in z_samples]
     if not z_samples:
         raise SpectrumError("joint_spectrum needs at least one sample point, got 0")

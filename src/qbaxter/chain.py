@@ -199,24 +199,22 @@ def sample_params(n_sites: int, seed: int, cutoff: int = 40, tol: float = 1e-9,
 
 
 def in_exclusion_set(z: complex, params: ChainParams) -> bool:
-    """True when z is within the exclusion radius of a pole of the traced series.
+    """True when z is within the exclusion radius of a pole of the Fock trace.
 
-    The poles are +-q^i sqrt(xi), i = 0..N-1, and +-q^(-k) / sqrt(xitilde),
-    k >= 1; of the latter only those whose modulus |q|^(-k) / |sqrt(xitilde)|
-    lies within the radius of |z| can be that close, so only they are tested
-    (one more k on each side absorbs the rounding of the logarithms).
+    The poles are the left boundary diagonal's, +-q^(-k) / sqrt(xitilde), k >= 1;
+    only those whose modulus |q|^(-k) / |sqrt(xitilde)| lies within the radius
+    of |z| can be that close, so only they are tested (one more k on each side
+    absorbs the rounding of the logarithms).
     """
     z = complex(z)
     delta = params.exclusion_radius
     q = params.q
-    root_xi = cmath.sqrt(params.xi)
-    inv_root_xit = 1.0 / cmath.sqrt(params.xitilde)
+    inv_sqrt_xit = 1.0 / cmath.sqrt(params.xitilde)
     ln_q = -math.log(abs(q))
-    ln_root_xit = math.log(abs(params.xitilde)) / 2.0
-    k_lo = math.ceil((math.log(max(abs(z) - delta, 1e-300)) + ln_root_xit) / ln_q)
-    k_hi = math.floor((math.log(max(abs(z) + delta, 1e-300)) + ln_root_xit) / ln_q)
-    pts = [q ** i * root_xi for i in range(params.n_sites)]
-    pts += [q ** (-k) * inv_root_xit for k in range(max(1, k_lo - 1), k_hi + 2)]
+    ln_sqrt_xit = math.log(abs(params.xitilde)) / 2.0
+    k_lo = math.ceil((math.log(max(abs(z) - delta, 1e-300)) + ln_sqrt_xit) / ln_q)
+    k_hi = math.floor((math.log(max(abs(z) + delta, 1e-300)) + ln_sqrt_xit) / ln_q)
+    pts = [q ** (-k) * inv_sqrt_xit for k in range(max(1, k_lo - 1), k_hi + 2)]
     return any(abs(z - p) < delta or abs(z + p) < delta for p in pts)
 
 
@@ -445,7 +443,8 @@ def transfer_w(z: complex, params: ChainParams, cutoff=None) -> np.ndarray:
 def q_operator(z: complex, params: ChainParams, cutoff=None) -> np.ndarray:
     """Q-operator: the spin-weighted Fock transfer matrix at r = 1."""
     w = spin_weights(params.n_sites, _finite_number("z", z) ** 2, 1.0)
-    return w[:, None] * transfer_w(z, params, cutoff=cutoff)
+    t = transfer_w(z, params, cutoff=cutoff)
+    return np.multiply(w[:, None], t, out=t)
 
 
 def p_plus(z: complex, params: ChainParams) -> complex:
@@ -565,7 +564,8 @@ def closed_transfer_w(z: complex, params: ChainParams, cutoff=None) -> np.ndarra
 def closed_q(z: complex, params: ChainParams, cutoff=None) -> np.ndarray:
     """Closed-chain Q-operator; entries polynomial in z of degree <= 2N."""
     w = spin_weights(params.n_sites, _finite_number("z", z), 1.0)
-    return w[:, None] * closed_transfer_w(z, params, cutoff=cutoff)
+    t = closed_transfer_w(z, params, cutoff=cutoff)
+    return np.multiply(w[:, None], t, out=t)
 
 
 def closed_p_plus(z: complex, params: ChainParams) -> complex:

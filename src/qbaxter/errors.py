@@ -14,7 +14,7 @@ class ExclusionPointError(QBaxterError):
 
 
 class ConvergenceError(QBaxterError):
-    """A truncated series failed its stopping rule."""
+    """Newton refinement of Bethe roots failed; a cut-off trace raises TailCertificateError."""
 
 
 class TailCertificateError(QBaxterError):

@@ -25,7 +25,7 @@ import numpy as np
 from . import bethe as bt
 from . import chain as ch
 from . import tensor_core as tc
-from .errors import ConvergenceError, ExclusionPointError, ParameterDomainError, QBaxterError
+from .errors import ConvergenceError, ExclusionPointError, ParameterDomainError
 from .lattice_ops import (
     iota,
     iota_retraction,
@@ -91,7 +91,7 @@ def dense_safe_cutoff(params: ch.ChainParams, requested: int) -> int:
     while lnq * ((j + 1) ** 2 + pad * (j + 1)) < 600.0 and j < requested:
         j += 1
     if j < 8:
-        raise QBaxterError(
+        raise ParameterDomainError(
             f"|q| = {abs(params.q):.3f} leaves no usable dense Fock window for identity checks")
     return j
 
@@ -629,9 +629,6 @@ def _spectral_records(params: ch.ChainParams, seed: int, samples):
     z_probe = _tq_point(np.random.default_rng(seed), params)
     z_samples = (list(samples) if isinstance(samples, tuple)
                  else bt.spectrum_nodes(params, seed + 11, samples))
-    for z in z_samples:
-        if ch.in_exclusion_set(z, params):
-            raise QBaxterError(f"requested sample point {z:.6f} lies in the exclusion set")
     return tuple(bt.joint_spectrum(params, z_probe, z_samples, seed=seed))
 
 

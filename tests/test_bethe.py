@@ -95,10 +95,13 @@ class TestJointSpectrum:
         with pytest.raises(bt.SpectrumError, match="at least one sample point, got 0"):
             bt.joint_spectrum(p, 0.85 + 0.23j, [])
 
-    def test_probe_in_exclusion_set_rejected(self, params):
-        # sqrt(xi) is a pole of the traced series
-        with pytest.raises(ParameterDomainError, match="probe point"):
-            bt.joint_spectrum(params, np.sqrt(params.xi), bt.spectrum_nodes(params, 1, 1))
+    def test_probe_at_a_trace_pole_accepted(self, params):
+        # the probe feeds only T^V, a polynomial in z^2, so a pole of the Fock trace is no obstacle
+        pole = params.q ** -1 / np.sqrt(params.xitilde)
+        assert ch.in_exclusion_set(pole, params)
+        recs = bt.joint_spectrum(params, pole, bt.spectrum_nodes(params, 1, 1))
+        assert len(recs) == 2 ** params.n_sites
+        assert max(r.tv_residual for r in recs) < 1e-10
 
     @pytest.mark.parametrize("n", [3, 4])
     @pytest.mark.parametrize("seed", [3, 11])
@@ -202,6 +205,14 @@ class TestSampling:
             return np.polyval(coeffs[::-1], x)
 
         assert np.max(np.abs(bt.circle_coefficients(f, count, radius) - coeffs)) < 1e-12
+
+    def test_circle_coefficients_every_phase_blocked(self):
+        def f(x):
+            raise ExclusionPointError(f"node {x}")
+
+        with pytest.raises(bt.SpectrumError,
+                           match="every node circle of radius 0.854 meets the exclusion set"):
+            bt.circle_coefficients(f, 5, 0.8 - 0.3j)
 
 
 class TestFactorization:

@@ -224,10 +224,27 @@ def test_spectral_point_type_leaves_rows_bit_equal(function, n_sites, seed):
 
 class TestExclusionSet:
     def test_membership(self, params2):
-        assert ch.in_exclusion_set(cmath.sqrt(params2.xi), params2)
-        assert ch.in_exclusion_set(-cmath.sqrt(params2.xi), params2)
+        # the set holds the left boundary diagonal's poles only; the right one is a polynomial
+        root_xi = cmath.sqrt(params2.xi)
+        for i in range(params2.n_sites):
+            assert not ch.in_exclusion_set(params2.q ** i * root_xi, params2)
+            assert not ch.in_exclusion_set(-params2.q ** i * root_xi, params2)
         assert ch.in_exclusion_set(params2.q ** -1 / cmath.sqrt(params2.xitilde), params2)
         assert not ch.in_exclusion_set(0.0, params2)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_q_defined_at_q_powers_of_root_xi(self, n, seed):
+        # +-q^i sqrt(xi), i < N, are no poles of the Fock trace: Q is finite there and obeys TQ
+        p = ch.sample_params(n, seed, tol=1e-10)
+        q = p.q
+        for z in (s * q ** i * cmath.sqrt(p.xi) for i in range(n) for s in (1, -1)):
+            qz = ch.q_operator(z, p)
+            assert np.isfinite(qz).all()
+            lhs = (1.0 - q * q * z ** 4) * ch.transfer_v(z, p) @ qz
+            rhs = ch.p_plus(z, p) * ch.q_operator(q * z, p) \
+                + ch.p_minus(z, p) * ch.q_operator(z / q, p)
+            assert tc.rel_err(lhs, rhs) < 1e-8
 
     def test_far_left_pole(self):
         # at |q| near 1 the pole q^(-600) / sqrt(xitilde) ~ 1.82 is still near the unit circle
@@ -356,7 +373,7 @@ class TestTransferW:
 
     def test_exclusion_point_flagged(self, params2):
         with pytest.raises(ExclusionPointError):
-            ch.transfer_w(cmath.sqrt(params2.xi), params2)
+            ch.transfer_w(params2.q ** -1 / cmath.sqrt(params2.xitilde), params2)
 
     def test_tail_certificate_failure(self):
         p = ch.ChainParams(q=0.6, xi=0.17, xitilde=0.17, n_sites=1, t=(1.0,),
@@ -967,6 +984,14 @@ class TestClosedChain:
         zh = 0.85 * cmath.exp(1.13j)
         pred = (np.vander(np.array([zh]), 2 * n + 1, increasing=True) @ coeffs).reshape(d, d)
         assert tc.rel_err(pred, ch.closed_q(zh, params2)) < 1e-9
+
+    def test_tail_ratio_beyond_the_cutoff_rejected(self):
+        # |zeta| / |q|^N = 0.9 needs far more than 40 levels to fall below tol/10
+        p = ch.sample_params(2, 3, tol=1e-10)
+        p = dataclasses.replace(p, zeta=0.9 * abs(p.q) ** 2)
+        with pytest.raises(TailCertificateError,
+                           match="cutoff 40 cannot certify the closed-trace tail ratio 0.900"):
+            ch.closed_transfer_w(0.83 + 0.21j, p, cutoff=40)
 
     def test_cutoff_stability(self, params2):
         z = 0.77 + 0.2j

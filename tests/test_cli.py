@@ -281,7 +281,7 @@ class TestRun:
 
 
 class TestMainEntry:
-    def run_python(self, *args, env_extra=None):
+    def run_python(self, *args, env_extra=None, preexec_fn=None):
         import os
         env = dict(os.environ)
         # the subprocess imports the same package as this test module
@@ -289,10 +289,12 @@ class TestMainEntry:
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         if env_extra:
             env.update(env_extra)
-        return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+        return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                              preexec_fn=preexec_fn)
 
-    def run_cli(self, *args, env_extra=None):
-        return self.run_python("-m", "qbaxter.cli", *args, env_extra=env_extra)
+    def run_cli(self, *args, env_extra=None, preexec_fn=None):
+        return self.run_python("-m", "qbaxter.cli", *args, env_extra=env_extra,
+                               preexec_fn=preexec_fn)
 
     def test_import_loads_no_scipy(self):
         proc = self.run_python("-c", "import sys, qbaxter.cli; print(sorted(m for m in sys.modules"
@@ -434,6 +436,25 @@ class TestMainEntry:
         cfg = write_config(tmp_path, BASE)
         assert cli.main(["--config", cfg, "--out", str(tmp_path / "r.json"), "--quiet"]) == 2
         assert capsys.readouterr().err == f"error: {shown}\n"
+        assert not (tmp_path / "r.json").exists()
+
+    def test_address_space_limit_exits_two(self, tmp_path):
+        # one Q at N = 12 needs about 1.7 GB, so it runs out of a 1.5 GiB address space
+        resource = pytest.importorskip("resource")
+        if not hasattr(resource, "RLIMIT_AS"):
+            pytest.skip("no RLIMIT_AS on this platform")
+        limit = 3 * 2 ** 29
+
+        def cap_address_space():  # runs in the child only
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        cfg = write_config(tmp_path, {"params": {"n_sites": 12}, "suites": ["tq"]})
+        proc = self.run_cli("--config", cfg, "--out", str(tmp_path / "r.json"),
+                            env_extra={"OPENBLAS_NUM_THREADS": "1"},
+                            preexec_fn=cap_address_space)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
         assert not (tmp_path / "r.json").exists()
 
     def test_crossing_without_samples_exits_two(self, tmp_path):

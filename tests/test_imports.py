@@ -1,7 +1,8 @@
 """Every name a package module imports, and every parameter a function or
 lambda of it takes, is used in that module; every module-level private name
-of the package is read somewhere in it, and every module-level public def or
-class is read by the package outside its own body or exported by __all__."""
+of the package is read somewhere in it, every module-level public def or
+class is read by the package outside its own body or exported by __all__, and
+no module raises the base class QBaxterError itself."""
 
 import ast
 import pathlib
@@ -85,6 +86,18 @@ def unread_public_names(sources):
             and not any(node.name in read for stmt, read in reads if stmt is not node)]
 
 
+def bare_base_raises(source):
+    """Line numbers of the raise statements that raise QBaxterError itself, by
+    name or as an attribute, called or not."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if getattr(exc, "id", getattr(exc, "attr", None)) == "QBaxterError":
+                lines.append(node.lineno)
+    return lines
+
+
 def test_modules_found():
     assert len(MODULES) >= 8
 
@@ -134,3 +147,18 @@ def test_unread_public_name_detector():
                      "def h(): pass\n"),
                "b": "from . import a\nx = a.g\n"}
     assert unread_public_names(sources) == ["a:f", "a:D", "a:h"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_bare_base_error_raised(path):
+    # every failure names its kind: a subclass of QBaxterError
+    assert bare_base_raises(path.read_text(encoding="utf-8")) == []
+
+
+def test_bare_base_raise_detector():
+    source = ("def f(x):\n"
+              "    if x: raise QBaxterError('a')\n"
+              "    if x > 1: raise errors.QBaxterError\n"
+              "    if x > 2: raise ParameterDomainError('b')\n"
+              "    raise\n")
+    assert bare_base_raises(source) == [2, 3]

@@ -1,12 +1,14 @@
 """The identity battery as a library: every named check passes at generic parameters."""
 
+import re
+
 import numpy as np
 import pytest
 
 from qbaxter import chain as ch
 from qbaxter import tensor_core as tc
 from qbaxter import verify as vf
-from qbaxter.errors import ParameterDomainError, QBaxterError
+from qbaxter.errors import ExclusionPointError, ParameterDomainError, QBaxterError
 
 
 @pytest.fixture(scope="module")
@@ -175,15 +177,16 @@ def test_spectral_suites_reject_no_samples(params, suite, samples):
 
 
 def test_spectral_sample_in_exclusion_set_rejected(params):
-    # sqrt(xi) is a pole of the traced series
-    with pytest.raises(QBaxterError, match="lies in the exclusion set"):
-        vf.spectral_records(params, 3, [0.9 + 0.2j, np.sqrt(params.xi)])
+    # q^(-1) / sqrt(xitilde) is a pole of the Fock trace, so Q at the sample raises
+    pole = complex(params.q ** -1 / np.sqrt(params.xitilde))
+    with pytest.raises(ExclusionPointError, match=re.escape(f"z = {pole:.6f} is within")):
+        vf.spectral_records(params, 3, [0.9 + 0.2j, pole])
 
 
 def test_dense_safe_cutoff_needs_a_dense_window():
     # at |q| = 0.001 the level-8 boundary entries leave floating range
     p = ch.ChainParams(q=0.001, xi=1e-4, xitilde=1e-4, n_sites=1, t=(1.0,))
-    with pytest.raises(QBaxterError, match="no usable dense Fock window"):
+    with pytest.raises(ParameterDomainError, match="no usable dense Fock window"):
         vf.dense_safe_cutoff(p, 40)
 
 
