@@ -25,7 +25,7 @@ from .errors import (
     ParameterDomainError,
     TailCertificateError,
 )
-from .lattice_ops import kv_matrix, ktv_matrix, l_bands, l_matrix, r_bands, r_matrix
+from .lattice_ops import kv_matrix, ktv_matrix, l_bands, l_matrix, l_row_bands, r_bands, r_matrix
 from .qoscillator import _LOG_HUGE, kw_diagonal, ktw_diagonal, validate_count, validate_cutoff
 
 
@@ -125,15 +125,17 @@ class ChainParams:
 def _sectors(n_sites: int):
     """The S^z sectors of n_sites spins, built once per n_sites as read-only
     arrays: each product state's down count, the states in down-count order,
-    the range of down count 0 .. n_sites there, and each sector's states in
-    product order."""
+    for down count 0 .. n_sites its range R there, its size D and its range
+    lo .. hi among the flat sector blocks (_sector_entries), and each sector's
+    states in product order."""
     down = tc.index_sums((2,) * n_sites)
     order = np.argsort(down, kind="stable")
     down.setflags(write=False)
     order.setflags(write=False)
-    ends = np.cumsum(np.bincount(down)).tolist()
-    slices = tuple(map(slice, [0] + ends, ends))
-    return down, order, slices, tuple(order[R] for R in slices)
+    sizes = np.bincount(down).tolist()
+    ends, blocks = np.cumsum(sizes).tolist(), np.cumsum(np.square(sizes)).tolist()
+    runs = tuple(zip(map(slice, [0] + ends, ends), sizes, [0] + blocks, blocks))
+    return down, order, runs, tuple(order[R] for R, *_ in runs)
 
 
 @functools.lru_cache(maxsize=32)
@@ -344,16 +346,17 @@ def _exact_sum(levels, n_sites: int) -> np.ndarray:
     return _from_sectors(levels(0, 2).sum(axis=0), n_sites)
 
 
-def _half_products(site_bands, z: complex, params: ChainParams):
-    """rows(j0, j1), views of the half rows until the thread's next row build, from the
-    stacked level bands site_bands(ws) at the points ws: for the left half row P by row
-    level, X[j, r, t] = P[(j, r), (j + m(r) - m(t), t)] = rows[0][j - j0, index[t, r]]
-    (m the down count, index = tc.pair_index((2,) * N)), built as P^T = F_N^T .. F_1^T,
-    and for the right one Y[j] = rows[1][j - j0, index]."""
+def _half_products(row_bands, z: complex, params: ChainParams):
+    """rows(j0, j1), views of the half rows until the thread's next row build, from
+    row_bands(ws), the level bands of the left half row's transposed factors at the
+    first N points ws and of the right half row's at the last N, one stack
+    (lattice_ops.l_row_bands; r_bands, as R is its own transpose): for the left half
+    row P by row level, X[j, r, t] = P[(j, r), (j + m(r) - m(t), t)] = rows[0][j - j0,
+    index[t, r]] (m the down count, index = tc.pair_index((2,) * N)), built as
+    P^T = F_N^T .. F_1^T, and for the right one Y[j] = rows[1][j - j0, index]."""
     ts, n = params.t[::-1], params.n_sites
-    bands = site_bands([t * z for t in ts] + [z / t for t in ts])
-    bands = np.stack((tc.transpose_bands(bands[:n]), bands[n:]))
-    return tc.charge_product(bands, _workspace(), "rows")
+    bands = row_bands([t * z for t in ts] + [z / t for t in ts])
+    return tc.charge_product(bands.reshape((2, n) + bands.shape[-3:]), _workspace(), "rows")
 
 
 def _open_levels(rows, n_sites: int, weights):
@@ -364,30 +367,36 @@ def _open_levels(rows, n_sites: int, weights):
     Y[j] in down-count order, where sector m is one range R; its rows meet Y[j]
     through each state t at weight w[j - j0, n + m - m(t)], and sector m's block of
     level j is (x[j][R] @ y[j][R]^T)."""
-    _, _, slices, states = _sectors(n_sites)
-    (cols, _, wsel), d, ws = _pair_gathers(n_sites), 2 ** n_sites, _workspace()
-    ends = np.cumsum([len(S) ** 2 for S in states]).tolist()
+    (cols, _, wsel), runs = _pair_gathers(n_sites), _sectors(n_sites)[2]
+    d, ws, size = 2 ** n_sites, _workspace(), runs[-1][3]
 
     def levels(j0, j1):
         k = len(w := weights(j0, j1))
         left, right = rows(j0, j0 + k)
         # X's rows and Y's columns in down-count order; x times w[:, wsel], staged on y
-        x, y, run = ws.take("x", (k, d, d)), ws.take("y", (k, d, d)), ws.take("run", (k, ends[-1]))
+        x, y, run = ws.take("x", (k, d, d)), ws.take("y", (k, d, d)), ws.take("run", (k, size))
         np.take(left, cols, 1, x.reshape(k, -1), "clip")  # unbuffered
         np.multiply(x, np.take(w, wsel, 1, y.reshape(k, -1), "clip").reshape(k, d, d), out=x)
         np.take(right, cols, 1, y.reshape(k, -1), "clip")
         # sector m's slice of run is contiguous within each level, so its reshape is a view
-        for R, D, lo, hi in zip(slices, map(len, states), [0] + ends, ends):
+        for R, D, lo, hi in runs:
             np.matmul(x[:, R], y[:, R].transpose(0, 2, 1), out=run[:, lo:hi].reshape(k, D, D))
         return run
 
     return levels
 
 
+@functools.lru_cache(maxsize=32)
+def _window_index(size: int, n: int) -> np.ndarray:
+    """Read-only, built once per (size, n): row j holds j .. j + 2n."""
+    index = np.arange(size)[:, None] + np.arange(2 * n + 1)
+    index.setflags(write=False)
+    return index
+
+
 def _windows(v, n: int, fill) -> np.ndarray:
     """Row j holds v[j - n .. j + n], with fill for the entries outside v."""
-    padded = np.concatenate(([fill] * n, v, [fill] * n))
-    return padded[np.arange(len(v))[:, None] + np.arange(2 * n + 1)]
+    return np.concatenate(([fill] * n, v, [fill] * n))[_window_index(len(v), n)]
 
 
 def transfer_v(z: complex, params: ChainParams) -> np.ndarray:
@@ -435,7 +444,7 @@ def transfer_w(z: complex, params: ChainParams, cutoff=None) -> np.ndarray:
         j1, lg = j0 + fits, lg[:fits]
         return ktw.mantissa[j0:j1, None] * kw_mant[j0:j1] * np.exp(lg)
 
-    rows = _half_products(lambda u: l_bands(u, 1.0, params.q, J), z, params)
+    rows = _half_products(lambda u: l_row_bands(u, 1.0, params.q, J), z, params)
     return _certified_sum(_open_levels(rows, n, weights), n, J, params.tail_ratio, j_min,
                           params.tol / 10.0, "tail certificate")
 

@@ -8,6 +8,8 @@ displayed closed forms transcribe directly.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import tensor_core as tc
@@ -25,7 +27,7 @@ def _fock_bands(b00, b01, b10, b11) -> np.ndarray:
     super-diagonal of the (v^1, v^0) block; the last entry of each of these two
     falls outside the truncation.
     """
-    shape = np.broadcast_shapes(*map(np.shape, (b00, b01, b10, b11)))
+    shape = np.broadcast(b00, b01, b10, b11).shape
     out = np.zeros(shape[:-1] + (2, 2, shape[-1]), dtype=complex)
     out[..., 0, 0, :], out[..., 1, 1, :] = b00, b11
     out[..., 0, 1, :-1] = b01[..., :-1]
@@ -38,10 +40,13 @@ def r_weights(z: complex, q: complex):
     return 1.0 - q * q * z * z, q * (1.0 - z * z), (1.0 - q * q) * z
 
 
+_R_ENTRIES = np.array([[[1, 2], [3, 0]], [[0, 3], [2, 1]]])  # the bands' entries of (0, a, b, c)
+
+
 def r_bands(zs, q: complex) -> np.ndarray:
     """Stacked level bands of the R-matrix at each z of zs, first factor read as two levels."""
     w = np.array([(0.0, *r_weights(z, q)) for z in zs], dtype=complex).reshape(-1, 4)
-    return w[:, [[[1, 2], [3, 0]], [[0, 3], [2, 1]]]]  # the entries 0, a, b, c
+    return w.take(_R_ENTRIES, 1)
 
 
 def r_matrix(z: complex, q: complex) -> np.ndarray:
@@ -56,14 +61,32 @@ def r_tilde(z: complex, q: complex) -> np.ndarray:
     return np.linalg.inv(scalar * r_matrix(q * q * z, q))
 
 
+@functools.lru_cache(maxsize=16, typed=True)
+def _l_off_diagonals(q: complex, J: int) -> np.ndarray:
+    """Read-only, built once per (q, J): the runs (1 - q^(2j+2)) q^(-j) and q^(j+1) of
+    the L bands' off-diagonals, stacked; z does not enter them."""
+    p = q_powers(q, J)
+    off = np.array(((1.0 - p(2, 2)) * p(0, -1), p(1)))
+    off.setflags(write=False)
+    return off
+
+
 def l_bands(zs, r: complex, q: complex, J: int) -> np.ndarray:
     """Level bands of the L-operator on W (x) V at each spectral parameter of
     zs, stacked; the scalar factors are Python's, one per z, as for a single z."""
     p = q_powers(q, validate_cutoff(J))
     scalars = np.array([(-(z / q), -q * z * r, z) for z in zs], dtype=complex).reshape(-1, 3, 1)
-    b01, b10, z = scalars[:, 0], scalars[:, 1], scalars[:, 2]
-    return _fock_bands(b00=r * p(0), b01=b01 * ((1.0 - p(2, 2)) * p(0, -1)),
-                       b10=b10 * p(1), b11=(1.0 - p(2, 2) * z * z) * p(0, -1))
+    off, z = scalars[:, :2] * _l_off_diagonals(q, J), scalars[:, 2]
+    return _fock_bands(r * p(0), off[:, 0], off[:, 1], (1.0 - p(2, 2) * z * z) * p(0, -1))
+
+
+def l_row_bands(zs, r: complex, q: complex, J: int) -> np.ndarray:
+    """The (2, n, 2, 2, J) level bands of L(z)^T at the first n of the 2n points zs, which
+    are L(z)'s with the off-diagonal bands swapped and moved by one level, then of L(z)."""
+    bands = l_bands(zs, r, q, J).reshape(2, len(zs) // 2, 2, 2, J)
+    left = bands[0]
+    left[:, 0, 1, :-1], left[:, 1, 0, 1:] = left[:, 1, 0, 1:].copy(), left[:, 0, 1, :-1].copy()
+    return bands
 
 
 def l_matrix(z: complex, r: complex, q: complex, J: int) -> np.ndarray:
@@ -96,7 +119,7 @@ def l_tilde(z: complex, r: complex, q: complex, J: int) -> np.ndarray:
         raise ParameterDomainError("partial transpose of L is not invertible at q^2 z^2 = 1")
     s = 1.0 / (1.0 - q * q * z * z)
     return tc.from_bands(_fock_bands(b00=(s / r) * ((1.0 - p(4, 2) * z * z) * p(0, -1)),
-                                     b01=(s * z / r) * ((1.0 - p(2, 2)) * p(0, -1)),
+                                     b01=(s * z / r) * _l_off_diagonals(q, J)[0],
                                      b10=s * q * q * z * p(1), b11=s * p(0)))
 
 

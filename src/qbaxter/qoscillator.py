@@ -38,8 +38,9 @@ def validate_cutoff(J: int) -> int:
 
 @functools.lru_cache(maxsize=16, typed=True)
 def q_powers(q: complex, J: int):
-    """The run p(a, b, n=J) = [q ** (a + b j) for j in range(n)], for exponents
-    -2J .. 2J + 2, as a read-only slice of a per-(q, J) table of Python's q ** k.
+    """The run p(a, b, n=J, *scales) = [q ** (a + b j) for j in range(n)] times each
+    of scales in turn, for exponents -2J .. 2J + 2: read-only, built once per arguments
+    from a per-(q, J) table of Python's q ** k, as are the boundary diagonals' factors.
 
     The level bands and boundary diagonals are pinned to Python's power, which
     rounds differently from numpy's.  A power outside floating range raises
@@ -50,7 +51,14 @@ def q_powers(q: complex, J: int):
     except OverflowError:
         raise OverflowGuardError(f"q ** {-2 * J} leaves floating range at cutoff {J}") from None
     table.setflags(write=False)
-    return lambda a, b=1, n=J: table[2 * J + a::b][:n]
+
+    @functools.lru_cache(maxsize=64, typed=True)
+    def run(a, b=1, n=J, *scales):
+        out = functools.reduce(np.multiply, scales, table[2 * J + a::b][:n])
+        out.setflags(write=False)
+        return out
+
+    return run
 
 
 @dataclass(frozen=True)
@@ -99,7 +107,7 @@ def kw_diagonal(z: complex, r: complex, xi: complex, q: complex, J: int) -> Fock
     level-0 entry is 1.  Entries grow like |q|^{-j^2}, hence the log bookkeeping.
     """
     J = validate_cutoff(J)
-    steps = (q / r) * (z * z - q_powers(q, J)(-2, -2, J - 1) * xi)
+    steps = (q / r) * (z * z - q_powers(q, J)(-2, -2, J - 1, xi))
     return _accumulate_diagonal(np.concatenate(([1.0], steps)))
 
 
@@ -111,12 +119,12 @@ def ktw_diagonal(z: complex, r: complex, xitilde: complex, q: complex, J: int) -
     """
     J = validate_cutoff(J)
     p = q_powers(q, J)
-    pole = p(2, 2) * xitilde * z * z
+    pole = p(2, 2, J, xitilde) * z * z
     den = 1.0 - pole
     near = np.abs(den) < 1e-13 * (1.0 + np.abs(pole))
     if near.any():
         k = int(np.argmax(near)) + 1
         raise ExclusionPointError(
             f"z^2 within roundoff of the pole q^({-2 * k}) / xitilde of the left boundary matrix")
-    factors = np.concatenate(([1.0], p(1, 2, J - 1) * r * (-xitilde)))
+    factors = np.concatenate(([1.0], p(1, 2, J - 1, r, -xitilde)))
     return _accumulate_diagonal(factors / den)

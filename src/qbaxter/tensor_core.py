@@ -80,17 +80,16 @@ def index_sums(shape) -> np.ndarray:
 @functools.lru_cache(maxsize=16)
 def _band_layout(dn: int, J: int):
     """Read-only: the mask of the band entries [b, a, c] whose row level c + a - b
-    leaves 0 .. J - 1, the flat indices of the others, their flat indices in the
-    dense matrix, and the flat index of entry [a, b, c + a - b] for each."""
+    leaves 0 .. J - 1, the flat indices of the others, and their flat indices in
+    the dense matrix."""
     b, a, c = np.indices((dn, dn, J))
     row = c + a - b
     outside = (row < 0) | (row >= J)
     inside = np.flatnonzero(~outside)
     dense = ((row * dn + b) * J * dn + c * dn + a).ravel()[inside]
-    swapped = ((a * dn + b) * J + row).ravel()[inside]
-    for arr in (outside, inside, dense, swapped):
+    for arr in (outside, inside, dense):
         arr.setflags(write=False)
-    return outside, inside, dense, swapped
+    return outside, inside, dense
 
 
 def _check_bands(coef, ndim: int) -> np.ndarray:
@@ -108,20 +107,10 @@ def from_bands(coef) -> np.ndarray:
     x[(c + a - b, b), (c, a)]; every other entry of x is zero."""
     coef = _check_bands(coef, 3)
     dn, _, J = coef.shape
-    _, inside, dense, _ = _band_layout(dn, J)
+    _, inside, dense = _band_layout(dn, J)
     out = np.zeros((J * dn) ** 2, dtype=complex)
     out[dense] = np.take(coef, inside)
     return out.reshape(J * dn, J * dn)
-
-
-def transpose_bands(coef) -> np.ndarray:
-    """The level bands of x^T from those of x, coefT[..., b, a, c] = coef[..., a, b, c + a - b],
-    for one band array or a stack of them along the leading axes."""
-    _, inside, _, swapped = _band_layout(coef.shape[-3], coef.shape[-1])
-    flat = coef.shape[:-3] + (math.prod(coef.shape[-3:]),)
-    out = np.zeros(flat, dtype=complex)
-    out[..., inside] = coef.reshape(flat)[..., swapped]
-    return out.reshape(coef.shape)
 
 
 @functools.lru_cache(maxsize=32)
@@ -155,16 +144,25 @@ class Workspace(dict):
         return buffer[:n].reshape(shape)
 
 
-def _widen(prod, coef, workspace, role):
+def _widen(prod, shift, coef, workspace, role):
     """Charge blocks of the visited sites (pairs Q) times the band factor coef on a
-    new site before them all, new[c, (b, a), Q] = old[c + d - 1 + a - b, Q] coef[b, a, c]
-    on role's buffer of workspace, one run per level; old has d - 1 more levels on each side."""
+    new site before them all, new[c, (b, a), Q] = old[c + shift + a - b, Q] coef[b, a, c]
+    on role's buffer of workspace, one run per level, and zero where old holds no such
+    level: there the row level c + a - b leaves the truncation, so coef is zero too."""
     *batch, d, _, k = coef.shape
-    out = workspace.take(role, (*batch, k, d, d, prod.shape[-1]))
+    out, m = workspace.take(role, (*batch, k, d, d, prod.shape[-1])), prod.shape[-2]
     for b in range(d):
         for a in range(d):
-            lo = d - 1 + a - b
-            np.multiply(prod[..., lo:lo + k, :], coef[..., b, a, :, None], out=out[..., b, a, :])
+            s = shift + a - b
+            lo = 0 if s >= 0 else min(k, -s)
+            hi = k if m - s >= k else max(lo, m - s)
+            if lo < hi:
+                np.multiply(prod[..., lo + s:hi + s, :], coef[..., b, a, lo:hi, None],
+                            out=out[..., lo:hi, b, a, :])
+            if lo:
+                out[..., :lo, b, a, :] = 0.0
+            if hi < k:
+                out[..., hi:, b, a, :] = 0.0
     return out.reshape(*batch, k, -1)
 
 
@@ -178,23 +176,25 @@ def charge_product(bands, workspace, role):
     m(s) - m(r), m the index_sums of the sites 1 .. n, and blocks(j0, j1) is C of shape
     (..., j1 - j0, d^(2n)), C[c - j0, index[r, s]] = P[(c + m(s) - m(r), r), (c, s)]
     for index = pair_index((d,) * n), zero where that row level leaves 0 .. J - 1;
-    with no factor, C is ones.  Level c
-    reads only levels c - (d - 1) n .. c + (d - 1) n of the first factor: blocks widens
-    ones on that light cone, the bands zero outside 0 .. J - 1, and each factor drops
-    d - 1 levels on each side, alternating between the buffers "step" and role of
-    workspace so that C lives on role's until the next call.
+    with no factor, C is ones.  Level c reads only levels c - (d - 1) n .. c + (d - 1) n
+    of the first factor, and only those in 0 .. J - 1, where the bands live: blocks
+    widens ones on that light cone clipped to 0 .. J - 1, and each factor keeps its own
+    light cone, d - 1 levels narrower on each side, clipped the same way, alternating
+    between the buffers "step" and role of workspace so that C lives on role's until
+    the next call.  The levels the clip drops would hold exact zeros: it changes no value.
     """
     bands = _check_bands(bands, max(np.ndim(bands), 4))
     *batch, n, d, _, J = bands.shape
-    halo = (d - 1) * n
-    padded = np.zeros((*batch, n, d, d, J + 2 * halo), dtype=complex)
-    padded[..., halo:halo + J] = bands
 
     def blocks(j0, j1):
-        prod = np.ones((*batch, j1 - j0 + 2 * halo, 1), dtype=complex)
+        lo = max(0, j0 - (d - 1) * n)
+        prod = np.ones((*batch, min(J, j1 + (d - 1) * n) - lo, 1), dtype=complex)
         for k in range(n):
-            lo, hi = j0 + (d - 1) * (k + 1), j1 + (d - 1) * (2 * n - 1 - k)
-            prod = _widen(prod, padded[..., k, :, :, lo:hi], workspace, ("step", role)[(n - k) % 2])
+            reach = (d - 1) * (n - 1 - k)
+            c0, c1 = max(0, j0 - reach), min(J, j1 + reach)
+            prod = _widen(prod, c0 - lo, bands[..., k, :, :, c0:c1], workspace,
+                          ("step", role)[(n - k) % 2])
+            lo = c0
         return prod
 
     return blocks

@@ -1,7 +1,8 @@
 """Reference implementations that only the tests read: dense ladder operators of
 the truncated q-oscillator, q-Pochhammer symbols and the basic hypergeometric
-sum, the swap and partial transpose of a tensor product, and the exchange
-coefficients and unwanted-term residual of the algebraic Bethe ansatz.
+sum, the swap and partial transpose of a tensor product, the transpose of an
+operator given by its level bands, and the exchange coefficients and
+unwanted-term residual of the algebraic Bethe ansatz.
 
 The package computes none of these; the tests compare its results against them.
 """
@@ -152,6 +153,19 @@ def partial_transpose(x, site: int, shape) -> np.ndarray:
     post = math.prod(dims[site + 1:])
     t = x.reshape(pre, dims[site], post, pre, dims[site], post)
     return t.transpose(0, 4, 2, 3, 1, 5).reshape(d, d)
+
+
+def transpose_bands(coef) -> np.ndarray:
+    """The level bands (tensor_core.from_bands) of x^T from those of x,
+    coefT[..., b, a, c] = coef[..., a, b, c + a - b], zero where c + a - b leaves
+    0 .. J - 1, for one band array or a stack of them along the leading axes."""
+    coef = np.asarray(coef, dtype=complex)
+    dn, J = coef.shape[-3], coef.shape[-1]
+    b, a, c = np.indices((dn, dn, J))
+    inside = (c + a - b >= 0) & (c + a - b < J)
+    out = np.zeros_like(coef)
+    out[..., inside] = coef[..., a[inside], b[inside], (c + a - b)[inside]]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from qbaxter.errors import (
     ParameterDomainError,
     TailCertificateError,
 )
-from qbaxter.lattice_ops import ktv_matrix, kv_matrix, l_bands, l_matrix, r_matrix
+from qbaxter.lattice_ops import ktv_matrix, kv_matrix, l_bands, l_matrix, l_row_bands, r_matrix
 from qbaxter.qoscillator import (
     FockDiagonal,
     kw_diagonal,
@@ -667,7 +667,8 @@ class TestLevelProtocol:
         def bands(us):
             return l_bands(us, 1.0, p.q, J)
 
-        rows, index = ch._half_products(bands, z, p), tc.pair_index((2,) * n)
+        rows = ch._half_products(lambda us: l_row_bands(us, 1.0, p.q, J), z, p)
+        index = tc.pair_index((2,) * n)
         left, right = rows(0, J).copy()
         X, Y = left[:, index.T], right[:, index]
         w = np.random.default_rng(n).standard_normal((J, 2 * n + 1)) + 0.5j
@@ -810,6 +811,23 @@ def test_windows_by_formula(n):
     v = np.arange(1.0, 6.0)
     padded = [-np.inf] * n + v.tolist() + [-np.inf] * n
     assert ch._windows(v, n, -np.inf).tolist() == [padded[j:j + 2 * n + 1] for j in range(5)]
+    # through one index, built once per (size, n) and read-only
+    index = ch._window_index(5, n)
+    assert ch._window_index(5, n) is index and not index.flags.writeable
+
+
+@pytest.mark.parametrize("n", [0, 1, 4])
+def test_sector_runs_by_formula(n):
+    # each S^z sector's range in the down-count order, its size and its range
+    # among the flat sector blocks, one after another
+    down, order, runs, _ = ch._sectors(n)
+    assert ch._sectors(n)[2] is runs and len(runs) == n + 1
+    lo = 0
+    for m, (R, D, start, end) in enumerate(runs):
+        assert D == math.comb(n, m) and (down[order[R]] == m).all()
+        assert (start, end) == (lo, lo + D * D)
+        lo = end
+    assert lo == len(ch._sector_entries(n))
 
 
 class TestCutoffFloor:

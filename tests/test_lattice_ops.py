@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import osc_a, osc_adag, osc_fd, partial_transpose, q_power_d, swap_p
+from oracles import (
+    osc_a,
+    osc_adag,
+    osc_fd,
+    partial_transpose,
+    q_power_d,
+    swap_p,
+    transpose_bands,
+)
+from qbaxter import lattice_ops
 from qbaxter import tensor_core as tc
 from qbaxter.errors import ParameterDomainError
 from qbaxter.lattice_ops import (
@@ -15,6 +24,7 @@ from qbaxter.lattice_ops import (
     l_bands,
     l_inverse,
     l_matrix,
+    l_row_bands,
     l_tilde,
     r_bands,
     r_matrix,
@@ -29,6 +39,11 @@ J = 16
 R = 1.3 - 0.2j
 XI = 0.21 + 0.05j
 XIT = 0.1 - 0.03j
+
+
+def same_bits(a, b) -> bool:
+    """a and b hold the same shape and the same bits, signed zeros included."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def interior(mat, row_rest, col_rest, pad):
@@ -204,10 +219,27 @@ class TestLevelBands:
 
     def test_band_transpose_is_the_dense_transpose(self):
         for z, r in self.POINTS:
-            assert np.array_equal(tc.from_bands(tc.transpose_bands(l_bands([z], r, Q, J)[0])),
+            assert np.array_equal(tc.from_bands(transpose_bands(l_bands([z], r, Q, J)[0])),
                                   l_matrix(z, r, Q, J).T)
-            assert np.array_equal(tc.from_bands(tc.transpose_bands(r_bands([z], Q)[0])),
+            assert np.array_equal(tc.from_bands(transpose_bands(r_bands([z], Q)[0])),
                                   r_matrix(z, Q).T)
+
+    @pytest.mark.parametrize("cutoff", [2, 3, 40])
+    def test_transposes_swap_the_off_diagonal_bands(self, cutoff):
+        # the transpose of an L stack is the stack with its two off-diagonal bands
+        # swapped, each moved by one level; an R stack is its own transpose
+        zs = [0.0, 0.7 + 0.2j, 1.1 - 0.3j]
+        for r in (1.0, R):
+            bands = l_bands(zs, r, Q, cutoff)
+            swapped = bands.copy()
+            swapped[:, 0, 1, :-1], swapped[:, 1, 0, 1:] = bands[:, 1, 0, 1:], bands[:, 0, 1, :-1]
+            assert np.count_nonzero(swapped[:, 0, 1]) and np.count_nonzero(swapped[:, 1, 0])
+            assert same_bits(transpose_bands(bands), swapped)
+            # the double row's stack: L^T at the first half of the points, L at the second
+            rows = l_row_bands(zs + zs, r, Q, cutoff)
+            assert same_bits(rows[0], swapped) and same_bits(rows[1], bands)
+        bands = r_bands(zs, Q)
+        assert same_bits(transpose_bands(bands), bands)
 
     def test_stacks_match_one_call_per_point(self):
         zs = [z * (1.0 + 0.1 * k) for k, (z, _) in enumerate(self.POINTS)]
@@ -216,18 +248,24 @@ class TestLevelBands:
             assert stack.shape == (len(zs), 2, 2, J)
             for z, bands in zip(zs, stack):
                 assert np.array_equal(bands, l_bands([z], r, Q, J)[0])
-            for bands, transposed in zip(stack, tc.transpose_bands(stack)):
-                assert np.array_equal(transposed, tc.transpose_bands(bands))
+            for bands, transposed in zip(stack, transpose_bands(stack)):
+                assert np.array_equal(transposed, transpose_bands(bands))
         stack = r_bands(zs, Q)
         assert stack.shape == (len(zs), 2, 2, 2)
         for z, bands in zip(zs, stack):
             assert np.array_equal(bands, r_bands([z], Q)[0])
             assert np.array_equal(tc.from_bands(bands), r_matrix(z, Q))
 
+    def test_off_diagonal_runs_are_built_once(self):
+        off = lattice_ops._l_off_diagonals(Q, J)
+        assert lattice_ops._l_off_diagonals(Q, J) is off and not off.flags.writeable
+        p = q_powers(Q, J)
+        assert np.array_equal(off, [(1.0 - p(2, 2)) * p(0, -1), p(1)])
+
     def test_empty_stacks(self):
         assert l_bands([], R, Q, J).shape == (0, 2, 2, J)
         assert r_bands([], Q).shape == (0, 2, 2, 2)
-        assert tc.transpose_bands(l_bands([], R, Q, J)).shape == (0, 2, 2, J)
+        assert l_row_bands([], R, Q, J).shape == (2, 0, 2, 2, J)
 
 
 class TestBoundaryMatrices:

@@ -13,7 +13,7 @@ from qbaxter.errors import (
     ParameterDomainError,
 )
 from oracles import osc_a, osc_adag, osc_fd, phi21, pochhammer, q_power_d
-from qbaxter.qoscillator import FockDiagonal, kw_diagonal, ktw_diagonal, validate_cutoff
+from qbaxter.qoscillator import FockDiagonal, kw_diagonal, ktw_diagonal, q_powers, validate_cutoff
 
 Q = 0.57 + 0.13j
 J = 14
@@ -224,6 +224,16 @@ class TestBoundaryDiagonals:
         # 0.3 ** -1200 is about 1e627
         with pytest.raises(OverflowGuardError, match="at cutoff 600"):
             kw_diagonal(1.0, 1.0, 0.3, 0.3, 600)
+
+    def test_scaled_power_runs_are_built_once(self):
+        # a boundary diagonal's z-free factors, q^(2j+1) r (-xitilde): one read-only
+        # array per arguments, the run times each scale in turn
+        p, r, xit = q_powers(Q, J), 1.3 - 0.2j, 0.1 - 0.03j
+        run = p(1, 2, J - 1, r, -xit)
+        assert p(1, 2, J - 1, r, -xit) is run and not run.flags.writeable
+        powers = np.array([Q ** (1 + 2 * j) for j in range(J - 1)])
+        assert np.array_equal(run, powers * r * -xit)
+        assert np.array_equal(p(1, 2, J - 1), powers) and not p(1, 2, J - 1).flags.writeable
 
 
 def running_product(factors):

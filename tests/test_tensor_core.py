@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from oracles import partial_transpose, swap_p
+from oracles import partial_transpose, swap_p, transpose_bands
 from qbaxter import tensor_core as tc
 
 
@@ -261,7 +261,7 @@ class TestBands:
         rng = np.random.default_rng(22)
         for dn, J in self.SHAPES:
             coef = charge_bands(rng, J, dn)
-            assert np.array_equal(tc.from_bands(tc.transpose_bands(coef)),
+            assert np.array_equal(tc.from_bands(transpose_bands(coef)),
                                   tc.from_bands(coef).T)
 
     def test_wrong_band_shape_rejected(self):
@@ -387,6 +387,23 @@ class TestChargeProduct:
                     for k in range(2):
                         assert np.array_equal(built[k], charge_blocks(stacks[k], j0, j1))
 
+    def test_clipped_light_cone_is_exact(self):
+        # at J = 3 and N = 4 the light cone c - 4 .. c + 4 of every window crosses
+        # both 0 and J - 1; on Gaussian-integer bands every product is exact, so the
+        # clipped blocks equal the dense product's bit for bit
+        bands = np.round(3.0 * charge_stack(np.random.default_rng(17), 3, 2, 4))
+        dims, D = dense_shape(bands), 2 ** 4
+        dense = tc.ordered_product(dense_factors(bands), dims).reshape(3, D, 3, D)
+        m, index = tc.index_sums(dims[1:]), tc.pair_index(dims[1:])
+        expected = np.zeros((3, D * D), dtype=complex)
+        for c, r, s in np.ndindex(3, D, D):
+            if 0 <= c + m[s] - m[r] < 3:
+                expected[c, index[r, s]] = dense[c + m[s] - m[r], r, c, s]
+        assert np.count_nonzero(expected[:, index[0, 0]]) == 3
+        blocks = tc.charge_product(bands, tc.Workspace(), "rows")
+        for j0, j1 in ((0, 1), (1, 2), (2, 3), (0, 3)):
+            assert np.array_equal(blocks(j0, j1), expected[j0:j1])
+
     def test_transposed_reversed_factors_give_row_level_blocks(self):
         # P = F_1 .. F_n, the left half row's order, has P^T = F_n^T .. F_1^T, the
         # kernel's: its blocks by column level, spin axes swapped, are the blocks
@@ -394,7 +411,7 @@ class TestChargeProduct:
         for J, d, n in self.DENSE_CASES:
             bands = charge_stack(np.random.default_rng(13), J, d, n)
             dims, D = dense_shape(bands), d ** n
-            X = charge_blocks(tc.transpose_bands(bands))[:, tc.pair_index(dims[1:]).T]
+            X = charge_blocks(transpose_bands(bands))[:, tc.pair_index(dims[1:]).T]
             dense = tc.ordered_product(dense_factors(bands)[::-1], dims).reshape(J, D, J, D)
             m = tc.index_sums(dims[1:])
             expected = np.zeros_like(X)

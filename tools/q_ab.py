@@ -7,9 +7,10 @@ PARENT_SRC and CHANGE_SRC are directories that hold the `qbaxter` package
 (the `src/` of two checkouts).  The package of each is copied into a
 temporary directory as `qbaxter_parent` and `qbaxter_change` and both are
 imported, so they share one process, one allocator and one BLAS.  For each
-function (by default `chain.q_operator`, `chain.closed_q` and
-`chain.transfer_v`) at `sample_params(N, SEED, tol=1e-10)`, one warm-up call
-per tree is followed by R rounds; a round times K calls of the function at the
+function (by default the four row functions `chain.q_operator`,
+`chain.closed_q`, `chain.transfer_v` and `chain.closed_transfer_v`) at
+`sample_params(N, SEED, tol=1e-10)`, one warm-up call per tree is followed by
+R rounds; a round times K calls of the function at the
 points z_i = 0.83 + 0.21j + 0.001 i, i < K, in one tree and then in the other,
 the tree that goes first alternating from round to round.  One line per
 function gives each tree's median time and median minor page faults per call
@@ -29,7 +30,7 @@ import sys
 import tempfile
 import time
 
-FUNCTIONS = ("q_operator", "closed_q", "transfer_v")
+FUNCTIONS = ("q_operator", "closed_q", "transfer_v", "closed_transfer_v")
 TREES = ("parent", "change")
 
 
