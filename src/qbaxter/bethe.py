@@ -16,7 +16,6 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebroots
 
 from . import chain as ch
-from . import tensor_core as tc
 from .errors import ConvergenceError, ExclusionPointError, ParameterDomainError, QBaxterError
 from .lattice_ops import kv_matrix, ktv_matrix, r_bands, r_weights
 
@@ -155,7 +154,7 @@ def joint_spectrum(params: ch.ChainParams, z_probe: complex, z_samples, seed: in
                                    2 * n + 2, 1.0 / params.q)
     x = (np.array(z_samples) ** 2)[:, None]
 
-    for m_down, idx in enumerate(ch._sectors(n)[3]):
+    for m_down, idx in enumerate(ch._layout(n).states):
         blk = np.ix_(idx, idx)
         block = t_probe[blk]
         vals, vecs = _eig_sorted(block)
@@ -365,24 +364,25 @@ def aba_state(roots, params: ch.ChainParams) -> np.ndarray:
     mu - 1 it is read off transfer_v's half rows X, Y at y (chain._half_products):
     (B v)[r] = sum_t X[0][r, t] kv[m(r) - m(t)] (Y[1] v)[t] for the rows r of
     down count mu, through the states t of down counts mu - 1 and mu (m the
-    down count, kv the diagonal of K^V)."""
+    down count, kv the diagonal of K^V), each gathered through the layout's cols."""
     ys = list(np.asarray(roots, dtype=complex))
     n = params.n_sites
     if len(ys) > n:
         raise ParameterDomainError("more creation operators than sites")
-    down, _, _, states = ch._sectors(n)
+    layout = ch._layout(n)
     v = np.zeros(params.dim, dtype=complex)
     v[0] = 1.0
-    index = tc.pair_index((2,) * n)
     for mu, y in enumerate(ys, start=1):
         rows = ch._half_products(lambda w: r_bands(w, params.q), y, params)
         left, right = rows(0, 2)
         kv = np.diagonal(kv_matrix(y, params.xi))
-        s, r = states[mu - 1], states[mu]
+        (S, *_), (R, *_) = layout.runs[mu - 1:mu + 1]
+        s, r = layout.states[mu - 1], layout.states[mu]
         t = np.concatenate((s, r))
-        w = kv[mu - down[t]] * (right[1][index[np.ix_(t, s)]] @ v[s])
+        # both gathers C-ordered, as an F-ordered one rounds the matvec differently
+        w = kv[mu - layout.down[t]] * (right[1][layout.cols[S].T[t]] @ v[s])
         v = np.zeros(params.dim, dtype=complex)
-        v[r] = left[0][index.T[np.ix_(r, t)]] @ w
+        v[r] = left[0][np.take(layout.cols[R], t, 1)] @ w
     return v
 
 

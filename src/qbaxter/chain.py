@@ -15,6 +15,7 @@ import numbers
 import sys
 import threading
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .errors import (
     TailCertificateError,
 )
 from .lattice_ops import kv_matrix, ktv_matrix, l_bands, l_matrix, l_row_bands, r_bands, r_matrix
-from .qoscillator import _LOG_HUGE, kw_diagonal, ktw_diagonal, validate_count, validate_cutoff
+from .qoscillator import LOG_HUGE, kw_diagonal, ktw_diagonal, validate_count, validate_cutoff
 
 
 def _check_scalars(tol, exclusion_radius):
@@ -121,44 +122,37 @@ class ChainParams:
                        xitilde=self.xitilde * scale)
 
 
+class _Layout(NamedTuple):
+    """The S^z layout of n_sites spins (m the down count, order the states in
+    down-count order), for down count 0 .. n_sites one after another."""
+
+    down: np.ndarray          # m of each product state
+    runs: tuple               # per sector: range R in order, size D, range lo .. hi in entries
+    states: tuple             # per sector: its states in product order
+    entries: np.ndarray       # the flat matrix entries the sector blocks fill, block by block
+    cols: np.ndarray          # [c, t]: pair-layout position (tc.pair_index) of entry (t, order[c])
+    pair_entries: np.ndarray  # the pair-layout positions of entries
+    wsel: np.ndarray          # [r, t]: paired weight n_sites + m(order[r]) - m(t)
+
+
 @functools.lru_cache(maxsize=32)
-def _sectors(n_sites: int):
-    """The S^z sectors of n_sites spins, built once per n_sites as read-only
-    arrays: each product state's down count, the states in down-count order,
-    for down count 0 .. n_sites its range R there, its size D and its range
-    lo .. hi among the flat sector blocks (_sector_entries), and each sector's
-    states in product order."""
-    down = tc.index_sums((2,) * n_sites)
+def _layout(n_sites: int) -> _Layout:
+    """The S^z layout of n_sites spins, built once per n_sites as read-only arrays."""
+    d, down = 2 ** n_sites, tc.index_sums((2,) * n_sites)
     order = np.argsort(down, kind="stable")
-    down.setflags(write=False)
-    order.setflags(write=False)
+    order.setflags(write=False)  # and so every sector's states, its views
     sizes = np.bincount(down).tolist()
     ends, blocks = np.cumsum(sizes).tolist(), np.cumsum(np.square(sizes)).tolist()
     runs = tuple(zip(map(slice, [0] + ends, ends), sizes, [0] + blocks, blocks))
-    return down, order, runs, tuple(order[R] for R, *_ in runs)
-
-
-@functools.lru_cache(maxsize=32)
-def _sector_entries(n_sites: int) -> np.ndarray:
-    """The flat entries of the 2^n_sites x 2^n_sites matrix that its S^z-sector
-    blocks fill one after another, read-only and built once per n_sites."""
-    d = 2 ** n_sites
-    entries = np.concatenate([(idx[:, None] * d + idx).ravel() for idx in _sectors(n_sites)[3]])
-    entries.setflags(write=False)
-    return entries
-
-
-@functools.lru_cache(maxsize=32)
-def _pair_gathers(n_sites: int):
-    """Read-only, built once per n_sites: the pair-layout positions (tc.pair_index)
-    of entry (t, order[c]) for each [c, t] and of the _sector_entries, and the
-    paired weight n_sites + m(order[r]) - m(t) for each [r, t] (m the down count)."""
-    (down, order, _, _), index = _sectors(n_sites), tc.pair_index((2,) * n_sites)
-    out = (index.T[order].ravel(), index.ravel()[_sector_entries(n_sites)],
-           (n_sites + down[order][:, None] - down).ravel())
-    for arr in out:
-        arr.setflags(write=False)
-    return out
+    states = tuple(order[R] for R, *_ in runs)
+    entries = np.concatenate([(idx[:, None] * d + idx).ravel() for idx in states])
+    index = tc.pair_index((2,) * n_sites)
+    layout = _Layout(down, runs, states, entries, index.T[order], index.ravel()[entries],
+                     n_sites + down[order][:, None] - down)
+    for arr in layout:
+        if isinstance(arr, np.ndarray):
+            arr.setflags(write=False)
+    return layout
 
 
 def sample_params(n_sites: int, seed: int, cutoff: int = 40, tol: float = 1e-9,
@@ -224,7 +218,7 @@ def spin_weights(n_sites: int, top: complex, bottom: complex) -> np.ndarray:
     """Diagonal of diag(top, bottom)^(x N) in the product basis."""
     per_down = np.array([top ** (n_sites - m) * bottom ** m for m in range(n_sites + 1)],
                         dtype=complex)
-    return per_down[_sectors(n_sites)[0]]
+    return per_down[_layout(n_sites).down]
 
 
 # ---------------------------------------------------------------------------
@@ -281,11 +275,11 @@ def _certified_sum(levels, n_sites: int, J: int, rho_theory: float, j_min: int,
     """Sum the level terms 0 .. J - 1 until a geometric tail certificate clears
     tol_eff.
 
-    The terms are block diagonal in the S^z sectors of n_sites spins (_sectors).
+    The terms are block diagonal in the S^z sectors of n_sites spins (_layout).
     levels(j0, j1) returns levels j0 .. j1 - 1, or a nonempty leading part of
     them, as one (k, E) array for the sum to overwrite, row i the sector blocks
-    of level j0 + i in _sector_entries order.  The first stack asked for holds
-    the levels over which a geometric tail of ratio rho_theory from a unit
+    of level j0 + i in the order of _layout's entries.  The first stack asked for
+    holds the levels over which a geometric tail of ratio rho_theory from a unit
     level-0 term falls below tol_eff (at least j_min) and the two calm levels
     the rule needs to stop, each later one the levels the certificate's own
     estimate still needs, at most _STACK_ENTRIES entries of d x d terms.  A
@@ -299,7 +293,7 @@ def _certified_sum(levels, n_sites: int, J: int, rho_theory: float, j_min: int,
     level norms decay at least geometrically at ratio rho from j_min on.
     """
     d = 2 ** n_sites
-    total = np.zeros(len(_sector_entries(n_sites)), dtype=complex)
+    total = np.zeros(len(_layout(n_sites).entries), dtype=complex)
     prev_norm, calm, last_tail, scale, j0 = None, 0, math.inf, 1.0, 0
     want = max(j_min, math.ceil(math.log(tol_eff, rho_theory)) if rho_theory else 0) + 2
     while j0 < J and calm < 2:
@@ -337,7 +331,7 @@ def _from_sectors(flat, n_sites: int) -> np.ndarray:
     another in flat."""
     d = 2 ** n_sites
     out = np.zeros(d * d, dtype=complex)
-    out[_sector_entries(n_sites)] = flat
+    out[_layout(n_sites).entries] = flat
     return out.reshape(d, d)
 
 
@@ -352,8 +346,9 @@ def _half_products(row_bands, z: complex, params: ChainParams):
     first N points ws and of the right half row's at the last N, one stack
     (lattice_ops.l_row_bands; r_bands, as R is its own transpose): for the left half
     row P by row level, X[j, r, t] = P[(j, r), (j + m(r) - m(t), t)] = rows[0][j - j0,
-    index[t, r]] (m the down count, index = tc.pair_index((2,) * N)), built as
-    P^T = F_N^T .. F_1^T, and for the right one Y[j] = rows[1][j - j0, index]."""
+    index[t, r]] (m the down count, index = tc.pair_index((2,) * N), as _layout's
+    cols reads it), built as P^T = F_N^T .. F_1^T, and for the right one
+    Y[j] = rows[1][j - j0, index]."""
     ts, n = params.t[::-1], params.n_sites
     bands = row_bands([t * z for t in ts] + [z / t for t in ts])
     return tc.charge_product(bands.reshape((2, n) + bands.shape[-3:]), _workspace(), "rows")
@@ -367,19 +362,19 @@ def _open_levels(rows, n_sites: int, weights):
     Y[j] in down-count order, where sector m is one range R; its rows meet Y[j]
     through each state t at weight w[j - j0, n + m - m(t)], and sector m's block of
     level j is (x[j][R] @ y[j][R]^T)."""
-    (cols, _, wsel), runs = _pair_gathers(n_sites), _sectors(n_sites)[2]
-    d, ws, size = 2 ** n_sites, _workspace(), runs[-1][3]
+    layout, d, ws = _layout(n_sites), 2 ** n_sites, _workspace()
+    size = len(layout.entries)
 
     def levels(j0, j1):
         k = len(w := weights(j0, j1))
         left, right = rows(j0, j0 + k)
         # X's rows and Y's columns in down-count order; x times w[:, wsel], staged on y
         x, y, run = ws.take("x", (k, d, d)), ws.take("y", (k, d, d)), ws.take("run", (k, size))
-        np.take(left, cols, 1, x.reshape(k, -1), "clip")  # unbuffered
-        np.multiply(x, np.take(w, wsel, 1, y.reshape(k, -1), "clip").reshape(k, d, d), out=x)
-        np.take(right, cols, 1, y.reshape(k, -1), "clip")
+        np.take(left, layout.cols, 1, x, "clip")  # unbuffered
+        np.multiply(x, np.take(w, layout.wsel, 1, y, "clip"), out=x)
+        np.take(right, layout.cols, 1, y, "clip")
         # sector m's slice of run is contiguous within each level, so its reshape is a view
-        for R, D, lo, hi in runs:
+        for R, D, lo, hi in layout.runs:
             np.matmul(x[:, R], y[:, R].transpose(0, 2, 1), out=run[:, lo:hi].reshape(k, D, D))
         return run
 
@@ -435,7 +430,7 @@ def transfer_w(z: complex, params: ChainParams, cutoff=None) -> np.ndarray:
 
     def weights(j0, j1):
         lg = ktw.log_mag[j0:j1, None] + kw_log[j0:j1]
-        huge = lg > _LOG_HUGE
+        huge = lg > LOG_HUGE
         fits = int(np.logical_and.accumulate(~huge.any(axis=1)).sum())
         if fits == 0:
             k = j0 - n + int(np.argmax(huge[0]))
@@ -530,9 +525,9 @@ def _closed_levels(site_bands, z: complex, params: ChainParams):
     """levels(j0, j1) of the twisted trace of the single row for _certified_sum,
     from the stacked level bands site_bands(ws) at the points ws, on the thread's
     "run" buffer: zeta^j times charge block j between equal down counts (row
-    level j), in _sector_entries order, built for that stack only."""
+    level j), in the order of _layout's entries, built for that stack only."""
     blocks = tc.charge_product(site_bands([z / t for t in params.t[::-1]]), _workspace(), "rows")
-    entries = _pair_gathers(params.n_sites)[1]
+    entries = _layout(params.n_sites).pair_entries
 
     def levels(j0, j1):
         # Python's power: numpy's zeta ** np.arange(J) rounds differently

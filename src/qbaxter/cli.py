@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
@@ -202,7 +201,7 @@ def main(argv=None) -> int:
     parser.add_argument("--suite", action="append", default=None,
                         help="suite name (repeatable); overrides the configured list")
     parser.add_argument("--seed", type=int, default=None,
-                        help="random seed; overrides config and QBAXTER_SEED")
+                        help="random seed; overrides the config value")
     parser.add_argument("--out", default=None, help="report output path")
     parser.add_argument("--tol", type=float, default=None, help="override trace tolerance")
     parser.add_argument("--cutoff", type=int, default=None, help="override Fock cutoff")
@@ -215,8 +214,6 @@ def main(argv=None) -> int:
         if isinstance(raw, dict):  # from_dict rejects any other configuration
             if args.seed is not None:
                 raw["seed"] = args.seed
-            elif "QBAXTER_SEED" in os.environ:
-                raw["seed"] = int(os.environ["QBAXTER_SEED"])
             if args.suite:
                 raw["suites"] = args.suite
             if args.out:

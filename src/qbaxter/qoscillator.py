@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ExclusionPointError, OverflowGuardError, ParameterDomainError
 
 # exp() of anything above this leaves double range
-_LOG_HUGE = 700.0
+LOG_HUGE = 700.0
 
 
 def validate_count(name: str, value, least: int = 0) -> int:
@@ -78,7 +78,7 @@ class FockDiagonal:
             raise ValueError("mantissa and log_mag must be 1-d arrays of equal length")
 
     def diagonal(self) -> np.ndarray:
-        if np.max(self.log_mag) > _LOG_HUGE:
+        if np.max(self.log_mag) > LOG_HUGE:
             j = int(np.argmax(self.log_mag))
             raise OverflowGuardError(
                 f"diagonal entry {j} has log-magnitude {self.log_mag[j]:.1f}, beyond double range")

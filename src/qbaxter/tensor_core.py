@@ -113,16 +113,13 @@ def from_bands(coef) -> np.ndarray:
     return out.reshape(J * dn, J * dn)
 
 
-@functools.lru_cache(maxsize=32)
 def pair_index(dims) -> np.ndarray:
-    """Read-only: the flat position of each entry [r, s] of a matrix on sites of
-    dims, in product order, within their site-pair layout, where the index pairs
-    (r_n, s_n) follow one another in site order."""
+    """The flat position of each entry [r, s] of a matrix on sites of dims, in
+    product order, within their site-pair layout, where the index pairs (r_n, s_n)
+    follow one another in site order."""
     n, d = len(dims), math.prod(dims)
     pairs = np.arange(d * d).reshape([dn for dn in dims for _ in "rs"])
-    out = pairs.transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)]).reshape(d, d)
-    out.setflags(write=False)
-    return out
+    return pairs.transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)]).reshape(d, d)
 
 
 # Largest total a Workspace keeps, in bytes: a Q keeps 5.7 MiB at N = 8, 91 MiB at N = 10 and

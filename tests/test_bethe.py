@@ -118,7 +118,7 @@ class TestJointSpectrum:
             v = rec.vector
             assert abs(np.linalg.norm(v) - 1.0) < 1e-12
             outside = np.ones(p.dim, dtype=bool)
-            outside[ch._sectors(n)[3][rec.m_down]] = False
+            outside[ch._layout(n).states[rec.m_down]] = False
             assert not v[outside].any()
             lam = [v.conj() @ t @ v for t in tv]
             resid = max(np.linalg.norm(t @ v - l * v) / max(1.0, abs(l)) for t, l in zip(tv, lam))
@@ -583,6 +583,13 @@ class TestNewton:
 
         monkeypatch.setattr(np.linalg, "solve", singular)
         with pytest.raises(ConvergenceError, match="singular Jacobian"):
+            bt.refine_bethe_newton(np.array([0.5, 1.5]), p)
+
+    def test_zero_step_stalls(self, monkeypatch):
+        # a zero step improves nothing, so the first step stalls
+        p = ch.ChainParams(q=0.5, xi=0.1, xitilde=0.2, n_sites=2, t=(1.1, 0.9))
+        monkeypatch.setattr(np.linalg, "solve", lambda jac, rhs: np.zeros_like(rhs))
+        with pytest.raises(ConvergenceError, match="stalled at residual"):
             bt.refine_bethe_newton(np.array([0.5, 1.5]), p)
 
     def test_trial_on_a_pole_is_rejected(self, monkeypatch):

@@ -552,7 +552,7 @@ class TestCertifiedSumStacks:
         for idx, term in zip(sectors, terms):
             dense[:, idx[:, None], idx] = term
         expected = reference_sum(iter(dense), 0.5, 4, 1e-11, "synthetic")
-        # each level's sector blocks one after another, as _sector_entries reads them
+        # each level's sector blocks one after another, as the layout's entries read them
         flat = np.concatenate([term.reshape(J, -1) for term in terms], axis=1)
         for size in (1, 3, J):
             def levels(j0, j1):
@@ -662,7 +662,8 @@ class TestLevelProtocol:
     def test_one_flat_array_per_stack(self, n, monkeypatch):
         monkeypatch.setattr(ch._threads, "workspace", tc.Workspace(), raising=False)
         p, z, j0, j1 = ch.sample_params(n, seed=3, tol=1e-10), 0.83 + 0.21j, 2, 5
-        J, (down, _, _, states) = p.cutoff, ch._sectors(n)
+        J, layout = p.cutoff, ch._layout(n)
+        down, states = layout.down, layout.states
 
         def bands(us):
             return l_bands(us, 1.0, p.q, J)
@@ -781,17 +782,19 @@ class TestRowsOnDemand:
 
 
 class TestPairGathers:
-    """The pairing's and the closed gather's positions in the site-pair layout
-    are built once per N, read-only, and follow their formulas."""
+    """The S^z layout, with the pairing's and the closed gather's positions in
+    the site-pair layout, is built once per N, read-only, and follows its formulas."""
 
     @pytest.mark.parametrize("n", [0, 1, 3])
     def test_cached_read_only_and_by_formula(self, n):
-        gathers = ch._pair_gathers(n)
-        assert ch._pair_gathers(n) is gathers
-        assert all(not g.flags.writeable for g in gathers)
-        cols, closed, wsel = gathers
-        down, order, _, states = ch._sectors(n)
-        d = 2 ** n
+        layout = ch._layout(n)
+        assert ch._layout(n) is layout
+        arrays = [a for a in layout if isinstance(a, np.ndarray)] + list(layout.states)
+        assert len(arrays) == 5 + n + 1 and all(not a.flags.writeable for a in arrays)
+        # C-ordered, as the gathers through them need
+        assert layout.cols.flags.c_contiguous and layout.wsel.flags.c_contiguous
+        down, states, d = layout.down, layout.states, 2 ** n
+        order = np.concatenate(states)
 
         def position(r, s):
             # the pairs (r_k, s_k) in site order, site 1 slowest
@@ -800,9 +803,13 @@ class TestPairGathers:
                 out = out * 4 + 2 * (r >> k & 1) + (s >> k & 1)
             return out
 
-        assert cols.tolist() == [position(t, order[c]) for c in range(d) for t in range(d)]
-        assert wsel.tolist() == [n + down[order[r]] - down[t] for r in range(d) for t in range(d)]
-        assert closed.tolist() == [position(r, s) for idx in states for r in idx for s in idx]
+        assert layout.cols.tolist() == [[position(t, order[c]) for t in range(d)]
+                                        for c in range(d)]
+        assert layout.wsel.tolist() == [[n + down[order[r]] - down[t] for t in range(d)]
+                                        for r in range(d)]
+        assert layout.entries.tolist() == [r * d + s for idx in states for r in idx for s in idx]
+        assert layout.pair_entries.tolist() == [position(r, s) for idx in states
+                                                for r in idx for s in idx]
 
 
 @pytest.mark.parametrize("n", [0, 1, 3])
@@ -820,14 +827,15 @@ def test_windows_by_formula(n):
 def test_sector_runs_by_formula(n):
     # each S^z sector's range in the down-count order, its size and its range
     # among the flat sector blocks, one after another
-    down, order, runs, _ = ch._sectors(n)
-    assert ch._sectors(n)[2] is runs and len(runs) == n + 1
-    lo = 0
-    for m, (R, D, start, end) in enumerate(runs):
-        assert D == math.comb(n, m) and (down[order[R]] == m).all()
+    layout = ch._layout(n)
+    assert len(layout.runs) == len(layout.states) == n + 1
+    c = lo = 0
+    for m, ((R, D, start, end), states) in enumerate(zip(layout.runs, layout.states)):
+        assert D == math.comb(n, m) and R == slice(c, c + D)
+        assert states.tolist() == np.flatnonzero(layout.down == m).tolist()
         assert (start, end) == (lo, lo + D * D)
-        lo = end
-    assert lo == len(ch._sector_entries(n))
+        c, lo = c + D, end
+    assert lo == len(layout.entries)
 
 
 class TestCutoffFloor:
@@ -954,7 +962,7 @@ class TestSpinSector:
         n, top, bottom = 4, 0.7 + 0.2j, 1.3 - 0.1j
         downs = [bin(i).count("1") for i in range(2 ** n)]
         for m in range(n + 1):
-            assert ch._sectors(n)[3][m].tolist() == [i for i, k in enumerate(downs) if k == m]
+            assert ch._layout(n).states[m].tolist() == [i for i, k in enumerate(downs) if k == m]
         expected = [top ** (n - k) * bottom ** k for k in downs]
         assert np.array_equal(ch.spin_weights(n, top, bottom), np.array(expected))
 

@@ -322,11 +322,12 @@ class TestMainEntry:
         assert "|q|^(2N)" in proc.stderr
 
     def test_seed_precedence_and_determinism(self, tmp_path):
+        # --seed beats the config value, and no environment variable sets a seed
         cfg = write_config(tmp_path, {**BASE, "output_path": str(tmp_path / "a.json")})
-        p1 = self.run_cli("--config", cfg, "--seed", "21", "--quiet",
-                          env_extra={"QBAXTER_SEED": "99"})
+        p1 = self.run_cli("--config", cfg, "--seed", "21", "--quiet")
+        cfg = write_config(tmp_path, {**BASE, "seed": 21}, "seed21.json")
         p2 = self.run_cli("--config", cfg, "--out", str(tmp_path / "b.json"),
-                          "--quiet", env_extra={"QBAXTER_SEED": "21"})
+                          "--quiet", env_extra={"QBAXTER_SEED": "99"})
         assert p1.returncode == p2.returncode == 0
         a = json.loads((tmp_path / "a.json").read_text())
         b = json.loads((tmp_path / "b.json").read_text())
@@ -468,20 +469,17 @@ class TestMainEntry:
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("params", [BASE["params"], EXPLICIT], ids=["sampled", "explicit"])
-    @pytest.mark.parametrize("source", ["config", "flag", "env"])
+    @pytest.mark.parametrize("source", ["config", "flag"])
     def test_negative_seed_exits_two(self, tmp_path, params, source):
         payload = {**BASE, "params": params}
         payload.pop("seed")
-        args, env = (), None
+        args = ()
         if source == "config":
             payload["seed"] = -3
-        elif source == "flag":
-            args = ("--seed", "-3")
         else:
-            env = {"QBAXTER_SEED": "-3"}
+            args = ("--seed", "-3")
         cfg = write_config(tmp_path, payload)
-        proc = self.run_cli("--config", cfg, "--out", str(tmp_path / "r.json"), *args,
-                            env_extra=env)
+        proc = self.run_cli("--config", cfg, "--out", str(tmp_path / "r.json"), *args)
         assert proc.returncode == 2
         assert "seed must be an integer >= 0, got -3" in proc.stderr
         assert "Traceback" not in proc.stderr

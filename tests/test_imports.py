@@ -2,7 +2,8 @@
 lambda of it takes, is used in that module; every module-level private name
 of the package is read somewhere in it, every module-level public def or
 class is read by the package outside its own body or exported by __all__, and
-no module raises the base class QBaxterError itself."""
+no module raises the base class QBaxterError itself; the reads of one module's
+private names by another are listed."""
 
 import ast
 import pathlib
@@ -86,6 +87,32 @@ def unread_public_names(sources):
             and not any(node.name in read for stmt, read in reads if stmt is not node)]
 
 
+def is_private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def cross_module_private_reads(sources):
+    """"module:alias.name" for each private name of another package module that a
+    module of the given {module: source} reads, through a package module it imports
+    (from . import chain as ch, read as ch._name), and "module:source._name" for each
+    private name it imports from one (from .source import _name); sorted."""
+    reads = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        aliases = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module is None:
+                    aliases.update(a.asname or a.name for a in node.names)
+                else:
+                    reads.update(f"{module}:{node.module}.{a.name}" for a in node.names
+                                 if is_private(a.name))
+        reads.update(f"{module}:{n.value.id}.{n.attr}" for n in ast.walk(tree)
+                     if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+                     and n.value.id in aliases and is_private(n.attr))
+    return sorted(reads)
+
+
 def bare_base_raises(source):
     """Line numbers of the raise statements that raise QBaxterError itself, by
     name or as an attribute, called or not."""
@@ -147,6 +174,23 @@ def test_unread_public_name_detector():
                      "def h(): pass\n"),
                "b": "from . import a\nx = a.g\n"}
     assert unread_public_names(sources) == ["a:f", "a:D", "a:h"]
+
+
+def test_cross_module_private_reads():
+    # the package's modules reach into one another's private names only here
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    assert cross_module_private_reads(sources) == [
+        "bethe:ch._half_products", "bethe:ch._layout",
+        "verify:ch._double_row", "verify:ch._finite_number"]
+
+
+def test_cross_module_private_read_detector():
+    sources = {"a": ("from . import b as bb\nfrom . import c\nfrom .b import _K, f\n"
+                     "import numpy as np\n_own = 1\n"
+                     "def g(): return bb._g(c._h, c.pub, np._p, bb.__doc__, _own, bb._g)\n"),
+               "b": "_K = 1\ndef _g(*a): pass\ndef f(): pass\n",
+               "c": "_h = 2\npub = 3\n"}
+    assert cross_module_private_reads(sources) == ["a:b._K", "a:bb._g", "a:c._h"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -314,7 +314,6 @@ class TestChargeProduct:
                     for n, dn in enumerate(dims):
                         expected[r, s] = expected[r, s] * dn * dn + rs[n] * dn + ss[n]
             assert np.array_equal(index, expected)
-            assert tc.pair_index(dims) is index and not index.flags.writeable
 
     def test_blocks_sit_in_the_site_pair_layout(self):
         # each site's band copy lands on its own (b, a) pair, in site order

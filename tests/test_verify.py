@@ -1,14 +1,21 @@
 """The identity battery as a library: every named check passes at generic parameters."""
 
+import cmath
 import re
 
 import numpy as np
 import pytest
 
+from qbaxter import bethe as bt
 from qbaxter import chain as ch
 from qbaxter import tensor_core as tc
 from qbaxter import verify as vf
-from qbaxter.errors import ExclusionPointError, ParameterDomainError, QBaxterError
+from qbaxter.errors import (
+    ConvergenceError,
+    ExclusionPointError,
+    ParameterDomainError,
+    QBaxterError,
+)
 
 
 @pytest.fixture(scope="module")
@@ -24,6 +31,21 @@ def test_ybe(params):
 def test_reflection(params):
     res = vf.check_reflection(params, seed=3)
     assert res.passed and res.residual < 1e-10
+
+
+def test_reflection_redraws_a_point_on_a_boundary_pole(params, monkeypatch):
+    # the first draw meets a pole of the left boundary matrix, so it is drawn again
+    ktw_diagonal, points = vf.ktw_diagonal, []
+
+    def first_on_a_pole(y, *args):
+        points.append(y)
+        if len(points) == 1:
+            raise ExclusionPointError(f"{y} on a pole")
+        return ktw_diagonal(y, *args)
+
+    monkeypatch.setattr(vf, "ktw_diagonal", first_on_a_pole)
+    res = vf.check_reflection(params, seed=3)
+    assert res.passed and points[1] != points[0]
 
 
 def test_fusion(params):
@@ -45,6 +67,18 @@ def test_tq(params):
     res = vf.check_tq(params, seed=3)
     assert res.passed
     assert "degeneration-at-quartic-point" in res.notes
+
+
+def test_tq_skips_an_excluded_quartic_point(params, monkeypatch):
+    # with the first quartic point z0 = q^(-1/2), q z0 and z0 / q excluded, the
+    # degeneration is read at the next one: a Q at any of the three would raise
+    q = params.q
+    z0 = cmath.sqrt(1.0 / q)
+    excluded, in_exclusion_set = (z0, q * z0, z0 / q), ch.in_exclusion_set
+    monkeypatch.setattr(ch, "in_exclusion_set", lambda z, p: (
+        min(abs(z - w) for w in excluded) < 1e-12 or in_exclusion_set(z, p)))
+    res = vf.check_tq(params, seed=3)
+    assert res.passed and "degeneration-at-quartic-point" in res.notes
 
 
 def test_tq_empty_chain():
@@ -102,6 +136,16 @@ def test_closed_chain_invertibility_reads_log_det(monkeypatch):
     assert "log|det T^W_closed| = -" in res.notes
 
 
+def test_closed_chain_flags_a_singular_transfer(monkeypatch):
+    # T^W zero away from z = 0: slogdet's sign is 0, and the invertibility sub-residual fails
+    p = ch.sample_params(2, seed=3, tol=1e-10)
+    closed_transfer_w = ch.closed_transfer_w
+    monkeypatch.setattr(ch, "closed_transfer_w", lambda z, params, cutoff=None: (
+        closed_transfer_w(z, params, cutoff) * (0.0 if z != 0 else 1.0)))
+    res = vf.check_closed_chain(p, seed=3)
+    assert not res.passed and res.residual == 1.0 and "'invertibility': 1.0" in res.notes
+
+
 def test_spectrum_suite(params):
     results = vf.spectrum_suite(params, seed=3)
     records = vf.spectral_records(params, 3, 3)
@@ -112,6 +156,17 @@ def test_spectrum_suite(params):
 def test_bethe_suite(params):
     results = vf.bethe_suite(params, seed=3)
     assert all(r.passed for r in results)
+
+
+def test_bethe_suite_counts_unpolished_root_sets(params, monkeypatch):
+    # a root set whose Newton polish stalls keeps its raw roots and is counted
+    def stalled(roots, params, max_iter=50):
+        raise ConvergenceError("Newton refinement stalled")
+
+    monkeypatch.setattr(bt, "refine_bethe_newton", stalled)
+    results = {r.name: r for r in vf.bethe_suite(params, seed=3)}
+    count = len(vf.spectral_records(params, 3, 3))
+    assert results["bethe-residuals"].notes.endswith(f"; {count} root sets left unpolished")
 
 
 @pytest.mark.parametrize("seed", [3, 11])
