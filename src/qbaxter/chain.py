@@ -26,7 +26,7 @@ from .errors import (
     ParameterDomainError,
     TailCertificateError,
 )
-from .lattice_ops import kv_matrix, ktv_matrix, l_bands, l_matrix, l_row_bands, r_bands, r_matrix
+from .lattice_ops import kv_matrix, ktv_matrix, l_bands, l_matrix, r_bands, r_matrix
 from .qoscillator import LOG_HUGE, kw_diagonal, ktw_diagonal, validate_count, validate_cutoff
 
 
@@ -288,10 +288,13 @@ def _certified_sum(levels, n_sites: int, J: int, rho_theory: float, j_min: int,
     From level j_min on, the remainder after a level of norm s is estimated as
     s rho / (1 - rho), with rho the larger of rho_theory and the empirical
     ratio of consecutive level norms; the sum stops once that estimate clears
-    tol_eff relative to the running total on two consecutive levels.  The stop
-    is a heuristic, not a proof: the estimate bounds the remainder only if the
-    level norms decay at least geometrically at ratio rho from j_min on.
+    tol_eff relative to the running total on two consecutive levels, so J <= j_min
+    raises before any stack.  The stop is a heuristic, not a proof: the estimate bounds
+    the remainder only if the level norms decay at least geometrically at ratio rho.
     """
+    if J <= j_min:
+        raise TailCertificateError(f"Fock cutoff {J} is below {j_min + 1}, the fewest levels "
+                                   f"the {what} can clear with")
     d = 2 ** n_sites
     total = np.zeros(len(_layout(n_sites).entries), dtype=complex)
     prev_norm, calm, last_tail, scale, j0 = None, 0, math.inf, 1.0, 0
@@ -340,18 +343,21 @@ def _exact_sum(levels, n_sites: int) -> np.ndarray:
     return _from_sectors(levels(0, 2).sum(axis=0), n_sites)
 
 
-def _half_products(row_bands, z: complex, params: ChainParams):
+def _half_products(site_bands, z: complex, params: ChainParams):
     """rows(j0, j1), views of the half rows until the thread's next row build, from
-    row_bands(ws), the level bands of the left half row's transposed factors at the
-    first N points ws and of the right half row's at the last N, one stack
-    (lattice_ops.l_row_bands; r_bands, as R is its own transpose): for the left half
+    site_bands(ws), the level bands (l_bands, r_bands) of the left half row's factors at
+    the first N points ws and of the right half row's at the last N: for the left half
     row P by row level, X[j, r, t] = P[(j, r), (j + m(r) - m(t), t)] = rows[0][j - j0,
-    index[t, r]] (m the down count, index = tc.pair_index((2,) * N), as _layout's
-    cols reads it), built as P^T = F_N^T .. F_1^T, and for the right one
-    Y[j] = rows[1][j - j0, index]."""
+    index[t, r]] (m the down count, index = tc.pair_index((2,) * N), as _layout's cols
+    reads it), built as P^T = F_N^T .. F_1^T, and for the right one Y[j] = rows[1][j -
+    j0, index].  The F_k^T are the one band transpose, in place: the two off-diagonal
+    bands swapped, each moved by one level, which maps R's bands onto themselves."""
     ts, n = params.t[::-1], params.n_sites
-    bands = row_bands([t * z for t in ts] + [z / t for t in ts])
-    return tc.charge_product(bands.reshape((2, n) + bands.shape[-3:]), _workspace(), "rows")
+    bands = site_bands([t * z for t in ts] + [z / t for t in ts])
+    bands = bands.reshape((2, n) + bands.shape[-3:])
+    left = bands[0]
+    left[:, 0, 1, :-1], left[:, 1, 0, 1:] = left[:, 1, 0, 1:].copy(), left[:, 0, 1, :-1].copy()
+    return tc.charge_product(bands, _workspace(), "rows")
 
 
 def _open_levels(rows, n_sites: int, weights):
@@ -415,10 +421,6 @@ def transfer_w(z: complex, params: ChainParams, cutoff=None) -> np.ndarray:
     z = _finite_number("z", z)
     J = params.cutoff if cutoff is None else validate_cutoff(cutoff)
     n = params.n_sites
-    j_min = 2 * n + 2  # the first level the tail certificate reads
-    if J <= j_min:
-        raise TailCertificateError(f"Fock cutoff {J} is below {j_min + 1}, the fewest levels "
-                                   "the tail certificate can clear with")
     if in_exclusion_set(z, params):
         raise ExclusionPointError(
             f"z = {z:.6f} is within {params.exclusion_radius} of a trace pole")
@@ -439,15 +441,15 @@ def transfer_w(z: complex, params: ChainParams, cutoff=None) -> np.ndarray:
         j1, lg = j0 + fits, lg[:fits]
         return ktw.mantissa[j0:j1, None] * kw_mant[j0:j1] * np.exp(lg)
 
-    rows = _half_products(lambda u: l_row_bands(u, 1.0, params.q, J), z, params)
-    return _certified_sum(_open_levels(rows, n, weights), n, J, params.tail_ratio, j_min,
+    rows = _half_products(lambda u: l_bands(u, 1.0, params.q, J), z, params)
+    return _certified_sum(_open_levels(rows, n, weights), n, J, params.tail_ratio, 2 * n + 2,
                           params.tol / 10.0, "tail certificate")
 
 
 def q_operator(z: complex, params: ChainParams, cutoff=None) -> np.ndarray:
     """Q-operator: the spin-weighted Fock transfer matrix at r = 1."""
-    w = spin_weights(params.n_sites, _finite_number("z", z) ** 2, 1.0)
     t = transfer_w(z, params, cutoff=cutoff)
+    w = spin_weights(params.n_sites, complex(z) ** 2, 1.0)
     return np.multiply(w[:, None], t, out=t)
 
 
@@ -552,23 +554,19 @@ def closed_transfer_w(z: complex, params: ChainParams, cutoff=None) -> np.ndarra
     zeta = _require_twist(params)
     J = params.cutoff if cutoff is None else validate_cutoff(cutoff)
     n = params.n_sites
-    j_min = n + 2  # the first level the tail certificate reads
-    if J <= j_min:
-        raise TailCertificateError(f"Fock cutoff {J} is below {j_min + 1}, the fewest levels "
-                                   "the closed-trace tail certificate can clear with")
     rho_theory = abs(zeta) * abs(params.q) ** (-n)
     tol_eff = params.tol / 10.0
     if rho_theory ** J >= tol_eff:
         raise TailCertificateError(
             f"cutoff {J} cannot certify the closed-trace tail ratio {rho_theory:.3f} down to tol/10")
     return _certified_sum(_closed_levels(lambda w: l_bands(w, 1.0, params.q, J), z, params),
-                          n, J, rho_theory, j_min, tol_eff, "closed-trace tail certificate")
+                          n, J, rho_theory, n + 2, tol_eff, "closed-trace tail certificate")
 
 
 def closed_q(z: complex, params: ChainParams, cutoff=None) -> np.ndarray:
     """Closed-chain Q-operator; entries polynomial in z of degree <= 2N."""
-    w = spin_weights(params.n_sites, _finite_number("z", z), 1.0)
     t = closed_transfer_w(z, params, cutoff=cutoff)
+    w = spin_weights(params.n_sites, complex(z), 1.0)
     return np.multiply(w[:, None], t, out=t)
 
 

@@ -80,15 +80,6 @@ def l_bands(zs, r: complex, q: complex, J: int) -> np.ndarray:
     return _fock_bands(r * p(0), off[:, 0], off[:, 1], (1.0 - p(2, 2) * z * z) * p(0, -1))
 
 
-def l_row_bands(zs, r: complex, q: complex, J: int) -> np.ndarray:
-    """The (2, n, 2, 2, J) level bands of L(z)^T at the first n of the 2n points zs, which
-    are L(z)'s with the off-diagonal bands swapped and moved by one level, then of L(z)."""
-    bands = l_bands(zs, r, q, J).reshape(2, len(zs) // 2, 2, 2, J)
-    left = bands[0]
-    left[:, 0, 1, :-1], left[:, 1, 0, 1:] = left[:, 1, 0, 1:].copy(), left[:, 0, 1, :-1].copy()
-    return bands
-
-
 def l_matrix(z: complex, r: complex, q: complex, J: int) -> np.ndarray:
     """L-operator on W (x) V."""
     return tc.from_bands(l_bands([z], r, q, J)[0])

@@ -16,13 +16,6 @@ import math
 import numpy as np
 
 
-def _as_matrix(x) -> np.ndarray:
-    m = np.asarray(x, dtype=complex)
-    if m.ndim != 2:
-        raise ValueError(f"expected a matrix, got array of ndim={m.ndim}")
-    return m
-
-
 def embed(x, sites, shape) -> np.ndarray:
     """Place an operator on the given distinct sites, identity elsewhere.
 
@@ -39,7 +32,7 @@ def embed(x, sites, shape) -> np.ndarray:
         raise IndexError(f"sites {sites} out of range for shape {dims}")
     rest = [s for s in range(len(dims)) if s not in sites]
     own, other = [dims[s] for s in sites], [dims[s] for s in rest]
-    x = _as_matrix(x)
+    x = np.asarray(x, dtype=complex)
     if x.shape != (math.prod(own),) * 2:
         raise ValueError(f"operator shape {x.shape} does not match sites of dims {tuple(own)}")
     d, axes = math.prod(dims), [*sites, *rest]

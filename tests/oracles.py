@@ -18,7 +18,6 @@ from qbaxter.chain import ChainParams
 from qbaxter.errors import ConvergenceError, ExclusionPointError, ParameterDomainError
 from qbaxter.lattice_ops import ktv_matrix, r_weights
 from qbaxter.qoscillator import validate_cutoff
-from qbaxter.tensor_core import _as_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +145,7 @@ def partial_transpose(x, site: int, shape) -> np.ndarray:
     if not 0 <= site < len(dims):
         raise IndexError(f"site {site} out of range for shape {dims}")
     d = math.prod(dims)
-    x = _as_matrix(x)
+    x = np.asarray(x, dtype=complex)
     if x.shape != (d, d):
         raise ValueError(f"operator shape {x.shape} does not match shape {dims}")
     pre = math.prod(dims[:site])

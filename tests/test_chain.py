@@ -18,7 +18,8 @@ from qbaxter.errors import (
     ParameterDomainError,
     TailCertificateError,
 )
-from qbaxter.lattice_ops import ktv_matrix, kv_matrix, l_bands, l_matrix, l_row_bands, r_matrix
+from oracles import transpose_bands
+from qbaxter.lattice_ops import ktv_matrix, kv_matrix, l_bands, l_matrix, r_bands, r_matrix
 from qbaxter.qoscillator import (
     FockDiagonal,
     kw_diagonal,
@@ -652,6 +653,33 @@ class TestWorkspace:
         assert 0 < kept <= 2 ** 20
 
 
+class TestHalfRowTranspose:
+    """_half_products hands the kernel the plain bands of the right half row's
+    points and the band transpose of the left half row's, bit for bit."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+    def test_left_half_is_the_band_transpose(self, n, monkeypatch):
+        p, z = ch.sample_params(n, seed=3, tol=1e-10), 0.83 + 0.21j
+        ts = p.t[::-1]
+        points = [t * z for t in ts] + [z / t for t in ts]
+        site_bands = [lambda us, r=r, J=J: l_bands(us, r, p.q, J)
+                      for J in (2, 3, 40) for r in (1.0, 1.3 - 0.2j)]
+        handed, charge_product = [], tc.charge_product
+
+        def capture(bands, *args):
+            handed.append(bands.copy())
+            return charge_product(bands, *args)
+
+        monkeypatch.setattr(tc, "charge_product", capture)
+        for bands in site_bands + [lambda us: r_bands(us, p.q)]:
+            ch._half_products(bands, z, p)
+            plain = bands(points)
+            assert handed[-1].shape == (2, n) + plain.shape[1:]
+            for got, want in zip(handed[-1], (transpose_bands(plain[:n]), plain[n:])):
+                assert got.tobytes() == want.tobytes()
+        assert len(handed) == 7
+
+
 class TestLevelProtocol:
     """Every levels(j0, j1) returns one (k, C(2N, N)) array on the thread's "run"
     buffer, the sector blocks of each level one after another."""
@@ -668,7 +696,7 @@ class TestLevelProtocol:
         def bands(us):
             return l_bands(us, 1.0, p.q, J)
 
-        rows = ch._half_products(lambda us: l_row_bands(us, 1.0, p.q, J), z, p)
+        rows = ch._half_products(bands, z, p)
         index = tc.pair_index((2,) * n)
         left, right = rows(0, J).copy()
         X, Y = left[:, index.T], right[:, index]
@@ -850,17 +878,31 @@ class TestCutoffFloor:
     def test_raises_before_building_a_row(self, monkeypatch):
         p = ch.sample_params(2, seed=3, tol=1e-10)
         z = 0.83 + 0.21j
+        charge_product = tc.charge_product
 
         def no_rows(*args):
-            raise AssertionError("a row was built")
+            charge_product(*args)
+
+            def blocks(j0, j1):
+                raise AssertionError("a row was built")
+            return blocks
 
         monkeypatch.setattr(tc, "charge_product", no_rows)
         for fn in (ch.transfer_w, ch.q_operator):
             with pytest.raises(TailCertificateError, match="cutoff 6 is below 7"):
                 fn(z, p, cutoff=6)
+        # a twist small enough to pass the closed trace's preflight at cutoff 4
+        tiny = dataclasses.replace(p, zeta=p.zeta * 1e-30)
         for fn in (ch.closed_transfer_w, ch.closed_q):
             with pytest.raises(TailCertificateError, match="cutoff 4 is below 5"):
-                fn(z, p, cutoff=4)
+                fn(z, tiny, cutoff=4)
+
+    def test_floor_comes_after_the_other_preflights(self):
+        p = ch.sample_params(2, seed=3, tol=1e-10)
+        with pytest.raises(ExclusionPointError):
+            ch.transfer_w(p.q ** -1 / cmath.sqrt(p.xitilde), p, cutoff=6)
+        with pytest.raises(TailCertificateError, match="cutoff 4 cannot certify"):
+            ch.closed_transfer_w(0.83 + 0.21j, p, cutoff=4)
 
     def test_first_cutoff_above_the_floor_can_certify(self):
         # a small enough tail ratio clears on the top level alone

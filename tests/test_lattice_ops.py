@@ -24,7 +24,6 @@ from qbaxter.lattice_ops import (
     l_bands,
     l_inverse,
     l_matrix,
-    l_row_bands,
     l_tilde,
     r_bands,
     r_matrix,
@@ -235,9 +234,6 @@ class TestLevelBands:
             swapped[:, 0, 1, :-1], swapped[:, 1, 0, 1:] = bands[:, 1, 0, 1:], bands[:, 0, 1, :-1]
             assert np.count_nonzero(swapped[:, 0, 1]) and np.count_nonzero(swapped[:, 1, 0])
             assert same_bits(transpose_bands(bands), swapped)
-            # the double row's stack: L^T at the first half of the points, L at the second
-            rows = l_row_bands(zs + zs, r, Q, cutoff)
-            assert same_bits(rows[0], swapped) and same_bits(rows[1], bands)
         bands = r_bands(zs, Q)
         assert same_bits(transpose_bands(bands), bands)
 
@@ -265,7 +261,6 @@ class TestLevelBands:
     def test_empty_stacks(self):
         assert l_bands([], R, Q, J).shape == (0, 2, 2, J)
         assert r_bands([], Q).shape == (0, 2, 2, 2)
-        assert l_row_bands([], R, Q, J).shape == (2, 0, 2, 2, J)
 
 
 class TestBoundaryMatrices:

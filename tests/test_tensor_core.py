@@ -123,7 +123,7 @@ class TestEmbed:
             tc.embed(np.eye(2), (2,), (2, 2))
         with pytest.raises(ValueError):
             tc.embed(np.eye(3), (1,), (2, 2))
-        with pytest.raises(ValueError, match="expected a matrix"):
+        with pytest.raises(ValueError, match=r"operator shape \(2,\) does not match"):
             tc.embed(np.ones(2), (0,), (2,))
 
 
