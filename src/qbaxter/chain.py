@@ -210,14 +210,20 @@ def in_exclusion_set(z: complex, params: ChainParams) -> bool:
     ln_sqrt_xit = math.log(abs(params.xitilde)) / 2.0
     k_lo = math.ceil((math.log(max(abs(z) - delta, 1e-300)) + ln_sqrt_xit) / ln_q)
     k_hi = math.floor((math.log(max(abs(z) + delta, 1e-300)) + ln_sqrt_xit) / ln_q)
-    pts = [q ** (-k) * inv_sqrt_xit for k in range(max(1, k_lo - 1), k_hi + 2)]
-    return any(abs(z - p) < delta or abs(z + p) < delta for p in pts)
+    try:
+        pts = [q ** (-k) * inv_sqrt_xit for k in range(max(1, k_lo - 1), k_hi + 2)]
+        return any(abs(z - p) < delta or abs(z + p) < delta for p in pts)
+    except OverflowError:  # a pole or its distance to z beyond floating range
+        raise OverflowGuardError(f"the trace poles near z = {z} leave floating range") from None
 
 
 def spin_weights(n_sites: int, top: complex, bottom: complex) -> np.ndarray:
     """Diagonal of diag(top, bottom)^(x N) in the product basis."""
-    per_down = np.array([top ** (n_sites - m) * bottom ** m for m in range(n_sites + 1)],
-                        dtype=complex)
+    try:
+        per_down = np.array([top ** (n_sites - m) * bottom ** m for m in range(n_sites + 1)],
+                            dtype=complex)
+    except OverflowError:
+        raise OverflowGuardError(f"spin weight {top} ** {n_sites} exceeds floating range") from None
     return per_down[_layout(n_sites).down]
 
 
@@ -311,6 +317,9 @@ def _certified_sum(levels, n_sites: int, J: int, rho_theory: float, j_min: int,
         np.cumsum(run, axis=0, out=run)
         scales = np.maximum(1.0, np.sqrt(np.einsum("ij,ij->i", parts, parts)))
         for i, norm in enumerate(norms.tolist()):
+            if not norm < math.inf:
+                raise OverflowGuardError(f"the norm of Fock level {j0 + i} exceeds floating "
+                                         f"range in the {what}")
             if j0 + i >= j_min:
                 scale = float(scales[i])
                 rho = max(rho_theory, norm / prev_norm) if prev_norm else rho_theory
@@ -332,6 +341,8 @@ def _certified_sum(levels, n_sites: int, J: int, rho_theory: float, j_min: int,
 def _from_sectors(flat, n_sites: int) -> np.ndarray:
     """The operator on n_sites spins whose S^z-sector blocks lie one after
     another in flat."""
+    if not np.isfinite(flat).all():
+        raise OverflowGuardError(f"an entry of the {n_sites}-site trace leaves floating range")
     d = 2 ** n_sites
     out = np.zeros(d * d, dtype=complex)
     out[_layout(n_sites).entries] = flat

@@ -72,13 +72,13 @@ def index_sums(shape) -> np.ndarray:
 
 @functools.lru_cache(maxsize=16)
 def _band_layout(dn: int, J: int):
-    """Read-only: the mask of the band entries [b, a, c] whose row level c + a - b
-    leaves 0 .. J - 1, the flat indices of the others, and their flat indices in
+    """Read-only: the flat indices of the band entries [b, a, c] whose row level
+    c + a - b leaves 0 .. J - 1, those of the others, and their flat indices in
     the dense matrix."""
     b, a, c = np.indices((dn, dn, J))
     row = c + a - b
     outside = (row < 0) | (row >= J)
-    inside = np.flatnonzero(~outside)
+    outside, inside = np.flatnonzero(outside), np.flatnonzero(~outside)
     dense = ((row * dn + b) * J * dn + c * dn + a).ravel()[inside]
     for arr in (outside, inside, dense):
         arr.setflags(write=False)
@@ -90,7 +90,8 @@ def _check_bands(coef, ndim: int) -> np.ndarray:
     coef = np.asarray(coef, dtype=complex)
     if coef.ndim != ndim or coef.shape[-3] != coef.shape[-2]:
         raise ValueError(f"band shape {coef.shape} needs {ndim} axes ending in (d, d, J)")
-    if coef[..., _band_layout(*coef.shape[-2:])[0]].any():
+    outside = _band_layout(*coef.shape[-2:])[0]  # 2 per d = 2 band array
+    if coef.reshape(-1, math.prod(coef.shape[-3:])).take(outside, 1).any():
         raise ValueError("band entry outside the truncation")
     return coef
 

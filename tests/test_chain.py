@@ -2,6 +2,7 @@
 
 import cmath
 import dataclasses
+import itertools
 import math
 import sys
 import threading
@@ -16,6 +17,7 @@ from qbaxter.errors import (
     ExclusionPointError,
     OverflowGuardError,
     ParameterDomainError,
+    QBaxterError,
     TailCertificateError,
 )
 from oracles import transpose_bands
@@ -223,6 +225,26 @@ def test_spectral_point_type_leaves_rows_bit_equal(function, n_sites, seed):
         assert np.array_equal(function(z, p), function(np.complex128(z), p))
 
 
+@pytest.mark.parametrize("n_sites", [1, 2, 3])
+def test_extreme_spectral_points_give_finite_rows_or_typed_errors(n_sites):
+    # past about |z| = 1e154 a row's entries or their squares leave floating range
+    with np.errstate(all="ignore"):
+        for seed, function in itertools.product(range(6), SPECTRAL):
+            p = ch.sample_params(n_sites, seed)
+            for z in (1e20, 1e40, 1e80, 1e160, 1e300, 1.7e308):
+                try:
+                    out = function(z, p)
+                except QBaxterError:
+                    continue
+                assert np.isfinite(out).all(), (function.__name__, seed, z)
+
+
+def test_spin_weights_beyond_floating_range_raise_the_guard():
+    for top in (1e200, 1e200 + 0j):
+        with pytest.raises(OverflowGuardError, match="spin weight"):
+            ch.spin_weights(3, top, 1.0)
+
+
 class TestExclusionSet:
     def test_membership(self, params2):
         # the set holds the left boundary diagonal's poles only; the right one is a polynomial
@@ -246,6 +268,11 @@ class TestExclusionSet:
             rhs = ch.p_plus(z, p) * ch.q_operator(q * z, p) \
                 + ch.p_minus(z, p) * ch.q_operator(z / q, p)
             assert tc.rel_err(lhs, rhs) < 1e-8
+
+    def test_poles_beyond_floating_range_raise_the_guard(self):
+        # at seed 3 the distance from z to a pole near it exceeds floating range
+        with pytest.raises(OverflowGuardError, match="trace poles"):
+            ch.in_exclusion_set(1.7e308, ch.sample_params(2, 3))
 
     def test_far_left_pole(self):
         # at |q| near 1 the pole q^(-600) / sqrt(xitilde) ~ 1.82 is still near the unit circle

@@ -458,6 +458,16 @@ class TestMainEntry:
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "r.json").exists()
 
+    def test_extreme_spectral_point_exits_two(self, tmp_path):
+        # T^V at z = 1e300 leaves floating range; exit 1 stays reserved for a failed check
+        cfg = write_config(tmp_path, {"params": {"n_sites": 2}, "suites": ["spectrum"],
+                                      "z_samples": [[1e300, 0.0]]})
+        proc = self.run_cli("--config", cfg, "--out", str(tmp_path / "r.json"))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.endswith("error: an entry of the 2-site trace leaves floating range\n")
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "r.json").exists()
+
     def test_crossing_without_samples_exits_two(self, tmp_path):
         # every crossing sample falls in an exclusion set of radius 50
         cfg = write_config(tmp_path, {"params": {"n_sites": 2, "tol": 1e-10,
