@@ -294,9 +294,10 @@ def _certified_sum(levels, n_sites: int, J: int, rho_theory: float, j_min: int,
     From level j_min on, the remainder after a level of norm s is estimated as
     s rho / (1 - rho), with rho the larger of rho_theory and the empirical
     ratio of consecutive level norms; the sum stops once that estimate clears
-    tol_eff relative to the running total on two consecutive levels, so J <= j_min
-    raises before any stack.  The stop is a heuristic, not a proof: the estimate bounds
-    the remainder only if the level norms decay at least geometrically at ratio rho.
+    tol_eff relative to the running total on two consecutive levels; a cutoff J <=
+    j_min leaves it no level and raises before any stack.  The stop is a heuristic,
+    not a proof: the estimate bounds the remainder only if the level norms decay at
+    least geometrically at ratio rho from j_min on.  A norm past floating range raises.
     """
     if J <= j_min:
         raise TailCertificateError(f"Fock cutoff {J} is below {j_min + 1}, the fewest levels "

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from oracles import transpose_bands
 from qbaxter import chain as ch
 from qbaxter import tensor_core as tc
 from qbaxter.errors import (
@@ -20,7 +21,6 @@ from qbaxter.errors import (
     QBaxterError,
     TailCertificateError,
 )
-from oracles import transpose_bands
 from qbaxter.lattice_ops import ktv_matrix, kv_matrix, l_bands, l_matrix, r_bands, r_matrix
 from qbaxter.qoscillator import (
     FockDiagonal,
