@@ -2,7 +2,7 @@
 
 Double-row monodromies, the two transfer matrices, the Q-operator built from a
 certified truncated Fock trace, coefficient polynomials, a diagonal-entry
-recursion oracle, and the closed-chain analogues.
+recursion oracle, and the closed-chain analogues, whose Fock trace is exact.
 """
 
 from __future__ import annotations
@@ -210,11 +210,12 @@ def in_exclusion_set(z: complex, params: ChainParams) -> bool:
     ln_sqrt_xit = math.log(abs(params.xitilde)) / 2.0
     k_lo = math.ceil((math.log(max(abs(z) - delta, 1e-300)) + ln_sqrt_xit) / ln_q)
     k_hi = math.floor((math.log(max(abs(z) + delta, 1e-300)) + ln_sqrt_xit) / ln_q)
-    try:
-        pts = [q ** (-k) * inv_sqrt_xit for k in range(max(1, k_lo - 1), k_hi + 2)]
-        return any(abs(z - p) < delta or abs(z + p) < delta for p in pts)
-    except OverflowError:  # a pole or its distance to z beyond floating range
-        raise OverflowGuardError(f"the trace poles near z = {z} leave floating range") from None
+    def near(k, sign):
+        try:
+            return abs(z - sign * q ** (-k) * inv_sqrt_xit) < delta
+        except OverflowError:  # a pole or a distance beyond floating range is not near z
+            return False
+    return any(near(k, s) for k in range(max(1, k_lo - 1), k_hi + 2) for s in (1, -1))
 
 
 def spin_weights(n_sites: int, top: complex, bottom: complex) -> np.ndarray:
@@ -277,7 +278,7 @@ def _workspace() -> tc.Workspace:
 
 
 def _certified_sum(levels, n_sites: int, J: int, rho_theory: float, j_min: int,
-                   tol_eff: float, what: str) -> np.ndarray:
+                   tol_eff: float) -> np.ndarray:
     """Sum the level terms 0 .. J - 1 until a geometric tail certificate clears
     tol_eff.
 
@@ -301,7 +302,7 @@ def _certified_sum(levels, n_sites: int, J: int, rho_theory: float, j_min: int,
     """
     if J <= j_min:
         raise TailCertificateError(f"Fock cutoff {J} is below {j_min + 1}, the fewest levels "
-                                   f"the {what} can clear with")
+                                   f"the tail certificate can clear with")
     d = 2 ** n_sites
     total = np.zeros(len(_layout(n_sites).entries), dtype=complex)
     prev_norm, calm, last_tail, scale, j0 = None, 0, math.inf, 1.0, 0
@@ -320,7 +321,7 @@ def _certified_sum(levels, n_sites: int, J: int, rho_theory: float, j_min: int,
         for i, norm in enumerate(norms.tolist()):
             if not norm < math.inf:
                 raise OverflowGuardError(f"the norm of Fock level {j0 + i} exceeds floating "
-                                         f"range in the {what}")
+                                         f"range in the tail certificate")
             if j0 + i >= j_min:
                 scale = float(scales[i])
                 rho = max(rho_theory, norm / prev_norm) if prev_norm else rho_theory
@@ -335,7 +336,8 @@ def _certified_sum(levels, n_sites: int, J: int, rho_theory: float, j_min: int,
     # a sum through the full cutoff is certified by the same geometric bound
     # applied at the top level
     if calm < 2 and not last_tail < tol_eff * scale:
-        raise TailCertificateError(f"Fock cutoff {J} exhausted before the {what} cleared tol/10")
+        raise TailCertificateError(f"Fock cutoff {J} exhausted before the tail certificate "
+                                   f"cleared tol/10")
     return _from_sectors(total, n_sites)
 
 
@@ -350,9 +352,18 @@ def _from_sectors(flat, n_sites: int) -> np.ndarray:
     return out.reshape(d, d)
 
 
-def _exact_sum(levels, n_sites: int) -> np.ndarray:
-    """levels(0, 2) summed whole: a two-level auxiliary trace needs no certificate."""
-    return _from_sectors(levels(0, 2).sum(axis=0), n_sites)
+def _fixed_sum(levels, weights, n_sites: int) -> np.ndarray:
+    """sum_m weights[m] levels(m, m + 1) in stacks of at most _STACK_ENTRIES entries of
+    d x d level terms (levels as for _certified_sum), a cumsum adding one level at a time."""
+    k = max(1, _STACK_ENTRIES // 4 ** n_sites)
+    total = np.zeros(len(_layout(n_sites).entries), dtype=complex)
+    for j0 in range(0, len(weights), k):
+        run = levels(j0, min(len(weights), j0 + k))
+        # weights first: numpy's broadcast rounds run * weights[:, None] differently
+        np.multiply(weights[j0:j0 + k, None], run, out=run)
+        run[0] += total
+        total[:] = np.cumsum(run, axis=0, out=run)[-1]
+    return _from_sectors(total, n_sites)
 
 
 def _half_products(site_bands, z: complex, params: ChainParams):
@@ -374,7 +385,7 @@ def _half_products(site_bands, z: complex, params: ChainParams):
 
 def _open_levels(rows, n_sites: int, weights):
     """levels(j0, j1) of the double-row trace of the half rows X, Y (_half_products)
-    for _certified_sum, on the thread's "run" buffer until the next call; a stack's
+    for the level sums, on the thread's "run" buffer until the next call; a stack's
     rows(j0, j1) are built once w = weights(j0, j1), the paired boundary weights of
     levels j - n .. j + n, is known.  A stack puts the rows of X[j] and columns of
     Y[j] in down-count order, where sector m is one range R; its rows meet Y[j]
@@ -419,7 +430,7 @@ def transfer_v(z: complex, params: ChainParams) -> np.ndarray:
     kv = _windows(np.diagonal(kv_matrix(z, params.xi)), n, 0.0)
     w = np.diagonal(ktv_matrix(z, params.xitilde, params.q))[:, None] * kv
     rows = _half_products(lambda u: r_bands(u, params.q), z, params)
-    return _exact_sum(_open_levels(rows, n, lambda j0, j1: w[j0:j1]), n)
+    return _fixed_sum(_open_levels(rows, n, lambda j0, j1: w[j0:j1]), np.ones(2), n)
 
 
 def transfer_w(z: complex, params: ChainParams, cutoff=None) -> np.ndarray:
@@ -455,7 +466,7 @@ def transfer_w(z: complex, params: ChainParams, cutoff=None) -> np.ndarray:
 
     rows = _half_products(lambda u: l_bands(u, 1.0, params.q, J), z, params)
     return _certified_sum(_open_levels(rows, n, weights), n, J, params.tail_ratio, 2 * n + 2,
-                          params.tol / 10.0, "tail certificate")
+                          params.tol / 10.0)
 
 
 def q_operator(z: complex, params: ChainParams, cutoff=None) -> np.ndarray:
@@ -536,48 +547,51 @@ def _require_twist(params: ChainParams) -> complex:
 
 
 def _closed_levels(site_bands, z: complex, params: ChainParams):
-    """levels(j0, j1) of the twisted trace of the single row for _certified_sum,
-    from the stacked level bands site_bands(ws) at the points ws, on the thread's
-    "run" buffer: zeta^j times charge block j between equal down counts (row
-    level j), in the order of _layout's entries, built for that stack only."""
+    """levels(j0, j1) of the twisted trace of the single row for _fixed_sum, from
+    the stacked level bands site_bands(ws) at the points ws, on the thread's "run"
+    buffer: charge block j between equal down counts (row level j), in the order of
+    _layout's entries, built for that stack only."""
     blocks = tc.charge_product(site_bands([z / t for t in params.t[::-1]]), _workspace(), "rows")
     entries = _layout(params.n_sites).pair_entries
+    return lambda j0, j1: np.take(blocks(j0, j1), entries, 1,
+                                  _workspace().take("run", (j1 - j0, len(entries))), "clip")
 
-    def levels(j0, j1):
-        # Python's power: numpy's zeta ** np.arange(J) rounds differently
-        weights = np.array([params.zeta ** j for j in range(j0, j1)])[:, None]
-        run = _workspace().take("run", (j1 - j0, len(entries)))
-        np.multiply(weights, np.take(blocks(j0, j1), entries, 1, run, "clip"), out=run)
-        return run
 
-    return levels
+@functools.lru_cache(maxsize=32)
+def _closed_weights(zeta: complex, q: complex, n_sites: int) -> np.ndarray:
+    """Read-only, built once per (zeta, q, n_sites): closed_transfer_w's level weights."""
+    c = np.cumsum(np.poly([zeta * q ** s for s in range(-n_sites, n_sites + 1)]))
+    w = zeta ** np.arange(2 * n_sites + 1) * c[-2::-1] / c[-1]
+    w.setflags(write=False)
+    return w
 
 
 def closed_transfer_v(z: complex, params: ChainParams) -> np.ndarray:
     """Twisted trace of the single-row monodromy over the two-dimensional auxiliary."""
-    z = _finite_number("z", z)
-    _require_twist(params)
-    return _exact_sum(_closed_levels(lambda w: r_bands(w, params.q), z, params), params.n_sites)
+    z, zeta = _finite_number("z", z), _require_twist(params)
+    return _fixed_sum(_closed_levels(lambda w: r_bands(w, params.q), z, params),
+                      np.array([1.0, zeta]), params.n_sites)
 
 
-def closed_transfer_w(z: complex, params: ChainParams, cutoff=None) -> np.ndarray:
-    """Twisted Fock trace of the single-row monodromy, with tail certificate."""
-    z = _finite_number("z", z)
-    zeta = _require_twist(params)
-    J = params.cutoff if cutoff is None else validate_cutoff(cutoff)
-    n = params.n_sites
-    rho_theory = abs(zeta) * abs(params.q) ** (-n)
-    tol_eff = params.tol / 10.0
-    if rho_theory ** J >= tol_eff:
-        raise TailCertificateError(
-            f"cutoff {J} cannot certify the closed-trace tail ratio {rho_theory:.3f} down to tol/10")
-    return _certified_sum(_closed_levels(lambda w: l_bands(w, 1.0, params.q, J), z, params),
-                          n, J, rho_theory, n + 2, tol_eff, "closed-trace tail certificate")
+def closed_transfer_w(z: complex, params: ChainParams) -> np.ndarray:
+    """Twisted Fock trace sum_j zeta^j B_j of the single row, B_j its block at level j,
+    summed exactly from levels 0 .. 2N on J = 3N + 2 levels, their light cone.
+
+    Each l_bands entry at column level c is a Laurent polynomial in q^c of degree -1 .. 1,
+    and a path of B_j that dips to level -1 comes back through the raise band, whose entry
+    1 - q^(2c + 2) vanishes at c = -1.  So zeta^j B_j = sum_s C_s x_s^j for every j >= 0,
+    nodes x_s = zeta q^s, s = -N .. N.  With P(y) = prod_s (1 - x_s y) = sum_i c_i y^i, the
+    trace is sum_(m <= 2N) w_m B_m, w_m = zeta^m (c_0 + .. + c_(2N - m)) / P(1), exact once
+    every |x_s| < 1, as _require_twist checks; params.cutoff and params.tol do not enter.
+    """
+    z, zeta, n = _finite_number("z", z), _require_twist(params), params.n_sites
+    levels = _closed_levels(lambda w: l_bands(w, 1.0, params.q, 3 * n + 2), z, params)
+    return _fixed_sum(levels, _closed_weights(zeta, params.q, n), n)
 
 
-def closed_q(z: complex, params: ChainParams, cutoff=None) -> np.ndarray:
+def closed_q(z: complex, params: ChainParams) -> np.ndarray:
     """Closed-chain Q-operator; entries polynomial in z of degree <= 2N."""
-    t = closed_transfer_w(z, params, cutoff=cutoff)
+    t = closed_transfer_w(z, params)
     w = spin_weights(params.n_sites, complex(z), 1.0)
     return np.multiply(w[:, None], t, out=t)
 

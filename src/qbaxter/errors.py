@@ -18,7 +18,7 @@ class ConvergenceError(QBaxterError):
 
 
 class TailCertificateError(QBaxterError):
-    """The Fock-space trace could not certify its geometric tail at the configured cutoff."""
+    """The open chain's Fock trace could not certify its tail at the configured cutoff."""
 
 
 class OverflowGuardError(QBaxterError):

@@ -145,27 +145,23 @@ def check_ybe(params: ch.ChainParams, seed: int = 0) -> CheckResult:
     pad = 3
     worst = {}
     r_values = [1.0, 1.4 - 0.2j, 0.7 + 0.5j]
+    sh, fock = (2, 2, 2), (J, 2, 2)
     for _ in range(5):
         z1, z2, z3 = (bt.random_point(rng) for _ in range(3))
-        sh = (2, 2, 2)
         r12 = tc.embed(r_matrix(z1 / z2, q), (0, 1), sh)
         r13 = tc.embed(r_matrix(z1 / z3, q), (0, 2), sh)
         r23 = tc.embed(r_matrix(z2 / z3, q), (1, 2), sh)
         _cmp(worst, "vvv", r12 @ r13 @ r23, r23 @ r13 @ r12)
         for r in r_values:
-            sh = (J, 2, 2)
-            l12 = tc.embed(l_matrix(z1 / z2, r, q, J), (0, 1), sh)
-            l13 = tc.embed(l_matrix(z1 / z3, r, q, J), (0, 2), sh)
-            r23 = tc.embed(r_matrix(z2 / z3, q), (1, 2), sh)
+            l12 = tc.embed(l_matrix(z1 / z2, r, q, J), (0, 1), fock)
+            l13 = tc.embed(l_matrix(z1 / z3, r, q, J), (0, 2), fock)
+            r23 = tc.embed(r_matrix(z2 / z3, q), (1, 2), fock)
             _cmp(worst, "wvv", l12 @ l13 @ r23, r23 @ l13 @ l12, (4, 4), pad)
-        sh = (2, 2, J)
         r = r_values[1]
-        r12 = tc.embed(r_matrix(z1 / z2, q), (0, 1), sh)
-        l13 = tc.embed(l_matrix(z1 / z3, r, q, J), (2, 0), sh)
-        l23 = tc.embed(l_matrix(z2 / z3, r, q, J), (2, 1), sh)
-        lhs = (r12 @ l13 @ l23).reshape(4, J, 4, J)[:, : J - pad, :, : J - pad]
-        rhs = (l23 @ l13 @ r12).reshape(4, J, 4, J)[:, : J - pad, :, : J - pad]
-        _cmp(worst, "vvw", lhs.reshape(4 * (J - pad), -1), rhs.reshape(4 * (J - pad), -1))
+        r12 = tc.embed(r_matrix(z1 / z2, q), (1, 2), fock)
+        l13 = tc.embed(l_matrix(z1 / z3, r, q, J), (0, 1), fock)
+        l23 = tc.embed(l_matrix(z2 / z3, r, q, J), (0, 2), fock)
+        _cmp(worst, "vvw", r12 @ l13 @ l23, l23 @ l13 @ r12, (4, 4), pad)
     return _worst("yang-baxter", worst, DEFAULT_TOL, params, seed, f"Fock cutoff {J}",
                   f"r-covariance over {len(r_values)} values")
 

@@ -1,8 +1,9 @@
 """Reference implementations that only the tests read: dense ladder operators of
 the truncated q-oscillator, q-Pochhammer symbols and the basic hypergeometric
 sum, the swap and partial transpose of a tensor product, the transpose of an
-operator given by its level bands, and the exchange coefficients and
-unwanted-term residual of the algebraic Bethe ansatz.
+operator given by its level bands, the closed chain's twisted Fock trace summed
+level by level, and the exchange coefficients and unwanted-term residual of the
+algebraic Bethe ansatz.
 
 The package computes none of these; the tests compare its results against them.
 """
@@ -16,7 +17,7 @@ import numpy as np
 from qbaxter.bethe import _aba_products, aba_f, aba_vacuum_values
 from qbaxter.chain import ChainParams
 from qbaxter.errors import ConvergenceError, ExclusionPointError, ParameterDomainError
-from qbaxter.lattice_ops import ktv_matrix, r_weights
+from qbaxter.lattice_ops import ktv_matrix, l_matrix, r_weights
 from qbaxter.qoscillator import validate_cutoff
 
 
@@ -165,6 +166,40 @@ def transpose_bands(coef) -> np.ndarray:
     out = np.zeros_like(coef)
     out[..., inside] = coef[..., a[inside], b[inside], (c + a - b)[inside]]
     return out
+
+
+# ---------------------------------------------------------------------------
+# closed chain
+# ---------------------------------------------------------------------------
+
+def closed_fock_trace(z: complex, params: ChainParams, tol: float = 1e-15) -> np.ndarray:
+    """The closed chain's twisted Fock trace sum_j zeta^j B_j, B_j the block at Fock
+    level j of L_N(z/t_N) .. L_1(z/t_1) (site k's L-operator at r = 1 on W (x) V_k),
+    summed directly, level by level, through the first level j at which
+    rho^j < tol (1 - rho), rho = |zeta| |q|^(-N) the twist ratio.
+
+    Each of the N factors moves the level by at most one, so B_j reads L only on
+    levels j - N .. j + N, the window each level is computed on.  zeta^j is split
+    evenly between the start vector and the N factors, which keeps the growth
+    |q|^(-Nj) of the unweighted blocks out of the intermediates.  A level that
+    still leaves floating range shows as a non-finite entry of the result; the
+    dense L on J = depth + N + 1 levels raises OverflowGuardError once q^(-2J) does.
+    """
+    n, d, zeta = params.n_sites, params.dim, params.zeta
+    rho = abs(zeta) * abs(params.q) ** (-n)
+    depth = math.ceil(math.log(tol * (1.0 - rho)) / math.log(rho)) + 1
+    w, J = 2 * n + 1, depth + n + 1
+    share = zeta ** (np.arange(depth) / (n + 1))
+    # v[j, u, r, s]: level j - n + u and spins r of the image of w^j (x) s
+    v = np.zeros((depth, w, d, d), dtype=complex)
+    v[:, n] = share[:, None, None] * np.eye(d)
+    for k in range(n):  # site k + 1, L_1 first
+        dense = l_matrix(z / params.t[k], 1.0, params.q, J).reshape(J, 2, J, 2)
+        dense = np.pad(dense, ((n, 0), (0, 0), (n, 0), (0, 0)))  # levels -n .. -1 hold zeros
+        windows = np.stack([dense[j:j + w, :, j:j + w] for j in range(depth)])
+        v = np.einsum("juxvy,jvayb->juaxb", windows * share[:, None, None, None, None],
+                      v.reshape(depth, w, 2 ** k, 2, -1), optimize=True)
+    return v.reshape(depth, w, d, d)[:, n].sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
