@@ -2,7 +2,8 @@
 
 Double-row monodromies, the two transfer matrices, the Q-operator built from a
 certified truncated Fock trace, coefficient polynomials, a diagonal-entry
-recursion oracle, and the closed-chain analogues, whose Fock trace is exact.
+recursion oracle, and the closed-chain analogues, whose Fock trace is a fixed
+weighted sum of its levels.
 """
 
 from __future__ import annotations
@@ -352,18 +353,26 @@ def _from_sectors(flat, n_sites: int) -> np.ndarray:
     return out.reshape(d, d)
 
 
-def _fixed_sum(levels, weights, n_sites: int) -> np.ndarray:
-    """sum_m weights[m] levels(m, m + 1) in stacks of at most _STACK_ENTRIES entries of
-    d x d level terms (levels as for _certified_sum), a cumsum adding one level at a time."""
-    k = max(1, _STACK_ENTRIES // 4 ** n_sites)
-    total = np.zeros(len(_layout(n_sites).entries), dtype=complex)
+def _fixed_sum(levels, weights, n_sites: int, rounding=None, tol=None) -> np.ndarray:
+    """sum_m weights[m] levels(m, m + 1) in stacks of at most _STACK_ENTRIES entries of d x d
+    level terms (levels as for _certified_sum), one level at a time.  Given rounding, a
+    rounding estimate sum_m rounding[m] max |levels(m, m + 1)| above tol max |sum| raises."""
+    # a two-level sum reads its window (0, 2) in one row build, past the cap from N = 8 on
+    k = 2 if len(weights) == 2 else max(1, _STACK_ENTRIES // 4 ** n_sites)
+    total, spread = np.zeros(len(_layout(n_sites).entries), dtype=complex), 0.0
     for j0 in range(0, len(weights), k):
         run = levels(j0, min(len(weights), j0 + k))
+        if rounding is not None:
+            spread += float(rounding[j0:j0 + k] @ np.abs(run).max(axis=1))
         # weights first: numpy's broadcast rounds run * weights[:, None] differently
         np.multiply(weights[j0:j0 + k, None], run, out=run)
         run[0] += total
-        total[:] = np.cumsum(run, axis=0, out=run)[-1]
-    return _from_sectors(total, n_sites)
+        total = run.sum(axis=0)  # row after row, as a cumsum adds, at a fifth of its time
+    out = _from_sectors(total, n_sites)
+    if rounding is not None and spread > tol * (top := np.abs(total).max()):
+        raise ParameterDomainError(f"the {n_sites}-site closed trace rounds to about "
+                                   f"{spread / top:.1e} of its largest entry, above tol")
+    return out
 
 
 def _half_products(site_bands, z: complex, params: ChainParams):
@@ -558,12 +567,26 @@ def _closed_levels(site_bands, z: complex, params: ChainParams):
 
 
 @functools.lru_cache(maxsize=32)
-def _closed_weights(zeta: complex, q: complex, n_sites: int) -> np.ndarray:
-    """Read-only, built once per (zeta, q, n_sites): closed_transfer_w's level weights."""
-    c = np.cumsum(np.poly([zeta * q ** s for s in range(-n_sites, n_sites + 1)]))
-    w = zeta ** np.arange(2 * n_sites + 1) * c[-2::-1] / c[-1]
+def _closed_weights(zeta: complex, q: complex, n_sites: int):
+    """Read-only, built once per (zeta, q, n_sites): closed_transfer_w's level weights, zeta^j
+    on K leading levels, then the proof's w_m on levels K + m (the series shifted by K), and
+    their rounding scales eps |zeta|^j, times A = prod_s (1 + |x_s|) / |P(1)| on the w_m,
+    which A bounds (with their rounding) over zeta^m.  K is the fewest levels with A rho^K
+    <= 16, rho = |zeta| |q|^(-N) (0 at every sample_params draw), capped at 1024 and so that
+    the rows stay in floating range."""
+    x = np.array([zeta * q ** s for s in range(-n_sites, n_sites + 1)])
+    p1 = np.prod(1 - x)
+    amp, rho = np.prod(1 + abs(x)) / abs(p1), abs(zeta) * abs(q) ** -n_sites
+    # levels up to K + 3N + 1 are built: q^(-2J) (q_powers) and the raw |q|^(-Nj) must fit
+    top = int(min(340, 460 / max(n_sites, 1)) / -math.log(abs(q))) - 3 * n_sites - 2
+    lead = max(0, min(math.ceil(math.log(amp / 16) / -math.log(rho)), 1024, top))
+    tail = np.cumsum(np.poly(x))[-2::-1] / p1
+    w = zeta ** np.arange(lead + 2 * n_sites + 1) * np.concatenate([np.ones(lead), tail])
+    scale = np.finfo(float).eps * abs(zeta) ** np.arange(len(w))
+    scale[lead:] *= amp
     w.setflags(write=False)
-    return w
+    scale.setflags(write=False)
+    return w, scale
 
 
 def closed_transfer_v(z: complex, params: ChainParams) -> np.ndarray:
@@ -575,18 +598,21 @@ def closed_transfer_v(z: complex, params: ChainParams) -> np.ndarray:
 
 def closed_transfer_w(z: complex, params: ChainParams) -> np.ndarray:
     """Twisted Fock trace sum_j zeta^j B_j of the single row, B_j its block at level j,
-    summed exactly from levels 0 .. 2N on J = 3N + 2 levels, their light cone.
+    summed from levels 0 .. K + 2N (K of _closed_weights) on the K + 3N + 2 levels of their
+    light cone: the whole series in exact arithmetic.
 
     Each l_bands entry at column level c is a Laurent polynomial in q^c of degree -1 .. 1,
     and a path of B_j that dips to level -1 comes back through the raise band, whose entry
     1 - q^(2c + 2) vanishes at c = -1.  So zeta^j B_j = sum_s C_s x_s^j for every j >= 0,
     nodes x_s = zeta q^s, s = -N .. N.  With P(y) = prod_s (1 - x_s y) = sum_i c_i y^i, the
-    trace is sum_(m <= 2N) w_m B_m, w_m = zeta^m (c_0 + .. + c_(2N - m)) / P(1), exact once
-    every |x_s| < 1, as _require_twist checks; params.cutoff and params.tol do not enter.
+    trace is sum_(m <= 2N) w_m B_m, w_m = zeta^m (c_0 + .. + c_(2N - m)) / P(1), once every
+    |x_s| < 1, as _require_twist checks.  params.cutoff does not enter; a rounding estimate
+    of the weighted sum above params.tol raises ParameterDomainError (_fixed_sum).
     """
     z, zeta, n = _finite_number("z", z), _require_twist(params), params.n_sites
-    levels = _closed_levels(lambda w: l_bands(w, 1.0, params.q, 3 * n + 2), z, params)
-    return _fixed_sum(levels, _closed_weights(zeta, params.q, n), n)
+    weights, scale = _closed_weights(zeta, params.q, n)
+    levels = _closed_levels(lambda w: l_bands(w, 1.0, params.q, len(weights) + n + 1), z, params)
+    return _fixed_sum(levels, weights, n, scale, params.tol)
 
 
 def closed_q(z: complex, params: ChainParams) -> np.ndarray:

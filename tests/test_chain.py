@@ -351,7 +351,8 @@ class TestTransferV:
 
     @pytest.mark.parametrize("n", [0, 2, 4])
     def test_exact_sums_ignore_cutoff_and_tol(self, n):
-        # both two-level traces and the closed Fock trace are fixed sums, never certified
+        # both two-level traces and the closed Fock trace are fixed sums, never certified;
+        # the closed trace reads tol only to check its rounding, which leaves the bits alone
         p = ch.sample_params(n, seed=3, tol=1e-10)
         other = dataclasses.replace(p, cutoff=p.cutoff + 7, tol=1e-12)
         for z, fn in itertools.product(ORACLE_Z, (ch.transfer_v, ch.closed_transfer_v,
@@ -1096,6 +1097,38 @@ class TestClosedChain:
             assert tc.rel_err(ch.closed_transfer_w(0.83 + 0.21j, p), expected) <= 1e-13
             compared += 1
         assert compared
+
+    @pytest.mark.parametrize("q, ratio, n", [(q, 0.5, n) for q in (0.95, 0.99) for n in (4, 6)]
+                             + [(q, 0.9, n) for q in (0.95, 0.99) for n in (2, 4)])
+    def test_clustered_nodes_match_the_direct_sum(self, q, ratio, n):
+        # real q near 1 and real zeta put the nodes zeta q^s close together near 1, where the
+        # 2N + 1 tail weights alone lost up to 2.5e-7; N stops at 6 (0.5) and 4 (0.9) because
+        # the oracle holds all its levels at once
+        p = ch.sample_params(n, 0, tol=1e-10, identity_grade=True)
+        p = dataclasses.replace(p, q=q, zeta=ratio * q ** n)
+        assert tc.rel_err(ch.closed_transfer_w(0.83 + 0.21j, p),
+                          closed_fock_trace(0.83 + 0.21j, p)) <= 1e-14
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_one_node_near_one_stays_in_floating_range(self, n):
+        # |q| = 0.3 and real zeta at ratio 0.99 put only x_(-N) near 1; the leading levels
+        # stop before q^(-2J) or the raw levels leave floating range, and at z = 0 the trace
+        # is diag(1 / (1 - zeta q^(N - 2m)))
+        p = ch.sample_params(n, 0, tol=1e-10, identity_grade=True)
+        p = dataclasses.replace(p, q=0.3, xi=0.01 * 0.3 ** n, xitilde=0.01 * 0.3 ** n,
+                                zeta=0.99 * 0.3 ** n)
+        ref = np.diag([1.0 / (1.0 - p.zeta * 0.3 ** (n - 2 * bin(i).count("1")))
+                       for i in range(2 ** n)]).astype(complex)
+        assert tc.rel_err(ch.closed_transfer_w(0.0, p), ref) <= 1e-13
+        assert np.isfinite(ch.closed_transfer_w(0.83 + 0.21j, p)).all()
+
+    def test_rounding_beyond_tol_rejected(self, params2):
+        # nodes within 1e-2 of 1 outrun the leading levels; a tol below the rounding of any sum
+        with pytest.raises(ParameterDomainError, match="closed trace rounds to about"):
+            ch.closed_transfer_w(0.83 + 0.21j, dataclasses.replace(
+                ch.sample_params(4, 0, tol=1e-10), q=0.999, zeta=0.99 * 0.999 ** 4))
+        with pytest.raises(ParameterDomainError, match="closed trace rounds to about"):
+            ch.closed_q(0.83 + 0.21j, dataclasses.replace(params2, tol=1e-17))
 
     def test_far_spectral_point_needs_no_level_norm(self):
         # entries near 4e159, whose squares leave floating range, sum to a finite Q
