@@ -1,9 +1,9 @@
 """Global objects on the N-site chain.
 
-Double-row monodromies, the two transfer matrices, the Q-operator built from a
-certified truncated Fock trace, coefficient polynomials, a diagonal-entry
-recursion oracle, and the closed-chain analogues, whose Fock trace is a fixed
-weighted sum of its levels.
+Double-row monodromies, the two transfer matrices, the Q-operator built from the
+Fock trace, coefficient polynomials, a diagonal-entry recursion oracle, and the
+closed-chain analogues.  Both Fock traces are fixed weighted sums of their leading
+levels (_fixed_sum); the open one compares two such sums a posteriori.
 """
 
 from __future__ import annotations
@@ -56,8 +56,7 @@ class ChainParams:
     """Full parameter pack for one chain.
 
     The trace convergence condition |xi * xitilde| < |q|^(2N) is enforced at
-    construction together with a preflight check that the configured Fock
-    cutoff can certify the geometric tail down to tol/10.
+    construction.
     """
 
     q: complex
@@ -89,14 +88,10 @@ class ChainParams:
         object.__setattr__(self, "t", t)
         if self.xi == 0 or self.xitilde == 0:
             raise ParameterDomainError("boundary parameters must be nonzero")
-        rho = self.tail_ratio
-        if rho >= 1.0:
+        if self.tail_ratio >= 1.0:
             raise ParameterDomainError(
                 f"|xi*xitilde| = {abs(self.xi * self.xitilde):.3e} must stay below "
                 f"|q|^(2N) = {abs(self.q) ** (2 * self.n_sites):.3e} for the trace to converge")
-        if rho ** self.cutoff >= self.tol / 10.0:
-            raise ParameterDomainError(
-                f"cutoff {self.cutoff} cannot certify tail ratio {rho:.3f} down to tol/10")
 
     @property
     def tail_ratio(self) -> float:
@@ -165,9 +160,8 @@ def sample_params(n_sites: int, seed: int, cutoff: int = 40, tol: float = 1e-9,
     a mildly perturbed unit circle.  identity_grade narrows |q| to [0.5, 0.75],
     which keeps densely materialized boundary matrices in floating range for
     the operator-identity battery.  The cutoff is grown, if necessary, until
-    the drawn tail ratio certifies with three decades of margin and the stop
-    rule of the certified sum can stop, so sampled parameters never sit on the
-    edge of the trace certificate.
+    a geometric tail at the drawn tail ratio falls three decades below tol, and
+    to at least the 2N + 4 levels the open trace's fixed sum reads.
     """
     n_sites, seed = validate_count("n_sites", n_sites), validate_count("seed", seed)
     cutoff = validate_cutoff(cutoff)
@@ -189,7 +183,7 @@ def sample_params(n_sites: int, seed: int, cutoff: int = 40, tol: float = 1e-9,
     zeta = 0.3 * qmod ** n_sites * cmath.exp(2j * math.pi * rng.random())
     rho = c  # |xi * xitilde| / |q|^(2N) by construction
     needed = int(math.ceil(math.log(tol / 1000.0) / math.log(rho))) + 1
-    # at least the 2N + 4 levels the certified sum reads before its stop rule can stop
+    # at least the 2N + 4 levels the open trace's fixed sum reads
     cutoff = max(cutoff, needed, 2 * n_sites + 4)
     return ChainParams(q=q, xi=xi, xitilde=xitilde, n_sites=n_sites, t=t, zeta=zeta,
                        cutoff=cutoff, tol=tol, exclusion_radius=exclusion_radius)
@@ -266,7 +260,7 @@ def monodromy_w(z: complex, r: complex, params: ChainParams, shape, aux: int,
     return tc.ordered_product(factors, shape)
 
 
-# Largest stack the certified sum asks for and builds rows for, in entries of d x d level terms:
+# Largest stack a fixed sum asks for and builds rows for, in entries of d x d level terms:
 # one level at N >= 8, where a Q took 26-28 ms and 48 MB (seed 0, one BLAS thread), against
 # 21-23 ms and 62 MB at 2 ** 18 and 19-24 ms and 138 MB uncapped; every stack fits whole at N <= 5.
 _STACK_ENTRIES = 2 ** 16
@@ -276,70 +270,6 @@ _threads = threading.local()  # .workspace: this thread's tc.Workspace
 def _workspace() -> tc.Workspace:
     """This thread's workspace, shared by its row builds, level pairings and level sums."""
     return _threads.__dict__.setdefault("workspace", tc.Workspace())
-
-
-def _certified_sum(levels, n_sites: int, J: int, rho_theory: float, j_min: int,
-                   tol_eff: float) -> np.ndarray:
-    """Sum the level terms 0 .. J - 1 until a geometric tail certificate clears
-    tol_eff.
-
-    The terms are block diagonal in the S^z sectors of n_sites spins (_layout).
-    levels(j0, j1) returns levels j0 .. j1 - 1, or a nonempty leading part of
-    them, as one (k, E) array for the sum to overwrite, row i the sector blocks
-    of level j0 + i in the order of _layout's entries.  The first stack asked for
-    holds the levels over which a geometric tail of ratio rho_theory from a unit
-    level-0 term falls below tol_eff (at least j_min) and the two calm levels
-    the rule needs to stop, each later one the levels the certificate's own
-    estimate still needs, at most _STACK_ENTRIES entries of d x d terms.  A
-    cumsum per stack adds as one level at a time.
-
-    From level j_min on, the remainder after a level of norm s is estimated as
-    s rho / (1 - rho), with rho the larger of rho_theory and the empirical
-    ratio of consecutive level norms; the sum stops once that estimate clears
-    tol_eff relative to the running total on two consecutive levels; a cutoff J <=
-    j_min leaves it no level and raises before any stack.  The stop is a heuristic,
-    not a proof: the estimate bounds the remainder only if the level norms decay at
-    least geometrically at ratio rho from j_min on.  A norm past floating range raises.
-    """
-    if J <= j_min:
-        raise TailCertificateError(f"Fock cutoff {J} is below {j_min + 1}, the fewest levels "
-                                   f"the tail certificate can clear with")
-    d = 2 ** n_sites
-    total = np.zeros(len(_layout(n_sites).entries), dtype=complex)
-    prev_norm, calm, last_tail, scale, j0 = None, 0, math.inf, 1.0, 0
-    want = max(j_min, math.ceil(math.log(tol_eff, rho_theory)) if rho_theory else 0) + 2
-    while j0 < J and calm < 2:
-        if j0 >= j_min and 0.0 < last_tail < math.inf:
-            want += math.ceil(math.log(tol_eff * scale / last_tail) / math.log(rho))
-        # row i holds the sector blocks of level j0 + i, then their running total
-        run = levels(j0, min(J, j0 + max(1, min(_STACK_ENTRIES // d ** 2, want))))
-        k = len(run)
-        parts = run.view(np.float64)
-        norms = np.sqrt(np.einsum("ij,ij->i", parts, parts))
-        run[0] += total
-        np.cumsum(run, axis=0, out=run)
-        scales = np.maximum(1.0, np.sqrt(np.einsum("ij,ij->i", parts, parts)))
-        for i, norm in enumerate(norms.tolist()):
-            if not norm < math.inf:
-                raise OverflowGuardError(f"the norm of Fock level {j0 + i} exceeds floating "
-                                         f"range in the tail certificate")
-            if j0 + i >= j_min:
-                scale = float(scales[i])
-                rho = max(rho_theory, norm / prev_norm) if prev_norm else rho_theory
-                last_tail = norm * rho / (1.0 - rho) if rho < 1.0 else math.inf
-                calm = calm + 1 if last_tail < tol_eff * scale else 0
-                if calm >= 2:
-                    break
-            prev_norm = norm
-        total[:] = run[i]
-        j0 += k
-        want = j_min + 2 - j0 if j0 < j_min else 2 - calm
-    # a sum through the full cutoff is certified by the same geometric bound
-    # applied at the top level
-    if calm < 2 and not last_tail < tol_eff * scale:
-        raise TailCertificateError(f"Fock cutoff {J} exhausted before the tail certificate "
-                                   f"cleared tol/10")
-    return _from_sectors(total, n_sites)
 
 
 def _from_sectors(flat, n_sites: int) -> np.ndarray:
@@ -353,24 +283,46 @@ def _from_sectors(flat, n_sites: int) -> np.ndarray:
     return out.reshape(d, d)
 
 
-def _fixed_sum(levels, weights, n_sites: int, rounding=None, tol=None) -> np.ndarray:
-    """sum_m weights[m] levels(m, m + 1) in stacks of at most _STACK_ENTRIES entries of d x d
-    level terms (levels as for _certified_sum), one level at a time.  Given rounding, a
-    rounding estimate sum_m rounding[m] max |levels(m, m + 1)| above tol max |sum| raises."""
+def _fixed_sum(levels, weights, n_sites: int, rounding=None, tol=None, check=None):
+    """sum_m weights[m] levels(m, m + 1), in stacks of at most _STACK_ENTRIES entries of
+    d x d level terms, one level at a time.
+
+    The terms are block diagonal in the S^z sectors of n_sites spins (_layout).
+    levels(j0, j1) returns levels j0 .. j1 - 1, or a nonempty leading part of them, as one
+    (k, E) array for the sum to overwrite, row i the sector blocks of level j0 + i in the
+    order of _layout's entries.  Given check, weights minus a second weight row, the sum
+    comes back once the difference of the two sums, summed as such, is at most tol/10 of
+    max(1, the sum's largest entry), else None.  Given rounding, a rounding estimate
+    sum_m rounding[m] max |levels(m, m + 1)| above tol times that entry raises
+    ParameterDomainError.
+    """
     # a two-level sum reads its window (0, 2) in one row build, past the cap from N = 8 on
     k = 2 if len(weights) == 2 else max(1, _STACK_ENTRIES // 4 ** n_sites)
-    total, spread = np.zeros(len(_layout(n_sites).entries), dtype=complex), 0.0
-    for j0 in range(0, len(weights), k):
+    total, diff, spread, j0 = np.zeros(len(_layout(n_sites).entries), dtype=complex), 0.0, 0.0, 0
+    while j0 < len(weights):
         run = levels(j0, min(len(weights), j0 + k))
+        j1 = j0 + len(run)
         if rounding is not None:
-            spread += float(rounding[j0:j0 + k] @ np.abs(run).max(axis=1))
-        # weights first: numpy's broadcast rounds run * weights[:, None] differently
-        np.multiply(weights[j0:j0 + k, None], run, out=run)
+            spread += float(rounding[j0:j1] @ np.abs(run).max(axis=1))
+        if check is not None:
+            diff += check[j0:j1] @ run
+        # weights first: numpy's broadcast rounds run * weights[:, None] differently, and an
+        # in-place product of one entry (N = 0) in a stack of one level differently again
+        run[:] = np.multiply(weights[j0:j1, None], run)
         run[0] += total
-        total = run.sum(axis=0)  # row after row, as a cumsum adds, at a fifth of its time
+        # row after row, as a cumsum adds, at a fifth of its time: over the parts, which keeps
+        # a single entry (N = 0) from numpy's pairwise sum
+        run.view(np.float64).sum(axis=0, out=total.view(np.float64))
+        j0 = j1
+    # the largest entries before the result is built, the difference freed first
+    if check is not None:
+        diff = np.abs(diff).max()
+    top = None if check is None and rounding is None else np.abs(total).max()
     out = _from_sectors(total, n_sites)
-    if rounding is not None and spread > tol * (top := np.abs(total).max()):
-        raise ParameterDomainError(f"the {n_sites}-site closed trace rounds to about "
+    if check is not None and not diff <= tol / 10 * max(1.0, top):
+        return None
+    if rounding is not None and spread > tol * top:
+        raise ParameterDomainError(f"the {n_sites}-site trace rounds to about "
                                    f"{spread / top:.1e} of its largest entry, above tol")
     return out
 
@@ -436,19 +388,52 @@ def transfer_v(z: complex, params: ChainParams) -> np.ndarray:
     """Finite-auxiliary transfer matrix, entries polynomial in z^2: transfer_w on C^2."""
     z = _finite_number("z", z)
     n = params.n_sites
-    kv = _windows(np.diagonal(kv_matrix(z, params.xi)), n, 0.0)
-    w = np.diagonal(ktv_matrix(z, params.xitilde, params.q))[:, None] * kv
-    rows = _half_products(lambda u: r_bands(u, params.q), z, params)
-    return _fixed_sum(_open_levels(rows, n, lambda j0, j1: w[j0:j1]), np.ones(2), n)
+    with np.errstate(over="ignore", invalid="ignore"):  # _from_sectors reports a non-finite entry
+        kv = _windows(np.diagonal(kv_matrix(z, params.xi)), n, 0.0)
+        w = np.diagonal(ktv_matrix(z, params.xitilde, params.q))[:, None] * kv
+        rows = _half_products(lambda u: r_bands(u, params.q), z, params)
+        return _fixed_sum(_open_levels(rows, n, lambda j0, j1: w[j0:j1]), np.ones(2), n)
+
+
+@functools.lru_cache(maxsize=32)
+def _open_weights(xx: complex, q: complex, n_sites: int, lead: int):
+    """Read-only, built once per (xx, q, n_sites, lead), xx = xi xitilde: transfer_w's
+    weights over lead + 2N + 4 levels, ones on the lead leading levels, then on levels
+    lead + m the w_m of the nodes x_s = xx q^(2s), s = -N .. N + 3; the rounding scales
+    eps, times A = prod_s (1 + |x_s|) / |P(1)| on the w_m (_closed_weights); and the
+    check, those weights minus the ones of the nodes s = -N .. N + 2 (2N + 3 levels)."""
+    x = np.array([xx * q ** (2 * s) for s in range(-n_sites, n_sites + 4)])
+    rows = np.zeros((2, lead + 2 * n_sites + 4), dtype=complex)
+    rows[:, :lead] = 1.0
+    for row, k in zip(rows, (len(x), len(x) - 1)):
+        row[lead:lead + k] = np.cumsum(np.poly(x[:k]))[-2::-1] / np.prod(1 - x[:k])
+    weights, check = rows[0], rows[0] - rows[1]
+    scale = np.full(len(weights), np.finfo(float).eps)
+    scale[lead:] *= np.prod(1 + abs(x)) / abs(np.prod(1 - x))
+    for arr in (weights, scale, check):
+        arr.setflags(write=False)
+    return weights, scale, check
 
 
 def transfer_w(z: complex, params: ChainParams, cutoff=None) -> np.ndarray:
-    """Fock-auxiliary transfer matrix via the overflow-safe certified trace.
+    """Fock-auxiliary transfer matrix: the Fock trace as a fixed weighted sum of its levels.
 
-    The half rows of L-factors are paired level by level with the boundary
-    diagonals in log space, which keeps every materialized block bounded.  A
-    stack of levels ends before the first level whose paired weight leaves
-    floating range, which raises OverflowGuardError only once the sum gets there.
+    As a sequence in the level j, each level term is an exponential polynomial with the
+    known nodes x_s = xi xitilde q^(2s): s = -N .. N and further nodes s > N, whose weight
+    falls with N and with the level and grows with |z|.  So lead leading levels and the
+    weighted sum of the next ones (_open_weights, as in closed_transfer_w) give the whole
+    series but for the nodes left out: 2N + 4 levels for the nodes up to s = N + 3, 2N + 3
+    for those up to N + 2.  The first sum comes back once the two agree to tol/10 of
+    max(1, its largest entry) (_fixed_sum); else both are redone on the same half rows for
+    lead = 2N + 2, then twice the last, up to cutoff - 2N - 4, where TailCertificateError
+    is raised, as it is at once for a cutoff below 2N + 4.  A rounding estimate above tol
+    raises ParameterDomainError.  The Fock space keeps cutoff levels, so the top N levels
+    a last retry reads miss the paths above it, which shows as two sums that disagree.
+
+    The half rows of L-factors are paired level by level with the boundary diagonals in
+    log space, which keeps every materialized block bounded.  A stack of levels ends
+    before the first level whose paired weight leaves floating range, which raises
+    OverflowGuardError only once the sum gets there.
     """
     z = _finite_number("z", z)
     J = params.cutoff if cutoff is None else validate_cutoff(cutoff)
@@ -456,26 +441,38 @@ def transfer_w(z: complex, params: ChainParams, cutoff=None) -> np.ndarray:
     if in_exclusion_set(z, params):
         raise ExclusionPointError(
             f"z = {z:.6f} is within {params.exclusion_radius} of a trace pole")
-    kw = kw_diagonal(z, 1.0, params.xi, params.q, J)
-    ktw = ktw_diagonal(z, 1.0, params.xitilde, params.q, J)
-    # kw levels j - n .. j + n, paired with ktw level j, are row j of the
-    # windows over kw padded by n on each side
-    kw_mant, kw_log = _windows(kw.mantissa, n, 0.0), _windows(kw.log_mag, n, -np.inf)
+    if J < 2 * n + 4:
+        raise TailCertificateError(f"Fock cutoff {J} is below {2 * n + 4}, the fewest levels "
+                                   f"the fixed sum reads")
+    with np.errstate(over="ignore", invalid="ignore"):  # _from_sectors reports a non-finite entry
+        kw = kw_diagonal(z, 1.0, params.xi, params.q, J)
+        ktw = ktw_diagonal(z, 1.0, params.xitilde, params.q, J)
+        # kw levels j - n .. j + n, paired with ktw level j, are row j of the
+        # windows over kw padded by n on each side
+        kw_mant, kw_log = _windows(kw.mantissa, n, 0.0), _windows(kw.log_mag, n, -np.inf)
 
-    def weights(j0, j1):
-        lg = ktw.log_mag[j0:j1, None] + kw_log[j0:j1]
-        huge = lg > LOG_HUGE
-        fits = int(np.logical_and.accumulate(~huge.any(axis=1)).sum())
-        if fits == 0:
-            k = j0 - n + int(np.argmax(huge[0]))
-            raise OverflowGuardError(
-                f"paired boundary weight at levels ({j0}, {k}) exceeds floating range")
-        j1, lg = j0 + fits, lg[:fits]
-        return ktw.mantissa[j0:j1, None] * kw_mant[j0:j1] * np.exp(lg)
+        def weights(j0, j1):
+            lg = ktw.log_mag[j0:j1, None] + kw_log[j0:j1]
+            huge = lg > LOG_HUGE
+            fits = int(np.logical_and.accumulate(~huge.any(axis=1)).sum())
+            if fits == 0:
+                k = j0 - n + int(np.argmax(huge[0]))
+                raise OverflowGuardError(
+                    f"paired boundary weight at levels ({j0}, {k}) exceeds floating range")
+            j1, lg = j0 + fits, lg[:fits]
+            return ktw.mantissa[j0:j1, None] * kw_mant[j0:j1] * np.exp(lg)
 
-    rows = _half_products(lambda u: l_bands(u, 1.0, params.q, J), z, params)
-    return _certified_sum(_open_levels(rows, n, weights), n, J, params.tail_ratio, 2 * n + 2,
-                          params.tol / 10.0)
+        rows = _half_products(lambda u: l_bands(u, 1.0, params.q, J), z, params)
+        levels, lead, top = _open_levels(rows, n, weights), 0, J - 2 * n - 4
+        while True:
+            w, scale, check = _open_weights(params.xi * params.xitilde, params.q, n, lead)
+            out = _fixed_sum(levels, w, n, scale, params.tol, check)
+            if out is not None:
+                return out
+            if lead == top:
+                raise TailCertificateError(f"Fock cutoff {J} exhausted before the two fixed "
+                                           f"sums agreed to tol/10")
+            lead = min(top, max(2 * n + 2, 2 * lead))
 
 
 def q_operator(z: complex, params: ChainParams, cutoff=None) -> np.ndarray:

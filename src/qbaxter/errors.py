@@ -18,7 +18,8 @@ class ConvergenceError(QBaxterError):
 
 
 class TailCertificateError(QBaxterError):
-    """The open chain's Fock trace could not certify its tail at the configured cutoff."""
+    """The open chain's Fock trace: its two fixed sums disagreed at every leading-level count
+    the configured cutoff allows, or the cutoff is below the 2N + 4 levels they read."""
 
 
 class OverflowGuardError(QBaxterError):

@@ -3,7 +3,7 @@ with overflow-safe exponent bookkeeping.
 
 The Fock space keeps the states w^0 .. w^{J-1}.  The raising operator maps the
 top state to zero, so every operator is total; accuracy of traced quantities is
-governed by tail certificates, not by the boundary row.
+governed by the traces' fixed sums and their checks, not by the boundary row.
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
 """Reference implementations that only the tests read: dense ladder operators of
 the truncated q-oscillator, q-Pochhammer symbols and the basic hypergeometric
 sum, the swap and partial transpose of a tensor product, the transpose of an
-operator given by its level bands, the closed chain's twisted Fock trace summed
-level by level, and the exchange coefficients and unwanted-term residual of the
-algebraic Bethe ansatz.
+operator given by its level bands, the open chain's Fock trace and the closed
+chain's twisted Fock trace summed level by level, and the exchange coefficients
+and unwanted-term residual of the algebraic Bethe ansatz.
 
 The package computes none of these; the tests compare its results against them.
 """
@@ -166,6 +166,80 @@ def transpose_bands(coef) -> np.ndarray:
     out = np.zeros_like(coef)
     out[..., inside] = coef[..., a[inside], b[inside], (c + a - b)[inside]]
     return out
+
+
+# ---------------------------------------------------------------------------
+# open chain
+# ---------------------------------------------------------------------------
+
+def open_fock_trace(z: complex, params: ChainParams, tol: float = 1e-17) -> np.ndarray:
+    """The open chain's Fock trace sum_j T_j, T_j = sum_k ktw_j kw_k X[j, k] Y[k, j] the
+    level-j block of the double row (X = L_1(t_1 z) .. L_N(t_N z) and Y = L_N(z / t_N) ..
+    L_1(z / t_1), site k's L-operator at r = 1 on W (x) V_k, paired with the boundary
+    diagonals kw and ktw of qoscillator), summed directly, level by level, with no stop
+    rule: the levels grow while q^(2j) |u|^2 > 1 for a point u = t_k z or z / t_k, so the
+    sum takes twice as many levels as that, then 2N + 4 and the levels at which rho^j <
+    tol (1 - rho), rho the tail ratio.
+
+    Each entry of a half row is one path, one L entry per site, each moving the level by
+    at most one: at column level c, (a -> b) = (0 -> 0) q^c, (0 -> 1) -u q^(c + 1) (one
+    level down), (1 -> 1) (1 - q^(2c + 2) u^2) q^(-c) and (1 -> 0) -(u / q) (1 - q^(2c + 2))
+    q^(-c) (one level up), 1 a down spin.  So X[(j, r), (k, s)] and Y[(k, s), (j, t)] are
+    q^(j (N - 2 m(s))) and q^(j (N - 2 m(t))) times products over the level offsets from j
+    (m the down count), and kw_k / kw_j = q^(-2j (k - j) - (k - j)^2) prod_i (q^(2i) z^2 -
+    xi)^(+-1) over the levels i between.  The powers of q^j of a term of T_j in sector m then
+    add to 2N - 4m, and ktw_j kw_j = prod_(1 <= i <= j) -xitilde (q^(2i) z^2 - xi) /
+    prod_(0 <= i <= j) (1 - q^(2i + 2) xitilde z^2), whose factors tend to xi xitilde: its
+    running product
+    times q^(2N - 4m) per level is sector m's scale at level j.  No intermediate holds the
+    growth |q|^(-Nj) of a half row or |q|^(-j^2) of kw, and a scale underflows only once
+    its level is negligible.
+    """
+    n, d, q = params.n_sites, params.dim, params.q
+    xi, xit, z2 = params.xi, params.xitilde, complex(z) ** 2
+    rise = math.log(max([1.0] + [abs(u) ** 2 for t in params.t for u in (z * t, z / t)]))
+    rho, depth = params.tail_ratio, 2 * n + 4 + 2 * math.ceil(rise / -math.log(abs(q) ** 2))
+    if rho > 0:
+        depth += math.ceil(math.log(tol * (1.0 - rho)) / math.log(rho)) + 1
+    j = np.arange(depth)[:, None, None]
+    q2j = q ** (2.0 * j)  # underflows to 0 only where q^(2j) no longer enters
+    bits = (np.arange(d)[:, None] >> np.arange(n)[::-1]) & 1  # [state, site], site 1 first
+    down = bits.sum(axis=1)
+
+    def paths(points, sites, offset):
+        """[j, r, s]: the path from (j + offset[r, s], s) to (j + end, r) through the factors
+        of sites in turn, over q^(j (N - 2 m(s))); zero where a level leaves 0 .. inf."""
+        out = np.ones((depth, d, d), dtype=complex)
+        o = np.broadcast_to(offset, (depth, d, d))
+        inside = j + o >= 0
+        for i in sites:
+            b, a, u, qo = bits[:, i][:, None], bits[:, i][None, :], points[i], q ** o
+            out = out * np.where(a == 0, np.where(b == 0, qo, -u * q * qo),
+                                 np.where(b == 1, 1.0 - q2j * q * q * qo * qo * u * u,
+                                          -(u / q) * (1.0 - q2j * q * q * qo * qo)) / qo)
+            o = o + a - b
+            inside &= j + o >= 0
+        return np.where(inside, out, 0.0)
+
+    shift = down[:, None] - down[None, :]  # [r, s]: m(r) - m(s), the level X starts above j
+    left = paths([t * z for t in params.t], range(n)[::-1], shift)  # [j, r, s] of X
+    right = paths([z / t for t in params.t], range(n), 0)  # [j, s, t] of Y
+    # kw_(j + delta) / kw_j over q^(-2 j delta), delta = m(r) - m(s) in -n .. n
+    steps = q2j[:, :, 0] * q ** (2.0 * np.arange(-n + 1, n + 1)) * z2 - xi  # i = j - n + 1 .. j + n
+    ratio = np.ones((depth, 2 * n + 1), dtype=complex)  # [j, n + delta]
+    for delta in range(1, n + 1):
+        ratio[:, n + delta] = ratio[:, n + delta - 1] * steps[:, n + delta - 1]
+        ratio[:, n - delta] = ratio[:, n - delta + 1] / steps[:, n - delta]
+    ratio *= q ** -(np.arange(-n, n + 1) ** 2.0)
+    blocks = (left * ratio[:, n + shift]) @ right
+    # ktw_j kw_j q^(j (2N - 4m)), a running product per level
+    levels = np.arange(1, depth)
+    factor = -xit * (q ** (2.0 * levels) * z2 - xi) / (1.0 - q ** (2.0 * levels + 2) * xit * z2)
+    scale = np.cumprod(np.concatenate(
+        [np.full((1, n + 1), 1.0 / (1.0 - q * q * xit * z2)),
+         factor[:, None] * q ** (2.0 * n - 4.0 * np.arange(n + 1))]), axis=0)
+    same = down[:, None] == down[None, :]
+    return np.where(same, np.einsum("jr,jrs->rs", scale[:, down], blocks), 0.0)
 
 
 # ---------------------------------------------------------------------------

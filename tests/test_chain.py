@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import closed_fock_trace, transpose_bands
+from oracles import closed_fock_trace, open_fock_trace, transpose_bands
 from qbaxter import chain as ch
 from qbaxter import tensor_core as tc
 from qbaxter.errors import (
@@ -58,9 +58,13 @@ class TestChainParams:
             ch.ChainParams(q=0.5, xi=0.1, xitilde=0.1, n_sites=2, t=(1.0,))
 
     def test_cutoff_preflight(self):
-        with pytest.raises(ParameterDomainError):
-            ch.ChainParams(q=0.5, xi=0.12, xitilde=0.1, n_sites=1,
-                           t=(1.0,), cutoff=4, tol=1e-12)
+        # the parameters no longer weigh the cutoff against the tail ratio: a cutoff below
+        # the 2N + 4 levels the open trace's fixed sum reads raises at the trace
+        p = ch.ChainParams(q=0.5, xi=0.12, xitilde=0.1, n_sites=1, t=(1.0,), cutoff=4, tol=1e-12)
+        with pytest.raises(TailCertificateError, match="cutoff 4 is below 6"):
+            ch.transfer_w(0.83 + 0.21j, p)
+        slow = ch.ChainParams(q=0.5, xi=0.2, xitilde=0.2, n_sites=1, t=(1.0,), cutoff=8, tol=1e-12)
+        assert slow.tail_ratio ** slow.cutoff > slow.tol
 
     def test_q_range(self):
         with pytest.raises(ParameterDomainError):
@@ -425,9 +429,9 @@ class TestTransferW:
             fn(0.86 + 0.27j, params2, cutoff=cutoff)
 
     def test_overflow_guard_only_at_reached_levels(self, params2, monkeypatch):
-        # one kw level pushed beyond double range; the sum certifies after
-        # 25 levels, so kw level 39 never enters a pairing window (levels
-        # j - N .. j + N), while kw level 5 first does at ktw level 3
+        # one kw level pushed beyond double range; the fixed sum reads levels 0 .. 2N + 3,
+        # so kw level 39 never enters a pairing window (levels j - N .. j + N), while kw
+        # level 5 first does at ktw level 3
         z = 0.86 + 0.27j
         clean = ch.transfer_w(z, params2)
 
@@ -445,37 +449,62 @@ class TestTransferW:
         with pytest.raises(OverflowGuardError, match=r"levels \(3, 5\)"):
             ch.transfer_w(z, params2)
 
-        # N = 5 sums its 31 levels in one stack, levels 0-31.  kw level 36
-        # first pairs with ktw level 31, which the stack holds but the sum
-        # never reaches, so the stack ends before it and the result is
-        # unchanged; kw levels 35 and 25 pair with levels 30 and 20, which the
-        # stack ends before and the sum then reaches on the next one
+        # N = 5 sums its 14 levels in one stack, levels 0-13.  kw level 36 pairs with
+        # none of them, so the result is unchanged; kw levels 18 and 10 first pair with
+        # ktw levels 13 and 5, so the stack ends before them and the sum raises on the next
         p = ch.sample_params(5, seed=3, tol=1e-10)
         monkeypatch.setattr(ch, "kw_diagonal", kw_diagonal)
         clean = ch.transfer_w(z, p)
         stacks = []
-        certified_sum = ch._certified_sum
+        fixed_sum = ch._fixed_sum
 
         def recording_sum(levels, *args):
             def recorded(j0, j1):
                 out = levels(j0, j1)
                 stacks.append((j0, j1, len(out)))
                 return out
-            return certified_sum(recorded, *args)
+            return fixed_sum(recorded, *args)
 
-        monkeypatch.setattr(ch, "_certified_sum", recording_sum)
+        monkeypatch.setattr(ch, "_fixed_sum", recording_sum)
         assert np.array_equal(ch.transfer_w(z, p), clean)
-        assert stacks == [(0, 32, 32)]
+        assert stacks == [(0, 14, 14)]
         stacks.clear()
         raise_kw_level(36)
         assert np.array_equal(ch.transfer_w(z, p), clean)
-        assert stacks == [(0, 32, 31)]
-        for level, reached in ((35, 30), (25, 20)):
+        assert stacks == [(0, 14, 14)]
+        for level, reached in ((18, 13), (10, 5)):
             stacks.clear()
             raise_kw_level(level)
             with pytest.raises(OverflowGuardError, match=fr"levels \({reached}, {level}\)"):
                 ch.transfer_w(z, p)
-            assert stacks == [(0, 32, reached)]
+            assert stacks == [(0, 14, reached)]
+
+    def test_far_spectral_points_match_the_direct_sum_or_raise(self):
+        # at |z| = 1e8 and 1e10 the levels grow for some 40 levels before they fall at the
+        # tail ratio; a sum that stopped on falling level norms was 6.9% off at seed 0,
+        # z = 1e8, and 100% at 1e10, with no error
+        compared = 0
+        for seed, z in itertools.product(range(4), (1e8, 1e10)):
+            p = ch.sample_params(1, seed)
+            try:
+                got = ch.q_operator(z, p)
+            except TailCertificateError:
+                continue
+            expected = ch.spin_weights(1, z * z, 1.0)[:, None] * open_fock_trace(z, p)
+            assert tc.rel_err(got, expected) <= p.tol, (seed, z)
+            compared += 1
+        assert compared
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_slow_tail_certifies_at_the_default_cutoff(self, n, seed):
+        # tail ratio 0.95, where a direct sum to 1e-10 needs some 500 levels: the fixed sum
+        # reads 2N + 4 of them, or 4N + 6 after one retry
+        p = ch.sample_params(n, seed, tol=1e-10)
+        scale = math.sqrt(0.95 / p.tail_ratio)
+        p = dataclasses.replace(p, xi=p.xi * scale, xitilde=p.xitilde * scale, cutoff=40)
+        z = 0.83 + 0.21j
+        assert tc.rel_err(ch.transfer_w(z, p), open_fock_trace(z, p)) <= 1e-13
 
     def test_q_operator_weighting(self, params2):
         z = 0.78 + 0.33j
@@ -484,33 +513,10 @@ class TestTransferW:
                         w[:, None] * ch.transfer_w(z, params2), atol=1e-15)
 
 
-def reference_sum(levels, rho_theory, j_min, tol_eff, what):
-    """The certified sum's stop rule, one level at a time: the geometric tail
-    estimate s rho / (1 - rho) from level j_min on, rho the larger of
-    rho_theory and the ratio of consecutive level norms, must clear tol_eff
-    relative to the running total on two consecutive levels."""
-    out, prev_norm, calm, last_tail = 0.0, None, 0, math.inf
-    for j, s_j in enumerate(levels):
-        out = out + s_j
-        norm = np.linalg.norm(s_j)
-        if j >= j_min:
-            rho = rho_theory
-            if prev_norm:
-                rho = max(rho, norm / prev_norm)
-            last_tail = norm * rho / (1.0 - rho) if rho < 1.0 else math.inf
-            calm = calm + 1 if last_tail < tol_eff * max(1.0, np.linalg.norm(out)) else 0
-            if calm >= 2:
-                return out
-        prev_norm = norm
-    if last_tail < tol_eff * max(1.0, np.linalg.norm(out)):
-        return out
-    raise TailCertificateError(f"Fock cutoff {j + 1} exhausted before the {what} cleared tol/10")
-
-
-def dense_trace(z, p):
-    """transfer_w from dense half products, the reference for the charge-blocked
-    trace: same level pairing, same stop rule."""
-    J, n, d = p.cutoff, p.n_sites, p.dim
+def dense_trace(z, p, J):
+    """transfer_w from dense half products on J levels, summed directly over the levels
+    0 .. J - N - 1, whose light cones the truncation leaves whole."""
+    n, d = p.n_sites, p.dim
     shape = (J,) + (2,) * n
     left = [(l_matrix(t * z, 1.0, p.q, J), 0, k + 1) for k, t in enumerate(p.t)]
     right = [(l_matrix(z / t, 1.0, p.q, J), 0, k + 1) for k, t in enumerate(p.t)][::-1]
@@ -518,20 +524,20 @@ def dense_trace(z, p):
     Y = tc.ordered_product(right, shape).reshape(J, d, J, d)
     kw = kw_diagonal(z, 1.0, p.xi, p.q, J)
     ktw = ktw_diagonal(z, 1.0, p.xitilde, p.q, J)
-    levels = (sum(ktw.mantissa[j] * kw.mantissa[k] * np.exp(ktw.log_mag[j] + kw.log_mag[k])
-                  * (X[j, :, k, :] @ Y[k, :, j, :])
-                  for k in range(max(0, j - n), min(J, j + n + 1))) for j in range(J))
-    return reference_sum(levels, p.tail_ratio, 2 * n + 2, p.tol / 10.0, "reference")
+    return sum(ktw.mantissa[j] * kw.mantissa[k] * np.exp(ktw.log_mag[j] + kw.log_mag[k])
+               * (X[j, :, k, :] @ Y[k, :, j, :])
+               for j in range(J - n) for k in range(max(0, j - n), j + n + 1))
 
 
 class TestBandedTraceOracle:
+    """The charge-blocked traces against their direct sums, deep enough to drop no digit."""
+
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
     @pytest.mark.parametrize("seed", [3, 11])
     def test_matches_dense_half_products(self, n, seed):
         p = ch.sample_params(n, seed=seed, tol=1e-10)
         for z in (0.83 + 0.21j, 1.1 - 0.3j):
-            # the closed trace against its direct sum, deep enough to drop no digit
-            tw, closed = dense_trace(z, p), closed_fock_trace(z, p)
+            tw, closed = open_fock_trace(z, p), closed_fock_trace(z, p)
             w_open = ch.spin_weights(n, z ** 2, 1.0)[:, None]
             w_closed = ch.spin_weights(n, z, 1.0)[:, None]
             assert tc.rel_err(ch.transfer_w(z, p), tw) < 1e-13
@@ -539,20 +545,51 @@ class TestBandedTraceOracle:
             assert tc.rel_err(ch.closed_transfer_w(z, p), closed) < 1e-13
             assert tc.rel_err(ch.closed_q(z, p), w_closed * closed) < 1e-13
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_open_oracle_is_the_dense_level_sum(self, n, seed):
+        # the oracle's path products and scales against dense half products: 60 levels
+        # leave a tail ratio of at most 0.5 below 1e-16
+        p = ch.sample_params(n, seed=seed, tol=1e-10)
+        for z in (0.83 + 0.21j, 1.1 - 0.3j, 3.0):
+            assert tc.rel_err(open_fock_trace(z, p), dense_trace(z, p, 60)) < 1e-14
+
+
+GRID = list(itertools.product([1, 2, 3], [0.1, 0.5, 0.8, 0.95], [0.3, 0.6, 0.9]))
+
+
+@pytest.mark.parametrize("n, ratio, qmod", GRID)
+def test_grid_meets_tol_or_raises(n, ratio, qmod):
+    # the draw's phases with |q| and the tail ratio set, at cutoff 40: the fixed sum meets
+    # tol against the direct sum or raises a typed error (4 of the 108 cases, at |q| = 0.9,
+    # |z| = 3 and tail ratio 0.95, or 0.8 at N = 3, where the truncation at the cutoff
+    # reaches the top levels the last retry reads)
+    p = ch.sample_params(n, 0, tol=1e-10)
+    scale = math.sqrt(ratio * qmod ** (2 * n) / abs(p.xi * p.xitilde))
+    p = dataclasses.replace(p, q=qmod * p.q / abs(p.q), xi=p.xi * scale,
+                            xitilde=p.xitilde * scale, cutoff=40)
+    for zmod in (0.3, 1.0, 3.0):
+        z = zmod * cmath.exp(0.37j)
+        try:
+            got = ch.transfer_w(z, p)
+        except QBaxterError:
+            continue
+        assert tc.rel_err(got, open_fock_trace(z, p)) <= p.tol, zmod
+
 
 class TestCertifiedSumStacks:
-    """The certified sum, and the closed trace's fixed sum, give the same bits
-    whatever stacks their levels come in."""
+    """The open trace's certified fixed sum, and the closed trace's fixed sum, give the
+    same bits whatever stacks their levels come in."""
 
     @staticmethod
     def at_most(size, monkeypatch):
-        """Let every stack the certified sum asks for hold at most size levels."""
-        certified_sum = ch._certified_sum
+        """Let every stack a fixed sum asks for hold at most size levels."""
+        fixed_sum = ch._fixed_sum
 
         def limited_sum(levels, *args):
-            return certified_sum(lambda j0, j1: levels(j0, min(j1, j0 + size)), *args)
+            return fixed_sum(lambda j0, j1: levels(j0, min(j1, j0 + size)), *args)
 
-        monkeypatch.setattr(ch, "_certified_sum", limited_sum)
+        monkeypatch.setattr(ch, "_fixed_sum", limited_sum)
 
     @pytest.mark.parametrize("fn", [ch.transfer_w, ch.closed_transfer_w])
     @pytest.mark.parametrize("n", [0, 3, 5])
@@ -567,28 +604,28 @@ class TestCertifiedSumStacks:
                 assert np.array_equal(fn(z, p), whole)
 
     def test_synthetic_levels_match_the_reference(self):
-        # random sector blocks of an N = 3 chain decaying at ratio 0.6
+        # random sector blocks of an N = 3 chain, each an exponential polynomial in the
+        # level with the open trace's nodes x_s = xx q^(2s), s = -3 .. 6: the fixed sum of
+        # levels 0 .. 2N + 3 is the whole series sum_s C_s / (1 - x_s), whatever the stacks
+        n, xx, q = 3, 0.3 * 0.6 ** 6 * cmath.exp(0.4j), 0.6 * cmath.exp(1.1j)
+        x = np.array([xx * q ** (2 * s) for s in range(-n, n + 4)])
         rng = np.random.default_rng(7)
-        down = tc.index_sums((2,) * 3)
-        sectors = [np.flatnonzero(down == m) for m in range(4)]
-        J = 60
-        decay = 0.6 ** np.arange(J)[:, None, None]
-        terms = [decay * (rng.standard_normal((J, len(idx), len(idx)))
-                          + 1j * rng.standard_normal((J, len(idx), len(idx))))
-                 for idx in sectors]
-        dense = np.zeros((J, 8, 8), dtype=complex)
-        for idx, term in zip(sectors, terms):
-            dense[:, idx[:, None], idx] = term
-        expected = reference_sum(iter(dense), 0.5, 4, 1e-11, "synthetic")
-        # each level's sector blocks one after another, as the layout's entries read them
-        flat = np.concatenate([term.reshape(J, -1) for term in terms], axis=1)
-        for size in (1, 3, J):
+        size = len(ch._layout(n).entries)
+        coef = rng.standard_normal((len(x), size)) + 1j * rng.standard_normal((len(x), size))
+        flat = (x ** np.arange(2 * n + 4)[:, None]) @ coef
+        series = (coef / (1 - x)[:, None]).sum(axis=0)
+        weights, scale, check = ch._open_weights(xx, q, n, 0)
+        sums = []
+        for stack in (1, 3, 2 * n + 4):
             def levels(j0, j1):
-                return flat[j0:min(j1, j0 + size)].copy()  # the sum overwrites its stacks
-            assert np.array_equal(ch._certified_sum(levels, 3, J, 0.5, 4, 1e-11), expected)
+                return flat[j0:min(j1, j0 + stack)].copy()  # the sum overwrites its stacks
+            sums.append(ch._fixed_sum(levels, weights, n, scale, 1e-10, check))
+        got = sums[0].ravel()[ch._layout(n).entries]
+        assert np.abs(got - series).max() <= 1e-14 * np.abs(series).max()
+        assert all(np.array_equal(sums[0], other) for other in sums[1:])
 
     def test_tail_ratio_underflowing_to_zero(self, monkeypatch):
-        # |xi * xitilde| underflows, so the first stack holds the j_min + 2 levels
+        # |xi * xitilde| underflows: every node is 0, so the fixed sum adds its levels
         p = ch.ChainParams(q=0.5, xi=1e-200, xitilde=1e-200, n_sites=1, t=(1.0,))
         assert p.tail_ratio == 0.0
         whole = ch.transfer_w(0.83 + 0.21j, p)
@@ -756,8 +793,8 @@ class TestRowsOnDemand:
 
     @staticmethod
     def record(monkeypatch):
-        """The windows of every row build, and the (j0, levels) of every stack the
-        certified or fixed sum is handed, in call order."""
+        """The windows of every row build, and the (j0, levels) of every stack a fixed
+        sum is handed, in call order."""
         windows, stacks = [], []
         charge_product = tc.charge_product
 
@@ -779,13 +816,13 @@ class TestRowsOnDemand:
             return recording_sum
 
         monkeypatch.setattr(tc, "charge_product", recording_product)
-        for name in ("_certified_sum", "_fixed_sum"):
-            monkeypatch.setattr(ch, name, recording(getattr(ch, name)))
+        monkeypatch.setattr(ch, "_fixed_sum", recording(ch._fixed_sum))
         return windows, stacks
 
-    def check_built_once(self, fn, n, size, j_min, monkeypatch):
-        """fn's kernel windows are the stacks its certified sum is handed, stacks
-        of at most size levels: each level built once, fewer than J in all."""
+    def check_built_once(self, fn, n, size, monkeypatch):
+        """fn's kernel windows are the stacks its fixed sum is handed, stacks of at
+        most size levels: each level of a pass built once, lead + 2N + 4 levels a pass
+        for lead = 0, 2N + 2, .."""
         p = ch.sample_params(n, seed=3, tol=1e-10)
         z = 0.83 + 0.21j
         whole = fn(z, p)
@@ -793,15 +830,18 @@ class TestRowsOnDemand:
             TestCertifiedSumStacks.at_most(size, monkeypatch)
         windows, stacks = self.record(monkeypatch)
         assert np.array_equal(fn(z, p), whole)
-        summed = sum(k for _, k in stacks)
         assert windows == [(j0, j0 + k) for j0, k in stacks]
-        assert [j0 for j0, _ in stacks] == [0, *np.cumsum([k for _, k in stacks])[:-1]]
-        assert j_min + 2 <= summed < p.cutoff
+        starts = [i for i, (j0, _) in enumerate(stacks) if j0 == 0] + [len(stacks)]
+        passes = [stacks[a:b] for a, b in zip(starts, starts[1:])]
+        for one, lead in zip(passes, [0, 2 * n + 2, 4 * n + 4]):
+            assert [j0 for j0, _ in one] == [0, *np.cumsum([k for _, k in one])[:-1]]
+            assert sum(k for _, k in one) == lead + 2 * n + 4
+        assert len(passes) <= 2
 
     @pytest.mark.parametrize("n", [0, 3, 5])
     @pytest.mark.parametrize("size", [1, 3, None])
     def test_each_summed_level_built_once(self, n, size, monkeypatch):
-        self.check_built_once(ch.transfer_w, n, size, 2 * n + 2, monkeypatch)
+        self.check_built_once(ch.transfer_w, n, size, monkeypatch)
 
     @pytest.mark.parametrize("fn", [ch.closed_transfer_w, ch.closed_q])
     @pytest.mark.parametrize("n", [0, 3, 5])
@@ -819,33 +859,43 @@ class TestRowsOnDemand:
         assert stacks == [(j0, j1 - j0) for j0, j1 in windows]
 
     def test_no_row_of_an_overflowing_stack(self, monkeypatch):
-        # kw level 25 first pairs with ktw level 20 at N = 5, in the first stack:
-        # its weights stop that stack at level 20 and raise on the next one
+        # kw level 16 first pairs with ktw level 11 at N = 5, in the first stack:
+        # its weights stop that stack at level 11 and raise on the next one
         p = ch.sample_params(5, seed=3, tol=1e-10)
 
         def kw_with_huge_level(*args):
             kw = kw_diagonal(*args)
             log_mag = kw.log_mag.copy()
-            log_mag[25] += 800.0
+            log_mag[16] += 800.0
             return FockDiagonal(kw.mantissa, log_mag)
 
         monkeypatch.setattr(ch, "kw_diagonal", kw_with_huge_level)
         windows, stacks = self.record(monkeypatch)
-        with pytest.raises(OverflowGuardError, match=r"levels \(20, 25\)"):
+        with pytest.raises(OverflowGuardError, match=r"levels \(11, 16\)"):
             ch.transfer_w(0.83 + 0.21j, p)
-        assert stacks == [(0, 20)]
-        assert windows == [(0, 20)]
+        assert stacks == [(0, 11)]
+        assert windows == [(0, 11)]
 
     @pytest.mark.parametrize("fn, n, seed", [
         (ch.q_operator, 5, 3), (ch.q_operator, 4, 3), (ch.q_operator, 4, 11),
         (ch.closed_q, 3, 1), (ch.closed_q, 3, 3)])
     def test_one_stack_when_the_theoretical_tail_fits(self, fn, n, seed, monkeypatch):
-        # the certified sum's first stack is sized from the tail ratio, so these sums stop
-        # inside it; the closed trace's 2N + 1 levels fit one stack
+        # the open trace's 2N + 4 levels and the closed trace's 2N + 1 fit one stack, and
+        # these open sums agree at once
         p = ch.sample_params(n, seed=seed, tol=1e-10)
         windows, stacks = self.record(monkeypatch)
         fn(0.83 + 0.21j, p)
         assert len(stacks) == len(windows) == 1
+
+    @pytest.mark.parametrize("n, seed, passes", [(5, 3, [(0, 14)]), (3, 4, [(0, 10), (0, 18)])])
+    def test_levels_read_per_pass(self, n, seed, passes, monkeypatch):
+        # one Q reads 2N + 4 levels; at N = 3, seed 4 (|q| = 0.77) the two sums disagree
+        # there, and it reads them again after 2N + 2 leading levels
+        p = ch.sample_params(n, seed=seed, tol=1e-10)
+        windows, stacks = self.record(monkeypatch)
+        ch.q_operator(0.83 + 0.21j, p)
+        assert windows == passes
+        assert stacks == [(j0, j1 - j0) for j0, j1 in passes]
 
 
 class TestPairGathers:
@@ -906,7 +956,7 @@ def test_sector_runs_by_formula(n):
 
 
 class TestCutoffFloor:
-    """A cutoff at or below the first level the tail certificate reads can never
+    """A cutoff below the 2N + 4 levels the open trace's fixed sum reads can never
     certify, so it raises before any row is built."""
 
     def test_sampler_grows_the_cutoff_to_the_stop_rule_floor(self):
@@ -928,20 +978,20 @@ class TestCutoffFloor:
 
         monkeypatch.setattr(tc, "charge_product", no_rows)
         for fn in (ch.transfer_w, ch.q_operator):
-            with pytest.raises(TailCertificateError, match="cutoff 6 is below 7"):
-                fn(z, p, cutoff=6)
+            with pytest.raises(TailCertificateError, match="cutoff 7 is below 8"):
+                fn(z, p, cutoff=7)
 
     def test_floor_comes_after_the_other_preflights(self):
         p = ch.sample_params(2, seed=3, tol=1e-10)
         with pytest.raises(ExclusionPointError):
-            ch.transfer_w(p.q ** -1 / cmath.sqrt(p.xitilde), p, cutoff=6)
+            ch.transfer_w(p.q ** -1 / cmath.sqrt(p.xitilde), p, cutoff=7)
 
     def test_first_cutoff_above_the_floor_can_certify(self):
-        # a small enough tail ratio clears on the top level alone
+        # a small enough tail ratio clears on the fixed sum's 2N + 4 levels, the floor itself
         p = ch.sample_params(2, seed=0, tol=1e-9)
         z = 0.83 + 0.21j
         tiny = dataclasses.replace(p, xi=p.xi * 1e-30)
-        assert tc.rel_err(ch.transfer_w(z, tiny, cutoff=7), ch.transfer_w(z, tiny)) < 1e-9
+        assert tc.rel_err(ch.transfer_w(z, tiny, cutoff=8), open_fock_trace(z, tiny)) < 1e-9
 
 
 class TestSixSites:
@@ -1124,10 +1174,10 @@ class TestClosedChain:
 
     def test_rounding_beyond_tol_rejected(self, params2):
         # nodes within 1e-2 of 1 outrun the leading levels; a tol below the rounding of any sum
-        with pytest.raises(ParameterDomainError, match="closed trace rounds to about"):
+        with pytest.raises(ParameterDomainError, match="site trace rounds to about"):
             ch.closed_transfer_w(0.83 + 0.21j, dataclasses.replace(
                 ch.sample_params(4, 0, tol=1e-10), q=0.999, zeta=0.99 * 0.999 ** 4))
-        with pytest.raises(ParameterDomainError, match="closed trace rounds to about"):
+        with pytest.raises(ParameterDomainError, match="site trace rounds to about"):
             ch.closed_q(0.83 + 0.21j, dataclasses.replace(params2, tol=1e-17))
 
     def test_far_spectral_point_needs_no_level_norm(self):

@@ -183,14 +183,12 @@ def test_bethe_suite_polishes_large_roots(seed):
 
 
 # (N, seed) -> each check that fails there, with the residual measured when the
-# case was listed; all at |q| <= 0.43, where the root moduli span more decades
-# than one coefficient circle of radius 1/|q| resolves at tol 1e-10
+# case was listed: at N = 6, seed 3 (|q| = 0.34) the product constraint exceeds its
+# gate by what Q's own tol/10 amplifies to on the coefficient circle, and both Bethe
+# residuals fail at roots near q-strings
 _SWEEP_FAILURES = {
-    (5, 2): {"bethe-product-constraint": 2.3e-8},
-    (5, 3): {"bethe-product-constraint": 2.1e-7},
-    (6, 2): {"bethe-product-constraint": 1.6e-6},
-    (6, 3): {"bethe-product-constraint": 3.6e-5, "bethe-residuals": 8.0e-6,
-             "bethe-residuals-functional-form": 8.1e-6},
+    (6, 3): {"bethe-product-constraint": 1.5e-7, "bethe-residuals": 4.5e-2,
+             "bethe-residuals-functional-form": 4.5e-2},
 }
 
 
