@@ -264,7 +264,7 @@ def _bethe_system(big_y: np.ndarray, params: ch.ChainParams):
               [(1.0, -1.0 / q2, -1), (1.0, -1.0, 1)]),
              (q2 ** (params.n_sites - m), [(xit, -q2), (xi, -q2)] + [(1.0, -t) for t in t2],
               [(1.0, -q2, -1), (1.0 / q2, -q2, 1)]))
-    sides, jacs = np.zeros((2, m), dtype=complex), np.zeros((2, m, m), dtype=complex)
+    sides, jacs = np.zeros((2, m), dtype=big_y.dtype), np.zeros((2, m, m), dtype=big_y.dtype)
     for s, (const, singles, pairs) in enumerate(table):
         for i, yi in enumerate(big_y):
             side, dlog = const, [0.0] * m
@@ -405,21 +405,21 @@ def refine_bethe_newton(roots, params: ch.ChainParams, max_iter: int = 50):
     """Damped Newton iteration on the Bethe system in the squared roots.
 
     Takes an array of roots y_i; returns the refined roots and the final
-    normalized residual.  The iteration stops at 1e-12 or at the rounding
-    floor of the residual, whichever is larger: rounding each Y_j to double
-    precision alone moves residual i by up to
-    eps (sum_j |J_ij Y_j| + |lhs_i| + |rhs_i|), relative to
+    normalized residual, the iterate held in long double where the platform has
+    it.  The iteration stops at 1e-12 or at the rounding floor of the residual,
+    whichever is larger: rounding each Y_j to that precision eps alone moves
+    residual i by up to eps (sum_j |J_ij Y_j| + |lhs_i| + |rhs_i|), relative to
     max(|lhs_i|, |rhs_i|), so no iterate can certify less.
     """
     target = 1e-12
-    big_y = np.asarray(roots, dtype=complex) ** 2
+    big_y = np.asarray(roots, dtype=np.clongdouble) ** 2
 
     def norm_res(res, lhs, rhs):
         return float(np.max(_relative(res, lhs, rhs), initial=0.0))
 
     def rounding_floor(big_y, jac, lhs, rhs):
         spread = np.abs(jac) @ np.abs(big_y) + np.abs(lhs) + np.abs(rhs)
-        return np.finfo(float).eps * norm_res(spread, lhs, rhs)
+        return np.finfo(np.longdouble).eps * norm_res(spread, lhs, rhs)
 
     res, jac, lhs, rhs = _bethe_system(big_y, params)
     best = norm_res(res, lhs, rhs)
@@ -427,7 +427,7 @@ def refine_bethe_newton(roots, params: ch.ChainParams, max_iter: int = 50):
         if best < max(target, rounding_floor(big_y, jac, lhs, rhs)):
             break
         try:
-            step = np.linalg.solve(jac, -res)
+            step = np.linalg.solve(jac.astype(complex), -res.astype(complex))
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError("singular Jacobian in Newton refinement") from exc
         lam = 1.0

@@ -305,7 +305,7 @@ def _fixed_sum(levels, weights, n_sites: int, rounding=None, tol=None, check=Non
         if rounding is not None:
             spread += float(rounding[j0:j1] @ np.abs(run).max(axis=1))
         if check is not None:
-            diff += check[j0:j1] @ run
+            diff += np.dot(check[j0:j1], run)  # twice as fast as @ on one level (N >= 8)
         # weights first: numpy's broadcast rounds run * weights[:, None] differently, and an
         # in-place product of one entry (N = 0) in a stack of one level differently again
         run[:] = np.multiply(weights[j0:j1, None], run)
@@ -315,8 +315,7 @@ def _fixed_sum(levels, weights, n_sites: int, rounding=None, tol=None, check=Non
         run.view(np.float64).sum(axis=0, out=total.view(np.float64))
         j0 = j1
     # the largest entries before the result is built, the difference freed first
-    if check is not None:
-        diff = np.abs(diff).max()
+    diff = diff if check is None else np.abs(diff).max()
     top = None if check is None and rounding is None else np.abs(total).max()
     out = _from_sectors(total, n_sites)
     if check is not None and not diff <= tol / 10 * max(1.0, top):
@@ -388,11 +387,10 @@ def transfer_v(z: complex, params: ChainParams) -> np.ndarray:
     """Finite-auxiliary transfer matrix, entries polynomial in z^2: transfer_w on C^2."""
     z = _finite_number("z", z)
     n = params.n_sites
-    with np.errstate(over="ignore", invalid="ignore"):  # _from_sectors reports a non-finite entry
-        kv = _windows(np.diagonal(kv_matrix(z, params.xi)), n, 0.0)
-        w = np.diagonal(ktv_matrix(z, params.xitilde, params.q))[:, None] * kv
-        rows = _half_products(lambda u: r_bands(u, params.q), z, params)
-        return _fixed_sum(_open_levels(rows, n, lambda j0, j1: w[j0:j1]), np.ones(2), n)
+    kv = _windows(np.diagonal(kv_matrix(z, params.xi)), n, 0.0)
+    w = np.diagonal(ktv_matrix(z, params.xitilde, params.q))[:, None] * kv
+    rows = _half_products(lambda u: r_bands(u, params.q), z, params)
+    return _fixed_sum(_open_levels(rows, n, lambda j0, j1: w[j0:j1]), np.ones(2), n)
 
 
 @functools.lru_cache(maxsize=32)
@@ -419,21 +417,19 @@ def transfer_w(z: complex, params: ChainParams, cutoff=None) -> np.ndarray:
     """Fock-auxiliary transfer matrix: the Fock trace as a fixed weighted sum of its levels.
 
     As a sequence in the level j, each level term is an exponential polynomial with the
-    known nodes x_s = xi xitilde q^(2s): s = -N .. N and further nodes s > N, whose weight
-    falls with N and with the level and grows with |z|.  So lead leading levels and the
-    weighted sum of the next ones (_open_weights, as in closed_transfer_w) give the whole
-    series but for the nodes left out: 2N + 4 levels for the nodes up to s = N + 3, 2N + 3
-    for those up to N + 2.  The first sum comes back once the two agree to tol/10 of
-    max(1, its largest entry) (_fixed_sum); else both are redone on the same half rows for
+    known nodes x_s = xi xitilde q^(2s), s >= -N, those past s = N of a weight that falls
+    with N and the level and grows with |z|.  lead leading levels and the weighted sum of
+    the next 2N + 4 (_open_weights) give the series but for the nodes past s = N + 3; it
+    comes back once it agrees with the 2N + 3-level sum of the nodes up to N + 2 to tol/10
+    of max(1, its largest entry) (_fixed_sum), else is redone on the same half rows for
     lead = 2N + 2, then twice the last, up to cutoff - 2N - 4, where TailCertificateError
     is raised, as it is at once for a cutoff below 2N + 4.  A rounding estimate above tol
-    raises ParameterDomainError.  The Fock space keeps cutoff levels, so the top N levels
-    a last retry reads miss the paths above it, which shows as two sums that disagree.
+    raises ParameterDomainError.  The levels below cutoff are read, on bands and a right
+    boundary diagonal of cutoff + N levels: all the paths of the double row.
 
-    The half rows of L-factors are paired level by level with the boundary diagonals in
-    log space, which keeps every materialized block bounded.  A stack of levels ends
-    before the first level whose paired weight leaves floating range, which raises
-    OverflowGuardError only once the sum gets there.
+    The half rows of L-factors are paired level by level with the boundary diagonals in log
+    space, which keeps every materialized block bounded.  A stack of levels ends before the
+    first level whose paired weight leaves floating range, raising OverflowGuardError there.
     """
     z = _finite_number("z", z)
     J = params.cutoff if cutoff is None else validate_cutoff(cutoff)
@@ -444,35 +440,38 @@ def transfer_w(z: complex, params: ChainParams, cutoff=None) -> np.ndarray:
     if J < 2 * n + 4:
         raise TailCertificateError(f"Fock cutoff {J} is below {2 * n + 4}, the fewest levels "
                                    f"the fixed sum reads")
-    with np.errstate(over="ignore", invalid="ignore"):  # _from_sectors reports a non-finite entry
-        kw = kw_diagonal(z, 1.0, params.xi, params.q, J)
-        ktw = ktw_diagonal(z, 1.0, params.xitilde, params.q, J)
-        # kw levels j - n .. j + n, paired with ktw level j, are row j of the
-        # windows over kw padded by n on each side
-        kw_mant, kw_log = _windows(kw.mantissa, n, 0.0), _windows(kw.log_mag, n, -np.inf)
+    try:
+        kw = kw_diagonal(z, 1.0, params.xi, params.q, J + n)
+    except OverflowGuardError:  # q_powers would name J + n levels, not the cutoff
+        raise OverflowGuardError(f"q ** {-2 * (J + n)} leaves floating range at "
+                                 f"cutoff {J}") from None
+    ktw = ktw_diagonal(z, 1.0, params.xitilde, params.q, J)
+    # kw levels j - n .. j + n, paired with ktw level j, are row j of the
+    # windows over kw padded by n on each side
+    kw_mant, kw_log = _windows(kw.mantissa, n, 0.0), _windows(kw.log_mag, n, -np.inf)
 
-        def weights(j0, j1):
-            lg = ktw.log_mag[j0:j1, None] + kw_log[j0:j1]
-            huge = lg > LOG_HUGE
-            fits = int(np.logical_and.accumulate(~huge.any(axis=1)).sum())
-            if fits == 0:
-                k = j0 - n + int(np.argmax(huge[0]))
-                raise OverflowGuardError(
-                    f"paired boundary weight at levels ({j0}, {k}) exceeds floating range")
-            j1, lg = j0 + fits, lg[:fits]
-            return ktw.mantissa[j0:j1, None] * kw_mant[j0:j1] * np.exp(lg)
+    def weights(j0, j1):
+        lg = ktw.log_mag[j0:j1, None] + kw_log[j0:j1]
+        huge = lg > LOG_HUGE
+        fits = int(np.logical_and.accumulate(~huge.any(axis=1)).sum())
+        if fits == 0:
+            k = j0 - n + int(np.argmax(huge[0]))
+            raise OverflowGuardError(
+                f"paired boundary weight at levels ({j0}, {k}) exceeds floating range")
+        j1, lg = j0 + fits, lg[:fits]
+        return ktw.mantissa[j0:j1, None] * kw_mant[j0:j1] * np.exp(lg)
 
-        rows = _half_products(lambda u: l_bands(u, 1.0, params.q, J), z, params)
-        levels, lead, top = _open_levels(rows, n, weights), 0, J - 2 * n - 4
-        while True:
-            w, scale, check = _open_weights(params.xi * params.xitilde, params.q, n, lead)
-            out = _fixed_sum(levels, w, n, scale, params.tol, check)
-            if out is not None:
-                return out
-            if lead == top:
-                raise TailCertificateError(f"Fock cutoff {J} exhausted before the two fixed "
-                                           f"sums agreed to tol/10")
-            lead = min(top, max(2 * n + 2, 2 * lead))
+    rows = _half_products(lambda u: l_bands(u, 1.0, params.q, J + n), z, params)
+    levels, lead, top = _open_levels(rows, n, weights), 0, J - 2 * n - 4
+    while True:
+        w, scale, check = _open_weights(params.xi * params.xitilde, params.q, n, lead)
+        out = _fixed_sum(levels, w, n, scale, params.tol, check)
+        if out is not None:
+            return out
+        if lead == top:
+            raise TailCertificateError(f"Fock cutoff {J} exhausted before the two fixed "
+                                       f"sums agreed to tol/10")
+        lead = min(top, max(2 * n + 2, 2 * lead))
 
 
 def q_operator(z: complex, params: ChainParams, cutoff=None) -> np.ndarray:

@@ -19,6 +19,8 @@ import sys
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 
+import numpy as np
+
 from . import verify as vf
 from .chain import ChainParams, sample_params
 from .errors import QBaxterError
@@ -173,7 +175,8 @@ def export_report(report: dict, path: str, spectrum_rows, csv_path: str):
 def run(config: RunConfig, quiet: bool = False) -> int:
     """Execute a validated configuration and write its report."""
     try:
-        checks, spectrum_rows = execute(config)
+        with np.errstate(over="ignore", invalid="ignore"):  # the guards report, as errors
+            checks, spectrum_rows = execute(config)
         report = build_report(config, checks, datetime.now(timezone.utc).isoformat())
         export_report(report, config.output_path, spectrum_rows, config.spectrum_csv)
     except (OSError, QBaxterError, MemoryError) as exc:  # OSError: an unwritable report or CSV path

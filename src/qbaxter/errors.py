@@ -18,8 +18,7 @@ class ConvergenceError(QBaxterError):
 
 
 class TailCertificateError(QBaxterError):
-    """The open chain's Fock trace: its two fixed sums disagreed at every leading-level count
-    the configured cutoff allows, or the cutoff is below the 2N + 4 levels they read."""
+    """The open Fock trace's two fixed sums disagreed within its cutoff, or that is below 2N + 4."""
 
 
 class OverflowGuardError(QBaxterError):

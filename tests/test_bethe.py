@@ -570,6 +570,18 @@ class TestNewton:
                 num[:, k] = (rp - rm) / (2 * h)
             assert np.abs(jac - num).max() / np.abs(jac).max() < 1e-6
 
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(float).eps,
+                        reason="long double is double on this platform")
+    def test_converges_at_near_q_strings(self):
+        # N = 6, seed 3, M = 6: the roots hold near q-strings Y_i ~ q^2 Y_j and a pair
+        # Y_i Y_j ~ q^-4 within 2e-11, where the system in double is rounding noise near
+        # 1e-5, above the floor a double iterate can certify
+        p = ch.sample_params(6, 3, tol=1e-10)
+        records = bt.joint_spectrum(p, 0.83 + 0.21j, bt.spectrum_nodes(p, 1, 3))
+        roots = bt.factorize_q_eigenvalue(next(r for r in records if r.m_down == 6), p)
+        refined, final = bt.refine_bethe_newton(roots.roots, p)
+        assert final < 1e-7
+
     def test_divergence_raises(self, params):
         wild = np.array([37.0 + 41.0j])
         with pytest.raises(ConvergenceError):
