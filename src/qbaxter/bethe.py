@@ -41,7 +41,6 @@ class SpectrumRecord:
 class BetheRootSet:
     """Factorized zero data of one Q-eigenvalue."""
 
-    m_roots: int
     f: complex
     roots: np.ndarray                 # y_1..y_M (principal square roots)
     pairing_error: float              # involution asymmetry of the eigenvalue coefficients
@@ -241,8 +240,7 @@ def factorize_q_eigenvalue(record: SpectrumRecord, params: ch.ChainParams) -> Be
     w = np.where(np.abs(x + s) >= np.abs(x - s), x + s, x - s)
     big_y = sorted(w / q, key=lambda y: (round(y.real, 9), round(y.imag, 9)))
     roots = np.array([cmath.sqrt(y) for y in big_y], dtype=complex)
-    return BetheRootSet(m_roots=m, f=f, roots=roots,
-                        pairing_error=max(pairing_err, struct_err),
+    return BetheRootSet(f=f, roots=roots, pairing_error=max(pairing_err, struct_err),
                         product_error=float(prod_err))
 
 
@@ -291,7 +289,8 @@ def _relative(res, lhs, rhs) -> np.ndarray:
 
 def bethe_residual(roots: BetheRootSet, params: ch.ChainParams) -> np.ndarray:
     """Relative residual of the z-independent Bethe system at each root."""
-    res, _, lhs, rhs = _bethe_system(roots.roots ** 2, params)
+    with np.errstate(divide="ignore", invalid="ignore"):  # the unread Jacobian's, at a pole
+        res, _, lhs, rhs = _bethe_system(roots.roots ** 2, params)
     return _relative(res, lhs, rhs)
 
 
@@ -304,7 +303,7 @@ def bethe_residual_pq_form(roots: BetheRootSet, params: ch.ChainParams) -> np.nd
     q = params.q
 
     def q_eig(z):
-        out = roots.f * z ** (2 * (params.n_sites - roots.m_roots))
+        out = roots.f * z ** (2 * (params.n_sites - roots.roots.size))
         for y in roots.roots:
             out *= (z * z - y * y) * (z * z - q ** (-2) / (y * y))
         return out

@@ -288,11 +288,11 @@ def _fixed_sum(levels, weights, n_sites: int, rounding=None, tol=None, check=Non
     d x d level terms, one level at a time.
 
     The terms are block diagonal in the S^z sectors of n_sites spins (_layout).
-    levels(j0, j1) returns levels j0 .. j1 - 1, or a nonempty leading part of them, as one
-    (k, E) array for the sum to overwrite, row i the sector blocks of level j0 + i in the
-    order of _layout's entries.  Given check, weights minus a second weight row, the sum
-    comes back once the difference of the two sums, summed as such, is at most tol/10 of
-    max(1, the sum's largest entry), else None.  Given rounding, a rounding estimate
+    levels(j0, j1) returns levels j0 .. j1 - 1 as one (j1 - j0, E) array for the sum to
+    overwrite, row i the sector blocks of level j0 + i in the order of _layout's entries.
+    Given check, weights minus a second weight row, the sum comes back once the difference
+    of the two sums, summed as such, is at most tol/10 of max(1, the sum's largest entry),
+    else None.  Given rounding, a rounding estimate
     sum_m rounding[m] max |levels(m, m + 1)| above tol times that entry raises
     ParameterDomainError.
     """
@@ -300,8 +300,8 @@ def _fixed_sum(levels, weights, n_sites: int, rounding=None, tol=None, check=Non
     k = 2 if len(weights) == 2 else max(1, _STACK_ENTRIES // 4 ** n_sites)
     total, diff, spread, j0 = np.zeros(len(_layout(n_sites).entries), dtype=complex), 0.0, 0.0, 0
     while j0 < len(weights):
-        run = levels(j0, min(len(weights), j0 + k))
-        j1 = j0 + len(run)
+        j1 = min(len(weights), j0 + k)
+        run = levels(j0, j1)
         if rounding is not None:
             spread += float(rounding[j0:j1] @ np.abs(run).max(axis=1))
         if check is not None:
@@ -355,8 +355,8 @@ def _open_levels(rows, n_sites: int, weights):
     size = len(layout.entries)
 
     def levels(j0, j1):
-        k = len(w := weights(j0, j1))
-        left, right = rows(j0, j0 + k)
+        k, w = j1 - j0, weights(j0, j1)
+        left, right = rows(j0, j1)
         # X's rows and Y's columns in down-count order; x times w[:, wsel], staged on y
         x, y, run = ws.take("x", (k, d, d)), ws.take("y", (k, d, d)), ws.take("run", (k, size))
         np.take(left, layout.cols, 1, x, "clip")  # unbuffered
@@ -413,7 +413,7 @@ def _open_weights(xx: complex, q: complex, n_sites: int, lead: int):
     return weights, scale, check
 
 
-def transfer_w(z: complex, params: ChainParams, cutoff=None) -> np.ndarray:
+def transfer_w(z: complex, params: ChainParams) -> np.ndarray:
     """Fock-auxiliary transfer matrix: the Fock trace as a fixed weighted sum of its levels.
 
     As a sequence in the level j, each level term is an exponential polynomial with the
@@ -422,18 +422,18 @@ def transfer_w(z: complex, params: ChainParams, cutoff=None) -> np.ndarray:
     the next 2N + 4 (_open_weights) give the series but for the nodes past s = N + 3; it
     comes back once it agrees with the 2N + 3-level sum of the nodes up to N + 2 to tol/10
     of max(1, its largest entry) (_fixed_sum), else is redone on the same half rows for
-    lead = 2N + 2, then twice the last, up to cutoff - 2N - 4, where TailCertificateError
-    is raised, as it is at once for a cutoff below 2N + 4.  A rounding estimate above tol
-    raises ParameterDomainError.  The levels below cutoff are read, on bands and a right
-    boundary diagonal of cutoff + N levels: all the paths of the double row.
+    lead = 2N + 2, then twice the last, up to params.cutoff - 2N - 4, where
+    TailCertificateError is raised, as it is at once for a cutoff below 2N + 4.  A rounding
+    estimate above tol raises ParameterDomainError.  The levels below the cutoff are read, on
+    bands and a right boundary diagonal of cutoff + N levels: all the paths of the double row.
 
     The half rows of L-factors are paired level by level with the boundary diagonals in log
-    space, which keeps every materialized block bounded.  A stack of levels ends before the
-    first level whose paired weight leaves floating range, raising OverflowGuardError there.
+    space, which keeps every materialized block bounded.  A stack with a paired weight out of
+    floating range raises OverflowGuardError at the first such weight (row-major), before
+    any of its rows is built.
     """
     z = _finite_number("z", z)
-    J = params.cutoff if cutoff is None else validate_cutoff(cutoff)
-    n = params.n_sites
+    J, n = params.cutoff, params.n_sites
     if in_exclusion_set(z, params):
         raise ExclusionPointError(
             f"z = {z:.6f} is within {params.exclusion_radius} of a trace pole")
@@ -452,13 +452,11 @@ def transfer_w(z: complex, params: ChainParams, cutoff=None) -> np.ndarray:
 
     def weights(j0, j1):
         lg = ktw.log_mag[j0:j1, None] + kw_log[j0:j1]
-        huge = lg > LOG_HUGE
-        fits = int(np.logical_and.accumulate(~huge.any(axis=1)).sum())
-        if fits == 0:
-            k = j0 - n + int(np.argmax(huge[0]))
-            raise OverflowGuardError(
-                f"paired boundary weight at levels ({j0}, {k}) exceeds floating range")
-        j1, lg = j0 + fits, lg[:fits]
+        huge = np.flatnonzero(lg > LOG_HUGE)
+        if huge.size:
+            j, i = divmod(int(huge[0]), 2 * n + 1)
+            raise OverflowGuardError(f"paired boundary weight at levels ({j0 + j}, "
+                                     f"{j0 + j - n + i}) exceeds floating range")
         return ktw.mantissa[j0:j1, None] * kw_mant[j0:j1] * np.exp(lg)
 
     rows = _half_products(lambda u: l_bands(u, 1.0, params.q, J + n), z, params)
@@ -474,9 +472,9 @@ def transfer_w(z: complex, params: ChainParams, cutoff=None) -> np.ndarray:
         lead = min(top, max(2 * n + 2, 2 * lead))
 
 
-def q_operator(z: complex, params: ChainParams, cutoff=None) -> np.ndarray:
+def q_operator(z: complex, params: ChainParams) -> np.ndarray:
     """Q-operator: the spin-weighted Fock transfer matrix at r = 1."""
-    t = transfer_w(z, params, cutoff=cutoff)
+    t = transfer_w(z, params)
     w = spin_weights(params.n_sites, complex(z) ** 2, 1.0)
     return np.multiply(w[:, None], t, out=t)
 

@@ -55,9 +55,9 @@ class RunConfig:
     params: ChainParams
     seed: int
     suites: list
-    z_samples: object = 3  # verify.spectral_samples: a count, or a tuple of complex points
-    output_path: str = "report.json"
-    spectrum_csv: str = ""
+    z_samples: object  # verify.spectral_samples: a count, or a tuple of complex points
+    output_path: str
+    spectrum_csv: str
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
@@ -145,7 +145,7 @@ def build_report(config: RunConfig, checks, timestamp: str) -> dict:
     theorem_failures = [c.name for c in checks if not c.passed and not c.conjecture]
     conjecture_failures = [c.name for c in checks if not c.passed and c.conjecture]
     return {
-        "schema": 1,
+        "schema": 2,
         "timestamp": timestamp,
         "seed": config.seed,
         "suites": config.suites,

@@ -52,7 +52,6 @@ class CheckResult:
     tolerance: float
     passed: bool = field(init=False)
     conjecture: bool = False
-    params_digest: dict = field(default_factory=dict)
     notes: str = ""
 
     def __post_init__(self):
@@ -104,11 +103,6 @@ def _interior(mat, row_rest: int, col_rest: int, pad: int):
     return m.reshape((jr - pad) * row_rest, (jc - pad) * col_rest)
 
 
-def _result(name, residual, tol, params, seed, notes="", conjecture=False) -> CheckResult:
-    return CheckResult(name=name, residual=residual, tolerance=tol, conjecture=conjecture,
-                       params_digest=params_digest(params, seed), notes=notes)
-
-
 def _acc(d, key, val):
     d[key] = max(d.get(key, 0.0), float(val))
 
@@ -126,11 +120,11 @@ def _fock(x, d: int = 2) -> np.ndarray:
     return np.kron(x, np.eye(d, dtype=complex))
 
 
-def _worst(name, worst, tol, params, seed, *notes) -> CheckResult:
+def _worst(name, worst, tol, *notes) -> CheckResult:
     """Result at the largest sub-residual in worst; its notes list worst, then
     the given notes, joined by "; "."""
-    return _result(name, max(worst.values()), tol, params, seed,
-                   "; ".join((f"sub-residuals {worst}",) + notes))
+    return CheckResult(name, max(worst.values()), tol,
+                       notes="; ".join((f"sub-residuals {worst}",) + notes))
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +156,7 @@ def check_ybe(params: ch.ChainParams, seed: int = 0) -> CheckResult:
         l13 = tc.embed(l_matrix(z1 / z3, r, q, J), (0, 1), fock)
         l23 = tc.embed(l_matrix(z2 / z3, r, q, J), (0, 2), fock)
         _cmp(worst, "vvw", r12 @ l13 @ l23, l23 @ l13 @ r12, (4, 4), pad)
-    return _worst("yang-baxter", worst, DEFAULT_TOL, params, seed, f"Fock cutoff {J}",
+    return _worst("yang-baxter", worst, DEFAULT_TOL, f"Fock cutoff {J}",
                   f"r-covariance over {len(r_values)} values")
 
 
@@ -217,7 +211,7 @@ def check_reflection(params: ch.ChainParams, seed: int = 0) -> CheckResult:
         ktv_inv = tc.embed(np.linalg.inv(ktv_matrix(z / q, xit, q)), (1,), (J, 2))
         _cmp(worst, "wv-left-alt", la @ ktw_inv @ lb @ ktv_inv, ktv_inv @ lb @ ktw_inv @ la,
              (2, 2), pad)
-    return _worst("reflection", worst, DEFAULT_TOL, params, seed, f"Fock cutoff {J}")
+    return _worst("reflection", worst, DEFAULT_TOL, f"Fock cutoff {J}")
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +255,7 @@ def check_fusion(params: ch.ChainParams, seed: int = 0) -> CheckResult:
                  (2, 1), pad)
             _cmp(worst, f"boundary-{side}-lower", ta @ mid, down * k(z / q, r / q) @ ta,
                  (1, 2), pad)
-    return _worst("fusion", worst, DEFAULT_TOL, params, seed, f"Fock cutoff {J}")
+    return _worst("fusion", worst, DEFAULT_TOL, f"Fock cutoff {J}")
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +322,7 @@ def check_row_fusion_and_monodromy(params: ch.ChainParams, seed: int = 0) -> Che
         rhs = dr @ _fock(ktw_diagonal(y, 1.0, p.xitilde, q, J).dense(), d) \
             @ ch.monodromy_w(y, 1.0, p, *row) @ dr
         _cmp(worst, f"r-factorization-N{n}", lhs, rhs, (d, d), pad)
-    return _worst("row-fusion-monodromy", worst, DEFAULT_TOL, params, seed)
+    return _worst("row-fusion-monodromy", worst, DEFAULT_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +363,7 @@ def check_split_trace(params: ch.ChainParams, seed: int = 0) -> CheckResult:
             for jcol in range(max(0, jrow - 2), min(J - 3, jrow + 3)):
                 theta[jrow, :, jcol, :] = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         _acc(worst, "random-banded", split_residual(theta.reshape(2 * J, 2 * J)))
-    return _worst("split-trace", worst, EXACT_TOL, params, seed, f"Fock cutoff {J}")
+    return _worst("split-trace", worst, EXACT_TOL, f"Fock cutoff {J}")
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +398,7 @@ def check_tq(params: ch.ChainParams, seed: int = 0) -> CheckResult:
         _acc(worst, "degeneration-at-quartic-point",
              float(np.linalg.norm(a + b) / max(np.linalg.norm(a), np.linalg.norm(b), 1e-300)))
         break
-    return _worst("tq-relation", worst, DEFAULT_TOL, params, seed, f"N={params.n_sites}")
+    return _worst("tq-relation", worst, DEFAULT_TOL, f"N={params.n_sites}")
 
 
 def check_commutators(params: ch.ChainParams, seed: int = 0):
@@ -423,10 +417,9 @@ def check_commutators(params: ch.ChainParams, seed: int = 0):
         u = 0.4 + rng.random() + 0.3j * rng.random()
         du = np.diag(ch.spin_weights(params.n_sites, u, 1.0))
         _cmp(worst_thm, "q-spinweight", q_y @ du, du @ q_y)
-    thm = _worst("commutators", worst_thm, 1e-9, params, seed)
-    conj = _result("commutators-qq", worst_conj["qq"], 1e-9, params, seed,
-                   "commutativity of the Q-family is conjectural; reported separately",
-                   conjecture=True)
+    thm = _worst("commutators", worst_thm, 1e-9)
+    conj = CheckResult("commutators-qq", worst_conj["qq"], 1e-9, conjecture=True,
+                       notes="commutativity of the Q-family is conjectural; reported separately")
     return [thm, conj]
 
 
@@ -451,7 +444,7 @@ def check_crossing(params: ch.ChainParams, seed: int = 0) -> CheckResult:
         _cmp(worst, "q-family", qo_cross, (q * z * z) ** (-2 * n) * qo)
         ratios.append(float(np.linalg.norm(qo_cross) / np.linalg.norm(qo)
                             / abs((q * z * z) ** (-2 * n))))
-    return _worst("crossing", worst, DEFAULT_TOL, params, seed,
+    return _worst("crossing", worst, DEFAULT_TOL,
                   f"scalar-exponent ratios {ratios} (should be ~1)",
                   "Q-version conditional on the commutativity conjecture")
 
@@ -487,13 +480,13 @@ def check_polynomiality(params: ch.ChainParams, seed: int = 0):
             val = complex(np.polyval(coeff[::-1], z ** 2))
             rec_err = max(rec_err, abs(tw[z][i, i] - val) / max(1.0, abs(val)))
 
-    res_diag = _result("polynomiality-diagonal", diag_err, DEFAULT_TOL, params, seed,
-                       f"degree <= {deg} in z^2, {len(holdout)} held-out nodes")
-    res_off = _result("polynomiality-offdiagonal", off_err, DEFAULT_TOL, params, seed,
-                      "off-diagonal polynomiality is conjectural beyond two sites",
-                      conjecture=params.n_sites > 2)
-    res_rec = _result("recursion-oracle", rec_err, 1e-9, params, seed,
-                      f"{len(patterns)} diagonal patterns against the traced entries")
+    res_diag = CheckResult("polynomiality-diagonal", diag_err, DEFAULT_TOL,
+                           notes=f"degree <= {deg} in z^2, {len(holdout)} held-out nodes")
+    res_off = CheckResult("polynomiality-offdiagonal", off_err, DEFAULT_TOL,
+                          conjecture=params.n_sites > 2,
+                          notes="off-diagonal polynomiality is conjectural beyond two sites")
+    res_rec = CheckResult("recursion-oracle", rec_err, 1e-9, notes=f"{len(patterns)} diagonal "
+                          "patterns against the traced entries")
     return [res_diag, res_off, res_rec]
 
 
@@ -525,7 +518,7 @@ def check_n2_closed_forms(params: ch.ChainParams, seed: int = 0):
     for seq in (ratios1, ratios2):
         spread = max(abs(a - b) for a in seq for b in seq) / max(1.0, max(abs(a) for a in seq))
         _acc(worst, "ratio-z-independence", spread)
-    return _worst("n2-closed-forms", worst, EXACT_TOL, params, seed,
+    return _worst("n2-closed-forms", worst, EXACT_TOL,
                   f"z^2 coefficient of the lone entry = {_cx(coeff_echo)}")
 
 
@@ -561,7 +554,7 @@ def check_closed_chain(params: ch.ChainParams, seed: int = 0):
     sign, logdet = np.linalg.slogdet(ch.closed_transfer_w(bt.random_point(rng), params))
     if sign == 0:
         worst["invertibility"] = 1.0
-    return _worst("closed-chain", worst, 1e-9, params, seed,
+    return _worst("closed-chain", worst, 1e-9,
                   f"log|det T^W_closed| = {logdet:.3f} (generic invertibility)")
 
 
@@ -610,12 +603,12 @@ def spectrum_suite(params: ch.ChainParams, seed: int = 0, samples=3):
     sector_sizes = dict(Counter(rec.m_down for rec in records))
     binom_ok = all(sector_sizes.get(m, 0) == math.comb(n, m) for m in range(n + 1))
     return [
-        _result("spectrum-sector-count", count_err + (0.0 if binom_ok else 1.0), 0.5,
-                params, seed, f"sector multiplicities {sector_sizes}"),
-        _result("spectrum-eigenresidual", max(r.tv_residual for r in records), DEFAULT_TOL,
-                params, seed, f"{len(records)} joint eigenvectors"),
-        _result("spectrum-q-interpolation", max(r.q_fit_error for r in records), DEFAULT_TOL,
-                params, seed, "held-out validation of each Q-eigenvalue polynomial"),
+        CheckResult("spectrum-sector-count", count_err + (0.0 if binom_ok else 1.0), 0.5,
+                    notes=f"sector multiplicities {sector_sizes}"),
+        CheckResult("spectrum-eigenresidual", max(r.tv_residual for r in records), DEFAULT_TOL,
+                    notes=f"{len(records)} joint eigenvectors"),
+        CheckResult("spectrum-q-interpolation", max(r.q_fit_error for r in records), DEFAULT_TOL,
+                    notes="held-out validation of each Q-eigenvalue polynomial"),
     ]
 
 
@@ -647,26 +640,26 @@ def bethe_suite(params: ch.ChainParams, seed: int = 0, samples=3):
         for z, lam in rec.tv_samples:
             lam_pred = bt.aba_eigenvalue(z, roots.roots, params)
             eig_err = max(eig_err, abs(lam - lam_pred) / max(1.0, abs(lam)))
-        if roots.m_roots <= 2:
+        if roots.roots.size <= 2:
             state = bt.aba_state(roots.roots, params)
             lam0 = rec.tv_samples[0][1]
             state_err = max(state_err, float(
                 np.linalg.norm(tv0 @ state - lam0 * state)
                 / (np.linalg.norm(state) * max(1.0, abs(lam0)))))
     return [
-        _result("bethe-pairing", pair_err, 1e-6, params, seed,
-                "involution symmetry of the Q-eigenvalue coefficients"),
-        _result("bethe-product-constraint", prod_err, DEFAULT_TOL, params, seed,
-                "product of the squared roots against q^(-2M)"),
-        _result("bethe-residuals", res_err, 1e-6, params, seed,
-                f"z-independent Bethe system at the Newton-polished roots; {raw_err:.2e} "
-                f"before polishing" + (f"; {stalled} root sets left unpolished" if stalled else "")),
-        _result("bethe-residuals-functional-form", pq_err, 1e-6, params, seed,
-                f"functional form; gap to the product form {form_gap:.2e}"),
-        _result("bethe-aba-eigenvalue", eig_err, 1e-6, params, seed,
-                "Bethe-ansatz eigenvalue formula at the sampled points"),
-        _result("bethe-aba-state", state_err, 1e-5, params, seed,
-                "Bethe states as eigenvectors, sectors with at most two roots"),
+        CheckResult("bethe-pairing", pair_err, 1e-6,
+                    notes="involution symmetry of the Q-eigenvalue coefficients"),
+        CheckResult("bethe-product-constraint", prod_err, DEFAULT_TOL,
+                    notes="product of the squared roots against q^(-2M)"),
+        CheckResult("bethe-residuals", res_err, 1e-6, notes=f"z-independent Bethe system at the "
+                    f"Newton-polished roots; {raw_err:.2e} before polishing"
+                    + (f"; {stalled} root sets left unpolished" if stalled else "")),
+        CheckResult("bethe-residuals-functional-form", pq_err, 1e-6,
+                    notes=f"functional form; gap to the product form {form_gap:.2e}"),
+        CheckResult("bethe-aba-eigenvalue", eig_err, 1e-6,
+                    notes="Bethe-ansatz eigenvalue formula at the sampled points"),
+        CheckResult("bethe-aba-state", state_err, 1e-5,
+                    notes="Bethe states as eigenvectors, sectors with at most two roots"),
     ]
 
 

@@ -226,7 +226,7 @@ class TestFactorization:
     def test_vacuum_has_no_roots(self, records, params):
         vac = [r for r in records if r.m_down == 0][0]
         roots = bt.factorize_q_eigenvalue(vac, params)
-        assert roots.m_roots == 0 and roots.roots.shape == (0,) and roots.roots.dtype == complex
+        assert roots.roots.shape == (0,) and roots.roots.dtype == complex
         # the general path at M = 0: one coefficient, no pairs, an empty product
         assert roots.pairing_error == bt._degree_window(vac.q_poly, params.n_sites, 0)[1]
         assert roots.product_error == 0.0
@@ -246,7 +246,7 @@ class TestFactorization:
     def test_multiset_invariant_under_involution(self, roots_by_record, params):
         q = params.q
         for roots in roots_by_record:
-            if roots.m_roots == 0:
+            if roots.roots.size == 0:
                 continue
             ys = roots.roots ** 2
             full = np.concatenate([ys, q ** (-2) / ys])
@@ -257,7 +257,7 @@ class TestFactorization:
     def test_product_constraint(self, roots_by_record, params):
         q = params.q
         for roots in roots_by_record:
-            m = roots.m_roots
+            m = roots.roots.size
             if m == 0:
                 continue
             full = np.concatenate([roots.roots ** 2, q ** (-2) / roots.roots ** 2])
@@ -268,7 +268,7 @@ class TestFactorization:
         n = params.n_sites
         for rec, roots in zip(records, roots_by_record):
             z = 0.77 + 0.29j
-            recon = roots.f * z ** (2 * (n - roots.m_roots))
+            recon = roots.f * z ** (2 * (n - roots.roots.size))
             for y in roots.roots:
                 recon *= (z * z - y * y) * (z * z - q ** (-2) / (y * y))
             value = np.polyval(rec.q_poly[::-1], z * z)
@@ -293,7 +293,7 @@ class TestChebyshevReduction:
         # one representative per pair, the one with |Y| >= |q^(-2)/Y|
         big_y = np.array([2.9 * np.exp(0.4j), 7.1 * np.exp(-2.2j), -4.3 + 1.0j]) / self.q
         roots = bt.factorize_q_eigenvalue(self.record(big_y), self.params)
-        assert roots.m_roots == 3 and roots.f == 1.3 - 0.4j
+        assert roots.roots.size == 3 and roots.f == 1.3 - 0.4j
         found = np.sort_complex(roots.roots ** 2)
         assert np.abs(found - np.sort_complex(big_y)).max() < 1e-12 * np.abs(big_y).max()
         assert roots.pairing_error < 1e-14 and roots.product_error < 1e-14
@@ -333,12 +333,22 @@ class TestChebyshevReduction:
 
 
 class TestBetheResiduals:
-    def test_roots_satisfy_bethe_equations(self, roots_by_record, params):
-        for roots in roots_by_record:
+    def test_roots_satisfy_bethe_equations(self, records, roots_by_record, params):
+        for rec, roots in zip(records, roots_by_record):
             res = bt.bethe_residual(roots, params)
-            assert res.size == roots.m_roots
+            assert res.size == rec.m_down
             if res.size:
                 assert res.max() < 1e-6
+
+    def test_pole_of_the_system_emits_no_warning(self):
+        # Y_1 xitilde = 1 exactly zeroes a factor of the left side, a pole of the unread
+        # Jacobian's d log; the residual there is 1 (left side 0), without a RuntimeWarning
+        p = ch.sample_params(3, 0, tol=1e-10)
+        ys = np.array([1 / np.sqrt(p.xitilde), 0.9 + 0.3j])
+        assert 1 - p.xitilde * ys[0] ** 2 == 0
+        trial = bt.BetheRootSet(f=1.0, roots=ys, pairing_error=0.0, product_error=0.0)
+        res = bt.bethe_residual(trial, p)
+        assert res[0] == 1.0 and abs(res[1] - 0.99695) < 1e-5
 
     def test_functional_form_agrees(self, roots_by_record, params):
         for roots in roots_by_record:
@@ -493,7 +503,7 @@ class TestAbaOracle:
             for z, lam in rec.tv_samples:
                 lam_pred = bt.aba_eigenvalue(z, roots.roots, params)
                 assert abs(lam - lam_pred) < 1e-6 * max(1.0, abs(lam))
-            if roots.m_roots <= 2:
+            if roots.roots.size <= 2:
                 state = bt.aba_state(roots.roots, params)
                 z0, lam0 = rec.tv_samples[0]
                 tv = ch.transfer_v(z0, params)
@@ -503,7 +513,7 @@ class TestAbaOracle:
 
     def test_state_eigenvalue_invariant_under_root_shuffle(self, records, roots_by_record, params):
         pair = [(rec, roots) for rec, roots in zip(records, roots_by_record)
-                if roots.m_roots == 2][0]
+                if roots.roots.size == 2][0]
         rec, roots = pair
         z = rec.tv_samples[0][0]
         lam_fwd = bt.aba_eigenvalue(z, roots.roots, params)
@@ -515,7 +525,7 @@ class TestAbaOracle:
 
     def test_aba_residual_matches_product_form(self, roots_by_record, params):
         for roots in roots_by_record:
-            if roots.m_roots == 0:
+            if roots.roots.size == 0:
                 continue
             res_aba = aba_bethe_residual(roots.roots, params)
             assert res_aba.max() < 1e-6
@@ -528,8 +538,7 @@ class TestAbaOracle:
         rng = np.random.default_rng(n)
         for m in range(1, min(3, n) + 1):
             ys = np.array([bt.random_point(rng) for _ in range(m)])
-            trial = bt.BetheRootSet(m_roots=m, f=1.0, roots=ys, pairing_error=0.0,
-                                    product_error=0.0)
+            trial = bt.BetheRootSet(f=1.0, roots=ys, pairing_error=0.0, product_error=0.0)
             res = bt.bethe_residual(trial, p)
             assert res.min() > 1e-3
             assert np.abs(aba_bethe_residual(ys, p) - res).max() < 1e-10
@@ -537,14 +546,14 @@ class TestAbaOracle:
 
 class TestNewton:
     def test_exact_roots_are_fixed(self, roots_by_record, params):
-        roots = [r for r in roots_by_record if r.m_roots == 2][0]
+        roots = [r for r in roots_by_record if r.roots.size == 2][0]
         refined, final = bt.refine_bethe_newton(roots.roots, params)
         assert final < 1e-12
         assert np.abs(np.sort_complex(refined ** 2)
                       - np.sort_complex(roots.roots ** 2)).max() < 1e-9
 
     def test_perturbed_roots_reconverge(self, roots_by_record, params):
-        roots = [r for r in roots_by_record if r.m_roots == 2][0]
+        roots = [r for r in roots_by_record if r.roots.size == 2][0]
         seeds = roots.roots * (1.0 + 1e-4)
         refined, final = bt.refine_bethe_newton(seeds, params)
         assert final < 1e-12
@@ -554,7 +563,7 @@ class TestNewton:
 
     def test_jacobian_matches_finite_differences(self, roots_by_record, params):
         # near the roots at M = 1 and M = N = 2; off shell at N = 4 with M = 3 and M = N
-        near = [next(r for r in roots_by_record if r.m_roots == m).roots ** 2 * (1 + 3e-3)
+        near = [next(r for r in roots_by_record if r.roots.size == m).roots ** 2 * (1 + 3e-3)
                 for m in (1, 2)]
         p4 = ch.sample_params(4, seed=7, tol=1e-10)
         off = np.array([0.9 + 0.2j, 0.6 - 0.5j, -0.8 + 0.45j, 0.35 + 1.1j]) ** 2

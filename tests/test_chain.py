@@ -173,7 +173,6 @@ COUNTS = {
     "sample_params.seed": ("seed", 0, lambda p, v: ch.sample_params(2, v)),
     "sample_params.cutoff": ("cutoff", 2, lambda p, v: ch.sample_params(2, 3, cutoff=v)),
     "with_sites": ("n_sites", 0, lambda p, v: p.with_sites(v)),
-    "transfer_w.cutoff": ("cutoff", 2, lambda p, v: ch.transfer_w(0.83 + 0.21j, p, cutoff=v)),
     "l_matrix.J": ("cutoff", 2, lambda p, v: l_matrix(0.7 + 0.2j, 1.0, p.q, v)),
     "kw_diagonal.J": ("cutoff", 2, lambda p, v: kw_diagonal(0.83 + 0.21j, 1.0, p.xi, p.q, v)),
 }
@@ -182,9 +181,7 @@ COUNTS = {
 class TestCountRule:
     @pytest.mark.parametrize("entry, value", [
         (entry, value) for entry, (_, least, _) in COUNTS.items()
-        for value in (True, 2.5, 41.0, "3", None, least - 1, HUGE)
-        # a trace's cutoff=None asks for its params.cutoff
-        if not (value is None and entry == "transfer_w.cutoff")],
+        for value in (True, 2.5, 41.0, "3", None, least - 1, HUGE)],
         ids=huge_id)
     def test_non_count_rejected(self, params2, entry, value):
         field, _, call = COUNTS[entry]
@@ -202,8 +199,8 @@ class TestCountRule:
         assert type(p.n_sites) is type(p.cutoff) is int
         assert type(params2.with_sites(np.int64(3)).n_sites) is int
         z = 0.83 + 0.21j
-        assert np.array_equal(ch.transfer_w(z, params2, cutoff=np.int64(41)),
-                              ch.transfer_w(z, params2, cutoff=41))
+        assert np.array_equal(ch.transfer_w(z, dataclasses.replace(params2, cutoff=np.int64(41))),
+                              ch.transfer_w(z, dataclasses.replace(params2, cutoff=41)))
 
 
 SPECTRAL = (ch.transfer_v, ch.transfer_w, ch.q_operator,
@@ -412,23 +409,22 @@ class TestTransferW:
                            cutoff=60, tol=1e-10)
         z = 0.9 + 0.1j
         with pytest.raises(TailCertificateError):
-            ch.transfer_w(z, p, cutoff=7)
-        assert tc.rel_err(ch.transfer_w(z, p, cutoff=8), ch.transfer_w(z, p)) < p.tol
+            ch.transfer_w(z, dataclasses.replace(p, cutoff=7))
+        assert tc.rel_err(ch.transfer_w(z, dataclasses.replace(p, cutoff=8)),
+                          ch.transfer_w(z, p)) < p.tol
 
     def test_cutoff_stability(self, params2):
         z = 0.86 + 0.27j
         a = ch.transfer_w(z, params2)
-        b = ch.transfer_w(z, params2, cutoff=params2.cutoff + 5)
+        b = ch.transfer_w(z, dataclasses.replace(params2, cutoff=params2.cutoff + 5))
         assert tc.rel_err(a, b) < params2.tol
 
     @pytest.mark.parametrize("fn", [ch.transfer_w, ch.q_operator, ch.closed_transfer_w,
                                     ch.closed_q])
     @pytest.mark.parametrize("cutoff", [0, 1, 12.7, "7", "50", True])
     def test_bad_cutoff_override_rejected(self, params2, fn, cutoff):
-        # an override is held to the rule ChainParams applies, never replaced or truncated;
-        # the exact closed traces take no cutoff at all
-        error = TypeError if fn in (ch.closed_transfer_w, ch.closed_q) else ParameterDomainError
-        with pytest.raises(error, match="cutoff"):
+        # the traces take no cutoff of their own: params.cutoff is the one
+        with pytest.raises(TypeError, match="cutoff"):
             fn(0.86 + 0.27j, params2, cutoff=cutoff)
 
     def test_overflow_guard_only_at_reached_levels(self, params2, monkeypatch):
@@ -454,33 +450,22 @@ class TestTransferW:
 
         # N = 5 sums its 14 levels in one stack, levels 0-13.  kw level 36 pairs with
         # none of them, so the result is unchanged; kw levels 18 and 10 first pair with
-        # ktw levels 13 and 5, so the stack ends before them and the sum raises on the next
+        # ktw levels 13 and 5, so that stack raises there before any of its rows is built
         p = ch.sample_params(5, seed=3, tol=1e-10)
         monkeypatch.setattr(ch, "kw_diagonal", kw_diagonal)
         clean = ch.transfer_w(z, p)
-        stacks = []
-        fixed_sum = ch._fixed_sum
-
-        def recording_sum(levels, *args):
-            def recorded(j0, j1):
-                out = levels(j0, j1)
-                stacks.append((j0, j1, len(out)))
-                return out
-            return fixed_sum(recorded, *args)
-
-        monkeypatch.setattr(ch, "_fixed_sum", recording_sum)
+        windows, stacks = TestRowsOnDemand.record(monkeypatch)
         assert np.array_equal(ch.transfer_w(z, p), clean)
-        assert stacks == [(0, 14, 14)]
-        stacks.clear()
         raise_kw_level(36)
         assert np.array_equal(ch.transfer_w(z, p), clean)
-        assert stacks == [(0, 14, 14)]
+        assert stacks == windows == [(0, 14)] * 2
         for level, reached in ((18, 13), (10, 5)):
+            windows.clear()
             stacks.clear()
             raise_kw_level(level)
             with pytest.raises(OverflowGuardError, match=fr"levels \({reached}, {level}\)"):
                 ch.transfer_w(z, p)
-            assert stacks == [(0, 14, reached)]
+            assert stacks == windows == []
 
     def test_far_spectral_points_match_the_direct_sum_or_raise(self):
         # at |z| = 1e8 and 1e10 the levels grow for some 40 levels before they fall at the
@@ -558,7 +543,7 @@ class TestBandedTraceOracle:
             assert tc.rel_err(open_fock_trace(z, p), dense_trace(z, p, 60)) < 1e-14
 
 
-GRID = list(itertools.product([1, 2, 3], [0.1, 0.5, 0.8, 0.95], [0.3, 0.6, 0.9]))
+GRID = list(itertools.product([1, 2, 3, 4, 5], [0.1, 0.5, 0.8, 0.95], [0.3, 0.6, 0.9]))
 
 
 @pytest.mark.parametrize("n, ratio, qmod", GRID)
@@ -580,16 +565,6 @@ class TestCertifiedSumStacks:
     """The open trace's certified fixed sum, and the closed trace's fixed sum, give the
     same bits whatever stacks their levels come in."""
 
-    @staticmethod
-    def at_most(size, monkeypatch):
-        """Let every stack a fixed sum asks for hold at most size levels."""
-        fixed_sum = ch._fixed_sum
-
-        def limited_sum(levels, *args):
-            return fixed_sum(lambda j0, j1: levels(j0, min(j1, j0 + size)), *args)
-
-        monkeypatch.setattr(ch, "_fixed_sum", limited_sum)
-
     @pytest.mark.parametrize("fn", [ch.transfer_w, ch.closed_transfer_w])
     @pytest.mark.parametrize("n", [0, 3, 5])
     def test_stack_size_leaves_bits_unchanged(self, fn, n, monkeypatch):
@@ -598,11 +573,10 @@ class TestCertifiedSumStacks:
         whole = fn(z, p)
         for size in (1, 3, p.cutoff):
             with monkeypatch.context() as m:
-                self.at_most(size, m)
                 m.setattr(ch, "_STACK_ENTRIES", size * 4 ** n)  # the fixed sum's stacks
                 assert np.array_equal(fn(z, p), whole)
 
-    def test_synthetic_levels_match_the_reference(self):
+    def test_synthetic_levels_match_the_reference(self, monkeypatch):
         # random sector blocks of an N = 3 chain, each an exponential polynomial in the
         # level with the open trace's nodes x_s = xx q^(2s), s = -3 .. 6: the fixed sum of
         # levels 0 .. 2N + 3 is the whole series sum_s C_s / (1 - x_s), whatever the stacks
@@ -616,9 +590,10 @@ class TestCertifiedSumStacks:
         weights, scale, check = ch._open_weights(xx, q, n, 0)
         sums = []
         for stack in (1, 3, 2 * n + 4):
-            def levels(j0, j1):
-                return flat[j0:min(j1, j0 + stack)].copy()  # the sum overwrites its stacks
-            sums.append(ch._fixed_sum(levels, weights, n, scale, 1e-10, check))
+            monkeypatch.setattr(ch, "_STACK_ENTRIES", stack * 4 ** n)
+            # the sum overwrites its stacks
+            sums.append(ch._fixed_sum(lambda j0, j1: flat[j0:j1].copy(), weights, n, scale,
+                                      1e-10, check))
         got = sums[0].ravel()[ch._layout(n).entries]
         assert np.abs(got - series).max() <= 1e-14 * np.abs(series).max()
         assert all(np.array_equal(sums[0], other) for other in sums[1:])
@@ -629,21 +604,21 @@ class TestCertifiedSumStacks:
         assert p.tail_ratio == 0.0
         whole = ch.transfer_w(0.83 + 0.21j, p)
         assert np.all(np.isfinite(whole))
-        self.at_most(1, monkeypatch)
+        monkeypatch.setattr(ch, "_STACK_ENTRIES", 4)  # one level a stack
         assert np.array_equal(ch.transfer_w(0.83 + 0.21j, p), whole)
 
     def test_exhausted_cutoff_raises_the_same_error(self, monkeypatch):
         p = ch.ChainParams(q=0.6, xi=0.17, xitilde=0.17, n_sites=1, t=(1.0,),
-                           cutoff=60, tol=1e-10)
+                           cutoff=7, tol=1e-10)
         z = 0.9 + 0.1j
         with pytest.raises(TailCertificateError) as whole:
-            ch.transfer_w(z, p, cutoff=7)
+            ch.transfer_w(z, p)
         assert "cutoff 7 exhausted" in str(whole.value)
         for size in (1, 3, 9):
             with monkeypatch.context() as m:
-                self.at_most(size, m)
+                m.setattr(ch, "_STACK_ENTRIES", size * 4)
                 with pytest.raises(TailCertificateError) as stacked:
-                    ch.transfer_w(z, p, cutoff=7)
+                    ch.transfer_w(z, p)
             assert str(stacked.value) == str(whole.value)
 
 
@@ -826,10 +801,11 @@ class TestRowsOnDemand:
         z = 0.83 + 0.21j
         whole = fn(z, p)
         if size is not None:
-            TestCertifiedSumStacks.at_most(size, monkeypatch)
+            monkeypatch.setattr(ch, "_STACK_ENTRIES", size * 4 ** n)
         windows, stacks = self.record(monkeypatch)
         assert np.array_equal(fn(z, p), whole)
         assert windows == [(j0, j0 + k) for j0, k in stacks]
+        assert all(k <= (size or p.cutoff) for _, k in stacks)
         starts = [i for i, (j0, _) in enumerate(stacks) if j0 == 0] + [len(stacks)]
         passes = [stacks[a:b] for a, b in zip(starts, starts[1:])]
         for one, lead in zip(passes, [0, 2 * n + 2, 4 * n + 4]):
@@ -859,7 +835,7 @@ class TestRowsOnDemand:
 
     def test_no_row_of_an_overflowing_stack(self, monkeypatch):
         # kw level 16 first pairs with ktw level 11 at N = 5, in the first stack:
-        # its weights stop that stack at level 11 and raise on the next one
+        # its weights raise there, before any row of that stack is built
         p = ch.sample_params(5, seed=3, tol=1e-10)
 
         def kw_with_huge_level(*args):
@@ -872,8 +848,7 @@ class TestRowsOnDemand:
         windows, stacks = self.record(monkeypatch)
         with pytest.raises(OverflowGuardError, match=r"levels \(11, 16\)"):
             ch.transfer_w(0.83 + 0.21j, p)
-        assert stacks == [(0, 11)]
-        assert windows == [(0, 11)]
+        assert stacks == windows == []
 
     @pytest.mark.parametrize("fn, n, seed", [
         (ch.q_operator, 5, 3), (ch.q_operator, 4, 3), (ch.q_operator, 4, 11),
@@ -964,7 +939,7 @@ class TestCutoffFloor:
         assert ch.sample_params(19, seed=0).cutoff >= 42
 
     def test_raises_before_building_a_row(self, monkeypatch):
-        p = ch.sample_params(2, seed=3, tol=1e-10)
+        p = dataclasses.replace(ch.sample_params(2, seed=3, tol=1e-10), cutoff=7)
         z = 0.83 + 0.21j
         charge_product = tc.charge_product
 
@@ -978,19 +953,19 @@ class TestCutoffFloor:
         monkeypatch.setattr(tc, "charge_product", no_rows)
         for fn in (ch.transfer_w, ch.q_operator):
             with pytest.raises(TailCertificateError, match="cutoff 7 is below 8"):
-                fn(z, p, cutoff=7)
+                fn(z, p)
 
     def test_floor_comes_after_the_other_preflights(self):
-        p = ch.sample_params(2, seed=3, tol=1e-10)
+        p = dataclasses.replace(ch.sample_params(2, seed=3, tol=1e-10), cutoff=7)
         with pytest.raises(ExclusionPointError):
-            ch.transfer_w(p.q ** -1 / cmath.sqrt(p.xitilde), p, cutoff=7)
+            ch.transfer_w(p.q ** -1 / cmath.sqrt(p.xitilde), p)
 
     def test_first_cutoff_above_the_floor_can_certify(self):
         # a small enough tail ratio clears on the fixed sum's 2N + 4 levels, the floor itself
         p = ch.sample_params(2, seed=0, tol=1e-9)
         z = 0.83 + 0.21j
-        tiny = dataclasses.replace(p, xi=p.xi * 1e-30)
-        assert tc.rel_err(ch.transfer_w(z, tiny, cutoff=8), open_fock_trace(z, tiny)) < 1e-9
+        tiny = dataclasses.replace(p, xi=p.xi * 1e-30, cutoff=8)
+        assert tc.rel_err(ch.transfer_w(z, tiny), open_fock_trace(z, tiny)) < 1e-9
 
 
 class TestSixSites:

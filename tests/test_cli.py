@@ -202,7 +202,11 @@ class TestRun:
         code = cli.run(cfg, quiet=True)
         assert code == 0
         report = json.loads(out.read_text())
-        assert report["schema"] == 1
+        assert report["schema"] == 2
+        # the run's parameters are stated once, at the top level
+        assert report["params"] == vf.params_digest(cfg.params, cfg.seed)
+        assert [set(c) for c in report["checks"]] == [
+            {"name", "residual", "tolerance", "passed", "conjecture", "notes"}]
         assert report["summary"]["theorem_failures"] == []
         assert report["checks"][0]["name"] == "tq-relation"
         assert report["checks"][0]["residual"] < 1e-8

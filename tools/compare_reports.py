@@ -11,7 +11,7 @@ for byte, and the exit codes as they are.  One line per configuration says
 differs, indented lines name the checks added or removed, the pass flags that
 flipped and the largest relative residual change |r_change - r_parent| / r_parent
 over the checks both reports hold, then one line for each other check field
-(`notes`, `tolerance`, `conjecture`, `params_digest`) naming the checks it
+(`notes`, `tolerance`, `conjecture`) naming the checks it
 differs in, and one naming the top-level report fields that differ.  When the
 spectrum CSVs differ, one more line gives the largest change of a `tv` or `q`
 value, |change - parent| / max(1, |parent|) over the complex values of rows
