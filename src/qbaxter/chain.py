@@ -28,7 +28,9 @@ from .errors import (
     TailCertificateError,
 )
 from .lattice_ops import kv_matrix, ktv_matrix, l_bands, l_matrix, r_bands, r_matrix
-from .qoscillator import LOG_HUGE, kw_diagonal, ktw_diagonal, validate_count, validate_cutoff
+from .qoscillator import LOG_HUGE, kw_diagonal, ktw_diagonal, validate_count
+
+_MAX_LEVELS = 1024  # caps the open trace's level budget and the closed trace's leading levels
 
 
 def _check_scalars(tol, exclusion_radius):
@@ -56,7 +58,7 @@ class ChainParams:
     """Full parameter pack for one chain.
 
     The trace convergence condition |xi * xitilde| < |q|^(2N) is enforced at
-    construction.
+    construction.  The Fock cutoff is no input: it follows from q and N (cutoff).
     """
 
     q: complex
@@ -65,7 +67,6 @@ class ChainParams:
     n_sites: int
     t: tuple
     zeta: complex = 0.0
-    cutoff: int = 40
     tol: float = 1e-9
     exclusion_radius: float = 0.05
 
@@ -76,7 +77,6 @@ class ChainParams:
             raise ParameterDomainError(f"need 0 < |q| < 1, got |q| = {abs(self.q):.4f}")
         _check_scalars(self.tol, self.exclusion_radius)
         object.__setattr__(self, "n_sites", validate_count("n_sites", self.n_sites))
-        object.__setattr__(self, "cutoff", validate_cutoff(self.cutoff))
         if not np.iterable(self.t):
             raise ParameterDomainError(f"t must be a sequence of numbers, got {self.t!r}")
         t = tuple(_finite_number(f"t[{i}]", v) for i, v in enumerate(self.t))
@@ -97,6 +97,14 @@ class ChainParams:
     def tail_ratio(self) -> float:
         """Geometric ratio |xi*xitilde| |q|^(-2N) governing the traced series."""
         return abs(self.xi * self.xitilde) * abs(self.q) ** (-2 * self.n_sites)
+
+    @property
+    def cutoff(self) -> int:
+        """The open trace's level budget, from q and N: the largest J up to _MAX_LEVELS with
+        |q|^(-2(J + N + 1)) in floating range, so that q_powers(q, J + N), the power table of
+        its last attempt, fits with a level to spare for the rounding of the logarithms."""
+        m = int(math.log(sys.float_info.max) / (-2 * math.log(abs(self.q))))
+        return max(0, min(_MAX_LEVELS, m - 1 - self.n_sites))
 
     @property
     def dim(self) -> int:
@@ -151,20 +159,17 @@ def _layout(n_sites: int) -> _Layout:
     return layout
 
 
-def sample_params(n_sites: int, seed: int, cutoff: int = 40, tol: float = 1e-9,
-                  exclusion_radius: float = 0.05, identity_grade: bool = False) -> ChainParams:
+def sample_params(n_sites: int, seed: int, tol: float = 1e-9, exclusion_radius: float = 0.05,
+                  identity_grade: bool = False) -> ChainParams:
     """Generic parameter draw staying safely inside the convergence region.
 
     |q| is uniform on [0.3, 0.8] with random phase, the boundary product is
     pinned to c * |q|^(2N) with c in [0.1, 0.5], and the inhomogeneities sit on
     a mildly perturbed unit circle.  identity_grade narrows |q| to [0.5, 0.75],
     which keeps densely materialized boundary matrices in floating range for
-    the operator-identity battery.  The cutoff is grown, if necessary, until
-    a geometric tail at the drawn tail ratio falls three decades below tol, and
-    to at least the 2N + 4 levels the open trace's fixed sum reads.
+    the operator-identity battery.
     """
     n_sites, seed = validate_count("n_sites", n_sites), validate_count("seed", seed)
-    cutoff = validate_cutoff(cutoff)
     _check_scalars(tol, exclusion_radius)
     rng = np.random.default_rng(seed)
     lo, hi = (0.5, 0.75) if identity_grade else (0.3, 0.8)
@@ -181,12 +186,8 @@ def sample_params(n_sites: int, seed: int, cutoff: int = 40, tol: float = 1e-9,
     t = tuple((1.0 + 0.2 * (rng.random() - 0.5)) * cmath.exp(2j * math.pi * rng.random())
               for _ in range(n_sites))
     zeta = 0.3 * qmod ** n_sites * cmath.exp(2j * math.pi * rng.random())
-    rho = c  # |xi * xitilde| / |q|^(2N) by construction
-    needed = int(math.ceil(math.log(tol / 1000.0) / math.log(rho))) + 1
-    # at least the 2N + 4 levels the open trace's fixed sum reads
-    cutoff = max(cutoff, needed, 2 * n_sites + 4)
     return ChainParams(q=q, xi=xi, xitilde=xitilde, n_sites=n_sites, t=t, zeta=zeta,
-                       cutoff=cutoff, tol=tol, exclusion_radius=exclusion_radius)
+                       tol=tol, exclusion_radius=exclusion_radius)
 
 
 def in_exclusion_set(z: complex, params: ChainParams) -> bool:
@@ -421,11 +422,12 @@ def transfer_w(z: complex, params: ChainParams) -> np.ndarray:
     with N and the level and grows with |z|.  lead leading levels and the weighted sum of
     the next 2N + 4 (_open_weights) give the series but for the nodes past s = N + 3; it
     comes back once it agrees with the 2N + 3-level sum of the nodes up to N + 2 to tol/10
-    of max(1, its largest entry) (_fixed_sum), else is redone on the same half rows for
-    lead = 2N + 2, then twice the last, up to params.cutoff - 2N - 4, where
-    TailCertificateError is raised, as it is at once for a cutoff below 2N + 4.  A rounding
-    estimate above tol raises ParameterDomainError.  The levels below the cutoff are read, on
-    bands and a right boundary diagonal of cutoff + N levels: all the paths of the double row.
+    of max(1, its largest entry) (_fixed_sum), else is redone for lead = 2N + 2, then twice
+    the last, up to params.cutoff - 2N - 4, where TailCertificateError is raised, as it is at
+    once for a cutoff below 2N + 4.  A rounding estimate above tol raises
+    ParameterDomainError.  Each attempt builds the bands and the right boundary diagonal on
+    lead + 3N + 4 levels and the left one on lead + 2N + 4: the light cone of the levels it
+    reads, all the paths of the double row through them.
 
     The half rows of L-factors are paired level by level with the boundary diagonals in log
     space, which keeps every materialized block bounded.  A stack with a paired weight out of
@@ -433,37 +435,38 @@ def transfer_w(z: complex, params: ChainParams) -> np.ndarray:
     any of its rows is built.
     """
     z = _finite_number("z", z)
-    J, n = params.cutoff, params.n_sites
+    J, n, q = params.cutoff, params.n_sites, params.q
     if in_exclusion_set(z, params):
         raise ExclusionPointError(
             f"z = {z:.6f} is within {params.exclusion_radius} of a trace pole")
     if J < 2 * n + 4:
         raise TailCertificateError(f"Fock cutoff {J} is below {2 * n + 4}, the fewest levels "
                                    f"the fixed sum reads")
-    try:
-        kw = kw_diagonal(z, 1.0, params.xi, params.q, J + n)
-    except OverflowGuardError:  # q_powers would name J + n levels, not the cutoff
-        raise OverflowGuardError(f"q ** {-2 * (J + n)} leaves floating range at "
-                                 f"cutoff {J}") from None
-    ktw = ktw_diagonal(z, 1.0, params.xitilde, params.q, J)
-    # kw levels j - n .. j + n, paired with ktw level j, are row j of the
-    # windows over kw padded by n on each side
-    kw_mant, kw_log = _windows(kw.mantissa, n, 0.0), _windows(kw.log_mag, n, -np.inf)
 
-    def weights(j0, j1):
-        lg = ktw.log_mag[j0:j1, None] + kw_log[j0:j1]
-        huge = np.flatnonzero(lg > LOG_HUGE)
-        if huge.size:
-            j, i = divmod(int(huge[0]), 2 * n + 1)
-            raise OverflowGuardError(f"paired boundary weight at levels ({j0 + j}, "
-                                     f"{j0 + j - n + i}) exceeds floating range")
-        return ktw.mantissa[j0:j1, None] * kw_mant[j0:j1] * np.exp(lg)
+    def levels(k):
+        """levels(j0, j1) of the first k levels, built on their light cone."""
+        kw = kw_diagonal(z, 1.0, params.xi, q, k + n)
+        ktw = ktw_diagonal(z, 1.0, params.xitilde, q, k)
+        # kw levels j - n .. j + n, paired with ktw level j, are row j of the
+        # windows over kw padded by n on each side
+        kw_mant, kw_log = _windows(kw.mantissa, n, 0.0), _windows(kw.log_mag, n, -np.inf)
 
-    rows = _half_products(lambda u: l_bands(u, 1.0, params.q, J + n), z, params)
-    levels, lead, top = _open_levels(rows, n, weights), 0, J - 2 * n - 4
+        def weights(j0, j1):
+            lg = ktw.log_mag[j0:j1, None] + kw_log[j0:j1]
+            huge = np.flatnonzero(lg > LOG_HUGE)
+            if huge.size:
+                j, i = divmod(int(huge[0]), 2 * n + 1)
+                raise OverflowGuardError(f"paired boundary weight at levels ({j0 + j}, "
+                                         f"{j0 + j - n + i}) exceeds floating range")
+            return ktw.mantissa[j0:j1, None] * kw_mant[j0:j1] * np.exp(lg)
+
+        rows = _half_products(lambda u: l_bands(u, 1.0, q, k + n), z, params)
+        return _open_levels(rows, n, weights)
+
+    lead, top = 0, J - 2 * n - 4
     while True:
-        w, scale, check = _open_weights(params.xi * params.xitilde, params.q, n, lead)
-        out = _fixed_sum(levels, w, n, scale, params.tol, check)
+        w, scale, check = _open_weights(params.xi * params.xitilde, q, n, lead)
+        out = _fixed_sum(levels(len(w)), w, n, scale, params.tol, check)
         if out is not None:
             return out
         if lead == top:
@@ -566,14 +569,14 @@ def _closed_weights(zeta: complex, q: complex, n_sites: int):
     on K leading levels, then the proof's w_m on levels K + m (the series shifted by K), and
     their rounding scales eps |zeta|^j, times A = prod_s (1 + |x_s|) / |P(1)| on the w_m,
     which A bounds (with their rounding) over zeta^m.  K is the fewest levels with A rho^K
-    <= 16, rho = |zeta| |q|^(-N) (0 at every sample_params draw), capped at 1024 and so that
-    the rows stay in floating range."""
+    <= 16, rho = |zeta| |q|^(-N) (0 at every sample_params draw), capped at _MAX_LEVELS and
+    so that the rows stay in floating range."""
     x = np.array([zeta * q ** s for s in range(-n_sites, n_sites + 1)])
     p1 = np.prod(1 - x)
     amp, rho = np.prod(1 + abs(x)) / abs(p1), abs(zeta) * abs(q) ** -n_sites
     # levels up to K + 3N + 1 are built: q^(-2J) (q_powers) and the raw |q|^(-Nj) must fit
     top = int(min(340, 460 / max(n_sites, 1)) / -math.log(abs(q))) - 3 * n_sites - 2
-    lead = max(0, min(math.ceil(math.log(amp / 16) / -math.log(rho)), 1024, top))
+    lead = max(0, min(math.ceil(math.log(amp / 16) / -math.log(rho)), _MAX_LEVELS, top))
     tail = np.cumsum(np.poly(x))[-2::-1] / p1
     w = zeta ** np.arange(lead + 2 * n_sites + 1) * np.concatenate([np.ones(lead), tail])
     scale = np.finfo(float).eps * abs(zeta) ** np.arange(len(w))

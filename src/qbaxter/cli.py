@@ -26,8 +26,7 @@ from .chain import ChainParams, sample_params
 from .errors import QBaxterError
 from .qoscillator import validate_count
 
-_PARAM_KEYS = {"q", "xi", "xitilde", "zeta", "t", "n_sites", "cutoff",
-               "tol", "exclusion_radius"}
+_PARAM_KEYS = {"q", "xi", "xitilde", "zeta", "t", "n_sites", "tol", "exclusion_radius"}
 _CONFIG_KEYS = {"params", "seed", "suites", "z_samples", "output_path", "spectrum_csv"}
 
 
@@ -78,8 +77,7 @@ class RunConfig:
         if "n_sites" not in praw:
             raise ConfigError("'params' needs 'n_sites'")
         seed = validate_count("seed", raw.get("seed", 0))
-        scalar_overrides = {key: praw[key] for key in ("cutoff", "tol", "exclusion_radius")
-                            if key in praw}
+        scalar_overrides = {key: praw[key] for key in ("tol", "exclusion_radius") if key in praw}
 
         if "q" in praw:
             for key in ("q", "xi", "xitilde", "t"):
@@ -145,7 +143,7 @@ def build_report(config: RunConfig, checks, timestamp: str) -> dict:
     theorem_failures = [c.name for c in checks if not c.passed and not c.conjecture]
     conjecture_failures = [c.name for c in checks if not c.passed and c.conjecture]
     return {
-        "schema": 2,
+        "schema": 3,
         "timestamp": timestamp,
         "seed": config.seed,
         "suites": config.suites,
@@ -207,7 +205,6 @@ def main(argv=None) -> int:
                         help="random seed; overrides the config value")
     parser.add_argument("--out", default=None, help="report output path")
     parser.add_argument("--tol", type=float, default=None, help="override trace tolerance")
-    parser.add_argument("--cutoff", type=int, default=None, help="override Fock cutoff")
     parser.add_argument("--quiet", action="store_true", help="suppress per-check lines")
     args = parser.parse_args(argv)
 
@@ -221,10 +218,8 @@ def main(argv=None) -> int:
                 raw["suites"] = args.suite
             if args.out:
                 raw["output_path"] = args.out
-            params = raw.get("params")
-            for key, value in (("tol", args.tol), ("cutoff", args.cutoff)):
-                if value is not None and isinstance(params, dict):
-                    params[key] = value
+            if args.tol is not None and isinstance(raw.get("params"), dict):
+                raw["params"]["tol"] = args.tol
         config = RunConfig.from_dict(raw)
     except (OSError, json.JSONDecodeError, ValueError, QBaxterError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,7 +18,7 @@ class ConvergenceError(QBaxterError):
 
 
 class TailCertificateError(QBaxterError):
-    """The open Fock trace's two fixed sums disagreed within its cutoff, or that is below 2N + 4."""
+    """The open Fock trace's two sums disagreed within its level budget, or that is below 2N + 4."""
 
 
 class OverflowGuardError(QBaxterError):

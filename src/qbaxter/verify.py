@@ -6,9 +6,9 @@ Checks are deterministic given (params, seed); conjectured properties are
 flagged so reports never conflate them with proven identities.
 
 Identities carrying the Fock space restrict their residuals to the interior
-band (the top 2N+2 levels are the truncation shadow), and densely
-materialized boundary matrices use a reduced cutoff chosen so all entries
-stay inside floating range.
+band: each check drops its own pad of top levels, the truncation shadow
+(none for split-trace), and densely materialized boundary matrices use a
+reduced cutoff chosen so all entries stay inside floating range.
 """
 
 from __future__ import annotations
@@ -73,8 +73,8 @@ def params_digest(params: ch.ChainParams, seed: int) -> dict:
         "zeta": _cx(params.zeta),
         "t": [_cx(v) for v in params.t],
         "n_sites": params.n_sites,
-        "cutoff": params.cutoff,
         "tol": params.tol,
+        "exclusion_radius": params.exclusion_radius,
     }
 
 

@@ -5,7 +5,6 @@ parameters from the generic sampler (seeds fixed below) and prints a one-line
 verdict; run with `pytest tests/test_acceptance.py -s` to see the lines.
 """
 
-import dataclasses
 import math
 import time
 
@@ -27,13 +26,13 @@ def report(number, ok, detail):
 
 @pytest.fixture(scope="module")
 def generic():
-    return {n: ch.sample_params(n, seed=SEED + n, cutoff=45, tol=1e-11)
+    return {n: ch.sample_params(n, seed=SEED + n, tol=1e-11)
             for n in range(4)}
 
 
 @pytest.fixture(scope="module")
 def golden():
-    return {n: ch.sample_params(n, seed=SEED + n, cutoff=60, tol=1e-13)
+    return {n: ch.sample_params(n, seed=SEED + n, tol=1e-13)
             for n in range(4)}
 
 
@@ -173,24 +172,25 @@ def test_criterion_08_closed_chain(generic, golden):
                   f"twisted trace at origin {worst_golden:.2e} (1e-12)")
 
 
-def test_criterion_09_truncation_stability(generic):
+def test_criterion_09_truncation_stability(generic, monkeypatch):
     from qbaxter.errors import TailCertificateError
 
-    worst = 0.0
+    default, worst = ch._MAX_LEVELS, 0.0
     for n in (1, 2, 3):
         p = generic[n]
         z = 0.87 + 0.24j
         for fn in (ch.transfer_w, ch.q_operator):  # the closed trace is exact
-            def at(cutoff):
-                return fn(z, dataclasses.replace(p, cutoff=cutoff))
+            def at(levels):  # the open trace's level budget capped at levels
+                monkeypatch.setattr(ch, "_MAX_LEVELS", levels)
+                return fn(z, p)
 
-            a = fn(z, p)
-            b = at(p.cutoff + 5)
+            a = at(default)
+            b = at(40)
             worst = max(worst, tc.rel_err(a, b))
-            # also compare at the smallest certifying cutoff, where +5 genuinely
-            # extends the summed range
-            lo = p.cutoff
-            while lo > 6:
+            # also compare at the smallest certifying budget, where +5 genuinely
+            # extends the levels a retry may read
+            lo = 40
+            while lo > 2 * n + 4:
                 try:
                     at(lo - 1)
                     lo -= 1
@@ -198,8 +198,8 @@ def test_criterion_09_truncation_stability(generic):
                     break
             worst = max(worst, tc.rel_err(at(lo), at(lo + 5)))
     ok = worst < generic[1].tol
-    report(9, ok, f"truncation stability: worst change under cutoff+5 is {worst:.2e} "
-                  f"(declared tol {generic[1].tol:.0e})")
+    report(9, ok, f"truncation stability: worst change under a level budget of 40 or "
+                  f"budget+5 is {worst:.2e} (declared tol {generic[1].tol:.0e})")
 
 
 def test_criterion_10_q_series_identities():

@@ -26,8 +26,8 @@ from qbaxter.qoscillator import (
     FockDiagonal,
     kw_diagonal,
     ktw_diagonal,
+    q_powers,
     validate_count,
-    validate_cutoff,
 )
 
 HUGE = 10 ** 400  # an integer too large for a float
@@ -57,13 +57,15 @@ class TestChainParams:
         with pytest.raises(ParameterDomainError):
             ch.ChainParams(q=0.5, xi=0.1, xitilde=0.1, n_sites=2, t=(1.0,))
 
-    def test_cutoff_preflight(self):
-        # the parameters no longer weigh the cutoff against the tail ratio: a cutoff below
-        # the 2N + 4 levels the open trace's fixed sum reads raises at the trace
-        p = ch.ChainParams(q=0.5, xi=0.12, xitilde=0.1, n_sites=1, t=(1.0,), cutoff=4, tol=1e-12)
+    def test_cutoff_preflight(self, monkeypatch):
+        # the parameters do not weigh the level budget against the tail ratio: a budget
+        # below the 2N + 4 levels the open trace's fixed sum reads raises at the trace
+        monkeypatch.setattr(ch, "_MAX_LEVELS", 4)
+        p = ch.ChainParams(q=0.5, xi=0.12, xitilde=0.1, n_sites=1, t=(1.0,), tol=1e-12)
         with pytest.raises(TailCertificateError, match="cutoff 4 is below 6"):
             ch.transfer_w(0.83 + 0.21j, p)
-        slow = ch.ChainParams(q=0.5, xi=0.2, xitilde=0.2, n_sites=1, t=(1.0,), cutoff=8, tol=1e-12)
+        monkeypatch.setattr(ch, "_MAX_LEVELS", 8)
+        slow = ch.ChainParams(q=0.5, xi=0.2, xitilde=0.2, n_sites=1, t=(1.0,), tol=1e-12)
         assert slow.tail_ratio ** slow.cutoff > slow.tol
 
     def test_q_range(self):
@@ -132,22 +134,47 @@ class TestChainParams:
     def test_numpy_seed_accepted(self):
         assert ch.sample_params(2, np.int64(3)) == ch.sample_params(2, 3)
 
+    @staticmethod
+    def check_no_cutoff_input(cutoff):
+        # the cutoff is derived from q and N: no constructor, draw or replace takes one
+        p = ch.ChainParams(q=0.5, xi=0.1, xitilde=0.1, n_sites=1, t=(1.0,))
+        for call in (lambda: ch.ChainParams(q=0.5, xi=0.1, xitilde=0.1, n_sites=1, t=(1.0,),
+                                            cutoff=cutoff),
+                     lambda: ch.sample_params(2, seed=3, cutoff=cutoff),
+                     lambda: dataclasses.replace(p, cutoff=cutoff)):
+            with pytest.raises(TypeError, match="cutoff"):
+                call()
+
+    def test_cutoff_is_no_input(self):
+        self.check_no_cutoff_input(40)
+        p = ch.sample_params(2, seed=3)
+        with pytest.raises(AttributeError):
+            p.cutoff = 40
+        assert "cutoff" not in {f.name for f in dataclasses.fields(p)}
+
     def test_fractional_cutoff_rejected(self):
-        with pytest.raises(ParameterDomainError, match="cutoff"):
-            ch.ChainParams(q=0.5, xi=0.1, xitilde=0.1, n_sites=1, t=(1.0,), cutoff=40.7)
-        with pytest.raises(ParameterDomainError, match="cutoff"):
-            ch.sample_params(2, seed=3, cutoff=40.7)
+        self.check_no_cutoff_input(40.7)
 
     @pytest.mark.parametrize("cutoff", ["7", "50", True])
     def test_string_and_bool_cutoff_rejected(self, cutoff):
-        with pytest.raises(ParameterDomainError, match="cutoff"):
-            ch.ChainParams(q=0.5, xi=0.1, xitilde=0.1, n_sites=1, t=(1.0,), cutoff=cutoff)
-        with pytest.raises(ParameterDomainError, match="cutoff"):
-            ch.sample_params(2, seed=1, cutoff=cutoff)
+        self.check_no_cutoff_input(cutoff)
 
     def test_integral_float_cutoff_rejected(self):
-        with pytest.raises(ParameterDomainError, match="cutoff"):
-            ch.ChainParams(q=0.5, xi=0.1, xitilde=0.1, n_sites=1, t=(1.0,), cutoff=41.0)
+        self.check_no_cutoff_input(41.0)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    @pytest.mark.parametrize("qmod", [0.3, 0.5, 0.8, 0.9])
+    def test_level_budget_fits_its_power_table(self, qmod, n):
+        # the budget covers the fixed sum's 2N + 4 levels, and the power table of its last
+        # attempt, q_powers(q, cutoff + N), stays in floating range; below the cap, one of
+        # two more levels does not
+        p = ch.ChainParams(q=qmod * cmath.exp(0.7j), xi=0.3 * qmod ** n, xitilde=0.3 * qmod ** n,
+                           n_sites=n, t=(1.0,) * n)
+        assert 2 * n + 4 <= p.cutoff <= ch._MAX_LEVELS
+        q_powers(p.q, p.cutoff + n)
+        if p.cutoff < ch._MAX_LEVELS:
+            with pytest.raises(OverflowGuardError):
+                q_powers(p.q, p.cutoff + n + 2)
 
     @pytest.mark.parametrize("n_sites", [2.0, True])
     def test_non_integer_site_count_rejected(self, n_sites):
@@ -167,23 +194,32 @@ class TestChainParams:
 COUNTS = {
     "ChainParams.n_sites": ("n_sites", 0, lambda p, v: ch.ChainParams(
         q=0.5, xi=0.01, xitilde=0.01, n_sites=v, t=(1.0, 1.0))),
-    "ChainParams.cutoff": ("cutoff", 2, lambda p, v: ch.ChainParams(
-        q=0.5, xi=0.1, xitilde=0.1, n_sites=1, t=(1.0,), cutoff=v)),
     "sample_params.n_sites": ("n_sites", 0, lambda p, v: ch.sample_params(v, 3)),
     "sample_params.seed": ("seed", 0, lambda p, v: ch.sample_params(2, v)),
-    "sample_params.cutoff": ("cutoff", 2, lambda p, v: ch.sample_params(2, 3, cutoff=v)),
     "with_sites": ("n_sites", 0, lambda p, v: p.with_sites(v)),
     "l_matrix.J": ("cutoff", 2, lambda p, v: l_matrix(0.7 + 0.2j, 1.0, p.q, v)),
     "kw_diagonal.J": ("cutoff", 2, lambda p, v: kw_diagonal(0.83 + 0.21j, 1.0, p.xi, p.q, v)),
 }
+# the cutoff the chain no longer takes: its keyword is rejected whatever the value
+NOT_TAKEN = {
+    "ChainParams.cutoff": lambda v: ch.ChainParams(q=0.5, xi=0.1, xitilde=0.1, n_sites=1,
+                                                   t=(1.0,), cutoff=v),
+    "sample_params.cutoff": lambda v: ch.sample_params(2, 3, cutoff=v),
+}
+NON_COUNTS = (True, 2.5, 41.0, "3", None)
 
 
 class TestCountRule:
     @pytest.mark.parametrize("entry, value", [
         (entry, value) for entry, (_, least, _) in COUNTS.items()
-        for value in (True, 2.5, 41.0, "3", None, least - 1, HUGE)],
+        for value in (*NON_COUNTS, least - 1, HUGE)] + [
+        (entry, value) for entry in NOT_TAKEN for value in (*NON_COUNTS, 1, HUGE)],
         ids=huge_id)
     def test_non_count_rejected(self, params2, entry, value):
+        if entry in NOT_TAKEN:
+            with pytest.raises(TypeError, match="cutoff"):
+                NOT_TAKEN[entry](value)
+            return
         field, _, call = COUNTS[entry]
         with pytest.raises(ParameterDomainError, match=rf"^{field}\b"):
             call(params2, value)
@@ -191,16 +227,12 @@ class TestCountRule:
     def test_numpy_counts_come_back_as_int(self, params2):
         for value in (np.int64(2), np.int32(40), np.uint8(2)):
             assert validate_count("n", value, 2) == value
-            assert type(validate_count("n", value, 2)) is type(validate_cutoff(value)) is int
-        p = ch.sample_params(np.int64(2), np.int64(3), cutoff=np.int64(41))
-        assert p == ch.sample_params(2, 3, cutoff=41)
-        p = ch.ChainParams(q=0.5, xi=0.1, xitilde=0.1, n_sites=np.int64(1), t=(1.0,),
-                           cutoff=np.int64(41))
+            assert type(validate_count("n", value, 2)) is int
+        p = ch.sample_params(np.int64(2), np.int64(3))
+        assert p == ch.sample_params(2, 3)
+        p = ch.ChainParams(q=0.5, xi=0.1, xitilde=0.1, n_sites=np.int64(1), t=(1.0,))
         assert type(p.n_sites) is type(p.cutoff) is int
         assert type(params2.with_sites(np.int64(3)).n_sites) is int
-        z = 0.83 + 0.21j
-        assert np.array_equal(ch.transfer_w(z, dataclasses.replace(params2, cutoff=np.int64(41))),
-                              ch.transfer_w(z, dataclasses.replace(params2, cutoff=41)))
 
 
 SPECTRAL = (ch.transfer_v, ch.transfer_w, ch.q_operator,
@@ -351,14 +383,21 @@ class TestTransferV:
             assert tc.rel_err(ch.transfer_v(z, p), dense) <= 1e-13
 
     @pytest.mark.parametrize("n", [0, 2, 4])
-    def test_exact_sums_ignore_cutoff_and_tol(self, n):
+    def test_exact_sums_ignore_cutoff_and_tol(self, n, monkeypatch):
         # both two-level traces and the closed Fock trace are fixed sums, never certified;
-        # the closed trace reads tol only to check its rounding, which leaves the bits alone
+        # the closed trace reads tol only to check its rounding, which leaves the bits alone,
+        # and its K leading levels (0 here) stay below a level cap of 40
         p = ch.sample_params(n, seed=3, tol=1e-10)
-        other = dataclasses.replace(p, cutoff=p.cutoff + 7, tol=1e-12)
-        for z, fn in itertools.product(ORACLE_Z, (ch.transfer_v, ch.closed_transfer_v,
-                                                  ch.closed_transfer_w, ch.closed_q)):
-            assert np.array_equal(fn(z, other), fn(z, p))
+        cases = list(itertools.product(ORACLE_Z, (ch.transfer_v, ch.closed_transfer_v,
+                                                  ch.closed_transfer_w, ch.closed_q)))
+        expected = [fn(z, p) for z, fn in cases]
+        other = dataclasses.replace(p, tol=1e-12)
+        with monkeypatch.context() as m:
+            m.setattr(ch, "_MAX_LEVELS", 40)
+            ch._closed_weights.cache_clear()
+            got = [fn(z, other) for z, fn in cases]
+        ch._closed_weights.cache_clear()
+        assert all(np.array_equal(a, b) for a, b in zip(got, expected))
 
     def test_entries_interpolate_in_z_squared(self, params2):
         n = params2.n_sites
@@ -403,34 +442,38 @@ class TestTransferW:
         with pytest.raises(ExclusionPointError):
             ch.transfer_w(params2.q ** -1 / cmath.sqrt(params2.xitilde), params2)
 
-    def test_tail_certificate_failure(self):
-        # the two fixed sums agree from lead 2 on, 8 levels; cutoff 7 allows lead 1 at most
-        p = ch.ChainParams(q=0.6, xi=0.17, xitilde=0.17, n_sites=1, t=(1.0,),
-                           cutoff=60, tol=1e-10)
+    def test_tail_certificate_failure(self, monkeypatch):
+        # the two fixed sums agree from lead 2 on, 8 levels; a budget of 7 allows lead 1 at most
+        p = ch.ChainParams(q=0.6, xi=0.17, xitilde=0.17, n_sites=1, t=(1.0,), tol=1e-10)
         z = 0.9 + 0.1j
+        whole = ch.transfer_w(z, p)
+        monkeypatch.setattr(ch, "_MAX_LEVELS", 7)
         with pytest.raises(TailCertificateError):
-            ch.transfer_w(z, dataclasses.replace(p, cutoff=7))
-        assert tc.rel_err(ch.transfer_w(z, dataclasses.replace(p, cutoff=8)),
-                          ch.transfer_w(z, p)) < p.tol
+            ch.transfer_w(z, p)
+        monkeypatch.setattr(ch, "_MAX_LEVELS", 8)
+        assert tc.rel_err(ch.transfer_w(z, p), whole) < p.tol
 
-    def test_cutoff_stability(self, params2):
+    def test_cutoff_stability(self, params2, monkeypatch):
+        # a Q that certifies below a budget of 40 gives the same bits under it
         z = 0.86 + 0.27j
-        a = ch.transfer_w(z, params2)
-        b = ch.transfer_w(z, dataclasses.replace(params2, cutoff=params2.cutoff + 5))
-        assert tc.rel_err(a, b) < params2.tol
+        a, qa = ch.transfer_w(z, params2), ch.q_operator(z, params2)
+        monkeypatch.setattr(ch, "_MAX_LEVELS", 40)
+        assert params2.cutoff == 40
+        assert np.array_equal(ch.transfer_w(z, params2), a)
+        assert np.array_equal(ch.q_operator(z, params2), qa)
 
     @pytest.mark.parametrize("fn", [ch.transfer_w, ch.q_operator, ch.closed_transfer_w,
                                     ch.closed_q])
     @pytest.mark.parametrize("cutoff", [0, 1, 12.7, "7", "50", True])
     def test_bad_cutoff_override_rejected(self, params2, fn, cutoff):
-        # the traces take no cutoff of their own: params.cutoff is the one
+        # the traces take no cutoff: params.cutoff is derived from q and N
         with pytest.raises(TypeError, match="cutoff"):
             fn(0.86 + 0.27j, params2, cutoff=cutoff)
 
     def test_overflow_guard_only_at_reached_levels(self, params2, monkeypatch):
-        # one kw level pushed beyond double range; the fixed sum reads levels 0 .. 2N + 3,
-        # so kw level 39 never enters a pairing window (levels j - N .. j + N), while kw
-        # level 5 first does at ktw level 3
+        # one kw level pushed beyond double range, if built; the fixed sum reads levels
+        # 0 .. 2N + 3, so kw level 39 never enters a pairing window (levels j - N .. j + N),
+        # while kw level 5 first does at ktw level 3
         z = 0.86 + 0.27j
         clean = ch.transfer_w(z, params2)
 
@@ -438,11 +481,11 @@ class TestTransferW:
             def kw_with_huge_level(*args):
                 kw = kw_diagonal(*args)
                 log_mag = kw.log_mag.copy()
-                log_mag[level] += 800.0
+                log_mag[level:level + 1] += 800.0  # nothing past the levels built
                 return FockDiagonal(kw.mantissa, log_mag)
             monkeypatch.setattr(ch, "kw_diagonal", kw_with_huge_level)
 
-        raise_kw_level(params2.cutoff - 1)
+        raise_kw_level(39)
         assert np.array_equal(ch.transfer_w(z, params2), clean)
         raise_kw_level(5)
         with pytest.raises(OverflowGuardError, match=r"levels \(3, 5\)"):
@@ -483,6 +526,12 @@ class TestTransferW:
             compared += 1
         assert compared
 
+    def test_far_point_certifies_within_the_budget(self):
+        # at |z| = 1e20 the two sums agree only after a lead of 128 (N = 1, seed 0), past
+        # what 40 levels allowed; the budget derived from q and N (736) holds it
+        p, z = ch.sample_params(1, 0), 1e20
+        assert tc.rel_err(ch.transfer_w(z, p), open_fock_trace(z, p)) <= p.tol
+
     @pytest.mark.parametrize("n", [3, 4])
     @pytest.mark.parametrize("seed", range(4))
     def test_slow_tail_certifies_at_the_default_cutoff(self, n, seed):
@@ -490,7 +539,7 @@ class TestTransferW:
         # reads 2N + 4 of them, or 4N + 6 after one retry
         p = ch.sample_params(n, seed, tol=1e-10)
         scale = math.sqrt(0.95 / p.tail_ratio)
-        p = dataclasses.replace(p, xi=p.xi * scale, xitilde=p.xitilde * scale, cutoff=40)
+        p = dataclasses.replace(p, xi=p.xi * scale, xitilde=p.xitilde * scale)
         z = 0.83 + 0.21j
         assert tc.rel_err(ch.transfer_w(z, p), open_fock_trace(z, p)) <= 1e-13
 
@@ -548,14 +597,13 @@ GRID = list(itertools.product([1, 2, 3, 4, 5], [0.1, 0.5, 0.8, 0.95], [0.3, 0.6,
 
 @pytest.mark.parametrize("n, ratio, qmod", GRID)
 def test_grid_meets_tol(n, ratio, qmod):
-    # the draw's phases with |q| and the tail ratio set, at cutoff 40: the fixed sum meets
-    # tol against the direct sum in every case.  At |q| = 0.9, |z| = 3 and tail ratio 0.95
-    # (0.8 at N = 3) the last retry reads levels up to 39, whose paths climb N levels past
-    # the cutoff, so these 4 cases need the bands built above it
+    # the draw's phases with |q| and the tail ratio set: the fixed sum meets tol against
+    # the direct sum in every case.  The retries read up to 70 levels (N = 1, tail ratio
+    # 0.95, |q| = 0.9, |z| = 3), each attempt on bands that hold every path through them
     p = ch.sample_params(n, 0, tol=1e-10)
     scale = math.sqrt(ratio * qmod ** (2 * n) / abs(p.xi * p.xitilde))
     p = dataclasses.replace(p, q=qmod * p.q / abs(p.q), xi=p.xi * scale,
-                            xitilde=p.xitilde * scale, cutoff=40)
+                            xitilde=p.xitilde * scale)
     for zmod in (0.3, 1.0, 3.0):
         z = zmod * cmath.exp(0.37j)
         assert tc.rel_err(ch.transfer_w(z, p), open_fock_trace(z, p)) <= p.tol, zmod
@@ -608,9 +656,9 @@ class TestCertifiedSumStacks:
         assert np.array_equal(ch.transfer_w(0.83 + 0.21j, p), whole)
 
     def test_exhausted_cutoff_raises_the_same_error(self, monkeypatch):
-        p = ch.ChainParams(q=0.6, xi=0.17, xitilde=0.17, n_sites=1, t=(1.0,),
-                           cutoff=7, tol=1e-10)
+        p = ch.ChainParams(q=0.6, xi=0.17, xitilde=0.17, n_sites=1, t=(1.0,), tol=1e-10)
         z = 0.9 + 0.1j
+        monkeypatch.setattr(ch, "_MAX_LEVELS", 7)
         with pytest.raises(TailCertificateError) as whole:
             ch.transfer_w(z, p)
         assert "cutoff 7 exhausted" in str(whole.value)
@@ -727,7 +775,7 @@ class TestLevelProtocol:
     def test_one_flat_array_per_stack(self, n, monkeypatch):
         monkeypatch.setattr(ch._threads, "workspace", tc.Workspace(), raising=False)
         p, z, j0, j1 = ch.sample_params(n, seed=3, tol=1e-10), 0.83 + 0.21j, 2, 5
-        J, layout = p.cutoff, ch._layout(n)
+        J, layout = 40, ch._layout(n)
         down, states = layout.down, layout.states
 
         def bands(us):
@@ -861,6 +909,20 @@ class TestRowsOnDemand:
         fn(0.83 + 0.21j, p)
         assert len(stacks) == len(windows) == 1
 
+    @pytest.mark.parametrize("n, seed, leads", [(5, 3, [0]), (3, 4, [0, 8])])
+    def test_each_attempt_builds_its_light_cone(self, n, seed, leads, monkeypatch):
+        # an attempt at lead reads levels 0 .. lead + 2N + 3: its bands and right boundary
+        # diagonal hold lead + 3N + 4 levels, its left one lead + 2N + 4
+        built = []
+        for name in ("l_bands", "kw_diagonal", "ktw_diagonal"):
+            def recorded(*args, name=name, build=getattr(ch, name)):
+                built.append((name, args[-1]))
+                return build(*args)
+            monkeypatch.setattr(ch, name, recorded)
+        ch.q_operator(0.83 + 0.21j, ch.sample_params(n, seed=seed, tol=1e-10))
+        assert built == [(name, lead + k) for lead in leads for name, k in (
+            ("kw_diagonal", 3 * n + 4), ("ktw_diagonal", 2 * n + 4), ("l_bands", 3 * n + 4))]
+
     @pytest.mark.parametrize("n, seed, passes", [(5, 3, [(0, 14)]), (3, 4, [(0, 10), (0, 18)])])
     def test_levels_read_per_pass(self, n, seed, passes, monkeypatch):
         # one Q reads 2N + 4 levels; at N = 3, seed 4 (|q| = 0.77) the two sums disagree
@@ -930,16 +992,18 @@ def test_sector_runs_by_formula(n):
 
 
 class TestCutoffFloor:
-    """A cutoff below the 2N + 4 levels the open trace's fixed sum reads can never
+    """A level budget below the 2N + 4 levels the open trace's fixed sum reads can never
     certify, so it raises before any row is built."""
 
     def test_sampler_grows_the_cutoff_to_the_stop_rule_floor(self):
+        # the level budget derived from q and N covers the floor and 40 levels at any draw
         for n in (0, 5, 18, 19, 25):
             assert ch.sample_params(n, seed=0).cutoff >= max(40, 2 * n + 4)
         assert ch.sample_params(19, seed=0).cutoff >= 42
 
     def test_raises_before_building_a_row(self, monkeypatch):
-        p = dataclasses.replace(ch.sample_params(2, seed=3, tol=1e-10), cutoff=7)
+        p = ch.sample_params(2, seed=3, tol=1e-10)
+        monkeypatch.setattr(ch, "_MAX_LEVELS", 7)
         z = 0.83 + 0.21j
         charge_product = tc.charge_product
 
@@ -955,16 +1019,18 @@ class TestCutoffFloor:
             with pytest.raises(TailCertificateError, match="cutoff 7 is below 8"):
                 fn(z, p)
 
-    def test_floor_comes_after_the_other_preflights(self):
-        p = dataclasses.replace(ch.sample_params(2, seed=3, tol=1e-10), cutoff=7)
+    def test_floor_comes_after_the_other_preflights(self, monkeypatch):
+        p = ch.sample_params(2, seed=3, tol=1e-10)
+        monkeypatch.setattr(ch, "_MAX_LEVELS", 7)
         with pytest.raises(ExclusionPointError):
             ch.transfer_w(p.q ** -1 / cmath.sqrt(p.xitilde), p)
 
-    def test_first_cutoff_above_the_floor_can_certify(self):
+    def test_first_cutoff_above_the_floor_can_certify(self, monkeypatch):
         # a small enough tail ratio clears on the fixed sum's 2N + 4 levels, the floor itself
         p = ch.sample_params(2, seed=0, tol=1e-9)
         z = 0.83 + 0.21j
-        tiny = dataclasses.replace(p, xi=p.xi * 1e-30, cutoff=8)
+        tiny = dataclasses.replace(p, xi=p.xi * 1e-30)
+        monkeypatch.setattr(ch, "_MAX_LEVELS", 8)
         assert tc.rel_err(ch.transfer_w(z, tiny), open_fock_trace(z, tiny)) < 1e-9
 
 
@@ -1066,8 +1132,7 @@ class TestSpinSector:
 class TestClosedChain:
     def test_twist_validation(self, params2):
         bad = ch.ChainParams(q=params2.q, xi=params2.xi, xitilde=params2.xitilde,
-                             n_sites=params2.n_sites, t=params2.t, zeta=1.5,
-                             cutoff=params2.cutoff, tol=params2.tol)
+                             n_sites=params2.n_sites, t=params2.t, zeta=1.5, tol=params2.tol)
         with pytest.raises(ParameterDomainError):
             ch.closed_transfer_v(0.9, bad)
 
@@ -1158,9 +1223,14 @@ class TestClosedChain:
         # entries near 4e159, whose squares leave floating range, sum to a finite Q
         assert np.isfinite(ch.closed_q(1e80, ch.sample_params(1, 0))).all()
 
-    def test_cutoff_stability(self, params2):
-        # the exact closed trace reads no cutoff: a larger one gives the same bits
+    def test_cutoff_stability(self, params2, monkeypatch):
+        # the exact closed trace reads no cutoff, and its K leading levels (0 here) stay
+        # below a level cap of 40: the same bits under it
         z = 0.77 + 0.2j
-        a = ch.closed_transfer_w(z, params2)
-        b = ch.closed_transfer_w(z, dataclasses.replace(params2, cutoff=params2.cutoff + 5))
+        a = ch.closed_q(z, params2)
+        with monkeypatch.context() as m:
+            m.setattr(ch, "_MAX_LEVELS", 40)
+            ch._closed_weights.cache_clear()
+            b = ch.closed_q(z, params2)
+        ch._closed_weights.cache_clear()
         assert np.array_equal(a, b)

@@ -22,7 +22,7 @@ def write_config(tmp_path, payload, name="config.json"):
 
 
 BASE = {
-    "params": {"n_sites": 2, "cutoff": 40, "tol": 1e-10},
+    "params": {"n_sites": 2, "tol": 1e-10},
     "seed": 11,
     "suites": ["tq"],
     "z_samples": 3,
@@ -62,8 +62,7 @@ class TestConfig:
             RunConfig.from_dict(bad)
 
     @pytest.mark.parametrize("key, value", [
-        ("cutoff", "40"), ("cutoff", True), ("cutoff", 40.5), ("tol", None),
-        ("tol", "1e-10"), ("exclusion_radius", [0.05])])
+        ("tol", None), ("tol", "1e-10"), ("exclusion_radius", [0.05])])
     def test_numeric_params_type_checked(self, key, value):
         with pytest.raises(ParameterDomainError, match=rf"^{key} "):
             RunConfig.from_dict({**BASE, "params": {**BASE["params"], key: value}})
@@ -111,8 +110,14 @@ class TestConfig:
         with pytest.raises(ParameterDomainError, match=message):
             RunConfig.from_dict(raw)
 
+    @pytest.mark.parametrize("params", [BASE["params"], EXPLICIT], ids=["sampled", "explicit"])
+    def test_cutoff_field_rejected(self, params):
+        # the cutoff is derived from q and N, so no configuration sets it
+        with pytest.raises(ConfigError, match=r"unknown parameter fields: \['cutoff'\]"):
+            RunConfig.from_dict({**BASE, "params": {**params, "cutoff": 40}})
+
     def test_integral_float_cutoff_rejected(self):
-        with pytest.raises(ParameterDomainError, match="cutoff must be an integer >= 2, got 41.0"):
+        with pytest.raises(ConfigError, match=r"unknown parameter fields: \['cutoff'\]"):
             RunConfig.from_dict({**BASE, "params": {**BASE["params"], "cutoff": 41.0}})
 
     def test_all_expands(self):
@@ -123,7 +128,7 @@ class TestConfig:
         cfg = RunConfig.from_dict({**BASE, "z_samples": [[0.9, 0.1], [0.8, 0.2]]})
         assert cfg.z_samples == (0.9 + 0.1j, 0.8 + 0.2j)
 
-    @pytest.mark.parametrize("key", ["tol", "cutoff"])
+    @pytest.mark.parametrize("key", ["tol"])
     def test_oversized_real_rejected(self, key):
         with pytest.raises(ParameterDomainError, match=rf"^{key} "):
             RunConfig.from_dict({**BASE, "params": {**BASE["params"], key: 10 ** 400}})
@@ -151,11 +156,10 @@ _BAD = (True, "3", None, 2.5, 41.0, -1, HUGE)
 # as the configuration calls it (BASE's sampled or EXPLICIT's parameters, seed 11)
 ONE_RULE = {
     "seed": (_BAD, lambda v: vf.run_suite("tq", ch.sample_params(2, 11, tol=1e-10), v)),
-    "n_sites": (_BAD, lambda v: ch.sample_params(v, 11, cutoff=40, tol=1e-10)),
-    "cutoff": (_BAD, lambda v: ch.sample_params(2, 11, cutoff=v, tol=1e-10)),
-    "tol": ((True, "3", None, -1, HUGE), lambda v: ch.sample_params(2, 11, cutoff=40, tol=v)),
+    "n_sites": (_BAD, lambda v: ch.sample_params(v, 11, tol=1e-10)),
+    "tol": ((True, "3", None, -1, HUGE), lambda v: ch.sample_params(2, 11, tol=v)),
     "exclusion_radius": ((True, "3", None, -1, HUGE), lambda v: ch.sample_params(
-        2, 11, cutoff=40, tol=1e-10, exclusion_radius=v)),
+        2, 11, tol=1e-10, exclusion_radius=v)),
     "q": (_BAD, lambda v: ch.ChainParams(q=v, xi=0.01, xitilde=0.01, n_sites=2,
                                          t=(1.0, 1.1), tol=1e-10)),
     "t": ((True, "3", None, HUGE), lambda v: ch.ChainParams(q=0.5, xi=0.01, xitilde=0.01,
@@ -164,6 +168,10 @@ ONE_RULE = {
 }
 ONE_RULE_CASES = [pytest.param(field, value, id=f"{field}-{value!r}".replace(str(HUGE), "10**400"))
                   for field, (values, _) in ONE_RULE.items() for value in values]
+# and the cutoff, no field at all, which the configuration rejects whatever its value
+NO_FIELD_CASES = [pytest.param("cutoff", value,
+                               id=f"cutoff-{value!r}".replace(str(HUGE), "10**400"))
+                  for value in _BAD]
 
 
 def one_rule_config(field, value):
@@ -185,7 +193,7 @@ class TestOneRule:
         assert type(loaded.value) is type(direct.value)
         assert str(loaded.value) == str(direct.value)
 
-    @pytest.mark.parametrize("field, value", ONE_RULE_CASES)
+    @pytest.mark.parametrize("field, value", ONE_RULE_CASES + NO_FIELD_CASES)
     def test_main_exits_two(self, tmp_path, capsys, field, value):
         out = tmp_path / "r.json"
         cfg = write_config(tmp_path, one_rule_config(field, value))
@@ -202,7 +210,7 @@ class TestRun:
         code = cli.run(cfg, quiet=True)
         assert code == 0
         report = json.loads(out.read_text())
-        assert report["schema"] == 2
+        assert report["schema"] == 3
         # the run's parameters are stated once, at the top level
         assert report["params"] == vf.params_digest(cfg.params, cfg.seed)
         assert [set(c) for c in report["checks"]] == [
@@ -210,6 +218,20 @@ class TestRun:
         assert report["summary"]["theorem_failures"] == []
         assert report["checks"][0]["name"] == "tq-relation"
         assert report["checks"][0]["residual"] < 1e-8
+
+    def test_report_states_the_exclusion_radius(self, tmp_path):
+        # the radius decides which sample points the checks keep, so the report names it
+        stated = []
+        for radius in (0.05, 1.0):
+            out = tmp_path / f"r{radius}.json"
+            cfg = RunConfig.from_dict({**BASE, "suites": [], "output_path": str(out),
+                                       "params": {**BASE["params"], "exclusion_radius": radius}})
+            assert cli.run(cfg, quiet=True) == 0
+            stated.append(json.loads(out.read_text())["params"])
+        assert set(stated[0]) == {"seed", "q", "xi", "xitilde", "zeta", "t", "n_sites", "tol",
+                                  "exclusion_radius"}
+        assert [p.pop("exclusion_radius") for p in stated] == [0.05, 1.0]
+        assert stated[0] == stated[1]
 
     def test_empty_suite_list_gives_empty_report(self, tmp_path):
         out = tmp_path / "report.json"
@@ -364,7 +386,15 @@ class TestMainEntry:
         cfg = write_config(tmp_path, {**BASE, "params": {"n_sites": 2, "cutoff": 12.7}})
         proc = self.run_cli("--config", cfg, "--out", str(tmp_path / "r.json"))
         assert proc.returncode == 2
-        assert "cutoff must be an integer >= 2, got 12.7" in proc.stderr
+        assert proc.stderr == "error: unknown parameter fields: ['cutoff']\n"
+        assert not (tmp_path / "r.json").exists()
+
+    def test_cutoff_flag_exits_two(self, tmp_path):
+        # the cutoff is derived from q and N, so no flag sets it
+        cfg = write_config(tmp_path, BASE)
+        proc = self.run_cli("--config", cfg, "--out", str(tmp_path / "r.json"), "--cutoff", "40")
+        assert proc.returncode == 2
+        assert "unrecognized arguments: --cutoff 40" in proc.stderr
         assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize("params, args", [
@@ -378,20 +408,13 @@ class TestMainEntry:
         assert "tol must be finite and positive" in proc.stderr
         assert "Traceback" not in proc.stderr
 
-    @pytest.mark.parametrize("flag", ["--tol", "--cutoff"])
+    @pytest.mark.parametrize("flag", ["--tol"])
     def test_override_on_non_object_params_exits_two(self, tmp_path, flag):
         cfg = write_config(tmp_path, {**BASE, "params": [2]})
         proc = self.run_cli("--config", cfg, "--out", str(tmp_path / "r.json"), flag, "41")
         assert proc.returncode == 2
         assert "'params' must be a JSON object" in proc.stderr
         assert "Traceback" not in proc.stderr
-
-    def test_power_table_overflow_exits_two(self, tmp_path, capsys):
-        # |q| = 0.36 at seed 11, so |q| ** -1200 leaves floating range
-        cfg = write_config(tmp_path, {**BASE, "params": {**BASE["params"], "cutoff": 600}})
-        assert cli.main(["--config", cfg, "--out", str(tmp_path / "r.json"), "--quiet"]) == 2
-        assert "leaves floating range at cutoff 600" in capsys.readouterr().err
-        assert not (tmp_path / "r.json").exists()
 
     def test_unfittable_sample_count_exits_two(self, tmp_path, capsys):
         # 100000 points 0.02 apart cannot fit on the sampling annulus: no search is made
@@ -530,7 +553,7 @@ class TestMainEntry:
 
     @pytest.mark.parametrize("payload, args, message", [
         ([BASE], (), "configuration must be a JSON object"),
-        ({**BASE, "params": 2}, ("--cutoff", "41"), "'params' must be a JSON object"),
+        ({**BASE, "params": 2}, ("--tol", "1e-10"), "'params' must be a JSON object"),
     ])
     def test_main_rejects_non_object_in_process(self, tmp_path, capsys, payload, args, message):
         cfg = write_config(tmp_path, payload)

@@ -12,7 +12,9 @@ differs, indented lines name the checks added or removed, the pass flags that
 flipped and the largest relative residual change |r_change - r_parent| / r_parent
 over the checks both reports hold, then one line for each other check field
 (`notes`, `tolerance`, `conjecture`) naming the checks it
-differs in, and one naming the top-level report fields that differ.  When the
+differs in, and one naming the top-level report fields that differ; when
+`params` is among them, up to three more name its keys added, removed and
+changed.  When the
 spectrum CSVs differ, one more line gives the largest change of a `tv` or `q`
 value, |change - parent| / max(1, |parent|) over the complex values of rows
 with equal keys (sector, record index, z), or says that the row keys differ.
@@ -122,6 +124,13 @@ def differences(parent, change):
                  if key != "checks" and parent[1].get(key) != change[1].get(key))
     if top:
         lines.append(f"top-level fields differ: {', '.join(top)}")
+    was, now = (run[1].get("params") for run in (parent, change))
+    if "params" in top and isinstance(was, dict) and isinstance(now, dict):
+        changed = [key for key in was.keys() & now.keys() if was[key] != now[key]]
+        for what, keys in (("added", now.keys() - was.keys()),
+                           ("removed", was.keys() - now.keys()), ("changed", changed)):
+            if keys:
+                lines.append(f"params keys {what}: {', '.join(sorted(keys))}")
     return lines
 
 
